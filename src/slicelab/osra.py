@@ -66,6 +66,10 @@ ZERO_GRADIENT_NORM = 1e-12
 FEASIBILITY_TOL = 1e-9
 
 
+class NonFiniteGradient(ValueError):
+    """A penalty gradient holds NaN or inf; names the slice and iteration."""
+
+
 @dataclass(frozen=True)
 class OsraConfig:
     """Tuning knobs for one reconfiguration run.
@@ -265,6 +269,11 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
                     config.delta, config.probes,
                     seed_base=derive_seed(seed, 7101, k, di), memory=memory,
                     map_fn=map_fn)
+
+        for sid, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NonFiniteGradient(
+                    f"gradient of slice {sid!r} at iteration {k} is not finite: {g}")
 
         etas = {s.id: config.eta_for(s.id, k) for s in donors}
         transfer, stop_metric, deltas, grant, rule_used = transfer_step(

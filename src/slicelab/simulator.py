@@ -16,6 +16,7 @@ count their stranded requests as dropped.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ from .domain import AllocationMatrix, QoeSample, SliceSpec, Topology, TrafficMod
 
 class SimulationError(RuntimeError):
     pass
+
+
+# packets per link window after an overflow, and per chunk of the
+# per-packet loop; a window that drops nothing is followed by one twice
+# as long
+_RESTART_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -90,20 +97,38 @@ def _onoff_arrivals(model, horizon_s, rng):
     gap = model.intra_burst_gap_s()
     p = 1.0 / model.burst_len
     off_mean = model.off_time_ms / 1000.0
-    starts = []
-    counts = []
-    t = rng.exponential(off_mean) if off_mean > 0 else 0.0
+    if off_mean == 0.0 and gap == 0.0:
+        raise SimulationError("on/off source with zero gap and zero off time cannot advance")
+    # The source is one standard-exponential stream E: an optional leading
+    # off time, then per burst a geometric size ceil(-E / log1p(-p)) (how
+    # numpy draws geometric(p) for p < 1/3) and an off time off_mean * E.
+    # Draw E in bulk, then rewind and consume only the draws a per-burst
+    # loop would have made, so the packet sizes drawn next see its stream.
+    state = rng.bit_generator.state
+    per_burst = 2 if off_mean > 0 else 1
+    t = off_mean * rng.standard_exponential() if off_mean > 0 else 0.0
+    used = per_burst - 1
+    starts, counts = [], []
     while t < horizon_s:
-        n = int(rng.geometric(p))
-        starts.append(t)
-        counts.append(n)
-        t += n * gap + (rng.exponential(off_mean) if off_mean > 0 else 0.0)
-        if off_mean == 0.0 and gap == 0.0:
-            raise SimulationError("on/off source with zero gap and zero off time cannot advance")
+        m = int((horizon_s - t) / (model.burst_len * gap + off_mean) * 1.1) + 16
+        e = rng.standard_exponential((m, per_burst))
+        n = np.ceil(-e[:, 0] / math.log1p(-p)) if p < 1.0 else np.ones(m)
+        step = n * gap
+        if off_mean > 0:
+            step += off_mean * e[:, 1]
+        # burst starts, summed in the loop's order; the last one is the next t
+        s = np.cumsum(np.concatenate(([t], step)))
+        b = min(m, int(np.searchsorted(s, horizon_s)))
+        starts.append(s[:b])
+        counts.append(n[:b].astype(np.int64))
+        used += per_burst * b
+        t = s[b]
+    rng.bit_generator.state = state
+    rng.standard_exponential(used)
     if not starts:
         return np.empty(0)
-    starts = np.array(starts)
-    counts = np.array(counts)
+    starts = np.concatenate(starts)
+    counts = np.concatenate(counts)
     # expand each burst into gap-spaced packets
     within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     arrivals = np.repeat(starts, counts) + within * gap
@@ -121,59 +146,112 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                       service_rate_ips, demand_mi, propagation_ms):
     """Push one slice's packets through its link queues and server queue.
 
-    arrivals must be sorted. Returns (delays_ms of served packets in
-    arrival order of survivors, served_mask over all offered packets).
-    Zero-rate stages strand everything behind them (served_mask False).
+    arrivals must be sorted and as long as sizes_bytes. Returns (delays_ms
+    of served packets in arrival order of survivors, served_mask over all
+    offered packets). Zero-rate stages strand everything behind them
+    (served_mask False).
     """
     arrivals = np.asarray(arrivals, dtype=float)
-    n = len(arrivals)
-    served_mask = np.ones(n, dtype=bool)
-    times = arrivals.tolist()
-    sizes = (np.asarray(sizes_bytes, dtype=float) * 8.0).tolist()  # bits
-    created = arrivals.tolist()
-    idx = list(range(n))
+    bits = np.asarray(sizes_bytes, dtype=float) * 8.0
+    if arrivals.shape != bits.shape:
+        raise ValueError(
+            f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(bits)}")
+    if not np.all(arrivals[1:] >= arrivals[:-1]):
+        raise ValueError("arrivals must be sorted in non-decreasing order")
+    served_mask = np.ones(arrivals.size, dtype=bool)
+    times, created = arrivals, arrivals
 
     # link stages in series, each with its own finite buffer
     for rate in link_rates_bps:
         if rate <= 0.0:
-            for i in idx:
-                served_mask[i] = False
-            times, sizes, created, idx = [], [], [], []
-            break
-        out_times = []
-        head = 0
-        prev_out = -math.inf
-        keep_t, keep_s, keep_c, keep_i = [], [], [], []
-        for t, bits, c, i in zip(times, sizes, created, idx):
-            while head < len(out_times) and out_times[head] <= t:
-                head += 1
-            if len(out_times) - head >= buffer_pkts:
-                served_mask[i] = False
-                continue
-            start = t if t > prev_out else prev_out
-            prev_out = start + bits / rate
-            out_times.append(prev_out)
-            keep_t.append(prev_out)
-            keep_s.append(bits)
-            keep_c.append(c)
-            keep_i.append(i)
-        times, sizes, created, idx = keep_t, keep_s, keep_c, keep_i
+            served_mask[:] = False
+            return np.empty(0), served_mask
+        times = _link_stage(times, bits / rate, buffer_pkts)
+        kept = ~np.isnan(times)
+        if not kept.all():
+            served_mask[served_mask] = kept
+            times, bits, created = times[kept], bits[kept], created[kept]
 
-    # server stage: unbounded FIFO, deterministic per-request service time
+    # server stage: unbounded FIFO with the same service time proc for every
+    # request, so end_i = (i+1)*proc + max_{k<=i}(t_k - k*proc)
     if service_rate_ips <= 0.0:
-        for i in idx:
-            served_mask[i] = False
+        served_mask[:] = False
         return np.empty(0), served_mask
-
     proc = demand_mi / service_rate_ips
     prop_s = propagation_ms / 1000.0
-    delays = []
-    prev_end = -math.inf
-    for t, c in zip(times, created):
-        start = t if t > prev_end else prev_end
-        prev_end = start + proc
-        delays.append((prev_end - c + prop_s) * 1000.0)
-    return np.array(delays), served_mask
+    k = np.arange(times.size)
+    ends = (k + 1) * proc + np.maximum.accumulate(times - k * proc)
+    return (ends - created + prop_s) * 1000.0, served_mask
+
+
+def _link_stage(t, tx, buffer_pkts):
+    """Departure times from one FIFO link that holds at most buffer_pkts packets.
+
+    t are the sorted arrival times and tx the transmission times. Lindley's
+    recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
+    dep = C + max.accumulate(t - C_prev) over cumulative transmission time
+    C, one window of packets at a time. An arrival at t finds
+    i - #{dep <= t} packets queued, so a departure at t frees its slot
+    first. From the first arrival that finds the buffer full, the exact
+    per-packet loop takes over until an arrival finds the link idle.
+    Dropped packets get a NaN departure time.
+    """
+    n = t.size
+    dep = np.empty(n)
+    pend = np.empty(0)   # departures after the last arrival handled so far
+    i, width = 0, n
+    while i < n:
+        j = min(n, i + width)
+        tw, cw = t[i:j], np.cumsum(tx[i:j])
+        lead = np.maximum.accumulate(tw - np.concatenate(([0.0], cw[:-1])))
+        if pend.size:
+            lead = np.maximum(lead, pend[-1])
+        d = cw + lead
+        queued = np.arange(j - i) - np.searchsorted(d, tw, side="right")
+        if pend.size:
+            queued += pend.size - np.searchsorted(pend, tw, side="right")
+        full = queued >= buffer_pkts
+        f = int(full.argmax()) if full.any() else j - i
+        dep[i:i + f] = d[:f]
+        at = tw[f] if f < j - i else tw[-1]
+        pend = np.concatenate((pend[np.searchsorted(pend, at, side="right"):],
+                               d[np.searchsorted(d[:f], at, side="right"):f]))
+        if f < j - i:
+            i = _overflow_loop(t, tx, i + f, deque(pend.tolist()), buffer_pkts, dep)
+            pend, width = np.empty(0), _RESTART_WINDOW
+        else:
+            i, width = j, 2 * width
+    return dep
+
+
+def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):
+    """Per-packet link loop from arrival k, which finds the buffer full.
+
+    queue holds the pending departure times. Writes dep (NaN for a drop)
+    and returns the index of the first arrival that finds the link idle,
+    or t.size.
+    """
+    n = t.size
+    prev_out = queue[-1]
+    while k < n:
+        out = []
+        stop = min(n, k + _RESTART_WINDOW)
+        for t_k, tx_k in zip(t[k:stop].tolist(), tx[k:stop].tolist()):
+            while queue and queue[0] <= t_k:
+                queue.popleft()
+            if not queue:
+                break
+            if len(queue) >= buffer_pkts:
+                out.append(math.nan)
+            else:
+                prev_out += tx_k
+                queue.append(prev_out)
+                out.append(prev_out)
+        dep[k:k + len(out)] = out
+        k += len(out)
+        if not queue:
+            return k
+    return n
 
 
 def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConfig,

@@ -2,14 +2,17 @@
 
 Everything in this file is deliberately written from first principles and
 kept separate from the package under test: brute-force QP for the capped
-simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace, and
-a scalar re-implementation of the transfer recursion. Test expectations are
+simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace,
+a scalar re-implementation of the transfer recursion, and the simulator's
+original per-packet link/server loop and per-burst on/off generator. Test expectations are
 frozen from these, never from the library.
 """
 import itertools
 import math
 
 import numpy as np
+
+from slicelab.simulator import SimulationError
 
 
 def qp_capped_simplex(y):
@@ -98,3 +101,89 @@ def scalar_transfer_recursion(x1, xj, eta, steps):
         x1, xj = float(proj[0]), float(proj[1])
         hist.append((x1, xj))
     return hist
+
+
+# The simulator's original loops, kept unchanged as differential oracles for
+# its vectorized link/server stages and on/off generator.
+
+def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
+                  service_rate_ips, demand_mi, propagation_ms):
+    """Push one slice's packets through its link queues and server queue.
+
+    arrivals must be sorted. Returns (delays_ms of served packets in
+    arrival order of survivors, served_mask over all offered packets).
+    Zero-rate stages strand everything behind them (served_mask False).
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    n = len(arrivals)
+    served_mask = np.ones(n, dtype=bool)
+    times = arrivals.tolist()
+    sizes = (np.asarray(sizes_bytes, dtype=float) * 8.0).tolist()  # bits
+    created = arrivals.tolist()
+    idx = list(range(n))
+
+    # link stages in series, each with its own finite buffer
+    for rate in link_rates_bps:
+        if rate <= 0.0:
+            for i in idx:
+                served_mask[i] = False
+            times, sizes, created, idx = [], [], [], []
+            break
+        out_times = []
+        head = 0
+        prev_out = -math.inf
+        keep_t, keep_s, keep_c, keep_i = [], [], [], []
+        for t, bits, c, i in zip(times, sizes, created, idx):
+            while head < len(out_times) and out_times[head] <= t:
+                head += 1
+            if len(out_times) - head >= buffer_pkts:
+                served_mask[i] = False
+                continue
+            start = t if t > prev_out else prev_out
+            prev_out = start + bits / rate
+            out_times.append(prev_out)
+            keep_t.append(prev_out)
+            keep_s.append(bits)
+            keep_c.append(c)
+            keep_i.append(i)
+        times, sizes, created, idx = keep_t, keep_s, keep_c, keep_i
+
+    # server stage: unbounded FIFO, deterministic per-request service time
+    if service_rate_ips <= 0.0:
+        for i in idx:
+            served_mask[i] = False
+        return np.empty(0), served_mask
+
+    proc = demand_mi / service_rate_ips
+    prop_s = propagation_ms / 1000.0
+    delays = []
+    prev_end = -math.inf
+    for t, c in zip(times, created):
+        start = t if t > prev_end else prev_end
+        prev_end = start + proc
+        delays.append((prev_end - c + prop_s) * 1000.0)
+    return np.array(delays), served_mask
+
+
+def loop_onoff_arrivals(model, horizon_s, rng):
+    gap = model.intra_burst_gap_s()
+    p = 1.0 / model.burst_len
+    off_mean = model.off_time_ms / 1000.0
+    starts = []
+    counts = []
+    t = rng.exponential(off_mean) if off_mean > 0 else 0.0
+    while t < horizon_s:
+        n = int(rng.geometric(p))
+        starts.append(t)
+        counts.append(n)
+        t += n * gap + (rng.exponential(off_mean) if off_mean > 0 else 0.0)
+        if off_mean == 0.0 and gap == 0.0:
+            raise SimulationError("on/off source with zero gap and zero off time cannot advance")
+    if not starts:
+        return np.empty(0)
+    starts = np.array(starts)
+    counts = np.array(counts)
+    # expand each burst into gap-spaced packets
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    arrivals = np.repeat(starts, counts) + within * gap
+    return arrivals[arrivals < horizon_s]

@@ -20,7 +20,13 @@ from slicelab import (
     run_osra,
     transfer_step,
 )
-from slicelab.osra import ZERO_GRADIENT_NORM, assert_feasible, order_key
+from slicelab import osra
+from slicelab.osra import (
+    ZERO_GRADIENT_NORM,
+    NonFiniteGradient,
+    assert_feasible,
+    order_key,
+)
 
 from conftest import make_tiny_scenario
 from reference_impls import scalar_transfer_recursion
@@ -223,6 +229,21 @@ class TestRunOsra:
         with pytest.raises(KeyError):
             run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
                      "ghost", sc.osra)
+
+    def test_non_finite_gradient_names_slice_and_iteration(self, monkeypatch):
+        real = osra.probed_gradient
+        calls = []
+
+        def nan_after_first(*args, **kw):
+            calls.append(None)
+            g = real(*args, **kw)
+            return g if len(calls) == 1 else np.full_like(g, np.nan)
+
+        monkeypatch.setattr(osra, "probed_gradient", nan_after_first)
+        with pytest.raises(NonFiniteGradient,
+                           match=r"slice 'new' at iteration 1 is not finite"):
+            run(make_tiny_scenario(epsilon=0.0))
+        assert issubclass(NonFiniteGradient, ValueError)
 
     def test_eta_map_must_cover_donors(self):
         sc = make_tiny_scenario()

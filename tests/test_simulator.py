@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicelab import (
     AllocationMatrix,
@@ -14,6 +16,7 @@ from slicelab import (
     TrafficModel,
 )
 from slicelab.simulator import (
+    _draw_sizes,
     delay_statistic,
     generate_traffic,
     run_sim,
@@ -21,7 +24,11 @@ from slicelab.simulator import (
     summarize,
     write_packet_trace,
 )
-from reference_impls import HAND_SINGLE_PACKET_MS
+from reference_impls import HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline
+
+# largest delay difference allowed between the running-max pipeline and the
+# per-packet loop: they sum the same times in a different order
+LOOP_DELAY_TOL_MS = 1e-6
 
 
 def one_slice(rate=300.0, kind="poisson", **kw):
@@ -100,6 +107,121 @@ class TestPipeline:
             0.0, 5e4, propagation_ms=0.0,
         )
         assert not served.any()
+
+    def test_departure_at_an_arrival_instant_frees_the_slot_first(self):
+        # 1 byte at 16 b/s takes exactly 0.5 s: the first packet leaves at
+        # the second one's arrival, so a one-packet buffer still takes it
+        delays, served = simulate_pipeline(
+            np.array([0.0, 0.5]), np.array([1.0, 1.0]), np.array([16.0]), 1,
+            1.0, 0.25, propagation_ms=0.0,
+        )
+        assert served.tolist() == [True, True]
+        assert delays.tolist() == [750.0, 750.0]
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length: 3 vs 1"):
+            simulate_pipeline(np.array([0.0, 0.1, 0.2]), np.array([1000.0]),
+                              np.array([8e6]), 10, 3e8, 5e4, 0.0)
+
+    def test_unsorted_arrivals_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            simulate_pipeline(np.array([0.2, 0.1]), np.array([1000.0, 1000.0]),
+                              np.array([8e6]), 10, 3e8, 5e4, 0.0)
+
+
+def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
+                        demand_mi, propagation_ms, tol_ms=LOOP_DELAY_TOL_MS):
+    args = (np.asarray(arrivals, dtype=float), np.asarray(sizes, dtype=float),
+            np.asarray(link_rates, dtype=float), buffer_pkts, cpu_rate,
+            demand_mi, propagation_ms)
+    want_delays, want_served = loop_pipeline(*args)
+    delays, served = simulate_pipeline(*args)
+    assert np.array_equal(served, want_served)
+    assert delays.shape == want_delays.shape
+    np.testing.assert_allclose(delays, want_delays, rtol=0.0, atol=tol_ms)
+
+
+link_rate = st.one_of(st.just(0.0), st.floats(1e4, 1e7))
+cpu_rate = st.one_of(st.just(0.0), st.floats(1e5, 1e9))
+
+
+class TestPipelineAgainstLoop:
+    """The running-max pipeline against the per-packet loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        packets=st.lists(st.tuples(st.floats(0.0, 2.0), st.integers(1, 3000)),
+                         max_size=120),
+        link_rates=st.lists(link_rate, min_size=1, max_size=2),
+        buffer_pkts=st.integers(1, 50),
+        cpu=cpu_rate,
+        demand_mi=st.floats(1e2, 1e5),
+        propagation_ms=st.floats(0.0, 5.0),
+    )
+    def test_random_inputs(self, packets, link_rates, buffer_pkts, cpu,
+                           demand_mi, propagation_ms):
+        packets = sorted(packets)
+        assert_matches_loop([t for t, _ in packets], [b for _, b in packets],
+                            link_rates, buffer_pkts, cpu, demand_mi, propagation_ms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        packets=st.lists(st.tuples(st.integers(0, 400), st.integers(1, 8)),
+                         max_size=120),
+        stages=st.integers(1, 2),
+        buffer_pkts=st.integers(1, 50),
+        proc_ticks=st.integers(0, 8),
+    )
+    def test_arrivals_at_departure_instants(self, packets, stages, buffer_pkts,
+                                            proc_ticks):
+        # every time is a multiple of 1/64 s and exact in binary, so arrivals
+        # land exactly on departures and both versions must agree exactly
+        packets = sorted(packets)
+        assert_matches_loop([t / 64.0 for t, _ in packets], [b for _, b in packets],
+                            [512.0] * stages, buffer_pkts, 64.0, float(proc_ticks),
+                            0.0, tol_ms=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 4000),
+        load=st.floats(0.3, 2.0),
+        stages=st.integers(1, 2),
+        buffer_pkts=st.integers(1, 50),
+    )
+    def test_long_calls_cross_windows(self, seed, n, load, stages, buffer_pkts):
+        # long enough for several overflow episodes and the windows between
+        rng = np.random.default_rng(seed)
+        arrivals = np.cumsum(rng.exponential(1e-3, n))
+        sizes = rng.integers(20, 2000, n)
+        rate = 8.0 * sizes.mean() / 1e-3 / load if n else 1e6
+        assert_matches_loop(arrivals, sizes, [rate] * stages, buffer_pkts,
+                            3e8, 1e4, 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 4000),
+        stages=st.integers(1, 2),
+        buffer_pkts=st.integers(1, 50),
+    )
+    def test_long_calls_on_a_binary_grid(self, seed, n, stages, buffer_pkts):
+        # as above, but with every time a multiple of 1/64 s, so that
+        # arrivals land exactly on departures inside overflow episodes too
+        rng = np.random.default_rng(seed)
+        arrivals = np.cumsum(rng.integers(0, 8, n)) / 64.0
+        assert_matches_loop(arrivals, rng.integers(1, 8, n), [512.0] * stages,
+                            buffer_pkts, 64.0, 1.0, 0.0, tol_ms=0.0)
+
+    @pytest.mark.parametrize("link_share", [0.03, 0.015])
+    def test_audit_horizon(self, link_share):
+        # ~10^5 bursty packets over 500 s: a few overflow episodes on 3% of
+        # the link, an overflow that rarely drains on 1.5%
+        tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
+                          off_time_ms=38.0)
+        arrivals, sizes = generate_traffic(tm, 500.0, np.random.default_rng(1))
+        assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
+                            0.3 * 3e8, 1e4, 0.1)
 
 
 class TestStatistics:
@@ -248,6 +370,59 @@ class TestTraffic:
         _, sizes = generate_traffic(tm, 10.0, rng)
         assert sizes.min() >= 20 and sizes.max() <= 65535
         assert sizes.mean() == pytest.approx(1000.0, rel=0.05)
+
+
+def bursty(burst_len, off_time_ms, mean_rate=200.0):
+    return TrafficModel(kind="bursty-onoff", mean_rate=mean_rate,
+                        burst_len=burst_len, off_time_ms=off_time_ms)
+
+
+def burst_sizes(arrivals, gap):
+    """Packets per burst: a new burst starts after any spacing above gap."""
+    starts = np.flatnonzero(np.diff(arrivals) > gap * (1 + 1e-9))
+    return np.diff(np.concatenate(([0], starts + 1, [arrivals.size])))
+
+
+class TestOnOffAgainstLoop:
+    """The bulk on/off generator against the per-burst loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        burst_len=st.floats(3.0, 40.0, exclude_min=True),
+        off_time_ms=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        horizon_s=st.sampled_from([10.0, 500.0]),
+    )
+    @example(seed=0, burst_len=8.0, off_time_ms=38.0, horizon_s=10.0)
+    @example(seed=1, burst_len=8.0, off_time_ms=38.0, horizon_s=500.0)
+    @example(seed=2, burst_len=8.0, off_time_ms=0.0, horizon_s=10.0)
+    @example(seed=3, burst_len=8.0, off_time_ms=0.0, horizon_s=500.0)
+    def test_arrivals_and_sizes_bit_identical(self, seed, burst_len,
+                                              off_time_ms, horizon_s):
+        # the mean rate is kept under the burst envelope burst_len/off_time
+        tm = bursty(burst_len, off_time_ms,
+                    mean_rate=min(200.0, 0.9e3 * burst_len / max(off_time_ms, 1e-9)))
+        want_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = loop_onoff_arrivals(tm, horizon_s, want_rng)
+        want_sizes = _draw_sizes(tm, want.size, want_rng)
+        arrivals, sizes = generate_traffic(tm, horizon_s, rng)
+        assert np.array_equal(arrivals, want)
+        assert np.array_equal(sizes, want_sizes)
+
+    def test_burst_len_one_sends_single_packets(self):
+        tm = bursty(1.0, 2.0)
+        arrivals, _ = generate_traffic(tm, 20.0, np.random.default_rng(8))
+        assert (burst_sizes(arrivals, tm.intra_burst_gap_s()) == 1).all()
+        assert arrivals.size / 20.0 == pytest.approx(200.0, rel=0.05)
+
+    @pytest.mark.parametrize("burst_len", [1.5, 2.0, 3.0])
+    def test_short_bursts_keep_their_mean(self, burst_len):
+        # numpy draws geometric(p >= 1/3) by search, so these streams differ
+        # from the loop's; only the burst-length distribution must hold
+        tm = bursty(burst_len, 2.0)
+        arrivals, _ = generate_traffic(tm, 200.0, np.random.default_rng(9))
+        assert burst_sizes(arrivals, tm.intra_burst_gap_s()).mean() == \
+            pytest.approx(burst_len, rel=0.03)
 
 
 class TestPacketTrace:
