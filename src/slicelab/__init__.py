@@ -12,7 +12,6 @@ from .baseline import (
     evaluate_baseline,
     mm1_demand,
     size_all,
-    size_all_clamped,
 )
 from .domain import (
     UNBOUNDED,
@@ -27,10 +26,7 @@ from .domain import (
     validate_scenario,
 )
 from .oracle import (
-    AnalyticOracle,
     OracleFailure,
-    QoeOracle,
-    SimOracle,
     analytic_mm1_evaluate,
     analytic_parts,
     derive_seed,
@@ -55,11 +51,9 @@ from .penalty import (
     probed_gradient,
 )
 from .projection import (
-    ConstraintSet,
     DimensionMismatch,
     project_capped_simplex,
     project_columns,
-    project_constraint_set,
 )
 from .scenario import (
     ScenarioConfig,

@@ -29,15 +29,15 @@ class InfeasibleDemand(ValueError):
     pass
 
 
-def mm1_demand(spec: SliceSpec, topology: Topology, budget_split: float = 0.5,
-               clamp: bool = True) -> tuple[AllocationVector, bool]:
+def mm1_demand(spec: SliceSpec, topology: Topology,
+               budget_split: float = 0.5) -> tuple[AllocationVector, bool]:
     """Size one slice from mean-delay formulas.
 
     The delay bound splits as budget_split to the network (spread evenly
     over edges) and the rest to the server; each stage gets the service
     rate mu = lam + 1/W for its sojourn share W. Unbounded delay sizes for
-    stability only (10% headroom). Required fractions above 1 either raise
-    InfeasibleDemand (clamp=False) or clip, returning infeasible=True.
+    stability only (10% headroom). Required fractions above 1 clip to 1,
+    returning infeasible=True.
     """
     if not 0.0 < budget_split < 1.0:
         raise ValueError(f"budget_split must be in (0, 1), got {budget_split}")
@@ -56,20 +56,18 @@ def mm1_demand(spec: SliceSpec, topology: Topology, budget_split: float = 0.5,
     cpu_total_ips = mu_srv * spec.demand_mi
     cpu = np.full(topology.n_cores, cpu_total_ips / topology.core_mips().sum())
 
-    worst = max(flows.max(), cpu.max())
-    infeasible = bool(worst > 1.0)
-    if infeasible and not clamp:
-        raise InfeasibleDemand(
-            f"slice {spec.id!r} needs fraction {worst:.4f} > 1 of some resource")
+    infeasible = bool(max(flows.max(), cpu.max()) > 1.0)
     return AllocationVector(np.minimum(flows, 1.0), np.minimum(cpu, 1.0)), infeasible
 
 
-def size_all(slices, topology: Topology, budget_split: float = 0.5,
+def size_all(slices, topology: Topology, budget_split: float = 0.5, clamp: bool = False,
              ) -> tuple[AllocationMatrix, dict[str, bool]]:
     """Size every slice independently and assemble the joint allocation.
 
-    Raises InfeasibleDemand if the independently-sized rows overrun a
-    resource jointly; per-slice clamping is reported in the flags map.
+    Per-slice clamping is reported in the flags map. If the rows jointly
+    overrun a resource column, raises InfeasibleDemand; with clamp=True the
+    column is scaled back to a sum of 1 instead and every slice is flagged,
+    for reports that must proceed even when the sizing cannot be honored.
     """
     rows, flags = {}, {}
     for s in slices:
@@ -78,33 +76,15 @@ def size_all(slices, topology: Topology, budget_split: float = 0.5,
     cpu = np.array([rows[s.id].cpu for s in slices])
     for name, arr in (("edge", flows), ("core", cpu)):
         sums = arr.sum(axis=0)
-        if sums.max() > 1.0:
+        over = sums > 1.0
+        if not over.any():
+            continue
+        if not clamp:
             raise InfeasibleDemand(
                 f"sized rows jointly need {sums.max():.4f} > 1 of {name} "
                 f"{int(sums.argmax())}")
-    return AllocationMatrix(tuple(s.id for s in slices), flows, cpu), flags
-
-
-def size_all_clamped(slices, topology: Topology, budget_split: float = 0.5,
-                     ) -> tuple[AllocationMatrix, dict[str, bool]]:
-    """Like size_all, but always returns a feasible allocation.
-
-    A joint overrun of some resource column is scaled back to a sum of 1,
-    and every slice on that column gets its infeasible flag set. For
-    reports that must proceed even when the sizing cannot be honored.
-    """
-    rows, flags = {}, {}
-    for s in slices:
-        rows[s.id], flags[s.id] = mm1_demand(s, topology, budget_split)
-    flows = np.array([rows[s.id].flows for s in slices])
-    cpu = np.array([rows[s.id].cpu for s in slices])
-    for arr in (flows, cpu):
-        sums = arr.sum(axis=0)
-        over = sums > 1.0
-        if over.any():
-            arr[:, over] /= sums[over]
-            for s in slices:
-                flags[s.id] = True
+        arr[:, over] /= sums[over]
+        flags = dict.fromkeys(flags, True)
     return AllocationMatrix(tuple(s.id for s in slices), flows, cpu), flags
 
 

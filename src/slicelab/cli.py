@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import audit_allocation, size_all_clamped
+from .baseline import audit_allocation, size_all
 from .domain import InvariantViolation
 from .osra import run_osra
 from .scenario import (
@@ -58,7 +58,7 @@ def _load(args) -> ScenarioConfig:
     if getattr(args, "statistic", None):
         overrides["statistic"] = args.statistic
     if overrides:
-        sc = with_overrides(sc, **overrides).validate()
+        sc = with_overrides(sc, **overrides)
     return sc
 
 
@@ -185,7 +185,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     seeds = args.seeds
 
-    base_alloc, base_flags = size_all_clamped(sc.slices, sc.topology)
+    base_alloc, base_flags = size_all(sc.slices, sc.topology, clamp=True)
     osra_res = run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
                         sc.new_slice_id, sc.osra, seed=seeds[0])
     print(f"baseline sized (clamped: {sorted(k for k, v in base_flags.items() if v)}); "
@@ -195,37 +195,21 @@ def cmd_compare(args) -> int:
 
     methods = {"baseline": (base_alloc, base_flags),
                "osra": (osra_res.final_alloc, {sid: False for sid in base_flags})}
-    per_seed = {
-        m: {seed: audit_allocation(sc.slices, sc.topology, alloc, sc.sim, [seed])
-            for seed in seeds}
-        for m, (alloc, _) in methods.items()
-    }
-
     ids = list(sc.initial_alloc.slice_ids)
     rows = []
-    pooled_delays = {}
+    pooled = {}
     for m, (alloc, flags) in methods.items():
-        for seed in seeds:
+        audits = [(seed, audit_allocation(sc.slices, sc.topology, alloc, sc.sim, [seed]))
+                  for seed in seeds]
+        pooled[m] = audit_allocation(sc.slices, sc.topology, alloc, sc.sim, seeds)
+        if len(seeds) > 1:
+            audits.append(("pooled", pooled[m]))
+        for seed, report in audits:
             for sid in ids:
-                a = per_seed[m][seed][sid]
+                a = report[sid]
                 rows.append([m, sid, seed, _fmt(a.violation_fraction),
                              _fmt(a.mean_delay_ms), _fmt(a.max_delay_ms),
                              _fmt(a.throughput), int(flags[sid])])
-        for sid in ids:
-            audits = [per_seed[m][seed][sid] for seed in seeds]
-            pooled = np.concatenate([a.delays_ms for a in audits])
-            pooled_delays[(m, sid)] = pooled
-            if len(seeds) > 1:
-                succ = sum(a.success for a in audits)
-                off = sum(a.offered for a in audits)
-                req = sc.slice_by_id(sid).requirement
-                viol = float(np.mean(pooled > req.tau_ms)) if (
-                    req.bounded and pooled.size) else 0.0
-                rows.append([
-                    m, sid, "pooled", _fmt(viol),
-                    _fmt(float(pooled.mean()) if pooled.size else float("nan")),
-                    _fmt(float(pooled.max()) if pooled.size else float("nan")),
-                    _fmt(succ / off if off else 1.0), int(flags[sid])])
     _write_csv(out / "compare.csv",
                ["method", "slice", "seed", "violation_fraction", "mean_delay",
                 "max_delay", "throughput", "infeasible"],
@@ -233,11 +217,11 @@ def cmd_compare(args) -> int:
 
     hist_rows = []
     for sid in ids:
-        spans = [pooled_delays[(m, sid)] for m in methods]
+        spans = [pooled[m][sid].delays_ms for m in methods]
         hi = max((s.max() for s in spans if s.size), default=1.0)
         edges = np.linspace(0.0, float(hi) * 1.001 + 1e-9, 41)
         for m in methods:
-            counts, _ = np.histogram(pooled_delays[(m, sid)], bins=edges)
+            counts, _ = np.histogram(pooled[m][sid].delays_ms, bins=edges)
             hist_rows += [[m, sid, _fmt(float(edges[b])), _fmt(float(edges[b + 1])),
                            int(counts[b])] for b in range(len(counts))]
     _write_csv(out / "histograms.csv",

@@ -1,8 +1,8 @@
 """Core value types: QoE requirements, traffic models, slices, topology,
 allocations, and measured QoE samples.
 
-All types are immutable values. Cheap per-field bounds are enforced at
-construction; :func:`validate_scenario` re-runs every check across a whole
+All types are immutable values that check their own bounds at
+construction; :func:`validate_scenario` adds the checks that span a whole
 (slices, topology, allocation) triple and reports all violations at once.
 """
 from __future__ import annotations
@@ -307,14 +307,6 @@ class AllocationMatrix:
         i = self.index(slice_id)
         return AllocationVector(flows=self.flows[i], cpu=self.cpu[i])
 
-    def with_row(self, slice_id: str, vec: AllocationVector) -> "AllocationMatrix":
-        i = self.index(slice_id)
-        flows = self.flows.copy()
-        cpu = self.cpu.copy()
-        flows[i] = vec.flows
-        cpu[i] = vec.cpu
-        return AllocationMatrix(self.slice_ids, flows, cpu)
-
     @property
     def n_edges(self) -> int:
         return self.flows.shape[1]
@@ -410,19 +402,15 @@ class QoeSample:
 def validate_scenario(slices, topology, alloc):
     """Cross-check a full (slices, topology, allocation) triple.
 
-    Re-runs every per-type invariant plus the cross-cutting ones (unique
-    ids, allocation rows match the slice set, dimensions match the
-    topology) and raises InvariantViolation listing every failure.
+    Each type checked itself when built; this adds the cross-cutting
+    invariants (unique ids, allocation rows match the slice set, dimensions
+    match the topology) and raises InvariantViolation listing every failure.
     Returns the inputs unchanged when everything holds.
     """
     errs = []
     ids = [s.id for s in slices]
     if len(set(ids)) != len(ids):
         errs.append("duplicate slice ids")
-    for s in slices:
-        errs += check_slice(s)
-    errs += check_topology(topology)
-    errs += check_alloc_matrix(alloc)
     if set(alloc.slice_ids) != set(ids):
         errs.append(
             f"allocation rows {sorted(alloc.slice_ids)} do not match slices {sorted(ids)}"

@@ -1,23 +1,23 @@
 """QoE oracles: map (slice, allocation) to a delay statistic and throughput.
 
-Two implementations share one interface:
+Two kinds:
 
-* AnalyticOracle: stationary M/M/1 formulas per stage. Delay is the sum
-  of per-stage mean sojourns in ms; a saturated stage (lambda >= mu) marks
-  the delay unbounded and caps throughput at mu_bottleneck/lambda. Exact,
-  seed-free, and differentiable through `analytic_parts`.
-* SimOracle: runs the event simulator and reduces raw delays under the
-  configured statistic. Stochastic but fully reproducible per seed.
+* Analytic: stationary M/M/1 formulas per stage (`analytic_parts`,
+  `analytic_mm1_evaluate`). Delay is the sum of per-stage mean sojourns in
+  ms; a saturated stage (lambda >= mu) marks the delay unbounded and caps
+  throughput at mu_bottleneck/lambda. Exact, seed-free, and differentiable.
+* Simulated: `sim_evaluate` and `sim_evaluate_all` run the event simulator
+  and reduce raw delays under the configured statistic. Stochastic but
+  fully reproducible per seed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationMatrix, AllocationVector, QoeSample, SliceSpec, Topology
-from .simulator import SimConfig, run_sim, summarize
+from .domain import AllocationVector, QoeSample, SliceSpec, Topology
+from .simulator import run_sim, summarize
 
 
 class OracleFailure(RuntimeError):
@@ -74,52 +74,10 @@ def analytic_mm1_evaluate(spec: SliceSpec, point: AllocationVector, topology: To
     return QoeSample(delay_stat_ms=delay, throughput=tp, n_requests=0, seed=None)
 
 
-class QoeOracle:
-    """Interface: evaluate one slice's QoE at an allocation matrix."""
-
-    statistic: str = "mean"
-
-    def evaluate(self, slice_id: str, alloc: AllocationMatrix, seed: int | None = None) -> QoeSample:
-        raise NotImplementedError
-
-
-@dataclass
-class AnalyticOracle(QoeOracle):
-    """Seed-free oracle backed by the stationary queueing model."""
-
-    slices: tuple
-    topology: Topology
-    statistic: str = "mean"
-
-    def __post_init__(self):
-        self.slices = tuple(self.slices)
-        self._by_id = {s.id: s for s in self.slices}
-
-    def evaluate(self, slice_id, alloc, seed=None):
-        return analytic_mm1_evaluate(self._by_id[slice_id], alloc.row(slice_id), self.topology)
-
-
-@dataclass
-class SimOracle(QoeOracle):
-    """Oracle backed by the tandem-queue simulator."""
-
-    slices: tuple
-    topology: Topology
-    config: SimConfig
-    statistic: str = "max"
-
-    def __post_init__(self):
-        self.slices = tuple(self.slices)
-
-    def evaluate(self, slice_id, alloc, seed=None):
-        return sim_evaluate(
-            slice_id, alloc, self.slices, self.topology, self.config,
-            seed=seed, statistic=self.statistic,
-        )
-
-    def evaluate_all(self, alloc, seed=None, keep_raw=False):
-        results = run_sim(self.slices, self.topology, alloc, self.config, seed=seed)
-        return summarize(results, self.statistic, seed=seed, keep_raw=keep_raw)
+def sim_evaluate_all(alloc, slices, topology, config, seed=None, statistic="max") -> dict:
+    """Simulate every slice at `alloc` and reduce, keeping the raw delays."""
+    results = run_sim(slices, topology, alloc, config, seed=seed)
+    return summarize(results, statistic, seed=seed, keep_raw=True)
 
 
 def sim_evaluate(slice_id, alloc, slices, topology, config, seed=None, statistic="max",

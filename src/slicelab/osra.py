@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .domain import AllocationMatrix, AllocationVector, QoeSample, Topology
-from .oracle import SimOracle, derive_seed, sim_evaluate
+from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
 from .simulator import SimConfig
@@ -103,6 +103,12 @@ class OsraConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
 
+    def missing_etas(self, donor_ids) -> list[str]:
+        """Donors an eta map leaves out; none for a scalar eta."""
+        if not isinstance(self.eta, Mapping):
+            return []
+        return [sid for sid in donor_ids if sid not in self.eta]
+
     def eta_for(self, slice_id: str, k: int) -> float:
         base = self.eta[slice_id] if isinstance(self.eta, Mapping) else self.eta
         if self.eta_schedule == "sqrt-decay":
@@ -132,10 +138,6 @@ class OsraResult:
     traces: tuple
     converged: bool
     iterations: int    # update steps actually applied
-
-    @property
-    def max_iters_exceeded(self) -> bool:
-        return not self.converged
 
     def penalty_history(self, slice_id: str) -> list[float]:
         return [t.penalties[slice_id] for t in self.traces]
@@ -215,17 +217,15 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             f"new slice {new_slice_id!r} has no lower-priority slices to draw from")
     frozen_ids = [s.id for s in slices
                   if s.id != new_slice_id and order_key(s) < order_key(new)]
-    if isinstance(config.eta, Mapping):
-        missing = [s.id for s in donors if s.id not in config.eta]
-        if missing:
-            raise ValueError(f"eta map missing donor slices {missing}")
+    missing = config.missing_etas(s.id for s in donors)
+    if missing:
+        raise ValueError(f"eta map missing donor slices {missing}")
 
     models = {
         s.id: PenaltyModel.for_slice(s, config.penalty_exponent,
                                      config.delay_ceiling_ms)
         for s in slices
     }
-    monitor = SimOracle(slices, topology, sim_config, statistic=config.statistic)
 
     # rows the update may touch, and the per-column budget left after the
     # frozen higher-priority rows take their share
@@ -248,8 +248,9 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     iterations = 0
 
     for k in range(config.max_iters):
-        samples = monitor.evaluate_all(alloc, seed=derive_seed(seed, 9001, k),
-                                       keep_raw=True)
+        samples = sim_evaluate_all(alloc, slices, topology, sim_config,
+                                   seed=derive_seed(seed, 9001, k),
+                                   statistic=config.statistic)
         penalties = {sid: penalty(models[sid], smp) for sid, smp in samples.items()}
 
         grads = {

@@ -183,7 +183,3 @@ class ProbeMemory:
 
     def __getitem__(self, i):
         return self._records[i]
-
-    def replay_check(self, oracle) -> bool:
-        """Re-evaluate every record; True iff all samples reproduce exactly."""
-        return all(oracle(pt, seed) == sample for pt, sample, seed in self._records)

@@ -6,26 +6,11 @@ independent, so the joint projection decomposes column-by-column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .domain import AllocationMatrix
 
 
 class DimensionMismatch(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Shape of the feasible set: one capped simplex per edge and per core."""
-
-    n_edges: int
-    n_cores: int
-
-    def matches(self, alloc: AllocationMatrix) -> bool:
-        return alloc.n_edges == self.n_edges and alloc.n_cores == self.n_cores
 
 
 def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
@@ -55,17 +40,6 @@ def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
     k = np.nonzero(u * j > css - budget)[0][-1]
     theta = (css[k] - budget) / (k + 1.0)
     return np.maximum(y - theta, 0.0)
-
-
-def project_constraint_set(alloc: AllocationMatrix, constraints: ConstraintSet) -> AllocationMatrix:
-    """Project every resource column of an allocation matrix independently."""
-    if not constraints.matches(alloc):
-        raise DimensionMismatch(
-            f"allocation ({alloc.n_edges} edges, {alloc.n_cores} cores) does not match "
-            f"constraint set ({constraints.n_edges}, {constraints.n_cores})"
-        )
-    flows, cpu = project_columns(alloc.flows, alloc.cpu)
-    return AllocationMatrix(alloc.slice_ids, flows, cpu)
 
 
 def project_columns(flows, cpu, budgets_flows=None, budgets_cpu=None):

@@ -7,8 +7,11 @@ An unbounded delay requirement is written as the string "unbounded".
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Mapping
 
 import numpy as np
 import yaml
@@ -85,10 +88,9 @@ class ScenarioConfig:
                     errs.append(
                         f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
                         f"lower-priority {d.id!r} ({d.alpha_tau})")
-            if isinstance(self.osra.eta, dict):
-                missing = [d.id for d in donors if d.id not in self.osra.eta]
-                if missing:
-                    errs.append(f"osra.eta map missing donor slices {missing}")
+            missing = self.osra.missing_etas(d.id for d in donors)
+            if missing:
+                errs.append(f"osra.eta map missing donor slices {missing}")
         try:
             delay_statistic(np.array([1.0]), self.osra.statistic)
         except ValueError as e:
@@ -98,12 +100,64 @@ class ScenarioConfig:
         return self
 
 
+def _mapping(d, where, known=None):
+    """d itself, after checking it is a mapping with no key outside `known`."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {type(d).__name__}")
+    stray = set() if known is None else set(d) - set(known)
+    if stray:
+        raise ScenarioError(f"unknown key(s) {sorted(stray, key=str)} in {where}")
+    return d
+
+
 def _req(mapping, key, where):
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{where} must be a mapping, got {type(mapping).__name__}")
-    if key not in mapping:
+    if key not in _mapping(mapping, where):
         raise ScenarioError(f"missing key {key!r} in {where}")
     return mapping[key]
+
+
+_CASTS = {"float": float, "int": int, "str": str}
+
+
+def _cast(annotation, value, where):
+    """Cast a YAML value by a field annotation: float, int, str or X | None."""
+    base, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return None
+    try:
+        return _CASTS[base](value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where} must be {base}, got {value!r}") from None
+
+
+def _from_dict(cls, d, where, **by_hand):
+    """Build dataclass `cls` from a YAML mapping, one key per field.
+
+    Missing keys take the field default; `by_hand` maps a field name to a
+    function (value, where) -> field value used in place of the cast.
+    """
+    fields = dataclasses.fields(cls)
+    _mapping(d, where, [f.name for f in fields])
+    kw = {}
+    for f in fields:
+        if f.name in d:
+            cast = by_hand.get(f.name) or partial(_cast, f.type)
+            kw[f.name] = cast(d[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING:
+            raise ScenarioError(f"missing key {f.name!r} in {where}")
+    return cls(**kw)
+
+
+def _to_dict(obj, **by_hand) -> dict:
+    """The YAML mapping `_from_dict` reads back; None fields are left out."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in by_hand:
+            out[f.name] = by_hand[f.name](value)
+        elif value is not None:
+            out[f.name] = _CASTS[f.type.partition(" | ")[0]](value)
+    return out
 
 
 def _tau_from_yaml(value, where):
@@ -121,41 +175,23 @@ def _tau_to_yaml(tau_ms):
     return "unbounded" if math.isinf(tau_ms) else float(tau_ms)
 
 
-def _traffic_from_dict(d, where) -> TrafficModel:
-    kind = _req(d, "kind", where)
-    known = {"kind", "mean_rate", "burst_len", "off_time_ms",
-             "size_min", "size_max", "size_dist", "size_mean"}
-    stray = set(d) - known
-    if stray:
-        raise ScenarioError(f"unknown key(s) {sorted(stray)} in {where}")
-    return TrafficModel(
-        kind=kind,
-        mean_rate=float(_req(d, "mean_rate", where)),
-        burst_len=None if d.get("burst_len") is None else float(d["burst_len"]),
-        off_time_ms=None if d.get("off_time_ms") is None else float(d["off_time_ms"]),
-        size_min=int(d.get("size_min", 20)),
-        size_max=int(d.get("size_max", 65535)),
-        size_dist=d.get("size_dist", "uniform"),
-        size_mean=None if d.get("size_mean") is None else float(d["size_mean"]),
-    )
+def _eta_from_yaml(value, where):
+    if isinstance(value, dict):
+        return {str(k): _cast("float", v, f"{where}.{k}") for k, v in value.items()}
+    return _cast("float", value, where)
 
 
-def _traffic_to_dict(tm: TrafficModel) -> dict:
-    out = {"kind": tm.kind, "mean_rate": float(tm.mean_rate)}
-    if tm.burst_len is not None:
-        out["burst_len"] = float(tm.burst_len)
-    if tm.off_time_ms is not None:
-        out["off_time_ms"] = float(tm.off_time_ms)
-    out.update(size_min=int(tm.size_min), size_max=int(tm.size_max),
-               size_dist=tm.size_dist)
-    if tm.size_mean is not None:
-        out["size_mean"] = float(tm.size_mean)
-    return out
+def _eta_to_yaml(eta):
+    if isinstance(eta, Mapping):
+        return {k: float(v) for k, v in eta.items()}
+    return float(eta)
 
 
 def _slice_from_dict(d) -> SliceSpec:
     sid = str(_req(d, "id", "slices[]"))
     where = f"slice {sid!r}"
+    _mapping(d, where, ("id", "priority_rank", "tau_ms", "rho", "alpha_tau",
+                        "alpha_rho", "demand_mi", "traffic"))
     return SliceSpec(
         id=sid,
         requirement=QoeRequirement(
@@ -164,7 +200,7 @@ def _slice_from_dict(d) -> SliceSpec:
         ),
         alpha_tau=float(_req(d, "alpha_tau", where)),
         alpha_rho=float(_req(d, "alpha_rho", where)),
-        traffic=_traffic_from_dict(_req(d, "traffic", where), f"{where}.traffic"),
+        traffic=_from_dict(TrafficModel, _req(d, "traffic", where), f"{where}.traffic"),
         demand_mi=float(_req(d, "demand_mi", where)),
         priority_rank=int(_req(d, "priority_rank", where)),
     )
@@ -172,7 +208,10 @@ def _slice_from_dict(d) -> SliceSpec:
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build an (already validated) ScenarioConfig from plain YAML data."""
-    topo_d = _req(data, "topology", "scenario")
+    _mapping(data, "scenario", ("name", "new_slice", "topology", "slices",
+                                "initial_alloc", "sim", "osra"))
+    topo_d = _mapping(_req(data, "topology", "scenario"), "topology",
+                      ("edges", "cores", "buffer_pkts"))
     topology = Topology(
         edges=tuple(_req(topo_d, "edges", "topology").items()),
         cores=tuple(_req(topo_d, "cores", "topology").items()),
@@ -182,51 +221,25 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
     alloc_d = _req(data, "initial_alloc", "scenario")
     rows = {}
-    for sid, row in alloc_d.items():
+    for sid, row in _mapping(alloc_d, "initial_alloc").items():
+        where = f"initial_alloc.{sid}"
+        _mapping(row, where, ("flows", "cpu"))
         rows[str(sid)] = AllocationVector(
-            flows=np.array(_req(row, "flows", f"initial_alloc.{sid}"), dtype=float),
-            cpu=np.array(_req(row, "cpu", f"initial_alloc.{sid}"), dtype=float),
+            flows=np.array(_req(row, "flows", where), dtype=float),
+            cpu=np.array(_req(row, "cpu", where), dtype=float),
         )
     try:
         alloc = AllocationMatrix.from_rows(rows)
     except InvariantViolation as e:
         raise ScenarioError(f"initial_alloc: {'; '.join(e.violations)}") from None
 
-    sim_d = data.get("sim", {})
-    sim = SimConfig(
-        horizon_s=float(sim_d.get("horizon_s", 10.0)),
-        warmup_s=float(sim_d.get("warmup_s", 1.0)),
-        propagation_ms=float(sim_d.get("propagation_ms", 0.1)),
-        seed=int(sim_d.get("seed", 0)),
-    )
-
-    osra_d = dict(data.get("osra", {}))
-    eta = osra_d.get("eta", 0.05)
-    if isinstance(eta, dict):
-        eta = {str(k): float(v) for k, v in eta.items()}
-    else:
-        eta = float(eta)
-    osra = OsraConfig(
-        eta=eta,
-        eta_schedule=osra_d.get("eta_schedule", "constant"),
-        delta=float(osra_d.get("delta", 0.02)),
-        probes=int(osra_d.get("probes", 10)),
-        epsilon=float(osra_d.get("epsilon", 1e-3)),
-        max_iters=int(osra_d.get("max_iters", 25)),
-        transfer_rule=osra_d.get("transfer_rule", "algorithm1"),
-        statistic=osra_d.get("statistic", "max"),
-        penalty_exponent=int(osra_d.get("penalty_exponent", 2)),
-        delay_ceiling_ms=float(osra_d.get("delay_ceiling_ms", 1e4)),
-        donor_gradients=osra_d.get("donor_gradients", "analytic"),
-    )
-
     sc = ScenarioConfig(
         name=str(data.get("name", "scenario")),
         slices=slices,
         topology=topology,
         initial_alloc=alloc,
-        sim=sim,
-        osra=osra,
+        sim=_from_dict(SimConfig, data.get("sim", {}), "sim"),
+        osra=_from_dict(OsraConfig, data.get("osra", {}), "osra", eta=_eta_from_yaml),
         new_slice_id=str(_req(data, "new_slice", "scenario")),
     )
     return sc.validate()
@@ -250,7 +263,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
                 "alpha_tau": float(s.alpha_tau),
                 "alpha_rho": float(s.alpha_rho),
                 "demand_mi": float(s.demand_mi),
-                "traffic": _traffic_to_dict(s.traffic),
+                "traffic": _to_dict(s.traffic),
             }
             for s in sc.slices
         ],
@@ -261,28 +274,8 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
             }
             for sid in sc.initial_alloc.slice_ids
         },
-        "sim": {
-            "horizon_s": float(sc.sim.horizon_s),
-            "warmup_s": float(sc.sim.warmup_s),
-            "propagation_ms": float(sc.sim.propagation_ms),
-            "seed": int(sc.sim.seed),
-        },
-        "osra": {
-            "eta": (
-                {k: float(v) for k, v in sc.osra.eta.items()}
-                if isinstance(sc.osra.eta, dict) else float(sc.osra.eta)
-            ),
-            "eta_schedule": sc.osra.eta_schedule,
-            "delta": float(sc.osra.delta),
-            "probes": int(sc.osra.probes),
-            "epsilon": float(sc.osra.epsilon),
-            "max_iters": int(sc.osra.max_iters),
-            "transfer_rule": sc.osra.transfer_rule,
-            "statistic": sc.osra.statistic,
-            "penalty_exponent": int(sc.osra.penalty_exponent),
-            "delay_ceiling_ms": float(sc.osra.delay_ceiling_ms),
-            "donor_gradients": sc.osra.donor_gradients,
-        },
+        "sim": _to_dict(sc.sim),
+        "osra": _to_dict(sc.osra, eta=_eta_to_yaml),
     }
 
 

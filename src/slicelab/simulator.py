@@ -5,7 +5,9 @@ bandwidth share f*B with a finite packet buffer, followed by an unbounded
 FIFO server queue draining at its CPU share sum(phi_c * MIPS_c). Slices
 never share a queue, so each slice's pipeline is simulated independently
 in arrival order; a departure at time t frees its buffer slot before an
-arrival at the same instant claims one.
+arrival at the same instant claims one. A departure at most TIE_S after an
+arrival counts as one at the same instant, since the same departure time
+summed in another order can land a rounding error later.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -32,6 +34,9 @@ class SimulationError(RuntimeError):
 # per-packet loop; a window that drops nothing is followed by one twice
 # as long
 _RESTART_WINDOW = 256
+
+# a departure at most this long (s) after an arrival frees its slot first
+TIE_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -192,9 +197,10 @@ def _link_stage(t, tx, buffer_pkts):
     dep = C + max.accumulate(t - C_prev) over cumulative transmission time
     C, one window of packets at a time. An arrival at t finds
     i - #{dep <= t} packets queued, so a departure at t frees its slot
-    first. From the first arrival that finds the buffer full, the exact
-    per-packet loop takes over until an arrival finds the link idle.
-    Dropped packets get a NaN departure time.
+    first. The count leaves TIE_S out, so it may see the buffer full too
+    early, never too late: from the first arrival it sees the buffer full,
+    the exact per-packet loop, which applies TIE_S, takes over until an
+    arrival finds the link idle. Dropped packets get a NaN departure time.
     """
     n = t.size
     dep = np.empty(n)
@@ -225,21 +231,23 @@ def _link_stage(t, tx, buffer_pkts):
 
 
 def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):
-    """Per-packet link loop from arrival k, which finds the buffer full.
+    """Per-packet link loop from arrival k, which may find the buffer full.
 
     queue holds the pending departure times. Writes dep (NaN for a drop)
     and returns the index of the first arrival that finds the link idle,
-    or t.size.
+    with no departure after it, or t.size. A departure at most TIE_S after
+    an arrival leaves the queue first but still delays the arrival's start.
     """
     n = t.size
     prev_out = queue[-1]
     while k < n:
         out = []
         stop = min(n, k + _RESTART_WINDOW)
-        for t_k, tx_k in zip(t[k:stop].tolist(), tx[k:stop].tolist()):
-            while queue and queue[0] <= t_k:
+        # arrival times shifted by TIE_S once per chunk, not once per packet
+        for tie_k, tx_k in zip((t[k:stop] + TIE_S).tolist(), tx[k:stop].tolist()):
+            while queue and queue[0] <= tie_k:
                 queue.popleft()
-            if not queue:
+            if not queue and prev_out <= t[k + len(out)]:
                 break
             if len(queue) >= buffer_pkts:
                 out.append(math.nan)

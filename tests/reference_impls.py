@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from slicelab.simulator import SimulationError
+from slicelab.simulator import TIE_S, SimulationError
 
 
 def qp_capped_simplex(y):
@@ -134,7 +134,7 @@ def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         prev_out = -math.inf
         keep_t, keep_s, keep_c, keep_i = [], [], [], []
         for t, bits, c, i in zip(times, sizes, created, idx):
-            while head < len(out_times) and out_times[head] <= t:
+            while head < len(out_times) and out_times[head] <= t + TIE_S:
                 head += 1
             if len(out_times) - head >= buffer_pkts:
                 served_mask[i] = False

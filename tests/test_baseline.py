@@ -18,7 +18,6 @@ from slicelab import (
     mm1_demand,
     reference_scenario,
     size_all,
-    size_all_clamped,
 )
 from slicelab.oracle import analytic_mm1_evaluate
 
@@ -83,10 +82,6 @@ class TestMm1Demand:
         assert infeasible
         assert vec.flows[0] == 1.0
 
-    def test_overrun_raises_when_strict(self):
-        with pytest.raises(InfeasibleDemand, match="needs fraction"):
-            mm1_demand(make_spec(), one_link(4.4), clamp=False)
-
 
 class TestSizeAll:
     def test_rows_stack_into_a_matrix(self):
@@ -105,7 +100,7 @@ class TestSizeAll:
 
     def test_clamped_variant_scales_back(self):
         slices = (make_spec("a"), make_spec("b", rank=1))
-        alloc, flags = size_all_clamped(slices, one_link(10.0))
+        alloc, flags = size_all(slices, one_link(10.0), clamp=True)
         assert alloc.flows.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-12)
         assert flags == {"a": True, "b": True}
         # proportions survive the scaling
@@ -114,7 +109,7 @@ class TestSizeAll:
     def test_clamped_variant_is_strict_when_feasible(self):
         slices = (make_spec("a"), make_spec("b", rank=1))
         strict, f1 = size_all(slices, one_link(100.0))
-        clamped, f2 = size_all_clamped(slices, one_link(100.0))
+        clamped, f2 = size_all(slices, one_link(100.0), clamp=True)
         assert strict == clamped
         assert f1 == f2
 

@@ -181,16 +181,6 @@ class TestAllocationMatrix:
                 cpu=np.array([[0.7], [0.7]]),
             )
 
-    def test_with_row_replaces_one_row(self):
-        m = AllocationMatrix.from_rows({
-            "a": AllocationVector(np.array([0.2]), np.array([0.2])),
-            "b": AllocationVector(np.array([0.3]), np.array([0.3])),
-        })
-        m2 = m.with_row("a", AllocationVector(np.array([0.5]), np.array([0.1])))
-        assert m2.row("a").flows[0] == 0.5
-        assert m2.row("b") == m.row("b")
-        assert m.row("a").flows[0] == 0.2  # original untouched
-
     def test_unknown_slice(self):
         m = AllocationMatrix.from_rows(
             {"a": AllocationVector(np.array([0.2]), np.array([0.2]))})

@@ -1,4 +1,4 @@
-"""Analytic queueing oracle and the simulator-backed oracle interface."""
+"""Analytic queueing oracle and the simulator-backed oracle functions."""
 import math
 
 import numpy as np
@@ -7,15 +7,19 @@ import pytest
 from slicelab import (
     AllocationMatrix,
     AllocationVector,
-    AnalyticOracle,
     QoeRequirement,
     SimConfig,
-    SimOracle,
     SliceSpec,
     Topology,
     TrafficModel,
 )
-from slicelab.oracle import analytic_mm1_evaluate, analytic_parts, derive_seed, sim_evaluate
+from slicelab.oracle import (
+    analytic_mm1_evaluate,
+    analytic_parts,
+    derive_seed,
+    sim_evaluate,
+    sim_evaluate_all,
+)
 
 
 def spec_with(rate=100.0, demand=5e4, size=1000):
@@ -109,9 +113,10 @@ class TestOracles:
 
     def test_sim_oracle_deterministic(self):
         spec, topo, alloc = self.scenario()
-        oracle = SimOracle([spec], topo, SimConfig(horizon_s=1.0, warmup_s=0.2))
-        assert oracle.evaluate("s", alloc, seed=5) == oracle.evaluate("s", alloc, seed=5)
-        assert oracle.evaluate("s", alloc, seed=5) != oracle.evaluate("s", alloc, seed=6)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        at = lambda seed: sim_evaluate("s", alloc, [spec], topo, cfg, seed=seed)
+        assert at(5) == at(5)
+        assert at(5) != at(6)
 
     def test_statistic_changes_the_reduction(self):
         spec, topo, alloc = self.scenario()
@@ -125,23 +130,24 @@ class TestOracles:
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         probe = AllocationVector(np.array([0.9]), np.array([0.9]))
         got = sim_evaluate("s", alloc, [spec], topo, cfg, seed=5, row=probe)
-        direct = sim_evaluate("s", alloc.with_row("s", probe), [spec], topo,
-                              cfg, seed=5)
+        direct = sim_evaluate("s", AllocationMatrix.from_rows({"s": probe}),
+                              [spec], topo, cfg, seed=5)
         assert got == direct
 
     def test_analytic_oracle_interface(self):
         spec, topo, alloc = self.scenario()
-        oracle = AnalyticOracle([spec], topo)
-        s = oracle.evaluate("s", alloc)
+        s = analytic_mm1_evaluate(spec, alloc.row("s"), topo)
         assert s.throughput == 1.0
         assert s.delay_stat_ms > 0
 
     def test_evaluate_all_keeps_raw_delays(self):
         spec, topo, alloc = self.scenario()
-        oracle = SimOracle([spec], topo, SimConfig(horizon_s=1.0, warmup_s=0.2))
-        samples = oracle.evaluate_all(alloc, seed=4, keep_raw=True)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        samples = sim_evaluate_all(alloc, [spec], topo, cfg, seed=4)
         assert samples["s"].raw_delays_ms is not None
         assert samples["s"].raw_delays_ms.size > 0
+        one = sim_evaluate("s", alloc, [spec], topo, cfg, seed=4)
+        assert samples["s"].delay_stat_ms == one.delay_stat_ms
 
 
 class TestSeedDerivation:

@@ -3,13 +3,9 @@ import numpy as np
 import pytest
 
 from slicelab import (
-    AllocationMatrix,
-    AllocationVector,
-    ConstraintSet,
     DimensionMismatch,
     project_capped_simplex,
     project_columns,
-    project_constraint_set,
 )
 from reference_impls import qp_capped_simplex
 
@@ -66,16 +62,13 @@ class TestCappedSimplex:
 
 
 class TestConstraintSetProjection:
-    def matrix(self, fa, fb, ca, cb):
-        return AllocationMatrix(
-            slice_ids=("a", "b"),
-            flows=np.array([[fa], [fb]], dtype=float),
-            cpu=np.array([[ca], [cb]], dtype=float),
-        )
+    """Column-wise projection of (slices x resources) allocation arrays."""
 
     def test_feasible_matrix_unchanged(self):
-        m = self.matrix(0.3, 0.4, 0.2, 0.2)
-        assert project_constraint_set(m, ConstraintSet(1, 1)) == m
+        flows = np.array([[0.3], [0.4]])
+        cpu = np.array([[0.2], [0.2]])
+        pf, pc = project_columns(flows, cpu)
+        assert np.array_equal(pf, flows) and np.array_equal(pc, cpu)
 
     def test_overcommitted_edge_column(self):
         # raw columns may overflow; build from raw arrays via project_columns
@@ -102,6 +95,5 @@ class TestConstraintSetProjection:
         assert pf[:, 0] == pytest.approx([0.3, 0.3], abs=1e-12)
 
     def test_dimension_mismatch(self):
-        m = self.matrix(0.3, 0.4, 0.2, 0.2)
         with pytest.raises(DimensionMismatch):
-            project_constraint_set(m, ConstraintSet(2, 1))
+            project_capped_simplex(np.array([[0.3, 0.4], [0.2, 0.2]]))

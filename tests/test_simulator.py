@@ -118,6 +118,19 @@ class TestPipeline:
         assert served.tolist() == [True, True]
         assert delays.tolist() == [750.0, 750.0]
 
+    def test_departure_just_after_an_arrival_counts_as_a_tie(self):
+        # the first packet leaves 5e-10 s after the third one arrives, inside
+        # TIE_S: it frees the one-packet buffer, and the third packet starts
+        # transmitting when it has left
+        size0 = 2.0 * (0.5 + 5e-10)
+        args = (np.array([0.0, 0.25, 0.5]), np.array([size0, 1.0, 1.0]),
+                np.array([16.0]), 1, 1.0, 0.0, 0.0)
+        delays, served = simulate_pipeline(*args)
+        assert served.tolist() == [True, False, True]
+        dep0 = size0 * 8.0 / 16.0
+        assert delays[1] == pytest.approx((dep0 + 0.5 - 0.5) * 1000.0, rel=0, abs=1e-9)
+        assert_matches_loop(*args, tol_ms=0.0)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="differ in length: 3 vs 1"):
             simulate_pipeline(np.array([0.0, 0.1, 0.2]), np.array([1000.0]),
@@ -189,6 +202,9 @@ class TestPipelineAgainstLoop:
         stages=st.integers(1, 2),
         buffer_pkts=st.integers(1, 50),
     )
+    # at the second link, a departure summed in another order lands 4.4e-16 s
+    # after an arrival it ties with in the loop, and the buffer of 2 is full
+    @example(seed=1619986, n=3999, load=1.8125, stages=2, buffer_pkts=2)
     def test_long_calls_cross_windows(self, seed, n, load, stages, buffer_pkts):
         # long enough for several overflow episodes and the windows between
         rng = np.random.default_rng(seed)
@@ -316,8 +332,8 @@ class TestRunSim:
         asked = AllocationVector(np.array([0.2]), np.array([0.5]))
         via_override = run_sim([spec], topo, alloc, cfg, seed=7,
                                row_override=("s", asked))["s"]
-        direct = run_sim([spec], topo,
-                         alloc.with_row("s", asked), cfg, seed=7)["s"]
+        direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
+                         cfg, seed=7)["s"]
         assert np.array_equal(via_override.delays_ms, direct.delays_ms)
 
     def test_more_bandwidth_never_hurts_on_average(self):
