@@ -46,7 +46,8 @@ def main():
     print("joint projection of a 2-slice x 2-edge + 1-core allocation")
     flows = np.array([[0.9, 0.3], [0.4, 0.2]])
     cpu = np.array([[0.8], [0.7]])
-    pf, pc = project_columns(flows, cpu, np.array([1.0, 1.0]), np.array([1.0]))
+    projected = project_columns(np.hstack([flows, cpu]), np.ones(3))
+    pf, pc = projected[:, :2], projected[:, 2:]
     print("flows before:", flows.tolist(), " column sums", flows.sum(axis=0))
     print("flows after: ", np.round(pf, 4).tolist(), " column sums",
           np.round(pf.sum(axis=0), 4))

@@ -6,7 +6,7 @@ closed form: 1/(mu - lambda). This script sweeps the offered load and
 prints simulated vs analytic mean delay side by side, plus the same sweep
 for bursty on-off traffic to show why the closed form stops applying.
 
-Run: python3 demos/02_queueing_validation.py   (about 30 s)
+Run: python3 demos/02_queueing_validation.py   (a few seconds)
 """
 import dataclasses
 import math

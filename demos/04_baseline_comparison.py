@@ -6,7 +6,7 @@ fractions, done. Under bursty arrivals that allocation misses the bound
 for most requests even though the stationary mean looks fine. The
 reconfigured allocation is what the probing loop actually converged to.
 
-Run: python3 demos/04_baseline_comparison.py   (about 20 s)
+Run: python3 demos/04_baseline_comparison.py   (a few seconds)
 """
 import numpy as np
 

@@ -100,20 +100,16 @@ class SliceAudit:
     max_delay_ms: float
     throughput: float
     empty: bool                # no successful request observed
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
     delays_ms: np.ndarray      # pooled successful-request delays
 
 
 def audit_allocation(slices, topology: Topology, alloc: AllocationMatrix,
-                     sim_config: SimConfig, seeds, hist_bins=40) -> dict:
+                     sim_config: SimConfig, seeds) -> dict:
     """Measure every slice's delivered QoE under `alloc`, pooled over seeds.
 
     The violation fraction counts successful requests whose delay exceeds
     the slice's bound, out of all successful requests; an unbounded slice
     scores 0. No successes at all is reported as 0 with empty=True.
-    hist_bins may be a count or explicit edges (shared edges let two
-    allocations be compared bin by bin).
     """
     by_id = {s.id: s for s in slices}
     delays = {s.id: [] for s in slices}
@@ -137,22 +133,20 @@ def audit_allocation(slices, topology: Topology, alloc: AllocationMatrix,
             viol = float(np.mean(pooled > req.tau_ms)) if req.bounded else 0.0
             mean_d = float(pooled.mean())
             max_d = float(pooled.max())
-        counts, edges = np.histogram(pooled, bins=hist_bins)
         report[sid] = SliceAudit(
             slice_id=sid, offered=offered[sid], success=success[sid],
             violation_fraction=viol, mean_delay_ms=mean_d, max_delay_ms=max_d,
             throughput=success[sid] / offered[sid] if offered[sid] else 1.0,
-            empty=empty, hist_counts=counts, hist_edges=edges, delays_ms=pooled)
+            empty=empty, delays_ms=pooled)
     return report
 
 
 def evaluate_baseline(slices, topology: Topology, sim_config: SimConfig, seeds,
-                      budget_split: float = 0.5, hist_bins=40):
+                      budget_split: float = 0.5):
     """Size every slice analytically, then audit that allocation as-is.
 
     Returns (report, allocation, clamp flags).
     """
     alloc, flags = size_all(slices, topology, budget_split)
-    report = audit_allocation(slices, topology, alloc, sim_config, seeds,
-                              hist_bins=hist_bins)
+    report = audit_allocation(slices, topology, alloc, sim_config, seeds)
     return report, alloc, flags

@@ -2,13 +2,13 @@
 allocations, and measured QoE samples.
 
 All types are immutable values that check their own bounds at
-construction; :func:`validate_scenario` adds the checks that span a whole
-(slices, topology, allocation) triple and reports all violations at once.
+construction and report every violation at once; the checks that span a
+whole scenario live in `ScenarioConfig.validate`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,20 +53,16 @@ class QoeRequirement:
     rho: float
 
     def __post_init__(self):
-        _raise_if(check_requirement(self))
+        errs = []
+        if not (self.tau_ms > 0):
+            errs.append(f"tau must be > 0 or unbounded, got {self.tau_ms}")
+        if not (0.0 <= self.rho <= 1.0):
+            errs.append(f"rho out of [0,1]: {self.rho}")
+        _raise_if(errs)
 
     @property
     def bounded(self) -> bool:
         return math.isfinite(self.tau_ms)
-
-
-def check_requirement(req) -> list[str]:
-    errs = []
-    if not (req.tau_ms > 0):
-        errs.append(f"tau must be > 0 or unbounded, got {req.tau_ms}")
-    if not (0.0 <= req.rho <= 1.0):
-        errs.append(f"rho out of [0,1]: {req.rho}")
-    return errs
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,36 @@ class TrafficModel:
     size_mean: float | None = None   # exponential only; defaults to midpoint
 
     def __post_init__(self):
-        _raise_if(check_traffic(self))
+        errs = []
+        if self.kind not in TRAFFIC_KINDS:
+            errs.append(f"unknown traffic kind {self.kind!r}")
+        if not (self.mean_rate > 0):
+            errs.append(f"mean_rate must be > 0, got {self.mean_rate}")
+        if self.kind == "bursty-onoff":
+            if self.burst_len is None or not (self.burst_len >= 1):
+                errs.append(f"burst_len must be >= 1 for bursty-onoff, got {self.burst_len}")
+            if self.off_time_ms is None or not (self.off_time_ms >= 0):
+                errs.append(f"off_time_ms must be >= 0, got {self.off_time_ms}")
+            if (
+                self.burst_len is not None
+                and self.off_time_ms is not None
+                and self.burst_len >= 1
+                and self.mean_rate > 0
+            ):
+                gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
+                if gap < -1e-12:
+                    errs.append(
+                        "mean_rate exceeds the burst envelope: need "
+                        f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
+                        f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"
+                    )
+        if not (1 <= self.size_min <= self.size_max):
+            errs.append(f"need 1 <= size_min <= size_max, got [{self.size_min}, {self.size_max}]")
+        if self.size_dist not in SIZE_DISTS:
+            errs.append(f"unknown size_dist {self.size_dist!r}")
+        if self.size_mean is not None and not (self.size_mean > 0):
+            errs.append(f"size_mean must be > 0, got {self.size_mean}")
+        _raise_if(errs)
 
     def mean_size_bytes(self) -> float:
         if self.size_dist == "exponential" and self.size_mean is not None:
@@ -106,39 +131,6 @@ class TrafficModel:
             raise ValueError("intra_burst_gap_s only defined for bursty-onoff")
         gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
         return max(0.0, gap)
-
-
-def check_traffic(tm) -> list[str]:
-    errs = []
-    if tm.kind not in TRAFFIC_KINDS:
-        errs.append(f"unknown traffic kind {tm.kind!r}")
-    if not (tm.mean_rate > 0):
-        errs.append(f"mean_rate must be > 0, got {tm.mean_rate}")
-    if tm.kind == "bursty-onoff":
-        if tm.burst_len is None or not (tm.burst_len >= 1):
-            errs.append(f"burst_len must be >= 1 for bursty-onoff, got {tm.burst_len}")
-        if tm.off_time_ms is None or not (tm.off_time_ms >= 0):
-            errs.append(f"off_time_ms must be >= 0, got {tm.off_time_ms}")
-        if (
-            tm.burst_len is not None
-            and tm.off_time_ms is not None
-            and tm.burst_len >= 1
-            and tm.mean_rate > 0
-        ):
-            gap = 1.0 / tm.mean_rate - (tm.off_time_ms / 1000.0) / tm.burst_len
-            if gap < -1e-12:
-                errs.append(
-                    "mean_rate exceeds the burst envelope: need "
-                    f"mean_rate <= burst_len/off_time ({tm.mean_rate} vs "
-                    f"{tm.burst_len / (tm.off_time_ms / 1000.0):.3f}/s)"
-                )
-    if not (1 <= tm.size_min <= tm.size_max):
-        errs.append(f"need 1 <= size_min <= size_max, got [{tm.size_min}, {tm.size_max}]")
-    if tm.size_dist not in SIZE_DISTS:
-        errs.append(f"unknown size_dist {tm.size_dist!r}")
-    if tm.size_mean is not None and not (tm.size_mean > 0):
-        errs.append(f"size_mean must be > 0, got {tm.size_mean}")
-    return errs
 
 
 @dataclass(frozen=True)
@@ -158,20 +150,14 @@ class SliceSpec:
     priority_rank: int
 
     def __post_init__(self):
-        _raise_if(check_slice(self))
-
-
-def check_slice(s) -> list[str]:
-    errs = []
-    if not s.id:
-        errs.append("slice id must be non-empty")
-    if s.alpha_tau < 0 or s.alpha_rho < 0:
-        errs.append(f"slice {s.id}: alpha weights must be >= 0")
-    if not (s.demand_mi > 0):
-        errs.append(f"slice {s.id}: demand_mi must be > 0, got {s.demand_mi}")
-    errs += [f"slice {s.id}: {e}" for e in check_requirement(s.requirement)]
-    errs += [f"slice {s.id}: {e}" for e in check_traffic(s.traffic)]
-    return errs
+        errs = []
+        if not self.id:
+            errs.append("slice id must be non-empty")
+        if self.alpha_tau < 0 or self.alpha_rho < 0:
+            errs.append(f"slice {self.id}: alpha weights must be >= 0")
+        if not (self.demand_mi > 0):
+            errs.append(f"slice {self.id}: demand_mi must be > 0, got {self.demand_mi}")
+        _raise_if(errs)
 
 
 @dataclass(frozen=True)
@@ -189,7 +175,23 @@ class Topology:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple((str(e), float(c)) for e, c in self.edges))
         object.__setattr__(self, "cores", tuple((str(c), float(m)) for c, m in self.cores))
-        _raise_if(check_topology(self))
+        errs = []
+        if not self.edges:
+            errs.append("topology needs at least one edge")
+        if not self.cores:
+            errs.append("topology needs at least one core")
+        for name, cap in self.edges:
+            if not (cap > 0):
+                errs.append(f"edge {name}: capacity must be > 0, got {cap}")
+        for name, mips in self.cores:
+            if not (mips > 0):
+                errs.append(f"core {name}: MIPS must be > 0, got {mips}")
+        if not (self.buffer_pkts >= 1):
+            errs.append(f"buffer_pkts must be >= 1, got {self.buffer_pkts}")
+        ids = [e for e, _ in self.edges] + [c for c, _ in self.cores]
+        if len(set(ids)) != len(ids):
+            errs.append("edge/core ids must be unique")
+        _raise_if(errs)
 
     @property
     def n_edges(self) -> int:
@@ -206,26 +208,6 @@ class Topology:
         return np.array([m for _, m in self.cores])
 
 
-def check_topology(t) -> list[str]:
-    errs = []
-    if not t.edges:
-        errs.append("topology needs at least one edge")
-    if not t.cores:
-        errs.append("topology needs at least one core")
-    for name, cap in t.edges:
-        if not (cap > 0):
-            errs.append(f"edge {name}: capacity must be > 0, got {cap}")
-    for name, mips in t.cores:
-        if not (mips > 0):
-            errs.append(f"core {name}: MIPS must be > 0, got {mips}")
-    if not (t.buffer_pkts >= 1):
-        errs.append(f"buffer_pkts must be >= 1, got {t.buffer_pkts}")
-    ids = [e for e, _ in t.edges] + [c for c, _ in t.cores]
-    if len(set(ids)) != len(ids):
-        errs.append("edge/core ids must be unique")
-    return errs
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationVector:
     """One slice's share of every resource: link fractions + core fractions.
@@ -240,7 +222,16 @@ class AllocationVector:
     def __post_init__(self):
         object.__setattr__(self, "flows", _ro_array(self.flows))
         object.__setattr__(self, "cpu", _ro_array(self.cpu))
-        _raise_if(check_alloc_vector(self))
+        errs = []
+        for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
+            if arr.ndim != 1:
+                errs.append(f"{name} must be 1-D")
+                continue
+            if not np.all(np.isfinite(arr)):
+                errs.append(f"{name} has non-finite entries")
+            elif arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
+                errs.append(f"{name} entries must lie in [0,1]: {arr.tolist()}")
+        _raise_if(errs)
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.flows, self.cpu])
@@ -261,19 +252,6 @@ class AllocationVector:
         return f"AllocationVector(flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
 
 
-def check_alloc_vector(v) -> list[str]:
-    errs = []
-    for name, arr in (("flows", v.flows), ("cpu", v.cpu)):
-        if arr.ndim != 1:
-            errs.append(f"{name} must be 1-D")
-            continue
-        if not np.all(np.isfinite(arr)):
-            errs.append(f"{name} has non-finite entries")
-        elif arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-            errs.append(f"{name} entries must lie in [0,1]: {arr.tolist()}")
-    return errs
-
-
 @dataclass(frozen=True, eq=False)
 class AllocationMatrix:
     """Allocation rows for every slice, with per-resource capacity sums <= 1."""
@@ -286,7 +264,26 @@ class AllocationMatrix:
         object.__setattr__(self, "slice_ids", tuple(str(s) for s in self.slice_ids))
         object.__setattr__(self, "flows", _ro_array(np.atleast_2d(self.flows)))
         object.__setattr__(self, "cpu", _ro_array(np.atleast_2d(self.cpu)))
-        _raise_if(check_alloc_matrix(self))
+        errs = []
+        n = len(self.slice_ids)
+        if len(set(self.slice_ids)) != n:
+            errs.append("duplicate slice ids in allocation")
+        if self.flows.shape[0] != n or self.cpu.shape[0] != n:
+            errs.append(
+                f"row count mismatch: {n} slices vs flows {self.flows.shape[0]}, "
+                f"cpu {self.cpu.shape[0]}")
+            raise InvariantViolation(errs)
+        for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
+            if not np.all(np.isfinite(arr)):
+                errs.append(f"{name} has non-finite entries")
+                continue
+            if arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
+                errs.append(f"{name} entries must lie in [0,1]")
+            kind = "edge" if name == "flows" else "core"
+            for j, s in enumerate(arr.sum(axis=0)):
+                if s > 1 + CAPACITY_TOL:
+                    errs.append(f"{kind} {j} sum {s:.6g} > 1")
+        _raise_if(errs)
 
     @classmethod
     def from_rows(cls, rows: Mapping[str, AllocationVector]) -> "AllocationMatrix":
@@ -306,6 +303,10 @@ class AllocationMatrix:
     def row(self, slice_id: str) -> AllocationVector:
         i = self.index(slice_id)
         return AllocationVector(flows=self.flows[i], cpu=self.cpu[i])
+
+    def stacked(self) -> np.ndarray:
+        """Writable (n_slices, n_edges + n_cores) copy, edges first as in a row."""
+        return np.hstack([self.flows, self.cpu])
 
     @property
     def n_edges(self) -> int:
@@ -328,29 +329,6 @@ class AllocationMatrix:
             f"AllocationMatrix(slice_ids={self.slice_ids}, "
             f"flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
         )
-
-
-def check_alloc_matrix(m) -> list[str]:
-    errs = []
-    n = len(m.slice_ids)
-    if len(set(m.slice_ids)) != n:
-        errs.append("duplicate slice ids in allocation")
-    if m.flows.shape[0] != n or m.cpu.shape[0] != n:
-        errs.append(
-            f"row count mismatch: {n} slices vs flows {m.flows.shape[0]}, cpu {m.cpu.shape[0]}"
-        )
-        return errs
-    for name, arr in (("flows", m.flows), ("cpu", m.cpu)):
-        if not np.all(np.isfinite(arr)):
-            errs.append(f"{name} has non-finite entries")
-            continue
-        if arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-            errs.append(f"{name} entries must lie in [0,1]")
-        kind = "edge" if name == "flows" else "core"
-        for j, s in enumerate(arr.sum(axis=0)):
-            if s > 1 + CAPACITY_TOL:
-                errs.append(f"{kind} {j} sum {s:.6g} > 1")
-    return errs
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,26 +376,3 @@ class QoeSample:
             and raw_eq
         )
 
-
-def validate_scenario(slices, topology, alloc):
-    """Cross-check a full (slices, topology, allocation) triple.
-
-    Each type checked itself when built; this adds the cross-cutting
-    invariants (unique ids, allocation rows match the slice set, dimensions
-    match the topology) and raises InvariantViolation listing every failure.
-    Returns the inputs unchanged when everything holds.
-    """
-    errs = []
-    ids = [s.id for s in slices]
-    if len(set(ids)) != len(ids):
-        errs.append("duplicate slice ids")
-    if set(alloc.slice_ids) != set(ids):
-        errs.append(
-            f"allocation rows {sorted(alloc.slice_ids)} do not match slices {sorted(ids)}"
-        )
-    if alloc.n_edges != topology.n_edges:
-        errs.append(f"allocation has {alloc.n_edges} edge columns, topology {topology.n_edges}")
-    if alloc.n_cores != topology.n_cores:
-        errs.append(f"allocation has {alloc.n_cores} core columns, topology {topology.n_cores}")
-    _raise_if(errs)
-    return slices, topology, alloc

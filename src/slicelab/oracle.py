@@ -2,10 +2,10 @@
 
 Two kinds:
 
-* Analytic: stationary M/M/1 formulas per stage (`analytic_parts`,
-  `analytic_mm1_evaluate`). Delay is the sum of per-stage mean sojourns in
-  ms; a saturated stage (lambda >= mu) marks the delay unbounded and caps
-  throughput at mu_bottleneck/lambda. Exact, seed-free, and differentiable.
+* Analytic: stationary M/M/1 formulas per stage (`analytic_parts`).
+  Delay is the sum of per-stage mean sojourns in ms; a saturated stage
+  (lambda >= mu) marks the delay unbounded and caps throughput at
+  mu_bottleneck/lambda. Exact, seed-free, and differentiable.
 * Simulated: `sim_evaluate` and `sim_evaluate_all` run the event simulator
   and reduce raw delays under the configured statistic. Stochastic but
   fully reproducible per seed.
@@ -18,10 +18,6 @@ import numpy as np
 
 from .domain import AllocationVector, QoeSample, SliceSpec, Topology
 from .simulator import run_sim, summarize
-
-
-class OracleFailure(RuntimeError):
-    pass
 
 
 def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology):
@@ -68,12 +64,6 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
     return math.inf, tp, d_delay, d_tp
 
 
-def analytic_mm1_evaluate(spec: SliceSpec, point: AllocationVector, topology: Topology) -> QoeSample:
-    """Stationary two-stage M/M/1 estimate of one slice's QoE."""
-    delay, tp, _, _ = analytic_parts(spec, point, topology)
-    return QoeSample(delay_stat_ms=delay, throughput=tp, n_requests=0, seed=None)
-
-
 def sim_evaluate_all(alloc, slices, topology, config, seed=None, statistic="max") -> dict:
     """Simulate every slice at `alloc` and reduce, keeping the raw delays."""
     results = run_sim(slices, topology, alloc, config, seed=seed)
@@ -87,10 +77,9 @@ def sim_evaluate(slice_id, alloc, slices, topology, config, seed=None, statistic
     `row` evaluates the slice at a what-if allocation row (probing) while
     the joint allocation stays untouched.
     """
-    results = run_sim(slices, topology, alloc, config, seed=seed, only_slice=slice_id,
-                      row_override=None if row is None else (slice_id, row))
-    if slice_id not in results:
-        raise OracleFailure(f"slice {slice_id!r} not present in scenario")
+    if row is None:
+        row = alloc.row(slice_id)
+    results = run_sim(slices, topology, alloc, config, seed=seed, only=(slice_id, row))
     return summarize(results, statistic, seed=seed)[slice_id]
 
 

@@ -102,6 +102,14 @@ class OsraConfig:
             raise ValueError("max_iters must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
+        if not (self.delta > 0):
+            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if self.probes < 1:
+            raise ValueError(f"probes must be >= 1, got {self.probes}")
+        if self.penalty_exponent not in (1, 2):
+            raise ValueError(f"penalty_exponent must be 1 or 2, got {self.penalty_exponent}")
+        if not (self.delay_ceiling_ms > 0):
+            raise ValueError(f"delay_ceiling_ms must be > 0, got {self.delay_ceiling_ms}")
 
     def missing_etas(self, donor_ids) -> list[str]:
         """Donors an eta map leaves out; none for a scalar eta."""
@@ -182,15 +190,13 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, etas: dict,
 
 def assert_feasible(alloc: AllocationMatrix, tol: float = FEASIBILITY_TOL):
     """Hard check on an iterate; the algorithm must never leave the set."""
+    x = alloc.stacked()
+    sums = x.sum(axis=0)
     bad = []
-    for name, arr in (("flows", alloc.flows), ("cpu", alloc.cpu)):
-        if arr.size == 0:
-            continue
-        if arr.min() < -tol:
-            bad.append(f"{name} entry {arr.min()} < 0")
-        sums = arr.sum(axis=0)
-        if sums.size and sums.max() > 1.0 + tol:
-            bad.append(f"{name} column sum {sums.max()} > 1")
+    if x.min() < -tol:
+        bad.append(f"entry {x.min()} < 0")
+    if sums.max() > 1.0 + tol:
+        bad.append(f"column {int(sums.argmax())} sum {sums.max()} > 1")
     if bad:
         raise AssertionError("infeasible iterate: " + "; ".join(bad))
 
@@ -228,11 +234,11 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     }
 
     # rows the update may touch, and the per-column budget left after the
-    # frozen higher-priority rows take their share
+    # frozen higher-priority rows take their share; columns are the edges,
+    # then the cores, as in every gradient
     group = [initial_alloc.index(s.id) for s in donors] + [initial_alloc.index(new_slice_id)]
     fro = [initial_alloc.index(sid) for sid in frozen_ids]
-    budgets_f = 1.0 - initial_alloc.flows[fro].sum(axis=0)
-    budgets_c = 1.0 - initial_alloc.cpu[fro].sum(axis=0)
+    budgets = 1.0 - initial_alloc.stacked()[fro].sum(axis=0)
 
     def point_oracle(slice_id):
         def _eval(point: AllocationVector, probe_seed: int) -> QoeSample:
@@ -290,20 +296,12 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             converged = True
             break
 
-        flows = alloc.flows.copy()
-        cpu = alloc.cpu.copy()
-        n_edges = alloc.n_edges
+        x = alloc.stacked()
         for spec in donors:
-            i = alloc.index(spec.id)
-            moved = np.concatenate([flows[i], cpu[i]]) - deltas[spec.id]
-            flows[i], cpu[i] = moved[:n_edges], moved[n_edges:]
-        j = alloc.index(new_slice_id)
-        moved = np.concatenate([flows[j], cpu[j]]) + grant
-        flows[j], cpu[j] = moved[:n_edges], moved[n_edges:]
-
-        flows[group], cpu[group] = project_columns(
-            flows[group], cpu[group], budgets_f, budgets_c)
-        alloc = AllocationMatrix(alloc.slice_ids, flows, cpu)
+            x[alloc.index(spec.id)] -= deltas[spec.id]
+        x[alloc.index(new_slice_id)] += grant
+        x[group] = project_columns(x[group], budgets)
+        alloc = AllocationMatrix(alloc.slice_ids, x[:, :alloc.n_edges], x[:, alloc.n_edges:])
         assert_feasible(alloc)
         iterations = k + 1
 

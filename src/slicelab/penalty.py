@@ -180,6 +180,3 @@ class ProbeMemory:
 
     def __iter__(self):
         return iter(self._records)
-
-    def __getitem__(self, i):
-        return self._records[i]

@@ -42,22 +42,15 @@ def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def project_columns(flows, cpu, budgets_flows=None, budgets_cpu=None):
-    """Column-wise capped-simplex projection on raw arrays.
+def project_columns(x, budgets) -> np.ndarray:
+    """Column-wise capped-simplex projection of a (slices x resources) array.
 
-    Accepts possibly-infeasible intermediate arrays (used mid-update,
-    before an AllocationMatrix can be rebuilt). Optional per-column
-    budgets support frozen higher-priority slices holding part of a
-    resource.
+    Accepts a possibly-infeasible intermediate array (used mid-update,
+    before an AllocationMatrix can be rebuilt). budgets holds each column's
+    cap: what frozen higher-priority slices leave of the resource.
     """
-    flows = np.asarray(flows, dtype=float)
-    cpu = np.asarray(cpu, dtype=float)
-    out_f = np.empty_like(flows)
-    out_c = np.empty_like(cpu)
-    for e in range(flows.shape[1]):
-        b = 1.0 if budgets_flows is None else budgets_flows[e]
-        out_f[:, e] = project_capped_simplex(flows[:, e], b)
-    for c in range(cpu.shape[1]):
-        b = 1.0 if budgets_cpu is None else budgets_cpu[c]
-        out_c[:, c] = project_capped_simplex(cpu[:, c], b)
-    return out_f, out_c
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for c in range(x.shape[1]):
+        out[:, c] = project_capped_simplex(x[:, c], budgets[c])
+    return out

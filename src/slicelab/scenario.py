@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping
@@ -25,7 +26,6 @@ from .domain import (
     Topology,
     TrafficModel,
     UNBOUNDED,
-    validate_scenario,
 )
 from .osra import OsraConfig, order_key
 from .simulator import SimConfig, delay_statistic
@@ -65,11 +65,17 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         """Every cross-cutting invariant; raises listing all failures."""
         errs = []
-        try:
-            validate_scenario(self.slices, self.topology, self.initial_alloc)
-        except InvariantViolation as e:
-            errs += e.violations
         ids = [s.id for s in self.slices]
+        alloc, topo = self.initial_alloc, self.topology
+        if len(set(ids)) != len(ids):
+            errs.append("duplicate slice ids")
+        if set(alloc.slice_ids) != set(ids):
+            errs.append(
+                f"allocation rows {sorted(alloc.slice_ids)} do not match slices {sorted(ids)}")
+        if alloc.n_edges != topo.n_edges:
+            errs.append(f"allocation has {alloc.n_edges} edge columns, topology {topo.n_edges}")
+        if alloc.n_cores != topo.n_cores:
+            errs.append(f"allocation has {alloc.n_cores} core columns, topology {topo.n_cores}")
         if self.new_slice_id not in ids:
             errs.append(f"new_slice {self.new_slice_id!r} is not a slice id")
         else:
@@ -145,7 +151,24 @@ def _from_dict(cls, d, where, **by_hand):
             kw[f.name] = cast(d[f.name], f"{where}.{f.name}")
         elif f.default is dataclasses.MISSING:
             raise ScenarioError(f"missing key {f.name!r} in {where}")
-    return cls(**kw)
+    return _build(cls, kw, where)
+
+
+def _build(cls, kw, where):
+    """cls(**kw), its range errors re-raised as ScenarioError naming the key.
+
+    Each violation names <where>.<key> for the field it mentions first, or
+    just <where> when it mentions none.
+    """
+    try:
+        return cls(**kw)
+    except ValueError as e:   # InvariantViolation lists every violation
+        names = [f.name for f in dataclasses.fields(cls)]
+        errs = []
+        for msg in getattr(e, "violations", [str(e)]):
+            hits = [(m.start(), n) for n in names if (m := re.search(rf"\b{n}\b", msg))]
+            errs.append(f"{where}.{min(hits)[1]}: {msg}" if hits else f"{where}: {msg}")
+        raise ScenarioError("; ".join(errs)) from None
 
 
 def _to_dict(obj, **by_hand) -> dict:
@@ -192,17 +215,19 @@ def _slice_from_dict(d) -> SliceSpec:
     where = f"slice {sid!r}"
     _mapping(d, where, ("id", "priority_rank", "tau_ms", "rho", "alpha_tau",
                         "alpha_rho", "demand_mi", "traffic"))
+
+    def num(key, kind="float"):
+        return _cast(kind, _req(d, key, where), f"{where}.{key}")
+
+    tau_ms = _tau_from_yaml(_req(d, "tau_ms", where), where)
     return SliceSpec(
         id=sid,
-        requirement=QoeRequirement(
-            tau_ms=_tau_from_yaml(_req(d, "tau_ms", where), where),
-            rho=float(_req(d, "rho", where)),
-        ),
-        alpha_tau=float(_req(d, "alpha_tau", where)),
-        alpha_rho=float(_req(d, "alpha_rho", where)),
+        requirement=_build(QoeRequirement, {"tau_ms": tau_ms, "rho": num("rho")}, where),
+        alpha_tau=num("alpha_tau"),
+        alpha_rho=num("alpha_rho"),
         traffic=_from_dict(TrafficModel, _req(d, "traffic", where), f"{where}.traffic"),
-        demand_mi=float(_req(d, "demand_mi", where)),
-        priority_rank=int(_req(d, "priority_rank", where)),
+        demand_mi=num("demand_mi"),
+        priority_rank=num("priority_rank", "int"),
     )
 
 
@@ -212,10 +237,16 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                                 "initial_alloc", "sim", "osra"))
     topo_d = _mapping(_req(data, "topology", "scenario"), "topology",
                       ("edges", "cores", "buffer_pkts"))
+
+    def capacities(key):
+        where = f"topology.{key}"
+        return tuple((k, _cast("float", v, f"{where}.{k}"))
+                     for k, v in _mapping(_req(topo_d, key, "topology"), where).items())
+
     topology = Topology(
-        edges=tuple(_req(topo_d, "edges", "topology").items()),
-        cores=tuple(_req(topo_d, "cores", "topology").items()),
-        buffer_pkts=int(topo_d.get("buffer_pkts", 100)),
+        edges=capacities("edges"),
+        cores=capacities("cores"),
+        buffer_pkts=_cast("int", topo_d.get("buffer_pkts", 100), "topology.buffer_pkts"),
     )
     slices = tuple(_slice_from_dict(d) for d in _req(data, "slices", "scenario"))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationMatrix, QoeSample, SliceSpec, Topology, TrafficModel
+from .domain import AllocationMatrix, QoeSample, Topology, TrafficModel
 
 
 class SimulationError(RuntimeError):
@@ -67,8 +67,6 @@ class SliceRunResult:
     offered: int
     success: int
     dropped: int
-    created_s: np.ndarray | None = None   # per-packet trace (optional)
-    served: np.ndarray | None = None      # bool mask aligned with created_s
 
 
 def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
@@ -263,16 +261,15 @@ def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):
 
 
 def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConfig,
-            seed: int | None = None, only_slice: str | None = None,
-            keep_trace: bool = False, row_override=None) -> dict:
-    """Simulate every slice (or one) at the given allocation.
+            seed: int | None = None, only=None) -> dict:
+    """Simulate every slice at the given allocation.
 
     Returns {slice_id: SliceRunResult}. Identical inputs and seed give
     identical results; each slice draws from its own seeded stream, so a
     slice's traffic does not depend on which other slices are simulated.
-    row_override, a (slice_id, AllocationVector) pair, answers what-if
-    queries about one slice's row without touching the joint allocation
-    (slices are isolated, so no other slice could notice anyway).
+    only, a (slice_id, AllocationVector) pair, simulates that one slice at
+    that row instead, which answers what-if queries without touching the
+    joint allocation (slices are isolated, so no other slice could notice).
     """
     if seed is None:
         seed = config.seed
@@ -280,12 +277,12 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     core_mips = topology.core_mips()
     results = {}
     for k, spec in enumerate(slices):
-        if only_slice is not None and spec.id != only_slice:
-            continue
-        if row_override is not None and spec.id == row_override[0]:
-            row = row_override[1]
-        else:
+        if only is None:
             row = alloc.row(spec.id)
+        elif spec.id == only[0]:
+            row = only[1]
+        else:
+            continue
         rng = slice_rng(seed, k)
         arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, rng)
         link_rates = row.flows * edge_bps
@@ -306,8 +303,6 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
             offered=offered,
             success=success,
             dropped=offered - success,
-            created_s=arrivals if keep_trace else None,
-            served=served if keep_trace else None,
         )
     return results
 
@@ -348,21 +343,3 @@ def summarize(results: dict, statistic: str = "max", seed: int | None = None,
         )
     return samples
 
-
-def write_packet_trace(path, slices, topology, alloc, config, seed):
-    """Dump one per-request CSV row: slice, created_s, served flag, delay_ms."""
-    import csv
-
-    results = run_sim(slices, topology, alloc, config, seed=seed, keep_trace=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["slice", "created_s", "served", "delay_ms"])
-        for spec in slices:
-            r = results[spec.id]
-            it = iter(r.delays_ms)
-            keep = r.created_s >= config.warmup_s
-            for t, ok, kept in zip(r.created_s, r.served, keep):
-                d = next(it) if ok and kept else ""
-                if kept:
-                    w.writerow([spec.id, f"{t:.9f}", int(ok), d])
-    return path

@@ -11,26 +11,23 @@ import pickle
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import pytest
 
 from slicelab import (
     AllocationMatrix,
     AllocationVector,
-    OsraConfig,
-    PenaltyModel,
     QoeRequirement,
-    QoeSample,
     SimConfig,
     SliceSpec,
     Topology,
     TrafficModel,
     audit_allocation,
     evaluate_baseline,
-    probed_gradient,
     project_capped_simplex,
     run_osra,
     run_sim,
 )
+from slicelab.domain import QoeSample
+from slicelab.penalty import PenaltyModel, probed_gradient
 
 from conftest import make_tiny_scenario
 from reference_impls import mm1_sojourn_s, qp_capped_simplex

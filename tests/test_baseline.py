@@ -15,11 +15,11 @@ from slicelab import (
     TrafficModel,
     audit_allocation,
     evaluate_baseline,
-    mm1_demand,
     reference_scenario,
     size_all,
 )
-from slicelab.oracle import analytic_mm1_evaluate
+from slicelab.baseline import mm1_demand
+from slicelab.oracle import analytic_parts
 
 
 def make_spec(sid="s", tau=2.0, rho=0.5, rate=100.0, size=1000,
@@ -54,9 +54,9 @@ class TestMm1Demand:
             spec = make_spec(tau=tau, rate=rate, demand=demand)
             vec, infeasible = mm1_demand(spec, topo)
             assert not infeasible
-            sample = analytic_mm1_evaluate(spec, vec, topo)
-            assert sample.delay_stat_ms == pytest.approx(tau, abs=1e-9)
-            assert sample.throughput == 1.0
+            delay, tp, _, _ = analytic_parts(spec, vec, topo)
+            assert delay == pytest.approx(tau, abs=1e-9)
+            assert tp == 1.0
 
     def test_uneven_budget_split(self):
         vec, _ = mm1_demand(make_spec(), one_link(40.0), budget_split=0.25)
@@ -135,7 +135,6 @@ class TestAudit:
             assert 0.0 <= audit.throughput <= 1.0
             assert audit.success <= audit.offered
             assert audit.delays_ms.size == audit.success
-            assert audit.hist_counts.sum() == audit.success
             assert not audit.empty
 
     def test_pooling_over_seeds(self):
@@ -170,13 +169,6 @@ class TestAudit:
         assert math.isnan(a.mean_delay_ms)
         assert a.throughput == 0.0
         assert report["b"].offered > 0
-
-    def test_shared_histogram_edges(self):
-        edges = np.linspace(0.0, 20.0, 11)
-        report = audit_allocation(self.slices, self.topo, self.alloc,
-                                  self.cfg, seeds=[0], hist_bins=edges)
-        for audit in report.values():
-            assert np.array_equal(audit.hist_edges, edges)
 
     def test_unbounded_slice_never_violates(self):
         slices = (make_spec("a", tau=math.inf, rate=500.0),)

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from slicelab import save_scenario
+from slicelab.scenario import save_scenario
 from slicelab.cli import main, parse_seeds
 
 from conftest import make_tiny_scenario
+
+REFERENCE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
 
 
 @pytest.fixture()
@@ -68,6 +70,27 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--scenario", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, key, value, named", [
+        (["osra"], "transfer_rule", "bogus", "osra.transfer_rule"),
+        (["sim"], "horizon_s", -1.0, "sim.horizon_s"),
+        (["osra"], "probes", 0, "osra.probes"),
+        (["osra"], "penalty_exponent", 3, "osra.penalty_exponent"),
+        (["slices", 1], "rho", "high", "slice 'slice2'.rho"),
+        (["topology"], "buffer_pkts", "many", "topology.buffer_pkts"),
+        (["slices", 1, "traffic"], "mean_rate", -150.0, "slice 'slice2'.traffic.mean_rate"),
+    ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
+            "buffer_pkts", "mean_rate"])
+    def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
+        data = yaml.safe_load(REFERENCE_YAML.read_text())
+        section = data
+        for part in path:
+            section = section[part]
+        section[key] = value
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(p)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_invalid_statistic_override(self, tiny_yaml, capsys):
         rc = main(["run", "--scenario", str(tiny_yaml), "--statistic", "p105",

@@ -1,4 +1,5 @@
 """Domain type invariants, validation messages, and value semantics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,15 @@ from slicelab import (
     AllocationMatrix,
     AllocationVector,
     InvariantViolation,
+    OsraConfig,
     QoeRequirement,
-    QoeSample,
+    ScenarioConfig,
+    SimConfig,
     SliceSpec,
     Topology,
     TrafficModel,
-    validate_scenario,
 )
+from slicelab.domain import QoeSample
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
@@ -209,31 +212,38 @@ class TestQoeSample:
 
 
 class TestValidateScenario:
+    """The checks across slices, topology and allocation, in ScenarioConfig.validate."""
+
+    topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),))
+
+    def scenario(self, slices, rows):
+        return ScenarioConfig(
+            name="t", slices=slices, topology=self.topo,
+            initial_alloc=AllocationMatrix.from_rows(rows), sim=SimConfig(),
+            osra=OsraConfig(), new_slice_id="a")
+
+    def row(self):
+        return AllocationVector(np.array([0.4]), np.array([0.4]))
+
     def test_accepts_consistent_triple(self):
-        slices = [make_slice("a", rank=0), make_slice("b", rank=1)]
-        topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),))
-        alloc = AllocationMatrix.from_rows({
-            "a": AllocationVector(np.array([0.4]), np.array([0.4])),
-            "b": AllocationVector(np.array([0.4]), np.array([0.4])),
-        })
-        validate_scenario(slices, topo, alloc)  # should not raise
+        new = dataclasses.replace(make_slice("a", rank=0), alpha_tau=2.0, alpha_rho=2.0)
+        sc = self.scenario([new, make_slice("b", rank=1)], {"a": self.row(), "b": self.row()})
+        assert sc.validate() is sc
 
     def test_collects_every_violation(self):
         slices = [make_slice("a"), make_slice("a")]  # duplicate ids
-        topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),))
-        alloc = AllocationMatrix.from_rows({
-            "a": AllocationVector(np.array([0.4]), np.array([0.4])),
-        })
         with pytest.raises(InvariantViolation) as exc:
-            validate_scenario(slices, topo, alloc)
+            self.scenario(slices, {"a": self.row()}).validate()
         text = str(exc.value)
         assert "duplicate slice ids" in text
+        assert "no lower-priority slices" in text
 
     def test_alloc_must_cover_the_slice_set(self):
         slices = [make_slice("a"), make_slice("b", rank=1)]
-        topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),))
-        alloc = AllocationMatrix.from_rows({
-            "a": AllocationVector(np.array([0.4]), np.array([0.4])),
-        })
-        with pytest.raises(InvariantViolation):
-            validate_scenario(slices, topo, alloc)
+        with pytest.raises(InvariantViolation, match="do not match slices"):
+            self.scenario(slices, {"a": self.row()}).validate()
+
+    def test_alloc_columns_match_the_topology(self):
+        two_edges = AllocationVector(np.array([0.4, 0.4]), np.array([0.4]))
+        with pytest.raises(InvariantViolation, match="2 edge columns, topology 1"):
+            self.scenario([make_slice("a")], {"a": two_edges}).validate()

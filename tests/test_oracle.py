@@ -14,7 +14,6 @@ from slicelab import (
     TrafficModel,
 )
 from slicelab.oracle import (
-    analytic_mm1_evaluate,
     analytic_parts,
     derive_seed,
     sim_evaluate,
@@ -39,9 +38,9 @@ class TestAnalyticModel:
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
         phi = 1100.0 * 5e4 / 3e8
         point = AllocationVector(np.array([1.0]), np.array([phi]))
-        sample = analytic_mm1_evaluate(spec, point, topo)
-        assert sample.delay_stat_ms == pytest.approx(2.0, rel=1e-12)
-        assert sample.throughput == 1.0
+        delay, tp, _, _ = analytic_parts(spec, point, topo)
+        assert delay == pytest.approx(2.0, rel=1e-12)
+        assert tp == 1.0
 
     def test_full_core_service_rates(self):
         topo = Topology(edges=(("e", 1e5),), cores=(("c", 3e8),))
@@ -58,19 +57,19 @@ class TestAnalyticModel:
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
         phi = 100.0 * 5e4 / 3e8  # mu_srv exactly lambda
-        sample = analytic_mm1_evaluate(
+        delay, tp, _, _ = analytic_parts(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
-        assert math.isinf(sample.delay_stat_ms)
-        assert sample.throughput == 1.0  # mu/lambda = 1 caps at 1
+        assert math.isinf(delay)
+        assert tp == 1.0  # mu/lambda = 1 caps at 1
 
     def test_bottleneck_caps_throughput(self):
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
         phi = 50.0 * 5e4 / 3e8  # server can only draw 50 req/s
-        sample = analytic_mm1_evaluate(
+        delay, tp, _, _ = analytic_parts(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
-        assert math.isinf(sample.delay_stat_ms)
-        assert sample.throughput == pytest.approx(0.5, rel=1e-12)
+        assert math.isinf(delay)
+        assert tp == pytest.approx(0.5, rel=1e-12)
 
     def test_gradients_match_finite_differences(self):
         spec = spec_with(rate=100.0, demand=5e4)
@@ -134,11 +133,18 @@ class TestOracles:
                               [spec], topo, cfg, seed=5)
         assert got == direct
 
+    def test_unknown_slice_names_it(self):
+        spec, topo, alloc = self.scenario()
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        with pytest.raises(KeyError, match="'nope'"):
+            sim_evaluate("nope", alloc, [spec], topo, cfg, seed=5)
+
     def test_analytic_oracle_interface(self):
         spec, topo, alloc = self.scenario()
-        s = analytic_mm1_evaluate(spec, alloc.row("s"), topo)
-        assert s.throughput == 1.0
-        assert s.delay_stat_ms > 0
+        delay, tp, d_delay, d_tp = analytic_parts(spec, alloc.row("s"), topo)
+        assert tp == 1.0
+        assert delay > 0
+        assert d_delay.shape == d_tp.shape == (2,)
 
     def test_evaluate_all_keeps_raw_delays(self):
         spec, topo, alloc = self.scenario()

@@ -1,4 +1,5 @@
 """Transfer rule math, stopping behavior, and the full reconfiguration loop."""
+import dataclasses
 import pickle
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,7 +19,6 @@ from slicelab import (
     TrafficModel,
     project_capped_simplex,
     run_osra,
-    transfer_step,
 )
 from slicelab import osra
 from slicelab.osra import (
@@ -26,6 +26,7 @@ from slicelab.osra import (
     NonFiniteGradient,
     assert_feasible,
     order_key,
+    transfer_step,
 )
 
 from conftest import make_tiny_scenario
@@ -300,6 +301,24 @@ class TestFrozenSlices:
             assert np.all(movable_f <= 0.80 + 1e-9)
             assert np.all(movable_c <= 0.80 + 1e-9)
 
+    def test_drained_donor_projects_onto_the_leftover_budget(self):
+        # one step of eta 1 drains the donor past zero on every column, so
+        # clipping it alone would push the movable rows past what prio left
+        slices, topology, _, osra = self.three_way_scenario()
+        alloc = AllocationMatrix.from_rows({
+            "prio": AllocationVector(np.array([0.5]), np.array([0.5])),
+            "new": AllocationVector(np.array([0.02]), np.array([0.02])),
+            "donor": AllocationVector(np.array([0.3]), np.array([0.3])),
+        })
+        osra = dataclasses.replace(osra, eta=1.0, max_iters=1)
+        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1, 0),
+                       "new", osra, seed=1)
+        raw = alloc.row("donor").stacked() - res.traces[0].raw_deltas["donor"]
+        assert res.iterations == 1 and np.all(raw < 0)
+        final = res.final_alloc.stacked()
+        assert final.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert np.all(final[res.final_alloc.index("donor")] == 0.0)
+
 
 class TestOrderKey:
     def test_rank_then_id(self):
@@ -335,6 +354,12 @@ class TestOsraConfig:
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):
             OsraConfig(max_iters=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", 0.0), ("probes", 0), ("penalty_exponent", 3), ("delay_ceiling_ms", 0.0)])
+    def test_probe_and_penalty_knobs_checked(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            OsraConfig(**{field: value})
 
     def test_sqrt_decay_schedule(self):
         c = OsraConfig(eta=0.2, eta_schedule="sqrt-decay")

@@ -5,24 +5,26 @@ import numpy as np
 import pytest
 
 from slicelab import (
+    UNBOUNDED,
     AllocationVector,
     DegenerateDelta,
-    PenaltyModel,
     ProbeMemory,
     QoeRequirement,
-    QoeSample,
     SliceSpec,
     Topology,
     TrafficModel,
-    UNBOUNDED,
+)
+from slicelab.domain import QoeSample
+from slicelab.oracle import analytic_parts
+from slicelab.penalty import (
+    PenaltyModel,
     analytic_gradient,
+    effective_delay,
     mean_statistics,
     penalty,
     penalty_at,
     probed_gradient,
 )
-from slicelab.oracle import analytic_parts
-from slicelab.penalty import effective_delay
 
 
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
@@ -195,7 +197,7 @@ class TestProbeMemory:
         probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=3,
                         memory=mem)
         assert len(mem) == 2 * 2 * 3  # dim * sides * probes
-        pt, sample, seed = mem[0]
+        pt, sample, seed = next(iter(mem))
         assert isinstance(pt, AllocationVector)
 
     def test_replay_reproduces_samples(self):

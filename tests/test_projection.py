@@ -2,11 +2,7 @@
 import numpy as np
 import pytest
 
-from slicelab import (
-    DimensionMismatch,
-    project_capped_simplex,
-    project_columns,
-)
+from slicelab import DimensionMismatch, project_capped_simplex, project_columns
 from reference_impls import qp_capped_simplex
 
 
@@ -65,34 +61,30 @@ class TestConstraintSetProjection:
     """Column-wise projection of (slices x resources) allocation arrays."""
 
     def test_feasible_matrix_unchanged(self):
-        flows = np.array([[0.3], [0.4]])
-        cpu = np.array([[0.2], [0.2]])
-        pf, pc = project_columns(flows, cpu)
-        assert np.array_equal(pf, flows) and np.array_equal(pc, cpu)
+        x = np.array([[0.3, 0.2], [0.4, 0.2]])
+        assert np.array_equal(project_columns(x, np.ones(2)), x)
 
     def test_overcommitted_edge_column(self):
-        # raw columns may overflow; build from raw arrays via project_columns
-        flows = np.array([[0.7], [0.7]])
-        cpu = np.array([[0.2], [0.2]])
-        pf, pc = project_columns(flows, cpu)
-        assert pf[:, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
-        assert pc[:, 0] == pytest.approx([0.2, 0.2], abs=1e-12)  # untouched
+        # raw columns may overflow: an edge column, then a core column
+        x = np.array([[0.7, 0.2], [0.7, 0.2]])
+        px = project_columns(x, np.ones(2))
+        assert px[:, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert px[:, 1] == pytest.approx([0.2, 0.2], abs=1e-12)  # untouched
 
     def test_group_independence(self):
         # only the violating column moves; each column matches the QP oracle
-        flows = np.array([[0.9], [0.4]])
-        cpu = np.array([[0.3], [0.5]])
-        pf, pc = project_columns(flows, cpu)
-        assert pf[:, 0] == pytest.approx(qp_capped_simplex(flows[:, 0]), abs=1e-8)
-        assert np.array_equal(pc, cpu)
+        x = np.array([[0.9, 0.3], [0.4, 0.5]])
+        px = project_columns(x, np.ones(2))
+        assert px[:, 0] == pytest.approx(qp_capped_simplex(x[:, 0]), abs=1e-8)
+        assert np.array_equal(px[:, 1], x[:, 1])
 
     def test_column_budgets(self):
         # a frozen slice took 0.4 of the edge: survivors project onto sum <= 0.6
-        flows = np.array([[0.5], [0.5]])
-        cpu = np.array([[0.1], [0.1]])
-        pf, _ = project_columns(flows, cpu, budgets_flows=np.array([0.6]))
-        assert pf[:, 0].sum() == pytest.approx(0.6, abs=1e-12)
-        assert pf[:, 0] == pytest.approx([0.3, 0.3], abs=1e-12)
+        x = np.array([[0.5, 0.1], [0.5, 0.1]])
+        px = project_columns(x, np.array([0.6, 1.0]))
+        assert px[:, 0].sum() == pytest.approx(0.6, abs=1e-12)
+        assert px[:, 0] == pytest.approx([0.3, 0.3], abs=1e-12)
+        assert np.array_equal(px[:, 1], x[:, 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -25,6 +25,8 @@ from slicelab import (
     TrafficModel,
     load_scenario,
     reference_scenario,
+)
+from slicelab.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,

@@ -21,8 +21,8 @@ from slicelab.simulator import (
     generate_traffic,
     run_sim,
     simulate_pipeline,
+    slice_rng,
     summarize,
-    write_packet_trace,
 )
 from reference_impls import HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline
 
@@ -304,10 +304,17 @@ class TestRunSim:
         spec = one_slice()
         topo, alloc = self.topo_alloc()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.4)
-        res = run_sim([spec], topo, alloc, cfg, seed=5, keep_trace=True)["s"]
-        kept = res.created_s >= cfg.warmup_s
-        assert res.offered == int(kept.sum())
-        assert res.success == int((kept & res.served).sum())
+        res = run_sim([spec], topo, alloc, cfg, seed=5)["s"]
+        # the same packets, pushed through the pipeline by hand
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(5, 0))
+        row = alloc.row("s")
+        delays, served = simulate_pipeline(
+            arrivals, sizes, row.flows * topo.edge_bps(), topo.buffer_pkts,
+            float(row.cpu @ topo.core_mips()), spec.demand_mi, cfg.propagation_ms)
+        kept = arrivals >= cfg.warmup_s
+        assert 0 < res.offered == int(kept.sum()) < arrivals.size
+        assert res.success == int((kept & served).sum())
+        assert np.array_equal(res.delays_ms, delays[kept[served]])
 
     def test_slice_traffic_independent_of_other_slices(self):
         # a slice's stream must not shift when another slice is present
@@ -322,7 +329,9 @@ class TestRunSim:
         })
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         paired = run_sim([s1, s2], topo, both, cfg, seed=6)["s"]
-        only = run_sim([s1, s2], topo, both, cfg, seed=6, only_slice="s")["s"]
+        only = run_sim([s1, s2], topo, both, cfg, seed=6, only=("s", both.row("s")))
+        assert list(only) == ["s"]
+        only = only["s"]
         assert np.array_equal(paired.delays_ms, only.delays_ms)
 
     def test_row_override_answers_what_if(self):
@@ -330,8 +339,7 @@ class TestRunSim:
         topo, alloc = self.topo_alloc(f=0.05)
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         asked = AllocationVector(np.array([0.2]), np.array([0.5]))
-        via_override = run_sim([spec], topo, alloc, cfg, seed=7,
-                               row_override=("s", asked))["s"]
+        via_override = run_sim([spec], topo, alloc, cfg, seed=7, only=("s", asked))["s"]
         direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
                          cfg, seed=7)["s"]
         assert np.array_equal(via_override.delays_ms, direct.delays_ms)
@@ -440,23 +448,3 @@ class TestOnOffAgainstLoop:
         assert burst_sizes(arrivals, tm.intra_burst_gap_s()).mean() == \
             pytest.approx(burst_len, rel=0.03)
 
-
-class TestPacketTrace:
-    def test_trace_file_schema(self, tmp_path):
-        spec = one_slice(rate=100.0)
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
-        alloc = AllocationMatrix.from_rows(
-            {"s": AllocationVector(np.array([0.1]), np.array([0.5]))})
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        path = tmp_path / "trace.csv"
-        write_packet_trace(path, [spec], topo, alloc, cfg, seed=9)
-
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "slice,created_s,served,delay_ms"
-        res = run_sim([spec], topo, alloc, cfg, seed=9)["s"]
-        assert len(lines) - 1 == res.offered
-        n_served = sum(1 for ln in lines[1:] if ln.split(",")[2] == "1")
-        assert n_served == res.success
-        for ln in lines[1:]:
-            _, _, served, delay = ln.split(",")
-            assert (delay == "") == (served == "0")
