@@ -23,30 +23,28 @@ from .domain import AllocationMatrix, AllocationVector, SliceSpec, Topology
 from .simulator import SimConfig, run_sim
 
 STABILITY_MARGIN = 0.1  # rate headroom used when there is no delay bound
+NETWORK_DELAY_SHARE = 0.5  # share of the delay bound given to the link stages
 
 
 class InfeasibleDemand(ValueError):
     pass
 
 
-def mm1_demand(spec: SliceSpec, topology: Topology,
-               budget_split: float = 0.5) -> tuple[AllocationVector, bool]:
+def mm1_demand(spec: SliceSpec, topology: Topology) -> tuple[AllocationVector, bool]:
     """Size one slice from mean-delay formulas.
 
-    The delay bound splits as budget_split to the network (spread evenly
-    over edges) and the rest to the server; each stage gets the service
-    rate mu = lam + 1/W for its sojourn share W. Unbounded delay sizes for
-    stability only (10% headroom). Required fractions above 1 clip to 1,
-    returning infeasible=True.
+    The delay bound splits as NETWORK_DELAY_SHARE to the network (spread
+    evenly over edges) and the rest to the server; each stage gets the
+    service rate mu = lam + 1/W for its sojourn share W. Unbounded delay
+    sizes for stability only (10% headroom). Required fractions above 1
+    clip to 1, returning infeasible=True.
     """
-    if not 0.0 < budget_split < 1.0:
-        raise ValueError(f"budget_split must be in (0, 1), got {budget_split}")
     lam = spec.traffic.mean_rate
     mean_size = spec.traffic.mean_size_bytes()
 
     if spec.requirement.bounded:
-        w_net_s = (spec.requirement.tau_ms / 1e3) * budget_split / topology.n_edges
-        w_srv_s = (spec.requirement.tau_ms / 1e3) * (1.0 - budget_split)
+        w_net_s = (spec.requirement.tau_ms / 1e3) * NETWORK_DELAY_SHARE / topology.n_edges
+        w_srv_s = (spec.requirement.tau_ms / 1e3) * (1.0 - NETWORK_DELAY_SHARE)
         mu_edge = lam + 1.0 / w_net_s
         mu_srv = lam + 1.0 / w_srv_s
     else:
@@ -60,7 +58,7 @@ def mm1_demand(spec: SliceSpec, topology: Topology,
     return AllocationVector(np.minimum(flows, 1.0), np.minimum(cpu, 1.0)), infeasible
 
 
-def size_all(slices, topology: Topology, budget_split: float = 0.5, clamp: bool = False,
+def size_all(slices, topology: Topology, clamp: bool = False,
              ) -> tuple[AllocationMatrix, dict[str, bool]]:
     """Size every slice independently and assemble the joint allocation.
 
@@ -71,7 +69,7 @@ def size_all(slices, topology: Topology, budget_split: float = 0.5, clamp: bool 
     """
     rows, flags = {}, {}
     for s in slices:
-        rows[s.id], flags[s.id] = mm1_demand(s, topology, budget_split)
+        rows[s.id], flags[s.id] = mm1_demand(s, topology)
     flows = np.array([rows[s.id].flows for s in slices])
     cpu = np.array([rows[s.id].cpu for s in slices])
     for name, arr in (("edge", flows), ("core", cpu)):
@@ -111,42 +109,43 @@ def audit_allocation(slices, topology: Topology, alloc: AllocationMatrix,
     the slice's bound, out of all successful requests; an unbounded slice
     scores 0. No successes at all is reported as 0 with empty=True.
     """
-    by_id = {s.id: s for s in slices}
-    delays = {s.id: [] for s in slices}
-    offered = {s.id: 0 for s in slices}
-    success = {s.id: 0 for s in slices}
-    for seed in seeds:
-        results = run_sim(slices, topology, alloc, sim_config, seed=seed)
-        for sid, res in results.items():
-            delays[sid].append(res.delays_ms)
-            offered[sid] += res.offered
-            success[sid] += res.success
+    return pool_audits(slices, [run_sim(slices, topology, alloc, sim_config, seed=seed)
+                                for seed in seeds])
 
+
+def pool_audits(slices, runs) -> dict:
+    """One audit report over every request of `runs`, in order.
+
+    A run maps slice id to anything with offered, success and delays_ms: a
+    run_sim result, or an audit, so per-seed audits pool without new runs.
+    """
     report = {}
-    for sid in delays:
-        pooled = np.concatenate(delays[sid]) if delays[sid] else np.array([])
+    for spec in slices:
+        parts = [run[spec.id] for run in runs]
+        pooled = np.concatenate([p.delays_ms for p in parts]) if parts else np.array([])
+        offered = sum(p.offered for p in parts)
+        success = sum(p.success for p in parts)
         empty = pooled.size == 0
-        req = by_id[sid].requirement
+        req = spec.requirement
         if empty:
             viol, mean_d, max_d = 0.0, float("nan"), float("nan")
         else:
             viol = float(np.mean(pooled > req.tau_ms)) if req.bounded else 0.0
             mean_d = float(pooled.mean())
             max_d = float(pooled.max())
-        report[sid] = SliceAudit(
-            slice_id=sid, offered=offered[sid], success=success[sid],
+        report[spec.id] = SliceAudit(
+            slice_id=spec.id, offered=offered, success=success,
             violation_fraction=viol, mean_delay_ms=mean_d, max_delay_ms=max_d,
-            throughput=success[sid] / offered[sid] if offered[sid] else 1.0,
+            throughput=success / offered if offered else 1.0,
             empty=empty, delays_ms=pooled)
     return report
 
 
-def evaluate_baseline(slices, topology: Topology, sim_config: SimConfig, seeds,
-                      budget_split: float = 0.5):
+def evaluate_baseline(slices, topology: Topology, sim_config: SimConfig, seeds):
     """Size every slice analytically, then audit that allocation as-is.
 
     Returns (report, allocation, clamp flags).
     """
-    alloc, flags = size_all(slices, topology, budget_split)
+    alloc, flags = size_all(slices, topology)
     report = audit_allocation(slices, topology, alloc, sim_config, seeds)
     return report, alloc, flags

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import audit_allocation, size_all
+from .baseline import audit_allocation, pool_audits, size_all
 from .domain import InvariantViolation
 from .osra import run_osra
 from .scenario import (
@@ -44,10 +44,12 @@ def parse_seeds(text: str) -> list[int]:
             raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"seeds must be like '0,1,2' or '0..9', got {text!r}") from None
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seeds must be like '0,1,2' or '0..9', got {text!r}")
+    return seeds
 
 
 def _load(args) -> ScenarioConfig:
@@ -201,7 +203,7 @@ def cmd_compare(args) -> int:
     for m, (alloc, flags) in methods.items():
         audits = [(seed, audit_allocation(sc.slices, sc.topology, alloc, sc.sim, [seed]))
                   for seed in seeds]
-        pooled[m] = audit_allocation(sc.slices, sc.topology, alloc, sc.sim, seeds)
+        pooled[m] = pool_audits(sc.slices, [report for _, report in audits])
         if len(seeds) > 1:
             audits.append(("pooled", pooled[m]))
         for seed, report in audits:

@@ -2,8 +2,9 @@
 allocations, and measured QoE samples.
 
 All types are immutable values that check their own bounds at
-construction and report every violation at once; the checks that span a
-whole scenario live in `ScenarioConfig.validate`.
+construction and report every violation at once, each with the field it
+concerns; the checks that span a whole scenario live in
+`ScenarioConfig.validate`.
 """
 from __future__ import annotations
 
@@ -24,16 +25,20 @@ SIZE_DISTS = ("uniform", "exponential")
 
 
 class InvariantViolation(ValueError):
-    """One or more domain invariants failed. ``violations`` lists them all."""
+    """Failed invariants as (field, message) pairs; a field is a key path (``edges.link``)."""
 
-    def __init__(self, violations: Sequence[str]):
+    def __init__(self, violations: Sequence[tuple[str, str]]):
         self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+        super().__init__(self.violations)
 
+    def __str__(self):
+        return "; ".join(msg for _, msg in self.violations)
 
-def _raise_if(errs):
-    if errs:
-        raise InvariantViolation(errs)
+    @classmethod
+    def check(cls, violations):
+        """Raise one InvariantViolation listing `violations`, if there are any."""
+        if violations:
+            raise cls(violations)
 
 
 def _ro_array(values, dtype=float):
@@ -55,10 +60,10 @@ class QoeRequirement:
     def __post_init__(self):
         errs = []
         if not (self.tau_ms > 0):
-            errs.append(f"tau must be > 0 or unbounded, got {self.tau_ms}")
+            errs.append(("tau_ms", f"tau must be > 0 or unbounded, got {self.tau_ms}"))
         if not (0.0 <= self.rho <= 1.0):
-            errs.append(f"rho out of [0,1]: {self.rho}")
-        _raise_if(errs)
+            errs.append(("rho", f"rho out of [0,1]: {self.rho}"))
+        InvariantViolation.check(errs)
 
     @property
     def bounded(self) -> bool:
@@ -88,14 +93,15 @@ class TrafficModel:
     def __post_init__(self):
         errs = []
         if self.kind not in TRAFFIC_KINDS:
-            errs.append(f"unknown traffic kind {self.kind!r}")
+            errs.append(("kind", f"unknown traffic kind {self.kind!r}"))
         if not (self.mean_rate > 0):
-            errs.append(f"mean_rate must be > 0, got {self.mean_rate}")
+            errs.append(("mean_rate", f"mean_rate must be > 0, got {self.mean_rate}"))
         if self.kind == "bursty-onoff":
             if self.burst_len is None or not (self.burst_len >= 1):
-                errs.append(f"burst_len must be >= 1 for bursty-onoff, got {self.burst_len}")
+                errs.append(("burst_len",
+                             f"burst_len must be >= 1 for bursty-onoff, got {self.burst_len}"))
             if self.off_time_ms is None or not (self.off_time_ms >= 0):
-                errs.append(f"off_time_ms must be >= 0, got {self.off_time_ms}")
+                errs.append(("off_time_ms", f"off_time_ms must be >= 0, got {self.off_time_ms}"))
             if (
                 self.burst_len is not None
                 and self.off_time_ms is not None
@@ -104,18 +110,18 @@ class TrafficModel:
             ):
                 gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
                 if gap < -1e-12:
-                    errs.append(
+                    errs.append(("mean_rate",
                         "mean_rate exceeds the burst envelope: need "
                         f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
-                        f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"
-                    )
+                        f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
         if not (1 <= self.size_min <= self.size_max):
-            errs.append(f"need 1 <= size_min <= size_max, got [{self.size_min}, {self.size_max}]")
+            errs.append(("size_min" if self.size_min < 1 else "size_max", "need 1 <= size_min "
+                         f"<= size_max, got [{self.size_min}, {self.size_max}]"))
         if self.size_dist not in SIZE_DISTS:
-            errs.append(f"unknown size_dist {self.size_dist!r}")
+            errs.append(("size_dist", f"unknown size_dist {self.size_dist!r}"))
         if self.size_mean is not None and not (self.size_mean > 0):
-            errs.append(f"size_mean must be > 0, got {self.size_mean}")
-        _raise_if(errs)
+            errs.append(("size_mean", f"size_mean must be > 0, got {self.size_mean}"))
+        InvariantViolation.check(errs)
 
     def mean_size_bytes(self) -> float:
         if self.size_dist == "exponential" and self.size_mean is not None:
@@ -152,12 +158,14 @@ class SliceSpec:
     def __post_init__(self):
         errs = []
         if not self.id:
-            errs.append("slice id must be non-empty")
-        if self.alpha_tau < 0 or self.alpha_rho < 0:
-            errs.append(f"slice {self.id}: alpha weights must be >= 0")
+            errs.append(("id", "slice id must be non-empty"))
+        for name in ("alpha_tau", "alpha_rho"):
+            if getattr(self, name) < 0:
+                errs.append((name, f"slice {self.id}: alpha weights must be >= 0"))
         if not (self.demand_mi > 0):
-            errs.append(f"slice {self.id}: demand_mi must be > 0, got {self.demand_mi}")
-        _raise_if(errs)
+            errs.append(("demand_mi",
+                         f"slice {self.id}: demand_mi must be > 0, got {self.demand_mi}"))
+        InvariantViolation.check(errs)
 
 
 @dataclass(frozen=True)
@@ -177,21 +185,22 @@ class Topology:
         object.__setattr__(self, "cores", tuple((str(c), float(m)) for c, m in self.cores))
         errs = []
         if not self.edges:
-            errs.append("topology needs at least one edge")
+            errs.append(("edges", "topology needs at least one edge"))
         if not self.cores:
-            errs.append("topology needs at least one core")
+            errs.append(("cores", "topology needs at least one core"))
         for name, cap in self.edges:
             if not (cap > 0):
-                errs.append(f"edge {name}: capacity must be > 0, got {cap}")
+                errs.append((f"edges.{name}", f"edge {name}: capacity must be > 0, got {cap}"))
         for name, mips in self.cores:
             if not (mips > 0):
-                errs.append(f"core {name}: MIPS must be > 0, got {mips}")
+                errs.append((f"cores.{name}", f"core {name}: MIPS must be > 0, got {mips}"))
         if not (self.buffer_pkts >= 1):
-            errs.append(f"buffer_pkts must be >= 1, got {self.buffer_pkts}")
-        ids = [e for e, _ in self.edges] + [c for c, _ in self.cores]
-        if len(set(ids)) != len(ids):
-            errs.append("edge/core ids must be unique")
-        _raise_if(errs)
+            errs.append(("buffer_pkts", f"buffer_pkts must be >= 1, got {self.buffer_pkts}"))
+        ids = [("edges", e) for e, _ in self.edges] + [("cores", c) for c, _ in self.cores]
+        for i, (key, name) in enumerate(ids):
+            if any(name == seen for _, seen in ids[:i]):
+                errs.append((f"{key}.{name}", "edge/core ids must be unique"))
+        InvariantViolation.check(errs)
 
     @property
     def n_edges(self) -> int:
@@ -225,13 +234,13 @@ class AllocationVector:
         errs = []
         for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
             if arr.ndim != 1:
-                errs.append(f"{name} must be 1-D")
+                errs.append((name, f"{name} must be 1-D"))
                 continue
             if not np.all(np.isfinite(arr)):
-                errs.append(f"{name} has non-finite entries")
+                errs.append((name, f"{name} has non-finite entries"))
             elif arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-                errs.append(f"{name} entries must lie in [0,1]: {arr.tolist()}")
-        _raise_if(errs)
+                errs.append((name, f"{name} entries must lie in [0,1]: {arr.tolist()}"))
+        InvariantViolation.check(errs)
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.flows, self.cpu])
@@ -267,23 +276,23 @@ class AllocationMatrix:
         errs = []
         n = len(self.slice_ids)
         if len(set(self.slice_ids)) != n:
-            errs.append("duplicate slice ids in allocation")
+            errs.append(("slice_ids", "duplicate slice ids in allocation"))
         if self.flows.shape[0] != n or self.cpu.shape[0] != n:
-            errs.append(
-                f"row count mismatch: {n} slices vs flows {self.flows.shape[0]}, "
-                f"cpu {self.cpu.shape[0]}")
+            errs.append(("slice_ids",
+                         f"row count mismatch: {n} slices vs flows {self.flows.shape[0]}, "
+                         f"cpu {self.cpu.shape[0]}"))
             raise InvariantViolation(errs)
         for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
             if not np.all(np.isfinite(arr)):
-                errs.append(f"{name} has non-finite entries")
+                errs.append((name, f"{name} has non-finite entries"))
                 continue
             if arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-                errs.append(f"{name} entries must lie in [0,1]")
+                errs.append((name, f"{name} entries must lie in [0,1]"))
             kind = "edge" if name == "flows" else "core"
             for j, s in enumerate(arr.sum(axis=0)):
                 if s > 1 + CAPACITY_TOL:
-                    errs.append(f"{kind} {j} sum {s:.6g} > 1")
-        _raise_if(errs)
+                    errs.append((name, f"{kind} {j} sum {s:.6g} > 1"))
+        InvariantViolation.check(errs)
 
     @classmethod
     def from_rows(cls, rows: Mapping[str, AllocationVector]) -> "AllocationMatrix":
@@ -351,12 +360,13 @@ class QoeSample:
             object.__setattr__(self, "raw_delays_ms", _ro_array(self.raw_delays_ms))
         errs = []
         if math.isnan(self.delay_stat_ms) or self.delay_stat_ms < 0:
-            errs.append(f"delay_stat_ms must be >= 0 (inf allowed), got {self.delay_stat_ms}")
+            errs.append(("delay_stat_ms",
+                         f"delay_stat_ms must be >= 0 (inf allowed), got {self.delay_stat_ms}"))
         if not (0.0 <= self.throughput <= 1.0):
-            errs.append(f"throughput out of [0,1]: {self.throughput}")
+            errs.append(("throughput", f"throughput out of [0,1]: {self.throughput}"))
         if self.n_requests < 0:
-            errs.append(f"n_requests must be >= 0, got {self.n_requests}")
-        _raise_if(errs)
+            errs.append(("n_requests", f"n_requests must be >= 0, got {self.n_requests}"))
+        InvariantViolation.check(errs)
 
     def __eq__(self, other):
         if not isinstance(other, QoeSample):

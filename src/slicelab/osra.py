@@ -50,11 +50,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import AllocationMatrix, AllocationVector, QoeSample, Topology
+from .domain import AllocationMatrix, AllocationVector, InvariantViolation, QoeSample, Topology
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
-from .simulator import SimConfig
+from .simulator import SimConfig, percentile_of
 
 TRANSFER_RULES = ("algorithm1", "conservative")
 ETA_SCHEDULES = ("constant", "sqrt-decay")
@@ -92,24 +92,25 @@ class OsraConfig:
     donor_gradients: str = "analytic"
 
     def __post_init__(self):
-        if self.transfer_rule not in TRANSFER_RULES:
-            raise ValueError(f"transfer_rule must be one of {TRANSFER_RULES}")
-        if self.eta_schedule not in ETA_SCHEDULES:
-            raise ValueError(f"eta_schedule must be one of {ETA_SCHEDULES}")
-        if self.donor_gradients not in DONOR_GRADIENT_MODES:
-            raise ValueError(f"donor_gradients must be one of {DONOR_GRADIENT_MODES}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if not (self.delta > 0):
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.probes < 1:
-            raise ValueError(f"probes must be >= 1, got {self.probes}")
-        if self.penalty_exponent not in (1, 2):
-            raise ValueError(f"penalty_exponent must be 1 or 2, got {self.penalty_exponent}")
-        if not (self.delay_ceiling_ms > 0):
-            raise ValueError(f"delay_ceiling_ms must be > 0, got {self.delay_ceiling_ms}")
+        errs = []
+        for name, allowed in (("transfer_rule", TRANSFER_RULES),
+                              ("eta_schedule", ETA_SCHEDULES),
+                              ("donor_gradients", DONOR_GRADIENT_MODES)):
+            if getattr(self, name) not in allowed:
+                errs.append((name, f"{name} must be one of {allowed}"))
+        for name, ok, bound in (("max_iters", self.max_iters >= 1, ">= 1"),
+                                ("epsilon", self.epsilon >= 0, ">= 0"),
+                                ("delta", self.delta > 0, "> 0"),
+                                ("probes", self.probes >= 1, ">= 1"),
+                                ("penalty_exponent", self.penalty_exponent in (1, 2), "1 or 2"),
+                                ("delay_ceiling_ms", self.delay_ceiling_ms > 0, "> 0")):
+            if not ok:
+                errs.append((name, f"{name} must be {bound}, got {getattr(self, name)}"))
+        try:
+            percentile_of(self.statistic)
+        except ValueError as e:
+            errs.append(("statistic", str(e)))
+        InvariantViolation.check(errs)
 
     def missing_etas(self, donor_ids) -> list[str]:
         """Donors an eta map leaves out; none for a scalar eta."""

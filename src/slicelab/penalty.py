@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationVector, QoeRequirement, QoeSample, SliceSpec, Topology
+from .domain import (AllocationVector, InvariantViolation, QoeRequirement, QoeSample,
+                     SliceSpec, Topology)
 from .oracle import analytic_parts, derive_seed
 
 
@@ -48,12 +49,15 @@ class PenaltyModel:
     delay_ceiling_ms: float = 1e4
 
     def __post_init__(self):
+        errs = []
         if self.exponent not in (1, 2):
-            raise ValueError(f"exponent must be 1 or 2, got {self.exponent}")
-        if self.alpha_tau < 0 or self.alpha_rho < 0:
-            raise ValueError("alpha weights must be >= 0")
+            errs.append(("exponent", f"exponent must be 1 or 2, got {self.exponent}"))
+        for name in ("alpha_tau", "alpha_rho"):
+            if getattr(self, name) < 0:
+                errs.append((name, "alpha weights must be >= 0"))
         if not (self.delay_ceiling_ms > 0):
-            raise ValueError("delay_ceiling_ms must be > 0")
+            errs.append(("delay_ceiling_ms", "delay_ceiling_ms must be > 0"))
+        InvariantViolation.check(errs)
 
     @classmethod
     def for_slice(cls, spec: SliceSpec, exponent: int = 2, delay_ceiling_ms: float = 1e4):

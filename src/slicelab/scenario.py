@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping
@@ -28,7 +27,7 @@ from .domain import (
     UNBOUNDED,
 )
 from .osra import OsraConfig, order_key
-from .simulator import SimConfig, delay_statistic
+from .simulator import SimConfig
 
 
 class ScenarioError(ValueError):
@@ -63,46 +62,43 @@ class ScenarioConfig:
         return tuple(s for s in self.slices if order_key(s) > order_key(me))
 
     def validate(self) -> "ScenarioConfig":
-        """Every cross-cutting invariant; raises listing all failures."""
+        """Every cross-cutting invariant; raises listing all failures, each by its key."""
         errs = []
         ids = [s.id for s in self.slices]
         alloc, topo = self.initial_alloc, self.topology
         if len(set(ids)) != len(ids):
-            errs.append("duplicate slice ids")
+            errs.append(("slices", "duplicate slice ids"))
         if set(alloc.slice_ids) != set(ids):
-            errs.append(
-                f"allocation rows {sorted(alloc.slice_ids)} do not match slices {sorted(ids)}")
-        if alloc.n_edges != topo.n_edges:
-            errs.append(f"allocation has {alloc.n_edges} edge columns, topology {topo.n_edges}")
-        if alloc.n_cores != topo.n_cores:
-            errs.append(f"allocation has {alloc.n_cores} core columns, topology {topo.n_cores}")
+            errs.append(("initial_alloc", f"allocation rows {sorted(alloc.slice_ids)} "
+                                          f"do not match slices {sorted(ids)}"))
+        for kind, have, want in (("edge", alloc.n_edges, topo.n_edges),
+                                 ("core", alloc.n_cores, topo.n_cores)):
+            if have != want:
+                errs.append(("initial_alloc",
+                             f"allocation has {have} {kind} columns, topology {want}"))
         if self.new_slice_id not in ids:
-            errs.append(f"new_slice {self.new_slice_id!r} is not a slice id")
+            errs.append(("new_slice", f"new_slice {self.new_slice_id!r} is not a slice id"))
         else:
             new = self.new_slice
+            where = f"slice {new.id!r}"
             donors = self.donors()
             if not donors:
-                errs.append(
-                    f"new slice {self.new_slice_id!r} has no lower-priority slices")
+                errs.append(("new_slice",
+                             f"new slice {self.new_slice_id!r} has no lower-priority slices"))
             for d in donors:
                 if new.alpha_rho <= d.alpha_rho:
-                    errs.append(
-                        f"alpha_rho of new slice ({new.alpha_rho}) must exceed "
-                        f"lower-priority {d.id!r} ({d.alpha_rho})")
+                    errs.append((f"{where}.alpha_rho",
+                                 f"alpha_rho of new slice ({new.alpha_rho}) must exceed "
+                                 f"lower-priority {d.id!r} ({d.alpha_rho})"))
                 if (new.requirement.bounded and d.requirement.bounded
                         and new.alpha_tau <= d.alpha_tau):
-                    errs.append(
-                        f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
-                        f"lower-priority {d.id!r} ({d.alpha_tau})")
+                    errs.append((f"{where}.alpha_tau",
+                                 f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
+                                 f"lower-priority {d.id!r} ({d.alpha_tau})"))
             missing = self.osra.missing_etas(d.id for d in donors)
             if missing:
-                errs.append(f"osra.eta map missing donor slices {missing}")
-        try:
-            delay_statistic(np.array([1.0]), self.osra.statistic)
-        except ValueError as e:
-            errs.append(f"osra.statistic: {e}")
-        if errs:
-            raise InvariantViolation(errs)
+                errs.append(("osra.eta", f"osra.eta map missing donor slices {missing}"))
+        InvariantViolation.check(errs)
         return self
 
 
@@ -123,6 +119,18 @@ def _req(mapping, key, where):
 
 
 _CASTS = {"float": float, "int": int, "str": str}
+
+
+def _floats(value, where):
+    """A YAML list of numbers, each cast to float."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list of float, got {value!r}")
+    return [_cast("float", v, where) for v in value]
+
+
+def _capacities(value, where):
+    """A YAML mapping of id to number, as ((id, float), ...)."""
+    return tuple((k, _cast("float", v, f"{where}.{k}")) for k, v in _mapping(value, where).items())
 
 
 def _cast(annotation, value, where):
@@ -151,24 +159,16 @@ def _from_dict(cls, d, where, **by_hand):
             kw[f.name] = cast(d[f.name], f"{where}.{f.name}")
         elif f.default is dataclasses.MISSING:
             raise ScenarioError(f"missing key {f.name!r} in {where}")
-    return _build(cls, kw, where)
+    return _build(cls, where, **kw)
 
 
-def _build(cls, kw, where):
-    """cls(**kw), its range errors re-raised as ScenarioError naming the key.
-
-    Each violation names <where>.<key> for the field it mentions first, or
-    just <where> when it mentions none.
-    """
+def _build(make, where, **kw):
+    """make(**kw), its violations re-raised as one ScenarioError naming <where>.<field>."""
     try:
-        return cls(**kw)
-    except ValueError as e:   # InvariantViolation lists every violation
-        names = [f.name for f in dataclasses.fields(cls)]
-        errs = []
-        for msg in getattr(e, "violations", [str(e)]):
-            hits = [(m.start(), n) for n in names if (m := re.search(rf"\b{n}\b", msg))]
-            errs.append(f"{where}.{min(hits)[1]}: {msg}" if hits else f"{where}: {msg}")
-        raise ScenarioError("; ".join(errs)) from None
+        return make(**kw)
+    except InvariantViolation as e:
+        raise ScenarioError(
+            "; ".join(f"{where}.{field}: {msg}" for field, msg in e.violations)) from None
 
 
 def _to_dict(obj, **by_hand) -> dict:
@@ -187,11 +187,10 @@ def _tau_from_yaml(value, where):
     if value is None or value == "unbounded":
         return UNBOUNDED
     try:
-        v = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(
             f"{where}.tau_ms must be a number or \"unbounded\", got {value!r}") from None
-    return v
 
 
 def _tau_to_yaml(tau_ms):
@@ -220,9 +219,10 @@ def _slice_from_dict(d) -> SliceSpec:
         return _cast(kind, _req(d, key, where), f"{where}.{key}")
 
     tau_ms = _tau_from_yaml(_req(d, "tau_ms", where), where)
-    return SliceSpec(
+    return _build(
+        SliceSpec, where,
         id=sid,
-        requirement=_build(QoeRequirement, {"tau_ms": tau_ms, "rho": num("rho")}, where),
+        requirement=_build(QoeRequirement, where, tau_ms=tau_ms, rho=num("rho")),
         alpha_tau=num("alpha_tau"),
         alpha_rho=num("alpha_rho"),
         traffic=_from_dict(TrafficModel, _req(d, "traffic", where), f"{where}.traffic"),
@@ -235,34 +235,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build an (already validated) ScenarioConfig from plain YAML data."""
     _mapping(data, "scenario", ("name", "new_slice", "topology", "slices",
                                 "initial_alloc", "sim", "osra"))
-    topo_d = _mapping(_req(data, "topology", "scenario"), "topology",
-                      ("edges", "cores", "buffer_pkts"))
-
-    def capacities(key):
-        where = f"topology.{key}"
-        return tuple((k, _cast("float", v, f"{where}.{k}"))
-                     for k, v in _mapping(_req(topo_d, key, "topology"), where).items())
-
-    topology = Topology(
-        edges=capacities("edges"),
-        cores=capacities("cores"),
-        buffer_pkts=_cast("int", topo_d.get("buffer_pkts", 100), "topology.buffer_pkts"),
-    )
+    topology = _from_dict(Topology, _req(data, "topology", "scenario"), "topology",
+                          edges=_capacities, cores=_capacities)
     slices = tuple(_slice_from_dict(d) for d in _req(data, "slices", "scenario"))
 
-    alloc_d = _req(data, "initial_alloc", "scenario")
-    rows = {}
-    for sid, row in _mapping(alloc_d, "initial_alloc").items():
-        where = f"initial_alloc.{sid}"
-        _mapping(row, where, ("flows", "cpu"))
-        rows[str(sid)] = AllocationVector(
-            flows=np.array(_req(row, "flows", where), dtype=float),
-            cpu=np.array(_req(row, "cpu", where), dtype=float),
-        )
-    try:
-        alloc = AllocationMatrix.from_rows(rows)
-    except InvariantViolation as e:
-        raise ScenarioError(f"initial_alloc: {'; '.join(e.violations)}") from None
+    alloc_d = _mapping(_req(data, "initial_alloc", "scenario"), "initial_alloc")
+    rows = {str(sid): _from_dict(AllocationVector, row, f"initial_alloc.{sid}",
+                                 flows=_floats, cpu=_floats)
+            for sid, row in alloc_d.items()}
+    alloc = _build(AllocationMatrix.from_rows, "initial_alloc", rows=rows)
 
     sc = ScenarioConfig(
         name=str(data.get("name", "scenario")),
@@ -280,11 +261,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
     return {
         "name": sc.name,
         "new_slice": sc.new_slice_id,
-        "topology": {
-            "edges": {e: float(c) for e, c in sc.topology.edges},
-            "cores": {c: float(m) for c, m in sc.topology.cores},
-            "buffer_pkts": int(sc.topology.buffer_pkts),
-        },
+        "topology": _to_dict(sc.topology, edges=dict, cores=dict),
         "slices": [
             {
                 "id": s.id,
@@ -299,10 +276,8 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
             for s in sc.slices
         ],
         "initial_alloc": {
-            sid: {
-                "flows": [float(x) for x in sc.initial_alloc.row(sid).flows],
-                "cpu": [float(x) for x in sc.initial_alloc.row(sid).cpu],
-            }
+            sid: _to_dict(sc.initial_alloc.row(sid), flows=np.ndarray.tolist,
+                          cpu=np.ndarray.tolist)
             for sid in sc.initial_alloc.slice_ids
         },
         "sim": _to_dict(sc.sim),
@@ -325,7 +300,8 @@ def save_scenario(sc: ScenarioConfig, path):
 
 def with_overrides(sc: ScenarioConfig, **osra_fields) -> ScenarioConfig:
     """Copy a scenario with some algorithm knobs replaced (CLI flags)."""
-    return replace(sc, osra=replace(sc.osra, **osra_fields)).validate()
+    osra = _build(partial(replace, sc.osra), "osra", **osra_fields)
+    return replace(sc, osra=osra).validate()
 
 
 def reference_scenario() -> ScenarioConfig:

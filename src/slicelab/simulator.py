@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationMatrix, QoeSample, Topology, TrafficModel
+from .domain import AllocationMatrix, InvariantViolation, QoeSample, Topology, TrafficModel
 
 
 class SimulationError(RuntimeError):
@@ -49,14 +49,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        errs = []
         if not (self.horizon_s > 0):
-            raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
+            errs.append(("horizon_s", f"horizon_s must be > 0, got {self.horizon_s}"))
         if not (0 <= self.warmup_s < self.horizon_s):
-            raise ValueError(
-                f"need 0 <= warmup_s < horizon_s, got {self.warmup_s} vs {self.horizon_s}"
-            )
+            errs.append(("warmup_s", f"need 0 <= warmup_s < horizon_s, "
+                                     f"got {self.warmup_s} vs {self.horizon_s}"))
         if self.propagation_ms < 0:
-            raise ValueError("propagation_ms must be >= 0")
+            errs.append(("propagation_ms", "propagation_ms must be >= 0"))
+        InvariantViolation.check(errs)
 
 
 @dataclass
@@ -307,25 +308,31 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     return results
 
 
+def percentile_of(statistic: str) -> float | None:
+    """The p of a "pNN" statistic, None for "max" and "mean"; ValueError for any other."""
+    if statistic in ("max", "mean"):
+        return None
+    if not statistic.startswith("p"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    p = float(statistic[1:])
+    if not (0 < p <= 100):
+        raise ValueError(f"percentile out of (0,100]: {statistic}")
+    return p
+
+
 def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     """Reduce raw delays to one number: "max", "mean", or "pNN" percentile.
 
     Percentile is nearest-rank. Empty input yields inf (no request
     survived, the unbounded marker).
     """
+    p = percentile_of(statistic)
     if delays_ms.size == 0:
         return math.inf
-    if statistic == "max":
-        return float(delays_ms.max())
-    if statistic == "mean":
-        return float(delays_ms.mean())
-    if statistic.startswith("p"):
-        p = float(statistic[1:])
-        if not (0 < p <= 100):
-            raise ValueError(f"percentile out of (0,100]: {statistic}")
-        k = max(1, math.ceil(p / 100.0 * delays_ms.size))
-        return float(np.sort(delays_ms)[k - 1])
-    raise ValueError(f"unknown statistic {statistic!r}")
+    if p is None:
+        return float(delays_ms.max() if statistic == "max" else delays_ms.mean())
+    k = max(1, math.ceil(p / 100.0 * delays_ms.size))
+    return float(np.sort(delays_ms)[k - 1])
 
 
 def summarize(results: dict, statistic: str = "max", seed: int | None = None,

@@ -1,5 +1,6 @@
 """Mean-delay sizing, its failure flags, and the simulation audit."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from slicelab import (
     reference_scenario,
     size_all,
 )
-from slicelab.baseline import mm1_demand
+from slicelab.baseline import mm1_demand, pool_audits
 from slicelab.oracle import analytic_parts
 
 
@@ -57,18 +58,6 @@ class TestMm1Demand:
             delay, tp, _, _ = analytic_parts(spec, vec, topo)
             assert delay == pytest.approx(tau, abs=1e-9)
             assert tp == 1.0
-
-    def test_uneven_budget_split(self):
-        vec, _ = mm1_demand(make_spec(), one_link(40.0), budget_split=0.25)
-        # network sojourn 0.5 ms -> mu_edge = 2100; server 1.5 ms -> 766.67
-        assert vec.flows[0] == pytest.approx(2100 * 8000 / 40e6, rel=1e-12)
-        assert vec.cpu[0] == pytest.approx((100 + 1 / 1.5e-3) * 5e4 / 3e8,
-                                           rel=1e-12)
-
-    def test_split_bounds(self):
-        for bad in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(ValueError, match="budget_split"):
-                mm1_demand(make_spec(), one_link(40.0), budget_split=bad)
 
     def test_unbounded_delay_sizes_for_stability(self):
         spec = make_spec(tau=math.inf)
@@ -147,6 +136,12 @@ class TestAudit:
                                               for s in (0, 1))
             assert pooled[sid].success == sum(single[s][sid].success
                                               for s in (0, 1))
+        # per-seed reports pool to the same report, field for field
+        repooled = pool_audits(self.slices, [single[0], single[1]])
+        for sid in ("a", "b"):
+            a, b = repooled[sid], pooled[sid]
+            assert np.array_equal(a.delays_ms, b.delays_ms)
+            assert replace(a, delays_ms=None) == replace(b, delays_ms=None)
 
     def test_deterministic(self):
         r1 = audit_allocation(self.slices, self.topo, self.alloc, self.cfg,

@@ -1,16 +1,46 @@
 """Command-line harness: files written, schemas, exit codes."""
+import copy
 import csv
 from pathlib import Path
 
 import pytest
 import yaml
 
+from slicelab import baseline
 from slicelab.scenario import save_scenario
 from slicelab.cli import main, parse_seeds
 
 from conftest import make_tiny_scenario
 
 REFERENCE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
+REFERENCE = yaml.safe_load(REFERENCE_YAML.read_text())
+
+
+def leaves(node, path=()):
+    """(path, value) of every scalar in YAML data; list items by index."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from leaves(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from leaves(v, path + (i,))
+    else:
+        yield path, node
+
+
+def key_name(path):
+    """How an error names the key at `path`: <section>.<key>, a list by its key."""
+    keys = [str(p) for p in path if not isinstance(p, int)]
+    if path[0] == "slices":
+        keys[0] = f"slice {REFERENCE['slices'][path[1]]['id']!r}"
+    return ".".join(keys)
+
+
+# "bogus" in every leaf but the names, -1 in every number and every tau_ms
+CORRUPTIONS = [(path, "bogus") for path, _ in leaves(REFERENCE)
+               if path[-1] not in ("name", "id")] + [
+    (path, -1) for path, v in leaves(REFERENCE)
+    if isinstance(v, (int, float)) or path[-1] == "tau_ms"]
 
 
 @pytest.fixture()
@@ -43,6 +73,16 @@ class TestParseSeeds:
             parse_seeds("a,b")
         with pytest.raises(argparse.ArgumentTypeError, match="empty seed range"):
             parse_seeds("9..3")
+        with pytest.raises(argparse.ArgumentTypeError, match="seeds must be"):
+            parse_seeds(",")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_empty_seed_list_exits_2(self, tiny_yaml, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(tiny_yaml), "--out", str(tmp_path),
+                  "--seeds", ","])
+        assert exc.value.code == 2
+        assert "seeds must be like" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -91,6 +131,21 @@ class TestValidate:
         p.write_text(yaml.safe_dump(data))
         assert main(["validate", "--scenario", str(p)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", CORRUPTIONS, ids=[
+        "/".join(map(str, path)) + f"={value}" for path, value in CORRUPTIONS])
+    def test_every_rejected_leaf_names_its_key(self, tmp_path, capsys, path, value):
+        data = copy.deepcopy(REFERENCE)
+        section = data
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(data))
+        rc = main(["validate", "--scenario", str(p)])
+        if rc != 0:
+            assert rc == 2
+            assert key_name(path) in capsys.readouterr().err
 
     def test_invalid_statistic_override(self, tiny_yaml, capsys):
         rc = main(["run", "--scenario", str(tiny_yaml), "--statistic", "p105",
@@ -183,6 +238,17 @@ class TestCompare:
         assert hh == ["method", "slice", "bin_left_ms", "bin_right_ms", "count"]
         assert all(int(r[4]) >= 0 for r in hrows)
         assert {r[0] for r in hrows} == {"baseline", "osra"}
+
+    def test_each_audited_seed_is_simulated_once(self, tiny_yaml, tmp_path,
+                                                 monkeypatch, capsys):
+        calls = []
+        run_sim = baseline.run_sim
+        monkeypatch.setattr(baseline, "run_sim",
+                            lambda *a, **kw: calls.append(kw["seed"]) or run_sim(*a, **kw))
+        rc = main(["compare", "--scenario", str(tiny_yaml), "--out", str(tmp_path),
+                   "--seeds", "0..3"])
+        assert rc == 0
+        assert calls == [0, 1, 2, 3] * 2  # 2 methods x 4 seeds
 
     def test_single_seed_has_no_pooled_row(self, tiny_yaml, tmp_path, capsys):
         out = tmp_path / "cmp1"

@@ -1,6 +1,7 @@
 """Domain type invariants, validation messages, and value semantics."""
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -189,6 +190,19 @@ class TestAllocationMatrix:
             {"a": AllocationVector(np.array([0.2]), np.array([0.2]))})
         with pytest.raises(KeyError):
             m.row("zz")
+
+
+class TestInvariantViolation:
+    def test_every_violation_names_its_field(self):
+        with pytest.raises(InvariantViolation) as exc:
+            Topology(edges=(("e", 0.0),), cores=(("c", 1e8),), buffer_pkts=0)
+        assert [field for field, _ in exc.value.violations] == ["edges.e", "buffer_pkts"]
+
+    def test_pickles_with_its_fields(self):
+        err = InvariantViolation([("rho", "rho out of [0,1]: 2"), ("tau_ms", "tau must be > 0")])
+        back = pickle.loads(pickle.dumps(err))
+        assert back.violations == err.violations
+        assert str(back) == str(err) == "rho out of [0,1]: 2; tau must be > 0"
 
 
 class TestQoeSample:

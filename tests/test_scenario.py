@@ -308,7 +308,7 @@ class TestCrossCuttingInvariants:
     def test_bad_statistic(self):
         data = ref_dict()
         data["osra"]["statistic"] = "p105"
-        with pytest.raises(InvariantViolation, match="osra.statistic"):
+        with pytest.raises(ScenarioError, match=r"osra\.statistic: percentile out of"):
             scenario_from_dict(data)
 
 
@@ -323,5 +323,5 @@ class TestWithOverrides:
         assert sc.osra.max_iters != 3  # original untouched
 
     def test_result_is_validated(self):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ScenarioError, match=r"osra\.statistic: unknown statistic 'nope'"):
             with_overrides(reference_scenario(), statistic="nope")

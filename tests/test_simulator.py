@@ -240,6 +240,55 @@ class TestPipelineAgainstLoop:
                             0.3 * 3e8, 1e4, 0.1)
 
 
+@st.composite
+def lossless_calls(draw):
+    """simulate_pipeline arguments whose buffer holds every packet offered."""
+    packets = sorted(draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 3000)),
+                                   min_size=1, max_size=150)))
+    return dict(
+        arrivals=np.array([t for t, _ in packets]),
+        sizes_bytes=np.array([b for _, b in packets], dtype=float),
+        link_rates_bps=np.array(draw(st.lists(st.floats(1e4, 1e8), min_size=1, max_size=3))),
+        buffer_pkts=len(packets) + draw(st.integers(0, 5)),
+        service_rate_ips=draw(st.floats(1e5, 1e9)),
+        demand_mi=draw(st.floats(1e2, 1e5)),
+        propagation_ms=draw(st.floats(0.0, 5.0)),
+    )
+
+
+class TestPipelineProperties:
+    """Pathwise laws of a lossless tandem of FIFO queues."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(call=lossless_calls())
+    def test_delay_is_at_least_propagation_plus_service(self, call):
+        delays, served = simulate_pipeline(**call)
+        assert served.all()
+        service_s = (8.0 * call["sizes_bytes"][:, None] / call["link_rates_bps"]).sum(axis=1)
+        service_s += call["demand_mi"] / call["service_rate_ips"]
+        assert np.all(delays >= call["propagation_ms"] + 1000.0 * service_s - 1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(call=lossless_calls())
+    def test_completions_keep_arrival_order(self, call):
+        delays, _ = simulate_pipeline(**call)
+        completion_ms = 1000.0 * call["arrivals"] + delays
+        assert np.all(np.diff(completion_ms) >= -1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(call=lossless_calls(), stage=st.integers(0, 3), factor=st.floats(1.0, 10.0))
+    def test_a_faster_stage_delays_no_packet(self, call, stage, factor):
+        before, _ = simulate_pipeline(**call)
+        links = call["link_rates_bps"].copy()
+        if stage < links.size:
+            links[stage] *= factor
+            call["link_rates_bps"] = links
+        else:
+            call["service_rate_ips"] *= factor
+        after, _ = simulate_pipeline(**call)
+        assert np.all(after <= before + 1e-9)
+
+
 class TestStatistics:
     def test_max(self):
         assert delay_statistic(np.array([1.0, 3.0, 2.0]), "max") == 3.0
