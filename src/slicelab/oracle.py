@@ -8,7 +8,7 @@ Two kinds:
   mu_bottleneck/lambda. Exact, seed-free, and differentiable.
 * Simulated: `sim_evaluate` and `sim_evaluate_all` run the event simulator
   and reduce raw delays under the configured statistic. Stochastic but
-  fully reproducible per seed.
+  fully reproducible per seed; `sim_evaluate` can memoize its samples.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .domain import AllocationVector, QoeSample, SliceSpec, Topology
-from .simulator import run_sim, summarize
+from .simulator import run_sim, stage_rates, summarize
 
 
 def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology):
@@ -34,8 +34,9 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
     edge_bps = topology.edge_bps()
     core_mips = topology.core_mips()
 
-    mu_edges = point.flows * edge_bps / mean_bits          # packets/s per edge
-    mu_srv = float(point.cpu @ core_mips) / spec.demand_mi  # requests/s
+    link_rates, srv_rate = stage_rates(point, topology)
+    mu_edges = link_rates / mean_bits            # packets/s per edge
+    mu_srv = srv_rate / spec.demand_mi           # requests/s
 
     dmu_edges = edge_bps / mean_bits
     dmu_srv = core_mips / spec.demand_mi
@@ -71,16 +72,27 @@ def sim_evaluate_all(alloc, slices, topology, config, seed=None, statistic="max"
 
 
 def sim_evaluate(slice_id, alloc, slices, topology, config, seed=None, statistic="max",
-                 row=None) -> QoeSample:
+                 row=None, memo=None) -> QoeSample:
     """Simulate one slice alone (other slices cannot affect it) and reduce.
 
     `row` evaluates the slice at a what-if allocation row (probing) while
-    the joint allocation stays untouched.
+    the joint allocation stays untouched. `memo`, a dict, keeps each sample
+    under the simulator's exact inputs (slice, link rates, server rate,
+    seed), so a probe that repeats one already made is not simulated again.
+    Share one memo only between calls with the same config and statistic.
     """
     if row is None:
         row = alloc.row(slice_id)
+    if memo is not None:
+        link_rates, srv_rate = stage_rates(row, topology)
+        key = (slice_id, link_rates.tobytes(), srv_rate, seed)
+        if key in memo:
+            return memo[key]
     results = run_sim(slices, topology, alloc, config, seed=seed, only=(slice_id, row))
-    return summarize(results, statistic, seed=seed)[slice_id]
+    sample = summarize(results, statistic, seed=seed)[slice_id]
+    if memo is not None:
+        memo[key] = sample
+    return sample
 
 
 def derive_seed(*parts) -> int:

@@ -106,6 +106,11 @@ class OsraConfig:
                                 ("delay_ceiling_ms", self.delay_ceiling_ms > 0, "> 0")):
             if not ok:
                 errs.append((name, f"{name} must be {bound}, got {getattr(self, name)}"))
+        etas = self.eta.items() if isinstance(self.eta, Mapping) else [(None, self.eta)]
+        for sid, eta in etas:
+            if not (eta >= 0):
+                errs.append(("eta" if sid is None else f"eta.{sid}",
+                             f"eta must be >= 0, got {eta}"))
         try:
             percentile_of(self.statistic)
         except ValueError as e:
@@ -242,10 +247,12 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     budgets = 1.0 - initial_alloc.stacked()[fro].sum(axis=0)
 
     def point_oracle(slice_id):
+        memo = {}  # one gradient's samples: a repeated probe is simulated once
+
         def _eval(point: AllocationVector, probe_seed: int) -> QoeSample:
             return sim_evaluate(slice_id, alloc, slices, topology, sim_config,
                                 seed=probe_seed, statistic=config.statistic,
-                                row=point)
+                                row=point, memo=memo)
         return _eval
 
     alloc = initial_alloc

@@ -16,7 +16,10 @@ Gradients come in two flavours:
   `probes` seeded runs per probe point before the hinge is applied. Probe
   points are clamped to [0, 1] per coordinate; a clamped side degrades to a
   one-sided difference over the actual spread. Seeds derive from
-  (seed_base, coordinate, side, repetition), so any execution order or
+  (seed_base, repetition) only: repetition r runs on the same seed at every
+  probe point and on both sides (common random numbers), so its traffic
+  noise cancels in each difference, and probes with equal simulator inputs
+  are one simulation that an oracle may memoize. Any execution order or
   parallel map gives identical output. At a hinge kink the subgradient 0 is
   the one reported (the hinge factor is exactly zero there).
 * `analytic_gradient`: chain rule through the stationary queueing model's
@@ -101,9 +104,9 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
 
     `oracle` is a callable (AllocationVector, seed) -> QoeSample. Each
     probe point's statistics are averaged over `probes` runs with distinct
-    deterministic seeds, then the hinge is applied; the difference quotient
-    divides by the actual probe spread (2*delta, or less at a clamped
-    boundary). `memory`, when given, records every (point, sample, seed).
+    deterministic seeds, the same seeds at every probe point, then the hinge
+    is applied; the difference quotient divides by the actual probe spread
+    (2*delta, or less at a clamped boundary). `memory`, when given, records every (point, sample, seed).
     `map_fn` may be a parallel map; results do not depend on it.
     """
     if not (delta > 0):
@@ -115,6 +118,7 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     n_edges = point.flows.size
     dim = base.size
 
+    seeds = [derive_seed(seed_base, r) for r in range(probes)]
     tasks = []  # (coordinate, side, repetition, probe_vector, seed)
     probe_x = np.empty((dim, 2))
     for d in range(dim):
@@ -124,8 +128,8 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
             vec = base.copy()
             vec[d] = x
             pv = AllocationVector.from_stacked(vec, n_edges)
-            for r in range(probes):
-                tasks.append((d, side, r, pv, derive_seed(seed_base, d, side, r)))
+            for r, seed in enumerate(seeds):
+                tasks.append((d, side, r, pv, seed))
 
     samples = list(map_fn(lambda t: t[3:5] + (oracle(t[3], t[4]),), tasks))
 

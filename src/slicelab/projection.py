@@ -36,8 +36,10 @@ def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
     u = np.sort(y)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, y.size + 1)
-    # largest k with u_k > (cumsum_k - budget)/k
-    k = np.nonzero(u * j > css - budget)[0][-1]
+    # largest k with u_k > (cumsum_k - budget)/k; k = 1 always qualifies,
+    # though rounding hides it when the budget is below u_1's last bit
+    hits = np.nonzero(u * j > css - budget)[0]
+    k = hits[-1] if hits.size else 0
     theta = (css[k] - budget) / (k + 1.0)
     return np.maximum(y - theta, 0.0)
 

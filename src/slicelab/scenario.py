@@ -231,17 +231,31 @@ def _slice_from_dict(d) -> SliceSpec:
     )
 
 
+def _alloc_row_from_dict(d, where, topology) -> AllocationVector:
+    """One initial_alloc row, with one entry per edge and per core of `topology`."""
+    row = _from_dict(AllocationVector, d, where, flows=_floats, cpu=_floats)
+    for name, want, kind in (("flows", topology.n_edges, "edge"),
+                             ("cpu", topology.n_cores, "core")):
+        have = getattr(row, name).size
+        if have != want:
+            raise ScenarioError(f"{where}.{name}: need one entry per topology {kind} "
+                                f"({want}), got {have}")
+    return row
+
+
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build an (already validated) ScenarioConfig from plain YAML data."""
     _mapping(data, "scenario", ("name", "new_slice", "topology", "slices",
                                 "initial_alloc", "sim", "osra"))
     topology = _from_dict(Topology, _req(data, "topology", "scenario"), "topology",
                           edges=_capacities, cores=_capacities)
-    slices = tuple(_slice_from_dict(d) for d in _req(data, "slices", "scenario"))
+    slices_d = _req(data, "slices", "scenario")
+    if not isinstance(slices_d, list):
+        raise ScenarioError(f"slices must be a list of slice mappings, got {slices_d!r}")
+    slices = tuple(_slice_from_dict(d) for d in slices_d)
 
     alloc_d = _mapping(_req(data, "initial_alloc", "scenario"), "initial_alloc")
-    rows = {str(sid): _from_dict(AllocationVector, row, f"initial_alloc.{sid}",
-                                 flows=_floats, cpu=_floats)
+    rows = {str(sid): _alloc_row_from_dict(row, f"initial_alloc.{sid}", topology)
             for sid, row in alloc_d.items()}
     alloc = _build(AllocationMatrix.from_rows, "initial_alloc", rows=rows)
 

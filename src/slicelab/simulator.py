@@ -57,6 +57,8 @@ class SimConfig:
                                      f"got {self.warmup_s} vs {self.horizon_s}"))
         if self.propagation_ms < 0:
             errs.append(("propagation_ms", "propagation_ms must be >= 0"))
+        if self.seed < 0:
+            errs.append(("seed", f"seed must be >= 0, got {self.seed}"))
         InvariantViolation.check(errs)
 
 
@@ -261,6 +263,16 @@ def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):
     return n
 
 
+def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
+    """A row's link rates (bps) and server rate (MIPS): all a simulation takes from it.
+
+    The server rate is an exactly rounded sum, so it does not depend on the
+    order of the cores: (c + d, c) and (c, c + d) on two equal cores give
+    the same rate to the last bit.
+    """
+    return row.flows * topology.edge_bps(), math.fsum(row.cpu * topology.core_mips())
+
+
 def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConfig,
             seed: int | None = None, only=None) -> dict:
     """Simulate every slice at the given allocation.
@@ -274,8 +286,6 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     """
     if seed is None:
         seed = config.seed
-    edge_bps = topology.edge_bps()
-    core_mips = topology.core_mips()
     results = {}
     for k, spec in enumerate(slices):
         if only is None:
@@ -286,8 +296,7 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
             continue
         rng = slice_rng(seed, k)
         arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, rng)
-        link_rates = row.flows * edge_bps
-        cpu_rate = float(row.cpu @ core_mips)
+        link_rates, cpu_rate = stage_rates(row, topology)
         delays, served = simulate_pipeline(
             arrivals, sizes, link_rates, topology.buffer_pkts,
             cpu_rate, spec.demand_mi, config.propagation_ms,

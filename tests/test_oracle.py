@@ -13,6 +13,7 @@ from slicelab import (
     Topology,
     TrafficModel,
 )
+from slicelab import oracle
 from slicelab.oracle import (
     analytic_parts,
     derive_seed,
@@ -132,6 +133,23 @@ class TestOracles:
         direct = sim_evaluate("s", AllocationMatrix.from_rows({"s": probe}),
                               [spec], topo, cfg, seed=5)
         assert got == direct
+
+    def test_memo_answers_a_repeated_probe_without_simulating(self, monkeypatch):
+        spec, topo, alloc = self.scenario()
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        seeds = []
+        real = oracle.run_sim
+        monkeypatch.setattr(oracle, "run_sim",
+                            lambda *a, **k: seeds.append(k["seed"]) or real(*a, **k))
+        memo = {}
+        at = lambda seed, row=None: sim_evaluate("s", alloc, [spec], topo, cfg, seed=seed,
+                                                 row=row, memo=memo)
+        first = at(5)
+        assert at(5) is first
+        at(6)
+        at(5, AllocationVector(np.array([0.21]), np.array([0.3])))
+        assert seeds == [5, 6, 5]
+        assert first == sim_evaluate("s", alloc, [spec], topo, cfg, seed=5)
 
     def test_unknown_slice_names_it(self):
         spec, topo, alloc = self.scenario()

@@ -9,6 +9,7 @@ import pytest
 from slicelab import (
     AllocationMatrix,
     AllocationVector,
+    InvariantViolation,
     OsraConfig,
     ProbeMemory,
     QoeRequirement,
@@ -18,9 +19,11 @@ from slicelab import (
     Topology,
     TrafficModel,
     project_capped_simplex,
+    reference_scenario,
     run_osra,
 )
-from slicelab import osra
+from slicelab import oracle, osra
+from slicelab.scenario import with_overrides
 from slicelab.osra import (
     ZERO_GRADIENT_NORM,
     NonFiniteGradient,
@@ -253,6 +256,53 @@ class TestRunOsra:
                      "new", bad)
 
 
+class TestProbeMemo:
+    """The per-gradient memo on the reference topology's two equal cores."""
+
+    def scenario(self):
+        return with_overrides(reference_scenario(), probes=3, max_iters=4)
+
+    def test_memo_changes_no_result(self, monkeypatch):
+        sc = self.scenario()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            memo_on = [run(sc), run(sc, map_fn=pool.map)]
+            real = osra.sim_evaluate
+            monkeypatch.setattr(osra, "sim_evaluate",
+                                lambda *a, memo=None, **k: real(*a, **k))
+            memo_off = [run(sc), run(sc, map_fn=pool.map)]
+        assert len({pickle.dumps(r) for r in memo_on + memo_off}) == 1
+
+    def test_four_simulations_per_repetition(self, monkeypatch):
+        # edge -/+ and core -/+: core0 +/- delta is core1 +/- delta
+        sc = self.scenario()
+        calls = {"run_sim": 0, "sim_evaluate": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return real(*a, **k)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(oracle, "run_sim")
+        counted(osra, "sim_evaluate")
+        res = run(sc)
+        gradients = len(res.traces)
+        assert calls["sim_evaluate"] == gradients * 2 * 3 * sc.osra.probes
+        # one monitoring run per iteration besides the probes
+        assert calls["run_sim"] == gradients * (1 + 4 * sc.osra.probes)
+
+    def test_equal_cores_stay_bit_equal(self, reference_sweep):
+        sc, results, _ = reference_sweep
+        for res in results.values():
+            for tr in res.traces:
+                cpu, grad = tr.alloc.row(sc.new_slice_id).cpu, tr.gradients[sc.new_slice_id]
+                assert cpu[0] == cpu[1] and grad[1] == grad[2], tr.k
+            cpu = res.final_alloc.row(sc.new_slice_id).cpu
+            assert cpu[0] == cpu[1]
+
+
 class TestFrozenSlices:
     def three_way_scenario(self):
         """Higher-priority slice above the new one must never move."""
@@ -360,6 +410,14 @@ class TestOsraConfig:
     def test_probe_and_penalty_knobs_checked(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             OsraConfig(**{field: value})
+
+    @pytest.mark.parametrize("eta, field", [(-0.1, "eta"), ({"a": 0.1, "b": -0.1}, "eta.b"),
+                                            (float("nan"), "eta")])
+    def test_negative_step_size_names_its_donor(self, eta, field):
+        OsraConfig(eta=0.0)  # allowed: nothing moves
+        with pytest.raises(InvariantViolation, match="eta must be >= 0") as exc:
+            OsraConfig(eta=eta)
+        assert [f for f, _ in exc.value.violations] == [field]
 
     def test_sqrt_decay_schedule(self):
         c = OsraConfig(eta=0.2, eta_schedule="sqrt-decay")

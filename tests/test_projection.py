@@ -1,9 +1,27 @@
 """Capped-simplex projection against a brute-force QP oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicelab import DimensionMismatch, project_capped_simplex, project_columns
 from reference_impls import qp_capped_simplex
+
+entries = st.floats(-1.0, 2.0)
+
+
+def vectors(size=None):
+    lo, hi = (1, 6) if size is None else (size, size)
+    return st.lists(entries, min_size=lo, max_size=hi).map(np.array)
+
+
+def matrices(rows, cols):
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v).reshape(rows, cols))
+
+
+def budgets():
+    return st.floats(0.0, 1.0)
 
 
 class TestCappedSimplex:
@@ -23,6 +41,10 @@ class TestCappedSimplex:
         assert project_capped_simplex(np.array([0.8, 0.8]), budget=0.6) == pytest.approx(
             [0.3, 0.3], abs=1e-12)
 
+    def test_budget_below_the_last_bit(self):
+        x = project_capped_simplex(np.array([4.0, 1.0]), budget=1e-17)
+        assert x.min() >= 0.0 and x.sum() <= 1e-17
+
     def test_matches_qp_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
@@ -32,21 +54,19 @@ class TestCappedSimplex:
             want = qp_capped_simplex(y)
             assert got == pytest.approx(want, abs=1e-8), f"y={y}"
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            y = rng.uniform(-1, 2, size=int(rng.integers(1, 6)))
-            once = project_capped_simplex(y)
-            twice = project_capped_simplex(once)
-            assert np.max(np.abs(once - twice)) <= 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(y=vectors(), budget=budgets())
+    def test_idempotent(self, y, budget):
+        once = project_capped_simplex(y, budget)
+        assert np.max(np.abs(project_capped_simplex(once, budget) - once)) <= 1e-12
 
-    def test_non_expansive(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            a, b = rng.uniform(-1, 2, size=n), rng.uniform(-1, 2, size=n)
-            pa, pb = project_capped_simplex(a), project_capped_simplex(b)
-            assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
+    @settings(max_examples=200, deadline=None)
+    @given(pair=vectors().flatmap(lambda a: st.tuples(st.just(a), vectors(a.size))),
+           budget=budgets())
+    def test_non_expansive(self, pair, budget):
+        a, b = pair
+        pa, pb = project_capped_simplex(a, budget), project_capped_simplex(b, budget)
+        assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_output_always_feasible(self):
         rng = np.random.default_rng(10)
@@ -85,6 +105,15 @@ class TestConstraintSetProjection:
         assert px[:, 0].sum() == pytest.approx(0.6, abs=1e-12)
         assert px[:, 0] == pytest.approx([0.3, 0.3], abs=1e-12)
         assert np.array_equal(px[:, 1], x[:, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 4))
+    def test_idempotent_and_non_expansive(self, data, rows, cols):
+        x, y = (data.draw(matrices(rows, cols)) for _ in range(2))
+        caps = np.array(data.draw(st.lists(budgets(), min_size=cols, max_size=cols)))
+        px, py = project_columns(x, caps), project_columns(y, caps)
+        assert np.max(np.abs(project_columns(px, caps) - px)) <= 1e-12
+        assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

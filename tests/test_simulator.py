@@ -22,6 +22,7 @@ from slicelab.simulator import (
     run_sim,
     simulate_pipeline,
     slice_rng,
+    stage_rates,
     summarize,
 )
 from reference_impls import HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline
@@ -392,6 +393,38 @@ class TestRunSim:
         direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
                          cfg, seed=7)["s"]
         assert np.array_equal(via_override.delays_ms, direct.delays_ms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["poisson", "bursty-onoff"]),
+           load=st.floats(1.2, 4.0), buffer_pkts=st.integers(1, 4),
+           warmup_s=st.floats(0.0, 0.5))
+    def test_every_offered_request_is_served_or_dropped(self, seed, kind, load,
+                                                        buffer_pkts, warmup_s):
+        # 300 req/s of 1000-byte packets carry 2.4 Mbps: the link share sets
+        # the utilization to `load`, so the small buffer drops packets
+        spec = one_slice(kind=kind, burst_len=6.0, off_time_ms=10.0)
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=buffer_pkts)
+        row = AllocationVector(np.array([0.06 / load]), np.array([0.5]))
+        cfg = SimConfig(horizon_s=1.0, warmup_s=warmup_s)
+        res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg,
+                      seed=seed)["s"]
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(seed, 0))
+        link_rates, srv_rate = stage_rates(row, topo)
+        _, served = loop_pipeline(arrivals, sizes, link_rates, buffer_pkts, srv_rate,
+                                  spec.demand_mi, cfg.propagation_ms)
+        keep = arrivals >= warmup_s
+        assert res.dropped > 0
+        assert res.offered == res.success + res.dropped == int(keep.sum())
+        assert res.success == int((served & keep).sum()) == res.delays_ms.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), mips=st.floats(1.0, 1e10))
+    @example(a=0.2697867137638703 + 0.02, b=0.2697867137638703, mips=3e8)
+    def test_server_rate_ignores_the_order_of_equal_cores(self, a, b, mips):
+        topo = Topology(edges=(("e", 40.0),), cores=(("c0", mips), ("c1", mips)))
+        rate = lambda cpu: stage_rates(AllocationVector(np.array([0.1]), np.array(cpu)),
+                                       topo)[1]
+        assert rate([a, b]) == rate([b, a])
 
     def test_more_bandwidth_never_hurts_on_average(self):
         spec = one_slice(rate=300.0)
