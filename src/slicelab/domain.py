@@ -297,6 +297,12 @@ class AllocationMatrix:
     @classmethod
     def from_rows(cls, rows: Mapping[str, AllocationVector]) -> "AllocationMatrix":
         ids = tuple(rows)
+        errs = []
+        for name in ("flows", "cpu"):
+            widths = {s: getattr(rows[s], name).size for s in ids}
+            errs += [(name, f"{name} of row {s!r} has {w} entries, row {ids[0]!r} has "
+                            f"{widths[ids[0]]}") for s, w in widths.items() if w != widths[ids[0]]]
+        InvariantViolation.check(errs)
         return cls(
             slice_ids=ids,
             flows=np.array([rows[s].flows for s in ids]),

@@ -9,6 +9,14 @@ arrival at the same instant claims one. A departure at most TIE_S after an
 arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
+Both stages run as numpy running maxima over Lindley's recursion. The link
+finds its buffer full by comparing each arrival with the departure
+buffer_pkts places ahead of it in the queue, and runs each overflow
+episode (from the first arrival that may find the buffer full until one
+finds the link idle) buffer_pkts accepted packets at a time; buffers under
+_BLOCK_MIN_BUFFER packets run their episodes through a per-packet loop,
+which is faster there. Both give the same departure times to the bit.
+
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
 statistics. Every offered request is either served or dropped: the run
@@ -37,6 +45,9 @@ _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
+
+# buffers (packets) from which overflow episodes run in blocks, not per packet
+_BLOCK_MIN_BUFFER = 40
 
 
 @dataclass(frozen=True)
@@ -196,39 +207,98 @@ def _link_stage(t, tx, buffer_pkts):
     t are the sorted arrival times and tx the transmission times. Lindley's
     recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
     dep = C + max.accumulate(t - C_prev) over cumulative transmission time
-    C, one window of packets at a time. An arrival at t finds
-    i - #{dep <= t} packets queued, so a departure at t frees its slot
-    first. The count leaves TIE_S out, so it may see the buffer full too
-    early, never too late: from the first arrival it sees the buffer full,
-    the exact per-packet loop, which applies TIE_S, takes over until an
-    arrival finds the link idle. Dropped packets get a NaN departure time.
+    C, one window of packets at a time. With e the pending departures
+    followed by the window's, both non-decreasing, window arrival a finds
+    buffer_pkts packets queued iff e[#pending + a - buffer_pkts] > t_a, so
+    a departure at t frees its slot first. The test leaves TIE_S out, so it
+    may see the buffer full too early, never too late: from the first
+    arrival it sees the buffer full, an overflow episode that applies
+    TIE_S runs until an arrival finds the link idle, in blocks of
+    buffer_pkts accepted packets, or through the per-packet loop for
+    buffers under _BLOCK_MIN_BUFFER. Dropped packets get a NaN departure
+    time.
     """
     n = t.size
     dep = np.empty(n)
     pend = np.empty(0)   # departures after the last arrival handled so far
+    tie = None           # t + TIE_S, made at the first blocked episode
     i, width = 0, n
     while i < n:
         j = min(n, i + width)
+        m = j - i
         tw, cw = t[i:j], np.cumsum(tx[i:j])
         lead = np.maximum.accumulate(tw - np.concatenate(([0.0], cw[:-1])))
         if pend.size:
             lead = np.maximum(lead, pend[-1])
         d = cw + lead
-        queued = np.arange(j - i) - np.searchsorted(d, tw, side="right")
-        if pend.size:
-            queued += pend.size - np.searchsorted(pend, tw, side="right")
-        full = queued >= buffer_pkts
-        f = int(full.argmax()) if full.any() else j - i
+        # arrival a is tested against e[s + a]; fewer than buffer_pkts packets
+        # come before an arrival a < lo, so it never finds the buffer full
+        s = pend.size - buffer_pkts
+        lo = min(m, max(0, -s))
+        e = np.concatenate((pend, d)) if pend.size else d
+        full = e[s + lo:s + m] > tw[lo:]
+        f = lo + int(full.argmax()) if full.any() else m
         dep[i:i + f] = d[:f]
-        at = tw[f] if f < j - i else tw[-1]
+        at = tw[f] if f < m else tw[-1]
         pend = np.concatenate((pend[np.searchsorted(pend, at, side="right"):],
                                d[np.searchsorted(d[:f], at, side="right"):f]))
-        if f < j - i:
-            i = _overflow_loop(t, tx, i + f, deque(pend.tolist()), buffer_pkts, dep)
+        if f < m:
+            if buffer_pkts < _BLOCK_MIN_BUFFER:
+                i = _overflow_loop(t, tx, i + f, deque(pend.tolist()), buffer_pkts, dep)
+            else:
+                if tie is None:
+                    tie = t + TIE_S
+                i = _overflow_blocks(t, tie, tx, i + f, pend, buffer_pkts, dep)
             pend, width = np.empty(0), _RESTART_WINDOW
         else:
             i, width = j, 2 * width
     return dep
+
+
+def _overflow_blocks(t, tie, tx, k, pend, buffer_pkts, dep):
+    """_overflow_loop's result, computed buffer_pkts accepted packets at a time.
+
+    tie is t + TIE_S and pend the pending departure times: arrival k is the
+    first the window's test saw with buffer_pkts packets ahead, so pend
+    holds exactly buffer_pkts of them. Until the episode ends the link
+    never idles, so the m-th accepted packet departs at the (m-1)-th's
+    departure plus its own tx, and an arrival is accepted iff the departure
+    buffer_pkts accepted packets earlier is at most its tie. The last
+    buffer_pkts departures thus fix where each of the next buffer_pkts
+    accepted arrivals falls: at least one past the one before, and no
+    earlier than the first tie its threshold reaches. Everything in between
+    is dropped. The episode ends at the first accepted arrival that comes
+    at or after the departure before it, which it returns, or at t.size.
+    """
+    n, b = t.size, buffer_pkts
+    r = np.arange(b)
+    first = tie.searchsorted(pend)
+    seeded = np.empty(b + 1)   # the departure before the block, then its tx
+    seeded[0] = pend[-1]
+    while True:
+        idx = first - r
+        idx[0] = max(idx[0], k)
+        np.maximum.accumulate(idx, out=idx)
+        idx += r
+        last = idx[-1] >= n
+        if last:
+            idx = idx[:idx.searchsorted(n)]
+        seeded[1:idx.size + 1] = tx[idx]
+        # add.accumulate sums in order, as the loop's prev_out += tx_k does
+        out = np.add.accumulate(seeded[:idx.size + 1])
+        idle = np.less_equal(out[:-1], t[idx]).nonzero()[0]
+        if idle.size:
+            stop = idle[0]
+            dep[k:idx[stop]] = math.nan
+            dep[idx[:stop]] = out[1:stop + 1]
+            return int(idx[stop])
+        end = n if last else idx[-1] + 1
+        dep[k:end] = math.nan
+        dep[idx] = out[1:]
+        if last:
+            return n
+        k, seeded[0] = end, out[-1]
+        first = tie.searchsorted(out[1:])
 
 
 def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):

@@ -191,6 +191,16 @@ class TestAllocationMatrix:
         with pytest.raises(KeyError):
             m.row("zz")
 
+    def test_ragged_rows_name_the_field_and_row(self):
+        rows = {"a": AllocationVector(np.array([0.1, 0.2]), np.array([0.1])),
+                "b": AllocationVector(np.array([0.1]), np.array([0.1, 0.2]))}
+        with pytest.raises(InvariantViolation) as exc:
+            AllocationMatrix.from_rows(rows)
+        assert exc.value.violations == [
+            ("flows", "flows of row 'b' has 1 entries, row 'a' has 2"),
+            ("cpu", "cpu of row 'b' has 2 entries, row 'a' has 1"),
+        ]
+
 
 class TestInvariantViolation:
     def test_every_violation_names_its_field(self):

@@ -15,8 +15,11 @@ from slicelab import (
     Topology,
     TrafficModel,
 )
+from slicelab import simulator
 from slicelab.simulator import (
+    _BLOCK_MIN_BUFFER,
     _draw_sizes,
+    _link_stage,
     delay_statistic,
     generate_traffic,
     run_sim,
@@ -201,7 +204,7 @@ class TestPipelineAgainstLoop:
         n=st.integers(0, 4000),
         load=st.floats(0.3, 2.0),
         stages=st.integers(1, 2),
-        buffer_pkts=st.integers(1, 50),
+        buffer_pkts=st.integers(1, 400),
     )
     # at the second link, a departure summed in another order lands 4.4e-16 s
     # after an arrival it ties with in the loop, and the buffer of 2 is full
@@ -220,7 +223,7 @@ class TestPipelineAgainstLoop:
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(0, 4000),
         stages=st.integers(1, 2),
-        buffer_pkts=st.integers(1, 50),
+        buffer_pkts=st.integers(1, 400),
     )
     def test_long_calls_on_a_binary_grid(self, seed, n, stages, buffer_pkts):
         # as above, but with every time a multiple of 1/64 s, so that
@@ -229,6 +232,36 @@ class TestPipelineAgainstLoop:
         arrivals = np.cumsum(rng.integers(0, 8, n)) / 64.0
         assert_matches_loop(arrivals, rng.integers(1, 8, n), [512.0] * stages,
                             buffer_pkts, 64.0, 1.0, 0.0, tol_ms=0.0)
+
+    @pytest.mark.parametrize("buffer_pkts", [_BLOCK_MIN_BUFFER - 1, _BLOCK_MIN_BUFFER, 1000])
+    def test_long_overflow_on_either_side_of_the_block_threshold(self, buffer_pkts,
+                                                                 monkeypatch):
+        # Poisson arrivals at 1.5x the link rate: the buffer fills within the
+        # first few thousand packets and stays full for over 10^4 more
+        rng = np.random.default_rng(7)
+        arrivals = np.cumsum(rng.exponential(1e-3, 20_000))
+        sizes = rng.uniform(20.0, 2000.0, arrivals.size)
+        rate = 8.0 * sizes.mean() / 1e-3 / 1.5
+        assert_matches_loop(arrivals, sizes, [rate], buffer_pkts, 3e8, 1e4, 0.1)
+        tx = 8.0 * sizes / rate
+        got = _link_stage(arrivals, tx, buffer_pkts)
+        dropped = np.flatnonzero(np.isnan(got))
+        assert dropped[-1] - dropped[0] >= 10_000
+        # blocks sum each departure in the order the per-packet loop does
+        monkeypatch.setattr(simulator, "_BLOCK_MIN_BUFFER", buffer_pkts + 1)
+        assert got.tobytes() == _link_stage(arrivals, tx, buffer_pkts).tobytes()
+
+    def test_departures_just_after_arrivals_in_a_blocked_episode(self):
+        # one packet every 0.25 s on a link that needs 0.5 s each, the first
+        # 5e-10 s longer: in the overflow every departure lands inside TIE_S
+        # after an arrival, which it lets in
+        n = 400
+        sizes = np.ones(n)
+        sizes[0] += 1e-9
+        args = (np.arange(n) * 0.25, sizes, [16.0], _BLOCK_MIN_BUFFER, 1.0, 0.0, 0.0)
+        assert_matches_loop(*args)
+        _, served = simulate_pipeline(*args)
+        assert served[-200:].tolist() == [True, False] * 100
 
     @pytest.mark.parametrize("link_share", [0.03, 0.015])
     def test_audit_horizon(self, link_share):
