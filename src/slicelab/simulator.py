@@ -13,9 +13,8 @@ Both stages run as numpy running maxima over Lindley's recursion. The link
 finds its buffer full by comparing each arrival with the departure
 buffer_pkts places ahead of it in the queue, and runs each overflow
 episode (from the first arrival that may find the buffer full until one
-finds the link idle) buffer_pkts accepted packets at a time; buffers under
-_BLOCK_MIN_BUFFER packets run their episodes through a per-packet loop,
-which is faster there. Both give the same departure times to the bit.
+finds the link idle) buffer_pkts accepted packets at a time, summing each
+departure in the order a per-packet loop would.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -26,7 +25,6 @@ count their stranded requests as dropped.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +36,12 @@ class SimulationError(RuntimeError):
     pass
 
 
-# packets per link window after an overflow, and per chunk of the
-# per-packet loop; a window that drops nothing is followed by one twice
-# as long
+# packets per link window after an overflow; a window that drops nothing
+# is followed by one twice as long
 _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
-
-# buffers (packets) from which overflow episodes run in blocks, not per packet
-_BLOCK_MIN_BUFFER = 40
 
 
 @dataclass(frozen=True)
@@ -214,9 +208,7 @@ def _link_stage(t, tx, buffer_pkts):
     may see the buffer full too early, never too late: from the first
     arrival it sees the buffer full, an overflow episode that applies
     TIE_S runs until an arrival finds the link idle, in blocks of
-    buffer_pkts accepted packets, or through the per-packet loop for
-    buffers under _BLOCK_MIN_BUFFER. Dropped packets get a NaN departure
-    time.
+    buffer_pkts accepted packets. Dropped packets get a NaN departure time.
     """
     n = t.size
     dep = np.empty(n)
@@ -243,12 +235,9 @@ def _link_stage(t, tx, buffer_pkts):
         pend = np.concatenate((pend[np.searchsorted(pend, at, side="right"):],
                                d[np.searchsorted(d[:f], at, side="right"):f]))
         if f < m:
-            if buffer_pkts < _BLOCK_MIN_BUFFER:
-                i = _overflow_loop(t, tx, i + f, deque(pend.tolist()), buffer_pkts, dep)
-            else:
-                if tie is None:
-                    tie = t + TIE_S
-                i = _overflow_blocks(t, tie, tx, i + f, pend, buffer_pkts, dep)
+            if tie is None:
+                tie = t + TIE_S
+            i = _overflow_blocks(t, tie, tx, i + f, pend, buffer_pkts, dep)
             pend, width = np.empty(0), _RESTART_WINDOW
         else:
             i, width = j, 2 * width
@@ -256,9 +245,11 @@ def _link_stage(t, tx, buffer_pkts):
 
 
 def _overflow_blocks(t, tie, tx, k, pend, buffer_pkts, dep):
-    """_overflow_loop's result, computed buffer_pkts accepted packets at a time.
+    """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time.
 
-    tie is t + TIE_S and pend the pending departure times: arrival k is the
+    Writes dep (NaN for a drop). A departure at most TIE_S after an arrival
+    leaves the queue first but still delays the arrival's start. tie is
+    t + TIE_S and pend the pending departure times: arrival k is the
     first the window's test saw with buffer_pkts packets ahead, so pend
     holds exactly buffer_pkts of them. Until the episode ends the link
     never idles, so the m-th accepted packet departs at the (m-1)-th's
@@ -299,38 +290,6 @@ def _overflow_blocks(t, tie, tx, k, pend, buffer_pkts, dep):
             return n
         k, seeded[0] = end, out[-1]
         first = tie.searchsorted(out[1:])
-
-
-def _overflow_loop(t, tx, k, queue, buffer_pkts, dep):
-    """Per-packet link loop from arrival k, which may find the buffer full.
-
-    queue holds the pending departure times. Writes dep (NaN for a drop)
-    and returns the index of the first arrival that finds the link idle,
-    with no departure after it, or t.size. A departure at most TIE_S after
-    an arrival leaves the queue first but still delays the arrival's start.
-    """
-    n = t.size
-    prev_out = queue[-1]
-    while k < n:
-        out = []
-        stop = min(n, k + _RESTART_WINDOW)
-        # arrival times shifted by TIE_S once per chunk, not once per packet
-        for tie_k, tx_k in zip((t[k:stop] + TIE_S).tolist(), tx[k:stop].tolist()):
-            while queue and queue[0] <= tie_k:
-                queue.popleft()
-            if not queue and prev_out <= t[k + len(out)]:
-                break
-            if len(queue) >= buffer_pkts:
-                out.append(math.nan)
-            else:
-                prev_out += tx_k
-                queue.append(prev_out)
-                out.append(prev_out)
-        dep[k:k + len(out)] = out
-        k += len(out)
-        if not queue:
-            return k
-    return n
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:

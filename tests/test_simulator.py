@@ -15,9 +15,7 @@ from slicelab import (
     Topology,
     TrafficModel,
 )
-from slicelab import simulator
 from slicelab.simulator import (
-    _BLOCK_MIN_BUFFER,
     _draw_sizes,
     _link_stage,
     delay_statistic,
@@ -233,9 +231,8 @@ class TestPipelineAgainstLoop:
         assert_matches_loop(arrivals, rng.integers(1, 8, n), [512.0] * stages,
                             buffer_pkts, 64.0, 1.0, 0.0, tol_ms=0.0)
 
-    @pytest.mark.parametrize("buffer_pkts", [_BLOCK_MIN_BUFFER - 1, _BLOCK_MIN_BUFFER, 1000])
-    def test_long_overflow_on_either_side_of_the_block_threshold(self, buffer_pkts,
-                                                                 monkeypatch):
+    @pytest.mark.parametrize("buffer_pkts", [1, 39, 40, 1000])
+    def test_long_overflow_matches_the_loop(self, buffer_pkts):
         # Poisson arrivals at 1.5x the link rate: the buffer fills within the
         # first few thousand packets and stays full for over 10^4 more
         rng = np.random.default_rng(7)
@@ -243,13 +240,19 @@ class TestPipelineAgainstLoop:
         sizes = rng.uniform(20.0, 2000.0, arrivals.size)
         rate = 8.0 * sizes.mean() / 1e-3 / 1.5
         assert_matches_loop(arrivals, sizes, [rate], buffer_pkts, 3e8, 1e4, 0.1)
-        tx = 8.0 * sizes / rate
-        got = _link_stage(arrivals, tx, buffer_pkts)
-        dropped = np.flatnonzero(np.isnan(got))
+        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, 8.0 * sizes / rate,
+                                                      buffer_pkts)))
         assert dropped[-1] - dropped[0] >= 10_000
-        # blocks sum each departure in the order the per-packet loop does
-        monkeypatch.setattr(simulator, "_BLOCK_MIN_BUFFER", buffer_pkts + 1)
-        assert got.tobytes() == _link_stage(arrivals, tx, buffer_pkts).tobytes()
+
+    @pytest.mark.parametrize("buffer_pkts", [1, 40, 1000])
+    def test_blocked_episode_sums_departures_in_the_loop_order(self, buffer_pkts):
+        # one packet per ms from t = 0, each taking 1.5 to 4.5 ms: the link
+        # never idles, so the first window's cumsum and the episode's sum
+        # from the last departure before it are the loop's sums, to the bit
+        rng = np.random.default_rng(11)
+        n = 20_000
+        assert_matches_loop(np.arange(n) * 1e-3, rng.uniform(1.5, 4.5, n), [8e3],
+                            buffer_pkts, 1.0, 0.0, 0.0, tol_ms=0.0)
 
     def test_departures_just_after_arrivals_in_a_blocked_episode(self):
         # one packet every 0.25 s on a link that needs 0.5 s each, the first
@@ -258,7 +261,7 @@ class TestPipelineAgainstLoop:
         n = 400
         sizes = np.ones(n)
         sizes[0] += 1e-9
-        args = (np.arange(n) * 0.25, sizes, [16.0], _BLOCK_MIN_BUFFER, 1.0, 0.0, 0.0)
+        args = (np.arange(n) * 0.25, sizes, [16.0], 40, 1.0, 0.0, 0.0)
         assert_matches_loop(*args)
         _, served = simulate_pipeline(*args)
         assert served[-200:].tolist() == [True, False] * 100
