@@ -9,7 +9,8 @@ arrival at the same instant claims one. A departure at most TIE_S after an
 arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
-Both stages run as numpy running maxima over Lindley's recursion. The link
+Both stages run as numpy running maxima over Lindley's recursion, each
+making its full-length arrays once and updating them in place. The link
 finds its buffer full by comparing each arrival with the departure
 buffer_pkts places ahead of it in the queue, and runs each overflow
 episode (from the first arrival that may find the buffer full until one
@@ -96,12 +97,19 @@ def _poisson_arrivals(rate, horizon_s, rng):
     t = 0.0
     n = max(64, int(rate * horizon_s * 1.2) + 16)
     while t < horizon_s:
-        gaps = rng.exponential(1.0 / rate, size=n)
-        arr = t + np.cumsum(gaps)
+        arr = rng.exponential(1.0 / rate, size=n)
+        np.cumsum(arr, out=arr)
+        arr += t
         chunks.append(arr)
         t = arr[-1]
-    arrivals = np.concatenate(chunks)
-    return arrivals[arrivals < horizon_s]
+    arrivals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return _before(arrivals, horizon_s)
+
+
+def _before(arrivals, horizon_s):
+    """The arrivals before the horizon: a prefix, since rounding is monotone
+    and every generator sums non-negative steps, so arrivals never decrease."""
+    return arrivals[:arrivals.searchsorted(horizon_s)]
 
 
 def _onoff_arrivals(model, horizon_s, rng):
@@ -140,16 +148,23 @@ def _onoff_arrivals(model, horizon_s, rng):
         return np.empty(0)
     starts = np.concatenate(starts)
     counts = np.concatenate(counts)
-    # expand each burst into gap-spaced packets
-    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    arrivals = np.repeat(starts, counts) + within * gap
-    return arrivals[arrivals < horizon_s]
+    # expand each burst into gap-spaced packets: packet k of a burst that
+    # starts at time s with packet index first arrives at s + (k - first) * gap,
+    # and one repeat carries (s, first) to every packet
+    first = np.cumsum(counts) - counts
+    rep = np.repeat(np.column_stack((starts, first)), counts, axis=0)
+    arrivals = np.arange(counts.sum(), dtype=float)
+    arrivals -= rep[:, 1]
+    arrivals *= gap
+    arrivals += rep[:, 0]
+    return _before(arrivals, horizon_s)
 
 
 def _draw_sizes(model, n, rng):
     if model.size_dist == "exponential":
         mean = model.mean_size_bytes()
-        return np.clip(rng.exponential(mean, size=n), model.size_min, model.size_max)
+        sizes = rng.exponential(mean, size=n)
+        return np.clip(sizes, model.size_min, model.size_max, out=sizes)
     return rng.integers(model.size_min, model.size_max + 1, size=n).astype(float)
 
 
@@ -157,16 +172,16 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                       service_rate_ips, demand_mi, propagation_ms):
     """Push one slice's packets through its link queues and server queue.
 
-    arrivals must be sorted and as long as sizes_bytes. Returns (delays_ms
-    of served packets in arrival order of survivors, served_mask over all
-    offered packets). Zero-rate stages strand everything behind them
-    (served_mask False).
+    arrivals must be sorted and as long as sizes_bytes; neither is written
+    to. Returns (delays_ms of served packets in arrival order of survivors,
+    served_mask over all offered packets). Zero-rate stages strand
+    everything behind them (served_mask False).
     """
     arrivals = np.asarray(arrivals, dtype=float)
-    bits = np.asarray(sizes_bytes, dtype=float) * 8.0
-    if arrivals.shape != bits.shape:
+    sizes = np.asarray(sizes_bytes, dtype=float)
+    if arrivals.shape != sizes.shape:
         raise ValueError(
-            f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(bits)}")
+            f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(sizes)}")
     if not np.all(arrivals[1:] >= arrivals[:-1]):
         raise ValueError("arrivals must be sorted in non-decreasing order")
     served_mask = np.ones(arrivals.size, dtype=bool)
@@ -177,11 +192,11 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         if rate <= 0.0:
             served_mask[:] = False
             return np.empty(0), served_mask
-        times = _link_stage(times, bits / rate, buffer_pkts)
-        kept = ~np.isnan(times)
-        if not kept.all():
+        times = _link_stage(times, sizes, rate, buffer_pkts)
+        if np.isnan(times).any():
+            kept = ~np.isnan(times)
             served_mask[served_mask] = kept
-            times, bits, created = times[kept], bits[kept], created[kept]
+            times, sizes, created = times[kept], sizes[kept], created[kept]
 
     # server stage: unbounded FIFO with the same service time proc for every
     # request, so end_i = (i+1)*proc + max_{k<=i}(t_k - k*proc)
@@ -190,15 +205,25 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         return np.empty(0), served_mask
     proc = demand_mi / service_rate_ips
     prop_s = propagation_ms / 1000.0
-    k = np.arange(times.size)
-    ends = (k + 1) * proc + np.maximum.accumulate(times - k * proc)
-    return (ends - created + prop_s) * 1000.0, served_mask
+    steps = np.arange(times.size + 1, dtype=float)
+    steps *= proc
+    # a link stage's departures are this call's own array; arrivals are not
+    ends = times.copy() if times is arrivals else times
+    ends -= steps[:-1]
+    np.maximum.accumulate(ends, out=ends)
+    ends += steps[1:]
+    ends -= created
+    ends += prop_s
+    ends *= 1000.0
+    return ends, served_mask
 
 
-def _link_stage(t, tx, buffer_pkts):
+def _link_stage(t, sizes, rate, buffer_pkts):
     """Departure times from one FIFO link that holds at most buffer_pkts packets.
 
-    t are the sorted arrival times and tx the transmission times. Lindley's
+    t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
+    transmission times tx; each window's cumulative sum overwrites its tx,
+    and an overflow episode first remakes the tx it reads. Lindley's
     recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
     dep = C + max.accumulate(t - C_prev) over cumulative transmission time
     C, one window of packets at a time. With e the pending departures
@@ -211,6 +236,7 @@ def _link_stage(t, tx, buffer_pkts):
     buffer_pkts accepted packets. Dropped packets get a NaN departure time.
     """
     n = t.size
+    tx = sizes * 8.0 / rate
     dep = np.empty(n)
     pend = np.empty(0)   # departures after the last arrival handled so far
     tie = None           # t + TIE_S, made at the first blocked episode
@@ -218,11 +244,15 @@ def _link_stage(t, tx, buffer_pkts):
     while i < n:
         j = min(n, i + width)
         m = j - i
-        tw, cw = t[i:j], np.cumsum(tx[i:j])
-        lead = np.maximum.accumulate(tw - np.concatenate(([0.0], cw[:-1])))
+        tw, cw = t[i:j], np.cumsum(tx[i:j], out=tx[i:j])
+        # the window's departures, built in place: C + max(t - C_prev)
+        d = dep[i:j]
+        d[0] = tw[0]
+        np.subtract(tw[1:], cw[:-1], out=d[1:])
+        np.maximum.accumulate(d, out=d)
         if pend.size:
-            lead = np.maximum(lead, pend[-1])
-        d = cw + lead
+            np.maximum(d, pend[-1], out=d)
+        d += cw
         # arrival a is tested against e[s + a]; fewer than buffer_pkts packets
         # come before an arrival a < lo, so it never finds the buffer full
         s = pend.size - buffer_pkts
@@ -230,13 +260,16 @@ def _link_stage(t, tx, buffer_pkts):
         e = np.concatenate((pend, d)) if pend.size else d
         full = e[s + lo:s + m] > tw[lo:]
         f = lo + int(full.argmax()) if full.any() else m
-        dep[i:i + f] = d[:f]
+        if f == m and j == n:
+            break
         at = tw[f] if f < m else tw[-1]
+        # copies: the overflow episode overwrites dep[i + f:]
         pend = np.concatenate((pend[np.searchsorted(pend, at, side="right"):],
                                d[np.searchsorted(d[:f], at, side="right"):f]))
         if f < m:
             if tie is None:
                 tie = t + TIE_S
+            tx[i + f:j] = sizes[i + f:j] * 8.0 / rate
             i = _overflow_blocks(t, tie, tx, i + f, pend, buffer_pkts, dep)
             pend, width = np.empty(0), _RESTART_WINDOW
         else:
@@ -330,19 +363,28 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
             arrivals, sizes, link_rates, topology.buffer_pkts,
             cpu_rate, spec.demand_mi, config.propagation_ms,
         )
-        keep = arrivals >= config.warmup_s
-        offered = int(keep.sum())
-        kept_served = served & keep
-        success = int(kept_served.sum())
-        served_delays = delays[keep[served]] if delays.size else delays
-        if success + int((~served & keep).sum()) != offered:
-            raise SimulationError("request accounting lost packets")
+        # arrivals are sorted, so the post-warmup requests are a suffix
+        w = int(arrivals.searchsorted(config.warmup_s))
+        tail = served[w:]
+        offered = arrivals.size - w
+        success = int(np.count_nonzero(tail))
+        dropped = tail.size - success
+        if delays.size != success + np.count_nonzero(served[:w]):
+            raise SimulationError(
+                f"slice {spec.id}: {delays.size} delays for "
+                f"{np.count_nonzero(served)} served requests")
+        if success + dropped != offered:
+            raise SimulationError(
+                f"slice {spec.id}: {success} served plus {dropped} dropped "
+                f"after warmup, but {offered} offered")
         results[spec.id] = SliceRunResult(
-            delays_ms=served_delays,
+            delays_ms=delays[delays.size - success:],
             offered=offered,
             success=success,
-            dropped=offered - success,
+            dropped=dropped,
         )
+        # free this slice's arrays before the next slice makes its own
+        del arrivals, sizes, served, tail
     return results
 
 

@@ -1,5 +1,7 @@
 """Simulator behavior against hand calculations and queueing sanity."""
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from slicelab import (
     AllocationVector,
     QoeRequirement,
     SimConfig,
+    SimulationError,
     SliceSpec,
     Topology,
     TrafficModel,
+    reference_scenario,
+    size_all,
 )
+from slicelab import simulator
 from slicelab.simulator import (
     _draw_sizes,
     _link_stage,
@@ -143,6 +149,27 @@ class TestPipeline:
             simulate_pipeline(np.array([0.2, 0.1]), np.array([1000.0, 1000.0]),
                               np.array([8e6]), 10, 3e8, 5e4, 0.0)
 
+    # 5000 packets of ~1 kB, one per ms on average, so ~8 Mbps offered
+    @pytest.mark.parametrize("link_rates, cpu_rate, lossless", [
+        ([1e8], 3e8, True),
+        ([4e6], 3e8, False),
+        ([1e8, 5e7], 3e8, True),
+        ([], 3e8, True),
+        ([0.0], 3e8, False),
+        ([1e8], 0.0, False),
+    ], ids=["lossless", "overflowing", "two-link", "no-link", "zero-link-rate",
+            "zero-cpu-rate"])
+    def test_inputs_are_never_written(self, link_rates, cpu_rate, lossless):
+        # the stages update their own arrays in place, never the caller's
+        rng = np.random.default_rng(3)
+        arrivals = np.cumsum(rng.exponential(1e-3, 5000))
+        sizes = rng.uniform(20.0, 2000.0, arrivals.size)
+        before = arrivals.tobytes(), sizes.tobytes()
+        _, served = simulate_pipeline(arrivals, sizes, np.array(link_rates), 10,
+                                      cpu_rate, 1e4, 0.1)
+        assert served.all() == lossless
+        assert (arrivals.tobytes(), sizes.tobytes()) == before
+
 
 def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
                         demand_mi, propagation_ms, tol_ms=LOOP_DELAY_TOL_MS):
@@ -240,8 +267,7 @@ class TestPipelineAgainstLoop:
         sizes = rng.uniform(20.0, 2000.0, arrivals.size)
         rate = 8.0 * sizes.mean() / 1e-3 / 1.5
         assert_matches_loop(arrivals, sizes, [rate], buffer_pkts, 3e8, 1e4, 0.1)
-        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, 8.0 * sizes / rate,
-                                                      buffer_pkts)))
+        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, sizes, rate, buffer_pkts)))
         assert dropped[-1] - dropped[0] >= 10_000
 
     @pytest.mark.parametrize("buffer_pkts", [1, 40, 1000])
@@ -376,6 +402,62 @@ class TestRunSim:
                       seed=3)["s"]
         assert res.offered == res.success + res.dropped
         assert res.delays_ms.size == res.success
+
+    @pytest.mark.parametrize("fault", ["one delay too few", "one request too many"])
+    def test_accounting_that_loses_a_request_names_the_slice(self, monkeypatch, fault):
+        pipeline = simulator.simulate_pipeline
+
+        def faulty(*args):
+            delays, served = pipeline(*args)
+            if fault == "one delay too few":
+                return delays[:-1], served
+            return delays, np.append(served, False)
+
+        monkeypatch.setattr(simulator, "simulate_pipeline", faulty)
+        topo, alloc = self.topo_alloc()
+        with pytest.raises(SimulationError, match="slice s:"):
+            run_sim([one_slice()], topo, alloc, SimConfig(horizon_s=1.0, warmup_s=0.2),
+                    seed=1)
+
+    def test_arrivals_at_the_warmup_instant_count(self, monkeypatch):
+        # a one-packet buffer and 2 ms per packet: every arrival after the
+        # first of an instant is dropped, on both sides of the warmup
+        arrivals = np.array([0.1, 0.1, 0.5, 0.5, 0.5, 0.9, 0.9])
+        sizes = np.full(arrivals.size, 1000.0)
+        monkeypatch.setattr(simulator, "generate_traffic",
+                            lambda *_: (arrivals.copy(), sizes.copy()))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=1)
+        row = AllocationVector(np.array([0.1]), np.array([0.5]))
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.5)
+        spec = one_slice()
+        res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg)["s"]
+        link_rates, cpu_rate = stage_rates(row, topo)
+        delays, served = simulate_pipeline(arrivals, sizes, link_rates, 1, cpu_rate,
+                                           spec.demand_mi, cfg.propagation_ms)
+        keep = arrivals >= cfg.warmup_s
+        assert served.tolist() == [True, False, True, False, False, True, False]
+        assert res.offered == int(keep.sum()) == 5
+        assert res.success == int((served & keep).sum()) == 2
+        assert res.dropped == 3
+        assert np.array_equal(res.delays_ms, delays[keep[served]])
+
+    def test_a_long_lossless_slice_allocates_under_seven_arrays(self):
+        # ~10^5 packets of reference slice1 at its M/M/1 row: the pipeline
+        # makes each full-length array once, so the peak stays a small
+        # multiple of one float array of the offered requests
+        sc = reference_scenario()
+        alloc, _ = size_all(sc.slices, sc.topology)
+        spec = next(s for s in sc.slices if s.id == "slice1")
+        cfg = dataclasses.replace(sc.sim, horizon_s=500.0)
+        run_sim([spec], sc.topology, alloc, cfg, seed=0)
+        tracemalloc.start()
+        try:
+            res = run_sim([spec], sc.topology, alloc, cfg, seed=0)["slice1"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.offered > 90_000 and res.dropped == 0
+        assert peak < 7 * 8 * res.offered
 
     def test_deterministic_given_seed(self):
         spec = one_slice()
