@@ -261,6 +261,19 @@ class AllocationVector:
         return f"AllocationVector(flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
 
 
+def capacity_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
+    """(name, message) for each capacity bound a (slices, edges) "flows" or
+    (slices, cores) "cpu" array breaks: entries in [0, 1] and column sums
+    at most 1, within CAPACITY_TOL."""
+    errs = []
+    if shares.size and (shares.min() < -CAPACITY_TOL or shares.max() > 1 + CAPACITY_TOL):
+        errs.append((name, f"{name} entries must lie in [0,1]"))
+    kind = "edge" if name == "flows" else "core"
+    errs += [(name, f"{kind} {j} sum {s:.6g} > 1")
+             for j, s in enumerate(shares.sum(axis=0)) if s > 1 + CAPACITY_TOL]
+    return errs
+
+
 @dataclass(frozen=True, eq=False)
 class AllocationMatrix:
     """Allocation rows for every slice, with per-resource capacity sums <= 1."""
@@ -286,12 +299,7 @@ class AllocationMatrix:
             if not np.all(np.isfinite(arr)):
                 errs.append((name, f"{name} has non-finite entries"))
                 continue
-            if arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-                errs.append((name, f"{name} entries must lie in [0,1]"))
-            kind = "edge" if name == "flows" else "core"
-            for j, s in enumerate(arr.sum(axis=0)):
-                if s > 1 + CAPACITY_TOL:
-                    errs.append((name, f"{kind} {j} sum {s:.6g} > 1"))
+            errs += capacity_violations(name, arr)
         InvariantViolation.check(errs)
 
     @classmethod

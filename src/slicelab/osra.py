@@ -50,7 +50,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import AllocationMatrix, AllocationVector, InvariantViolation, QoeSample, Topology
+from .domain import (AllocationMatrix, AllocationVector, InvariantViolation, QoeSample, Topology,
+                     capacity_violations)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
@@ -62,8 +63,6 @@ DONOR_GRADIENT_MODES = ("analytic", "probed")
 
 # below this, normalizing by the new slice's gradient is meaningless
 ZERO_GRADIENT_NORM = 1e-12
-
-FEASIBILITY_TOL = 1e-9
 
 
 class NonFiniteGradient(ValueError):
@@ -194,17 +193,13 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, etas: dict,
     return transfer, stop_metric, deltas, grant, rule_used
 
 
-def assert_feasible(alloc: AllocationMatrix, tol: float = FEASIBILITY_TOL):
-    """Hard check on an iterate; the algorithm must never leave the set."""
-    x = alloc.stacked()
-    sums = x.sum(axis=0)
-    bad = []
-    if x.min() < -tol:
-        bad.append(f"entry {x.min()} < 0")
-    if sums.max() > 1.0 + tol:
-        bad.append(f"column {int(sums.argmax())} sum {sums.max()} > 1")
+def assert_feasible(alloc: AllocationMatrix):
+    """Raise AssertionError naming each capacity bound alloc breaks: the
+    `capacity_violations` every AllocationMatrix is built to, so only an
+    allocation made around the constructor can fail."""
+    bad = capacity_violations("flows", alloc.flows) + capacity_violations("cpu", alloc.cpu)
     if bad:
-        raise AssertionError("infeasible iterate: " + "; ".join(bad))
+        raise AssertionError("infeasible iterate: " + "; ".join(msg for _, msg in bad))
 
 
 def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
@@ -256,7 +251,6 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         return _eval
 
     alloc = initial_alloc
-    assert_feasible(alloc)
     traces = []
     converged = False
     iterations = 0
@@ -310,7 +304,6 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         x[alloc.index(new_slice_id)] += grant
         x[group] = project_columns(x[group], budgets)
         alloc = AllocationMatrix(alloc.slice_ids, x[:, :alloc.n_edges], x[:, alloc.n_edges:])
-        assert_feasible(alloc)
         iterations = k + 1
 
     return OsraResult(final_alloc=alloc, traces=tuple(traces),

@@ -10,12 +10,12 @@ arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
 Both stages run as numpy running maxima over Lindley's recursion, each
-making its full-length arrays once and updating them in place. The link
-finds its buffer full by comparing each arrival with the departure
-buffer_pkts places ahead of it in the queue, and runs each overflow
-episode (from the first arrival that may find the buffer full until one
-finds the link idle) buffer_pkts accepted packets at a time, summing each
-departure in the order a per-packet loop would.
+making its full-length arrays once and updating them in place. The link's
+departure array is its only queue state: it finds its buffer full by
+comparing each arrival with the departure buffer_pkts packets before it,
+and runs each overflow episode (from the first arrival that may find the
+buffer full until one finds the link idle) buffer_pkts accepted packets at
+a time, summing each departure in the order a per-packet loop would.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -226,19 +226,23 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     and an overflow episode first remakes the tx it reads. Lindley's
     recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
     dep = C + max.accumulate(t - C_prev) over cumulative transmission time
-    C, one window of packets at a time. With e the pending departures
-    followed by the window's, both non-decreasing, window arrival a finds
-    buffer_pkts packets queued iff e[#pending + a - buffer_pkts] > t_a, so
-    a departure at t frees its slot first. The test leaves TIE_S out, so it
-    may see the buffer full too early, never too late: from the first
-    arrival it sees the buffer full, an overflow episode that applies
-    TIE_S runs until an arrival finds the link idle, in blocks of
-    buffer_pkts accepted packets. Dropped packets get a NaN departure time.
+    C, one window of packets at a time. Dropped packets get a NaN departure.
+
+    dep is the only state carried between windows. Arrival i finds
+    buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
+    departure at t frees its slot first. A slot in that range that is no
+    longer pending holds either a departure at or before an earlier arrival
+    (FIFO departures do not decrease) or the NaN of a drop in an episode that
+    ended with the link idle; both compare False. For the same reason the
+    window's floor fmax(d, dep[i-1]) acts only while the departure before the
+    window is pending, and skips a NaN. The test leaves TIE_S out, so it may
+    see the buffer full too early, never too late: from the first arrival it
+    sees the buffer full, an overflow episode that applies TIE_S runs until
+    an arrival finds the link idle, in blocks of buffer_pkts accepted packets.
     """
-    n = t.size
+    n, b = t.size, buffer_pkts
     tx = sizes * 8.0 / rate
     dep = np.empty(n)
-    pend = np.empty(0)   # departures after the last arrival handled so far
     tie = None           # t + TIE_S, made at the first blocked episode
     i, width = 0, n
     while i < n:
@@ -250,42 +254,35 @@ def _link_stage(t, sizes, rate, buffer_pkts):
         d[0] = tw[0]
         np.subtract(tw[1:], cw[:-1], out=d[1:])
         np.maximum.accumulate(d, out=d)
-        if pend.size:
-            np.maximum(d, pend[-1], out=d)
+        if i > 0:
+            np.fmax(d, dep[i - 1], out=d)
         d += cw
-        # arrival a is tested against e[s + a]; fewer than buffer_pkts packets
-        # come before an arrival a < lo, so it never finds the buffer full
-        s = pend.size - buffer_pkts
-        lo = min(m, max(0, -s))
-        e = np.concatenate((pend, d)) if pend.size else d
-        full = e[s + lo:s + m] > tw[lo:]
+        # the call's first b arrivals have fewer than b packets ahead and
+        # never find the buffer full; starting at lo keeps the index >= 0
+        lo = min(m, max(0, b - i))
+        full = dep[i + lo - b:j - b] > tw[lo:]
         f = lo + int(full.argmax()) if full.any() else m
-        if f == m and j == n:
-            break
-        at = tw[f] if f < m else tw[-1]
-        # copies: the overflow episode overwrites dep[i + f:]
-        pend = np.concatenate((pend[np.searchsorted(pend, at, side="right"):],
-                               d[np.searchsorted(d[:f], at, side="right"):f]))
         if f < m:
             if tie is None:
                 tie = t + TIE_S
             tx[i + f:j] = sizes[i + f:j] * 8.0 / rate
-            i = _overflow_blocks(t, tie, tx, i + f, pend, buffer_pkts, dep)
-            pend, width = np.empty(0), _RESTART_WINDOW
+            i = _overflow_blocks(t, tie, tx, i + f, b, dep)
+            width = _RESTART_WINDOW
         else:
             i, width = j, 2 * width
     return dep
 
 
-def _overflow_blocks(t, tie, tx, k, pend, buffer_pkts, dep):
+def _overflow_blocks(t, tie, tx, k, buffer_pkts, dep):
     """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time.
 
-    Writes dep (NaN for a drop). A departure at most TIE_S after an arrival
-    leaves the queue first but still delays the arrival's start. tie is
-    t + TIE_S and pend the pending departure times: arrival k is the
-    first the window's test saw with buffer_pkts packets ahead, so pend
-    holds exactly buffer_pkts of them. Until the episode ends the link
-    never idles, so the m-th accepted packet departs at the (m-1)-th's
+    Writes dep from k on (NaN for a drop); dep is its only state. A
+    departure at most TIE_S after an arrival leaves the queue first but
+    still delays the arrival's start. tie is t + TIE_S. Arrival k is the
+    first the window's test saw with buffer_pkts packets ahead, so the view
+    dep[k - buffer_pkts:k] holds exactly the pending departures, none a
+    drop, and the episode never writes there. Until the episode ends the
+    link never idles, so the m-th accepted packet departs at the (m-1)-th's
     departure plus its own tx, and an arrival is accepted iff the departure
     buffer_pkts accepted packets earlier is at most its tie. The last
     buffer_pkts departures thus fix where each of the next buffer_pkts
@@ -296,9 +293,9 @@ def _overflow_blocks(t, tie, tx, k, pend, buffer_pkts, dep):
     """
     n, b = t.size, buffer_pkts
     r = np.arange(b)
-    first = tie.searchsorted(pend)
+    first = tie.searchsorted(dep[k - b:k])
     seeded = np.empty(b + 1)   # the departure before the block, then its tx
-    seeded[0] = pend[-1]
+    seeded[0] = dep[k - 1]
     while True:
         idx = first - r
         idx[0] = max(idx[0], k)

@@ -19,7 +19,7 @@ from slicelab import (
     Topology,
     TrafficModel,
 )
-from slicelab.domain import QoeSample
+from slicelab.domain import CAPACITY_TOL, QoeSample
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
@@ -184,6 +184,18 @@ class TestAllocationMatrix:
                 flows=np.array([[0.1], [0.1]]),
                 cpu=np.array([[0.7], [0.7]]),
             )
+
+    @pytest.mark.parametrize("entry, ok", [(-CAPACITY_TOL, True), (-3 * CAPACITY_TOL, False)])
+    def test_negative_entry_bound(self, entry, ok):
+        # the column sums stay below 1, so only the entry bound can reject it
+        args = dict(slice_ids=("a", "b"), flows=np.array([[entry], [0.5]]),
+                    cpu=np.array([[0.1], [0.1]]))
+        if ok:
+            AllocationMatrix(**args)
+        else:
+            with pytest.raises(InvariantViolation) as exc:
+                AllocationMatrix(**args)
+            assert exc.value.violations == [("flows", "flows entries must lie in [0,1]")]
 
     def test_unknown_slice(self):
         m = AllocationMatrix.from_rows(

@@ -2,6 +2,7 @@
 import dataclasses
 import pickle
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,6 +184,13 @@ class TestRunOsra:
         for tr in res.traces:
             assert_feasible(tr.alloc)
         assert_feasible(res.final_alloc)
+
+    def test_assert_feasible_names_every_bound_broken(self):
+        # no AllocationMatrix can break a bound, so build one around it
+        bad = SimpleNamespace(flows=np.array([[-3e-9], [0.5]]), cpu=np.array([[0.6], [0.6]]))
+        with pytest.raises(AssertionError,
+                           match=r"flows entries must lie in \[0,1\]; core 0 sum 1\.2 > 1"):
+            assert_feasible(bad)
 
     def test_reruns_are_identical_even_threaded(self):
         sc = make_tiny_scenario(max_iters=3, epsilon=0.0, tau_new=0.05)

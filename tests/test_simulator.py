@@ -280,6 +280,25 @@ class TestPipelineAgainstLoop:
         assert_matches_loop(np.arange(n) * 1e-3, rng.uniform(1.5, 4.5, n), [8e3],
                             buffer_pkts, 1.0, 0.0, 0.0, tol_ms=0.0)
 
+    @pytest.mark.parametrize("buffer_pkts", [300, 1000])
+    def test_buffer_full_test_looks_back_across_an_episode_end(self, buffer_pkts):
+        # bursts of buffer_pkts + 50 packets at one instant, each taking 1 or
+        # 2 ticks of 1/64 s, far enough apart for the link to drain: each
+        # burst keeps its first buffer_pkts packets and drops the rest, and
+        # the next burst ends the episode. Its arrivals then find the buffer
+        # full only after buffer_pkts of them, and the ones before look back
+        # past the episode's end, over more than one window, at departed
+        # slots and then at the 50 drops
+        b, bursts = buffer_pkts, 5
+        assert b > simulator._RESTART_WINDOW
+        per = b + 50
+        arrivals = np.repeat(np.arange(bursts) * (2 * b + 8) / 64.0, per)
+        sizes = np.random.default_rng(3).integers(1, 3, arrivals.size)
+        args = (arrivals, sizes, [512.0], b, 64.0, 1.0, 0.0)
+        assert_matches_loop(*args, tol_ms=0.0)
+        _, served = simulate_pipeline(*args)
+        assert (served.reshape(bursts, per) == (np.arange(per) < b)).all()
+
     def test_departures_just_after_arrivals_in_a_blocked_episode(self):
         # one packet every 0.25 s on a link that needs 0.5 s each, the first
         # 5e-10 s longer: in the overflow every departure lands inside TIE_S
