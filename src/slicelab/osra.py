@@ -50,8 +50,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import (AllocationMatrix, AllocationVector, InvariantViolation, QoeSample, Topology,
-                     capacity_violations)
+from .domain import (CAPACITY_TOL, AllocationMatrix, AllocationVector, InvariantViolation,
+                     QoeSample, Topology, capacity_violations)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
@@ -99,7 +99,8 @@ class OsraConfig:
                 errs.append((name, f"{name} must be one of {allowed}"))
         for name, ok, bound in (("max_iters", self.max_iters >= 1, ">= 1"),
                                 ("epsilon", self.epsilon >= 0, ">= 0"),
-                                ("delta", self.delta > 0, "> 0"),
+                                # at or below CAPACITY_TOL an entry's probe points may coincide
+                                ("delta", self.delta > CAPACITY_TOL, f"> {CAPACITY_TOL}"),
                                 ("probes", self.probes >= 1, ">= 1"),
                                 ("penalty_exponent", self.penalty_exponent in (1, 2), "1 or 2"),
                                 ("delay_ceiling_ms", self.delay_ceiling_ms > 0, "> 0")):
@@ -204,14 +205,13 @@ def assert_feasible(alloc: AllocationMatrix):
 
 def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
              sim_config: SimConfig, new_slice_id: str, config: OsraConfig,
-             seed: int = 0, memory=None, map_fn=map) -> OsraResult:
+             seed: int = 0, memory=None) -> OsraResult:
     """Run the reconfiguration loop until the transfer stalls or iters run out.
 
     Each iteration: monitor all slices (one full simulation), form penalty
     gradients, decide the transfer, stop if its norm is <= epsilon (the
     traced iterate is then final), otherwise apply and project. All
-    randomness derives from `seed`; reruns are bit-identical, independent
-    of `map_fn` parallelism.
+    randomness derives from `seed`; reruns are bit-identical.
     """
     slices = tuple(slices)
     by_id = {s.id: s for s in slices}
@@ -265,8 +265,7 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             new_slice_id: probed_gradient(
                 models[new_slice_id], point_oracle(new_slice_id),
                 alloc.row(new_slice_id), config.delta, config.probes,
-                seed_base=derive_seed(seed, 7001, k), memory=memory,
-                map_fn=map_fn)
+                seed_base=derive_seed(seed, 7001, k), memory=memory)
         }
         for di, spec in enumerate(donors):
             if config.donor_gradients == "analytic":
@@ -276,8 +275,7 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
                 grads[spec.id] = probed_gradient(
                     models[spec.id], point_oracle(spec.id), alloc.row(spec.id),
                     config.delta, config.probes,
-                    seed_base=derive_seed(seed, 7101, k, di), memory=memory,
-                    map_fn=map_fn)
+                    seed_base=derive_seed(seed, 7101, k, di), memory=memory)
 
         for sid, g in grads.items():
             if not np.isfinite(g).all():

@@ -19,9 +19,9 @@ Gradients come in two flavours:
   (seed_base, repetition) only: repetition r runs on the same seed at every
   probe point and on both sides (common random numbers), so its traffic
   noise cancels in each difference, and probes with equal simulator inputs
-  are one simulation that an oracle may memoize. Any execution order or
-  parallel map gives identical output. At a hinge kink the subgradient 0 is
-  the one reported (the hinge factor is exactly zero there).
+  are one simulation that an oracle may memoize. At a hinge kink the
+  subgradient 0 is the one reported (the hinge factor is exactly zero
+  there).
 * `analytic_gradient`: chain rule through the stationary queueing model's
   closed-form partials; exact, no probing cost.
 """
@@ -99,15 +99,15 @@ def mean_statistics(model: PenaltyModel, samples) -> tuple[float, float]:
 
 def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
                     delta: float, probes: int, seed_base: int = 0,
-                    memory=None, map_fn=map) -> np.ndarray:
+                    memory=None) -> np.ndarray:
     """Central-difference estimate of d(penalty)/d(allocation) at `point`.
 
-    `oracle` is a callable (AllocationVector, seed) -> QoeSample. Each
-    probe point's statistics are averaged over `probes` runs with distinct
-    deterministic seeds, the same seeds at every probe point, then the hinge
-    is applied; the difference quotient divides by the actual probe spread
-    (2*delta, or less at a clamped boundary). `memory`, when given, records every (point, sample, seed).
-    `map_fn` may be a parallel map; results do not depend on it.
+    `oracle` is a callable (AllocationVector, seed) -> QoeSample, called in
+    (coordinate, side, repetition) order. Each probe point's statistics are
+    averaged over `probes` runs with distinct deterministic seeds, the same
+    seeds at every probe point, then the hinge is applied; the difference
+    quotient divides by the actual probe spread (2*delta, or less at a
+    clamped boundary). `memory`, when given, records every probe.
     """
     if not (delta > 0):
         raise DegenerateDelta(f"delta must be > 0, got {delta}")
@@ -115,44 +115,28 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
         raise ValueError(f"probes must be >= 1, got {probes}")
 
     base = point.stacked()
-    n_edges = point.flows.size
-    dim = base.size
+    lo = np.clip(base - delta, 0.0, 1.0)
+    hi = np.clip(base + delta, 0.0, 1.0)
+    coincide = np.flatnonzero(hi - lo <= 0)
+    if coincide.size:
+        d = coincide[0]
+        raise DegenerateDelta(
+            f"coordinate {d}: probe points coincide at {lo[d]} (delta too small "
+            "for the clamped boundary)")
 
     seeds = [derive_seed(seed_base, r) for r in range(probes)]
-    tasks = []  # (coordinate, side, repetition, probe_vector, seed)
-    probe_x = np.empty((dim, 2))
-    for d in range(dim):
-        for side, sgn in ((0, -1.0), (1, +1.0)):
-            x = min(1.0, max(0.0, base[d] + sgn * delta))
-            probe_x[d, side] = x
+    pen = np.empty((base.size, 2))
+    for d in range(base.size):
+        for side, x in enumerate((lo[d], hi[d])):
             vec = base.copy()
             vec[d] = x
-            pv = AllocationVector.from_stacked(vec, n_edges)
-            for r, seed in enumerate(seeds):
-                tasks.append((d, side, r, pv, seed))
-
-    samples = list(map_fn(lambda t: t[3:5] + (oracle(t[3], t[4]),), tasks))
-
-    by_probe = {}
-    for (d, side, r, pv, seed), (_, _, sample) in zip(tasks, samples):
-        by_probe.setdefault((d, side), []).append(sample)
-        if memory is not None:
-            memory.record(pv, sample, seed)
-
-    grad = np.zeros(dim)
-    for d in range(dim):
-        lo, hi = probe_x[d, 0], probe_x[d, 1]
-        spread = hi - lo
-        if spread <= 0:
-            raise DegenerateDelta(
-                f"coordinate {d}: probe points coincide at {lo} (delta too small "
-                "for the clamped boundary)")
-        pen = []
-        for side in (0, 1):
-            dmean, tmean = mean_statistics(model, by_probe[(d, side)])
-            pen.append(penalty_at(model, dmean, tmean))
-        grad[d] = (pen[1] - pen[0]) / spread
-    return grad
+            pv = AllocationVector.from_stacked(vec, point.flows.size)
+            samples = [oracle(pv, seed) for seed in seeds]
+            if memory is not None:
+                memory.extend((pv, sample, seed) for sample, seed in zip(samples, seeds))
+            dmean, tmean = mean_statistics(model, samples)
+            pen[d, side] = penalty_at(model, dmean, tmean)
+    return (pen[:, 1] - pen[:, 0]) / (hi - lo)
 
 
 def analytic_gradient(model: PenaltyModel, spec: SliceSpec, point: AllocationVector,
@@ -164,27 +148,15 @@ def analytic_gradient(model: PenaltyModel, spec: SliceSpec, point: AllocationVec
     if model.requirement.bounded:
         viol = max(0.0, effective_delay(model, delay) - model.requirement.tau_ms)
         if viol > 0 and math.isfinite(delay) and delay < model.delay_ceiling_ms:
-            factor = p * viol ** (p - 1) if p == 2 else 1.0
+            factor = p * viol ** (p - 1)
             grad += model.alpha_tau * factor * d_delay
         # at the ceiling (or unbounded delay) the delay term is flat
     short = max(0.0, model.requirement.rho - tp)
     if short > 0:
-        factor = p * short ** (p - 1) if p == 2 else 1.0
+        factor = p * short ** (p - 1)
         grad += model.alpha_rho * factor * (-d_tp)
     return grad
 
 
-class ProbeMemory:
-    """Append-only record of every probe the algorithm ever paid for."""
-
-    def __init__(self):
-        self._records = []
-
-    def record(self, point: AllocationVector, sample: QoeSample, seed: int):
-        self._records.append((point, sample, seed))
-
-    def __len__(self):
-        return len(self._records)
-
-    def __iter__(self):
-        return iter(self._records)
+class ProbeMemory(list):
+    """(point, sample, seed) of every probe the algorithm ever paid for."""

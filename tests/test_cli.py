@@ -123,8 +123,9 @@ class TestValidate:
         (["slices", 1], "rho", "high", "slice 'slice2'.rho"),
         (["topology"], "buffer_pkts", "many", "topology.buffer_pkts"),
         (["slices", 1, "traffic"], "mean_rate", -150.0, "slice 'slice2'.traffic.mean_rate"),
+        (["osra"], "delta", 1e-20, "osra.delta"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
-            "buffer_pkts", "mean_rate"])
+            "buffer_pkts", "mean_rate", "delta"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data

@@ -176,6 +176,19 @@ class TestProbedGradient:
         with pytest.raises(ValueError, match="probes"):
             probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=0)
 
+    def test_coinciding_probe_points_raise_before_any_probe(self):
+        # 0.5 -/+ 1e-20 rounds to 0.5 on both sides
+        calls = []
+
+        def counted(vec, seed):
+            calls.append(seed)
+            return quadratic_oracle(vec, seed)
+
+        point = AllocationVector(np.array([0.5]), np.array([0.5]))
+        with pytest.raises(DegenerateDelta, match="coordinate 0: probe points coincide"):
+            probed_gradient(model(), counted, point, delta=1e-20, probes=3)
+        assert calls == []
+
     def test_seed_base_shifts_every_probe_seed(self):
         seen = []
         probe = lambda vec, seed: (seen.append(seed),
