@@ -29,7 +29,7 @@ TOPOLOGY = Topology(edges=(("link", 8.0),), cores=(("core", 3e8),),
                     buffer_pkts=10 ** 6)
 ALLOC = AllocationMatrix.from_rows(
     {"s": AllocationVector(np.array([1.0]), np.array([1.0]))})
-CFG = SimConfig(horizon_s=20.0, warmup_s=2.0, propagation_ms=0.0, seed=0)
+CFG = SimConfig(horizon_s=20.0, warmup_s=2.0, propagation_ms=0.0)
 MU = 1000.0
 
 

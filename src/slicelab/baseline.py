@@ -122,7 +122,8 @@ def pool_audits(slices, runs) -> dict:
     report = {}
     for spec in slices:
         parts = [run[spec.id] for run in runs]
-        pooled = np.concatenate([p.delays_ms for p in parts]) if parts else np.array([])
+        delays = [p.delays_ms for p in parts]
+        pooled = delays[0] if len(delays) == 1 else np.concatenate(delays or [np.empty(0)])
         offered = sum(p.offered for p in parts)
         success = sum(p.success for p in parts)
         empty = pooled.size == 0
@@ -130,7 +131,8 @@ def pool_audits(slices, runs) -> dict:
         if empty:
             viol, mean_d, max_d = 0.0, float("nan"), float("nan")
         else:
-            viol = float(np.mean(pooled > req.tau_ms)) if req.bounded else 0.0
+            late = np.count_nonzero(pooled > req.tau_ms) if req.bounded else 0
+            viol = float(late / pooled.size)
             mean_d = float(pooled.mean())
             max_d = float(pooled.max())
         report[spec.id] = SliceAudit(

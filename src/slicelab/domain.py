@@ -94,20 +94,19 @@ class TrafficModel:
         errs = []
         if self.kind not in TRAFFIC_KINDS:
             errs.append(("kind", f"unknown traffic kind {self.kind!r}"))
-        if not (self.mean_rate > 0):
-            errs.append(("mean_rate", f"mean_rate must be > 0, got {self.mean_rate}"))
+        rate_ok = 0 < self.mean_rate < math.inf
+        if not rate_ok:
+            errs.append(("mean_rate", f"mean_rate must be > 0 and finite, got {self.mean_rate}"))
         if self.kind == "bursty-onoff":
-            if self.burst_len is None or not (self.burst_len >= 1):
-                errs.append(("burst_len",
-                             f"burst_len must be >= 1 for bursty-onoff, got {self.burst_len}"))
-            if self.off_time_ms is None or not (self.off_time_ms >= 0):
-                errs.append(("off_time_ms", f"off_time_ms must be >= 0, got {self.off_time_ms}"))
-            if (
-                self.burst_len is not None
-                and self.off_time_ms is not None
-                and self.burst_len >= 1
-                and self.mean_rate > 0
-            ):
+            burst_ok = self.burst_len is not None and 1 <= self.burst_len < math.inf
+            off_ok = self.off_time_ms is not None and 0 <= self.off_time_ms < math.inf
+            if not burst_ok:
+                errs.append(("burst_len", "burst_len must be >= 1 and finite for "
+                                          f"bursty-onoff, got {self.burst_len}"))
+            if not off_ok:
+                errs.append(("off_time_ms",
+                             f"off_time_ms must be >= 0 and finite, got {self.off_time_ms}"))
+            if rate_ok and burst_ok and off_ok:
                 gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
                 if gap < -1e-12:
                     errs.append(("mean_rate",
@@ -162,9 +161,9 @@ class SliceSpec:
         for name in ("alpha_tau", "alpha_rho"):
             if getattr(self, name) < 0:
                 errs.append((name, f"slice {self.id}: alpha weights must be >= 0"))
-        if not (self.demand_mi > 0):
-            errs.append(("demand_mi",
-                         f"slice {self.id}: demand_mi must be > 0, got {self.demand_mi}"))
+        if not (0 < self.demand_mi < math.inf):
+            errs.append(("demand_mi", f"slice {self.id}: demand_mi must be > 0 and finite, "
+                                      f"got {self.demand_mi}"))
         InvariantViolation.check(errs)
 
 
@@ -188,12 +187,10 @@ class Topology:
             errs.append(("edges", "topology needs at least one edge"))
         if not self.cores:
             errs.append(("cores", "topology needs at least one core"))
-        for name, cap in self.edges:
-            if not (cap > 0):
-                errs.append((f"edges.{name}", f"edge {name}: capacity must be > 0, got {cap}"))
-        for name, mips in self.cores:
-            if not (mips > 0):
-                errs.append((f"cores.{name}", f"core {name}: MIPS must be > 0, got {mips}"))
+        for key, what, pairs in (("edges", "capacity", self.edges), ("cores", "MIPS", self.cores)):
+            errs += [(f"{key}.{name}", f"{key[:-1]} {name}: {what} must be > 0 and finite, "
+                                       f"got {value}") for name, value in pairs
+                     if not (0 < value < math.inf)]
         if not (self.buffer_pkts >= 1):
             errs.append(("buffer_pkts", f"buffer_pkts must be >= 1, got {self.buffer_pkts}"))
         ids = [("edges", e) for e, _ in self.edges] + [("cores", c) for c, _ in self.cores]
@@ -238,8 +235,8 @@ class AllocationVector:
                 continue
             if not np.all(np.isfinite(arr)):
                 errs.append((name, f"{name} has non-finite entries"))
-            elif arr.size and (arr.min() < -CAPACITY_TOL or arr.max() > 1 + CAPACITY_TOL):
-                errs.append((name, f"{name} entries must lie in [0,1]: {arr.tolist()}"))
+            else:
+                errs += _entry_violations(name, arr)
         InvariantViolation.check(errs)
 
     def stacked(self) -> np.ndarray:
@@ -261,13 +258,19 @@ class AllocationVector:
         return f"AllocationVector(flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
 
 
+def _entry_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
+    """[(name, message)] if an entry of shares lies outside [0, 1] by more
+    than CAPACITY_TOL, else []."""
+    if shares.size and (shares.min() < -CAPACITY_TOL or shares.max() > 1 + CAPACITY_TOL):
+        return [(name, f"{name} entries must lie in [0,1]")]
+    return []
+
+
 def capacity_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
     """(name, message) for each capacity bound a (slices, edges) "flows" or
     (slices, cores) "cpu" array breaks: entries in [0, 1] and column sums
     at most 1, within CAPACITY_TOL."""
-    errs = []
-    if shares.size and (shares.min() < -CAPACITY_TOL or shares.max() > 1 + CAPACITY_TOL):
-        errs.append((name, f"{name} entries must lie in [0,1]"))
+    errs = _entry_violations(name, shares)
     kind = "edge" if name == "flows" else "core"
     errs += [(name, f"{kind} {j} sum {s:.6g} > 1")
              for j, s in enumerate(shares.sum(axis=0)) if s > 1 + CAPACITY_TOL]
@@ -367,7 +370,6 @@ class QoeSample:
     throughput: float
     n_requests: int = 0
     raw_delays_ms: np.ndarray | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.raw_delays_ms is not None:
@@ -396,7 +398,6 @@ class QoeSample:
             self.delay_stat_ms == other.delay_stat_ms
             and self.throughput == other.throughput
             and self.n_requests == other.n_requests
-            and self.seed == other.seed
             and raw_eq
         )
 

@@ -65,13 +65,13 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
     return math.inf, tp, d_delay, d_tp
 
 
-def sim_evaluate_all(alloc, slices, topology, config, seed=None, statistic="max") -> dict:
+def sim_evaluate_all(alloc, slices, topology, config, seed, statistic="max") -> dict:
     """Simulate every slice at `alloc` and reduce, keeping the raw delays."""
     results = run_sim(slices, topology, alloc, config, seed=seed)
-    return summarize(results, statistic, seed=seed, keep_raw=True)
+    return summarize(results, statistic, keep_raw=True)
 
 
-def sim_evaluate(slice_id, alloc, slices, topology, config, seed=None, statistic="max",
+def sim_evaluate(slice_id, alloc, slices, topology, config, seed, statistic="max",
                  row=None, memo=None) -> QoeSample:
     """Simulate one slice alone (other slices cannot affect it) and reduce.
 
@@ -89,7 +89,7 @@ def sim_evaluate(slice_id, alloc, slices, topology, config, seed=None, statistic
         if key in memo:
             return memo[key]
     results = run_sim(slices, topology, alloc, config, seed=seed, only=(slice_id, row))
-    sample = summarize(results, statistic, seed=seed)[slice_id]
+    sample = summarize(results, statistic)[slice_id]
     if memo is not None:
         memo[key] = sample
     return sample

@@ -118,7 +118,14 @@ def _req(mapping, key, where):
     return mapping[key]
 
 
-_CASTS = {"float": float, "int": int, "str": str}
+def _int(value):
+    """int(value), refusing a bool or a number with a fractional part."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+_CASTS = {"float": float, "int": _int, "str": str}
 
 
 def _floats(value, where):
@@ -367,7 +374,7 @@ def reference_scenario() -> ScenarioConfig:
         slices=slices,
         topology=topology,
         initial_alloc=alloc,
-        sim=SimConfig(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1, seed=0),
+        sim=SimConfig(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1),
         osra=OsraConfig(
             eta=0.06, eta_schedule="constant", delta=0.02, probes=10,
             epsilon=0.05, max_iters=15, transfer_rule="algorithm1",

@@ -47,24 +47,22 @@ TIE_S = 1e-9
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run-level knobs: horizon/warmup (s), propagation (ms), default seed."""
+    """Run-level knobs: horizon/warmup (s) and propagation (ms)."""
 
     horizon_s: float = 10.0
     warmup_s: float = 1.0
     propagation_ms: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         errs = []
-        if not (self.horizon_s > 0):
-            errs.append(("horizon_s", f"horizon_s must be > 0, got {self.horizon_s}"))
+        if not (0 < self.horizon_s < math.inf):
+            errs.append(("horizon_s", f"horizon_s must be > 0 and finite, got {self.horizon_s}"))
         if not (0 <= self.warmup_s < self.horizon_s):
             errs.append(("warmup_s", f"need 0 <= warmup_s < horizon_s, "
                                      f"got {self.warmup_s} vs {self.horizon_s}"))
-        if self.propagation_ms < 0:
-            errs.append(("propagation_ms", "propagation_ms must be >= 0"))
-        if self.seed < 0:
-            errs.append(("seed", f"seed must be >= 0, got {self.seed}"))
+        if not (0 <= self.propagation_ms < math.inf):
+            errs.append(("propagation_ms",
+                         f"propagation_ms must be >= 0 and finite, got {self.propagation_ms}"))
         InvariantViolation.check(errs)
 
 
@@ -116,17 +114,11 @@ def _onoff_arrivals(model, horizon_s, rng):
     gap = model.intra_burst_gap_s()
     p = 1.0 / model.burst_len
     off_mean = model.off_time_ms / 1000.0
-    if off_mean == 0.0 and gap == 0.0:
-        raise SimulationError("on/off source with zero gap and zero off time cannot advance")
     # The source is one standard-exponential stream E: an optional leading
-    # off time, then per burst a geometric size ceil(-E / log1p(-p)) (how
-    # numpy draws geometric(p) for p < 1/3) and an off time off_mean * E.
-    # Draw E in bulk, then rewind and consume only the draws a per-burst
-    # loop would have made, so the packet sizes drawn next see its stream.
-    state = rng.bit_generator.state
+    # off time, then per burst a geometric size ceil(-E / log1p(-p)) (one
+    # packet when p is 1) and an off time off_mean * E, drawn in bulk.
     per_burst = 2 if off_mean > 0 else 1
     t = off_mean * rng.standard_exponential() if off_mean > 0 else 0.0
-    used = per_burst - 1
     starts, counts = [], []
     while t < horizon_s:
         m = int((horizon_s - t) / (model.burst_len * gap + off_mean) * 1.1) + 16
@@ -140,10 +132,7 @@ def _onoff_arrivals(model, horizon_s, rng):
         b = min(m, int(np.searchsorted(s, horizon_s)))
         starts.append(s[:b])
         counts.append(n[:b].astype(np.int64))
-        used += per_burst * b
         t = s[b]
-    rng.bit_generator.state = state
-    rng.standard_exponential(used)
     if not starts:
         return np.empty(0)
     starts = np.concatenate(starts)
@@ -333,7 +322,7 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
 
 
 def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConfig,
-            seed: int | None = None, only=None) -> dict:
+            seed: int, only=None) -> dict:
     """Simulate every slice at the given allocation.
 
     Returns {slice_id: SliceRunResult}. Identical inputs and seed give
@@ -343,8 +332,6 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     that row instead, which answers what-if queries without touching the
     joint allocation (slices are isolated, so no other slice could notice).
     """
-    if seed is None:
-        seed = config.seed
     results = {}
     for k, spec in enumerate(slices):
         if only is None:
@@ -409,11 +396,10 @@ def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     if p is None:
         return float(delays_ms.max() if statistic == "max" else delays_ms.mean())
     k = max(1, math.ceil(p / 100.0 * delays_ms.size))
-    return float(np.sort(delays_ms)[k - 1])
+    return float(np.partition(delays_ms, k - 1)[k - 1])
 
 
-def summarize(results: dict, statistic: str = "max", seed: int | None = None,
-              keep_raw: bool = False) -> dict:
+def summarize(results: dict, statistic: str = "max", keep_raw: bool = False) -> dict:
     """Collapse SliceRunResults into QoeSamples under the chosen statistic."""
     samples = {}
     for sid, r in results.items():
@@ -423,7 +409,6 @@ def summarize(results: dict, statistic: str = "max", seed: int | None = None,
             throughput=throughput,
             n_requests=r.offered,
             raw_delays_ms=r.delays_ms if keep_raw else None,
-            seed=seed,
         )
     return samples
 

@@ -56,7 +56,7 @@ def make_tiny_scenario(tau_new=3.0, rho_new=0.9, epsilon=0.05, max_iters=4,
         slices=slices,
         topology=topology,
         initial_alloc=alloc,
-        sim=SimConfig(horizon_s=horizon_s, warmup_s=0.1, propagation_ms=0.1, seed=0),
+        sim=SimConfig(horizon_s=horizon_s, warmup_s=0.1, propagation_ms=0.1),
         osra=OsraConfig(
             eta=eta, delta=0.05, probes=probes, epsilon=epsilon,
             max_iters=max_iters, transfer_rule=transfer_rule,

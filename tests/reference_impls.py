@@ -3,8 +3,8 @@
 Everything in this file is deliberately written from first principles and
 kept separate from the package under test: brute-force QP for the capped
 simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace,
-a scalar re-implementation of the transfer recursion, and the simulator's
-original per-packet link/server loop and per-burst on/off generator. Test expectations are
+a scalar re-implementation of the transfer recursion, the simulator's
+original per-packet link/server loop, and a per-burst on/off generator. Test expectations are
 frozen from these, never from the library.
 """
 import itertools
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from slicelab.simulator import TIE_S, SimulationError
+from slicelab.simulator import TIE_S
 
 
 def qp_capped_simplex(y):
@@ -103,8 +103,8 @@ def scalar_transfer_recursion(x1, xj, eta, steps):
     return hist
 
 
-# The simulator's original loops, kept unchanged as differential oracles for
-# its vectorized link/server stages and on/off generator.
+# Per-packet and per-burst loops, differential oracles for the simulator's
+# vectorized link/server stages and on/off generator.
 
 def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                   service_rate_ips, demand_mi, propagation_ms):
@@ -166,19 +166,21 @@ def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
 
 
 def loop_onoff_arrivals(model, horizon_s, rng):
+    """On/off arrivals one burst at a time, from one standard-exponential
+    stream E: a leading off time, then per burst a size ceil(-E / log1p(-p))
+    (one packet when p is 1) and an off time."""
     gap = model.intra_burst_gap_s()
     p = 1.0 / model.burst_len
     off_mean = model.off_time_ms / 1000.0
     starts = []
     counts = []
-    t = rng.exponential(off_mean) if off_mean > 0 else 0.0
+    t = off_mean * rng.standard_exponential() if off_mean > 0 else 0.0
     while t < horizon_s:
-        n = int(rng.geometric(p))
+        e = rng.standard_exponential()
+        n = math.ceil(-e / math.log1p(-p)) if p < 1.0 else 1
         starts.append(t)
         counts.append(n)
-        t += n * gap + (rng.exponential(off_mean) if off_mean > 0 else 0.0)
-        if off_mean == 0.0 and gap == 0.0:
-            raise SimulationError("on/off source with zero gap and zero off time cannot advance")
+        t += n * gap + (off_mean * rng.standard_exponential() if off_mean > 0 else 0.0)
     if not starts:
         return np.empty(0)
     starts = np.array(starts)

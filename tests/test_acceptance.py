@@ -216,7 +216,7 @@ def test_ac7_simulator_vs_queueing_theory():
                         buffer_pkts=10 ** 6)
     alloc = AllocationMatrix.from_rows(
         {"s": AllocationVector(np.array([1.0]), np.array([1.0]))})
-    cfg = SimConfig(horizon_s=30.0, warmup_s=3.0, propagation_ms=0.0, seed=0)
+    cfg = SimConfig(horizon_s=30.0, warmup_s=3.0, propagation_ms=0.0)
 
     mu_net, mu_srv = 1000.0, 3e8
     lines, ok = [], True

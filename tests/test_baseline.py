@@ -17,6 +17,7 @@ from slicelab import (
     audit_allocation,
     evaluate_baseline,
     reference_scenario,
+    run_sim,
     size_all,
 )
 from slicelab.baseline import mm1_demand, pool_audits
@@ -112,8 +113,7 @@ class TestAudit:
             "a": AllocationVector(np.array([0.5]), np.array([0.4])),
             "b": AllocationVector(np.array([0.3]), np.array([0.3])),
         })
-        self.cfg = SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1,
-                             seed=0)
+        self.cfg = SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1)
 
     def test_report_shape_and_ranges(self):
         report = audit_allocation(self.slices, self.topo, self.alloc,
@@ -142,6 +142,16 @@ class TestAudit:
             a, b = repooled[sid], pooled[sid]
             assert np.array_equal(a.delays_ms, b.delays_ms)
             assert replace(a, delays_ms=None) == replace(b, delays_ms=None)
+
+    def test_a_single_run_is_pooled_as_it_is(self):
+        run = run_sim(self.slices, self.topo, self.alloc, self.cfg, seed=0)
+        report = pool_audits(self.slices, [run])
+        for spec in self.slices:
+            audit, delays = report[spec.id], run[spec.id].delays_ms
+            assert audit.delays_ms is delays
+            # a plain float, as np.mean gave: audits pickle byte for byte
+            assert type(audit.violation_fraction) is float
+            assert audit.violation_fraction == float(np.mean(delays > spec.requirement.tau_ms))
 
     def test_deterministic(self):
         r1 = audit_allocation(self.slices, self.topo, self.alloc, self.cfg,
@@ -178,7 +188,7 @@ class TestEvaluateBaseline:
     def test_reference_scenario_sizes_strictly(self):
         sc = reference_scenario()
         cfg = SimConfig(horizon_s=2.0, warmup_s=0.2,
-                        propagation_ms=sc.sim.propagation_ms, seed=0)
+                        propagation_ms=sc.sim.propagation_ms)
         report, alloc, flags = evaluate_baseline(
             sc.slices, sc.topology, cfg, seeds=[0])
         assert set(flags.values()) == {False}

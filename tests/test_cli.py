@@ -1,6 +1,7 @@
 """Command-line harness: files written, schemas, exit codes."""
 import copy
 import csv
+import math
 from pathlib import Path
 
 import pytest
@@ -124,8 +125,22 @@ class TestValidate:
         (["topology"], "buffer_pkts", "many", "topology.buffer_pkts"),
         (["slices", 1, "traffic"], "mean_rate", -150.0, "slice 'slice2'.traffic.mean_rate"),
         (["osra"], "delta", 1e-20, "osra.delta"),
+        (["sim"], "horizon_s", math.inf, "sim.horizon_s"),
+        (["sim"], "propagation_ms", math.inf, "sim.propagation_ms"),
+        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": math.inf},
+         "slice 'slice1'.traffic.mean_rate"),
+        (["slices", 0, "traffic"], "burst_len", math.inf, "slice 'slice1'.traffic.burst_len"),
+        (["slices", 0, "traffic"], "off_time_ms", math.inf,
+         "slice 'slice1'.traffic.off_time_ms"),
+        (["slices", 0], "demand_mi", math.inf, "slice 'slice1'.demand_mi"),
+        (["topology", "edges"], "link", math.inf, "topology.edges.link"),
+        (["topology", "cores"], "core0", math.inf, "topology.cores.core0"),
+        (["topology"], "buffer_pkts", 2.5, "topology.buffer_pkts"),
+        (["osra"], "probes", True, "osra.probes"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
-            "buffer_pkts", "mean_rate", "delta"])
+            "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
+            "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
+            "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data
@@ -162,8 +177,9 @@ class TestValidate:
         (lambda d: d["initial_alloc"]["slice3"].update(cpu=[0.43]), "initial_alloc.slice3.cpu"),
         (lambda d: d["osra"].update(eta={"slice2": 0.05, "slice3": -0.1}),
          "osra.eta.slice3"),
+        (lambda d: d["sim"].update(seed=0), "sim"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
-            "negative-eta-in-map"])
+            "negative-eta-in-map", "sim-seed"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
         mutate(data)

@@ -241,9 +241,9 @@ class TestQoeSample:
             QoeSample(delay_stat_ms=1.0, throughput=1.5)
 
     def test_exact_equality(self):
-        a = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]), seed=7)
-        b = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]), seed=7)
-        c = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.1]), seed=7)
+        a = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]))
+        b = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]))
+        c = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.1]))
         assert a == b and a != c
 
 

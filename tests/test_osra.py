@@ -335,7 +335,7 @@ class TestFrozenSlices:
 
     def test_higher_priority_rows_never_move(self):
         slices, topology, alloc, osra = self.three_way_scenario()
-        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1, 0),
+        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1),
                        "new", osra, seed=1)
         want = alloc.row("prio")
         for tr in res.traces:
@@ -344,7 +344,7 @@ class TestFrozenSlices:
 
     def test_movable_rows_respect_the_leftover_budget(self):
         slices, topology, alloc, osra = self.three_way_scenario()
-        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1, 0),
+        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1),
                        "new", osra, seed=1)
         for tr in res.traces + (None,):
             m = res.final_alloc if tr is None else tr.alloc
@@ -363,7 +363,7 @@ class TestFrozenSlices:
             "donor": AllocationVector(np.array([0.3]), np.array([0.3])),
         })
         osra = dataclasses.replace(osra, eta=1.0, max_iters=1)
-        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1, 0),
+        res = run_osra(slices, topology, alloc, SimConfig(0.6, 0.1, 0.1),
                        "new", osra, seed=1)
         raw = alloc.row("donor").stacked() - res.traces[0].raw_deltas["donor"]
         assert res.iterations == 1 and np.all(raw < 0)

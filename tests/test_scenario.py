@@ -95,8 +95,7 @@ def scenarios(draw):
         initial_alloc=AllocationMatrix(tuple(ids), shares[:, :len(edges)],
                                        shares[:, len(edges):]),
         sim=SimConfig(horizon_s=horizon_s, warmup_s=draw(st.floats(0.0, 0.9)) * horizon_s,
-                      propagation_ms=draw(number(0.0, 5.0)),
-                      seed=draw(st.integers(0, 2**32 - 1))),
+                      propagation_ms=draw(number(0.0, 5.0))),
         osra=OsraConfig(
             eta=eta,
             eta_schedule=draw(st.sampled_from(["constant", "sqrt-decay"])),
