@@ -22,7 +22,7 @@ import numpy as np
 
 from .baseline import audit_allocation, pool_audits, size_all
 from .domain import InvariantViolation
-from .osra import run_osra
+from .osra import TRANSFER_RULES, run_osra
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output dir (default: $SLICELAB_OUT or ./slicelab-out)")
         p.add_argument("--seeds", type=parse_seeds, default=parse_seeds(seeds_default),
                        help=f"'0,1,2' or '0..9' (default {seeds_default})")
-        p.add_argument("--transfer-rule", choices=["algorithm1", "conservative"],
+        p.add_argument("--transfer-rule", choices=TRANSFER_RULES,
                        help="override the scenario's transfer rule")
         p.add_argument("--statistic", help="override the delay statistic (max, mean, pNN)")
         p.add_argument("--dry-run", action="store_true",

@@ -118,8 +118,8 @@ class TrafficModel:
                          f"<= size_max, got [{self.size_min}, {self.size_max}]"))
         if self.size_dist not in SIZE_DISTS:
             errs.append(("size_dist", f"unknown size_dist {self.size_dist!r}"))
-        if self.size_mean is not None and not (self.size_mean > 0):
-            errs.append(("size_mean", f"size_mean must be > 0, got {self.size_mean}"))
+        if self.size_mean is not None and not (0 < self.size_mean < math.inf):
+            errs.append(("size_mean", f"size_mean must be > 0 and finite, got {self.size_mean}"))
         InvariantViolation.check(errs)
 
     def mean_size_bytes(self) -> float:
@@ -159,8 +159,10 @@ class SliceSpec:
         if not self.id:
             errs.append(("id", "slice id must be non-empty"))
         for name in ("alpha_tau", "alpha_rho"):
-            if getattr(self, name) < 0:
-                errs.append((name, f"slice {self.id}: alpha weights must be >= 0"))
+            w = getattr(self, name)
+            if not (0 <= w < math.inf):
+                errs.append((name, f"slice {self.id}: alpha weights must be >= 0 and finite, "
+                                   f"got {name}={w}"))
         if not (0 < self.demand_mi < math.inf):
             errs.append(("demand_mi", f"slice {self.id}: demand_mi must be > 0 and finite, "
                                       f"got {self.demand_mi}"))

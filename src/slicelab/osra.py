@@ -7,9 +7,9 @@ the transfer pressure drops below a threshold.
 
 The per-donor transfer pressure couples both sides of the hand-off. For
 donor slice i (ordered after the new slice j by (priority_rank, id)) with
-step size eta_i(k):
+step size eta:
 
-    p_i = eta_i(k) * (grad pi_i(s_i) - grad pi_j(s_j))
+    p_i = eta * (grad pi_i(s_i) - grad pi_j(s_j))
 
 While j is the only one hurting, grad pi_i = 0 and -grad pi_j >= 0
 componentwise, so p_i >= 0: donors shed resources and j gains them. Once
@@ -24,10 +24,11 @@ to j, under one of two scalings:
   lose, in the raw gradient scale.
 * "algorithm1" (default): delta_i = p_i / ||grad pi_j||. The whole
   transfer field is normalized by the new slice's gradient norm, so the
-  grant magnitude is ~ sum_i eta_i regardless of how steep the penalty
-  cliffs are; approach speed is set by the step sizes alone. A vanishing
-  ||grad pi_j|| (below 1e-12) falls back to "conservative" for that step,
-  recorded in the trace as rule_used "conservative-fallback".
+  grant magnitude is ~ eta times the number of donors regardless of how
+  steep the penalty cliffs are; approach speed is set by the step size
+  alone. A vanishing ||grad pi_j|| (below 1e-12) falls back to
+  "conservative" for that step, recorded in the trace as rule_used
+  "conservative-fallback".
 
 Both scalings are exactly zero-sum per coordinate before projection. The
 stopping rule always reads the unscaled pressure: stop when
@@ -46,7 +47,6 @@ donor_gradients="probed" to pay for simulation there as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from .projection import project_columns
 from .simulator import SimConfig, percentile_of
 
 TRANSFER_RULES = ("algorithm1", "conservative")
-ETA_SCHEDULES = ("constant", "sqrt-decay")
 DONOR_GRADIENT_MODES = ("analytic", "probed")
 
 # below this, normalizing by the new slice's gradient is meaningless
@@ -73,13 +72,12 @@ class NonFiniteGradient(ValueError):
 class OsraConfig:
     """Tuning knobs for one reconfiguration run.
 
-    eta may be one float for every donor or a {slice_id: float} map that
-    must cover all donors. delta is the probe perturbation per coordinate,
-    probes the number of seeded simulator runs averaged per probe point.
+    eta is the one constant step size of every donor at every iteration.
+    delta is the probe perturbation per coordinate, probes the number of
+    seeded simulator runs averaged per probe point.
     """
 
-    eta: float | Mapping[str, float] = 0.05
-    eta_schedule: str = "constant"
+    eta: float = 0.05
     delta: float = 0.02
     probes: int = 10
     epsilon: float = 1e-3
@@ -93,11 +91,11 @@ class OsraConfig:
     def __post_init__(self):
         errs = []
         for name, allowed in (("transfer_rule", TRANSFER_RULES),
-                              ("eta_schedule", ETA_SCHEDULES),
                               ("donor_gradients", DONOR_GRADIENT_MODES)):
             if getattr(self, name) not in allowed:
                 errs.append((name, f"{name} must be one of {allowed}"))
-        for name, ok, bound in (("max_iters", self.max_iters >= 1, ">= 1"),
+        for name, ok, bound in (("eta", 0 <= self.eta < np.inf, ">= 0 and finite"),
+                                ("max_iters", self.max_iters >= 1, ">= 1"),
                                 ("epsilon", self.epsilon >= 0, ">= 0"),
                                 # at or below CAPACITY_TOL an entry's probe points may coincide
                                 ("delta", self.delta > CAPACITY_TOL, f"> {CAPACITY_TOL}"),
@@ -106,28 +104,11 @@ class OsraConfig:
                                 ("delay_ceiling_ms", self.delay_ceiling_ms > 0, "> 0")):
             if not ok:
                 errs.append((name, f"{name} must be {bound}, got {getattr(self, name)}"))
-        etas = self.eta.items() if isinstance(self.eta, Mapping) else [(None, self.eta)]
-        for sid, eta in etas:
-            if not (eta >= 0):
-                errs.append(("eta" if sid is None else f"eta.{sid}",
-                             f"eta must be >= 0, got {eta}"))
         try:
             percentile_of(self.statistic)
         except ValueError as e:
             errs.append(("statistic", str(e)))
         InvariantViolation.check(errs)
-
-    def missing_etas(self, donor_ids) -> list[str]:
-        """Donors an eta map leaves out; none for a scalar eta."""
-        if not isinstance(self.eta, Mapping):
-            return []
-        return [sid for sid in donor_ids if sid not in self.eta]
-
-    def eta_for(self, slice_id: str, k: int) -> float:
-        base = self.eta[slice_id] if isinstance(self.eta, Mapping) else self.eta
-        if self.eta_schedule == "sqrt-decay":
-            return base / np.sqrt(k + 1.0)
-        return base
 
 
 @dataclass(frozen=True)
@@ -162,7 +143,7 @@ def order_key(spec):
     return (spec.priority_rank, spec.id)
 
 
-def transfer_step(donor_grads: dict, new_grad: np.ndarray, etas: dict,
+def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
                   rule: str) -> tuple[np.ndarray, float, dict, np.ndarray, str]:
     """One transfer decision from already-evaluated gradients.
 
@@ -173,7 +154,7 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, etas: dict,
     """
     new_grad = np.asarray(new_grad, dtype=float)
     pressures = {
-        sid: etas[sid] * (np.asarray(g, dtype=float) - new_grad)
+        sid: eta * (np.asarray(g, dtype=float) - new_grad)
         for sid, g in donor_grads.items()
     }
     transfer = np.zeros_like(new_grad)
@@ -224,9 +205,6 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             f"new slice {new_slice_id!r} has no lower-priority slices to draw from")
     frozen_ids = [s.id for s in slices
                   if s.id != new_slice_id and order_key(s) < order_key(new)]
-    missing = config.missing_etas(s.id for s in donors)
-    if missing:
-        raise ValueError(f"eta map missing donor slices {missing}")
 
     models = {
         s.id: PenaltyModel.for_slice(s, config.penalty_exponent,
@@ -282,9 +260,8 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
                 raise NonFiniteGradient(
                     f"gradient of slice {sid!r} at iteration {k} is not finite: {g}")
 
-        etas = {s.id: config.eta_for(s.id, k) for s in donors}
         transfer, stop_metric, deltas, grant, rule_used = transfer_step(
-            {s.id: grads[s.id] for s in donors}, grads[new_slice_id], etas,
+            {s.id: grads[s.id] for s in donors}, grads[new_slice_id], config.eta,
             config.transfer_rule)
 
         traces.append(IterationTrace(

@@ -11,7 +11,6 @@ import dataclasses
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping
 
 import numpy as np
 import yaml
@@ -95,9 +94,6 @@ class ScenarioConfig:
                     errs.append((f"{where}.alpha_tau",
                                  f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
                                  f"lower-priority {d.id!r} ({d.alpha_tau})"))
-            missing = self.osra.missing_etas(d.id for d in donors)
-            if missing:
-                errs.append(("osra.eta", f"osra.eta map missing donor slices {missing}"))
         InvariantViolation.check(errs)
         return self
 
@@ -125,7 +121,14 @@ def _int(value):
     return int(value)
 
 
-_CASTS = {"float": float, "int": _int, "str": str}
+def _float(value):
+    """float(value), refusing a bool."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
+_CASTS = {"float": _float, "int": _int, "str": str}
 
 
 def _floats(value, where):
@@ -194,7 +197,7 @@ def _tau_from_yaml(value, where):
     if value is None or value == "unbounded":
         return UNBOUNDED
     try:
-        return float(value)
+        return _float(value)
     except (TypeError, ValueError):
         raise ScenarioError(
             f"{where}.tau_ms must be a number or \"unbounded\", got {value!r}") from None
@@ -202,18 +205,6 @@ def _tau_from_yaml(value, where):
 
 def _tau_to_yaml(tau_ms):
     return "unbounded" if math.isinf(tau_ms) else float(tau_ms)
-
-
-def _eta_from_yaml(value, where):
-    if isinstance(value, dict):
-        return {str(k): _cast("float", v, f"{where}.{k}") for k, v in value.items()}
-    return _cast("float", value, where)
-
-
-def _eta_to_yaml(eta):
-    if isinstance(eta, Mapping):
-        return {k: float(v) for k, v in eta.items()}
-    return float(eta)
 
 
 def _slice_from_dict(d) -> SliceSpec:
@@ -272,7 +263,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         topology=topology,
         initial_alloc=alloc,
         sim=_from_dict(SimConfig, data.get("sim", {}), "sim"),
-        osra=_from_dict(OsraConfig, data.get("osra", {}), "osra", eta=_eta_from_yaml),
+        osra=_from_dict(OsraConfig, data.get("osra", {}), "osra"),
         new_slice_id=str(_req(data, "new_slice", "scenario")),
     )
     return sc.validate()
@@ -302,7 +293,7 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
             for sid in sc.initial_alloc.slice_ids
         },
         "sim": _to_dict(sc.sim),
-        "osra": _to_dict(sc.osra, eta=_eta_to_yaml),
+        "osra": _to_dict(sc.osra),
     }
 
 
@@ -376,7 +367,7 @@ def reference_scenario() -> ScenarioConfig:
         initial_alloc=alloc,
         sim=SimConfig(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1),
         osra=OsraConfig(
-            eta=0.06, eta_schedule="constant", delta=0.02, probes=10,
+            eta=0.06, delta=0.02, probes=10,
             epsilon=0.05, max_iters=15, transfer_rule="algorithm1",
             statistic="p99", penalty_exponent=1, delay_ceiling_ms=250.0,
             donor_gradients="analytic",

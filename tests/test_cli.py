@@ -137,10 +137,21 @@ class TestValidate:
         (["topology", "cores"], "core0", math.inf, "topology.cores.core0"),
         (["topology"], "buffer_pkts", 2.5, "topology.buffer_pkts"),
         (["osra"], "probes", True, "osra.probes"),
+        (["slices", 0], "alpha_rho", math.nan, "slice 'slice1'.alpha_rho"),
+        (["slices", 0], "alpha_tau", math.inf, "slice 'slice1'.alpha_tau"),
+        (["slices", 1], "rho", True, "slice 'slice2'.rho"),
+        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": 200.0,
+                                    "size_dist": "exponential", "size_mean": math.inf},
+         "slice 'slice1'.traffic.size_mean"),
+        (["slices", 1], "tau_ms", True, "slice 'slice2'.tau_ms"),
+        (["osra"], "eta", True, "osra.eta"),
+        (["osra"], "eta", math.inf, "osra.eta"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
             "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
             "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
-            "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool"])
+            "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool", "alpha_rho-nan",
+            "alpha_tau-inf", "rho-bool", "size_mean-inf", "tau_ms-bool", "eta-bool",
+            "eta-inf"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data
@@ -175,11 +186,14 @@ class TestValidate:
         (lambda d: d["initial_alloc"]["slice1"].update(flows=[0.04, 0.1]),
          "initial_alloc.slice1.flows"),
         (lambda d: d["initial_alloc"]["slice3"].update(cpu=[0.43]), "initial_alloc.slice3.cpu"),
-        (lambda d: d["osra"].update(eta={"slice2": 0.05, "slice3": -0.1}),
-         "osra.eta.slice3"),
+        (lambda d: d["osra"].update(eta={"slice2": 0.05, "slice3": -0.1}), "osra.eta"),
         (lambda d: d["sim"].update(seed=0), "sim"),
+        (lambda d: d["osra"].update(eta={"slice2": 0.04, "slice3": 0.08}),
+         "osra.eta must be float"),
+        (lambda d: d["osra"].update(eta_schedule="constant"),
+         "unknown key(s) ['eta_schedule'] in osra"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
-            "negative-eta-in-map", "sim-seed"])
+            "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
         mutate(data)

@@ -44,7 +44,7 @@ def run(sc: ScenarioConfig, seed=0, **kw):
 class TestTransferStep:
     def test_conservative_hand_case(self):
         transfer, stop, deltas, grant, used = transfer_step(
-            {"a": np.array([2.0])}, np.array([-1.0]), {"a": 0.1}, "conservative")
+            {"a": np.array([2.0])}, np.array([-1.0]), 0.1, "conservative")
         assert transfer == pytest.approx([0.3])
         assert stop == pytest.approx(0.3)
         assert deltas["a"] == pytest.approx([0.3])
@@ -53,7 +53,7 @@ class TestTransferStep:
 
     def test_algorithm1_normalizes_the_whole_field(self):
         transfer, stop, deltas, grant, used = transfer_step(
-            {"a": np.array([2.0])}, np.array([-2.0]), {"a": 0.1}, "algorithm1")
+            {"a": np.array([2.0])}, np.array([-2.0]), 0.1, "algorithm1")
         # pressure 0.1*(2-(-2)) = 0.4; |g_j| = 2
         assert stop == pytest.approx(0.4)      # stop metric stays unscaled
         assert deltas["a"] == pytest.approx([0.2])
@@ -62,7 +62,7 @@ class TestTransferStep:
 
     def test_zero_new_gradient_falls_back(self):
         _, _, deltas, grant, used = transfer_step(
-            {"a": np.array([1.0])}, np.array([0.0]), {"a": 0.1}, "algorithm1")
+            {"a": np.array([1.0])}, np.array([0.0]), 0.1, "algorithm1")
         assert used == "conservative-fallback"
         assert deltas["a"] == pytest.approx([0.1])
         assert grant == pytest.approx([0.1])
@@ -70,27 +70,18 @@ class TestTransferStep:
     def test_tiny_but_nonzero_gradient_still_normalizes(self):
         g = np.array([10 * ZERO_GRADIENT_NORM])
         _, _, _, _, used = transfer_step({"a": np.array([1.0])}, g,
-                                         {"a": 0.1}, "algorithm1")
+                                         0.1, "algorithm1")
         assert used == "algorithm1"
 
     def test_grant_equals_withdrawals_under_both_rules(self):
         rng = np.random.default_rng(0)
         for rule in ("conservative", "algorithm1"):
             donors = {f"d{i}": rng.normal(size=3) for i in range(4)}
-            etas = {f"d{i}": float(rng.uniform(0.01, 0.2)) for i in range(4)}
+            eta = float(rng.uniform(0.01, 0.2))
             gj = rng.normal(size=3)
-            _, _, deltas, grant, _ = transfer_step(donors, gj, etas, rule)
+            _, _, deltas, grant, _ = transfer_step(donors, gj, eta, rule)
             total = sum(deltas.values())
             assert np.max(np.abs(total - grant)) <= 1e-12
-
-    def test_per_donor_step_sizes(self):
-        donors = {"a": np.array([1.0]), "b": np.array([1.0])}
-        etas = {"a": 0.1, "b": 0.3}
-        transfer, _, deltas, _, _ = transfer_step(donors, np.array([0.0]),
-                                                  etas, "conservative")
-        assert deltas["a"] == pytest.approx([0.1])
-        assert deltas["b"] == pytest.approx([0.3])
-        assert transfer == pytest.approx([0.4])
 
 
 class TestScalarRecursion:
@@ -106,7 +97,7 @@ class TestScalarRecursion:
             g1 = np.array([2.0 * (x1 - 0.3)])
             gj = np.array([-2.0 * max(0.0, 0.6 - xj)])
             _, _, deltas, grant, _ = transfer_step(
-                {"donor": g1}, gj, {"donor": eta}, "conservative")
+                {"donor": g1}, gj, eta, "conservative")
             raw = np.array([x1 - deltas["donor"][0], xj + grant[0]])
             proj = project_capped_simplex(raw)
             x1, xj = float(proj[0]), float(proj[1])
@@ -252,12 +243,6 @@ class TestRunOsra:
             run(make_tiny_scenario(epsilon=0.0))
         assert issubclass(NonFiniteGradient, ValueError)
 
-    def test_eta_map_must_cover_donors(self):
-        sc = make_tiny_scenario()
-        bad = OsraConfig(eta={"someone-else": 0.1}, probes=2, max_iters=2)
-        with pytest.raises(ValueError, match="eta map missing"):
-            run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
-                     "new", bad)
 
 
 class TestProbeMemo:
@@ -390,10 +375,6 @@ class TestOsraConfig:
         with pytest.raises(ValueError, match="transfer_rule"):
             OsraConfig(transfer_rule="both")
 
-    def test_bad_schedule(self):
-        with pytest.raises(ValueError, match="eta_schedule"):
-            OsraConfig(eta_schedule="linear")
-
     def test_bad_donor_mode(self):
         with pytest.raises(ValueError, match="donor_gradients"):
             OsraConfig(donor_gradients="neural")
@@ -414,19 +395,10 @@ class TestOsraConfig:
         with pytest.raises(ValueError, match=f"{field} must be"):
             OsraConfig(**{field: value})
 
-    @pytest.mark.parametrize("eta, field", [(-0.1, "eta"), ({"a": 0.1, "b": -0.1}, "eta.b"),
-                                            (float("nan"), "eta")])
+    @pytest.mark.parametrize("eta, field", [(-0.1, "eta"), (float("nan"), "eta"),
+                                            (float("inf"), "eta")])
     def test_negative_step_size_names_its_donor(self, eta, field):
         OsraConfig(eta=0.0)  # allowed: nothing moves
-        with pytest.raises(InvariantViolation, match="eta must be >= 0") as exc:
+        with pytest.raises(InvariantViolation, match="eta must be >= 0 and finite") as exc:
             OsraConfig(eta=eta)
         assert [f for f, _ in exc.value.violations] == [field]
-
-    def test_sqrt_decay_schedule(self):
-        c = OsraConfig(eta=0.2, eta_schedule="sqrt-decay")
-        assert c.eta_for("x", 0) == pytest.approx(0.2)
-        assert c.eta_for("x", 3) == pytest.approx(0.1)
-
-    def test_eta_map_lookup(self):
-        c = OsraConfig(eta={"a": 0.1, "b": 0.2})
-        assert c.eta_for("b", 0) == pytest.approx(0.2)

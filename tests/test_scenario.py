@@ -3,7 +3,6 @@ import copy
 import math
 import re
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -86,8 +85,6 @@ def scenarios(draw):
                                       max_size=n * dim)), (n, dim))
     shares /= np.maximum(shares.sum(axis=0), 1.0)
     horizon_s = draw(number(0.5, 100.0))
-    eta = draw(number(0.0, 1.0)
-               | st.fixed_dictionaries({d: number(0.0, 1.0) for d in ids[1:]}))
     return ScenarioConfig(
         name=draw(st.text("abcxyz_019", min_size=1, max_size=8)),
         slices=slices,
@@ -97,8 +94,7 @@ def scenarios(draw):
         sim=SimConfig(horizon_s=horizon_s, warmup_s=draw(st.floats(0.0, 0.9)) * horizon_s,
                       propagation_ms=draw(number(0.0, 5.0))),
         osra=OsraConfig(
-            eta=eta,
-            eta_schedule=draw(st.sampled_from(["constant", "sqrt-decay"])),
+            eta=draw(number(0.0, 1.0)),
             delta=draw(st.floats(1e-4, 0.5)), probes=draw(st.integers(1, 20)),
             epsilon=draw(number(0.0, 10.0)), max_iters=draw(st.integers(1, 50)),
             transfer_rule=draw(st.sampled_from(["algorithm1", "conservative"])),
@@ -168,15 +164,6 @@ class TestRoundTrip:
         data["slices"][2]["tau_ms"] = None
         sc = scenario_from_dict(data)
         assert not sc.slices[2].requirement.bounded
-
-    def test_eta_map_round_trips(self, tmp_path):
-        data = ref_dict()
-        data["osra"]["eta"] = {"slice2": 0.04, "slice3": 0.08}
-        sc = scenario_from_dict(data)
-        p = tmp_path / "m.yaml"
-        save_scenario(sc, p)
-        rt = load_scenario(p)
-        assert rt.osra.eta == {"slice2": 0.04, "slice3": 0.08}
 
 
 class TestGeneratedRoundTrip:
@@ -285,24 +272,6 @@ class TestCrossCuttingInvariants:
         with pytest.raises(InvariantViolation,
                            match="alpha_rho of new slice"):
             scenario_from_dict(data)
-
-    def test_eta_map_must_cover_donors(self):
-        data = ref_dict()
-        data["osra"]["eta"] = {"slice2": 0.05}
-        with pytest.raises(InvariantViolation,
-                           match=r"eta map missing donor slices \['slice3'\]"):
-            scenario_from_dict(data)
-
-    def test_read_only_eta_map(self):
-        # any Mapping is an eta map: checked against the donors, and written out
-        sc = reference_scenario()
-        with pytest.raises(InvariantViolation,
-                           match=r"eta map missing donor slices \['slice3'\]"):
-            with_overrides(sc, eta=MappingProxyType({"slice2": 0.05}))
-        full = with_overrides(sc, eta=MappingProxyType({"slice2": 0.04, "slice3": 0.08}))
-        data = scenario_to_dict(full)
-        assert data["osra"]["eta"] == {"slice2": 0.04, "slice3": 0.08}
-        assert scenario_from_dict(data).osra.eta == full.osra.eta
 
     def test_bad_statistic(self):
         data = ref_dict()
