@@ -6,9 +6,10 @@ Two kinds:
   Delay is the sum of per-stage mean sojourns in ms; a saturated stage
   (lambda >= mu) marks the delay unbounded and caps throughput at
   mu_bottleneck/lambda. Exact, seed-free, and differentiable.
-* Simulated: `sim_evaluate` and `sim_evaluate_all` run the event simulator
-  and reduce raw delays under the configured statistic. Stochastic but
-  fully reproducible per seed; `sim_evaluate` can memoize its samples.
+* Simulated: `sim_evaluate_all` (every slice, through `run_sim`) and
+  `sim_evaluate` (one slice at one row, through `simulate_slice`) reduce raw
+  delays under the configured statistic. Stochastic but fully reproducible
+  per seed; `sim_evaluate` can memoize its samples.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .domain import AllocationVector, QoeSample, SliceSpec, Topology
-from .simulator import run_sim, stage_rates, summarize
+from .simulator import run_sim, simulate_slice, stage_rates, summarize
 
 
 def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology):
@@ -71,25 +72,23 @@ def sim_evaluate_all(alloc, slices, topology, config, seed, statistic="max") -> 
     return summarize(results, statistic, keep_raw=True)
 
 
-def sim_evaluate(slice_id, alloc, slices, topology, config, seed, statistic="max",
-                 row=None, memo=None) -> QoeSample:
-    """Simulate one slice alone (other slices cannot affect it) and reduce.
+def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
+                 memo=None) -> QoeSample:
+    """Simulate one slice at allocation row `row` alone and reduce.
 
-    `row` evaluates the slice at a what-if allocation row (probing) while
-    the joint allocation stays untouched. `memo`, a dict, keeps each sample
-    under the simulator's exact inputs (slice, link rates, server rate,
-    seed), so a probe that repeats one already made is not simulated again.
-    Share one memo only between calls with the same config and statistic.
+    Slices never share a queue, so no other slice could notice, and a what-if
+    row (a probe) needs no allocation matrix. `memo`, a dict, keeps each
+    sample under the simulator's exact inputs (slice, link rates, server
+    rate, seed), so a probe that repeats one already made is not simulated
+    again. Share one memo only between calls with the same config and statistic.
     """
-    if row is None:
-        row = alloc.row(slice_id)
-    if memo is not None:
-        link_rates, srv_rate = stage_rates(row, topology)
-        key = (slice_id, link_rates.tobytes(), srv_rate, seed)
-        if key in memo:
-            return memo[key]
-    results = run_sim(slices, topology, alloc, config, seed=seed, only=(slice_id, row))
-    sample = summarize(results, statistic)[slice_id]
+    link_rates, cpu_rate = stage_rates(row, topology)
+    key = (slice_id, link_rates.tobytes(), cpu_rate, seed)
+    if memo is not None and key in memo:
+        return memo[key]
+    index = {s.id: k for k, s in enumerate(slices)}[slice_id]
+    result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config, seed)
+    sample = summarize({slice_id: result}, statistic)[slice_id]
     if memo is not None:
         memo[key] = sample
     return sample

@@ -223,9 +223,8 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         memo = {}  # one gradient's samples: a repeated probe is simulated once
 
         def _eval(point: AllocationVector, probe_seed: int) -> QoeSample:
-            return sim_evaluate(slice_id, alloc, slices, topology, sim_config,
-                                seed=probe_seed, statistic=config.statistic,
-                                row=point, memo=memo)
+            return sim_evaluate(slice_id, point, slices, topology, sim_config,
+                                seed=probe_seed, statistic=config.statistic, memo=memo)
         return _eval
 
     alloc = initial_alloc

@@ -321,54 +321,51 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
     return row.flows * topology.edge_bps(), math.fsum(row.cpu * topology.core_mips())
 
 
+def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topology,
+                   config: SimConfig, seed: int) -> SliceRunResult:
+    """Simulate one slice at the given stage rates (see `stage_rates`).
+
+    Its traffic comes from its own stream slice_rng(seed, index), index being
+    its position among the slices, so no other slice's presence shifts it.
+    """
+    arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, slice_rng(seed, index))
+    delays, served = simulate_pipeline(
+        arrivals, sizes, link_rates, topology.buffer_pkts,
+        cpu_rate, spec.demand_mi, config.propagation_ms,
+    )
+    # arrivals are sorted, so the post-warmup requests are a suffix
+    w = int(arrivals.searchsorted(config.warmup_s))
+    tail = served[w:]
+    offered = arrivals.size - w
+    success = int(np.count_nonzero(tail))
+    dropped = tail.size - success
+    if delays.size != success + np.count_nonzero(served[:w]):
+        raise SimulationError(
+            f"slice {spec.id}: {delays.size} delays for "
+            f"{np.count_nonzero(served)} served requests")
+    if success + dropped != offered:
+        raise SimulationError(
+            f"slice {spec.id}: {success} served plus {dropped} dropped "
+            f"after warmup, but {offered} offered")
+    return SliceRunResult(
+        delays_ms=delays[delays.size - success:],
+        offered=offered,
+        success=success,
+        dropped=dropped,
+    )
+
+
 def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConfig,
-            seed: int, only=None) -> dict:
-    """Simulate every slice at the given allocation.
+            seed: int) -> dict:
+    """Simulate every slice at its row of the given allocation.
 
     Returns {slice_id: SliceRunResult}. Identical inputs and seed give
-    identical results; each slice draws from its own seeded stream, so a
-    slice's traffic does not depend on which other slices are simulated.
-    only, a (slice_id, AllocationVector) pair, simulates that one slice at
-    that row instead, which answers what-if queries without touching the
-    joint allocation (slices are isolated, so no other slice could notice).
+    identical results.
     """
     results = {}
     for k, spec in enumerate(slices):
-        if only is None:
-            row = alloc.row(spec.id)
-        elif spec.id == only[0]:
-            row = only[1]
-        else:
-            continue
-        rng = slice_rng(seed, k)
-        arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, rng)
-        link_rates, cpu_rate = stage_rates(row, topology)
-        delays, served = simulate_pipeline(
-            arrivals, sizes, link_rates, topology.buffer_pkts,
-            cpu_rate, spec.demand_mi, config.propagation_ms,
-        )
-        # arrivals are sorted, so the post-warmup requests are a suffix
-        w = int(arrivals.searchsorted(config.warmup_s))
-        tail = served[w:]
-        offered = arrivals.size - w
-        success = int(np.count_nonzero(tail))
-        dropped = tail.size - success
-        if delays.size != success + np.count_nonzero(served[:w]):
-            raise SimulationError(
-                f"slice {spec.id}: {delays.size} delays for "
-                f"{np.count_nonzero(served)} served requests")
-        if success + dropped != offered:
-            raise SimulationError(
-                f"slice {spec.id}: {success} served plus {dropped} dropped "
-                f"after warmup, but {offered} offered")
-        results[spec.id] = SliceRunResult(
-            delays_ms=delays[delays.size - success:],
-            offered=offered,
-            success=success,
-            dropped=dropped,
-        )
-        # free this slice's arrays before the next slice makes its own
-        del arrivals, sizes, served, tail
+        link_rates, cpu_rate = stage_rates(alloc.row(spec.id), topology)
+        results[spec.id] = simulate_slice(spec, k, link_rates, cpu_rate, topology, config, seed)
     return results
 
 

@@ -1,4 +1,5 @@
 """Analytic queueing oracle and the simulator-backed oracle functions."""
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from slicelab import (
     Topology,
     TrafficModel,
 )
-from slicelab import oracle
+from slicelab import oracle, simulator
 from slicelab.oracle import (
     analytic_parts,
     derive_seed,
@@ -114,48 +115,64 @@ class TestOracles:
     def test_sim_oracle_deterministic(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        at = lambda seed: sim_evaluate("s", alloc, [spec], topo, cfg, seed=seed)
+        at = lambda seed: sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=seed)
         assert at(5) == at(5)
         assert at(5) != at(6)
 
     def test_statistic_changes_the_reduction(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        mx = sim_evaluate("s", alloc, [spec], topo, cfg, seed=5, statistic="max")
-        mean = sim_evaluate("s", alloc, [spec], topo, cfg, seed=5, statistic="mean")
+        mx = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, statistic="max")
+        mean = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, statistic="mean")
         assert mx.delay_stat_ms > mean.delay_stat_ms
 
     def test_row_argument_probes_without_moving_the_matrix(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         probe = AllocationVector(np.array([0.9]), np.array([0.9]))
-        got = sim_evaluate("s", alloc, [spec], topo, cfg, seed=5, row=probe)
-        direct = sim_evaluate("s", AllocationMatrix.from_rows({"s": probe}),
-                              [spec], topo, cfg, seed=5)
-        assert got == direct
+        got = sim_evaluate("s", probe, [spec], topo, cfg, seed=5)
+        direct = sim_evaluate_all(AllocationMatrix.from_rows({"s": probe}),
+                                  [spec], topo, cfg, seed=5)["s"]
+        assert got == dataclasses.replace(direct, raw_delays_ms=None)
+        assert got != sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5)
 
     def test_memo_answers_a_repeated_probe_without_simulating(self, monkeypatch):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         seeds = []
-        real = oracle.run_sim
-        monkeypatch.setattr(oracle, "run_sim",
-                            lambda *a, **k: seeds.append(k["seed"]) or real(*a, **k))
+        real = oracle.simulate_slice
+        monkeypatch.setattr(oracle, "simulate_slice",
+                            lambda *a: seeds.append(a[-1]) or real(*a))
         memo = {}
-        at = lambda seed, row=None: sim_evaluate("s", alloc, [spec], topo, cfg, seed=seed,
-                                                 row=row, memo=memo)
+        at = lambda seed, row=alloc.row("s"): sim_evaluate("s", row, [spec], topo, cfg,
+                                                          seed=seed, memo=memo)
         first = at(5)
         assert at(5) is first
         at(6)
         at(5, AllocationVector(np.array([0.21]), np.array([0.3])))
         assert seeds == [5, 6, 5]
-        assert first == sim_evaluate("s", alloc, [spec], topo, cfg, seed=5)
+        assert first == sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5)
+
+    def test_one_stage_rates_call_per_miss_and_per_hit(self, monkeypatch):
+        # the memo key and the simulated rates come from one computation
+        spec, topo, alloc = self.scenario()
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        calls = []
+        real = simulator.stage_rates
+        counted = lambda *a: calls.append(a) or real(*a)
+        monkeypatch.setattr(oracle, "stage_rates", counted)
+        monkeypatch.setattr(simulator, "stage_rates", counted)
+        memo = {}
+        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, memo=memo)
+        assert len(calls) == 1
+        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, memo=memo)
+        assert len(calls) == 2
 
     def test_unknown_slice_names_it(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         with pytest.raises(KeyError, match="'nope'"):
-            sim_evaluate("nope", alloc, [spec], topo, cfg, seed=5)
+            sim_evaluate("nope", alloc.row("s"), [spec], topo, cfg, seed=5)
 
     def test_analytic_oracle_interface(self):
         spec, topo, alloc = self.scenario()
@@ -170,7 +187,7 @@ class TestOracles:
         samples = sim_evaluate_all(alloc, [spec], topo, cfg, seed=4)
         assert samples["s"].raw_delays_ms is not None
         assert samples["s"].raw_delays_ms.size > 0
-        one = sim_evaluate("s", alloc, [spec], topo, cfg, seed=4)
+        one = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=4)
         assert samples["s"].delay_stat_ms == one.delay_stat_ms
 
 

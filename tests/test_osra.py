@@ -262,7 +262,7 @@ class TestProbeMemo:
     def test_four_simulations_per_repetition(self, monkeypatch):
         # edge -/+ and core -/+: core0 +/- delta is core1 +/- delta
         sc = self.scenario()
-        calls = {"run_sim": 0, "sim_evaluate": 0}
+        calls = {"run_sim": 0, "simulate_slice": 0, "sim_evaluate": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -273,12 +273,14 @@ class TestProbeMemo:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(oracle, "run_sim")
+        counted(oracle, "simulate_slice")
         counted(osra, "sim_evaluate")
         res = run(sc)
         gradients = len(res.traces)
         assert calls["sim_evaluate"] == gradients * 2 * 3 * sc.osra.probes
+        assert calls["simulate_slice"] == gradients * 4 * sc.osra.probes
         # one monitoring run per iteration besides the probes
-        assert calls["run_sim"] == gradients * (1 + 4 * sc.osra.probes)
+        assert calls["run_sim"] == gradients
 
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep

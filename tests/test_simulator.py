@@ -27,6 +27,7 @@ from slicelab.simulator import (
     generate_traffic,
     run_sim,
     simulate_pipeline,
+    simulate_slice,
     slice_rng,
     stage_rates,
     summarize,
@@ -514,21 +515,28 @@ class TestRunSim:
             "t": AllocationVector(np.array([0.1]), np.array([0.4])),
         })
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        paired = run_sim([s1, s2], topo, both, cfg, seed=6)["s"]
-        only = run_sim([s1, s2], topo, both, cfg, seed=6, only=("s", both.row("s")))
-        assert list(only) == ["s"]
-        only = only["s"]
-        assert np.array_equal(paired.delays_ms, only.delays_ms)
+        paired = run_sim([s1, s2], topo, both, cfg, seed=6)
+        alone = run_sim([s1], topo, AllocationMatrix.from_rows({"s": both.row("s")}),
+                        cfg, seed=6)["s"]
+        assert np.array_equal(paired["s"].delays_ms, alone.delays_ms)
+        # one slice simulated by its index draws the stream it draws among all
+        for k, spec in enumerate([s1, s2]):
+            one = simulate_slice(spec, k, *stage_rates(both.row(spec.id), topo), topo, cfg, 6)
+            assert np.array_equal(one.delays_ms, paired[spec.id].delays_ms)
+            assert one.offered == paired[spec.id].offered
+        assert not np.array_equal(paired["s"].delays_ms, paired["t"].delays_ms)
 
     def test_row_override_answers_what_if(self):
         spec = one_slice()
         topo, alloc = self.topo_alloc(f=0.05)
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         asked = AllocationVector(np.array([0.2]), np.array([0.5]))
-        via_override = run_sim([spec], topo, alloc, cfg, seed=7, only=("s", asked))["s"]
+        what_if = simulate_slice(spec, 0, *stage_rates(asked, topo), topo, cfg, 7)
         direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
                          cfg, seed=7)["s"]
-        assert np.array_equal(via_override.delays_ms, direct.delays_ms)
+        assert np.array_equal(what_if.delays_ms, direct.delays_ms)
+        at_alloc = run_sim([spec], topo, alloc, cfg, seed=7)["s"]
+        assert not np.array_equal(what_if.delays_ms, at_alloc.delays_ms)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["poisson", "bursty-onoff"]),
