@@ -5,10 +5,11 @@
     slicelab validate --scenario file.yaml
 
 With no --scenario the built-in reference scenario is used. --out falls
-back to $SLICELAB_OUT, then ./slicelab-out. Seeds are a comma list
-("0,3,17") or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a
-scenario that does not parse or validate (the message names the offending
-key). All CSV schemas are documented in the README.
+back to $SLICELAB_OUT, then ./slicelab-out. Seeds are non-negative
+integers, a comma list ("0,3,17") or an inclusive range ("0..9"). Exit
+codes: 0 success, 2 for a scenario that does not parse or validate (the
+message names the offending key) or for bad --seeds. All CSV schemas are
+documented in the README.
 """
 from __future__ import annotations
 
@@ -42,13 +43,17 @@ def parse_seeds(text: str) -> list[int]:
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"seeds must be like '0,1,2' or '0..9', got {text!r}")
+        seeds = list(range(lo, hi + 1))
+    else:
+        try:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        except ValueError:
+            seeds = []
+        if not seeds:
+            raise argparse.ArgumentTypeError(
+                f"seeds must be like '0,1,2' or '0..9', got {text!r}")
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {text!r}")
     return seeds
 
 

@@ -95,6 +95,9 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
 
 
 def derive_seed(*parts) -> int:
-    """Deterministic, platform-stable seed from a tuple of integers."""
-    ss = np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
+    """Deterministic, platform-stable seed from a tuple of non-negative integers.
+
+    Distinct tuples give distinct entropy: no part is folded modulo 2**32.
+    """
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])

@@ -101,7 +101,8 @@ class OsraConfig:
                                 ("delta", self.delta > CAPACITY_TOL, f"> {CAPACITY_TOL}"),
                                 ("probes", self.probes >= 1, ">= 1"),
                                 ("penalty_exponent", self.penalty_exponent in (1, 2), "1 or 2"),
-                                ("delay_ceiling_ms", self.delay_ceiling_ms > 0, "> 0")):
+                                ("delay_ceiling_ms", 0 < self.delay_ceiling_ms < np.inf,
+                                 "> 0 and finite")):
             if not ok:
                 errs.append((name, f"{name} must be {bound}, got {getattr(self, name)}"))
         try:

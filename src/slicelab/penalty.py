@@ -56,10 +56,12 @@ class PenaltyModel:
         if self.exponent not in (1, 2):
             errs.append(("exponent", f"exponent must be 1 or 2, got {self.exponent}"))
         for name in ("alpha_tau", "alpha_rho"):
-            if getattr(self, name) < 0:
-                errs.append((name, "alpha weights must be >= 0"))
-        if not (self.delay_ceiling_ms > 0):
-            errs.append(("delay_ceiling_ms", "delay_ceiling_ms must be > 0"))
+            w = getattr(self, name)
+            if not (0 <= w < math.inf):
+                errs.append((name, f"alpha weights must be >= 0 and finite, got {name}={w}"))
+        if not (0 < self.delay_ceiling_ms < math.inf):
+            errs.append(("delay_ceiling_ms", f"delay_ceiling_ms must be > 0 and finite, "
+                                             f"got {self.delay_ceiling_ms}"))
         InvariantViolation.check(errs)
 
     @classmethod

@@ -81,6 +81,20 @@ class TestParseSeeds:
         with pytest.raises(argparse.ArgumentTypeError, match="seeds must be"):
             parse_seeds(",")
 
+    @pytest.mark.parametrize("text", ["-1", "0,-2", "-3..2", "-5..-1"])
+    def test_negative_seed_rejected(self, text):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError, match="seeds must be non-negative"):
+            parse_seeds(text)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=-3..2"])
+    def test_negative_seed_exits_2(self, tiny_yaml, tmp_path, capsys, command, seeds):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(tiny_yaml), "--out", str(tmp_path), seeds])
+        assert exc.value.code == 2
+        assert "--seeds: seeds must be non-negative" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_empty_seed_list_exits_2(self, tiny_yaml, tmp_path, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -146,12 +160,13 @@ class TestValidate:
         (["slices", 1], "tau_ms", True, "slice 'slice2'.tau_ms"),
         (["osra"], "eta", True, "osra.eta"),
         (["osra"], "eta", math.inf, "osra.eta"),
+        (["osra"], "delay_ceiling_ms", math.inf, "osra.delay_ceiling_ms"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
             "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
             "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
             "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool", "alpha_rho-nan",
             "alpha_tau-inf", "rho-bool", "size_mean-inf", "tau_ms-bool", "eta-bool",
-            "eta-inf"])
+            "eta-inf", "delay_ceiling_ms-inf"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data

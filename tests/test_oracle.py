@@ -197,6 +197,12 @@ class TestSeedDerivation:
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0, 1) != derive_seed(1, 0)
 
+    def test_parts_are_not_folded_modulo_2_32(self):
+        assert derive_seed(2**32, 1) != derive_seed(0, 1)
+        # every part below 2**32 keeps the seed it always had
+        assert derive_seed(2**32 - 1, 9001, 3) == 1527336926
+        assert derive_seed(0, 7001, 0) == 51449577
+
     def test_fits_in_uint64(self):
         s = derive_seed(123456789, 987654321, 42)
         assert 0 <= s < 2 ** 64

@@ -392,7 +392,7 @@ class TestOsraConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("delta", 0.0), ("delta", 1e-20), ("probes", 0), ("penalty_exponent", 3),
-        ("delay_ceiling_ms", 0.0)])
+        ("delay_ceiling_ms", 0.0), ("delay_ceiling_ms", float("inf"))])
     def test_probe_and_penalty_knobs_checked(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             OsraConfig(**{field: value})

@@ -8,6 +8,7 @@ from slicelab import (
     UNBOUNDED,
     AllocationVector,
     DegenerateDelta,
+    InvariantViolation,
     ProbeMemory,
     QoeRequirement,
     SliceSpec,
@@ -72,6 +73,17 @@ class TestPenaltyValues:
     def test_exponent_validation(self):
         with pytest.raises(ValueError, match="exponent"):
             model(p=3)
+
+    def test_nonfinite_weights_name_both_fields(self):
+        with pytest.raises(InvariantViolation) as exc:
+            PenaltyModel(QoeRequirement(5.0, 0.9), math.nan, math.inf)
+        assert [field for field, _ in exc.value.violations] == ["alpha_tau", "alpha_rho"]
+        assert "alpha_tau=nan" in str(exc.value) and "alpha_rho=inf" in str(exc.value)
+
+    @pytest.mark.parametrize("ceiling", [0.0, -1.0, math.inf, math.nan])
+    def test_delay_ceiling_positive_and_finite(self, ceiling):
+        with pytest.raises(InvariantViolation, match="delay_ceiling_ms must be > 0 and finite"):
+            model(ceiling=ceiling)
 
     def test_for_slice_copies_everything(self):
         spec = SliceSpec(
