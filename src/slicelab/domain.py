@@ -9,6 +9,7 @@ concerns; the checks that span a whole scenario live in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,6 +40,39 @@ class InvariantViolation(ValueError):
         """Raise one InvariantViolation listing `violations`, if there are any."""
         if violations:
             raise cls(violations)
+
+
+def _whole(value) -> bool:
+    """An int or an integer-valued float; not a bool, inf, NaN or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
+
+
+def as_int(value) -> int:
+    """int(value), refusing anything but a whole number."""
+    if not _whole(value):
+        raise ValueError(value)
+    return int(value)
+
+
+def whole_fields(obj, *names) -> list:
+    """Replace each named field of frozen dataclass `obj` by `as_int` of it;
+    the (field, message) of every one that is not a whole number."""
+    errs = []
+    for name in names:
+        try:
+            object.__setattr__(obj, name, as_int(getattr(obj, name)))
+        except ValueError:
+            errs.append((name, f"{name} must be a whole number, got {getattr(obj, name)!r}"))
+    return errs
+
+
+def as_seed(value) -> int:
+    """A seed as numpy takes it: a whole number >= 0."""
+    if not (_whole(value) and value >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
+    return int(value)
 
 
 def _ro_array(values, dtype=float):
@@ -113,6 +147,7 @@ class TrafficModel:
                         "mean_rate exceeds the burst envelope: need "
                         f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
                         f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
+        errs += whole_fields(self, "size_min", "size_max")
         if not (1 <= self.size_min <= self.size_max):
             errs.append(("size_min" if self.size_min < 1 else "size_max", "need 1 <= size_min "
                          f"<= size_max, got [{self.size_min}, {self.size_max}]"))
@@ -193,6 +228,7 @@ class Topology:
             errs += [(f"{key}.{name}", f"{key[:-1]} {name}: {what} must be > 0 and finite, "
                                        f"got {value}") for name, value in pairs
                      if not (0 < value < math.inf)]
+        errs += whole_fields(self, "buffer_pkts")
         if not (self.buffer_pkts >= 1):
             errs.append(("buffer_pkts", f"buffer_pkts must be >= 1, got {self.buffer_pkts}"))
         ids = [("edges", e) for e, _ in self.edges] + [("cores", c) for c, _ in self.cores]

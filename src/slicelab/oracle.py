@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .domain import AllocationVector, QoeSample, SliceSpec, Topology
+from .domain import AllocationVector, QoeSample, SliceSpec, Topology, as_seed
 from .simulator import run_sim, simulate_slice, stage_rates, summarize
 
 
@@ -98,6 +98,7 @@ def derive_seed(*parts) -> int:
     """Deterministic, platform-stable seed from a tuple of non-negative integers.
 
     Distinct tuples give distinct entropy: no part is folded modulo 2**32.
+    A negative, bool or fractional part raises ValueError naming it.
     """
-    ss = np.random.SeedSequence([int(p) for p in parts])
+    ss = np.random.SeedSequence([as_seed(p) for p in parts])
     return int(ss.generate_state(1, np.uint32)[0])

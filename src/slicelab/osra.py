@@ -40,9 +40,9 @@ slice are then projected jointly, column by column, onto
 {x >= 0, sum(x) <= 1 - frozen mass}.
 
 The new slice's gradient is probed from the simulator by central
-differences (no model exists for a slice that never ran); donor gradients
-default to the closed-form stationary model, or set
-donor_gradients="probed" to pay for simulation there as well.
+differences (no model exists for a slice that never ran); every donor's
+gradient comes from the closed-form stationary M/M/1 model of the slice
+it already runs.
 """
 from __future__ import annotations
 
@@ -51,14 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (CAPACITY_TOL, AllocationMatrix, AllocationVector, InvariantViolation,
-                     QoeSample, Topology, capacity_violations)
+                     QoeSample, Topology, capacity_violations, whole_fields)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
 from .simulator import SimConfig, percentile_of
 
 TRANSFER_RULES = ("algorithm1", "conservative")
-DONOR_GRADIENT_MODES = ("analytic", "probed")
 
 # below this, normalizing by the new slice's gradient is meaningless
 ZERO_GRADIENT_NORM = 1e-12
@@ -86,19 +85,18 @@ class OsraConfig:
     statistic: str = "max"
     penalty_exponent: int = 2
     delay_ceiling_ms: float = 1e4
-    donor_gradients: str = "analytic"
 
     def __post_init__(self):
         errs = []
-        for name, allowed in (("transfer_rule", TRANSFER_RULES),
-                              ("donor_gradients", DONOR_GRADIENT_MODES)):
-            if getattr(self, name) not in allowed:
-                errs.append((name, f"{name} must be one of {allowed}"))
+        if self.transfer_rule not in TRANSFER_RULES:
+            errs.append(("transfer_rule", f"transfer_rule must be one of {TRANSFER_RULES}"))
+        errs += whole_fields(self, "max_iters", "probes", "penalty_exponent")
         for name, ok, bound in (("eta", 0 <= self.eta < np.inf, ">= 0 and finite"),
                                 ("max_iters", self.max_iters >= 1, ">= 1"),
                                 ("epsilon", self.epsilon >= 0, ">= 0"),
                                 # at or below CAPACITY_TOL an entry's probe points may coincide
-                                ("delta", self.delta > CAPACITY_TOL, f"> {CAPACITY_TOL}"),
+                                ("delta", CAPACITY_TOL < self.delta < np.inf,
+                                 f"> {CAPACITY_TOL} and finite"),
                                 ("probes", self.probes >= 1, ">= 1"),
                                 ("penalty_exponent", self.penalty_exponent in (1, 2), "1 or 2"),
                                 ("delay_ceiling_ms", 0 < self.delay_ceiling_ms < np.inf,
@@ -142,6 +140,11 @@ class OsraResult:
 def order_key(spec):
     """Total priority order: rank first, ties broken by id."""
     return (spec.priority_rank, spec.id)
+
+
+def donors_of(slices, new) -> tuple:
+    """The slices ordered after `new`, the ones it may draw resources from."""
+    return tuple(s for s in slices if order_key(s) > order_key(new))
 
 
 def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
@@ -200,12 +203,10 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     if new_slice_id not in by_id:
         raise KeyError(f"new slice {new_slice_id!r} not in scenario")
     new = by_id[new_slice_id]
-    donors = tuple(s for s in slices if order_key(s) > order_key(new))
+    donors = donors_of(slices, new)
     if not donors:
         raise ValueError(
             f"new slice {new_slice_id!r} has no lower-priority slices to draw from")
-    frozen_ids = [s.id for s in slices
-                  if s.id != new_slice_id and order_key(s) < order_key(new)]
 
     models = {
         s.id: PenaltyModel.for_slice(s, config.penalty_exponent,
@@ -217,14 +218,14 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     # frozen higher-priority rows take their share; columns are the edges,
     # then the cores, as in every gradient
     group = [initial_alloc.index(s.id) for s in donors] + [initial_alloc.index(new_slice_id)]
-    fro = [initial_alloc.index(sid) for sid in frozen_ids]
+    fro = [initial_alloc.index(s.id) for s in slices if order_key(s) < order_key(new)]
     budgets = 1.0 - initial_alloc.stacked()[fro].sum(axis=0)
 
-    def point_oracle(slice_id):
+    def probe_oracle():
         memo = {}  # one gradient's samples: a repeated probe is simulated once
 
         def _eval(point: AllocationVector, probe_seed: int) -> QoeSample:
-            return sim_evaluate(slice_id, point, slices, topology, sim_config,
+            return sim_evaluate(new_slice_id, point, slices, topology, sim_config,
                                 seed=probe_seed, statistic=config.statistic, memo=memo)
         return _eval
 
@@ -241,19 +242,13 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
 
         grads = {
             new_slice_id: probed_gradient(
-                models[new_slice_id], point_oracle(new_slice_id),
-                alloc.row(new_slice_id), config.delta, config.probes,
-                seed_base=derive_seed(seed, 7001, k), memory=memory)
+                models[new_slice_id], probe_oracle(), alloc.row(new_slice_id),
+                config.delta, config.probes, seed_base=derive_seed(seed, 7001, k),
+                memory=memory)
         }
-        for di, spec in enumerate(donors):
-            if config.donor_gradients == "analytic":
-                grads[spec.id] = analytic_gradient(
-                    models[spec.id], spec, alloc.row(spec.id), topology)
-            else:
-                grads[spec.id] = probed_gradient(
-                    models[spec.id], point_oracle(spec.id), alloc.row(spec.id),
-                    config.delta, config.probes,
-                    seed_base=derive_seed(seed, 7101, k, di), memory=memory)
+        for spec in donors:
+            grads[spec.id] = analytic_gradient(models[spec.id], spec, alloc.row(spec.id),
+                                               topology)
 
         for sid, g in grads.items():
             if not np.isfinite(g).all():

@@ -24,8 +24,9 @@ from .domain import (
     Topology,
     TrafficModel,
     UNBOUNDED,
+    as_int,
 )
-from .osra import OsraConfig, order_key
+from .osra import OsraConfig, donors_of
 from .simulator import SimConfig
 
 
@@ -46,19 +47,12 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(self.slices))
 
-    def slice_by_id(self, slice_id: str) -> SliceSpec:
-        for s in self.slices:
-            if s.id == slice_id:
-                return s
-        raise KeyError(f"unknown slice id {slice_id!r}")
-
     @property
     def new_slice(self) -> SliceSpec:
-        return self.slice_by_id(self.new_slice_id)
+        return {s.id: s for s in self.slices}[self.new_slice_id]
 
     def donors(self) -> tuple:
-        me = self.new_slice
-        return tuple(s for s in self.slices if order_key(s) > order_key(me))
+        return donors_of(self.slices, self.new_slice)
 
     def validate(self) -> "ScenarioConfig":
         """Every cross-cutting invariant; raises listing all failures, each by its key."""
@@ -114,13 +108,6 @@ def _req(mapping, key, where):
     return mapping[key]
 
 
-def _int(value):
-    """int(value), refusing a bool or a number with a fractional part."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(value)
-    return int(value)
-
-
 def _float(value):
     """float(value), refusing a bool."""
     if isinstance(value, bool):
@@ -128,7 +115,7 @@ def _float(value):
     return float(value)
 
 
-_CASTS = {"float": _float, "int": _int, "str": str}
+_CASTS = {"float": _float, "int": as_int, "str": str}
 
 
 def _floats(value, where):
@@ -370,7 +357,6 @@ def reference_scenario() -> ScenarioConfig:
             eta=0.06, delta=0.02, probes=10,
             epsilon=0.05, max_iters=15, transfer_rule="algorithm1",
             statistic="p99", penalty_exponent=1, delay_ceiling_ms=250.0,
-            donor_gradients="analytic",
         ),
         new_slice_id="slice1",
     )

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationMatrix, InvariantViolation, QoeSample, Topology, TrafficModel
+from .domain import (AllocationMatrix, InvariantViolation, QoeSample, Topology, TrafficModel,
+                     as_seed)
 
 
 class SimulationError(RuntimeError):
@@ -77,7 +78,7 @@ class SliceRunResult:
 
 
 def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(slice_index)]))
+    return np.random.default_rng(np.random.SeedSequence([as_seed(seed), int(slice_index)]))
 
 
 def generate_traffic(model: TrafficModel, horizon_s: float, rng) -> tuple[np.ndarray, np.ndarray]:

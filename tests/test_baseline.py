@@ -126,6 +126,11 @@ class TestAudit:
             assert audit.delays_ms.size == audit.success
             assert not audit.empty
 
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_seed_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
+            audit_allocation(self.slices, self.topo, self.alloc, self.cfg, seeds=[0, bad])
+
     def test_pooling_over_seeds(self):
         single = {s: audit_allocation(self.slices, self.topo, self.alloc,
                                       self.cfg, seeds=[s]) for s in (0, 1)}

@@ -161,12 +161,15 @@ class TestValidate:
         (["osra"], "eta", True, "osra.eta"),
         (["osra"], "eta", math.inf, "osra.eta"),
         (["osra"], "delay_ceiling_ms", math.inf, "osra.delay_ceiling_ms"),
+        (["osra"], "delta", math.inf, "osra.delta"),
+        (["osra"], "probes", "3", "osra.probes"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
             "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
             "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
             "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool", "alpha_rho-nan",
             "alpha_tau-inf", "rho-bool", "size_mean-inf", "tau_ms-bool", "eta-bool",
-            "eta-inf", "delay_ceiling_ms-inf"])
+            "eta-inf", "delay_ceiling_ms-inf", "delta-inf",
+            "probes-string"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data
@@ -207,8 +210,10 @@ class TestValidate:
          "osra.eta must be float"),
         (lambda d: d["osra"].update(eta_schedule="constant"),
          "unknown key(s) ['eta_schedule'] in osra"),
+        (lambda d: d["osra"].update(donor_gradients="probed"),
+         "unknown key(s) ['donor_gradients'] in osra"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
-            "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule"])
+            "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule", "donor_gradients"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
         mutate(data)

@@ -92,6 +92,13 @@ class TestTrafficModel:
         with pytest.raises(InvariantViolation, match="size_min"):
             TrafficModel(kind="poisson", mean_rate=10.0, size_min=100, size_max=50)
 
+    @pytest.mark.parametrize("field, value", [("size_min", 20.5), ("size_max", 100.5),
+                                              ("size_max", True)])
+    def test_sizes_are_whole_numbers(self, field, value):
+        with pytest.raises(InvariantViolation, match=f"{field} must be a whole number") as exc:
+            TrafficModel(kind="poisson", mean_rate=10.0, **{field: value})
+        assert exc.value.violations[0][0] == field
+
 
 class TestSliceSpec:
     def test_negative_alpha(self):
@@ -140,6 +147,14 @@ class TestTopology:
     def test_buffer_floor(self):
         with pytest.raises(InvariantViolation, match="buffer_pkts"):
             Topology(edges=(("e", 10.0),), cores=(("c", 1e8),), buffer_pkts=0)
+
+    @pytest.mark.parametrize("buffer_pkts", [2.5, True])
+    def test_buffer_is_a_whole_number(self, buffer_pkts):
+        with pytest.raises(InvariantViolation, match="buffer_pkts must be a whole number") as exc:
+            Topology(edges=(("e", 10.0),), cores=(("c", 1e8),), buffer_pkts=buffer_pkts)
+        assert [field for field, _ in exc.value.violations] == ["buffer_pkts"]
+        assert Topology(edges=(("e", 10.0),), cores=(("c", 1e8),),
+                        buffer_pkts=np.int64(4)).buffer_pkts == 4
 
 
 class TestAllocationVector:

@@ -206,3 +206,11 @@ class TestSeedDerivation:
     def test_fits_in_uint64(self):
         s = derive_seed(123456789, 987654321, 42)
         assert 0 <= s < 2 ** 64
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True])
+    def test_bad_part_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
+            derive_seed(bad, 9001, 0)
+
+    def test_numpy_integers_are_seeds(self):
+        assert derive_seed(np.int64(3), np.uint32(1)) == derive_seed(3, 1)

@@ -201,20 +201,10 @@ class TestRunOsra:
         assert hist[-1] < hist[0]
         assert res.final_alloc.row("new").flows[0] > sc.initial_alloc.row("new").flows[0]
 
-    def test_probed_donor_gradients_mode(self):
-        sc = make_tiny_scenario(max_iters=2, epsilon=0.0, tau_new=0.05)
-        sc = ScenarioConfig(
-            name=sc.name, slices=sc.slices, topology=sc.topology,
-            initial_alloc=sc.initial_alloc, sim=sc.sim,
-            osra=OsraConfig(
-                eta=sc.osra.eta, delta=sc.osra.delta, probes=2,
-                epsilon=0.0, max_iters=2, transfer_rule="algorithm1",
-                statistic="mean", donor_gradients="probed",
-                delay_ceiling_ms=1e3),
-            new_slice_id="new")
-        res = run(sc)
-        assert len(res.traces) == 2
-        assert "donor" in res.traces[0].gradients
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_seed_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
+            run(make_tiny_scenario(), seed=bad)
 
     def test_no_donors_is_an_error(self):
         sc = make_tiny_scenario()
@@ -377,10 +367,6 @@ class TestOsraConfig:
         with pytest.raises(ValueError, match="transfer_rule"):
             OsraConfig(transfer_rule="both")
 
-    def test_bad_donor_mode(self):
-        with pytest.raises(ValueError, match="donor_gradients"):
-            OsraConfig(donor_gradients="neural")
-
     def test_nonnegative_epsilon(self):
         OsraConfig(epsilon=0.0)  # explicitly allowed: cap-only runs
         with pytest.raises(ValueError, match="epsilon"):
@@ -391,8 +377,10 @@ class TestOsraConfig:
             OsraConfig(max_iters=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("delta", 0.0), ("delta", 1e-20), ("probes", 0), ("penalty_exponent", 3),
-        ("delay_ceiling_ms", 0.0), ("delay_ceiling_ms", float("inf"))])
+        ("delta", 0.0), ("delta", 1e-20), ("delta", float("inf")), ("probes", 0),
+        ("probes", 2.5), ("probes", True), ("max_iters", 2.5), ("penalty_exponent", 3),
+        ("penalty_exponent", True), ("delay_ceiling_ms", 0.0),
+        ("delay_ceiling_ms", float("inf"))])
     def test_probe_and_penalty_knobs_checked(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             OsraConfig(**{field: value})

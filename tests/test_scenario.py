@@ -100,8 +100,7 @@ def scenarios(draw):
             transfer_rule=draw(st.sampled_from(["algorithm1", "conservative"])),
             statistic=draw(st.sampled_from(["max", "mean", "p50", "p99", "p99.9"])),
             penalty_exponent=draw(st.sampled_from([1, 2])),
-            delay_ceiling_ms=draw(number(1.0, 1e5)),
-            donor_gradients=draw(st.sampled_from(["analytic", "probed"]))),
+            delay_ceiling_ms=draw(number(1.0, 1e5))),
         new_slice_id="s0",
     ).validate()
 

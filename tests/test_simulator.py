@@ -422,6 +422,13 @@ class TestRunSim:
         assert res.offered == res.success + res.dropped
         assert res.delays_ms.size == res.success
 
+    @pytest.mark.parametrize("bad", [-1, 1.5])
+    def test_bad_seed_is_named(self, bad):
+        topo, alloc = self.topo_alloc()
+        with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
+            run_sim([one_slice()], topo, alloc, SimConfig(horizon_s=1.0, warmup_s=0.1),
+                    seed=bad)
+
     @pytest.mark.parametrize("fault", ["one delay too few", "one request too many"])
     def test_accounting_that_loses_a_request_names_the_slice(self, monkeypatch, fault):
         pipeline = simulator.simulate_pipeline
