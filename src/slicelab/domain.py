@@ -4,10 +4,14 @@ allocations, and measured QoE samples.
 All types are immutable values that check their own bounds at
 construction and report every violation at once, each with the field it
 concerns; the checks that span a whole scenario live in
-`ScenarioConfig.validate`.
+`ScenarioConfig.validate`. Every numeric field obeys one rule,
+`interval_violations`: the value is a real number, not a bool, inside
+the field's interval, written as in the message it reports
+(`horizon_s must be in (0, inf), got 'x'`).
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,11 +46,16 @@ class InvariantViolation(ValueError):
             raise cls(violations)
 
 
+def _real(value) -> bool:
+    """A real number (numpy scalars included), not a bool."""
+    if isinstance(value, (float, int)):  # cheaper than the numbers.Real lookup
+        return not isinstance(value, bool)
+    return isinstance(value, numbers.Real)
+
+
 def _whole(value) -> bool:
     """An int or an integer-valued float; not a bool, inf, NaN or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
+    return _real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def as_int(value) -> int:
@@ -56,15 +65,35 @@ def as_int(value) -> int:
     return int(value)
 
 
-def whole_fields(obj, *names) -> list:
-    """Replace each named field of frozen dataclass `obj` by `as_int` of it;
-    the (field, message) of every one that is not a whole number."""
+@functools.lru_cache(maxsize=None)
+def _bounds(interval: str) -> tuple:
+    """(lo, hi, lo_open, hi_open) of interval notation such as "(0, inf]"."""
+    lo, hi = interval[1:-1].split(",")
+    return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"
+
+
+def interval_violations(field, value, interval, where="", whole=False) -> list:
+    """[(field, message)] if `value` is not a real number (a whole one if
+    `whole`; never a bool) inside `interval`, written like "(0, inf]";
+    else []. `where` prefixes the message."""
+    if (_whole if whole else _real)(value):
+        lo, hi, lo_open, hi_open = _bounds(interval)
+        if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
+            return []
+    kind = "a whole number in" if whole else "in"
+    return [(field, f"{where}{field} must be {kind} {interval}, got {value!r}")]
+
+
+def whole_fields(obj, *names, interval="(-inf, inf)", where="") -> list:
+    """Replace each named field of frozen dataclass `obj` by its int; the
+    (field, message) of every one that is not a whole number in `interval`."""
     errs = []
     for name in names:
-        try:
-            object.__setattr__(obj, name, as_int(getattr(obj, name)))
-        except ValueError:
-            errs.append((name, f"{name} must be a whole number, got {getattr(obj, name)!r}"))
+        value = getattr(obj, name)
+        bad = interval_violations(name, value, interval, where, whole=True)
+        if not bad:
+            object.__setattr__(obj, name, int(value))
+        errs += bad
     return errs
 
 
@@ -92,12 +121,8 @@ class QoeRequirement:
     rho: float
 
     def __post_init__(self):
-        errs = []
-        if not (self.tau_ms > 0):
-            errs.append(("tau_ms", f"tau must be > 0 or unbounded, got {self.tau_ms}"))
-        if not (0.0 <= self.rho <= 1.0):
-            errs.append(("rho", f"rho out of [0,1]: {self.rho}"))
-        InvariantViolation.check(errs)
+        InvariantViolation.check(interval_violations("tau_ms", self.tau_ms, "(0, inf]")
+                                 + interval_violations("rho", self.rho, "[0, 1]"))
 
     @property
     def bounded(self) -> bool:
@@ -125,36 +150,31 @@ class TrafficModel:
     size_mean: float | None = None   # exponential only; defaults to midpoint
 
     def __post_init__(self):
-        errs = []
+        errs = interval_violations("mean_rate", self.mean_rate, "(0, inf)")
         if self.kind not in TRAFFIC_KINDS:
             errs.append(("kind", f"unknown traffic kind {self.kind!r}"))
-        rate_ok = 0 < self.mean_rate < math.inf
-        if not rate_ok:
-            errs.append(("mean_rate", f"mean_rate must be > 0 and finite, got {self.mean_rate}"))
-        if self.kind == "bursty-onoff":
-            burst_ok = self.burst_len is not None and 1 <= self.burst_len < math.inf
-            off_ok = self.off_time_ms is not None and 0 <= self.off_time_ms < math.inf
-            if not burst_ok:
-                errs.append(("burst_len", "burst_len must be >= 1 and finite for "
-                                          f"bursty-onoff, got {self.burst_len}"))
-            if not off_ok:
-                errs.append(("off_time_ms",
-                             f"off_time_ms must be >= 0 and finite, got {self.off_time_ms}"))
-            if rate_ok and burst_ok and off_ok:
-                gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
-                if gap < -1e-12:
-                    errs.append(("mean_rate",
-                        "mean_rate exceeds the burst envelope: need "
-                        f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
-                        f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
-        errs += whole_fields(self, "size_min", "size_max")
-        if not (1 <= self.size_min <= self.size_max):
-            errs.append(("size_min" if self.size_min < 1 else "size_max", "need 1 <= size_min "
-                         f"<= size_max, got [{self.size_min}, {self.size_max}]"))
+        bursty = self.kind == "bursty-onoff"
+        on_off = []
+        for name, interval in (("burst_len", "[1, inf)"), ("off_time_ms", "[0, inf)")):
+            if bursty or getattr(self, name) is not None:
+                on_off += interval_violations(name, getattr(self, name), interval)
+        if bursty and not (errs or on_off):
+            gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
+            if gap < -1e-12:
+                on_off.append(("mean_rate",
+                    "mean_rate exceeds the burst envelope: need "
+                    f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
+                    f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
+        errs += on_off
+        sizes = whole_fields(self, "size_min", "size_max", interval="[1, inf)")
+        if not sizes and self.size_min > self.size_max:
+            sizes.append(("size_max", "need size_min <= size_max, "
+                                      f"got [{self.size_min}, {self.size_max}]"))
+        errs += sizes
         if self.size_dist not in SIZE_DISTS:
             errs.append(("size_dist", f"unknown size_dist {self.size_dist!r}"))
-        if self.size_mean is not None and not (0 < self.size_mean < math.inf):
-            errs.append(("size_mean", f"size_mean must be > 0 and finite, got {self.size_mean}"))
+        if self.size_mean is not None:
+            errs += interval_violations("size_mean", self.size_mean, "(0, inf)")
         InvariantViolation.check(errs)
 
     def mean_size_bytes(self) -> float:
@@ -190,17 +210,12 @@ class SliceSpec:
     priority_rank: int
 
     def __post_init__(self):
-        errs = []
-        if not self.id:
-            errs.append(("id", "slice id must be non-empty"))
-        for name in ("alpha_tau", "alpha_rho"):
-            w = getattr(self, name)
-            if not (0 <= w < math.inf):
-                errs.append((name, f"slice {self.id}: alpha weights must be >= 0 and finite, "
-                                   f"got {name}={w}"))
-        if not (0 < self.demand_mi < math.inf):
-            errs.append(("demand_mi", f"slice {self.id}: demand_mi must be > 0 and finite, "
-                                      f"got {self.demand_mi}"))
+        errs = [] if self.id else [("id", "slice id must be non-empty")]
+        where = f"slice {self.id}: "
+        for name, interval in (("alpha_tau", "[0, inf)"), ("alpha_rho", "[0, inf)"),
+                               ("demand_mi", "(0, inf)")):
+            errs += interval_violations(name, getattr(self, name), interval, where)
+        errs += whole_fields(self, "priority_rank", where=where)
         InvariantViolation.check(errs)
 
 
@@ -217,20 +232,15 @@ class Topology:
     buffer_pkts: int = 100
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((str(e), float(c)) for e, c in self.edges))
-        object.__setattr__(self, "cores", tuple((str(c), float(m)) for c, m in self.cores))
         errs = []
-        if not self.edges:
-            errs.append(("edges", "topology needs at least one edge"))
-        if not self.cores:
-            errs.append(("cores", "topology needs at least one core"))
-        for key, what, pairs in (("edges", "capacity", self.edges), ("cores", "MIPS", self.cores)):
-            errs += [(f"{key}.{name}", f"{key[:-1]} {name}: {what} must be > 0 and finite, "
-                                       f"got {value}") for name, value in pairs
-                     if not (0 < value < math.inf)]
-        errs += whole_fields(self, "buffer_pkts")
-        if not (self.buffer_pkts >= 1):
-            errs.append(("buffer_pkts", f"buffer_pkts must be >= 1, got {self.buffer_pkts}"))
+        for key in ("edges", "cores"):
+            pairs = tuple((str(i), c) for i, c in getattr(self, key))
+            if not pairs:
+                errs.append((key, f"topology needs at least one {key[:-1]}"))
+            bad = [e for i, c in pairs for e in interval_violations(f"{key}.{i}", c, "(0, inf)")]
+            object.__setattr__(self, key, pairs if bad else tuple((i, float(c)) for i, c in pairs))
+            errs += bad
+        errs += whole_fields(self, "buffer_pkts", interval="[1, inf)")
         ids = [("edges", e) for e, _ in self.edges] + [("cores", c) for c, _ in self.cores]
         for i, (key, name) in enumerate(ids):
             if any(name == seen for _, seen in ids[:i]):
@@ -412,15 +422,10 @@ class QoeSample:
     def __post_init__(self):
         if self.raw_delays_ms is not None:
             object.__setattr__(self, "raw_delays_ms", _ro_array(self.raw_delays_ms))
-        errs = []
-        if math.isnan(self.delay_stat_ms) or self.delay_stat_ms < 0:
-            errs.append(("delay_stat_ms",
-                         f"delay_stat_ms must be >= 0 (inf allowed), got {self.delay_stat_ms}"))
-        if not (0.0 <= self.throughput <= 1.0):
-            errs.append(("throughput", f"throughput out of [0,1]: {self.throughput}"))
-        if self.n_requests < 0:
-            errs.append(("n_requests", f"n_requests must be >= 0, got {self.n_requests}"))
-        InvariantViolation.check(errs)
+        InvariantViolation.check(
+            interval_violations("delay_stat_ms", self.delay_stat_ms, "[0, inf]")
+            + interval_violations("throughput", self.throughput, "[0, 1]")
+            + interval_violations("n_requests", self.n_requests, "[0, inf)"))
 
     def __eq__(self, other):
         if not isinstance(other, QoeSample):

@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (CAPACITY_TOL, AllocationMatrix, AllocationVector, InvariantViolation,
-                     QoeSample, Topology, capacity_violations, whole_fields)
+                     QoeSample, Topology, capacity_violations, interval_violations,
+                     whole_fields)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
 from .projection import project_columns
@@ -90,19 +91,17 @@ class OsraConfig:
         errs = []
         if self.transfer_rule not in TRANSFER_RULES:
             errs.append(("transfer_rule", f"transfer_rule must be one of {TRANSFER_RULES}"))
-        errs += whole_fields(self, "max_iters", "probes", "penalty_exponent")
-        for name, ok, bound in (("eta", 0 <= self.eta < np.inf, ">= 0 and finite"),
-                                ("max_iters", self.max_iters >= 1, ">= 1"),
-                                ("epsilon", self.epsilon >= 0, ">= 0"),
-                                # at or below CAPACITY_TOL an entry's probe points may coincide
-                                ("delta", CAPACITY_TOL < self.delta < np.inf,
-                                 f"> {CAPACITY_TOL} and finite"),
-                                ("probes", self.probes >= 1, ">= 1"),
-                                ("penalty_exponent", self.penalty_exponent in (1, 2), "1 or 2"),
-                                ("delay_ceiling_ms", 0 < self.delay_ceiling_ms < np.inf,
-                                 "> 0 and finite")):
-            if not ok:
-                errs.append((name, f"{name} must be {bound}, got {getattr(self, name)}"))
+        errs += whole_fields(self, "max_iters", "probes", interval="[1, inf)")
+        exponent = whole_fields(self, "penalty_exponent")
+        if not exponent and self.penalty_exponent not in (1, 2):
+            exponent.append(("penalty_exponent",
+                             f"penalty_exponent must be 1 or 2, got {self.penalty_exponent}"))
+        errs += exponent
+        for name, interval in (("eta", "[0, inf)"), ("epsilon", "[0, inf)"),
+                               # at or below CAPACITY_TOL an entry's probe points may coincide
+                               ("delta", f"({CAPACITY_TOL}, inf)"),
+                               ("delay_ceiling_ms", "(0, inf)")):
+            errs += interval_violations(name, getattr(self, name), interval)
         try:
             percentile_of(self.statistic)
         except ValueError as e:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (AllocationVector, InvariantViolation, QoeRequirement, QoeSample,
-                     SliceSpec, Topology)
+                     SliceSpec, Topology, interval_violations, whole_fields)
 from .oracle import analytic_parts, derive_seed
 
 
@@ -52,16 +52,12 @@ class PenaltyModel:
     delay_ceiling_ms: float = 1e4
 
     def __post_init__(self):
-        errs = []
-        if self.exponent not in (1, 2):
+        errs = whole_fields(self, "exponent")
+        if not errs and self.exponent not in (1, 2):
             errs.append(("exponent", f"exponent must be 1 or 2, got {self.exponent}"))
-        for name in ("alpha_tau", "alpha_rho"):
-            w = getattr(self, name)
-            if not (0 <= w < math.inf):
-                errs.append((name, f"alpha weights must be >= 0 and finite, got {name}={w}"))
-        if not (0 < self.delay_ceiling_ms < math.inf):
-            errs.append(("delay_ceiling_ms", f"delay_ceiling_ms must be > 0 and finite, "
-                                             f"got {self.delay_ceiling_ms}"))
+        for name, interval in (("alpha_tau", "[0, inf)"), ("alpha_rho", "[0, inf)"),
+                               ("delay_ceiling_ms", "(0, inf)")):
+            errs += interval_violations(name, getattr(self, name), interval)
         InvariantViolation.check(errs)
 
     @classmethod

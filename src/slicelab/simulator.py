@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (AllocationMatrix, InvariantViolation, QoeSample, Topology, TrafficModel,
-                     as_seed)
+                     as_seed, interval_violations)
 
 
 class SimulationError(RuntimeError):
@@ -55,16 +55,13 @@ class SimConfig:
     propagation_ms: float = 0.1
 
     def __post_init__(self):
-        errs = []
-        if not (0 < self.horizon_s < math.inf):
-            errs.append(("horizon_s", f"horizon_s must be > 0 and finite, got {self.horizon_s}"))
-        if not (0 <= self.warmup_s < self.horizon_s):
-            errs.append(("warmup_s", f"need 0 <= warmup_s < horizon_s, "
-                                     f"got {self.warmup_s} vs {self.horizon_s}"))
-        if not (0 <= self.propagation_ms < math.inf):
-            errs.append(("propagation_ms",
-                         f"propagation_ms must be >= 0 and finite, got {self.propagation_ms}"))
-        InvariantViolation.check(errs)
+        errs = (interval_violations("horizon_s", self.horizon_s, "(0, inf)")
+                + interval_violations("propagation_ms", self.propagation_ms, "[0, inf)"))
+        warmup = interval_violations("warmup_s", self.warmup_s, "[0, inf)")
+        if not (errs or warmup) and self.warmup_s >= self.horizon_s:
+            warmup.append(("warmup_s", f"need warmup_s < horizon_s, "
+                                       f"got {self.warmup_s} vs {self.horizon_s}"))
+        InvariantViolation.check(errs + warmup)
 
 
 @dataclass

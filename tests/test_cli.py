@@ -163,13 +163,14 @@ class TestValidate:
         (["osra"], "delay_ceiling_ms", math.inf, "osra.delay_ceiling_ms"),
         (["osra"], "delta", math.inf, "osra.delta"),
         (["osra"], "probes", "3", "osra.probes"),
+        (["osra"], "epsilon", math.inf, "osra.epsilon"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
             "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
             "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
             "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool", "alpha_rho-nan",
             "alpha_tau-inf", "rho-bool", "size_mean-inf", "tau_ms-bool", "eta-bool",
             "eta-inf", "delay_ceiling_ms-inf", "delta-inf",
-            "probes-string"])
+            "probes-string", "epsilon-inf"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data

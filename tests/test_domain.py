@@ -20,6 +20,7 @@ from slicelab import (
     TrafficModel,
 )
 from slicelab.domain import CAPACITY_TOL, QoeSample
+from slicelab.penalty import PenaltyModel
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
@@ -45,11 +46,11 @@ class TestQoeRequirement:
         assert math.isinf(r.tau_ms)
 
     def test_rho_out_of_range(self):
-        with pytest.raises(InvariantViolation, match=r"rho out of \[0,1\]"):
+        with pytest.raises(InvariantViolation, match=r"rho must be in \[0, 1\], got 1.3"):
             QoeRequirement(tau_ms=2.0, rho=1.3)
 
     def test_nonpositive_tau(self):
-        with pytest.raises(InvariantViolation, match="tau must be > 0"):
+        with pytest.raises(InvariantViolation, match=r"tau_ms must be in \(0, inf\], got 0.0"):
             QoeRequirement(tau_ms=0.0, rho=0.5)
 
 
@@ -82,6 +83,12 @@ class TestTrafficModel:
         with pytest.raises(InvariantViolation, match="burst_len"):
             TrafficModel(kind="bursty-onoff", mean_rate=10.0, off_time_ms=5.0)
 
+    def test_burst_fields_checked_when_given_to_poisson(self):
+        TrafficModel(kind="poisson", mean_rate=10.0, burst_len=8.0, off_time_ms=0.0)
+        with pytest.raises(InvariantViolation) as exc:
+            TrafficModel(kind="poisson", mean_rate=10.0, burst_len="x", off_time_ms=-1.0)
+        assert [field for field, _ in exc.value.violations] == ["burst_len", "off_time_ms"]
+
     def test_rate_beyond_burst_envelope(self):
         # 8-packet bursts every 38 ms cannot average more than 210.5 req/s
         with pytest.raises(InvariantViolation, match="burst envelope"):
@@ -102,7 +109,7 @@ class TestTrafficModel:
 
 class TestSliceSpec:
     def test_negative_alpha(self):
-        with pytest.raises(InvariantViolation, match="alpha weights"):
+        with pytest.raises(InvariantViolation, match=r"alpha_tau must be in \[0, inf\), got -1.0"):
             SliceSpec(id="x", requirement=QoeRequirement(5.0, 0.9),
                       alpha_tau=-1.0, alpha_rho=1.0,
                       traffic=TrafficModel(kind="poisson", mean_rate=10.0),
@@ -114,6 +121,13 @@ class TestSliceSpec:
                       alpha_tau=1.0, alpha_rho=1.0,
                       traffic=TrafficModel(kind="poisson", mean_rate=10.0),
                       demand_mi=0.0, priority_rank=0)
+
+    @pytest.mark.parametrize("rank", [True, 0.5])  # a string or None: TestNumericFields
+    def test_priority_rank_is_a_whole_number(self, rank):
+        with pytest.raises(InvariantViolation, match="slice s1: priority_rank must be") as exc:
+            make_slice(rank=rank)
+        assert [field for field, _ in exc.value.violations] == ["priority_rank"]
+        assert type(make_slice(rank=np.int64(3)).priority_rank) is int
 
     def test_errors_name_the_slice(self):
         with pytest.raises(InvariantViolation, match="slice bad:"):
@@ -137,8 +151,15 @@ class TestTopology:
             Topology(edges=(("e", 10.0),), cores=())
 
     def test_nonpositive_capacity(self):
-        with pytest.raises(InvariantViolation, match="capacity must be > 0"):
+        with pytest.raises(InvariantViolation, match=r"edges.e must be in \(0, inf\), got 0.0"):
             Topology(edges=(("e", 0.0),), cores=(("c", 1e8),))
+
+    @pytest.mark.parametrize("capacity", ["10", True])  # once cast to 10.0 and 1.0
+    def test_capacity_is_a_number(self, capacity):
+        with pytest.raises(InvariantViolation) as exc:
+            Topology(edges=(("e", capacity),), cores=(("c", 1e8),))
+        assert exc.value.violations == [
+            ("edges.e", f"edges.e must be in (0, inf), got {capacity!r}")]
 
     def test_duplicate_ids(self):
         with pytest.raises(InvariantViolation, match="unique"):
@@ -229,6 +250,53 @@ class TestAllocationMatrix:
         ]
 
 
+# a valid instance of each config and value type, with every numeric field read
+VALID = {
+    SimConfig: {},
+    OsraConfig: {},
+    PenaltyModel: dict(requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0, alpha_rho=1.0),
+    QoeRequirement: dict(tau_ms=5.0, rho=0.9),
+    TrafficModel: dict(kind="bursty-onoff", mean_rate=100.0, burst_len=8.0,
+                       off_time_ms=38.0, size_dist="exponential", size_mean=1000.0),
+    SliceSpec: dict(id="s", requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0,
+                    alpha_rho=1.0, traffic=TrafficModel(kind="poisson", mean_rate=100.0),
+                    demand_mi=5e4, priority_rank=0),
+}
+
+# every float- or int-annotated field, given a non-number; None is legal
+# where the annotation allows it
+NON_NUMBERS = [(cls, f.name, bad) for cls in VALID for f in dataclasses.fields(cls)
+               if f.type.partition(" | ")[0] in ("float", "int")
+               for bad in ("x", None) if not (bad is None and f.type.endswith("| None"))]
+
+
+class TestNumericFields:
+    def test_valid_bases(self):
+        for cls, kw in VALID.items():
+            cls(**kw)
+
+    @pytest.mark.parametrize("cls, field, bad", NON_NUMBERS, ids=[
+        f"{cls.__name__}.{field}={bad!r}" for cls, field, bad in NON_NUMBERS])
+    def test_non_number_names_the_field(self, cls, field, bad):
+        with pytest.raises(InvariantViolation) as exc:
+            cls(**{**VALID[cls], field: bad})
+        assert field in [f for f, _ in exc.value.violations]
+
+    @pytest.mark.parametrize("field", ["edges.e", "cores.c", "buffer_pkts"])
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_topology_non_number_names_the_field(self, field, bad):
+        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),))
+        key, _, name = field.partition(".")
+        kw[key] = ((name, bad),) if name else bad
+        with pytest.raises(InvariantViolation) as exc:
+            Topology(**kw)
+        assert field in [f for f, _ in exc.value.violations]
+
+    @pytest.mark.parametrize("value", [np.float64(2.5), np.float32(2.5), np.int64(2)])
+    def test_numpy_scalars_pass_unchanged(self, value):
+        assert SimConfig(horizon_s=value).horizon_s is value
+
+
 class TestInvariantViolation:
     def test_every_violation_names_its_field(self):
         with pytest.raises(InvariantViolation) as exc:
@@ -250,6 +318,10 @@ class TestQoeSample:
     def test_nan_delay_rejected(self):
         with pytest.raises(InvariantViolation):
             QoeSample(delay_stat_ms=math.nan, throughput=1.0)
+
+    def test_delay_is_a_number(self):
+        with pytest.raises(InvariantViolation, match=r"delay_stat_ms must be in \[0, inf\]"):
+            QoeSample(delay_stat_ms="1", throughput=1.0)
 
     def test_throughput_bounds(self):
         with pytest.raises(InvariantViolation, match="throughput"):

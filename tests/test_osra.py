@@ -14,6 +14,7 @@ from slicelab import (
     ProbeMemory,
     QoeRequirement,
     ScenarioConfig,
+    ScenarioError,
     SimConfig,
     SliceSpec,
     Topology,
@@ -371,16 +372,21 @@ class TestOsraConfig:
         OsraConfig(epsilon=0.0)  # explicitly allowed: cap-only runs
         with pytest.raises(ValueError, match="epsilon"):
             OsraConfig(epsilon=-0.1)
+        # an infinite threshold would stop the loop before its first update
+        with pytest.raises(InvariantViolation, match=r"epsilon must be in \[0, inf\), got inf"):
+            OsraConfig(epsilon=float("inf"))
+        with pytest.raises(ScenarioError, match="osra.epsilon: epsilon must be in"):
+            with_overrides(reference_scenario(), epsilon=float("inf"))
 
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):
             OsraConfig(max_iters=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("delta", 0.0), ("delta", 1e-20), ("delta", float("inf")), ("probes", 0),
-        ("probes", 2.5), ("probes", True), ("max_iters", 2.5), ("penalty_exponent", 3),
-        ("penalty_exponent", True), ("delay_ceiling_ms", 0.0),
-        ("delay_ceiling_ms", float("inf"))])
+        ("probes", "3"), ("eta", "x"), ("delta", None), ("delta", 0.0), ("delta", 1e-20),
+        ("delta", float("inf")), ("probes", 0), ("probes", 2.5), ("probes", True),
+        ("max_iters", 2.5), ("penalty_exponent", 3), ("penalty_exponent", True),
+        ("delay_ceiling_ms", 0.0), ("delay_ceiling_ms", float("inf"))])
     def test_probe_and_penalty_knobs_checked(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             OsraConfig(**{field: value})
@@ -389,6 +395,6 @@ class TestOsraConfig:
                                             (float("inf"), "eta")])
     def test_negative_step_size_names_its_donor(self, eta, field):
         OsraConfig(eta=0.0)  # allowed: nothing moves
-        with pytest.raises(InvariantViolation, match="eta must be >= 0 and finite") as exc:
+        with pytest.raises(InvariantViolation, match=r"eta must be in \[0, inf\)") as exc:
             OsraConfig(eta=eta)
         assert [f for f, _ in exc.value.violations] == [field]
