@@ -4,12 +4,13 @@
     slicelab compare  --scenario file.yaml --out DIR --seeds 0..9
     slicelab validate --scenario file.yaml
 
-With no --scenario the built-in reference scenario is used. --out falls
-back to $SLICELAB_OUT, then ./slicelab-out. Seeds are non-negative
-integers, a comma list ("0,3,17") or an inclusive range ("0..9"). Exit
-codes: 0 success, 2 for a scenario that does not parse or validate (the
-message names the offending key) or for bad --seeds. All CSV schemas are
-documented in the README.
+With no --scenario the built-in reference scenario is used. The
+scenario's `osra:` section is the only place the algorithm's knobs are
+set; no flag overrides them. --out falls back to $SLICELAB_OUT, then
+./slicelab-out. Seeds are non-negative integers, a comma list ("0,3,17")
+or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
+that does not parse or validate (the message names the offending key) or
+for bad --seeds. All CSV schemas are documented in the README.
 """
 from __future__ import annotations
 
@@ -23,14 +24,13 @@ import numpy as np
 
 from .baseline import audit_allocation, pool_audits, size_all
 from .domain import InvariantViolation
-from .osra import TRANSFER_RULES, run_osra
+from .osra import run_osra
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
     load_scenario,
     reference_scenario,
     scenario_to_dict,
-    with_overrides,
 )
 
 import yaml
@@ -58,15 +58,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def _load(args) -> ScenarioConfig:
-    sc = load_scenario(args.scenario) if args.scenario else reference_scenario()
-    overrides = {}
-    if getattr(args, "transfer_rule", None):
-        overrides["transfer_rule"] = args.transfer_rule
-    if getattr(args, "statistic", None):
-        overrides["statistic"] = args.statistic
-    if overrides:
-        sc = with_overrides(sc, **overrides)
-    return sc
+    return load_scenario(args.scenario) if args.scenario else reference_scenario()
 
 
 def _out_dir(args) -> Path:
@@ -258,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output dir (default: $SLICELAB_OUT or ./slicelab-out)")
         p.add_argument("--seeds", type=parse_seeds, default=parse_seeds(seeds_default),
                        help=f"'0,1,2' or '0..9' (default {seeds_default})")
-        p.add_argument("--transfer-rule", choices=TRANSFER_RULES,
-                       help="override the scenario's transfer rule")
-        p.add_argument("--statistic", help="override the delay statistic (max, mean, pNN)")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved scenario, run nothing")
 

@@ -234,9 +234,15 @@ class Topology:
     def __post_init__(self):
         errs = []
         for key in ("edges", "cores"):
-            pairs = tuple((str(i), c) for i, c in getattr(self, key))
-            if not pairs:
-                errs.append((key, f"topology needs at least one {key[:-1]}"))
+            value = getattr(self, key)
+            try:
+                pairs = tuple((str(i), c) for i, c in value)
+            except (TypeError, ValueError):
+                errs.append((key, f"{key} must be (id, capacity) pairs, got {value!r}"))
+                pairs = ()
+            else:
+                if not pairs:
+                    errs.append((key, f"topology needs at least one {key[:-1]}"))
             bad = [e for i, c in pairs for e in interval_violations(f"{key}.{i}", c, "(0, inf)")]
             object.__setattr__(self, key, pairs if bad else tuple((i, float(c)) for i, c in pairs))
             errs += bad

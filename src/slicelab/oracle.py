@@ -69,7 +69,7 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
 def sim_evaluate_all(alloc, slices, topology, config, seed, statistic="max") -> dict:
     """Simulate every slice at `alloc` and reduce, keeping the raw delays."""
     results = run_sim(slices, topology, alloc, config, seed=seed)
-    return summarize(results, statistic, keep_raw=True)
+    return {sid: summarize(r, statistic, keep_raw=True) for sid, r in results.items()}
 
 
 def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
@@ -88,7 +88,7 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
         return memo[key]
     index = {s.id: k for k, s in enumerate(slices)}[slice_id]
     result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config, seed)
-    sample = summarize({slice_id: result}, statistic)[slice_id]
+    sample = summarize(result, statistic)
     if memo is not None:
         memo[key] = sample
     return sample

@@ -50,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (CAPACITY_TOL, AllocationMatrix, AllocationVector, InvariantViolation,
-                     QoeSample, Topology, capacity_violations, interval_violations,
-                     whole_fields)
+from .domain import (AllocationMatrix, InvariantViolation, QoeSample, Topology,
+                     capacity_violations, interval_violations, whole_fields)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
-from .penalty import PenaltyModel, analytic_gradient, penalty, probed_gradient
+from .penalty import (DELTA_INTERVAL, PenaltyModel, analytic_gradient, penalty,
+                      probed_gradient)
 from .projection import project_columns
 from .simulator import SimConfig, percentile_of
 
@@ -98,8 +98,7 @@ class OsraConfig:
                              f"penalty_exponent must be 1 or 2, got {self.penalty_exponent}"))
         errs += exponent
         for name, interval in (("eta", "[0, inf)"), ("epsilon", "[0, inf)"),
-                               # at or below CAPACITY_TOL an entry's probe points may coincide
-                               ("delta", f"({CAPACITY_TOL}, inf)"),
+                               ("delta", DELTA_INTERVAL),
                                ("delay_ceiling_ms", "(0, inf)")):
             errs += interval_violations(name, getattr(self, name), interval)
         try:
@@ -160,9 +159,7 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
         sid: eta * (np.asarray(g, dtype=float) - new_grad)
         for sid, g in donor_grads.items()
     }
-    transfer = np.zeros_like(new_grad)
-    for p in pressures.values():
-        transfer = transfer + p
+    transfer = sum(pressures.values(), np.zeros_like(new_grad))
     stop_metric = float(np.linalg.norm(transfer))
 
     gj_norm = float(np.linalg.norm(new_grad))
@@ -172,9 +169,7 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
     else:
         deltas = pressures
         rule_used = "conservative" if rule == "conservative" else "conservative-fallback"
-    grant = np.zeros_like(new_grad)
-    for d in deltas.values():
-        grant = grant + d
+    grant = sum(deltas.values(), np.zeros_like(new_grad))
     return transfer, stop_metric, deltas, grant, rule_used
 
 
@@ -220,14 +215,6 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     fro = [initial_alloc.index(s.id) for s in slices if order_key(s) < order_key(new)]
     budgets = 1.0 - initial_alloc.stacked()[fro].sum(axis=0)
 
-    def probe_oracle():
-        memo = {}  # one gradient's samples: a repeated probe is simulated once
-
-        def _eval(point: AllocationVector, probe_seed: int) -> QoeSample:
-            return sim_evaluate(new_slice_id, point, slices, topology, sim_config,
-                                seed=probe_seed, statistic=config.statistic, memo=memo)
-        return _eval
-
     alloc = initial_alloc
     traces = []
     converged = False
@@ -239,11 +226,15 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
                                    statistic=config.statistic)
         penalties = {sid: penalty(models[sid], smp) for sid, smp in samples.items()}
 
+        memo = {}  # this gradient's samples: a repeated probe is simulated once
         grads = {
             new_slice_id: probed_gradient(
-                models[new_slice_id], probe_oracle(), alloc.row(new_slice_id),
-                config.delta, config.probes, seed_base=derive_seed(seed, 7001, k),
-                memory=memory)
+                models[new_slice_id],
+                lambda row, probe_seed: sim_evaluate(
+                    new_slice_id, row, slices, topology, sim_config, seed=probe_seed,
+                    statistic=config.statistic, memo=memo),
+                alloc.row(new_slice_id), config.delta, config.probes,
+                seed_base=derive_seed(seed, 7001, k), memory=memory)
         }
         for spec in donors:
             grads[spec.id] = analytic_gradient(models[spec.id], spec, alloc.row(spec.id),

@@ -8,7 +8,8 @@ with delay D in ms and p in {1, 2}. An unbounded tau contributes nothing.
 A non-finite delay statistic (nothing survived, or a saturated analytic
 queue) enters at `delay_ceiling_ms`: a large, finite, flat cost that keeps
 gradients well-defined through overload and the penalty monotone across
-the stability boundary.
+the stability boundary. `hinge` is the one place these rules are written:
+every penalty value and every gradient reads it.
 
 Gradients come in two flavours:
 * `probed_gradient`: per-coordinate central differences of width delta on
@@ -27,14 +28,18 @@ Gradients come in two flavours:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (AllocationVector, InvariantViolation, QoeRequirement, QoeSample,
-                     SliceSpec, Topology, interval_violations, whole_fields)
+from .domain import (CAPACITY_TOL, AllocationVector, InvariantViolation, QoeRequirement,
+                     QoeSample, SliceSpec, Topology, interval_violations, whole_fields)
 from .oracle import analytic_parts, derive_seed
+
+
+# the probe width's bounds, shared with OsraConfig: at or below
+# CAPACITY_TOL an entry's probe points may coincide
+DELTA_INTERVAL = f"({CAPACITY_TOL}, inf)"
 
 
 class DegenerateDelta(ValueError):
@@ -43,13 +48,14 @@ class DegenerateDelta(ValueError):
 
 @dataclass(frozen=True)
 class PenaltyModel:
-    """Requirement plus hinge weights/exponent for one slice's penalty."""
+    """Requirement plus hinge weights/exponent for one slice's penalty; the
+    exponent's and ceiling's defaults are `OsraConfig`'s, written only there."""
 
     requirement: QoeRequirement
     alpha_tau: float
     alpha_rho: float
-    exponent: int = 2
-    delay_ceiling_ms: float = 1e4
+    exponent: int
+    delay_ceiling_ms: float
 
     def __post_init__(self):
         errs = whole_fields(self, "exponent")
@@ -61,38 +67,38 @@ class PenaltyModel:
         InvariantViolation.check(errs)
 
     @classmethod
-    def for_slice(cls, spec: SliceSpec, exponent: int = 2, delay_ceiling_ms: float = 1e4):
+    def for_slice(cls, spec: SliceSpec, exponent: int, delay_ceiling_ms: float):
         return cls(spec.requirement, spec.alpha_tau, spec.alpha_rho,
                    exponent, delay_ceiling_ms)
 
 
-def effective_delay(model: PenaltyModel, delay_ms: float) -> float:
-    if not math.isfinite(delay_ms):
-        return model.delay_ceiling_ms
-    return min(delay_ms, model.delay_ceiling_ms)
+def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, float]:
+    """The penalty at the mean outcome of one or more runs, and its slopes there.
 
-
-def penalty_at(model: PenaltyModel, delay_ms: float, throughput: float) -> float:
-    """The hinge penalty for a (delay, throughput) pair."""
+    `delays_ms` and `throughputs` are one number each or equal-length
+    sequences. Each delay is capped at the ceiling (a non-finite one enters
+    at it) before the delays are averaged. Returns (penalty, d penalty / d
+    delay, d penalty / d throughput) at the mean pair. A term whose hinge is
+    off has slope 0.0, and so has the delay term where the ceiling binds.
+    """
+    ceiling = model.delay_ceiling_ms
+    delay = float(np.mean(np.fmin(delays_ms, ceiling)))
+    short = max(0.0, model.requirement.rho - float(np.mean(throughputs)))
     p = model.exponent
-    total = 0.0
+    value = slope_delay = slope_tp = 0.0
     if model.requirement.bounded:
-        viol = max(0.0, effective_delay(model, delay_ms) - model.requirement.tau_ms)
-        total += model.alpha_tau * viol**p
-    short = max(0.0, model.requirement.rho - throughput)
-    total += model.alpha_rho * short**p
-    return total
+        viol = max(0.0, delay - model.requirement.tau_ms)
+        value += model.alpha_tau * viol**p
+        if viol > 0 and delay < ceiling:
+            slope_delay = model.alpha_tau * (p * viol ** (p - 1))
+    value += model.alpha_rho * short**p
+    if short > 0:
+        slope_tp = -(model.alpha_rho * (p * short ** (p - 1)))
+    return value, slope_delay, slope_tp
 
 
 def penalty(model: PenaltyModel, sample: QoeSample) -> float:
-    return penalty_at(model, sample.delay_stat_ms, sample.throughput)
-
-
-def mean_statistics(model: PenaltyModel, samples) -> tuple[float, float]:
-    """Average the delay statistic (ceiling-substituted) and throughput."""
-    delays = [effective_delay(model, s.delay_stat_ms) for s in samples]
-    tps = [s.throughput for s in samples]
-    return float(np.mean(delays)), float(np.mean(tps))
+    return hinge(model, sample.delay_stat_ms, sample.throughput)[0]
 
 
 def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
@@ -105,12 +111,12 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     averaged over `probes` runs with distinct deterministic seeds, the same
     seeds at every probe point, then the hinge is applied; the difference
     quotient divides by the actual probe spread (2*delta, or less at a
-    clamped boundary). `memory`, when given, records every probe.
+    clamped boundary). `memory`, when given, records every probe. `delta`
+    and `probes` obey `OsraConfig`'s bounds.
     """
-    if not (delta > 0):
-        raise DegenerateDelta(f"delta must be > 0, got {delta}")
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
+    InvariantViolation.check(
+        interval_violations("delta", delta, DELTA_INTERVAL)
+        + interval_violations("probes", probes, "[1, inf)", whole=True))
 
     base = point.stacked()
     lo = np.clip(base - delta, 0.0, 1.0)
@@ -132,8 +138,8 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
             samples = [oracle(pv, seed) for seed in seeds]
             if memory is not None:
                 memory.extend((pv, sample, seed) for sample, seed in zip(samples, seeds))
-            dmean, tmean = mean_statistics(model, samples)
-            pen[d, side] = penalty_at(model, dmean, tmean)
+            pen[d, side] = hinge(model, [s.delay_stat_ms for s in samples],
+                                 [s.throughput for s in samples])[0]
     return (pen[:, 1] - pen[:, 0]) / (hi - lo)
 
 
@@ -141,18 +147,13 @@ def analytic_gradient(model: PenaltyModel, spec: SliceSpec, point: AllocationVec
                       topology: Topology) -> np.ndarray:
     """Exact gradient of the penalty through the stationary queueing model."""
     delay, tp, d_delay, d_tp = analytic_parts(spec, point, topology)
-    p = model.exponent
+    _, slope_delay, slope_tp = hinge(model, delay, tp)
     grad = np.zeros_like(d_delay)
-    if model.requirement.bounded:
-        viol = max(0.0, effective_delay(model, delay) - model.requirement.tau_ms)
-        if viol > 0 and math.isfinite(delay) and delay < model.delay_ceiling_ms:
-            factor = p * viol ** (p - 1)
-            grad += model.alpha_tau * factor * d_delay
-        # at the ceiling (or unbounded delay) the delay term is flat
-    short = max(0.0, model.requirement.rho - tp)
-    if short > 0:
-        factor = p * short ** (p - 1)
-        grad += model.alpha_rho * factor * (-d_tp)
+    # an inactive term is skipped: it must leave +0.0, never add a -0.0 product
+    if slope_delay:
+        grad += slope_delay * d_delay
+    if slope_tp:
+        grad += slope_tp * d_tp
     return grad
 
 

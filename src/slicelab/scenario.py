@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -295,12 +295,6 @@ def load_scenario(path) -> ScenarioConfig:
 def save_scenario(sc: ScenarioConfig, path):
     with open(path, "w") as fh:
         yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)
-
-
-def with_overrides(sc: ScenarioConfig, **osra_fields) -> ScenarioConfig:
-    """Copy a scenario with some algorithm knobs replaced (CLI flags)."""
-    osra = _build(partial(replace, sc.osra), "osra", **osra_fields)
-    return replace(sc, osra=osra).validate()
 
 
 def reference_scenario() -> ScenarioConfig:

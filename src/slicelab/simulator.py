@@ -394,16 +394,13 @@ def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     return float(np.partition(delays_ms, k - 1)[k - 1])
 
 
-def summarize(results: dict, statistic: str = "max", keep_raw: bool = False) -> dict:
-    """Collapse SliceRunResults into QoeSamples under the chosen statistic."""
-    samples = {}
-    for sid, r in results.items():
-        throughput = r.success / r.offered if r.offered else 1.0
-        samples[sid] = QoeSample(
-            delay_stat_ms=delay_statistic(r.delays_ms, statistic),
-            throughput=throughput,
-            n_requests=r.offered,
-            raw_delays_ms=r.delays_ms if keep_raw else None,
-        )
-    return samples
+def summarize(result: SliceRunResult, statistic: str = "max",
+              keep_raw: bool = False) -> QoeSample:
+    """Collapse one slice's SliceRunResult into a QoeSample under the chosen statistic."""
+    return QoeSample(
+        delay_stat_ms=delay_statistic(result.delays_ms, statistic),
+        throughput=result.success / result.offered if result.offered else 1.0,
+        n_requests=result.offered,
+        raw_delays_ms=result.delays_ms if keep_raw else None,
+    )
 

@@ -164,13 +164,14 @@ class TestValidate:
         (["osra"], "delta", math.inf, "osra.delta"),
         (["osra"], "probes", "3", "osra.probes"),
         (["osra"], "epsilon", math.inf, "osra.epsilon"),
+        (["osra"], "statistic", "p105", "osra.statistic"),
     ], ids=["transfer_rule", "horizon_s", "probes", "penalty_exponent", "rho",
             "buffer_pkts", "mean_rate", "delta", "horizon_s-inf", "propagation_ms-inf",
             "poisson-mean_rate-inf", "burst_len-inf", "off_time_ms-inf", "demand_mi-inf",
             "edge-inf", "core-inf", "buffer_pkts-fraction", "probes-bool", "alpha_rho-nan",
             "alpha_tau-inf", "rho-bool", "size_mean-inf", "tau_ms-bool", "eta-bool",
             "eta-inf", "delay_ceiling_ms-inf", "delta-inf",
-            "probes-string", "epsilon-inf"])
+            "probes-string", "epsilon-inf", "statistic"])
     def test_bad_value_names_the_key(self, tmp_path, capsys, path, key, value, named):
         data = yaml.safe_load(REFERENCE_YAML.read_text())
         section = data
@@ -223,12 +224,6 @@ class TestValidate:
         assert main(["validate", "--scenario", str(p)]) == 2
         assert named in capsys.readouterr().err
 
-    def test_invalid_statistic_override(self, tiny_yaml, capsys):
-        rc = main(["run", "--scenario", str(tiny_yaml), "--statistic", "p105",
-                   "--dry-run"])
-        assert rc == 2
-        assert "osra.statistic" in capsys.readouterr().err
-
 
 class TestDryRun:
     def test_prints_resolved_scenario_and_writes_nothing(self, tiny_yaml,
@@ -238,16 +233,16 @@ class TestDryRun:
                    "--dry-run"])
         assert rc == 0
         printed = yaml.safe_load(capsys.readouterr().out)
-        assert printed["new_slice"] == "new"
+        assert printed == yaml.safe_load(tiny_yaml.read_text())
         assert not out_dir.exists()
 
-    def test_overrides_show_up(self, tiny_yaml, capsys):
-        rc = main(["run", "--scenario", str(tiny_yaml), "--dry-run",
-                   "--transfer-rule", "conservative", "--statistic", "p90"])
-        assert rc == 0
-        printed = yaml.safe_load(capsys.readouterr().out)
-        assert printed["osra"]["transfer_rule"] == "conservative"
-        assert printed["osra"]["statistic"] == "p90"
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", ["--transfer-rule=conservative", "--statistic=p90"])
+    def test_no_flag_sets_a_knob(self, tiny_yaml, command, flag):
+        # the scenario's osra section is the one setter of the algorithm's knobs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(tiny_yaml), "--dry-run", flag])
+        assert exc.value.code == 2
 
 
 class TestRun:

@@ -161,6 +161,15 @@ class TestTopology:
         assert exc.value.violations == [
             ("edges.e", f"edges.e must be in (0, inf), got {capacity!r}")]
 
+    @pytest.mark.parametrize("key", ["edges", "cores"])
+    @pytest.mark.parametrize("bad", [(5,), ("link",), None], ids=["bare-number", "bare-id", "none"])
+    def test_pairs_have_a_shape(self, key, bad):
+        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),))
+        kw[key] = bad
+        with pytest.raises(InvariantViolation) as exc:
+            Topology(**kw)
+        assert exc.value.violations == [(key, f"{key} must be (id, capacity) pairs, got {bad!r}")]
+
     def test_duplicate_ids(self):
         with pytest.raises(InvariantViolation, match="unique"):
             Topology(edges=(("x", 10.0),), cores=(("x", 1e8),))
@@ -254,7 +263,8 @@ class TestAllocationMatrix:
 VALID = {
     SimConfig: {},
     OsraConfig: {},
-    PenaltyModel: dict(requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0, alpha_rho=1.0),
+    PenaltyModel: dict(requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0, alpha_rho=1.0,
+                       exponent=2, delay_ceiling_ms=1e4),
     QoeRequirement: dict(tau_ms=5.0, rho=0.9),
     TrafficModel: dict(kind="bursty-onoff", mean_rate=100.0, burst_len=8.0,
                        off_time_ms=38.0, size_dist="exponential", size_mean=1000.0),

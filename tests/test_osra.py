@@ -24,7 +24,7 @@ from slicelab import (
     run_osra,
 )
 from slicelab import oracle, osra
-from slicelab.scenario import with_overrides
+from slicelab.scenario import scenario_from_dict, scenario_to_dict
 from slicelab.osra import (
     ZERO_GRADIENT_NORM,
     NonFiniteGradient,
@@ -240,7 +240,8 @@ class TestProbeMemo:
     """The per-gradient memo on the reference topology's two equal cores."""
 
     def scenario(self):
-        return with_overrides(reference_scenario(), probes=3, max_iters=4)
+        sc = reference_scenario()
+        return dataclasses.replace(sc, osra=dataclasses.replace(sc.osra, probes=3, max_iters=4))
 
     def test_memo_changes_no_result(self, monkeypatch):
         sc = self.scenario()
@@ -375,8 +376,10 @@ class TestOsraConfig:
         # an infinite threshold would stop the loop before its first update
         with pytest.raises(InvariantViolation, match=r"epsilon must be in \[0, inf\), got inf"):
             OsraConfig(epsilon=float("inf"))
+        data = scenario_to_dict(reference_scenario())
+        data["osra"]["epsilon"] = float("inf")
         with pytest.raises(ScenarioError, match="osra.epsilon: epsilon must be in"):
-            with_overrides(reference_scenario(), epsilon=float("inf"))
+            scenario_from_dict(data)
 
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):

@@ -20,10 +20,8 @@ from slicelab.oracle import analytic_parts
 from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,
-    effective_delay,
-    mean_statistics,
+    hinge,
     penalty,
-    penalty_at,
     probed_gradient,
 )
 
@@ -31,6 +29,10 @@ from slicelab.penalty import (
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
     return PenaltyModel(QoeRequirement(tau_ms=tau, rho=rho), a_tau, a_rho,
                         exponent=p, delay_ceiling_ms=ceiling)
+
+
+def penalty_at(m, delay, tp):
+    return hinge(m, delay, tp)[0]
 
 
 def quadratic_oracle(vec: AllocationVector, seed=None) -> QoeSample:
@@ -57,7 +59,7 @@ class TestPenaltyValues:
         assert penalty_at(m, 1.0, 0.8) == pytest.approx(2 * 0.1 ** 2, abs=1e-12)
 
     def test_unbounded_tau_has_no_delay_term(self):
-        m = PenaltyModel(QoeRequirement(UNBOUNDED, 0.5), 3.0, 1.0)
+        m = PenaltyModel(QoeRequirement(UNBOUNDED, 0.5), 3.0, 1.0, 2, 1e4)
         assert penalty_at(m, math.inf, 0.6) == 0.0
         assert penalty_at(m, math.inf, 0.4) == pytest.approx(0.01, abs=1e-12)
 
@@ -76,7 +78,7 @@ class TestPenaltyValues:
 
     def test_nonfinite_weights_name_both_fields(self):
         with pytest.raises(InvariantViolation) as exc:
-            PenaltyModel(QoeRequirement(5.0, 0.9), math.nan, math.inf)
+            PenaltyModel(QoeRequirement(5.0, 0.9), math.nan, math.inf, 2, 1e4)
         assert [field for field, _ in exc.value.violations] == ["alpha_tau", "alpha_rho"]
         assert str(exc.value) == ("alpha_tau must be in [0, inf), got nan; "
                                   "alpha_rho must be in [0, inf), got inf")
@@ -99,24 +101,26 @@ class TestPenaltyValues:
 
 
 class TestDelayCeiling:
+    # linear delay hinge from tau=1 with unit weight: the penalty is the
+    # delay the hinge reads, less 1
+    def ceiling_model(self, ceiling):
+        return model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1, ceiling=ceiling)
+
     def test_nonfinite_maps_to_ceiling(self):
-        m = model(ceiling=250.0)
-        assert effective_delay(m, math.inf) == 250.0
+        assert hinge(self.ceiling_model(250.0), math.inf, 1.0) == (249.0, 0.0, 0.0)
 
     def test_huge_but_finite_is_capped(self):
-        m = model(ceiling=250.0)
-        assert effective_delay(m, 3e5) == 250.0
+        assert hinge(self.ceiling_model(250.0), 3e5, 1.0) == (249.0, 0.0, 0.0)
 
     def test_ordinary_delay_passes_through(self):
-        m = model(ceiling=250.0)
-        assert effective_delay(m, 7.5) == 7.5
+        assert hinge(self.ceiling_model(250.0), 7.5, 1.0) == (6.5, 1.0, 0.0)
 
     def test_mean_statistics_substitutes_before_averaging(self):
-        m = model(ceiling=10.0)
-        samples = [QoeSample(1.0, 1.0), QoeSample(math.inf, 0.5)]
-        dmean, tmean = mean_statistics(m, samples)
-        assert dmean == pytest.approx(5.5, abs=1e-12)
-        assert tmean == pytest.approx(0.75, abs=1e-12)
+        m = model(tau=1.0, rho=1.0, a_tau=1.0, a_rho=1.0, p=1, ceiling=10.0)
+        value, d_delay, d_tp = hinge(m, [1.0, math.inf], [1.0, 0.5])
+        # mean delay 5.5 is 4.5 over tau; mean throughput 0.75 is 0.25 short
+        assert value == pytest.approx(4.5 + 0.25, abs=1e-12)
+        assert (d_delay, d_tp) == (1.0, -1.0)
 
 
 class TestProbedGradient:
@@ -184,22 +188,34 @@ class TestProbedGradient:
     def test_degenerate_delta(self):
         m = model()
         point = AllocationVector(np.array([0.5]), np.array([0.5]))
-        with pytest.raises(DegenerateDelta):
+        with pytest.raises(InvariantViolation, match=r"delta must be in \(1e-09, inf\), got 0.0"):
             probed_gradient(m, quadratic_oracle, point, delta=0.0, probes=1)
         with pytest.raises(ValueError, match="probes"):
             probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=0)
 
+    @pytest.mark.parametrize("field, delta, probes", [
+        ("delta", None, 1), ("delta", 1e-20, 1), ("delta", math.inf, 1),
+        ("probes", 0.1, "3"), ("probes", 0.1, 2.5), ("probes", 0.1, True),
+    ])
+    def test_probe_knobs_name_their_field(self, field, delta, probes):
+        # the bounds OsraConfig puts on the same two knobs
+        point = AllocationVector(np.array([0.5]), np.array([0.5]))
+        with pytest.raises(InvariantViolation) as exc:
+            probed_gradient(model(), quadratic_oracle, point, delta=delta, probes=probes)
+        assert [f for f, _ in exc.value.violations] == [field]
+
     def test_coinciding_probe_points_raise_before_any_probe(self):
-        # 0.5 -/+ 1e-20 rounds to 0.5 on both sides
+        # an entry one CAPACITY_TOL above 1 and a delta just wider than it:
+        # the lower probe point rounds to 1.0, where the upper one clamps
         calls = []
 
         def counted(vec, seed):
             calls.append(seed)
             return quadratic_oracle(vec, seed)
 
-        point = AllocationVector(np.array([0.5]), np.array([0.5]))
+        point = AllocationVector(np.array([1 + 1e-9]), np.array([0.5]))
         with pytest.raises(DegenerateDelta, match="coordinate 0: probe points coincide"):
-            probed_gradient(model(), counted, point, delta=1e-20, probes=3)
+            probed_gradient(model(), counted, point, delta=np.nextafter(1e-9, 1.0), probes=3)
         assert calls == []
 
     def test_seed_base_shifts_every_probe_seed(self):
@@ -258,23 +274,24 @@ class TestAnalyticGradient:
 
     def test_matches_numeric_gradient_when_delay_hinge_active(self):
         spec, topo = self.spec_topo()
-        m = PenaltyModel.for_slice(spec, exponent=2)
         # tight allocation: stable but above the 2 ms bound
         point = AllocationVector(np.array([0.06]), np.array([0.03]))
-        g = analytic_gradient(m, spec, point, topo)
-        h = 1e-7
-        for d in range(2):
-            up, dn = point.stacked(), point.stacked()
-            up[d] += h
-            dn[d] -= h
-            num = (self.composite(m, spec, topo, up)
-                   - self.composite(m, spec, topo, dn)) / (2 * h)
-            assert g[d] == pytest.approx(num, rel=1e-5)
-        assert np.all(g < 0)  # more resources always reduce this penalty
+        for exponent in (1, 2):
+            m = PenaltyModel.for_slice(spec, exponent, 1e4)
+            g = analytic_gradient(m, spec, point, topo)
+            h = 1e-7
+            for d in range(2):
+                up, dn = point.stacked(), point.stacked()
+                up[d] += h
+                dn[d] -= h
+                num = (self.composite(m, spec, topo, up)
+                       - self.composite(m, spec, topo, dn)) / (2 * h)
+                assert g[d] == pytest.approx(num, rel=1e-5)
+            assert np.all(g < 0)  # more resources always reduce this penalty
 
     def test_flat_delay_term_at_the_ceiling(self):
         spec, topo = self.spec_topo()
-        m = PenaltyModel.for_slice(spec, exponent=2)
+        m = PenaltyModel.for_slice(spec, 2, 1e4)
         # starved server: unstable, delay unbounded, throughput capped
         point = AllocationVector(np.array([0.06]), np.array([0.01]))
         delay, tp, _, d_tp = analytic_parts(spec, point, topo)
@@ -284,8 +301,17 @@ class TestAnalyticGradient:
         want = m.alpha_rho * 2 * short * (-d_tp)
         assert g == pytest.approx(want, rel=1e-12)
 
+        # stable, with a finite 32.5 ms delay above a 20 ms ceiling
+        low = PenaltyModel.for_slice(spec, 2, 20.0)
+        point = AllocationVector(np.array([0.06]), np.array([0.03]))
+        delay, tp, d_delay, _ = analytic_parts(spec, point, topo)
+        assert delay == pytest.approx(32.5) and tp == 1.0 and np.all(d_delay < 0)
+        g = analytic_gradient(low, spec, point, topo)
+        assert g.tolist() == [0.0, 0.0] and not np.signbit(g).any()
+        assert penalty_at(low, delay, tp) == 2.0 * (20.0 - 2.0) ** 2
+
     def test_zero_when_satisfied(self):
         spec, topo = self.spec_topo()
-        m = PenaltyModel.for_slice(spec, exponent=2)
+        m = PenaltyModel.for_slice(spec, 2, 1e4)
         point = AllocationVector(np.array([0.9]), np.array([0.9]))
         assert np.all(analytic_gradient(m, spec, point, topo) == 0.0)

@@ -29,7 +29,6 @@ from slicelab.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    with_overrides,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -279,16 +278,3 @@ class TestCrossCuttingInvariants:
             scenario_from_dict(data)
 
 
-class TestWithOverrides:
-    def test_overrides_only_named_fields(self):
-        sc = reference_scenario()
-        out = with_overrides(sc, max_iters=3, statistic="mean")
-        assert out.osra.max_iters == 3
-        assert out.osra.statistic == "mean"
-        assert out.osra.eta == sc.osra.eta
-        assert out.slices == sc.slices
-        assert sc.osra.max_iters != 3  # original untouched
-
-    def test_result_is_validated(self):
-        with pytest.raises(ScenarioError, match=r"osra\.statistic: unknown statistic 'nope'"):
-            with_overrides(reference_scenario(), statistic="nope")

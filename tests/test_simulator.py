@@ -398,12 +398,12 @@ class TestStatistics:
         alloc = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([0.0]), np.array([0.5]))})
         config = SimConfig(horizon_s=0.5, warmup_s=0.0)
-        results = run_sim([spec], topo, alloc, config, seed=1)
-        samples = summarize(results, "max")
+        result = run_sim([spec], topo, alloc, config, seed=1)["s"]
+        sample = summarize(result, "max")
         # zero link share: nothing survives
-        assert results["s"].offered > 0
-        assert samples["s"].throughput == 0.0
-        assert math.isinf(samples["s"].delay_stat_ms)
+        assert result.offered > 0
+        assert sample.throughput == 0.0
+        assert math.isinf(sample.delay_stat_ms)
 
 
 class TestRunSim:
