@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AllocationMatrix, AllocationVector, SliceSpec, Topology
+from .domain import AllocationMatrix, AllocationVector, ArrayValue, SliceSpec, Topology
 from .simulator import SimConfig, run_sim
 
 STABILITY_MARGIN = 0.1  # rate headroom used when there is no delay bound
@@ -86,8 +86,8 @@ def size_all(slices, topology: Topology, clamp: bool = False,
     return AllocationMatrix(tuple(s.id for s in slices), flows, cpu), flags
 
 
-@dataclass(frozen=True)
-class SliceAudit:
+@dataclass(frozen=True, eq=False)
+class SliceAudit(ArrayValue):
     """Pooled-over-seeds QoE audit of one slice under one allocation."""
 
     slice_id: str

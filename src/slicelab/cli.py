@@ -7,8 +7,8 @@
 With no --scenario the built-in reference scenario is used. The
 scenario's `osra:` section is the only place the algorithm's knobs are
 set; no flag overrides them. --out falls back to $SLICELAB_OUT, then
-./slicelab-out. Seeds are non-negative integers, a comma list ("0,3,17")
-or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
+./slicelab-out. Seeds are distinct non-negative integers, a comma list
+("0,3,17") or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
 that does not parse or validate (the message names the offending key) or
 for bad --seeds. All CSV schemas are documented in the README.
 """
@@ -54,6 +54,8 @@ def parse_seeds(text: str) -> list[int]:
                 f"seeds must be like '0,1,2' or '0..9', got {text!r}")
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"seeds must not repeat, got {text!r}")
     return seeds
 
 

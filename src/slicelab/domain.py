@@ -7,14 +7,17 @@ concerns; the checks that span a whole scenario live in
 `ScenarioConfig.validate`. Every numeric field obeys one rule,
 `interval_violations`: the value is a real number, not a bool, inside
 the field's interval, written as in the message it reports
-(`horizon_s must be in (0, inf), got 'x'`).
+(`horizon_s must be in (0, inf), got 'x'`). Every array field obeys
+another, `array_field`: it holds a read-only float copy of real, finite
+entries with a fixed number of dimensions. Value types compare by
+value, field by field, with arrays compared by content (`ArrayValue`).
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,10 +107,53 @@ def as_seed(value) -> int:
     return int(value)
 
 
-def _ro_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def array_field(obj, name, ndim) -> list:
+    """Replace array field `name` of frozen dataclass `obj` by a read-only
+    float copy; [(name, message)] if an entry is not a real number (never a
+    bool or a str), the array is not `ndim`-D, or an entry is not finite."""
+    value = getattr(obj, name)
+    try:
+        arr = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    except ValueError:  # nested arrays of shapes numpy cannot stack
+        return [(name, f"{name} must be {ndim}-D")]
+    if arr.dtype.kind not in "fiu":
+        bad = [v for v in arr.flat if not _real(v)]
+        if bad:
+            return [(name, f"{name} entries must be real numbers, got {bad[0]!r}")]
+    arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(obj, name, arr)
+    if arr.ndim != ndim:
+        return [(name, f"{name} must be {ndim}-D")]
+    if not np.isfinite(arr).all():
+        return [(name, f"{name} has non-finite entries")]
+    return []
+
+
+def _same(a, b) -> bool:
+    """a == b as a generated dataclass __eq__ compares fields (identity
+    first), with numpy arrays compared by content, also inside dicts and
+    tuples."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and np.array_equal(a, b)
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if isinstance(a, tuple) and type(a) is type(b):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class ArrayValue:
+    """Base of the value types that hold numpy arrays, each declared with
+    eq=False: == compares every field, arrays by content."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -158,13 +204,11 @@ class TrafficModel:
         for name, interval in (("burst_len", "[1, inf)"), ("off_time_ms", "[0, inf)")):
             if bursty or getattr(self, name) is not None:
                 on_off += interval_violations(name, getattr(self, name), interval)
-        if bursty and not (errs or on_off):
-            gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
-            if gap < -1e-12:
-                on_off.append(("mean_rate",
-                    "mean_rate exceeds the burst envelope: need "
-                    f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
-                    f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
+        if bursty and not (errs or on_off) and self._unclamped_gap_s() < -1e-12:
+            on_off.append(("mean_rate",
+                "mean_rate exceeds the burst envelope: need "
+                f"mean_rate <= burst_len/off_time ({self.mean_rate} vs "
+                f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
         errs += on_off
         sizes = whole_fields(self, "size_min", "size_max", interval="[1, inf)")
         if not sizes and self.size_min > self.size_max:
@@ -189,8 +233,11 @@ class TrafficModel:
         """
         if self.kind != "bursty-onoff":
             raise ValueError("intra_burst_gap_s only defined for bursty-onoff")
-        gap = 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
-        return max(0.0, gap)
+        return max(0.0, self._unclamped_gap_s())
+
+    def _unclamped_gap_s(self) -> float:
+        """The gap before the clamp at 0; below 0 above the burst envelope."""
+        return 1.0 / self.mean_rate - (self.off_time_ms / 1000.0) / self.burst_len
 
 
 @dataclass(frozen=True)
@@ -269,7 +316,7 @@ class Topology:
 
 
 @dataclass(frozen=True, eq=False)
-class AllocationVector:
+class AllocationVector(ArrayValue):
     """One slice's share of every resource: link fractions + core fractions.
 
     flows[e] is the fraction of edge e's bandwidth, cpu[c] the fraction of
@@ -280,17 +327,9 @@ class AllocationVector:
     cpu: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "flows", _ro_array(self.flows))
-        object.__setattr__(self, "cpu", _ro_array(self.cpu))
         errs = []
-        for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
-            if arr.ndim != 1:
-                errs.append((name, f"{name} must be 1-D"))
-                continue
-            if not np.all(np.isfinite(arr)):
-                errs.append((name, f"{name} has non-finite entries"))
-            else:
-                errs += _entry_violations(name, arr)
+        for name in ("flows", "cpu"):
+            errs += array_field(self, name, 1) or _entry_violations(name, getattr(self, name))
         InvariantViolation.check(errs)
 
     def stacked(self) -> np.ndarray:
@@ -300,16 +339,6 @@ class AllocationVector:
     def from_stacked(cls, vec, n_edges: int) -> "AllocationVector":
         vec = np.asarray(vec, dtype=float)
         return cls(flows=vec[:n_edges], cpu=vec[n_edges:])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AllocationVector)
-            and np.array_equal(self.flows, other.flows)
-            and np.array_equal(self.cpu, other.cpu)
-        )
-
-    def __repr__(self):
-        return f"AllocationVector(flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
 
 
 def _entry_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
@@ -332,7 +361,7 @@ def capacity_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
 
 
 @dataclass(frozen=True, eq=False)
-class AllocationMatrix:
+class AllocationMatrix(ArrayValue):
     """Allocation rows for every slice, with per-resource capacity sums <= 1."""
 
     slice_ids: tuple
@@ -341,22 +370,15 @@ class AllocationMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "slice_ids", tuple(str(s) for s in self.slice_ids))
-        object.__setattr__(self, "flows", _ro_array(np.atleast_2d(self.flows)))
-        object.__setattr__(self, "cpu", _ro_array(np.atleast_2d(self.cpu)))
         errs = []
         n = len(self.slice_ids)
         if len(set(self.slice_ids)) != n:
             errs.append(("slice_ids", "duplicate slice ids in allocation"))
-        if self.flows.shape[0] != n or self.cpu.shape[0] != n:
-            errs.append(("slice_ids",
-                         f"row count mismatch: {n} slices vs flows {self.flows.shape[0]}, "
-                         f"cpu {self.cpu.shape[0]}"))
-            raise InvariantViolation(errs)
-        for name, arr in (("flows", self.flows), ("cpu", self.cpu)):
-            if not np.all(np.isfinite(arr)):
-                errs.append((name, f"{name} has non-finite entries"))
-                continue
-            errs += capacity_violations(name, arr)
+        for name in ("flows", "cpu"):
+            bad = array_field(self, name, 2)
+            if not bad and len(getattr(self, name)) != n:
+                bad = [(name, f"{name} has {len(getattr(self, name))} rows for {n} slice ids")]
+            errs += bad or capacity_violations(name, getattr(self, name))
         InvariantViolation.check(errs)
 
     @classmethod
@@ -396,23 +418,9 @@ class AllocationMatrix:
     def n_cores(self) -> int:
         return self.cpu.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AllocationMatrix)
-            and self.slice_ids == other.slice_ids
-            and np.array_equal(self.flows, other.flows)
-            and np.array_equal(self.cpu, other.cpu)
-        )
-
-    def __repr__(self):
-        return (
-            f"AllocationMatrix(slice_ids={self.slice_ids}, "
-            f"flows={self.flows.tolist()}, cpu={self.cpu.tolist()})"
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class QoeSample:
+class QoeSample(ArrayValue):
     """Measured (or modeled) QoE for one slice at one allocation.
 
     delay_stat_ms is the configured statistic over successful requests'
@@ -426,27 +434,9 @@ class QoeSample:
     raw_delays_ms: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.raw_delays_ms is not None:
-            object.__setattr__(self, "raw_delays_ms", _ro_array(self.raw_delays_ms))
         InvariantViolation.check(
             interval_violations("delay_stat_ms", self.delay_stat_ms, "[0, inf]")
             + interval_violations("throughput", self.throughput, "[0, 1]")
-            + interval_violations("n_requests", self.n_requests, "[0, inf)"))
-
-    def __eq__(self, other):
-        if not isinstance(other, QoeSample):
-            return NotImplemented
-        raw_eq = (
-            self.raw_delays_ms is None and other.raw_delays_ms is None
-        ) or (
-            self.raw_delays_ms is not None
-            and other.raw_delays_ms is not None
-            and np.array_equal(self.raw_delays_ms, other.raw_delays_ms)
-        )
-        return (
-            self.delay_stat_ms == other.delay_stat_ms
-            and self.throughput == other.throughput
-            and self.n_requests == other.n_requests
-            and raw_eq
-        )
+            + interval_violations("n_requests", self.n_requests, "[0, inf)")
+            + ([] if self.raw_delays_ms is None else array_field(self, "raw_delays_ms", 1)))
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (AllocationMatrix, InvariantViolation, QoeSample, Topology,
+from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
                      capacity_violations, interval_violations, whole_fields)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
 from .penalty import (DELTA_INTERVAL, PenaltyModel, analytic_gradient, penalty,
@@ -108,8 +108,8 @@ class OsraConfig:
         InvariantViolation.check(errs)
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+@dataclass(frozen=True, eq=False)
+class IterationTrace(ArrayValue):
     """Everything observed and decided at one iteration, before the update."""
 
     k: int
@@ -124,8 +124,8 @@ class IterationTrace:
     rule_used: str
 
 
-@dataclass(frozen=True)
-class OsraResult:
+@dataclass(frozen=True, eq=False)
+class OsraResult(ArrayValue):
     final_alloc: AllocationMatrix
     traces: tuple
     converged: bool

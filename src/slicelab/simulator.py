@@ -26,12 +26,13 @@ count their stranded requests as dropped.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (AllocationMatrix, InvariantViolation, QoeSample, Topology, TrafficModel,
-                     as_seed, interval_violations)
+from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
+                     TrafficModel, as_seed, interval_violations)
 
 
 class SimulationError(RuntimeError):
@@ -44,6 +45,8 @@ _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
+
+_PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ class SimConfig:
         InvariantViolation.check(errs + warmup)
 
 
-@dataclass
-class SliceRunResult:
+@dataclass(frozen=True, eq=False)
+class SliceRunResult(ArrayValue):
     """Per-slice outcome of one run: post-warmup counters and raw delays."""
 
     delays_ms: np.ndarray       # E2E delays of successful post-warmup requests
@@ -368,10 +371,11 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
 
 
 def percentile_of(statistic: str) -> float | None:
-    """The p of a "pNN" statistic, None for "max" and "mean"; ValueError for any other."""
+    """The p of a "pNN" statistic, NN a plain decimal; None for "max" and
+    "mean"; ValueError for any other value."""
     if statistic in ("max", "mean"):
         return None
-    if not statistic.startswith("p"):
+    if not (isinstance(statistic, str) and _PERCENTILE.fullmatch(statistic)):
         raise ValueError(f"unknown statistic {statistic!r}")
     p = float(statistic[1:])
     if not (0 < p <= 100):

@@ -2,6 +2,9 @@
 import copy
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,8 @@ from slicelab.cli import main, parse_seeds
 
 from conftest import make_tiny_scenario
 
-REFERENCE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "reference.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE_YAML = ROOT / "scenarios" / "reference.yaml"
 REFERENCE = yaml.safe_load(REFERENCE_YAML.read_text())
 
 
@@ -87,6 +91,19 @@ class TestParseSeeds:
         with pytest.raises(argparse.ArgumentTypeError, match="seeds must be non-negative"):
             parse_seeds(text)
 
+    @pytest.mark.parametrize("text", ["0,0", "1,2,1"])
+    def test_repeated_seed_rejected(self, text):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError, match="seeds must not repeat"):
+            parse_seeds(text)
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_repeated_seed_exits_2(self, tiny_yaml, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(tiny_yaml), "--out", str(tmp_path), "--seeds=0,0"])
+        assert exc.value.code == 2
+        assert "--seeds: seeds must not repeat" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "compare"])
     @pytest.mark.parametrize("seeds", ["--seeds=-1", "--seeds=-3..2"])
     def test_negative_seed_exits_2(self, tiny_yaml, tmp_path, capsys, command, seeds):
@@ -110,6 +127,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "OK" in out
         assert "slice2" in out and "slice3" in out
+
+    def test_module_entry_point(self):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "slicelab", "validate"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "OK" in proc.stdout
 
     def test_scenario_file(self, tiny_yaml, capsys):
         assert main(["validate", "--scenario", str(tiny_yaml)]) == 0

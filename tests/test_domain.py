@@ -18,9 +18,15 @@ from slicelab import (
     SliceSpec,
     Topology,
     TrafficModel,
+    audit_allocation,
+    run_osra,
+    run_sim,
 )
 from slicelab.domain import CAPACITY_TOL, QoeSample
 from slicelab.penalty import PenaltyModel
+from slicelab.simulator import summarize
+
+from conftest import make_tiny_scenario
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
@@ -342,6 +348,86 @@ class TestQoeSample:
         b = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]))
         c = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.1]))
         assert a == b and a != c
+
+
+def _tiny_run(seed):
+    sc = make_tiny_scenario()
+    return run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim, sc.new_slice_id,
+                    sc.osra, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def array_values():
+    """One instance of each value type that holds arrays, from the tiny scenario."""
+    sc = make_tiny_scenario()
+    run = run_sim(sc.slices, sc.topology, sc.initial_alloc, sc.sim, seed=0)["new"]
+    result = _tiny_run(0)
+    return [sc.initial_alloc.row("new"), sc.initial_alloc, summarize(run, keep_raw=True), run,
+            audit_allocation(sc.slices, sc.topology, sc.initial_alloc, sc.sim, (0, 1))["new"],
+            result.traces[0], result]
+
+
+def _arrays(obj):
+    """Every array inside `obj`: in its fields, dict values and tuple items."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, tuple):
+        for value in obj:
+            yield from _arrays(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+
+
+class TestArrayValues:
+    """The value types that hold arrays compare field by field, arrays by content."""
+
+    TYPES = ["AllocationVector", "AllocationMatrix", "QoeSample", "SliceRunResult",
+             "SliceAudit", "IterationTrace", "OsraResult"]
+
+    @pytest.mark.parametrize("i", range(len(TYPES)), ids=TYPES)
+    def test_equal_to_its_pickle_and_unequal_after_one_entry_changes(self, array_values, i):
+        value = array_values[i]
+        assert type(value).__name__ == self.TYPES[i]
+        blob = pickle.dumps(value)
+        assert value == pickle.loads(blob)
+        n = sum(1 for arr in _arrays(value) if arr.size)
+        assert n
+        for k in range(n):
+            changed = pickle.loads(blob)
+            arr = [arr for arr in _arrays(changed) if arr.size][k]
+            arr.flat[0] += 1.0
+            assert value != changed and pickle.dumps(changed) != blob
+
+    def test_runs_equal_by_seed(self, array_values):
+        assert array_values[-1] == _tiny_run(0)
+        assert array_values[-1] != _tiny_run(1)
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    @pytest.mark.parametrize("make, field", [
+        (lambda bad: AllocationVector([bad], [0.1]), "flows"),
+        (lambda bad: AllocationVector([0.1], [0.2, bad]), "cpu"),
+        (lambda bad: AllocationMatrix(("a",), [[bad]], [[0.1]]), "flows"),
+        (lambda bad: AllocationMatrix(("a", "b"), [[0.1], [0.2]], [[0.1], [bad]]), "cpu"),
+        (lambda bad: QoeSample(1.0, 1.0, raw_delays_ms=[1.0, bad]), "raw_delays_ms"),
+    ], ids=["row.flows", "row.cpu", "matrix.flows", "matrix.cpu", "raw_delays_ms"])
+    def test_array_entries_are_real_numbers(self, make, field, bad):
+        with pytest.raises(InvariantViolation) as exc:
+            make(bad)
+        assert exc.value.violations == [
+            (field, f"{field} entries must be real numbers, got {bad!r}")]
+
+    def test_ragged_nested_arrays_name_the_field(self):
+        with pytest.raises(InvariantViolation) as exc:
+            AllocationVector([np.zeros((2, 2)), np.zeros(2)], [0.1])
+        assert exc.value.violations == [("flows", "flows must be 1-D")]
+
+    def test_slice_run_result_is_frozen(self, array_values):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            array_values[3].offered = 0
 
 
 class TestValidateScenario:

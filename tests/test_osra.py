@@ -381,6 +381,16 @@ class TestOsraConfig:
         with pytest.raises(ScenarioError, match="osra.epsilon: epsilon must be in"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99", "p99.9"])
+    def test_statistics_accepted(self, statistic):
+        assert OsraConfig(statistic=statistic).statistic == statistic
+
+    @pytest.mark.parametrize("statistic", [99, None, "p", "p1e1", "p-5", "p 50", "pinf", "p0"])
+    def test_bad_statistic_names_the_field(self, statistic):
+        with pytest.raises(InvariantViolation) as exc:
+            OsraConfig(statistic=statistic)
+        assert [f for f, _ in exc.value.violations] == ["statistic"]
+
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):
             OsraConfig(max_iters=0)
