@@ -9,8 +9,9 @@ scenario's `osra:` section is the only place the algorithm's knobs are
 set; no flag overrides them. --out falls back to $SLICELAB_OUT, then
 ./slicelab-out. Seeds are distinct non-negative integers, a comma list
 ("0,3,17") or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
-that does not parse or validate (the message names the offending key) or
-for bad --seeds. All CSV schemas are documented in the README.
+that does not parse or validate (the message names the offending key, or
+the path of a file that cannot be read as YAML) or for bad --seeds. All
+CSV schemas are documented in the README.
 """
 from __future__ import annotations
 
@@ -77,12 +78,6 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return x
-
-
 def _iteration_rows(sc: ScenarioConfig, result):
     ids = list(sc.initial_alloc.slice_ids)
     edges = [e for e, _ in sc.topology.edges]
@@ -95,24 +90,17 @@ def _iteration_rows(sc: ScenarioConfig, result):
         header += [f"cpu_{sid}_{c}" for c in cores]
     rows = []
     for t in result.traces:
-        row = [t.k, _fmt(t.stop_metric), t.rule_used]
+        row = [t.k, t.stop_metric, t.rule_used]
         for sid in ids:
-            row += [_fmt(t.penalties[sid]),
-                    _fmt(t.samples[sid].delay_stat_ms),
-                    _fmt(t.samples[sid].throughput)]
+            row += [t.penalties[sid], t.samples[sid].delay_stat_ms, t.samples[sid].throughput]
         for sid in ids:
-            vec = t.alloc.row(sid)
-            row += [_fmt(float(x)) for x in vec.flows]
-            row += [_fmt(float(x)) for x in vec.cpu]
+            row += t.alloc.row(sid).stacked().tolist()
         rows.append(row)
     return header, rows
 
 
 def cmd_run(args) -> int:
     sc = _load(args)
-    if args.dry_run:
-        print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False), end="")
-        return 0
     out = _out_dir(args)
     seeds = args.seeds
 
@@ -145,10 +133,10 @@ def cmd_run(args) -> int:
                 pens.append(r.traces[k].penalties[sid])
             qoe_rows.append([
                 k, sid,
-                _fmt(float(np.mean(mean_d)) if mean_d else float("nan")),
-                _fmt(float(np.mean(max_d)) if max_d else float("nan")),
-                _fmt(float(np.mean(tps))),
-                _fmt(float(np.mean(pens))),
+                float(np.mean(mean_d)) if mean_d else float("nan"),
+                float(np.mean(max_d)) if max_d else float("nan"),
+                float(np.mean(tps)),
+                float(np.mean(pens)),
                 len(live),
             ])
     _write_csv(out / "qoe_per_iter.csv",
@@ -161,11 +149,8 @@ def cmd_run(args) -> int:
     final_rows = []
     for seed, res in results.items():
         for sid in ids:
-            vec = res.final_alloc.row(sid)
-            final_rows.append(
-                [seed, sid, int(res.converged), res.iterations]
-                + [_fmt(float(x)) for x in vec.flows]
-                + [_fmt(float(x)) for x in vec.cpu])
+            final_rows.append([seed, sid, int(res.converged), res.iterations]
+                              + res.final_alloc.row(sid).stacked().tolist())
     _write_csv(out / "final_alloc.csv",
                ["seed", "slice", "converged", "iterations"]
                + [f"f_{e}" for e in edges] + [f"cpu_{c}" for c in cores],
@@ -180,9 +165,6 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     sc = _load(args)
-    if args.dry_run:
-        print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False), end="")
-        return 0
     out = _out_dir(args)
     seeds = args.seeds
 
@@ -208,9 +190,8 @@ def cmd_compare(args) -> int:
         for seed, report in audits:
             for sid in ids:
                 a = report[sid]
-                rows.append([m, sid, seed, _fmt(a.violation_fraction),
-                             _fmt(a.mean_delay_ms), _fmt(a.max_delay_ms),
-                             _fmt(a.throughput), int(flags[sid])])
+                rows.append([m, sid, seed, a.violation_fraction, a.mean_delay_ms,
+                             a.max_delay_ms, a.throughput, int(flags[sid])])
     _write_csv(out / "compare.csv",
                ["method", "slice", "seed", "violation_fraction", "mean_delay",
                 "max_delay", "throughput", "infeasible"],
@@ -223,8 +204,8 @@ def cmd_compare(args) -> int:
         edges = np.linspace(0.0, float(hi) * 1.001 + 1e-9, 41)
         for m in methods:
             counts, _ = np.histogram(pooled[m][sid].delays_ms, bins=edges)
-            hist_rows += [[m, sid, _fmt(float(edges[b])), _fmt(float(edges[b + 1])),
-                           int(counts[b])] for b in range(len(counts))]
+            hist_rows += [[m, sid, float(edges[b]), float(edges[b + 1]), int(counts[b])]
+                          for b in range(len(counts))]
     _write_csv(out / "histograms.csv",
                ["method", "slice", "bin_left_ms", "bin_right_ms", "count"],
                hist_rows)
@@ -247,20 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slice reconfiguration lab: simulate, reconfigure, compare.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds_default):
+    def common(p):
         p.add_argument("--scenario", help="scenario YAML (default: built-in reference)")
         p.add_argument("--out", help="output dir (default: $SLICELAB_OUT or ./slicelab-out)")
-        p.add_argument("--seeds", type=parse_seeds, default=parse_seeds(seeds_default),
-                       help=f"'0,1,2' or '0..9' (default {seeds_default})")
+        p.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0..9"),
+                       help="'0,1,2' or '0..9' (default 0..9)")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the resolved scenario, run nothing")
 
     p_run = sub.add_parser("run", help="run the reconfiguration loop per seed")
-    common(p_run, "0..9")
+    common(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="analytic sizing vs reconfigured allocation")
-    common(p_cmp, "0..9")
+    common(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_val = sub.add_parser("validate", help="parse and validate a scenario file")
@@ -272,8 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.dry_run:
+            print(yaml.safe_dump(scenario_to_dict(_load(args)), sort_keys=False), end="")
+            return 0
         return args.fn(args)
-    except (ScenarioError, InvariantViolation, FileNotFoundError) as e:
+    except (ScenarioError, InvariantViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -147,13 +147,21 @@ def _same(a, b) -> bool:
 
 class ArrayValue:
     """Base of the value types that hold numpy arrays, each declared with
-    eq=False: == compares every field, arrays by content."""
+    eq=False: == compares every field, arrays by content. An unpickled
+    value runs its construction checks again, so its arrays are read-only
+    and within bounds like those of any other instance."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return all(_same(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
 
 
 @dataclass(frozen=True)

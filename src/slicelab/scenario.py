@@ -11,6 +11,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -285,8 +286,11 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
+        raise ScenarioError(f"{path}: {e}") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return scenario_from_dict(data)
@@ -298,60 +302,6 @@ def save_scenario(sc: ScenarioConfig, path):
 
 
 def reference_scenario() -> ScenarioConfig:
-    """The built-in three-slice hand-off scenario.
-
-    Slice 1 is the new arrival: 2 ms / 99.9% with 5e4 MI per request.
-    Slice 2 runs 5 ms / 95% at 8e4 MI; slice 3 is best-effort (unbounded
-    delay, zero-loss target). The server has two 3e8 MIPS cores; packet
-    sizes are uniform on [20, 65535] bytes. Remaining numbers (rates,
-    burst shape, link capacity, starting split, algorithm knobs) are lab
-    defaults, tuned so the hand-off needs roughly half the link and most
-    of a core; they carry no outside meaning.
-    """
-    traffic = dict(kind="bursty-onoff", burst_len=8.0, off_time_ms=38.0,
-                   size_min=20, size_max=65535)
-    slices = (
-        SliceSpec(
-            id="slice1",
-            requirement=QoeRequirement(tau_ms=2.0, rho=0.999),
-            alpha_tau=3.0, alpha_rho=3.0,
-            traffic=TrafficModel(mean_rate=200.0, **traffic),
-            demand_mi=5e4, priority_rank=0,
-        ),
-        SliceSpec(
-            id="slice2",
-            requirement=QoeRequirement(tau_ms=5.0, rho=0.95),
-            alpha_tau=1.0, alpha_rho=1.0,
-            traffic=TrafficModel(mean_rate=150.0, **traffic),
-            demand_mi=8e4, priority_rank=1,
-        ),
-        SliceSpec(
-            id="slice3",
-            requirement=QoeRequirement(tau_ms=UNBOUNDED, rho=1.0),
-            alpha_tau=0.25, alpha_rho=0.5,
-            traffic=TrafficModel(mean_rate=100.0, **traffic),
-            demand_mi=6e4, priority_rank=2,
-        ),
-    )
-    topology = Topology(edges=(("link", 2500.0),),
-                        cores=(("core0", 3e8), ("core1", 3e8)),
-                        buffer_pkts=100)
-    alloc = AllocationMatrix.from_rows({
-        "slice1": AllocationVector(np.array([0.04]), np.array([0.02, 0.02])),
-        "slice2": AllocationVector(np.array([0.60]), np.array([0.55, 0.55])),
-        "slice3": AllocationVector(np.array([0.36]), np.array([0.43, 0.43])),
-    })
-    sc = ScenarioConfig(
-        name="reference",
-        slices=slices,
-        topology=topology,
-        initial_alloc=alloc,
-        sim=SimConfig(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1),
-        osra=OsraConfig(
-            eta=0.06, delta=0.02, probes=10,
-            epsilon=0.05, max_iters=15, transfer_rule="algorithm1",
-            statistic="p99", penalty_exponent=1, delay_ceiling_ms=250.0,
-        ),
-        new_slice_id="slice1",
-    )
-    return sc.validate()
+    """The built-in three-slice hand-off scenario: the package's
+    reference.yaml, shipped also as scenarios/reference.yaml."""
+    return load_scenario(Path(__file__).with_name("reference.yaml"))

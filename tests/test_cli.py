@@ -59,6 +59,13 @@ def tiny_yaml(tmp_path):
     return p
 
 
+def run_cli(*args):
+    """`python -m slicelab *args` in a fresh interpreter that imports src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "slicelab", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
 def read_csv(path: Path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -129,9 +136,7 @@ class TestValidate:
         assert "slice2" in out and "slice3" in out
 
     def test_module_entry_point(self):
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "slicelab", "validate"], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        proc = run_cli("validate")
         assert proc.returncode == 0, proc.stderr
         assert "OK" in proc.stdout
 
@@ -150,9 +155,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "tau_ms" in err
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["validate", "--scenario", str(tmp_path / "nope.yaml")]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("name, content", [
+        ("nope.yaml", None),
+        (".", None),
+        ("f.yaml", b"name: x\nslices: [\n"),
+        ("f.yaml", b"name: \xff\xfe\n"),
+    ], ids=["missing", "directory", "unclosed-list", "not-utf8"])
+    def test_unreadable_file_exits_2(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        proc = run_cli("validate", "--scenario", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("path, key, value, named", [
         (["osra"], "transfer_rule", "bogus", "osra.transfer_rule"),
@@ -230,6 +246,8 @@ class TestValidate:
         (lambda d: d["initial_alloc"]["slice1"].update(flows=[0.04, 0.1]),
          "initial_alloc.slice1.flows"),
         (lambda d: d["initial_alloc"]["slice3"].update(cpu=[0.43]), "initial_alloc.slice3.cpu"),
+        (lambda d: d["initial_alloc"]["slice1"].update(flows=0.04),
+         "initial_alloc.slice1.flows must be a list of float, got 0.04"),
         (lambda d: d["osra"].update(eta={"slice2": 0.05, "slice3": -0.1}), "osra.eta"),
         (lambda d: d["sim"].update(seed=0), "sim"),
         (lambda d: d["osra"].update(eta={"slice2": 0.04, "slice3": 0.08}),
@@ -239,6 +257,7 @@ class TestValidate:
         (lambda d: d["osra"].update(donor_gradients="probed"),
          "unknown key(s) ['donor_gradients'] in osra"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
+            "flows-not-a-list",
             "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule", "donor_gradients"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
@@ -258,6 +277,16 @@ class TestDryRun:
         assert rc == 0
         printed = yaml.safe_load(capsys.readouterr().out)
         assert printed == yaml.safe_load(tiny_yaml.read_text())
+        assert not out_dir.exists()
+
+    def test_compare_prints_what_run_prints(self, tiny_yaml, tmp_path, capsys):
+        out_dir = tmp_path / "never-created"
+        printed = []
+        for command in ("run", "compare"):
+            assert main([command, "--scenario", str(tiny_yaml), "--out", str(out_dir),
+                         "--dry-run"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "compare"])

@@ -248,6 +248,15 @@ class TestAllocationMatrix:
                 AllocationMatrix(**args)
             assert exc.value.violations == [("flows", "flows entries must lie in [0,1]")]
 
+    @pytest.mark.parametrize("ids, violation", [
+        (("a", "a"), ("slice_ids", "duplicate slice ids in allocation")),
+        (("a",), ("flows", "flows has 2 rows for 1 slice ids")),
+    ], ids=["duplicate", "too-few"])
+    def test_slice_ids_match_the_rows(self, ids, violation):
+        with pytest.raises(InvariantViolation) as exc:
+            AllocationMatrix(ids, [[0.1], [0.2]], [[0.1]] * len(ids))
+        assert exc.value.violations == [violation]
+
     def test_unknown_slice(self):
         m = AllocationMatrix.from_rows(
             {"a": AllocationVector(np.array([0.2]), np.array([0.2]))})
@@ -307,6 +316,13 @@ class TestNumericFields:
         with pytest.raises(InvariantViolation) as exc:
             Topology(**kw)
         assert field in [f for f, _ in exc.value.violations]
+
+    @pytest.mark.parametrize("warmup_s", [10.0, 12.0])
+    def test_warmup_ends_before_the_horizon(self, warmup_s):
+        with pytest.raises(InvariantViolation) as exc:
+            SimConfig(horizon_s=10.0, warmup_s=warmup_s)
+        assert exc.value.violations == [
+            ("warmup_s", f"need warmup_s < horizon_s, got {warmup_s} vs 10.0")]
 
     @pytest.mark.parametrize("value", [np.float64(2.5), np.float32(2.5), np.int64(2)])
     def test_numpy_scalars_pass_unchanged(self, value):
@@ -394,13 +410,31 @@ class TestArrayValues:
         assert type(value).__name__ == self.TYPES[i]
         blob = pickle.dumps(value)
         assert value == pickle.loads(blob)
+        assert value != object()
         n = sum(1 for arr in _arrays(value) if arr.size)
         assert n
         for k in range(n):
             changed = pickle.loads(blob)
             arr = [arr for arr in _arrays(changed) if arr.size][k]
+            if not arr.flags.writeable:  # read-only, like any array a value type checked
+                arr.setflags(write=True)
             arr.flat[0] += 1.0
             assert value != changed and pickle.dumps(changed) != blob
+
+    @pytest.mark.parametrize("i", range(3), ids=TYPES[:3])
+    def test_unpickled_copy_is_equal_and_read_only(self, array_values, i):
+        back = pickle.loads(pickle.dumps(array_values[i]))
+        assert back == array_values[i]
+        arrays = list(_arrays(back))
+        assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+    def test_unpickling_runs_the_checks_again(self):
+        v = AllocationVector([0.1], [0.2])
+        object.__setattr__(v, "flows", np.array([1.5]))
+        blob = pickle.dumps(v)
+        with pytest.raises(InvariantViolation) as exc:
+            pickle.loads(blob)
+        assert [field for field, _ in exc.value.violations] == ["flows"]
 
     def test_runs_equal_by_seed(self, array_values):
         assert array_values[-1] == _tiny_run(0)
@@ -424,6 +458,20 @@ class TestArrayValues:
         with pytest.raises(InvariantViolation) as exc:
             AllocationVector([np.zeros((2, 2)), np.zeros(2)], [0.1])
         assert exc.value.violations == [("flows", "flows must be 1-D")]
+
+    @pytest.mark.parametrize("make, violation", [
+        (lambda: AllocationVector([[0.1]], [0.1]), ("flows", "flows must be 1-D")),
+        (lambda: AllocationMatrix(("a",), [0.1], [[0.1]]), ("flows", "flows must be 2-D")),
+        (lambda: AllocationVector([math.nan], [0.1]), ("flows", "flows has non-finite entries")),
+        (lambda: AllocationMatrix(("a",), [[0.1]], [[math.inf]]),
+         ("cpu", "cpu has non-finite entries")),
+        (lambda: QoeSample(1.0, 1.0, raw_delays_ms=[-math.inf]),
+         ("raw_delays_ms", "raw_delays_ms has non-finite entries")),
+    ], ids=["row-2d", "matrix-1d", "row-nan", "matrix-inf", "raw_delays_ms-inf"])
+    def test_malformed_arrays_name_the_field(self, make, violation):
+        with pytest.raises(InvariantViolation) as exc:
+            make()
+        assert exc.value.violations == [violation]
 
     def test_slice_run_result_is_frozen(self, array_values):
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -45,6 +45,11 @@ class TestCappedSimplex:
         x = project_capped_simplex(np.array([4.0, 1.0]), budget=1e-17)
         assert x.min() >= 0.0 and x.sum() <= 1e-17
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite entries in projection input"):
+            project_capped_simplex(np.array([0.2, bad]))
+
     def test_matches_qp_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(300):

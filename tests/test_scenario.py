@@ -1,7 +1,12 @@
 """YAML round-trips, cross-cutting validation, and the shipped scenario."""
 import copy
 import math
+import os
+import pickle
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +131,21 @@ class TestReferenceScenario:
         assert tuple(d.id for d in sc.donors()) == ("slice2", "slice3")
 
     def test_shipped_yaml_matches_the_builtin(self):
+        # equal is not enough: runs are compared by the digest of their pickle
         sc = load_scenario(REPO / "scenarios" / "reference.yaml")
-        assert scenario_to_dict(sc) == scenario_to_dict(reference_scenario())
+        assert pickle.dumps(reference_scenario()) == pickle.dumps(sc)
+
+    def test_package_carries_its_own_copy(self, tmp_path):
+        # a copy of the package alone, outside the checkout, still finds the scenario
+        shutil.copytree(REPO / "src" / "slicelab", tmp_path / "slicelab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from slicelab import reference_scenario; print(reference_scenario().name)"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "reference\n"
 
     def test_initial_alloc_has_headroom_for_no_one(self):
         # every resource is fully committed at the start: the new slice
@@ -162,6 +180,13 @@ class TestRoundTrip:
         data["slices"][2]["tau_ms"] = None
         sc = scenario_from_dict(data)
         assert not sc.slices[2].requirement.bounded
+
+    def test_null_size_mean_means_the_midpoint(self):
+        data = ref_dict()
+        data["slices"][0]["traffic"].update(size_dist="exponential", size_mean=None)
+        traffic = scenario_from_dict(data).slices[0].traffic
+        assert traffic.size_mean is None
+        assert traffic.mean_size_bytes() == (20 + 65535) / 2
 
 
 class TestGeneratedRoundTrip:

@@ -675,6 +675,11 @@ class TestOnOffAgainstLoop:
         assert (burst_sizes(arrivals, tm.intra_burst_gap_s()) == 1).all()
         assert arrivals.size / 20.0 == pytest.approx(200.0, rel=0.05)
 
+    def test_no_arrivals_when_the_first_off_time_passes_the_horizon(self):
+        # the leading off time has mean 38 ms, so a 1 ns horizon ends inside it
+        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 1e-9, np.random.default_rng(0))
+        assert arrivals.size == 0 and sizes.size == 0
+
     @pytest.mark.parametrize("burst_len", [1.5, 2.0, 3.0])
     def test_short_bursts_keep_their_mean(self, burst_len):
         # the loop oracle shares the inversion sampler, so check its law here
