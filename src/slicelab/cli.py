@@ -10,8 +10,9 @@ set; no flag overrides them. --out falls back to $SLICELAB_OUT, then
 ./slicelab-out. Seeds are distinct non-negative integers, a comma list
 ("0,3,17") or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
 that does not parse or validate (the message names the offending key, or
-the path of a file that cannot be read as YAML) or for bad --seeds. All
-CSV schemas are documented in the README.
+the path of a file that cannot be read as YAML), for bad --seeds, or for
+an --out that cannot be made a directory (a file there, say). All CSV
+schemas are documented in the README.
 """
 from __future__ import annotations
 
@@ -67,7 +68,10 @@ def _load(args) -> ScenarioConfig:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("SLICELAB_OUT") or "slicelab-out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise InvariantViolation([("out", f"--out {out}: {e.strerror}")]) from None
     return path
 
 

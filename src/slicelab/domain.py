@@ -61,13 +61,6 @@ def _whole(value) -> bool:
     return _real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
-def as_int(value) -> int:
-    """int(value), refusing anything but a whole number."""
-    if not _whole(value):
-        raise ValueError(value)
-    return int(value)
-
-
 @functools.lru_cache(maxsize=None)
 def _bounds(interval: str) -> tuple:
     """(lo, hi, lo_open, hi_open) of interval notation such as "(0, inf]"."""

@@ -92,11 +92,7 @@ class OsraConfig:
         if self.transfer_rule not in TRANSFER_RULES:
             errs.append(("transfer_rule", f"transfer_rule must be one of {TRANSFER_RULES}"))
         errs += whole_fields(self, "max_iters", "probes", interval="[1, inf)")
-        exponent = whole_fields(self, "penalty_exponent")
-        if not exponent and self.penalty_exponent not in (1, 2):
-            exponent.append(("penalty_exponent",
-                             f"penalty_exponent must be 1 or 2, got {self.penalty_exponent}"))
-        errs += exponent
+        errs += whole_fields(self, "penalty_exponent", interval="[1, 2]")
         for name, interval in (("eta", "[0, inf)"), ("epsilon", "[0, inf)"),
                                ("delta", DELTA_INTERVAL),
                                ("delay_ceiling_ms", "(0, inf)")):

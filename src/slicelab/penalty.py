@@ -58,9 +58,7 @@ class PenaltyModel:
     delay_ceiling_ms: float
 
     def __post_init__(self):
-        errs = whole_fields(self, "exponent")
-        if not errs and self.exponent not in (1, 2):
-            errs.append(("exponent", f"exponent must be 1 or 2, got {self.exponent}"))
+        errs = whole_fields(self, "exponent", interval="[1, 2]")
         for name, interval in (("alpha_tau", "[0, inf)"), ("alpha_rho", "[0, inf)"),
                                ("delay_ceiling_ms", "(0, inf)")):
             errs += interval_violations(name, getattr(self, name), interval)

@@ -4,13 +4,17 @@ A scenario bundles the slice set, the substrate, the starting allocation,
 simulation knobs, and algorithm knobs, plus which slice is the new
 arrival. Files round-trip exactly: load(save(sc)) == sc, floats included.
 An unbounded delay requirement is written as the string "unbounded".
+
+The reader casts nothing. It checks the shape of the file (mappings,
+lists, known and required keys) and hands each value to its value type
+as it is, so the type's own checks are the one rule for every value: a
+quoted number such as "200.0" is refused like any other string. Each
+violation is re-raised as a ScenarioError naming <section>.<field>.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,6 @@ from .domain import (
     Topology,
     TrafficModel,
     UNBOUNDED,
-    as_int,
 )
 from .osra import OsraConfig, donors_of
 from .simulator import SimConfig
@@ -109,52 +112,25 @@ def _req(mapping, key, where):
     return mapping[key]
 
 
-def _float(value):
-    """float(value), refusing a bool."""
-    if isinstance(value, bool):
-        raise ValueError(value)
-    return float(value)
-
-
-_CASTS = {"float": _float, "int": as_int, "str": str}
-
-
-def _floats(value, where):
-    """A YAML list of numbers, each cast to float."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where} must be a list of float, got {value!r}")
-    return [_cast("float", v, where) for v in value]
-
-
 def _capacities(value, where):
-    """A YAML mapping of id to number, as ((id, float), ...)."""
-    return tuple((k, _cast("float", v, f"{where}.{k}")) for k, v in _mapping(value, where).items())
-
-
-def _cast(annotation, value, where):
-    """Cast a YAML value by a field annotation: float, int, str or X | None."""
-    base, _, optional = annotation.partition(" | ")
-    if value is None and optional == "None":
-        return None
-    try:
-        return _CASTS[base](value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be {base}, got {value!r}") from None
+    """A YAML mapping of id to capacity, as ((id, capacity), ...)."""
+    return tuple(_mapping(value, where).items())
 
 
 def _from_dict(cls, d, where, **by_hand):
     """Build dataclass `cls` from a YAML mapping, one key per field.
 
-    Missing keys take the field default; `by_hand` maps a field name to a
-    function (value, where) -> field value used in place of the cast.
+    Each value goes to `cls` as it is, and `cls` checks it. Missing keys
+    take the field default; `by_hand` maps a field name to a function
+    (value, where) -> field value used in its place.
     """
     fields = dataclasses.fields(cls)
     _mapping(d, where, [f.name for f in fields])
     kw = {}
     for f in fields:
         if f.name in d:
-            cast = by_hand.get(f.name) or partial(_cast, f.type)
-            kw[f.name] = cast(d[f.name], f"{where}.{f.name}")
+            make = by_hand.get(f.name)
+            kw[f.name] = make(d[f.name], f"{where}.{f.name}") if make else d[f.name]
         elif f.default is dataclasses.MISSING:
             raise ScenarioError(f"missing key {f.name!r} in {where}")
     return _build(cls, where, **kw)
@@ -169,6 +145,11 @@ def _build(make, where, **kw):
             "; ".join(f"{where}.{field}: {msg}" for field, msg in e.violations)) from None
 
 
+def _plain(value):
+    """value, a numpy scalar turned into the Python scalar yaml.safe_dump writes."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _to_dict(obj, **by_hand) -> dict:
     """The YAML mapping `_from_dict` reads back; None fields are left out."""
     out = {}
@@ -177,22 +158,13 @@ def _to_dict(obj, **by_hand) -> dict:
         if f.name in by_hand:
             out[f.name] = by_hand[f.name](value)
         elif value is not None:
-            out[f.name] = _CASTS[f.type.partition(" | ")[0]](value)
+            out[f.name] = _plain(value)
     return out
 
 
-def _tau_from_yaml(value, where):
-    if value is None or value == "unbounded":
-        return UNBOUNDED
-    try:
-        return _float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            f"{where}.tau_ms must be a number or \"unbounded\", got {value!r}") from None
-
-
-def _tau_to_yaml(tau_ms):
-    return "unbounded" if math.isinf(tau_ms) else float(tau_ms)
+def _tau_from_yaml(value):
+    """null and "unbounded" are UNBOUNDED; any other value goes to QoeRequirement."""
+    return UNBOUNDED if value is None or value == "unbounded" else value
 
 
 def _slice_from_dict(d) -> SliceSpec:
@@ -200,26 +172,23 @@ def _slice_from_dict(d) -> SliceSpec:
     where = f"slice {sid!r}"
     _mapping(d, where, ("id", "priority_rank", "tau_ms", "rho", "alpha_tau",
                         "alpha_rho", "demand_mi", "traffic"))
-
-    def num(key, kind="float"):
-        return _cast(kind, _req(d, key, where), f"{where}.{key}")
-
-    tau_ms = _tau_from_yaml(_req(d, "tau_ms", where), where)
     return _build(
         SliceSpec, where,
         id=sid,
-        requirement=_build(QoeRequirement, where, tau_ms=tau_ms, rho=num("rho")),
-        alpha_tau=num("alpha_tau"),
-        alpha_rho=num("alpha_rho"),
+        requirement=_build(QoeRequirement, where,
+                           tau_ms=_tau_from_yaml(_req(d, "tau_ms", where)),
+                           rho=_req(d, "rho", where)),
+        alpha_tau=_req(d, "alpha_tau", where),
+        alpha_rho=_req(d, "alpha_rho", where),
         traffic=_from_dict(TrafficModel, _req(d, "traffic", where), f"{where}.traffic"),
-        demand_mi=num("demand_mi"),
-        priority_rank=num("priority_rank", "int"),
+        demand_mi=_req(d, "demand_mi", where),
+        priority_rank=_req(d, "priority_rank", where),
     )
 
 
 def _alloc_row_from_dict(d, where, topology) -> AllocationVector:
     """One initial_alloc row, with one entry per edge and per core of `topology`."""
-    row = _from_dict(AllocationVector, d, where, flows=_floats, cpu=_floats)
+    row = _from_dict(AllocationVector, d, where)
     for name, want, kind in (("flows", topology.n_edges, "edge"),
                              ("cpu", topology.n_cores, "core")):
         have = getattr(row, name).size
@@ -265,12 +234,12 @@ def scenario_to_dict(sc: ScenarioConfig) -> dict:
         "slices": [
             {
                 "id": s.id,
-                "priority_rank": int(s.priority_rank),
-                "tau_ms": _tau_to_yaml(s.requirement.tau_ms),
-                "rho": float(s.requirement.rho),
-                "alpha_tau": float(s.alpha_tau),
-                "alpha_rho": float(s.alpha_rho),
-                "demand_mi": float(s.demand_mi),
+                "priority_rank": s.priority_rank,
+                "tau_ms": _plain(s.requirement.tau_ms) if s.requirement.bounded else "unbounded",
+                "rho": _plain(s.requirement.rho),
+                "alpha_tau": _plain(s.alpha_tau),
+                "alpha_rho": _plain(s.alpha_rho),
+                "demand_mi": _plain(s.demand_mi),
                 "traffic": _to_dict(s.traffic),
             }
             for s in sc.slices

@@ -41,11 +41,13 @@ def key_name(path):
     return ".".join(keys)
 
 
-# "bogus" in every leaf but the names, -1 in every number and every tau_ms
+# "bogus" in every leaf but the names, -1 in every number and every tau_ms,
+# and every number as its own value quoted ("200.0"): a string is no number
 CORRUPTIONS = [(path, "bogus") for path, _ in leaves(REFERENCE)
                if path[-1] not in ("name", "id")] + [
     (path, -1) for path, v in leaves(REFERENCE)
-    if isinstance(v, (int, float)) or path[-1] == "tau_ms"]
+    if isinstance(v, (int, float)) or path[-1] == "tau_ms"] + [
+    (path, str(v)) for path, v in leaves(REFERENCE) if isinstance(v, (int, float))]
 
 
 # the only corruptions that still validate: a rank only orders the slices
@@ -247,11 +249,11 @@ class TestValidate:
          "initial_alloc.slice1.flows"),
         (lambda d: d["initial_alloc"]["slice3"].update(cpu=[0.43]), "initial_alloc.slice3.cpu"),
         (lambda d: d["initial_alloc"]["slice1"].update(flows=0.04),
-         "initial_alloc.slice1.flows must be a list of float, got 0.04"),
+         "initial_alloc.slice1.flows: flows must be 1-D"),
         (lambda d: d["osra"].update(eta={"slice2": 0.05, "slice3": -0.1}), "osra.eta"),
         (lambda d: d["sim"].update(seed=0), "sim"),
         (lambda d: d["osra"].update(eta={"slice2": 0.04, "slice3": 0.08}),
-         "osra.eta must be float"),
+         "osra.eta: eta must be in [0, inf), got {"),
         (lambda d: d["osra"].update(eta_schedule="constant"),
          "unknown key(s) ['eta_schedule'] in osra"),
         (lambda d: d["osra"].update(donor_gradients="probed"),
@@ -332,6 +334,22 @@ class TestRun:
         for r in rows:
             for frac in r[4:]:
                 assert 0.0 <= float(frac) <= 1.0
+
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
+    def test_out_that_is_no_directory_exits_2(self, tiny_yaml, tmp_path, capsys, below):
+        out = tmp_path.joinpath("taken", *below)
+        (tmp_path / "taken").write_text("")
+        rc = main(["run", "--scenario", str(tiny_yaml), "--out", str(out), "--seeds", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+
+    def test_out_that_is_a_file_exits_2_without_a_traceback(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        proc = run_cli("run", "--out", str(taken), "--seeds", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: --out {taken}: File exists\n"
+        assert taken.read_text() == ""
 
     def test_env_var_out_dir(self, tiny_yaml, tmp_path, monkeypatch, capsys):
         env_out = tmp_path / "from-env"

@@ -1,5 +1,6 @@
 """Hinge penalties, probed and analytic gradients, probe memory."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,8 +74,11 @@ class TestPenaltyValues:
         assert penalty_at(m, 5.0, 0.9) == 0.0
 
     def test_exponent_validation(self):
-        with pytest.raises(ValueError, match="exponent"):
-            model(p=3)
+        for p in (3, 0, 1.5, True):
+            with pytest.raises(InvariantViolation, match=re.escape(
+                    f"exponent must be a whole number in [1, 2], got {p!r}")):
+                model(p=p)
+        assert type(model(p=2.0).exponent) is int
 
     def test_nonfinite_weights_name_both_fields(self):
         with pytest.raises(InvariantViolation) as exc:
