@@ -90,7 +90,6 @@ def size_all(slices, topology: Topology, clamp: bool = False,
 class SliceAudit(ArrayValue):
     """Pooled-over-seeds QoE audit of one slice under one allocation."""
 
-    slice_id: str
     offered: int
     success: int
     violation_fraction: float  # successful requests with delay > bound
@@ -136,8 +135,8 @@ def pool_audits(slices, runs) -> dict:
             mean_d = float(pooled.mean())
             max_d = float(pooled.max())
         report[spec.id] = SliceAudit(
-            slice_id=spec.id, offered=offered, success=success,
-            violation_fraction=viol, mean_delay_ms=mean_d, max_delay_ms=max_d,
+            offered=offered, success=success, violation_fraction=viol,
+            mean_delay_ms=mean_d, max_delay_ms=max_d,
             throughput=success / offered if offered else 1.0,
             empty=empty, delays_ms=pooled)
     return report

@@ -53,8 +53,7 @@ import numpy as np
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
                      capacity_violations, interval_violations, whole_fields)
 from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
-from .penalty import (DELTA_INTERVAL, PenaltyModel, analytic_gradient, penalty,
-                      probed_gradient)
+from .penalty import DELTA_INTERVAL, PenaltyModel, analytic_gradient, hinge, probed_gradient
 from .projection import project_columns
 from .simulator import SimConfig, percentile_of
 
@@ -220,7 +219,8 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         samples = sim_evaluate_all(alloc, slices, topology, sim_config,
                                    seed=derive_seed(seed, 9001, k),
                                    statistic=config.statistic)
-        penalties = {sid: penalty(models[sid], smp) for sid, smp in samples.items()}
+        penalties = {sid: hinge(models[sid], smp.delay_stat_ms, smp.throughput)[0]
+                     for sid, smp in samples.items()}
 
         memo = {}  # this gradient's samples: a repeated probe is simulated once
         grads = {

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (CAPACITY_TOL, AllocationVector, InvariantViolation, QoeRequirement,
-                     QoeSample, SliceSpec, Topology, interval_violations, whole_fields)
+                     SliceSpec, Topology, interval_violations, whole_fields)
 from .oracle import analytic_parts, derive_seed
 
 
@@ -93,10 +93,6 @@ def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, fl
     if short > 0:
         slope_tp = -(model.alpha_rho * (p * short ** (p - 1)))
     return value, slope_delay, slope_tp
-
-
-def penalty(model: PenaltyModel, sample: QoeSample) -> float:
-    return hinge(model, sample.delay_stat_ms, sample.throughput)[0]
 
 
 def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,

@@ -2,8 +2,10 @@
 
 A scenario bundles the slice set, the substrate, the starting allocation,
 simulation knobs, and algorithm knobs, plus which slice is the new
-arrival. Files round-trip exactly: load(save(sc)) == sc, floats included.
-An unbounded delay requirement is written as the string "unbounded".
+arrival. Files round-trip exactly, floats included:
+scenario_from_dict(yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc)))) == sc,
+and `slicelab run --dry-run` prints that YAML. An unbounded delay
+requirement is written as the string "unbounded".
 
 The reader casts nothing. It checks the shape of the file (mappings,
 lists, known and required keys) and hands each value to its value type
@@ -263,11 +265,6 @@ def load_scenario(path) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
     return scenario_from_dict(data)
-
-
-def save_scenario(sc: ScenarioConfig, path):
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)
 
 
 def reference_scenario() -> ScenarioConfig:

@@ -96,9 +96,10 @@ def _poisson_arrivals(rate, horizon_s, rng):
     t = 0.0
     n = max(64, int(rate * horizon_s * 1.2) + 16)
     while t < horizon_s:
+        # the recursion t += E / rate, carried into each chunk's first step
         arr = rng.exponential(1.0 / rate, size=n)
+        arr[0] += t
         np.cumsum(arr, out=arr)
-        arr += t
         chunks.append(arr)
         t = arr[-1]
     arrivals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
@@ -140,7 +141,8 @@ def _onoff_arrivals(model, horizon_s, rng):
     counts = np.concatenate(counts)
     # expand each burst into gap-spaced packets: packet k of a burst that
     # starts at time s with packet index first arrives at s + (k - first) * gap,
-    # and one repeat carries (s, first) to every packet
+    # and one repeat carries (s, first) to every packet (two repeats, as in the
+    # per-burst reference, fault in fresh pages on every 10^5-packet call)
     first = np.cumsum(counts) - counts
     rep = np.repeat(np.column_stack((starts, first)), counts, axis=0)
     arrivals = np.arange(counts.sum(), dtype=float)

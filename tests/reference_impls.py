@@ -4,8 +4,9 @@ Everything in this file is deliberately written from first principles and
 kept separate from the package under test: brute-force QP for the capped
 simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace,
 a scalar re-implementation of the transfer recursion, the simulator's
-original per-packet link/server loop, and a per-burst on/off generator. Test expectations are
-frozen from these, never from the library.
+original per-packet link/server loop, a per-arrival Poisson generator and a
+per-burst on/off generator. Test expectations are frozen from these, never
+from the library.
 """
 import itertools
 import math
@@ -103,8 +104,8 @@ def scalar_transfer_recursion(x1, xj, eta, steps):
     return hist
 
 
-# Per-packet and per-burst loops, differential oracles for the simulator's
-# vectorized link/server stages and on/off generator.
+# Per-packet, per-arrival and per-burst loops, differential oracles for the
+# simulator's vectorized link/server stages and arrival generators.
 
 def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                   service_rate_ips, demand_mi, propagation_ms):
@@ -163,6 +164,17 @@ def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         prev_end = start + proc
         delays.append((prev_end - c + prop_s) * 1000.0)
     return np.array(delays), served_mask
+
+
+def loop_poisson_arrivals(rate, horizon_s, rng):
+    """Poisson arrivals one at a time: t += an exponential step of mean
+    1 / rate until t reaches the horizon."""
+    arrivals = []
+    t = rng.exponential(1.0 / rate)
+    while t < horizon_s:
+        arrivals.append(t)
+        t += rng.exponential(1.0 / rate)
+    return np.array(arrivals)
 
 
 def loop_onoff_arrivals(model, horizon_s, rng):

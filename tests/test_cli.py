@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from slicelab import baseline
-from slicelab.scenario import save_scenario
+from slicelab.scenario import scenario_to_dict
 from slicelab.cli import main, parse_seeds
 
 from conftest import make_tiny_scenario
@@ -57,7 +57,7 @@ ACCEPTED = {(("slices", i, "priority_rank"), -1) for i in range(len(REFERENCE["s
 @pytest.fixture()
 def tiny_yaml(tmp_path):
     p = tmp_path / "tiny.yaml"
-    save_scenario(make_tiny_scenario(max_iters=4), p)
+    p.write_text(yaml.safe_dump(scenario_to_dict(make_tiny_scenario(max_iters=4))))
     return p
 
 
@@ -148,9 +148,7 @@ class TestValidate:
 
     def test_malformed_names_the_key(self, tmp_path, capsys):
         p = tmp_path / "broken.yaml"
-        sc_path = tmp_path / "ok.yaml"
-        save_scenario(make_tiny_scenario(), sc_path)
-        data = yaml.safe_load(sc_path.read_text())
+        data = scenario_to_dict(make_tiny_scenario())
         del data["slices"][0]["tau_ms"]
         p.write_text(yaml.safe_dump(data))
         assert main(["validate", "--scenario", str(p)]) == 2

@@ -1,18 +1,29 @@
-"""Every module of the package reads each name it imports.
+"""Every module of the package reads each name it imports, and every
+public name of the package is read outside the tests.
 
 No linter ships with the test dependencies, so this reads the source with
 `ast`: each top-level import binds names, and some `Name` node of the
 same module must read each of them (`np` in `np.array` is one). The
 package's `__init__.py` is exempt, since its imports are its exports, and
 so is `from __future__ import annotations`, which binds nothing used.
+
+Each public function, class and method of the package must be named, by a
+`Name` or `Attribute` node or a from-import, somewhere in the package (its
+`__init__.py` exports count), the benchmark or the demos, other than in
+its own body. A name only tests read is code kept for the tests alone.
+Names are matched by name only, so a method named like a read attribute
+of anything else passes.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicelab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "slicelab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# where the package's public names may be read: the package, the benchmark, the demos
+READERS = [p for d in (PACKAGE, ROOT / "perfbench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +49,49 @@ def test_finds_a_left_over_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(node, own=frozenset()):
+    """Each name a Name or Attribute node under `node` reads or a
+    from-import imports, leaving out a def's reads of its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
+    if isinstance(node, ast.Name) and node.id not in own:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and node.attr not in own:
+        yield node.attr
+    elif isinstance(node, ast.ImportFrom):
+        yield from (a.name for a in node.names)
+    for child in ast.iter_child_nodes(node):
+        yield from names_read(child, own)
+
+
+def unread_public_names(modules: list[str], readers: list[str]) -> list[str]:
+    """The public top-level functions and classes of `modules`, and the
+    public methods of those classes, that no source of `readers` names."""
+    read = {name for source in readers for name in names_read(ast.parse(source))}
+    unread = []
+    for source in modules:
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(m.name, f"{node.name}.{m.name}") for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            unread += [qual for name, qual in defs
+                       if not name.startswith("_") and name not in read]
+    return unread
+
+
+def test_finds_a_name_only_tests_read():
+    module = ("def used():\n    return 1\n\n\ndef only_tested():\n    return used()\n\n\n"
+              "def _private():\n    pass\n\n\nclass Kind:\n    def recurse(self):\n"
+              "        return self.recurse()\n")
+    reader = "from pkg import Kind\nKind()\n"
+    assert unread_public_names([module], [module, reader]) == ["only_tested", "Kind.recurse"]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_public_names(package, [p.read_text() for p in READERS]) == []

@@ -15,6 +15,7 @@ from slicelab import (
     SliceSpec,
     Topology,
     TrafficModel,
+    run_osra,
 )
 from slicelab.domain import QoeSample
 from slicelab.oracle import analytic_parts
@@ -22,9 +23,10 @@ from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,
     hinge,
-    penalty,
     probed_gradient,
 )
+
+from conftest import make_tiny_scenario
 
 
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
@@ -65,9 +67,18 @@ class TestPenaltyValues:
         assert penalty_at(m, math.inf, 0.4) == pytest.approx(0.01, abs=1e-12)
 
     def test_penalty_reads_the_sample(self):
-        m = model(tau=2.0, a_rho=0.0, p=1)
-        s = QoeSample(delay_stat_ms=3.5, throughput=1.0)
-        assert penalty(m, s) == pytest.approx(1.5, abs=1e-12)
+        # each penalty run_osra records is the hinge at that slice's sample,
+        # under the run's exponent and delay ceiling
+        sc = make_tiny_scenario(max_iters=2, tau_new=1.0)
+        result = run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
+                          sc.new_slice_id, sc.osra, seed=0)
+        for trace in result.traces:
+            for spec in sc.slices:
+                m = PenaltyModel.for_slice(spec, sc.osra.penalty_exponent,
+                                           sc.osra.delay_ceiling_ms)
+                s = trace.samples[spec.id]
+                assert trace.penalties[spec.id] == hinge(m, s.delay_stat_ms, s.throughput)[0]
+        assert any(trace.penalties["new"] > 0 for trace in result.traces)
 
     def test_kink_has_zero_penalty(self):
         m = model(tau=5.0, rho=0.9)

@@ -32,11 +32,7 @@ from slicelab import (
     reference_scenario,
     run_osra,
 )
-from slicelab.scenario import (
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-)
+from slicelab.scenario import scenario_from_dict, scenario_to_dict
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -161,7 +157,7 @@ class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         sc = reference_scenario()
         p = tmp_path / "sc.yaml"
-        save_scenario(sc, p)
+        p.write_text(yaml.safe_dump(scenario_to_dict(sc)))
         rt = load_scenario(p)
         assert scenario_to_dict(rt) == scenario_to_dict(sc)
         assert rt.initial_alloc == sc.initial_alloc
@@ -174,7 +170,7 @@ class TestRoundTrip:
         sc = scenario_from_dict(data)
         assert math.isinf(sc.slices[2].requirement.tau_ms)
         p = tmp_path / "u.yaml"
-        save_scenario(sc, p)
+        p.write_text(yaml.safe_dump(scenario_to_dict(sc)))
         assert math.isinf(load_scenario(p).slices[2].requirement.tau_ms)
 
     def test_null_tau_means_unbounded(self):
@@ -218,7 +214,7 @@ class TestGeneratedRoundTrip:
     @given(sc=scenarios())
     def test_load_save_identity(self, sc, tmp_path_factory):
         p = tmp_path_factory.getbasetemp() / "generated.yaml"
-        save_scenario(sc, p)
+        p.write_text(yaml.safe_dump(scenario_to_dict(sc)))
         assert load_scenario(p) == sc
         p.write_text(yaml.safe_dump(integer_valued_as_int(scenario_to_dict(sc))))
         assert load_scenario(p) == sc

@@ -32,7 +32,8 @@ from slicelab.simulator import (
     stage_rates,
     summarize,
 )
-from reference_impls import HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline
+from reference_impls import (HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline,
+                             loop_poisson_arrivals)
 
 # largest delay difference allowed between the running-max pipeline and the
 # per-packet loop: they sum the same times in a different order
@@ -610,12 +611,17 @@ class TestTraffic:
         assert sizes.size == arrivals.size
 
     def test_bursty_long_run_rate(self):
+        # one 40 s run's rate spreads by about 8/s, so the test pools 50
+        # seeds and holds their mean within 3 standard errors of the rate
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
                           off_time_ms=38.0)
-        rng = np.random.default_rng(2)
-        arrivals, _ = generate_traffic(tm, 40.0, rng)
-        assert arrivals.size / 40.0 == pytest.approx(200.0, rel=0.05)
-        assert np.all(np.diff(arrivals) >= -1e-15)
+        rates = []
+        for seed in range(50):
+            arrivals, _ = generate_traffic(tm, 40.0, np.random.default_rng(seed))
+            assert np.all(np.diff(arrivals) >= -1e-15)
+            rates.append(arrivals.size / 40.0)
+        se = np.std(rates, ddof=1) / math.sqrt(len(rates))
+        assert abs(np.mean(rates) - 200.0) < 3 * se
 
     def test_uniform_sizes_within_bounds(self):
         for kind in TRAFFIC_KINDS:
@@ -644,6 +650,31 @@ def burst_sizes(arrivals, gap):
     """Packets per burst: a new burst starts after any spacing above gap."""
     starts = np.flatnonzero(np.diff(arrivals) > gap * (1 + 1e-9))
     return np.diff(np.concatenate(([0], starts + 1, [arrivals.size])))
+
+
+class TestPoissonAgainstLoop:
+    """The chunked Poisson generator against the per-arrival loop t += E / rate."""
+
+    @pytest.mark.parametrize("seed", [9518, 11322, 11399])
+    def test_draws_spanning_two_chunks(self, seed):
+        # at 50/s over 1 s the first chunk holds 76 draws, and on these
+        # seeds they sum to less than the horizon
+        tm = TrafficModel(kind="poisson", mean_rate=50.0)
+        arrivals, _ = generate_traffic(tm, 1.0, np.random.default_rng(seed))
+        want = loop_poisson_arrivals(50.0, 1.0, np.random.default_rng(seed))
+        assert arrivals.size > 76 and np.array_equal(arrivals, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mean_rate=st.floats(0.5, 500.0),
+        horizon_s=st.sampled_from([0.01, 1.0, 10.0]),
+    )
+    def test_arrivals_bit_identical(self, seed, mean_rate, horizon_s):
+        tm = TrafficModel(kind="poisson", mean_rate=mean_rate)
+        arrivals, _ = generate_traffic(tm, horizon_s, np.random.default_rng(seed))
+        want = loop_poisson_arrivals(mean_rate, horizon_s, np.random.default_rng(seed))
+        assert np.array_equal(arrivals, want)
 
 
 class TestOnOffAgainstLoop:
