@@ -74,11 +74,11 @@ def main():
         label = f"{edges[i]:6.1f}-{edges[i + 1]:6.1f}"
         print(f"  {label:>16}  {bc[i]:8d}  {oc[i]:12d}  "
               f"|{bar(bc[i], bc.sum(), 23):23s}|{bar(oc[i], oc.sum(), 23)}")
-    viol_ratio = (base_report['slice1'].violation_fraction
-                  / max(osra_report['slice1'].violation_fraction, 1e-12))
+    bv = base_report["slice1"].violation_fraction
+    ov = osra_report["slice1"].violation_fraction
     print()
-    print(f"violation fraction ratio (baseline / reconfigured): "
-          f"{viol_ratio:.0f}x")
+    print(f"slice1 violation fraction: baseline {bv:.2%}, reconfigured {ov:.2%}"
+          + (f" ({bv / ov:.0f}x)" if ov > 0 else ""))
 
 
 if __name__ == "__main__":

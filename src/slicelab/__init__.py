@@ -19,8 +19,8 @@ from .domain import (
     Topology,
     TrafficModel,
 )
-from .osra import NonFiniteGradient, OsraConfig, run_osra
-from .penalty import DegenerateDelta, ProbeMemory
+from .osra import NonFiniteGradient, OsraConfig, ProbeMemory, run_osra
+from .penalty import DegenerateDelta
 from .projection import DimensionMismatch, project_capped_simplex, project_columns
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, reference_scenario
 from .simulator import SimConfig, SimulationError, run_sim

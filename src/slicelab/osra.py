@@ -177,6 +177,11 @@ def assert_feasible(alloc: AllocationMatrix):
         raise AssertionError("infeasible iterate: " + "; ".join(msg for _, msg in bad))
 
 
+class ProbeMemory(list):
+    """(row, sample, seed) of every probe of the new slice, in the order
+    `run_osra` made them; a probe its memo answered is recorded too."""
+
+
 def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
              sim_config: SimConfig, new_slice_id: str, config: OsraConfig,
              seed: int = 0, memory=None) -> OsraResult:
@@ -185,7 +190,8 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     Each iteration: monitor all slices (one full simulation), form penalty
     gradients, decide the transfer, stop if its norm is <= epsilon (the
     traced iterate is then final), otherwise apply and project. All
-    randomness derives from `seed`; reruns are bit-identical.
+    randomness derives from `seed`; reruns are bit-identical. `memory`, a
+    `ProbeMemory` when given, receives every probe.
     """
     slices = tuple(slices)
     by_id = {s.id: s for s in slices}
@@ -223,14 +229,19 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
                      for sid, smp in samples.items()}
 
         memo = {}  # this gradient's samples: a repeated probe is simulated once
+
+        def probe(row, probe_seed):
+            """The new slice's sample at `row`, recorded in `memory` if given."""
+            sample = sim_evaluate(new_slice_id, row, slices, topology, sim_config,
+                                  seed=probe_seed, statistic=config.statistic, memo=memo)
+            if memory is not None:
+                memory.append((row, sample, probe_seed))
+            return sample
+
         grads = {
-            new_slice_id: probed_gradient(
-                models[new_slice_id],
-                lambda row, probe_seed: sim_evaluate(
-                    new_slice_id, row, slices, topology, sim_config, seed=probe_seed,
-                    statistic=config.statistic, memo=memo),
-                alloc.row(new_slice_id), config.delta, config.probes,
-                seed_base=derive_seed(seed, 7001, k), memory=memory)
+            new_slice_id: probed_gradient(models[new_slice_id], probe,
+                                          alloc.row(new_slice_id), config.delta,
+                                          config.probes, seed_base=derive_seed(seed, 7001, k))
         }
         for spec in donors:
             grads[spec.id] = analytic_gradient(models[spec.id], spec, alloc.row(spec.id),

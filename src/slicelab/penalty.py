@@ -96,8 +96,7 @@ def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, fl
 
 
 def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
-                    delta: float, probes: int, seed_base: int = 0,
-                    memory=None) -> np.ndarray:
+                    delta: float, probes: int, seed_base: int = 0) -> np.ndarray:
     """Central-difference estimate of d(penalty)/d(allocation) at `point`.
 
     `oracle` is a callable (AllocationVector, seed) -> QoeSample, called in
@@ -105,8 +104,7 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     averaged over `probes` runs with distinct deterministic seeds, the same
     seeds at every probe point, then the hinge is applied; the difference
     quotient divides by the actual probe spread (2*delta, or less at a
-    clamped boundary). `memory`, when given, records every probe. `delta`
-    and `probes` obey `OsraConfig`'s bounds.
+    clamped boundary). `delta` and `probes` obey `OsraConfig`'s bounds.
     """
     InvariantViolation.check(
         interval_violations("delta", delta, DELTA_INTERVAL)
@@ -130,8 +128,6 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
             vec[d] = x
             pv = AllocationVector.from_stacked(vec, point.flows.size)
             samples = [oracle(pv, seed) for seed in seeds]
-            if memory is not None:
-                memory.extend((pv, sample, seed) for sample, seed in zip(samples, seeds))
             pen[d, side] = hinge(model, [s.delay_stat_ms for s in samples],
                                  [s.throughput for s in samples])[0]
     return (pen[:, 1] - pen[:, 0]) / (hi - lo)
@@ -149,7 +145,3 @@ def analytic_gradient(model: PenaltyModel, spec: SliceSpec, point: AllocationVec
     if slope_tp:
         grad += slope_tp * d_tp
     return grad
-
-
-class ProbeMemory(list):
-    """(point, sample, seed) of every probe the algorithm ever paid for."""

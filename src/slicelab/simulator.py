@@ -69,12 +69,12 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SliceRunResult(ArrayValue):
-    """Per-slice outcome of one run: post-warmup counters and raw delays."""
+    """Per-slice outcome of one run: post-warmup counters and raw delays. An
+    offered request that is not a success was dropped."""
 
     delays_ms: np.ndarray       # E2E delays of successful post-warmup requests
     offered: int
     success: int
-    dropped: int
 
 
 def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
@@ -166,8 +166,8 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
 
     arrivals must be sorted and as long as sizes_bytes; neither is written
     to. Returns (delays_ms of served packets in arrival order of survivors,
-    served_mask over all offered packets). Zero-rate stages strand
-    everything behind them (served_mask False).
+    served_mask over all offered packets). A zero-rate stage strands every
+    packet (served_mask all False).
     """
     arrivals = np.asarray(arrivals, dtype=float)
     sizes = np.asarray(sizes_bytes, dtype=float)
@@ -176,14 +176,13 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
             f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(sizes)}")
     if not np.all(arrivals[1:] >= arrivals[:-1]):
         raise ValueError("arrivals must be sorted in non-decreasing order")
+    if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
+        return np.empty(0), np.zeros(arrivals.size, dtype=bool)
     served_mask = np.ones(arrivals.size, dtype=bool)
     times, created = arrivals, arrivals
 
     # link stages in series, each with its own finite buffer
     for rate in link_rates_bps:
-        if rate <= 0.0:
-            served_mask[:] = False
-            return np.empty(0), served_mask
         times = _link_stage(times, sizes, rate, buffer_pkts)
         if np.isnan(times).any():
             kept = ~np.isnan(times)
@@ -192,9 +191,6 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
 
     # server stage: unbounded FIFO with the same service time proc for every
     # request, so end_i = (i+1)*proc + max_{k<=i}(t_k - k*proc)
-    if service_rate_ips <= 0.0:
-        served_mask[:] = False
-        return np.empty(0), served_mask
     proc = demand_mi / service_rate_ips
     prop_s = propagation_ms / 1000.0
     steps = np.arange(times.size + 1, dtype=float)
@@ -319,9 +315,16 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
 
     The server rate is an exactly rounded sum, so it does not depend on the
     order of the cores: (c + d, c) and (c, c + d) on two equal cores give
-    the same rate to the last bit.
+    the same rate to the last bit. A row must have one flows entry per edge
+    and one cpu entry per core; a row is not broadcast over another chain.
     """
-    return row.flows * topology.edge_bps(), math.fsum(row.cpu * topology.core_mips())
+    edge_bps, core_mips = topology.edge_bps(), topology.core_mips()
+    for name, entries, rates, kind in (("flows", row.flows, edge_bps, "edge"),
+                                       ("cpu", row.cpu, core_mips, "core")):
+        if entries.size != rates.size:
+            raise InvariantViolation([(name, f"{name}: {entries.size} columns for the "
+                                             f"topology's {rates.size} {kind}(s)")])
+    return row.flows * edge_bps, math.fsum(row.cpu * core_mips)
 
 
 def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topology,
@@ -336,25 +339,20 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
         arrivals, sizes, link_rates, topology.buffer_pkts,
         cpu_rate, spec.demand_mi, config.propagation_ms,
     )
-    # arrivals are sorted, so the post-warmup requests are a suffix
-    w = int(arrivals.searchsorted(config.warmup_s))
-    tail = served[w:]
-    offered = arrivals.size - w
-    success = int(np.count_nonzero(tail))
-    dropped = tail.size - success
-    if delays.size != success + np.count_nonzero(served[:w]):
+    if served.size != arrivals.size:
+        raise SimulationError(
+            f"slice {spec.id}: {served.size} outcomes for {arrivals.size} offered requests")
+    if delays.size != np.count_nonzero(served):
         raise SimulationError(
             f"slice {spec.id}: {delays.size} delays for "
             f"{np.count_nonzero(served)} served requests")
-    if success + dropped != offered:
-        raise SimulationError(
-            f"slice {spec.id}: {success} served plus {dropped} dropped "
-            f"after warmup, but {offered} offered")
+    # arrivals are sorted, so the post-warmup requests are a suffix
+    w = int(arrivals.searchsorted(config.warmup_s))
+    success = int(np.count_nonzero(served[w:]))
     return SliceRunResult(
         delays_ms=delays[delays.size - success:],
-        offered=offered,
+        offered=arrivals.size - w,
         success=success,
-        dropped=dropped,
     )
 
 

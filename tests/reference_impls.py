@@ -6,13 +6,17 @@ simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace,
 a scalar re-implementation of the transfer recursion, the simulator's
 original per-packet link/server loop, a per-arrival Poisson generator and a
 per-burst on/off generator. Test expectations are frozen from these, never
-from the library.
+from the library. The one exception is `many_repetition_gradient`, a slow
+reference for the probed gradient: the library's estimator at a repetition
+count no run can afford, so only its precision is independent.
 """
 import itertools
 import math
 
 import numpy as np
 
+from slicelab.oracle import sim_evaluate
+from slicelab.penalty import hinge, probed_gradient
 from slicelab.simulator import TIE_S
 
 
@@ -201,3 +205,31 @@ def loop_onoff_arrivals(model, horizon_s, rng):
     within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     arrivals = np.repeat(starts, counts) + within * gap
     return arrivals[arrivals < horizon_s]
+
+
+def many_repetition_gradient(model, slice_id, row, slices, topology, sim_config,
+                             statistic, delta, seed_base, repetitions=200):
+    """A probed gradient precise enough to grade a cheaper one against.
+
+    `probed_gradient` at `repetitions` CRN repetitions, through a
+    `sim_evaluate` oracle with a fresh memo. Returns (gradient, se): se is
+    each coordinate's standard error, from the spread of the per-repetition
+    difference quotients (the hinge applied to each repetition alone, a
+    proxy, since the estimator applies it to the mean).
+    """
+    memo, penalties = {}, []
+
+    def oracle(point, seed):
+        sample = sim_evaluate(slice_id, point, slices, topology, sim_config, seed,
+                              statistic, memo=memo)
+        penalties.append(hinge(model, sample.delay_stat_ms, sample.throughput)[0])
+        return sample
+
+    grad = probed_gradient(model, oracle, row, delta, repetitions, seed_base=seed_base)
+    # calls come in (coordinate, side, repetition) order; a side clamped to
+    # [0, 1] narrows its coordinate's spread
+    pen = np.reshape(penalties, (grad.size, 2, repetitions))
+    base = row.stacked()
+    spread = np.clip(base + delta, 0.0, 1.0) - np.clip(base - delta, 0.0, 1.0)
+    quotients = (pen[:, 1] - pen[:, 0]) / spread[:, None]
+    return grad, quotients.std(axis=1, ddof=1) / math.sqrt(repetitions)

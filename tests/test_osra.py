@@ -236,6 +236,41 @@ class TestRunOsra:
 
 
 
+class TestProbeMemory:
+    """What `run_osra(memory=...)` records: every probe of the new slice."""
+
+    def scenario(self):
+        return make_tiny_scenario(max_iters=2, epsilon=0.0, tau_new=0.05, probes=3)
+
+    def test_records_every_probe(self):
+        sc = self.scenario()
+        mem = ProbeMemory()
+        res = run(sc, seed=4, memory=mem)
+        dim = sc.topology.n_edges + sc.topology.n_cores
+        p = sc.osra.probes
+        assert len(mem) == len(res.traces) * 2 * dim * p
+        # (coordinate, side, repetition) order: each probe point's repetitions
+        # are consecutive, on one row and the gradient's p seeds
+        for start in range(0, len(mem), p):
+            block = mem[start:start + p]
+            k = start // (2 * dim * p)
+            assert all(pt is block[0][0] for pt, _, _ in block)
+            assert isinstance(block[0][0], AllocationVector)
+            assert [s for _, _, s in block] == [
+                oracle.derive_seed(oracle.derive_seed(4, 7001, k), r) for r in range(p)]
+
+    def test_replay_reproduces_samples(self):
+        sc = self.scenario()
+        mem = ProbeMemory()
+        run(sc, memory=mem)
+        replays = lambda statistic: all(
+            oracle.sim_evaluate(sc.new_slice_id, pt, sc.slices, sc.topology, sc.sim, seed,
+                                statistic) == sample
+            for pt, sample, seed in mem)
+        assert replays(sc.osra.statistic)
+        assert not replays("max")
+
+
 class TestProbeMemo:
     """The per-gradient memo on the reference topology's two equal cores."""
 

@@ -1,4 +1,4 @@
-"""Hinge penalties, probed and analytic gradients, probe memory."""
+"""Hinge penalties, probed and analytic gradients."""
 import math
 import re
 
@@ -10,7 +10,6 @@ from slicelab import (
     AllocationVector,
     DegenerateDelta,
     InvariantViolation,
-    ProbeMemory,
     QoeRequirement,
     SliceSpec,
     Topology,
@@ -18,7 +17,7 @@ from slicelab import (
     run_osra,
 )
 from slicelab.domain import QoeSample
-from slicelab.oracle import analytic_parts
+from slicelab.oracle import analytic_parts, derive_seed, sim_evaluate
 from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,
@@ -27,6 +26,7 @@ from slicelab.penalty import (
 )
 
 from conftest import make_tiny_scenario
+from reference_impls import many_repetition_gradient
 
 
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
@@ -246,29 +246,46 @@ class TestProbedGradient:
         assert set(first).isdisjoint(seen)
 
 
-class TestProbeMemory:
-    def test_records_every_probe(self):
-        m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
-        mem = ProbeMemory()
-        point = AllocationVector(np.array([0.5]), np.array([0.5]))
-        probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=3,
-                        memory=mem)
-        assert len(mem) == 2 * 2 * 3  # dim * sides * probes
-        pt, sample, seed = next(iter(mem))
-        assert isinstance(pt, AllocationVector)
+# a derive_seed namespace of this file's own: run_osra seeds from 9001 and 7001
+FIDELITY_SEEDS = 5003
 
-    def test_replay_reproduces_samples(self):
-        m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
-        mem = ProbeMemory()
-        point = AllocationVector(np.array([0.5]), np.array([0.5]))
-        probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=2,
-                        memory=mem)
-        replays = lambda oracle: all(oracle(pt, seed) == sample
-                                     for pt, sample, seed in mem)
-        assert replays(quadratic_oracle)
-        shifted = lambda vec, seed=None: QoeSample(
-            2.0 + float(vec.stacked() @ vec.stacked()), 1.0)
-        assert not replays(shifted)
+
+class TestProbedGradientFidelity:
+    """The estimator as run_osra runs it, graded against a slow reference.
+
+    The acceptance gate passes with 1 repetition in place of the shipped 10,
+    so this is the check that tells the estimators apart. At iterates 2, 4
+    and 6 of reference seeds 0 and 1, 8 estimates at the shipped `probes`,
+    each with its own seed base, are compared with a 200-repetition one.
+    """
+
+    def test_shipped_probes_track_the_reference(self, reference_sweep):
+        sc, results, _ = reference_sweep
+        new, cfg = sc.new_slice, sc.osra
+        m = PenaltyModel.for_slice(new, cfg.penalty_exponent, cfg.delay_ceiling_ms)
+        norm = np.linalg.norm
+
+        def estimate(row, seed_base):
+            memo = {}
+            oracle = lambda point, seed: sim_evaluate(
+                new.id, point, sc.slices, sc.topology, sc.sim, seed, cfg.statistic, memo=memo)
+            return probed_gradient(m, oracle, row, cfg.delta, cfg.probes, seed_base=seed_base)
+
+        cosines, median_errors = [], []
+        for seed in (0, 1):
+            for k in (2, 4, 6):
+                row = results[seed].traces[k].alloc.row(new.id)
+                ref, se = many_repetition_gradient(
+                    m, new.id, row, sc.slices, sc.topology, sc.sim, cfg.statistic,
+                    cfg.delta, seed_base=derive_seed(seed, FIDELITY_SEEDS, k, 0))
+                # the reference's own noise is well inside the tolerance below
+                assert norm(se) <= 0.05 * norm(ref), (seed, k)
+                estimates = [estimate(row, derive_seed(seed, FIDELITY_SEEDS, k, i))
+                             for i in range(1, 9)]
+                cosines += [g @ ref / (norm(g) * norm(ref)) for g in estimates]
+                median_errors.append(np.median([norm(g - ref) / norm(ref) for g in estimates]))
+        assert min(cosines) >= 0.99
+        assert max(median_errors) <= 0.25
 
 
 class TestAnalyticGradient:
