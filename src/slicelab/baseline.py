@@ -92,7 +92,7 @@ class SliceAudit(ArrayValue):
 
     offered: int
     success: int
-    violation_fraction: float  # successful requests with delay > bound
+    violation_fraction: float  # successful requests with delay > bound; NaN if empty
     mean_delay_ms: float
     max_delay_ms: float
     throughput: float
@@ -106,7 +106,8 @@ def audit_allocation(slices, topology: Topology, alloc: AllocationMatrix,
 
     The violation fraction counts successful requests whose delay exceeds
     the slice's bound, out of all successful requests; an unbounded slice
-    scores 0. No successes at all is reported as 0 with empty=True.
+    scores 0. A slice with no successes at all has nothing to score: its
+    fraction, mean and max delay are NaN, with empty=True.
     """
     return pool_audits(slices, [run_sim(slices, topology, alloc, sim_config, seed=seed)
                                 for seed in seeds])
@@ -128,7 +129,7 @@ def pool_audits(slices, runs) -> dict:
         empty = pooled.size == 0
         req = spec.requirement
         if empty:
-            viol, mean_d, max_d = 0.0, float("nan"), float("nan")
+            viol = mean_d = max_d = float("nan")
         else:
             late = np.count_nonzero(pooled > req.tau_ms) if req.bounded else 0
             viol = float(late / pooled.size)

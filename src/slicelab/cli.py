@@ -6,10 +6,11 @@
 
 With no --scenario the built-in reference scenario is used. The
 scenario's `osra:` section is the only place the algorithm's knobs are
-set; no flag overrides them. --out falls back to $SLICELAB_OUT, then
-./slicelab-out. Seeds are distinct non-negative integers, a comma list
-("0,3,17") or an inclusive range ("0..9"). Exit codes: 0 success, 2 for a scenario
-that does not parse or validate (the message names the offending key, or
+set; no flag overrides them. --out defaults to ./slicelab-out. validate
+prints a comment line, then the resolved scenario as YAML. Seeds are
+distinct non-negative integers, a comma list ("0,3,17") or an inclusive
+range ("0..9"). Exit codes: 0 success, 2 for a scenario that does not
+parse or validate (the message names the offending key, or
 the path of a file that cannot be read as YAML), for bad --seeds, or for
 an --out that cannot be made a directory (a file there, say). All CSV
 schemas are documented in the README.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from pathlib import Path
 
@@ -66,12 +66,11 @@ def _load(args) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SLICELAB_OUT") or "slicelab-out"
-    path = Path(out)
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise InvariantViolation([("out", f"--out {out}: {e.strerror}")]) from None
+        raise InvariantViolation([("out", f"--out {args.out}: {e.strerror}")]) from None
     return path
 
 
@@ -220,9 +219,10 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     sc = _load(args)
     donors = ", ".join(s.id for s in sc.donors())
-    print(f"scenario {sc.name!r} OK: {len(sc.slices)} slices, "
+    print(f"# scenario {sc.name!r} OK: {len(sc.slices)} slices, "
           f"new slice {sc.new_slice_id!r}, lower-priority [{donors}], "
           f"{sc.topology.n_edges} edge(s), {sc.topology.n_cores} core(s)")
+    print(yaml.safe_dump(scenario_to_dict(sc), sort_keys=False), end="")
     return 0
 
 
@@ -232,34 +232,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slice reconfiguration lab: simulate, reconfigure, compare.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, text):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--scenario", help="scenario YAML (default: built-in reference)")
-        p.add_argument("--out", help="output dir (default: $SLICELAB_OUT or ./slicelab-out)")
+        p.set_defaults(fn=fn)
+        return p
+
+    for p in (command("run", cmd_run, "run the reconfiguration loop per seed"),
+              command("compare", cmd_compare, "analytic sizing vs reconfigured allocation")):
+        p.add_argument("--out", default="slicelab-out",
+                       help="output dir (default: ./slicelab-out)")
         p.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0..9"),
                        help="'0,1,2' or '0..9' (default 0..9)")
-        p.add_argument("--dry-run", action="store_true",
-                       help="validate and print the resolved scenario, run nothing")
-
-    p_run = sub.add_parser("run", help="run the reconfiguration loop per seed")
-    common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="analytic sizing vs reconfigured allocation")
-    common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
-
-    p_val = sub.add_parser("validate", help="parse and validate a scenario file")
-    p_val.add_argument("--scenario", help="scenario YAML (default: built-in reference)")
-    p_val.set_defaults(fn=cmd_validate, dry_run=False)
+    command("validate", cmd_validate, "validate and print the resolved scenario")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.dry_run:
-            print(yaml.safe_dump(scenario_to_dict(_load(args)), sort_keys=False), end="")
-            return 0
         return args.fn(args)
     except (ScenarioError, InvariantViolation) as e:
         print(f"error: {e}", file=sys.stderr)

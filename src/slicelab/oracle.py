@@ -9,7 +9,7 @@ Two kinds:
 * Simulated: `sim_evaluate_all` (every slice, through `run_sim`) and
   `sim_evaluate` (one slice at one row, through `simulate_slice`) reduce raw
   delays under the configured statistic. Stochastic but fully reproducible
-  per seed; `sim_evaluate` can memoize its samples.
+  per seed; `sim_evaluate` memoizes its samples.
 """
 from __future__ import annotations
 
@@ -66,14 +66,13 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
     return math.inf, tp, d_delay, d_tp
 
 
-def sim_evaluate_all(alloc, slices, topology, config, seed, statistic="max") -> dict:
+def sim_evaluate_all(alloc, slices, topology, config, seed, statistic) -> dict:
     """Simulate every slice at `alloc` and reduce, keeping the raw delays."""
     results = run_sim(slices, topology, alloc, config, seed=seed)
     return {sid: summarize(r, statistic, keep_raw=True) for sid, r in results.items()}
 
 
-def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
-                 memo=None) -> QoeSample:
+def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo) -> QoeSample:
     """Simulate one slice at allocation row `row` alone and reduce.
 
     Slices never share a queue, so no other slice could notice, and a what-if
@@ -84,14 +83,11 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic="max",
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)
-    if memo is not None and key in memo:
-        return memo[key]
-    index = {s.id: k for k, s in enumerate(slices)}[slice_id]
-    result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config, seed)
-    sample = summarize(result, statistic)
-    if memo is not None:
-        memo[key] = sample
-    return sample
+    if key not in memo:
+        index = {s.id: k for k, s in enumerate(slices)}[slice_id]
+        result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config, seed)
+        memo[key] = summarize(result, statistic, keep_raw=False)
+    return memo[key]
 
 
 def derive_seed(*parts) -> int:

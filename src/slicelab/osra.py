@@ -14,15 +14,18 @@ step size eta:
 While j is the only one hurting, grad pi_i = 0 and -grad pi_j >= 0
 componentwise, so p_i >= 0: donors shed resources and j gains them. Once
 a donor's own marginal penalty matches j's on some coordinate, p_i there
-crosses zero and the exchange stalls: the fixed point balances marginal
-penalties rather than driving any slice to zero.
+crosses zero and the exchange stalls there. On the reference sweep every
+run stops once all hinges are off, with every slice still holding a share,
+and no applied update uses the fallback below. Off the reference point
+that need not hold: the fallback step has no size bound, and one such step
+can zero a slice's row (ROADMAP item 8).
 
 The applied update withdraws delta_i from each donor and grants their sum
 to j, under one of two scalings:
 
 * "conservative": delta_i = p_i. What j receives is exactly what donors
   lose, in the raw gradient scale.
-* "algorithm1" (default): delta_i = p_i / ||grad pi_j||. The whole
+* "algorithm1" (the reference's): delta_i = p_i / ||grad pi_j||. The whole
   transfer field is normalized by the new slice's gradient norm, so the
   grant magnitude is ~ eta times the number of donors regardless of how
   steep the penalty cliffs are; approach speed is set by the step size
@@ -69,22 +72,22 @@ class NonFiniteGradient(ValueError):
 
 @dataclass(frozen=True)
 class OsraConfig:
-    """Tuning knobs for one reconfiguration run.
+    """Tuning knobs for one reconfiguration run, each set by the scenario.
 
     eta is the one constant step size of every donor at every iteration.
     delta is the probe perturbation per coordinate, probes the number of
     seeded simulator runs averaged per probe point.
     """
 
-    eta: float = 0.05
-    delta: float = 0.02
-    probes: int = 10
-    epsilon: float = 1e-3
-    max_iters: int = 25
-    transfer_rule: str = "algorithm1"
-    statistic: str = "max"
-    penalty_exponent: int = 2
-    delay_ceiling_ms: float = 1e4
+    eta: float
+    delta: float
+    probes: int
+    epsilon: float
+    max_iters: int
+    transfer_rule: str
+    statistic: str
+    penalty_exponent: int
+    delay_ceiling_ms: float
 
     def __post_init__(self):
         errs = []
@@ -184,7 +187,7 @@ class ProbeMemory(list):
 
 def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
              sim_config: SimConfig, new_slice_id: str, config: OsraConfig,
-             seed: int = 0, memory=None) -> OsraResult:
+             seed: int, memory=None) -> OsraResult:
     """Run the reconfiguration loop until the transfer stalls or iters run out.
 
     Each iteration: monitor all slices (one full simulation), form penalty

@@ -49,7 +49,7 @@ class DegenerateDelta(ValueError):
 @dataclass(frozen=True)
 class PenaltyModel:
     """Requirement plus hinge weights/exponent for one slice's penalty; the
-    exponent's and ceiling's defaults are `OsraConfig`'s, written only there."""
+    exponent and ceiling are the run's `OsraConfig` knobs."""
 
     requirement: QoeRequirement
     alpha_tau: float
@@ -96,7 +96,7 @@ def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, fl
 
 
 def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
-                    delta: float, probes: int, seed_base: int = 0) -> np.ndarray:
+                    delta: float, probes: int, seed_base: int) -> np.ndarray:
     """Central-difference estimate of d(penalty)/d(allocation) at `point`.
 
     `oracle` is a callable (AllocationVector, seed) -> QoeSample, called in

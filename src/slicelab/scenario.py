@@ -4,7 +4,7 @@ A scenario bundles the slice set, the substrate, the starting allocation,
 simulation knobs, and algorithm knobs, plus which slice is the new
 arrival. Files round-trip exactly, floats included:
 scenario_from_dict(yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc)))) == sc,
-and `slicelab run --dry-run` prints that YAML. An unbounded delay
+and `slicelab validate` prints that YAML. An unbounded delay
 requirement is written as the string "unbounded".
 
 The reader casts nothing. It checks the shape of the file (mappings,
@@ -222,7 +222,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         topology=topology,
         initial_alloc=alloc,
         sim=_from_dict(SimConfig, data.get("sim", {}), "sim"),
-        osra=_from_dict(OsraConfig, data.get("osra", {}), "osra"),
+        osra=_from_dict(OsraConfig, _req(data, "osra", "scenario"), "osra"),
         new_slice_id=str(_req(data, "new_slice", "scenario")),
     )
     return sc.validate()

@@ -398,8 +398,7 @@ def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     return float(np.partition(delays_ms, k - 1)[k - 1])
 
 
-def summarize(result: SliceRunResult, statistic: str = "max",
-              keep_raw: bool = False) -> QoeSample:
+def summarize(result: SliceRunResult, statistic: str, keep_raw: bool) -> QoeSample:
     """Collapse one slice's SliceRunResult into a QoeSample under the chosen statistic."""
     return QoeSample(
         delay_stat_ms=delay_statistic(result.delays_ms, statistic),

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 from slicelab import baseline
-from slicelab.scenario import scenario_to_dict
+from slicelab.scenario import reference_scenario, scenario_to_dict
 from slicelab.cli import main, parse_seeds
 
 from conftest import make_tiny_scenario
@@ -134,8 +134,27 @@ class TestValidate:
     def test_builtin_reference(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        assert "OK" in out
-        assert "slice2" in out and "slice3" in out
+        assert out.startswith("# scenario 'reference' OK: 3 slices, new slice 'slice1', "
+                              "lower-priority [slice2, slice3]")
+        assert yaml.safe_load(out) == scenario_to_dict(reference_scenario())
+
+    def test_prints_resolved_scenario_and_writes_nothing(self, tiny_yaml, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--scenario", str(tiny_yaml)]) == 0
+        printed = yaml.safe_load(capsys.readouterr().out)
+        assert printed == yaml.safe_load(tiny_yaml.read_text())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", ["--transfer-rule=conservative", "--statistic=p90",
+                                      "--dry-run"])
+    def test_no_flag_sets_a_knob(self, tiny_yaml, tmp_path, command, flag):
+        # the scenario's osra section is the one setter of the algorithm's
+        # knobs, and validate the one printer of the resolved scenario
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(tiny_yaml), "--out", str(tmp_path), flag])
+        assert exc.value.code == 2
 
     def test_module_entry_point(self):
         proc = run_cli("validate")
@@ -256,9 +275,12 @@ class TestValidate:
          "unknown key(s) ['eta_schedule'] in osra"),
         (lambda d: d["osra"].update(donor_gradients="probed"),
          "unknown key(s) ['donor_gradients'] in osra"),
+        (lambda d: d["osra"].pop("epsilon"), "missing key 'epsilon' in osra"),
+        (lambda d: d.pop("osra"), "missing key 'osra' in scenario"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
             "flows-not-a-list",
-            "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule", "donor_gradients"])
+            "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule", "donor_gradients",
+            "no-epsilon", "no-osra"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
         mutate(data)
@@ -266,36 +288,6 @@ class TestValidate:
         p.write_text(yaml.safe_dump(data))
         assert main(["validate", "--scenario", str(p)]) == 2
         assert named in capsys.readouterr().err
-
-
-class TestDryRun:
-    def test_prints_resolved_scenario_and_writes_nothing(self, tiny_yaml,
-                                                         tmp_path, capsys):
-        out_dir = tmp_path / "never-created"
-        rc = main(["run", "--scenario", str(tiny_yaml), "--out", str(out_dir),
-                   "--dry-run"])
-        assert rc == 0
-        printed = yaml.safe_load(capsys.readouterr().out)
-        assert printed == yaml.safe_load(tiny_yaml.read_text())
-        assert not out_dir.exists()
-
-    def test_compare_prints_what_run_prints(self, tiny_yaml, tmp_path, capsys):
-        out_dir = tmp_path / "never-created"
-        printed = []
-        for command in ("run", "compare"):
-            assert main([command, "--scenario", str(tiny_yaml), "--out", str(out_dir),
-                         "--dry-run"]) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("flag", ["--transfer-rule=conservative", "--statistic=p90"])
-    def test_no_flag_sets_a_knob(self, tiny_yaml, command, flag):
-        # the scenario's osra section is the one setter of the algorithm's knobs
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--scenario", str(tiny_yaml), "--dry-run", flag])
-        assert exc.value.code == 2
 
 
 class TestRun:
@@ -348,13 +340,6 @@ class TestRun:
         assert proc.returncode == 2
         assert proc.stderr == f"error: --out {taken}: File exists\n"
         assert taken.read_text() == ""
-
-    def test_env_var_out_dir(self, tiny_yaml, tmp_path, monkeypatch, capsys):
-        env_out = tmp_path / "from-env"
-        monkeypatch.setenv("SLICELAB_OUT", str(env_out))
-        rc = main(["run", "--scenario", str(tiny_yaml), "--seeds", "0"])
-        assert rc == 0
-        assert (env_out / "iterations_0.csv").exists()
 
 
 class TestCompare:

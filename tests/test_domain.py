@@ -19,6 +19,7 @@ from slicelab import (
     Topology,
     TrafficModel,
     audit_allocation,
+    reference_scenario,
     run_osra,
     run_sim,
 )
@@ -277,7 +278,7 @@ class TestAllocationMatrix:
 # a valid instance of each config and value type, with every numeric field read
 VALID = {
     SimConfig: {},
-    OsraConfig: {},
+    OsraConfig: dataclasses.asdict(reference_scenario().osra),
     PenaltyModel: dict(requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0, alpha_rho=1.0,
                        exponent=2, delay_ceiling_ms=1e4),
     QoeRequirement: dict(tau_ms=5.0, rho=0.9),
@@ -378,7 +379,8 @@ def array_values():
     sc = make_tiny_scenario()
     run = run_sim(sc.slices, sc.topology, sc.initial_alloc, sc.sim, seed=0)["new"]
     result = _tiny_run(0)
-    return [sc.initial_alloc.row("new"), sc.initial_alloc, summarize(run, keep_raw=True), run,
+    return [sc.initial_alloc.row("new"), sc.initial_alloc,
+            summarize(run, "max", keep_raw=True), run,
             audit_allocation(sc.slices, sc.topology, sc.initial_alloc, sc.sim, (0, 1))["new"],
             result.traces[0], result]
 
@@ -487,7 +489,7 @@ class TestValidateScenario:
         return ScenarioConfig(
             name="t", slices=slices, topology=self.topo,
             initial_alloc=AllocationMatrix.from_rows(rows), sim=SimConfig(),
-            osra=OsraConfig(), new_slice_id="a")
+            osra=reference_scenario().osra, new_slice_id="a")
 
     def row(self):
         return AllocationVector(np.array([0.4]), np.array([0.4]))

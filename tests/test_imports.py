@@ -13,6 +13,10 @@ Each public function, class and method of the package must be named, by a
 its own body. A name only tests read is code kept for the tests alone.
 Names are matched by name only, so a method named like a read attribute
 of anything else passes.
+
+A run's statistic, seeds and memo come from its caller, and its loop knobs
+from the scenario: no function of the package gives such a parameter a
+default, and no `OsraConfig` field has one.
 """
 import ast
 from pathlib import Path
@@ -95,3 +99,39 @@ def test_finds_a_name_only_tests_read():
 def test_every_public_name_is_read_outside_the_tests():
     package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_public_names(package, [p.read_text() for p in READERS]) == []
+
+
+# what a run sets once, from its scenario or the command line: a default on
+# a run-path parameter or a loop knob would be a second setter
+RUN_VALUES = {"statistic", "keep_raw", "memo", "seed", "seed_base"}
+
+
+def second_setters(source: str) -> list[str]:
+    """The functions of `source` that give a default to a parameter named in
+    RUN_VALUES, and `OsraConfig` if any of its fields has a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if any(a.arg in RUN_VALUES for a in defaulted):
+                found.append(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name == "OsraConfig":
+            if any(isinstance(f, ast.AnnAssign) and f.value is not None for f in node.body):
+                found.append(node.name)
+    return found
+
+
+def test_finds_a_second_setter():
+    source = ("def run(x, seed=0, memory=None):\n    pass\n\n\n"
+              "def ok(seed, n=3, *, memo, clamp=False):\n    pass\n\n\n"
+              "def summarize(r, *, keep_raw=False):\n    pass\n\n\n"
+              "class OsraConfig:\n    eta: float\n    probes: int = 10\n")
+    assert second_setters(source) == ["run", "summarize", "OsraConfig"]
+
+
+def test_the_scenario_and_the_caller_are_the_only_setters():
+    found = [name for p in sorted(PACKAGE.glob("*.py")) for name in second_setters(p.read_text())]
+    assert found == []

@@ -115,26 +115,26 @@ class TestOracles:
     def test_sim_oracle_deterministic(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        at = lambda seed: sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=seed)
+        at = lambda seed: sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed, "max", {})
         assert at(5) == at(5)
         assert at(5) != at(6)
 
     def test_statistic_changes_the_reduction(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        mx = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, statistic="max")
-        mean = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, statistic="mean")
+        mx = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
+        mean = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "mean", {})
         assert mx.delay_stat_ms > mean.delay_stat_ms
 
     def test_row_argument_probes_without_moving_the_matrix(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         probe = AllocationVector(np.array([0.9]), np.array([0.9]))
-        got = sim_evaluate("s", probe, [spec], topo, cfg, seed=5)
+        got = sim_evaluate("s", probe, [spec], topo, cfg, 5, "max", {})
         direct = sim_evaluate_all(AllocationMatrix.from_rows({"s": probe}),
-                                  [spec], topo, cfg, seed=5)["s"]
+                                  [spec], topo, cfg, 5, "max")["s"]
         assert got == dataclasses.replace(direct, raw_delays_ms=None)
-        assert got != sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5)
+        assert got != sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
 
     def test_memo_answers_a_repeated_probe_without_simulating(self, monkeypatch):
         spec, topo, alloc = self.scenario()
@@ -145,13 +145,13 @@ class TestOracles:
                             lambda *a: seeds.append(a[-1]) or real(*a))
         memo = {}
         at = lambda seed, row=alloc.row("s"): sim_evaluate("s", row, [spec], topo, cfg,
-                                                          seed=seed, memo=memo)
+                                                          seed, "max", memo)
         first = at(5)
         assert at(5) is first
         at(6)
         at(5, AllocationVector(np.array([0.21]), np.array([0.3])))
         assert seeds == [5, 6, 5]
-        assert first == sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5)
+        assert first == sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
 
     def test_one_stage_rates_call_per_miss_and_per_hit(self, monkeypatch):
         # the memo key and the simulated rates come from one computation
@@ -163,16 +163,16 @@ class TestOracles:
         monkeypatch.setattr(oracle, "stage_rates", counted)
         monkeypatch.setattr(simulator, "stage_rates", counted)
         memo = {}
-        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, memo=memo)
+        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", memo)
         assert len(calls) == 1
-        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=5, memo=memo)
+        sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", memo)
         assert len(calls) == 2
 
     def test_unknown_slice_names_it(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
         with pytest.raises(KeyError, match="'nope'"):
-            sim_evaluate("nope", alloc.row("s"), [spec], topo, cfg, seed=5)
+            sim_evaluate("nope", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
 
     def test_analytic_oracle_interface(self):
         spec, topo, alloc = self.scenario()
@@ -184,10 +184,10 @@ class TestOracles:
     def test_evaluate_all_keeps_raw_delays(self):
         spec, topo, alloc = self.scenario()
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
-        samples = sim_evaluate_all(alloc, [spec], topo, cfg, seed=4)
+        samples = sim_evaluate_all(alloc, [spec], topo, cfg, 4, "max")
         assert samples["s"].raw_delays_ms is not None
         assert samples["s"].raw_delays_ms.size > 0
-        one = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed=4)
+        one = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 4, "max", {})
         assert samples["s"].delay_stat_ms == one.delay_stat_ms
 
 

@@ -42,6 +42,11 @@ def run(sc: ScenarioConfig, seed=0, **kw):
                     sc.new_slice_id, sc.osra, seed=seed, **kw)
 
 
+def knobs(**kw) -> OsraConfig:
+    """The reference scenario's loop knobs with the given ones replaced."""
+    return dataclasses.replace(reference_scenario().osra, **kw)
+
+
 class TestTransferStep:
     def test_conservative_hand_case(self):
         transfer, stop, deltas, grant, used = transfer_step(
@@ -211,13 +216,13 @@ class TestRunOsra:
         sc = make_tiny_scenario()
         with pytest.raises(ValueError, match="no lower-priority"):
             run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
-                     "donor", sc.osra)  # lowest-priority slice as "new"
+                     "donor", sc.osra, seed=0)  # lowest-priority slice as "new"
 
     def test_unknown_new_slice(self):
         sc = make_tiny_scenario()
         with pytest.raises(KeyError):
             run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
-                     "ghost", sc.osra)
+                     "ghost", sc.osra, seed=0)
 
     def test_non_finite_gradient_names_slice_and_iteration(self, monkeypatch):
         real = osra.probed_gradient
@@ -265,7 +270,7 @@ class TestProbeMemory:
         run(sc, memory=mem)
         replays = lambda statistic: all(
             oracle.sim_evaluate(sc.new_slice_id, pt, sc.slices, sc.topology, sc.sim, seed,
-                                statistic) == sample
+                                statistic, {}) == sample
             for pt, sample, seed in mem)
         assert replays(sc.osra.statistic)
         assert not replays("max")
@@ -283,7 +288,7 @@ class TestProbeMemo:
         memo_on = run(sc)
         real = osra.sim_evaluate
         monkeypatch.setattr(osra, "sim_evaluate",
-                            lambda *a, memo=None, **k: real(*a, **k))
+                            lambda *a, memo, **k: real(*a, memo={}, **k))
         assert pickle.dumps(memo_on) == pickle.dumps(run(sc))
 
     def test_four_simulations_per_repetition(self, monkeypatch):
@@ -343,8 +348,8 @@ class TestFrozenSlices:
             "new": AllocationVector(np.array([0.02]), np.array([0.05])),
             "donor": AllocationVector(np.array([0.70]), np.array([0.60])),
         })
-        osra = OsraConfig(eta=0.08, delta=0.05, probes=2, epsilon=0.0,
-                          max_iters=4, statistic="mean", delay_ceiling_ms=1e3)
+        osra = knobs(eta=0.08, delta=0.05, probes=2, epsilon=0.0, max_iters=4,
+                     statistic="mean", penalty_exponent=2, delay_ceiling_ms=1e3)
         return slices, topology, alloc, osra
 
     def test_higher_priority_rows_never_move(self):
@@ -402,15 +407,15 @@ class TestOrderKey:
 class TestOsraConfig:
     def test_bad_rule(self):
         with pytest.raises(ValueError, match="transfer_rule"):
-            OsraConfig(transfer_rule="both")
+            knobs(transfer_rule="both")
 
     def test_nonnegative_epsilon(self):
-        OsraConfig(epsilon=0.0)  # explicitly allowed: cap-only runs
+        knobs(epsilon=0.0)  # explicitly allowed: cap-only runs
         with pytest.raises(ValueError, match="epsilon"):
-            OsraConfig(epsilon=-0.1)
+            knobs(epsilon=-0.1)
         # an infinite threshold would stop the loop before its first update
         with pytest.raises(InvariantViolation, match=r"epsilon must be in \[0, inf\), got inf"):
-            OsraConfig(epsilon=float("inf"))
+            knobs(epsilon=float("inf"))
         data = scenario_to_dict(reference_scenario())
         data["osra"]["epsilon"] = float("inf")
         with pytest.raises(ScenarioError, match="osra.epsilon: epsilon must be in"):
@@ -418,17 +423,17 @@ class TestOsraConfig:
 
     @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99", "p99.9"])
     def test_statistics_accepted(self, statistic):
-        assert OsraConfig(statistic=statistic).statistic == statistic
+        assert knobs(statistic=statistic).statistic == statistic
 
     @pytest.mark.parametrize("statistic", [99, None, "p", "p1e1", "p-5", "p 50", "pinf", "p0"])
     def test_bad_statistic_names_the_field(self, statistic):
         with pytest.raises(InvariantViolation) as exc:
-            OsraConfig(statistic=statistic)
+            knobs(statistic=statistic)
         assert [f for f, _ in exc.value.violations] == ["statistic"]
 
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):
-            OsraConfig(max_iters=0)
+            knobs(max_iters=0)
 
     @pytest.mark.parametrize("field, value", [
         ("probes", "3"), ("eta", "x"), ("delta", None), ("delta", 0.0), ("delta", 1e-20),
@@ -437,12 +442,12 @@ class TestOsraConfig:
         ("delay_ceiling_ms", 0.0), ("delay_ceiling_ms", float("inf"))])
     def test_probe_and_penalty_knobs_checked(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
-            OsraConfig(**{field: value})
+            knobs(**{field: value})
 
     @pytest.mark.parametrize("eta, field", [(-0.1, "eta"), (float("nan"), "eta"),
                                             (float("inf"), "eta")])
     def test_negative_step_size_names_its_donor(self, eta, field):
-        OsraConfig(eta=0.0)  # allowed: nothing moves
+        knobs(eta=0.0)  # allowed: nothing moves
         with pytest.raises(InvariantViolation, match=r"eta must be in \[0, inf\)") as exc:
-            OsraConfig(eta=eta)
+            knobs(eta=eta)
         assert [f for f, _ in exc.value.violations] == [field]

@@ -143,21 +143,21 @@ class TestProbedGradient:
         # linear hinge of (1 + |s|^2) against tau=1 is quadratic in s
         m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
         point = AllocationVector(np.array([0.6]), np.array([0.3]))
-        g = probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=1)
+        g = probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=1, seed_base=0)
         assert g == pytest.approx([1.2, 0.6], abs=1e-10)
 
     def test_constant_oracle_gives_zero(self):
         const = lambda vec, seed=None: QoeSample(3.0, 1.0)
         m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
         point = AllocationVector(np.array([0.5]), np.array([0.5]))
-        g = probed_gradient(m, const, point, delta=0.1, probes=3)
+        g = probed_gradient(m, const, point, delta=0.1, probes=3, seed_base=0)
         assert np.all(g == 0.0)
 
     def test_boundary_switches_to_one_sided(self):
         # at (1, 0) both coordinates clamp; hand-computed one-sided quotients
         m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
         point = AllocationVector(np.array([1.0]), np.array([0.0]))
-        g = probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=1)
+        g = probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=1, seed_base=0)
         assert g[0] == pytest.approx((1.0 - 0.81) / 0.1, abs=1e-10)  # 1.9
         assert g[1] == pytest.approx(0.01 / 0.1, abs=1e-10)          # 0.1
 
@@ -182,7 +182,7 @@ class TestProbedGradient:
         truth = 4.0 * point.stacked() ** 3
         errs = []
         for delta in (0.2, 0.1):
-            g = probed_gradient(m, quartic, point, delta=delta, probes=1)
+            g = probed_gradient(m, quartic, point, delta=delta, probes=1, seed_base=0)
             errs.append(np.linalg.norm(g - truth))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -197,16 +197,16 @@ class TestProbedGradient:
             return QoeSample(1.0 if state["n"] % 2 else 9.0, 1.0)
 
         point = AllocationVector(np.array([0.5]), np.array([0.5]))
-        g = probed_gradient(m, flip, point, delta=0.1, probes=2)
+        g = probed_gradient(m, flip, point, delta=0.1, probes=2, seed_base=0)
         assert np.all(g == 0.0)
 
     def test_degenerate_delta(self):
         m = model()
         point = AllocationVector(np.array([0.5]), np.array([0.5]))
         with pytest.raises(InvariantViolation, match=r"delta must be in \(1e-09, inf\), got 0.0"):
-            probed_gradient(m, quadratic_oracle, point, delta=0.0, probes=1)
+            probed_gradient(m, quadratic_oracle, point, delta=0.0, probes=1, seed_base=0)
         with pytest.raises(ValueError, match="probes"):
-            probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=0)
+            probed_gradient(m, quadratic_oracle, point, delta=0.1, probes=0, seed_base=0)
 
     @pytest.mark.parametrize("field, delta, probes", [
         ("delta", None, 1), ("delta", 1e-20, 1), ("delta", math.inf, 1),
@@ -216,7 +216,8 @@ class TestProbedGradient:
         # the bounds OsraConfig puts on the same two knobs
         point = AllocationVector(np.array([0.5]), np.array([0.5]))
         with pytest.raises(InvariantViolation) as exc:
-            probed_gradient(model(), quadratic_oracle, point, delta=delta, probes=probes)
+            probed_gradient(model(), quadratic_oracle, point, delta=delta, probes=probes,
+                            seed_base=0)
         assert [f for f, _ in exc.value.violations] == [field]
 
     def test_coinciding_probe_points_raise_before_any_probe(self):
@@ -230,7 +231,8 @@ class TestProbedGradient:
 
         point = AllocationVector(np.array([1 + 1e-9]), np.array([0.5]))
         with pytest.raises(DegenerateDelta, match="coordinate 0: probe points coincide"):
-            probed_gradient(model(), counted, point, delta=np.nextafter(1e-9, 1.0), probes=3)
+            probed_gradient(model(), counted, point, delta=np.nextafter(1e-9, 1.0), probes=3,
+                            seed_base=0)
         assert calls == []
 
     def test_seed_base_shifts_every_probe_seed(self):
