@@ -300,6 +300,12 @@ class Topology:
             if any(name == seen for _, seen in ids[:i]):
                 errs.append((f"{key}.{name}", "edge/core ids must be unique"))
         InvariantViolation.check(errs)
+        # the rates every simulation reads, made once and read-only
+        for name, rates in (("_edge_bps", [c * 1e6 for _, c in self.edges]),
+                            ("_core_mips", [m for _, m in self.cores])):
+            arr = np.array(rates)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_edges(self) -> int:
@@ -310,10 +316,10 @@ class Topology:
         return len(self.cores)
 
     def edge_bps(self) -> np.ndarray:
-        return np.array([c * 1e6 for _, c in self.edges])
+        return self._edge_bps
 
     def core_mips(self) -> np.ndarray:
-        return np.array([m for _, m in self.cores])
+        return self._core_mips
 
 
 @dataclass(frozen=True, eq=False)

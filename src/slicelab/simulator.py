@@ -78,7 +78,11 @@ class SliceRunResult(ArrayValue):
 
 
 def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([as_seed(seed), int(slice_index)]))
+    entropy = [as_seed(seed), int(slice_index)]
+    if max(entropy) < 2**32:
+        # the words SeedSequence makes of this list, made in one call
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def generate_traffic(model: TrafficModel, horizon_s: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +103,15 @@ def _poisson_arrivals(rate, horizon_s, rng):
         # the recursion t += E / rate, carried into each chunk's first step
         arr = rng.exponential(1.0 / rate, size=n)
         arr[0] += t
-        np.cumsum(arr, out=arr)
+        np.add.accumulate(arr, out=arr)
         chunks.append(arr)
         t = arr[-1]
-    arrivals = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return _before(arrivals, horizon_s)
+    return _before(_joined(chunks), horizon_s)
+
+
+def _joined(chunks):
+    """The chunks end to end; the one chunk itself, uncopied, in the common case."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _before(arrivals, horizon_s):
@@ -125,27 +133,35 @@ def _onoff_arrivals(model, horizon_s, rng):
     while t < horizon_s:
         m = int((horizon_s - t) / (model.burst_len * gap + off_mean) * 1.1) + 16
         e = rng.standard_exponential((m, per_burst))
-        n = np.ceil(-e[:, 0] / math.log1p(-p)) if p < 1.0 else np.ones(m)
+        if p < 1.0:
+            # E / -log1p(-p) is -E / log1p(-p) to the bit: only the sign moved
+            n = e[:, 0] / -math.log1p(-p)
+            np.ceil(n, out=n)
+        else:
+            n = np.ones(m)
         step = n * gap
         if off_mean > 0:
             step += off_mean * e[:, 1]
         # burst starts, summed in the loop's order; the last one is the next t
-        s = np.cumsum(np.concatenate(([t], step)))
-        b = min(m, int(np.searchsorted(s, horizon_s)))
+        s = np.add.accumulate(np.concatenate(([t], step)))
+        b = min(m, int(s.searchsorted(horizon_s)))
         starts.append(s[:b])
         counts.append(n[:b].astype(np.int64))
         t = s[b]
     if not starts:
         return np.empty(0)
-    starts = np.concatenate(starts)
-    counts = np.concatenate(counts)
+    starts, counts = _joined(starts), _joined(counts)
     # expand each burst into gap-spaced packets: packet k of a burst that
     # starts at time s with packet index first arrives at s + (k - first) * gap,
-    # and one repeat carries (s, first) to every packet (two repeats, as in the
-    # per-burst reference, fault in fresh pages on every 10^5-packet call)
-    first = np.cumsum(counts) - counts
-    rep = np.repeat(np.column_stack((starts, first)), counts, axis=0)
-    arrivals = np.arange(counts.sum(), dtype=float)
+    # and one repeat carries the row (s, first) to every packet (two repeats,
+    # as in the per-burst reference, fault in fresh pages on every
+    # 10^5-packet call)
+    first = np.add.accumulate(counts) - counts
+    rows = np.empty((starts.size, 2))
+    rows[:, 0] = starts
+    rows[:, 1] = first
+    rep = rows.repeat(counts, axis=0)
+    arrivals = np.arange(len(rep), dtype=float)
     arrivals -= rep[:, 1]
     arrivals *= gap
     arrivals += rep[:, 0]
@@ -174,7 +190,7 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     if arrivals.shape != sizes.shape:
         raise ValueError(
             f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(sizes)}")
-    if not np.all(arrivals[1:] >= arrivals[:-1]):
+    if not (arrivals[1:] >= arrivals[:-1]).all():
         raise ValueError("arrivals must be sorted in non-decreasing order")
     if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
         return np.empty(0), np.zeros(arrivals.size, dtype=bool)
@@ -183,8 +199,8 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
 
     # link stages in series, each with its own finite buffer
     for rate in link_rates_bps:
-        times = _link_stage(times, sizes, rate, buffer_pkts)
-        if np.isnan(times).any():
+        times, blocked = _link_stage(times, sizes, rate, buffer_pkts)
+        if blocked:  # only an overflow episode drops a packet
             kept = ~np.isnan(times)
             served_mask[served_mask] = kept
             times, sizes, created = times[kept], sizes[kept], created[kept]
@@ -215,6 +231,8 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
     dep = C + max.accumulate(t - C_prev) over cumulative transmission time
     C, one window of packets at a time. Dropped packets get a NaN departure.
+    Returns the departures and whether an overflow episode ran; without
+    one, no packet was dropped.
 
     dep is the only state carried between windows. Arrival i finds
     buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
@@ -236,7 +254,7 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     while i < n:
         j = min(n, i + width)
         m = j - i
-        tw, cw = t[i:j], np.cumsum(tx[i:j], out=tx[i:j])
+        tw, cw = t[i:j], np.add.accumulate(tx[i:j], out=tx[i:j])
         # the window's departures, built in place: C + max(t - C_prev)
         d = dep[i:j]
         d[0] = tw[0]
@@ -249,8 +267,9 @@ def _link_stage(t, sizes, rate, buffer_pkts):
         # never find the buffer full; starting at lo keeps the index >= 0
         lo = min(m, max(0, b - i))
         full = dep[i + lo - b:j - b] > tw[lo:]
-        f = lo + int(full.argmax()) if full.any() else m
-        if f < m:
+        # argmax is the first True, or 0 when none is
+        f = lo + int(full.argmax()) if lo < m else m
+        if f < m and full[f - lo]:
             if tie is None:
                 tie = t + TIE_S
             tx[i + f:j] = sizes[i + f:j] * 8.0 / rate
@@ -258,7 +277,7 @@ def _link_stage(t, sizes, rate, buffer_pkts):
             width = _RESTART_WINDOW
         else:
             i, width = j, 2 * width
-    return dep
+    return dep, tie is not None
 
 
 def _overflow_blocks(t, tie, tx, k, buffer_pkts, dep):
@@ -324,7 +343,7 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
         if entries.size != rates.size:
             raise InvariantViolation([(name, f"{name}: {entries.size} columns for the "
                                              f"topology's {rates.size} {kind}(s)")])
-    return row.flows * edge_bps, math.fsum(row.cpu * core_mips)
+    return row.flows * edge_bps, math.fsum((row.cpu * core_mips).tolist())
 
 
 def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topology,
@@ -395,7 +414,9 @@ def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     if p is None:
         return float(delays_ms.max() if statistic == "max" else delays_ms.mean())
     k = max(1, math.ceil(p / 100.0 * delays_ms.size))
-    return float(np.partition(delays_ms, k - 1)[k - 1])
+    ranked = delays_ms.copy()  # partitioned in place: the caller's order stays
+    ranked.partition(k - 1)
+    return float(ranked[k - 1])
 
 
 def summarize(result: SliceRunResult, statistic: str, keep_raw: bool) -> QoeSample:

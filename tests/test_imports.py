@@ -17,6 +17,10 @@ of anything else passes.
 A run's statistic, seeds and memo come from its caller, and its loop knobs
 from the scenario: no function of the package gives such a parameter a
 default, and no `OsraConfig` field has one.
+
+The simulator names none of numpy's Python-level wrappers that it once
+paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
+`np.column_stack`); it calls the ufunc or ndarray method instead.
 """
 import ast
 from pathlib import Path
@@ -135,3 +139,27 @@ def test_finds_a_second_setter():
 def test_the_scenario_and_the_caller_are_the_only_setters():
     found = [name for p in sorted(PACKAGE.glob("*.py")) for name in second_setters(p.read_text())]
     assert found == []
+
+
+# wrappers around a ufunc or ndarray method whose Python layer cost a small
+# simulation more than its packets did
+NUMPY_WRAPPERS = {"cumsum", "all", "partition", "column_stack"}
+
+
+def numpy_wrappers(source: str) -> list[str]:
+    """Each `np.<name>` of `source` with name in NUMPY_WRAPPERS, in source order."""
+    found = [(n.lineno, n.col_offset, f"np.{n.attr}") for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+             and n.value.id == "np" and n.attr in NUMPY_WRAPPERS]
+    return [name for *_, name in sorted(found)]
+
+
+def test_finds_a_numpy_wrapper():
+    source = ("import numpy as np\nx = np.cumsum(a)\ny = np.add.accumulate(a, out=a)\n"
+              "z = a.all() and np.all(a)\nw = np.partition(a, 3)[3] + a.cumsum()\n"
+              "stack = np.column_stack\n")
+    assert numpy_wrappers(source) == ["np.cumsum", "np.all", "np.partition", "np.column_stack"]
+
+
+def test_the_simulator_calls_no_numpy_wrapper():
+    assert numpy_wrappers((PACKAGE / "simulator.py").read_text()) == []

@@ -26,6 +26,7 @@ from slicelab import (
 from slicelab import simulator
 from slicelab.simulator import (
     _link_stage,
+    _onoff_arrivals,
     delay_statistic,
     generate_traffic,
     run_sim,
@@ -118,7 +119,7 @@ class TestPipeline:
         # first link drops before the zero-rate second one strands the rest
         args = (np.arange(50) * 1e-4, np.full(50, 1000.0), np.array([4e6, 0.0]), 10,
                 3e8, 5e4, 0.0)
-        assert np.isnan(_link_stage(args[0], args[1], 4e6, 10)).any()
+        assert np.isnan(_link_stage(args[0], args[1], 4e6, 10)[0]).any()
         delays, served = simulate_pipeline(*args)
         assert delays.dtype == float and delays.size == 0
         assert served.shape == (50,) and not served.any()
@@ -282,7 +283,7 @@ class TestPipelineAgainstLoop:
         sizes = rng.uniform(20.0, 2000.0, arrivals.size)
         rate = 8.0 * sizes.mean() / 1e-3 / 1.5
         assert_matches_loop(arrivals, sizes, [rate], buffer_pkts, 3e8, 1e4, 0.1)
-        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, sizes, rate, buffer_pkts)))
+        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, sizes, rate, buffer_pkts)[0]))
         assert dropped[-1] - dropped[0] >= 10_000
 
     @pytest.mark.parametrize("buffer_pkts", [1, 40, 1000])
@@ -400,6 +401,17 @@ class TestStatistics:
 
     def test_empty_is_unbounded(self):
         assert math.isinf(delay_statistic(np.array([]), "max"))
+
+    @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99"])
+    def test_the_delays_keep_their_order(self, statistic):
+        # a run's delays are writable and an audit pools them after the
+        # reduction, so a partition in place would reorder what it pools
+        sc = reference_scenario()
+        result = run_sim(sc.slices[:1], sc.topology, sc.initial_alloc, sc.sim, seed=0)["slice1"]
+        before = result.delays_ms.copy()
+        assert result.delays_ms.flags.writeable and before.size > 1000
+        summarize(result, statistic, keep_raw=True)
+        assert np.array_equal(result.delays_ms, before)
 
     def test_bad_statistic(self):
         with pytest.raises(ValueError, match="unknown statistic"):
@@ -635,6 +647,11 @@ TRAFFIC_KINDS = (dict(kind="poisson"),
 
 
 class TestTraffic:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_slice_streams_are_seeded_by_seed_and_index(self, seed):
+        want = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+        assert slice_rng(seed, 2).bit_generator.state == want.bit_generator.state
+
     def test_poisson_rate(self):
         tm = TrafficModel(kind="poisson", mean_rate=500.0)
         rng = np.random.default_rng(1)
@@ -710,8 +727,29 @@ class TestPoissonAgainstLoop:
         assert np.array_equal(arrivals, want)
 
 
+class CountingRng:
+    """A generator that counts its bulk standard-exponential draws."""
+
+    def __init__(self, rng):
+        self.rng, self.bulk_draws = rng, 0
+
+    def standard_exponential(self, size=None):
+        self.bulk_draws += size is not None
+        return self.rng.standard_exponential(size)
+
+
 class TestOnOffAgainstLoop:
     """The bulk on/off generator against the per-burst loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [155, 1013, 1422])
+    def test_draws_spanning_two_chunks(self, seed):
+        # slice1's reference traffic over 10 s: on these seeds (23 of 0..4999)
+        # the first chunk's bursts end before the horizon
+        tm = bursty(8.0, 38.0)
+        spy = CountingRng(np.random.default_rng(seed))
+        arrivals = _onoff_arrivals(tm, 10.0, spy)
+        want = loop_onoff_arrivals(tm, 10.0, np.random.default_rng(seed))
+        assert spy.bulk_draws == 2 and np.array_equal(arrivals, want)
 
     @settings(max_examples=60, deadline=None)
     @given(
