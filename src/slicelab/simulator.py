@@ -9,13 +9,13 @@ arrival at the same instant claims one. A departure at most TIE_S after an
 arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
-Both stages run as numpy running maxima over Lindley's recursion, each
-making its full-length arrays once and updating them in place. The link's
-departure array is its only queue state: it finds its buffer full by
-comparing each arrival with the departure buffer_pkts packets before it,
-and runs each overflow episode (from the first arrival that may find the
-buffer full until one finds the link idle) buffer_pkts accepted packets at
-a time, summing each departure in the order a per-packet loop would.
+Both stages run Lindley's recursion as one numpy running max (`_lindley`)
+over full-length arrays made once and updated in place. The link's departure
+array is its only queue state: it finds its buffer full by comparing each
+arrival with the departure buffer_pkts packets before it, and runs each
+overflow episode (from the first arrival that may find the buffer full until
+one finds the link idle) buffer_pkts accepted packets at a time, summing
+each departure in the order a per-packet loop would.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -205,21 +205,30 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
             served_mask[served_mask] = kept
             times, sizes, created = times[kept], sizes[kept], created[kept]
 
-    # server stage: unbounded FIFO with the same service time proc for every
-    # request, so end_i = (i+1)*proc + max_{k<=i}(t_k - k*proc)
-    proc = demand_mi / service_rate_ips
-    prop_s = propagation_ms / 1000.0
-    steps = np.arange(times.size + 1, dtype=float)
-    steps *= proc
-    # a link stage's departures are this call's own array; arrivals are not
-    ends = times.copy() if times is arrivals else times
-    ends -= steps[:-1]
-    np.maximum.accumulate(ends, out=ends)
-    ends += steps[1:]
+    # server stage, an unbounded FIFO: written over a link stage's departures, not the arrivals
+    done = np.arange(1, times.size + 1, dtype=float)
+    done *= demand_mi / service_rate_ips
+    ends = _lindley(times, done, np.empty(times.size) if times is arrivals else times)
     ends -= created
-    ends += prop_s
+    ends += propagation_ms / 1000.0
     ends *= 1000.0
     return ends, served_mask
+
+
+def _lindley(t, done, out, before=math.nan):
+    """Lindley's recursion dep_i = max(t_i, dep_{i-1}) + s_i into out, which may be t.
+
+    done[i] is s_0 + ... + s_i. before, the departure ahead of t[0], joins the
+    first term of dep = done + max.accumulate(t - done_prev): it acts only
+    while pending (above t[0]), and not as a NaN (none, or a drop).
+    """
+    if t.size == 0:
+        return out
+    out[0] = before if before > t[0] else t[0]
+    np.subtract(t[1:], done[:-1], out=out[1:])
+    np.fmax.accumulate(out, out=out)  # maximum.accumulate's values here (no NaN), faster
+    out += done
+    return out
 
 
 def _link_stage(t, sizes, rate, buffer_pkts):
@@ -227,42 +236,32 @@ def _link_stage(t, sizes, rate, buffer_pkts):
 
     t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
     transmission times tx; each window's cumulative sum overwrites its tx,
-    and an overflow episode first remakes the tx it reads. Lindley's
-    recursion dep_i = max(t_i, dep_{i-1}) + tx_i runs as the running max
-    dep = C + max.accumulate(t - C_prev) over cumulative transmission time
-    C, one window of packets at a time. Dropped packets get a NaN departure.
-    Returns the departures and whether an overflow episode ran; without
-    one, no packet was dropped.
+    and an overflow episode first remakes the tx it reads. `_lindley` runs
+    one window of packets at a time, from the departure before it. Dropped
+    packets get a NaN departure. Returns the departures and whether an
+    overflow episode ran; without one, no packet was dropped.
 
     dep is the only state carried between windows. Arrival i finds
     buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
     departure at t frees its slot first. A slot in that range that is no
     longer pending holds either a departure at or before an earlier arrival
     (FIFO departures do not decrease) or the NaN of a drop in an episode that
-    ended with the link idle; both compare False. For the same reason the
-    window's floor fmax(d, dep[i-1]) acts only while the departure before the
-    window is pending, and skips a NaN. The test leaves TIE_S out, so it may
-    see the buffer full too early, never too late: from the first arrival it
-    sees the buffer full, an overflow episode that applies TIE_S runs until
-    an arrival finds the link idle, in blocks of buffer_pkts accepted packets.
+    ended with the link idle; both compare False. The test leaves TIE_S out,
+    so it may see the buffer full too early, never too late: from the first
+    arrival it sees the buffer full, an overflow episode that applies TIE_S
+    runs until an arrival finds the link idle.
     """
     n, b = t.size, buffer_pkts
-    tx = sizes * 8.0 / rate
+    bytes_per_s = rate / 8.0  # exact, so tx is sizes * 8 / rate to the bit
+    tx = sizes / bytes_per_s
     dep = np.empty(n)
     tie = None           # t + TIE_S, made at the first blocked episode
-    i, width = 0, n
+    i, width, before = 0, n, math.nan   # before: dep[i - 1], NaN at the start
     while i < n:
         j = min(n, i + width)
         m = j - i
         tw, cw = t[i:j], np.add.accumulate(tx[i:j], out=tx[i:j])
-        # the window's departures, built in place: C + max(t - C_prev)
-        d = dep[i:j]
-        d[0] = tw[0]
-        np.subtract(tw[1:], cw[:-1], out=d[1:])
-        np.maximum.accumulate(d, out=d)
-        if i > 0:
-            np.fmax(d, dep[i - 1], out=d)
-        d += cw
+        _lindley(tw, cw, dep[i:j], before)
         # the call's first b arrivals have fewer than b packets ahead and
         # never find the buffer full; starting at lo keeps the index >= 0
         lo = min(m, max(0, b - i))
@@ -272,11 +271,12 @@ def _link_stage(t, sizes, rate, buffer_pkts):
         if f < m and full[f - lo]:
             if tie is None:
                 tie = t + TIE_S
-            tx[i + f:j] = sizes[i + f:j] * 8.0 / rate
+            tx[i + f:j] = sizes[i + f:j] / bytes_per_s
             i = _overflow_blocks(t, tie, tx, i + f, b, dep)
             width = _RESTART_WINDOW
         else:
             i, width = j, 2 * width
+        before = dep[i - 1]
     return dep, tie is not None
 
 

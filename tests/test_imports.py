@@ -20,7 +20,11 @@ default, and no `OsraConfig` field has one.
 
 The simulator names none of numpy's Python-level wrappers that it once
 paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
-`np.column_stack`); it calls the ufunc or ndarray method instead.
+`np.column_stack`); it calls the ufunc or ndarray method instead. It also
+runs each running max in one place: `np.fmax.accumulate` once, in
+`_lindley`, Lindley's recursion for both queue stages, and
+`np.maximum.accumulate` once, in `_overflow_blocks`, on an episode's
+integer accepted indices.
 """
 import ast
 from pathlib import Path
@@ -163,3 +167,32 @@ def test_finds_a_numpy_wrapper():
 
 def test_the_simulator_calls_no_numpy_wrapper():
     assert numpy_wrappers((PACKAGE / "simulator.py").read_text()) == []
+
+
+def running_maxima(source: str) -> list[tuple[str, str]]:
+    """(top-level def, "<ufunc>.accumulate") for each fmax or maximum
+    running max of `source`, in source order; "<module>" outside a def."""
+    found = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [(n.lineno, n.col_offset, owner, f"{n.value.attr}.accumulate")
+                  for n in ast.walk(top)
+                  if isinstance(n, ast.Attribute) and n.attr == "accumulate"
+                  and isinstance(n.value, ast.Attribute) and n.value.attr in ("fmax", "maximum")]
+    return [(owner, call) for *_, owner, call in sorted(found)]
+
+
+def test_finds_a_second_running_max():
+    source = ("import numpy as np\n\n\ndef _lindley(t, out):\n"
+              "    return np.fmax.accumulate(out, out=out)\n\n\n"
+              "def _link_stage(d):\n    np.add.accumulate(d, out=d)\n"
+              "    return np.maximum.accumulate(d) + np.fmax(d, 1.0)\n\n\n"
+              "peak = np.fmax.accumulate\n")
+    assert running_maxima(source) == [("_lindley", "fmax.accumulate"),
+                                      ("_link_stage", "maximum.accumulate"),
+                                      ("<module>", "fmax.accumulate")]
+
+
+def test_the_simulator_writes_each_running_max_once():
+    assert running_maxima((PACKAGE / "simulator.py").read_text()) == [
+        ("_lindley", "fmax.accumulate"), ("_overflow_blocks", "maximum.accumulate")]

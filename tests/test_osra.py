@@ -23,7 +23,7 @@ from slicelab import (
     reference_scenario,
     run_osra,
 )
-from slicelab import oracle, osra
+from slicelab import oracle, osra, simulator
 from slicelab.scenario import scenario_from_dict, scenario_to_dict
 from slicelab.osra import (
     ZERO_GRADIENT_NORM,
@@ -313,6 +313,24 @@ class TestProbeMemo:
         assert calls["simulate_slice"] == gradients * 4 * sc.osra.probes
         # one monitoring run per iteration besides the probes
         assert calls["run_sim"] == gradients
+
+    def test_one_simulation_per_monitored_slice_and_new_probe(self, monkeypatch):
+        # a reference run simulates each slice once per iteration, and each
+        # probe whose stage rates and seed no earlier probe had: a count that
+        # does not depend on how the probes are drawn or how many are made
+        sc = reference_scenario()
+        calls = []
+        real = simulator.simulate_pipeline
+        monkeypatch.setattr(simulator, "simulate_pipeline",
+                            lambda *a: calls.append(1) or real(*a))
+        mem = ProbeMemory()
+        res = run(sc, memory=mem)
+        keys = set()
+        for row, _, seed in mem:
+            link_rates, cpu_rate = simulator.stage_rates(row, sc.topology)
+            keys.add((link_rates.tobytes(), cpu_rate, seed))
+        assert len(keys) < len(mem)
+        assert len(calls) == len(sc.slices) * len(res.traces) + len(keys)
 
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep

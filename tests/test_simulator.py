@@ -25,6 +25,7 @@ from slicelab import (
 )
 from slicelab import simulator
 from slicelab.simulator import (
+    _lindley,
     _link_stage,
     _onoff_arrivals,
     delay_statistic,
@@ -186,6 +187,15 @@ class TestPipeline:
         assert served.all() == lossless
         assert (arrivals.tobytes(), sizes.tobytes()) == before
 
+    def test_one_pass_transmission_times_are_bit_identical(self):
+        # 8 is a power of two, so rate / 8 and sizes * 8 are exact and both
+        # forms are one correctly rounded quotient of the same numbers
+        rng = np.random.default_rng(0)
+        rates = 10.0 ** rng.uniform(-3.0, 12.0, 100_000)
+        sizes = np.concatenate([10.0 ** rng.uniform(0.0, 6.0, 50_000),
+                                rng.integers(1, 10**6 + 1, 50_000).astype(float)])
+        assert (sizes / (rates / 8.0)).tobytes() == (sizes * 8.0 / rates).tobytes()
+
 
 def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
                         demand_mi, propagation_ms, tol_ms=LOOP_DELAY_TOL_MS):
@@ -336,6 +346,44 @@ class TestPipelineAgainstLoop:
         arrivals, sizes = generate_traffic(tm, 500.0, np.random.default_rng(1))
         assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
                             0.3 * 3e8, 1e4, 0.1)
+
+
+def scalar_lindley(t, s, before):
+    """dep_i = max(t_i, dep_{i-1}) + s_i one packet at a time, from dep_{-1} = before."""
+    dep, prev = [], before
+    for ti, si in zip(t, s):
+        prev = (ti if math.isnan(prev) else max(ti, prev)) + si
+        dep.append(prev)
+    return dep
+
+
+class TestLindley:
+    """The running max both stages use, against the scalar recursion. Every
+    time and service is a multiple of 1/64 s, so every sum is exact and
+    the two must agree to the bit."""
+
+    @pytest.mark.parametrize("out_is_t", [False, True], ids=["out", "out-is-t"])
+    @pytest.mark.parametrize("before", ["nan", "below", "above"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_scalar_recursion(self, seed, before, out_is_t):
+        rng = np.random.default_rng(seed)
+        n = 300
+        t = 1.0 + np.add.accumulate(rng.integers(0, 8, n)) / 64.0
+        s = rng.integers(0, 8, n) / 64.0
+        prev = {"nan": math.nan, "below": t[0] - 0.5, "above": t[0] + 2.0}[before]
+        want = scalar_lindley(t.tolist(), s.tolist(), prev)
+        arrivals = t.copy()
+        out = t if out_is_t else np.empty(n)
+        assert _lindley(t, np.add.accumulate(s), out, prev) is out
+        assert out.tolist() == want
+        if not out_is_t:
+            assert np.array_equal(t, arrivals)
+        if before == "above":
+            assert out[0] == prev + s[0]
+
+    def test_an_empty_call_returns_at_once(self):
+        out = np.empty(0)
+        assert _lindley(np.empty(0), np.empty(0), out, 1.0) is out
 
 
 @st.composite
