@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import KW_ONLY, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -183,17 +183,18 @@ class TrafficModel:
     kind "bursty-onoff": bursts of geometric(mean burst_len) packets whose
     in-burst spacing is derived from mean_rate, separated by exponential
     gaps of mean off_time_ms. kind "poisson": memoryless arrivals.
-    Sizes are uniform integers on [size_min, size_max] by default, or a
-    truncated exponential with mean size_mean when size_dist="exponential".
+    size_dist "uniform" draws integer sizes on [size_min, size_max], and
+    "exponential" a truncated exponential with mean size_mean.
     """
 
     kind: str
     mean_rate: float                 # requests per second
     burst_len: float | None = None   # mean packets per burst (bursty only)
     off_time_ms: float | None = None  # mean inter-burst gap (bursty only)
-    size_min: int = 20
-    size_max: int = 65535
-    size_dist: str = "uniform"
+    _: KW_ONLY
+    size_min: int
+    size_max: int
+    size_dist: str
     size_mean: float | None = None   # exponential only; defaults to midpoint
 
     def __post_init__(self):
@@ -277,7 +278,7 @@ class Topology:
 
     edges: tuple    # ((edge_id, capacity_mbps), ...)
     cores: tuple    # ((core_id, mips), ...)
-    buffer_pkts: int = 100
+    buffer_pkts: int
 
     def __post_init__(self):
         errs = []

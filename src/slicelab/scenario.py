@@ -7,11 +7,11 @@ scenario_from_dict(yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc)))) == sc,
 and `slicelab validate` prints that YAML. An unbounded delay
 requirement is written as the string "unbounded".
 
-The reader casts nothing. It checks the shape of the file (mappings,
-lists, known and required keys) and hands each value to its value type
-as it is, so the type's own checks are the one rule for every value: a
-quoted number such as "200.0" is refused like any other string. Each
-violation is re-raised as a ScenarioError naming <section>.<field>.
+The reader casts nothing but str() of the name, slice ids and initial_alloc
+keys. It checks the file's shape (mappings, lists, known and required keys)
+and hands each value as it is to its value type, whose checks are the one
+rule for every value: a quoted number such as "200.0" is refused like any
+string. Each violation becomes a ScenarioError naming <section>.<field>.
 """
 from __future__ import annotations
 
@@ -122,9 +122,9 @@ def _capacities(value, where):
 def _from_dict(cls, d, where, **by_hand):
     """Build dataclass `cls` from a YAML mapping, one key per field.
 
-    Each value goes to `cls` as it is, and `cls` checks it. Missing keys
-    take the field default; `by_hand` maps a field name to a function
-    (value, where) -> field value used in its place.
+    Each value goes to `cls` as it is, and `cls` checks it. A key may be
+    missing only where its field defaults to None; `by_hand` maps a field
+    name to a function (value, where) -> field value used in its place.
     """
     fields = dataclasses.fields(cls)
     _mapping(d, where, [f.name for f in fields])
@@ -216,16 +216,15 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             for sid, row in alloc_d.items()}
     alloc = _build(AllocationMatrix.from_rows, "initial_alloc", rows=rows)
 
-    sc = ScenarioConfig(
+    return ScenarioConfig(
         name=str(data.get("name", "scenario")),
         slices=slices,
         topology=topology,
         initial_alloc=alloc,
-        sim=_from_dict(SimConfig, data.get("sim", {}), "sim"),
+        sim=_from_dict(SimConfig, _req(data, "sim", "scenario"), "sim"),
         osra=_from_dict(OsraConfig, _req(data, "osra", "scenario"), "osra"),
         new_slice_id=str(_req(data, "new_slice", "scenario")),
-    )
-    return sc.validate()
+    ).validate()
 
 
 def scenario_to_dict(sc: ScenarioConfig) -> dict:

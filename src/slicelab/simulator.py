@@ -51,11 +51,11 @@ _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run-level knobs: horizon/warmup (s) and propagation (ms)."""
+    """Run-level knobs, all stated by the scenario: horizon/warmup (s), propagation (ms)."""
 
-    horizon_s: float = 10.0
-    warmup_s: float = 1.0
-    propagation_ms: float = 0.1
+    horizon_s: float
+    warmup_s: float
+    propagation_ms: float
 
     def __post_init__(self):
         errs = (interval_violations("horizon_s", self.horizon_s, "(0, inf)")

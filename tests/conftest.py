@@ -19,6 +19,10 @@ from slicelab import (
 )
 
 
+# packet-size keys for a traffic model whose sizes a test does not care about
+SIZES = dict(size_min=20, size_max=65535, size_dist="uniform")
+
+
 def make_tiny_scenario(tau_new=3.0, rho_new=0.9, epsilon=0.05, max_iters=4,
                        probes=2, transfer_rule="algorithm1", statistic="mean",
                        horizon_s=0.6, eta=0.08):
@@ -28,7 +32,7 @@ def make_tiny_scenario(tau_new=3.0, rho_new=0.9, epsilon=0.05, max_iters=4,
     load that needs at least 0.06 for stability); the donor is generously
     overprovisioned, so a few transfer steps visibly help.
     """
-    fixed_size = dict(size_min=1000, size_max=1000)
+    fixed_size = dict(size_min=1000, size_max=1000, size_dist="uniform")
     slices = (
         SliceSpec(
             id="new",

@@ -30,12 +30,12 @@ def make_spec(sid="s", tau=2.0, rho=0.5, rate=100.0, size=1000,
         id=sid, requirement=QoeRequirement(tau, rho),
         alpha_tau=1.0, alpha_rho=1.0,
         traffic=TrafficModel(kind="poisson", mean_rate=rate,
-                             size_min=size, size_max=size),
+                             size_min=size, size_max=size, size_dist="uniform"),
         demand_mi=demand, priority_rank=rank)
 
 
 def one_link(bw_mbps, mips=3e8):
-    return Topology(edges=(("link", bw_mbps),), cores=(("core", mips),))
+    return Topology(edges=(("link", bw_mbps),), cores=(("core", mips),), buffer_pkts=100)
 
 
 class TestMm1Demand:

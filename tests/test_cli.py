@@ -200,7 +200,8 @@ class TestValidate:
         (["osra"], "delta", 1e-20, "osra.delta"),
         (["sim"], "horizon_s", math.inf, "sim.horizon_s"),
         (["sim"], "propagation_ms", math.inf, "sim.propagation_ms"),
-        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": math.inf},
+        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": math.inf, "size_min": 20,
+                                    "size_max": 65535, "size_dist": "uniform"},
          "slice 'slice1'.traffic.mean_rate"),
         (["slices", 0, "traffic"], "burst_len", math.inf, "slice 'slice1'.traffic.burst_len"),
         (["slices", 0, "traffic"], "off_time_ms", math.inf,
@@ -213,8 +214,9 @@ class TestValidate:
         (["slices", 0], "alpha_rho", math.nan, "slice 'slice1'.alpha_rho"),
         (["slices", 0], "alpha_tau", math.inf, "slice 'slice1'.alpha_tau"),
         (["slices", 1], "rho", True, "slice 'slice2'.rho"),
-        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": 200.0,
-                                    "size_dist": "exponential", "size_mean": math.inf},
+        (["slices", 0], "traffic", {"kind": "poisson", "mean_rate": 200.0, "size_min": 20,
+                                    "size_max": 65535, "size_dist": "exponential",
+                                    "size_mean": math.inf},
          "slice 'slice1'.traffic.size_mean"),
         (["slices", 1], "tau_ms", True, "slice 'slice2'.tau_ms"),
         (["osra"], "eta", True, "osra.eta"),
@@ -277,10 +279,14 @@ class TestValidate:
          "unknown key(s) ['donor_gradients'] in osra"),
         (lambda d: d["osra"].pop("epsilon"), "missing key 'epsilon' in osra"),
         (lambda d: d.pop("osra"), "missing key 'osra' in scenario"),
+        (lambda d: d.pop("sim"), "missing key 'sim' in scenario"),
+        (lambda d: d["topology"].pop("buffer_pkts"), "missing key 'buffer_pkts' in topology"),
+        (lambda d: d["slices"][0]["traffic"].pop("size_dist"),
+         "missing key 'size_dist' in slice 'slice1'.traffic"),
     ], ids=["slices-not-a-list", "slice-not-a-mapping", "ragged-flows", "short-cpu",
             "flows-not-a-list",
             "negative-eta-in-map", "sim-seed", "eta-map", "eta_schedule", "donor_gradients",
-            "no-epsilon", "no-osra"])
+            "no-epsilon", "no-osra", "no-sim", "no-buffer_pkts", "no-size_dist"])
     def test_malformed_section_names_its_key(self, tmp_path, capsys, mutate, named):
         data = copy.deepcopy(REFERENCE)
         mutate(data)

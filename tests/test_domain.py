@@ -27,11 +27,11 @@ from slicelab.domain import CAPACITY_TOL, QoeSample
 from slicelab.penalty import PenaltyModel
 from slicelab.simulator import summarize
 
-from conftest import make_tiny_scenario
+from conftest import SIZES, make_tiny_scenario
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
-    traffic = dict(kind="poisson", mean_rate=100.0)
+    traffic = dict(kind="poisson", mean_rate=100.0, **SIZES)
     traffic.update(traffic_kw)
     return SliceSpec(
         id=sid,
@@ -63,54 +63,57 @@ class TestQoeRequirement:
 
 class TestTrafficModel:
     def test_mean_size_is_uniform_midpoint(self):
-        tm = TrafficModel(kind="poisson", mean_rate=10.0, size_min=20, size_max=65535)
+        tm = TrafficModel(kind="poisson", mean_rate=10.0, size_min=20, size_max=65535,
+                          size_dist="uniform")
         assert tm.mean_size_bytes() == (20 + 65535) / 2.0
 
     def test_exponential_mean_size(self):
-        tm = TrafficModel(kind="poisson", mean_rate=10.0, size_dist="exponential",
-                          size_mean=1000.0)
+        tm = TrafficModel(kind="poisson", mean_rate=10.0, size_min=20, size_max=65535,
+                          size_dist="exponential", size_mean=1000.0)
         assert tm.mean_size_bytes() == 1000.0
 
     def test_intra_burst_gap(self):
         # cycle = burst_len*gap + off  =>  gap = 1/rate - off/burst_len
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
-                          off_time_ms=38.0)
+                          off_time_ms=38.0, **SIZES)
         assert tm.intra_burst_gap_s() == pytest.approx(1 / 200 - 0.038 / 8, abs=1e-15)
 
     def test_gap_undefined_for_poisson(self):
-        tm = TrafficModel(kind="poisson", mean_rate=10.0)
+        tm = TrafficModel(kind="poisson", mean_rate=10.0, **SIZES)
         with pytest.raises(ValueError):
             tm.intra_burst_gap_s()
 
     def test_unknown_kind(self):
         with pytest.raises(InvariantViolation, match="unknown traffic kind"):
-            TrafficModel(kind="constant", mean_rate=10.0)
+            TrafficModel(kind="constant", mean_rate=10.0, **SIZES)
 
     def test_bursty_needs_burst_fields(self):
         with pytest.raises(InvariantViolation, match="burst_len"):
-            TrafficModel(kind="bursty-onoff", mean_rate=10.0, off_time_ms=5.0)
+            TrafficModel(kind="bursty-onoff", mean_rate=10.0, off_time_ms=5.0, **SIZES)
 
     def test_burst_fields_checked_when_given_to_poisson(self):
-        TrafficModel(kind="poisson", mean_rate=10.0, burst_len=8.0, off_time_ms=0.0)
+        TrafficModel(kind="poisson", mean_rate=10.0, burst_len=8.0, off_time_ms=0.0, **SIZES)
         with pytest.raises(InvariantViolation) as exc:
-            TrafficModel(kind="poisson", mean_rate=10.0, burst_len="x", off_time_ms=-1.0)
+            TrafficModel(kind="poisson", mean_rate=10.0, burst_len="x", off_time_ms=-1.0,
+                         **SIZES)
         assert [field for field, _ in exc.value.violations] == ["burst_len", "off_time_ms"]
 
     def test_rate_beyond_burst_envelope(self):
         # 8-packet bursts every 38 ms cannot average more than 210.5 req/s
         with pytest.raises(InvariantViolation, match="burst envelope"):
             TrafficModel(kind="bursty-onoff", mean_rate=250.0, burst_len=8.0,
-                         off_time_ms=38.0)
+                         off_time_ms=38.0, **SIZES)
 
     def test_size_bounds(self):
         with pytest.raises(InvariantViolation, match="size_min"):
-            TrafficModel(kind="poisson", mean_rate=10.0, size_min=100, size_max=50)
+            TrafficModel(kind="poisson", mean_rate=10.0, size_min=100, size_max=50,
+                         size_dist="uniform")
 
     @pytest.mark.parametrize("field, value", [("size_min", 20.5), ("size_max", 100.5),
                                               ("size_max", True)])
     def test_sizes_are_whole_numbers(self, field, value):
         with pytest.raises(InvariantViolation, match=f"{field} must be a whole number") as exc:
-            TrafficModel(kind="poisson", mean_rate=10.0, **{field: value})
+            TrafficModel(kind="poisson", mean_rate=10.0, **{**SIZES, field: value})
         assert exc.value.violations[0][0] == field
 
 
@@ -119,14 +122,14 @@ class TestSliceSpec:
         with pytest.raises(InvariantViolation, match=r"alpha_tau must be in \[0, inf\), got -1.0"):
             SliceSpec(id="x", requirement=QoeRequirement(5.0, 0.9),
                       alpha_tau=-1.0, alpha_rho=1.0,
-                      traffic=TrafficModel(kind="poisson", mean_rate=10.0),
+                      traffic=TrafficModel(kind="poisson", mean_rate=10.0, **SIZES),
                       demand_mi=1e4, priority_rank=0)
 
     def test_nonpositive_demand(self):
         with pytest.raises(InvariantViolation, match="demand_mi"):
             SliceSpec(id="x", requirement=QoeRequirement(5.0, 0.9),
                       alpha_tau=1.0, alpha_rho=1.0,
-                      traffic=TrafficModel(kind="poisson", mean_rate=10.0),
+                      traffic=TrafficModel(kind="poisson", mean_rate=10.0, **SIZES),
                       demand_mi=0.0, priority_rank=0)
 
     @pytest.mark.parametrize("rank", [True, 0.5])  # a string or None: TestNumericFields
@@ -140,38 +143,38 @@ class TestSliceSpec:
         with pytest.raises(InvariantViolation, match="slice bad:"):
             SliceSpec(id="bad", requirement=QoeRequirement(5.0, 0.9),
                       alpha_tau=1.0, alpha_rho=-0.5,
-                      traffic=TrafficModel(kind="poisson", mean_rate=10.0),
+                      traffic=TrafficModel(kind="poisson", mean_rate=10.0, **SIZES),
                       demand_mi=1e4, priority_rank=0)
 
 
 class TestTopology:
     def test_unit_conversions(self):
-        t = Topology(edges=(("link", 2500.0),), cores=(("c0", 3e8), ("c1", 3e8)))
+        t = Topology(edges=(("link", 2500.0),), cores=(("c0", 3e8), ("c1", 3e8)), buffer_pkts=100)
         assert t.n_edges == 1 and t.n_cores == 2
         assert t.edge_bps() == pytest.approx([2.5e9])
         assert t.core_mips() == pytest.approx([3e8, 3e8])
 
     def test_needs_an_edge_and_a_core(self):
         with pytest.raises(InvariantViolation, match="at least one edge"):
-            Topology(edges=(), cores=(("c", 1e8),))
+            Topology(edges=(), cores=(("c", 1e8),), buffer_pkts=100)
         with pytest.raises(InvariantViolation, match="at least one core"):
-            Topology(edges=(("e", 10.0),), cores=())
+            Topology(edges=(("e", 10.0),), cores=(), buffer_pkts=100)
 
     def test_nonpositive_capacity(self):
         with pytest.raises(InvariantViolation, match=r"edges.e must be in \(0, inf\), got 0.0"):
-            Topology(edges=(("e", 0.0),), cores=(("c", 1e8),))
+            Topology(edges=(("e", 0.0),), cores=(("c", 1e8),), buffer_pkts=100)
 
     @pytest.mark.parametrize("capacity", ["10", True])  # once cast to 10.0 and 1.0
     def test_capacity_is_a_number(self, capacity):
         with pytest.raises(InvariantViolation) as exc:
-            Topology(edges=(("e", capacity),), cores=(("c", 1e8),))
+            Topology(edges=(("e", capacity),), cores=(("c", 1e8),), buffer_pkts=100)
         assert exc.value.violations == [
             ("edges.e", f"edges.e must be in (0, inf), got {capacity!r}")]
 
     @pytest.mark.parametrize("key", ["edges", "cores"])
     @pytest.mark.parametrize("bad", [(5,), ("link",), None], ids=["bare-number", "bare-id", "none"])
     def test_pairs_have_a_shape(self, key, bad):
-        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),))
+        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),), buffer_pkts=100)
         kw[key] = bad
         with pytest.raises(InvariantViolation) as exc:
             Topology(**kw)
@@ -179,7 +182,7 @@ class TestTopology:
 
     def test_duplicate_ids(self):
         with pytest.raises(InvariantViolation, match="unique"):
-            Topology(edges=(("x", 10.0),), cores=(("x", 1e8),))
+            Topology(edges=(("x", 10.0),), cores=(("x", 1e8),), buffer_pkts=100)
 
     def test_buffer_floor(self):
         with pytest.raises(InvariantViolation, match="buffer_pkts"):
@@ -277,15 +280,16 @@ class TestAllocationMatrix:
 
 # a valid instance of each config and value type, with every numeric field read
 VALID = {
-    SimConfig: {},
+    SimConfig: dict(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1),
     OsraConfig: dataclasses.asdict(reference_scenario().osra),
     PenaltyModel: dict(requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0, alpha_rho=1.0,
                        exponent=2, delay_ceiling_ms=1e4),
     QoeRequirement: dict(tau_ms=5.0, rho=0.9),
     TrafficModel: dict(kind="bursty-onoff", mean_rate=100.0, burst_len=8.0,
-                       off_time_ms=38.0, size_dist="exponential", size_mean=1000.0),
+                       off_time_ms=38.0, size_min=20, size_max=65535,
+                       size_dist="exponential", size_mean=1000.0),
     SliceSpec: dict(id="s", requirement=QoeRequirement(5.0, 0.9), alpha_tau=1.0,
-                    alpha_rho=1.0, traffic=TrafficModel(kind="poisson", mean_rate=100.0),
+                    alpha_rho=1.0, traffic=TrafficModel(kind="poisson", mean_rate=100.0, **SIZES),
                     demand_mi=5e4, priority_rank=0),
 }
 
@@ -311,7 +315,7 @@ class TestNumericFields:
     @pytest.mark.parametrize("field", ["edges.e", "cores.c", "buffer_pkts"])
     @pytest.mark.parametrize("bad", ["x", None])
     def test_topology_non_number_names_the_field(self, field, bad):
-        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),))
+        kw = dict(edges=(("e", 10.0),), cores=(("c", 1e8),), buffer_pkts=100)
         key, _, name = field.partition(".")
         kw[key] = ((name, bad),) if name else bad
         with pytest.raises(InvariantViolation) as exc:
@@ -321,13 +325,13 @@ class TestNumericFields:
     @pytest.mark.parametrize("warmup_s", [10.0, 12.0])
     def test_warmup_ends_before_the_horizon(self, warmup_s):
         with pytest.raises(InvariantViolation) as exc:
-            SimConfig(horizon_s=10.0, warmup_s=warmup_s)
+            SimConfig(horizon_s=10.0, warmup_s=warmup_s, propagation_ms=0.1)
         assert exc.value.violations == [
             ("warmup_s", f"need warmup_s < horizon_s, got {warmup_s} vs 10.0")]
 
     @pytest.mark.parametrize("value", [np.float64(2.5), np.float32(2.5), np.int64(2)])
     def test_numpy_scalars_pass_unchanged(self, value):
-        assert SimConfig(horizon_s=value).horizon_s is value
+        assert SimConfig(horizon_s=value, warmup_s=1.0, propagation_ms=0.1).horizon_s is value
 
 
 class TestInvariantViolation:
@@ -483,12 +487,13 @@ class TestArrayValues:
 class TestValidateScenario:
     """The checks across slices, topology and allocation, in ScenarioConfig.validate."""
 
-    topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),))
+    topo = Topology(edges=(("e", 100.0),), cores=(("c", 3e8),), buffer_pkts=100)
 
     def scenario(self, slices, rows):
         return ScenarioConfig(
             name="t", slices=slices, topology=self.topo,
-            initial_alloc=AllocationMatrix.from_rows(rows), sim=SimConfig(),
+            initial_alloc=AllocationMatrix.from_rows(rows),
+            sim=SimConfig(horizon_s=10.0, warmup_s=1.0, propagation_ms=0.1),
             osra=reference_scenario().osra, new_slice_id="a")
 
     def row(self):

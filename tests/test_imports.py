@@ -14,9 +14,11 @@ its own body. A name only tests read is code kept for the tests alone.
 Names are matched by name only, so a method named like a read attribute
 of anything else passes.
 
-A run's statistic, seeds and memo come from its caller, and its loop knobs
-from the scenario: no function of the package gives such a parameter a
-default, and no `OsraConfig` field has one.
+A run's statistic, seeds and memo come from its caller, and every value
+of its scenario from the scenario file: no function of the package gives
+such a parameter a default, and no field of `OsraConfig`, `SimConfig`,
+`Topology` or `TrafficModel` has a default other than None, which marks
+a key the traffic kind may leave out.
 
 The simulator names none of numpy's Python-level wrappers that it once
 paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
@@ -110,13 +112,15 @@ def test_every_public_name_is_read_outside_the_tests():
 
 
 # what a run sets once, from its scenario or the command line: a default on
-# a run-path parameter or a loop knob would be a second setter
+# a run-path parameter or a scenario value would be a second setter
 RUN_VALUES = {"statistic", "keep_raw", "memo", "seed", "seed_base"}
+SCENARIO_VALUES = {"OsraConfig", "SimConfig", "Topology", "TrafficModel"}
 
 
 def second_setters(source: str) -> list[str]:
     """The functions of `source` that give a default to a parameter named in
-    RUN_VALUES, and `OsraConfig` if any of its fields has a default."""
+    RUN_VALUES, and each class named in SCENARIO_VALUES that gives one of
+    its fields a default other than None."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef):
@@ -126,8 +130,10 @@ def second_setters(source: str) -> list[str]:
             defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             if any(a.arg in RUN_VALUES for a in defaulted):
                 found.append(node.name)
-        elif isinstance(node, ast.ClassDef) and node.name == "OsraConfig":
-            if any(isinstance(f, ast.AnnAssign) and f.value is not None for f in node.body):
+        elif isinstance(node, ast.ClassDef) and node.name in SCENARIO_VALUES:
+            if any(isinstance(f, ast.AnnAssign) and f.value is not None
+                   and not (isinstance(f.value, ast.Constant) and f.value.value is None)
+                   for f in node.body):
                 found.append(node.name)
     return found
 
@@ -136,8 +142,11 @@ def test_finds_a_second_setter():
     source = ("def run(x, seed=0, memory=None):\n    pass\n\n\n"
               "def ok(seed, n=3, *, memo, clamp=False):\n    pass\n\n\n"
               "def summarize(r, *, keep_raw=False):\n    pass\n\n\n"
-              "class OsraConfig:\n    eta: float\n    probes: int = 10\n")
-    assert second_setters(source) == ["run", "summarize", "OsraConfig"]
+              "class OsraConfig:\n    eta: float\n    probes: int = 10\n\n\n"
+              "class Topology:\n    edges: tuple\n    buffer_pkts: int = 100\n\n\n"
+              "class TrafficModel:\n    kind: str\n    _: KW_ONLY\n"
+              "    size_mean: float | None = None\n")
+    assert second_setters(source) == ["run", "summarize", "OsraConfig", "Topology"]
 
 
 def test_the_scenario_and_the_caller_are_the_only_setters():

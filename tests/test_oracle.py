@@ -28,7 +28,7 @@ def spec_with(rate=100.0, demand=5e4, size=1000):
         id="s", requirement=QoeRequirement(tau_ms=10.0, rho=0.9),
         alpha_tau=1.0, alpha_rho=1.0,
         traffic=TrafficModel(kind="poisson", mean_rate=rate,
-                             size_min=size, size_max=size),
+                             size_min=size, size_max=size, size_dist="uniform"),
         demand_mi=demand, priority_rank=0,
     )
 
@@ -37,7 +37,7 @@ class TestAnalyticModel:
     def test_two_stage_sojourn_sums(self):
         # both stage rates 1100 req/s against lambda=100: 1 ms each, 2 ms total
         spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 1100.0 * 5e4 / 3e8
         point = AllocationVector(np.array([1.0]), np.array([phi]))
         delay, tp, _, _ = analytic_parts(spec, point, topo)
@@ -45,7 +45,7 @@ class TestAnalyticModel:
         assert tp == 1.0
 
     def test_full_core_service_rates(self):
-        topo = Topology(edges=(("e", 1e5),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 1e5),), cores=(("c", 3e8),), buffer_pkts=100)
         point = AllocationVector(np.array([1.0]), np.array([1.0]))
         for demand, want in ((5e4, 6000.0), (8e4, 3750.0)):
             spec = spec_with(demand=demand)
@@ -57,7 +57,7 @@ class TestAnalyticModel:
 
     def test_saturated_server_is_unstable(self):
         spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 100.0 * 5e4 / 3e8  # mu_srv exactly lambda
         delay, tp, _, _ = analytic_parts(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
@@ -66,7 +66,7 @@ class TestAnalyticModel:
 
     def test_bottleneck_caps_throughput(self):
         spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 50.0 * 5e4 / 3e8  # server can only draw 50 req/s
         delay, tp, _, _ = analytic_parts(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
@@ -75,7 +75,7 @@ class TestAnalyticModel:
 
     def test_gradients_match_finite_differences(self):
         spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
         point = AllocationVector(np.array([0.5]), np.array([0.2]))
         delay, tp, d_delay, d_tp = analytic_parts(spec, point, topo)
         h = 1e-7
@@ -92,7 +92,7 @@ class TestAnalyticModel:
 
     def test_monotone_in_every_coordinate(self):
         spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
         base = AllocationVector(np.array([0.3]), np.array([0.2]))
         d0, t0, _, _ = analytic_parts(spec, base, topo)
         for d in range(2):
@@ -107,28 +107,28 @@ class TestAnalyticModel:
 class TestOracles:
     def scenario(self):
         spec = spec_with(rate=200.0)
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=100)
         alloc = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([0.2]), np.array([0.3]))})
         return spec, topo, alloc
 
     def test_sim_oracle_deterministic(self):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         at = lambda seed: sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, seed, "max", {})
         assert at(5) == at(5)
         assert at(5) != at(6)
 
     def test_statistic_changes_the_reduction(self):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         mx = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
         mean = sim_evaluate("s", alloc.row("s"), [spec], topo, cfg, 5, "mean", {})
         assert mx.delay_stat_ms > mean.delay_stat_ms
 
     def test_row_argument_probes_without_moving_the_matrix(self):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         probe = AllocationVector(np.array([0.9]), np.array([0.9]))
         got = sim_evaluate("s", probe, [spec], topo, cfg, 5, "max", {})
         direct = sim_evaluate_all(AllocationMatrix.from_rows({"s": probe}),
@@ -138,7 +138,7 @@ class TestOracles:
 
     def test_memo_answers_a_repeated_probe_without_simulating(self, monkeypatch):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         seeds = []
         real = oracle.simulate_slice
         monkeypatch.setattr(oracle, "simulate_slice",
@@ -156,7 +156,7 @@ class TestOracles:
     def test_one_stage_rates_call_per_miss_and_per_hit(self, monkeypatch):
         # the memo key and the simulated rates come from one computation
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         calls = []
         real = simulator.stage_rates
         counted = lambda *a: calls.append(a) or real(*a)
@@ -170,7 +170,7 @@ class TestOracles:
 
     def test_unknown_slice_names_it(self):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         with pytest.raises(KeyError, match="'nope'"):
             sim_evaluate("nope", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
 
@@ -183,7 +183,7 @@ class TestOracles:
 
     def test_evaluate_all_keeps_raw_delays(self):
         spec, topo, alloc = self.scenario()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         samples = sim_evaluate_all(alloc, [spec], topo, cfg, 4, "max")
         assert samples["s"].raw_delays_ms is not None
         assert samples["s"].raw_delays_ms.size > 0

@@ -33,7 +33,7 @@ from slicelab.osra import (
     transfer_step,
 )
 
-from conftest import make_tiny_scenario
+from conftest import SIZES, make_tiny_scenario
 from reference_impls import scalar_transfer_recursion
 
 
@@ -342,10 +342,37 @@ class TestProbeMemo:
             assert cpu[0] == cpu[1]
 
 
+class TestWarmRestart:
+    """The loop tracks a demand change from the allocation it converged to.
+
+    slice1's traffic is compressed in time by f (f x the rate, 1/f x the off
+    time), and the loop restarts on fresh seeds from the final allocations
+    of reference seeds 0-2. Larger f is left out: at f = 2 every cold start
+    reports convergence after one update with slice1's penalty at 744, and
+    warm restarts at f = 2 and 2.5 can end with a positive penalty.
+    """
+
+    @pytest.mark.parametrize("f", [1.25, 1.5])
+    def test_converges_in_fewer_updates_than_a_cold_start(self, reference_sweep, f):
+        sc, results, _ = reference_sweep
+        slices = tuple(
+            dataclasses.replace(s, traffic=dataclasses.replace(
+                s.traffic, mean_rate=s.traffic.mean_rate * f,
+                off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
+            for s in sc.slices)
+        for seed in range(3):
+            warm, cold = (run_osra(slices, sc.topology, start, sc.sim, sc.new_slice_id,
+                                   sc.osra, seed=100 + seed)
+                          for start in (results[seed].final_alloc, sc.initial_alloc))
+            assert warm.converged and warm.iterations <= 3, seed
+            assert set(warm.traces[-1].penalties.values()) == {0.0}, seed
+            assert cold.iterations > warm.iterations, seed
+
+
 class TestFrozenSlices:
     def three_way_scenario(self):
         """Higher-priority slice above the new one must never move."""
-        fixed = dict(size_min=1000, size_max=1000)
+        fixed = dict(size_min=1000, size_max=1000, size_dist="uniform")
         slices = (
             SliceSpec(id="prio", requirement=QoeRequirement(100.0, 0.1),
                       alpha_tau=9.0, alpha_rho=9.0,
@@ -360,7 +387,8 @@ class TestFrozenSlices:
                       traffic=TrafficModel(kind="poisson", mean_rate=200.0, **fixed),
                       demand_mi=1e4, priority_rank=2),
         )
-        topology = Topology(edges=(("link", 40.0),), cores=(("core", 3e8),))
+        topology = Topology(edges=(("link", 40.0),), cores=(("core", 3e8),),
+                            buffer_pkts=100)
         alloc = AllocationMatrix.from_rows({
             "prio": AllocationVector(np.array([0.20]), np.array([0.20])),
             "new": AllocationVector(np.array([0.02]), np.array([0.05])),
@@ -413,11 +441,11 @@ class TestOrderKey:
     def test_rank_then_id(self):
         a = SliceSpec(id="a", requirement=QoeRequirement(5.0, 0.5),
                       alpha_tau=1.0, alpha_rho=1.0,
-                      traffic=TrafficModel(kind="poisson", mean_rate=1.0),
+                      traffic=TrafficModel(kind="poisson", mean_rate=1.0, **SIZES),
                       demand_mi=1.0, priority_rank=1)
         b = SliceSpec(id="b", requirement=QoeRequirement(5.0, 0.5),
                       alpha_tau=1.0, alpha_rho=1.0,
-                      traffic=TrafficModel(kind="poisson", mean_rate=1.0),
+                      traffic=TrafficModel(kind="poisson", mean_rate=1.0, **SIZES),
                       demand_mi=1.0, priority_rank=1)
         assert order_key(a) < order_key(b)
 

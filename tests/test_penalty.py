@@ -25,7 +25,7 @@ from slicelab.penalty import (
     probed_gradient,
 )
 
-from conftest import make_tiny_scenario
+from conftest import SIZES, make_tiny_scenario
 from reference_impls import many_repetition_gradient
 
 
@@ -107,7 +107,7 @@ class TestPenaltyValues:
         spec = SliceSpec(
             id="x", requirement=QoeRequirement(2.0, 0.999),
             alpha_tau=3.0, alpha_rho=2.5,
-            traffic=TrafficModel(kind="poisson", mean_rate=10.0),
+            traffic=TrafficModel(kind="poisson", mean_rate=10.0, **SIZES),
             demand_mi=1e4, priority_rank=0)
         m = PenaltyModel.for_slice(spec, exponent=1, delay_ceiling_ms=250.0)
         assert (m.alpha_tau, m.alpha_rho) == (3.0, 2.5)
@@ -296,9 +296,9 @@ class TestAnalyticGradient:
             id="s", requirement=QoeRequirement(tau_ms=2.0, rho=0.999),
             alpha_tau=2.0, alpha_rho=2.0,
             traffic=TrafficModel(kind="poisson", mean_rate=100.0,
-                                 size_min=1000, size_max=1000),
+                                 size_min=1000, size_max=1000, size_dist="uniform"),
             demand_mi=5e4, priority_rank=0)
-        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
         return spec, topo
 
     def composite(self, m, spec, topo, x):

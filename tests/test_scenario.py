@@ -50,7 +50,8 @@ def number(lo, hi):
 @st.composite
 def traffic_models(draw):
     size_min = draw(st.integers(1, 1500))
-    sizes = dict(size_min=size_min, size_max=size_min + draw(st.integers(0, 64000)))
+    sizes = dict(size_min=size_min, size_max=size_min + draw(st.integers(0, 64000)),
+                 size_dist="uniform")
     if draw(st.booleans()):
         sizes.update(size_dist="exponential",
                      size_mean=draw(st.none() | number(1.0, 1e4)))
@@ -197,7 +198,7 @@ class TestRoundTrip:
             requirement=QoeRequirement(np.float64(2.0), np.float64(0.999)),
             traffic=dataclasses.replace(new.traffic, mean_rate=np.float64(200.0)))
         sc = dataclasses.replace(sc, slices=(new,) + sc.slices[1:],
-                                 sim=SimConfig(horizon_s=np.float64(10.0)),
+                                 sim=dataclasses.replace(sc.sim, horizon_s=np.float64(10.0)),
                                  osra=dataclasses.replace(sc.osra, eta=np.float64(0.06)))
         assert scenario_from_dict(yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc)))) == sc
 

@@ -37,6 +37,7 @@ from slicelab.simulator import (
     stage_rates,
     summarize,
 )
+from conftest import SIZES
 from reference_impls import (HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline,
                              loop_poisson_arrivals)
 
@@ -46,7 +47,7 @@ LOOP_DELAY_TOL_MS = 1e-6
 
 
 def one_slice(rate=300.0, kind="poisson", **kw):
-    traffic = dict(kind=kind, mean_rate=rate, size_min=1000, size_max=1000)
+    traffic = dict(kind=kind, mean_rate=rate, size_min=1000, size_max=1000, size_dist="uniform")
     traffic.update(kw)
     return SliceSpec(
         id="s", requirement=QoeRequirement(tau_ms=50.0, rho=0.9),
@@ -342,7 +343,7 @@ class TestPipelineAgainstLoop:
         # ~10^5 bursty packets over 500 s: a few overflow episodes on 3% of
         # the link, an overflow that rarely drains on 1.5%
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
-                          off_time_ms=38.0)
+                          off_time_ms=38.0, **SIZES)
         arrivals, sizes = generate_traffic(tm, 500.0, np.random.default_rng(1))
         assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
                             0.3 * 3e8, 1e4, 0.1)
@@ -469,10 +470,10 @@ class TestStatistics:
 
     def test_summarize_throughput(self):
         spec = one_slice()
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=100)
         alloc = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([0.0]), np.array([0.5]))})
-        config = SimConfig(horizon_s=0.5, warmup_s=0.0)
+        config = SimConfig(horizon_s=0.5, warmup_s=0.0, propagation_ms=0.1)
         result = run_sim([spec], topo, alloc, config, seed=1)["s"]
         sample = summarize(result, "max", keep_raw=False)
         # zero link share: nothing survives
@@ -483,7 +484,7 @@ class TestStatistics:
 
 class TestRunSim:
     def topo_alloc(self, f=0.1, phi=0.5):
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=100)
         alloc = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([f]), np.array([phi]))})
         return topo, alloc
@@ -492,8 +493,8 @@ class TestRunSim:
         spec = one_slice(rate=200.0, kind="bursty-onoff", burst_len=6.0,
                          off_time_ms=20.0)
         topo, alloc = self.topo_alloc(f=0.08)
-        res = run_sim([spec], topo, alloc, SimConfig(horizon_s=3.0, warmup_s=0.5),
-                      seed=3)["s"]
+        cfg = SimConfig(horizon_s=3.0, warmup_s=0.5, propagation_ms=0.1)
+        res = run_sim([spec], topo, alloc, cfg, seed=3)["s"]
         assert 0 < res.success <= res.offered
         assert res.delays_ms.size == res.success
 
@@ -501,8 +502,8 @@ class TestRunSim:
     def test_bad_seed_is_named(self, bad):
         topo, alloc = self.topo_alloc()
         with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
-            run_sim([one_slice()], topo, alloc, SimConfig(horizon_s=1.0, warmup_s=0.1),
-                    seed=bad)
+            run_sim([one_slice()], topo, alloc,
+                    SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1), seed=bad)
 
     @pytest.mark.parametrize("fault", ["one delay too few", "one request too many"])
     def test_accounting_that_loses_a_request_names_the_slice(self, monkeypatch, fault):
@@ -517,8 +518,8 @@ class TestRunSim:
         monkeypatch.setattr(simulator, "simulate_pipeline", faulty)
         topo, alloc = self.topo_alloc()
         with pytest.raises(SimulationError, match="slice s:"):
-            run_sim([one_slice()], topo, alloc, SimConfig(horizon_s=1.0, warmup_s=0.2),
-                    seed=1)
+            run_sim([one_slice()], topo, alloc,
+                    SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1), seed=1)
 
     def test_arrivals_at_the_warmup_instant_count(self, monkeypatch):
         # a one-packet buffer and 2 ms per packet: every arrival after the
@@ -529,7 +530,7 @@ class TestRunSim:
                             lambda *_: (arrivals.copy(), sizes.copy()))
         topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=1)
         row = AllocationVector(np.array([0.1]), np.array([0.5]))
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.5)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.5, propagation_ms=0.1)
         spec = one_slice()
         res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg, seed=0)["s"]
         link_rates, cpu_rate = stage_rates(row, topo)
@@ -563,7 +564,7 @@ class TestRunSim:
     def test_deterministic_given_seed(self):
         spec = one_slice()
         topo, alloc = self.topo_alloc()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         a = run_sim([spec], topo, alloc, cfg, seed=11)["s"]
         b = run_sim([spec], topo, alloc, cfg, seed=11)["s"]
         assert np.array_equal(a.delays_ms, b.delays_ms)
@@ -572,7 +573,7 @@ class TestRunSim:
     def test_warmup_requests_excluded(self):
         spec = one_slice()
         topo, alloc = self.topo_alloc()
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.4)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.4, propagation_ms=0.1)
         res = run_sim([spec], topo, alloc, cfg, seed=5)["s"]
         # the same packets, pushed through the pipeline by hand
         arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(5, 0))
@@ -591,12 +592,12 @@ class TestRunSim:
         s2 = SliceSpec(id="t", requirement=s2.requirement, alpha_tau=1.0,
                        alpha_rho=1.0, traffic=s2.traffic, demand_mi=1e4,
                        priority_rank=1)
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=100)
         both = AllocationMatrix.from_rows({
             "s": AllocationVector(np.array([0.1]), np.array([0.4])),
             "t": AllocationVector(np.array([0.1]), np.array([0.4])),
         })
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         paired = run_sim([s1, s2], topo, both, cfg, seed=6)
         alone = run_sim([s1], topo, AllocationMatrix.from_rows({"s": both.row("s")}),
                         cfg, seed=6)["s"]
@@ -611,7 +612,7 @@ class TestRunSim:
     def test_row_override_answers_what_if(self):
         spec = one_slice()
         topo, alloc = self.topo_alloc(f=0.05)
-        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         asked = AllocationVector(np.array([0.2]), np.array([0.5]))
         what_if = simulate_slice(spec, 0, *stage_rates(asked, topo), topo, cfg, 7)
         direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
@@ -631,7 +632,7 @@ class TestRunSim:
         spec = one_slice(kind=kind, burst_len=6.0, off_time_ms=10.0)
         topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=buffer_pkts)
         row = AllocationVector(np.array([0.06 / load]), np.array([0.5]))
-        cfg = SimConfig(horizon_s=1.0, warmup_s=warmup_s)
+        cfg = SimConfig(horizon_s=1.0, warmup_s=warmup_s, propagation_ms=0.1)
         res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg,
                       seed=seed)["s"]
         arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(seed, 0))
@@ -646,7 +647,8 @@ class TestRunSim:
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0), mips=st.floats(1.0, 1e10))
     @example(a=0.2697867137638703 + 0.02, b=0.2697867137638703, mips=3e8)
     def test_server_rate_ignores_the_order_of_equal_cores(self, a, b, mips):
-        topo = Topology(edges=(("e", 40.0),), cores=(("c0", mips), ("c1", mips)))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c0", mips), ("c1", mips)),
+                        buffer_pkts=100)
         rate = lambda cpu: stage_rates(AllocationVector(np.array([0.1]), np.array(cpu)),
                                        topo)[1]
         assert rate([a, b]) == rate([b, a])
@@ -673,12 +675,12 @@ class TestRunSim:
 
     def test_more_bandwidth_never_hurts_on_average(self):
         spec = one_slice(rate=300.0)
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),))
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=100)
         lo = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([0.08]), np.array([0.5]))})
         hi = AllocationMatrix.from_rows(
             {"s": AllocationVector(np.array([0.16]), np.array([0.5]))})
-        cfg = SimConfig(horizon_s=2.0, warmup_s=0.4)
+        cfg = SimConfig(horizon_s=2.0, warmup_s=0.4, propagation_ms=0.1)
         means = []
         for alloc in (lo, hi):
             pooled = np.concatenate([
@@ -701,7 +703,7 @@ class TestTraffic:
         assert slice_rng(seed, 2).bit_generator.state == want.bit_generator.state
 
     def test_poisson_rate(self):
-        tm = TrafficModel(kind="poisson", mean_rate=500.0)
+        tm = TrafficModel(kind="poisson", mean_rate=500.0, **SIZES)
         rng = np.random.default_rng(1)
         arrivals, sizes = generate_traffic(tm, 40.0, rng)
         assert arrivals.size / 40.0 == pytest.approx(500.0, rel=0.03)
@@ -712,7 +714,7 @@ class TestTraffic:
         # one 40 s run's rate spreads by about 8/s, so the test pools 50
         # seeds and holds their mean within 3 standard errors of the rate
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
-                          off_time_ms=38.0)
+                          off_time_ms=38.0, **SIZES)
         rates = []
         for seed in range(50):
             arrivals, _ = generate_traffic(tm, 40.0, np.random.default_rng(seed))
@@ -723,7 +725,8 @@ class TestTraffic:
 
     def test_uniform_sizes_within_bounds(self):
         for kind in TRAFFIC_KINDS:
-            tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535, **kind)
+            tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535,
+                              size_dist="uniform", **kind)
             rng = np.random.default_rng(3)
             _, sizes = generate_traffic(tm, 10.0, rng)
             assert sizes.min() >= 20 and sizes.max() <= 65535
@@ -741,7 +744,7 @@ class TestTraffic:
 
 def bursty(burst_len, off_time_ms, mean_rate=200.0):
     return TrafficModel(kind="bursty-onoff", mean_rate=mean_rate,
-                        burst_len=burst_len, off_time_ms=off_time_ms)
+                        burst_len=burst_len, off_time_ms=off_time_ms, **SIZES)
 
 
 def burst_sizes(arrivals, gap):
@@ -757,7 +760,7 @@ class TestPoissonAgainstLoop:
     def test_draws_spanning_two_chunks(self, seed):
         # at 50/s over 1 s the first chunk holds 76 draws, and on these
         # seeds they sum to less than the horizon
-        tm = TrafficModel(kind="poisson", mean_rate=50.0)
+        tm = TrafficModel(kind="poisson", mean_rate=50.0, **SIZES)
         arrivals, _ = generate_traffic(tm, 1.0, np.random.default_rng(seed))
         want = loop_poisson_arrivals(50.0, 1.0, np.random.default_rng(seed))
         assert arrivals.size > 76 and np.array_equal(arrivals, want)
@@ -769,7 +772,7 @@ class TestPoissonAgainstLoop:
         horizon_s=st.sampled_from([0.01, 1.0, 10.0]),
     )
     def test_arrivals_bit_identical(self, seed, mean_rate, horizon_s):
-        tm = TrafficModel(kind="poisson", mean_rate=mean_rate)
+        tm = TrafficModel(kind="poisson", mean_rate=mean_rate, **SIZES)
         arrivals, _ = generate_traffic(tm, horizon_s, np.random.default_rng(seed))
         want = loop_poisson_arrivals(mean_rate, horizon_s, np.random.default_rng(seed))
         assert np.array_equal(arrivals, want)
