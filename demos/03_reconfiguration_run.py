@@ -57,7 +57,7 @@ def main():
     print(f"  column sums: link {used_f[0]:.4f}, "
           f"cpu {np.round(used_c, 4).tolist()} (all <= 1)")
 
-    hist = res.penalty_history("slice1")
+    hist = [t.penalties["slice1"] for t in res.traces]
     print()
     print("slice1 penalty trajectory:", [round(p, 2) for p in hist])
 

@@ -8,7 +8,7 @@ The top level holds the entry points and the types a caller builds or
 catches; everything else is imported from its module.
 """
 
-from .baseline import InfeasibleDemand, audit_allocation, evaluate_baseline, size_all
+from .baseline import audit_allocation, evaluate_baseline, size_all
 from .domain import (
     UNBOUNDED,
     AllocationMatrix,

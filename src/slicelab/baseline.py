@@ -4,8 +4,8 @@ The sizing half answers "how much resource does this slice need?" with the
 textbook recipe: split the delay target between the network and server
 stages, give each stage the service rate a single-server Markov queue
 needs to meet its share of the mean sojourn, and convert rates to
-fractions. By construction the analytic mean delay at the returned
-allocation equals the target exactly (when nothing clamps).
+fractions. The analytic mean delay at the returned allocation equals the
+target exactly, unless the returned flags say the sizing was cut back.
 
 The audit half replays any allocation through the bursty simulator and
 counts what the mean-based sizing ignores: requests whose end-to-end
@@ -24,10 +24,6 @@ from .simulator import SimConfig, run_sim
 
 STABILITY_MARGIN = 0.1  # rate headroom used when there is no delay bound
 NETWORK_DELAY_SHARE = 0.5  # share of the delay bound given to the link stages
-
-
-class InfeasibleDemand(ValueError):
-    pass
 
 
 def mm1_demand(spec: SliceSpec, topology: Topology) -> tuple[AllocationVector, bool]:
@@ -58,31 +54,25 @@ def mm1_demand(spec: SliceSpec, topology: Topology) -> tuple[AllocationVector, b
     return AllocationVector(np.minimum(flows, 1.0), np.minimum(cpu, 1.0)), infeasible
 
 
-def size_all(slices, topology: Topology, clamp: bool = False,
-             ) -> tuple[AllocationMatrix, dict[str, bool]]:
+def size_all(slices, topology: Topology) -> tuple[AllocationMatrix, dict[str, bool]]:
     """Size every slice independently and assemble the joint allocation.
 
-    Per-slice clamping is reported in the flags map. If the rows jointly
-    overrun a resource column, raises InfeasibleDemand; with clamp=True the
-    column is scaled back to a sum of 1 instead and every slice is flagged,
-    for reports that must proceed even when the sizing cannot be honored.
+    The flags map a slice id to True where its sizing could not be
+    honored: its own row was clipped to 1, or the rows jointly overrun a
+    resource column. An overrun column is scaled back to a sum of 1, its
+    proportions kept, and then every slice is flagged.
     """
     rows, flags = {}, {}
     for s in slices:
         rows[s.id], flags[s.id] = mm1_demand(s, topology)
     flows = np.array([rows[s.id].flows for s in slices])
     cpu = np.array([rows[s.id].cpu for s in slices])
-    for name, arr in (("edge", flows), ("core", cpu)):
+    for arr in (flows, cpu):
         sums = arr.sum(axis=0)
         over = sums > 1.0
-        if not over.any():
-            continue
-        if not clamp:
-            raise InfeasibleDemand(
-                f"sized rows jointly need {sums.max():.4f} > 1 of {name} "
-                f"{int(sums.argmax())}")
-        arr[:, over] /= sums[over]
-        flags = dict.fromkeys(flags, True)
+        if over.any():
+            arr[:, over] /= sums[over]
+            flags = dict.fromkeys(flags, True)
     return AllocationMatrix(tuple(s.id for s in slices), flows, cpu), flags
 
 
@@ -144,9 +134,10 @@ def pool_audits(slices, runs) -> dict:
 
 
 def evaluate_baseline(slices, topology: Topology, sim_config: SimConfig, seeds):
-    """Size every slice analytically, then audit that allocation as-is.
+    """Size every slice with `size_all`, then audit that allocation as-is.
 
-    Returns (report, allocation, clamp flags).
+    Returns (report, allocation, flags); a flagged slice's sizing was
+    scaled back to fit, so its audit is of less than it asked for.
     """
     alloc, flags = size_all(slices, topology)
     report = audit_allocation(slices, topology, alloc, sim_config, seeds)

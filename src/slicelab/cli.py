@@ -7,7 +7,7 @@
 With no --scenario the built-in reference scenario is used. The
 scenario's `osra:` section is the only place the algorithm's knobs are
 set; no flag overrides them. --out defaults to ./slicelab-out. validate
-prints a comment line, then the resolved scenario as YAML. Seeds are
+prints a comment line, then the values the scenario states, as YAML. Seeds are
 distinct non-negative integers, a comma list ("0,3,17") or an inclusive
 range ("0..9"). Exit codes: 0 success, 2 for a scenario that does not
 parse or validate (the message names the offending key, or
@@ -171,7 +171,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     seeds = args.seeds
 
-    base_alloc, base_flags = size_all(sc.slices, sc.topology, clamp=True)
+    base_alloc, base_flags = size_all(sc.slices, sc.topology)
     osra_res = run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
                         sc.new_slice_id, sc.osra, seed=seeds[0])
     print(f"baseline sized (clamped: {sorted(k for k, v in base_flags.items() if v)}); "
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output dir (default: ./slicelab-out)")
         p.add_argument("--seeds", type=parse_seeds, default=parse_seeds("0..9"),
                        help="'0,1,2' or '0..9' (default 0..9)")
-    command("validate", cmd_validate, "validate and print the resolved scenario")
+    command("validate", cmd_validate, "validate and print the scenario as YAML")
     return parser
 
 

@@ -185,6 +185,11 @@ class TrafficModel:
     gaps of mean off_time_ms. kind "poisson": memoryless arrivals.
     size_dist "uniform" draws integer sizes on [size_min, size_max], and
     "exponential" a truncated exponential with mean size_mean.
+
+    size_mean is required for "exponential" sizes and refused otherwise.
+    burst_len and off_time_ms are accepted, and checked, under "poisson",
+    which ignores them, so `dataclasses.replace(model, kind="poisson")`
+    makes a Poisson variant of a bursty model.
     """
 
     kind: str
@@ -195,7 +200,7 @@ class TrafficModel:
     size_min: int
     size_max: int
     size_dist: str
-    size_mean: float | None = None   # exponential only; defaults to midpoint
+    size_mean: float | None = None   # exponential only, and required there
 
     def __post_init__(self):
         errs = interval_violations("mean_rate", self.mean_rate, "(0, inf)")
@@ -219,12 +224,15 @@ class TrafficModel:
         errs += sizes
         if self.size_dist not in SIZE_DISTS:
             errs.append(("size_dist", f"unknown size_dist {self.size_dist!r}"))
-        if self.size_mean is not None:
+        if self.size_dist == "exponential":
             errs += interval_violations("size_mean", self.size_mean, "(0, inf)")
+        elif self.size_mean is not None:
+            errs.append(("size_mean", "only exponential sizes read size_mean, got "
+                                      f"{self.size_mean!r} with size_dist {self.size_dist!r}"))
         InvariantViolation.check(errs)
 
     def mean_size_bytes(self) -> float:
-        if self.size_dist == "exponential" and self.size_mean is not None:
+        if self.size_dist == "exponential":
             return float(self.size_mean)
         return (self.size_min + self.size_max) / 2.0
 

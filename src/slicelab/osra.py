@@ -129,9 +129,6 @@ class OsraResult(ArrayValue):
     converged: bool
     iterations: int    # update steps actually applied
 
-    def penalty_history(self, slice_id: str) -> list[float]:
-        return [t.penalties[slice_id] for t in self.traces]
-
 
 def order_key(spec):
     """Total priority order: rank first, ties broken by id."""

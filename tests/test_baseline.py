@@ -8,7 +8,6 @@ import pytest
 from slicelab import (
     AllocationMatrix,
     AllocationVector,
-    InfeasibleDemand,
     QoeRequirement,
     SimConfig,
     SliceSpec,
@@ -82,26 +81,21 @@ class TestSizeAll:
         va, _ = mm1_demand(slices[0], one_link(100.0))
         assert alloc.row("a") == va
 
-    def test_joint_overrun_raises(self):
+    def test_joint_overrun_scales_back_and_flags(self):
         # each slice alone fits (0.88) but together they want 1.76 links
         slices = (make_spec("a"), make_spec("b", rank=1))
-        with pytest.raises(InfeasibleDemand, match="jointly need"):
-            size_all(slices, one_link(10.0))
+        alloc, flags = size_all(slices, one_link(10.0))
+        assert flags == {"a": True, "b": True}
+        # the column that fits is left alone
+        assert np.array_equal(alloc.row("a").cpu, mm1_demand(slices[0], one_link(10.0))[0].cpu)
 
     def test_clamped_variant_scales_back(self):
         slices = (make_spec("a"), make_spec("b", rank=1))
-        alloc, flags = size_all(slices, one_link(10.0), clamp=True)
+        alloc, flags = size_all(slices, one_link(10.0))
         assert alloc.flows.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-12)
         assert flags == {"a": True, "b": True}
         # proportions survive the scaling
         assert alloc.row("a").flows[0] == pytest.approx(alloc.row("b").flows[0])
-
-    def test_clamped_variant_is_strict_when_feasible(self):
-        slices = (make_spec("a"), make_spec("b", rank=1))
-        strict, f1 = size_all(slices, one_link(100.0))
-        clamped, f2 = size_all(slices, one_link(100.0), clamp=True)
-        assert strict == clamped
-        assert f1 == f2
 
 
 class TestAudit:
@@ -202,3 +196,11 @@ class TestEvaluateBaseline:
         assert alloc.flows.sum(axis=0).max() <= 1.0 + 1e-9
         assert alloc.cpu.sum(axis=0).max() <= 1.0 + 1e-9
         assert set(report) == {s.id for s in sc.slices}
+
+    def test_a_joint_overrun_is_audited_clamped(self):
+        slices = (make_spec("a"), make_spec("b", rank=1))
+        cfg = SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1)
+        report, alloc, flags = evaluate_baseline(slices, one_link(10.0), cfg, seeds=[0])
+        assert flags == {"a": True, "b": True}
+        assert alloc.flows.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert set(report) == {"a", "b"}

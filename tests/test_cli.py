@@ -151,7 +151,7 @@ class TestValidate:
                                       "--dry-run"])
     def test_no_flag_sets_a_knob(self, tiny_yaml, tmp_path, command, flag):
         # the scenario's osra section is the one setter of the algorithm's
-        # knobs, and validate the one printer of the resolved scenario
+        # knobs, and validate the one printer of the scenario a run reads
         with pytest.raises(SystemExit) as exc:
             main([command, "--scenario", str(tiny_yaml), "--out", str(tmp_path), flag])
         assert exc.value.code == 2

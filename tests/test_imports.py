@@ -14,6 +14,10 @@ its own body. A name only tests read is code kept for the tests alone.
 Names are matched by name only, so a method named like a read attribute
 of anything else passes.
 
+Each exception class that the package's `__init__.py` exports is raised
+by name, as `raise <Name>(...)`, somewhere in the package: an exported
+error that nothing raises tells a caller to catch what never comes.
+
 A run's statistic, seeds and memo come from its caller, and every value
 of its scenario from the scenario file: no function of the package gives
 such a parameter a default, and no field of `OsraConfig`, `SimConfig`,
@@ -29,6 +33,7 @@ runs each running max in one place: `np.fmax.accumulate` once, in
 integer accepted indices.
 """
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -109,6 +114,39 @@ def test_finds_a_name_only_tests_read():
 def test_every_public_name_is_read_outside_the_tests():
     package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_public_names(package, [p.read_text() for p in READERS]) == []
+
+
+def unraised_errors(init: str, modules: list[str]) -> list[str]:
+    """The exception classes of `modules` that `init` exports and no
+    `raise <Name>(...)` of `modules` raises, in export order."""
+    trees = [ast.parse(source) for source in modules]
+    bases = {n.name: {b.id for b in n.bases if isinstance(b, ast.Name)}
+             for tree in trees for n in tree.body if isinstance(n, ast.ClassDef)}
+    errors = {name for name, obj in vars(builtins).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+    while new := {name for name, base in bases.items() if name not in errors and base & errors}:
+        errors |= new
+    raised = {n.exc.func.id for tree in trees for n in ast.walk(tree)
+              if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+              and isinstance(n.exc.func, ast.Name)}
+    exported = [a.asname or a.name for n in ast.parse(init).body
+                if isinstance(n, ast.ImportFrom) for a in n.names]
+    return [name for name in exported if name in bases and name in errors and name not in raised]
+
+
+def test_finds_an_exported_error_nothing_raises():
+    init = "from .a import Kept, Unraised, Plain, check\nfrom .b import Deep\n"
+    a = ("class Base(ValueError):\n    pass\n\n\nclass Kept(Base):\n    pass\n\n\n"
+         "class Unraised(Base):\n    pass\n\n\nclass Plain:\n    pass\n\n\n"
+         "def check(x):\n    try:\n        raise Kept(x)\n    except Unraised:\n"
+         "        raise Unraised\n    raise ValueError(x)\n")
+    b = "from .a import Kept\n\n\nclass Deep(Kept):\n    pass\n"
+    assert unraised_errors(init, [a, b]) == ["Unraised", "Deep"]
+
+
+def test_every_exported_error_is_raised():
+    modules = [p.read_text() for p in MODULES]
+    assert unraised_errors((PACKAGE / "__init__.py").read_text(), modules) == []
 
 
 # what a run sets once, from its scenario or the command line: a default on

@@ -203,7 +203,7 @@ class TestRunOsra:
     def test_reconfiguration_helps_the_new_slice(self):
         sc = make_tiny_scenario(max_iters=6)
         res = run(sc)
-        hist = res.penalty_history("new")
+        hist = [t.penalties["new"] for t in res.traces]
         assert hist[-1] < hist[0]
         assert res.final_alloc.row("new").flows[0] > sc.initial_alloc.row("new").flows[0]
 

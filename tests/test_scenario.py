@@ -53,8 +53,7 @@ def traffic_models(draw):
     sizes = dict(size_min=size_min, size_max=size_min + draw(st.integers(0, 64000)),
                  size_dist="uniform")
     if draw(st.booleans()):
-        sizes.update(size_dist="exponential",
-                     size_mean=draw(st.none() | number(1.0, 1e4)))
+        sizes.update(size_dist="exponential", size_mean=draw(number(1.0, 1e4)))
     if draw(st.booleans()):
         return TrafficModel(kind="poisson", mean_rate=draw(number(1.0, 1e4)), **sizes)
     burst_len, off_time_ms = draw(number(4.0, 50.0)), draw(number(1.0, 100.0))
@@ -202,12 +201,22 @@ class TestRoundTrip:
                                  osra=dataclasses.replace(sc.osra, eta=np.float64(0.06)))
         assert scenario_from_dict(yaml.safe_load(yaml.safe_dump(scenario_to_dict(sc)))) == sc
 
-    def test_null_size_mean_means_the_midpoint(self):
+    def test_exponential_sizes_need_a_size_mean(self):
+        # no midpoint stands in for the mean a file leaves out
         data = ref_dict()
-        data["slices"][0]["traffic"].update(size_dist="exponential", size_mean=None)
-        traffic = scenario_from_dict(data).slices[0].traffic
-        assert traffic.size_mean is None
-        assert traffic.mean_size_bytes() == (20 + 65535) / 2
+        data["slices"][0]["traffic"].update(size_dist="exponential")
+        with pytest.raises(ScenarioError, match=r"slice 'slice1'\.traffic\.size_mean: "
+                                                r"size_mean must be in \(0, inf\), got None"):
+            scenario_from_dict(data)
+
+    def test_uniform_sizes_refuse_a_size_mean(self):
+        # a value the run would never read
+        data = ref_dict()
+        data["slices"][0]["traffic"].update(size_mean=5.0)
+        with pytest.raises(ScenarioError, match=r"slice 'slice1'\.traffic\.size_mean: "
+                                                r"only exponential sizes read size_mean, "
+                                                r"got 5\.0 with size_dist 'uniform'"):
+            scenario_from_dict(data)
 
 
 class TestGeneratedRoundTrip:
