@@ -46,9 +46,9 @@ def mm1_demand(spec: SliceSpec, topology: Topology) -> tuple[AllocationVector, b
     else:
         mu_edge = mu_srv = lam * (1.0 + STABILITY_MARGIN)
 
-    flows = mu_edge * 8.0 * mean_size / topology.edge_bps()
+    flows = mu_edge * 8.0 * mean_size / topology.edge_bps
     cpu_total_ips = mu_srv * spec.demand_mi
-    cpu = np.full(topology.n_cores, cpu_total_ips / topology.core_mips().sum())
+    cpu = np.full(topology.n_cores, cpu_total_ips / topology.core_mips.sum())
 
     infeasible = bool(max(flows.max(), cpu.max()) > 1.0)
     return AllocationVector(np.minimum(flows, 1.0), np.minimum(cpu, 1.0)), infeasible
@@ -86,7 +86,6 @@ class SliceAudit(ArrayValue):
     mean_delay_ms: float
     max_delay_ms: float
     throughput: float
-    empty: bool                # no successful request observed
     delays_ms: np.ndarray      # pooled successful-request delays
 
 
@@ -97,7 +96,7 @@ def audit_allocation(slices, topology: Topology, alloc: AllocationMatrix,
     The violation fraction counts successful requests whose delay exceeds
     the slice's bound, out of all successful requests; an unbounded slice
     scores 0. A slice with no successes at all has nothing to score: its
-    fraction, mean and max delay are NaN, with empty=True.
+    fraction, mean and max delay are NaN.
     """
     return pool_audits(slices, [run_sim(slices, topology, alloc, sim_config, seed=seed)
                                 for seed in seeds])
@@ -116,9 +115,8 @@ def pool_audits(slices, runs) -> dict:
         pooled = delays[0] if len(delays) == 1 else np.concatenate(delays or [np.empty(0)])
         offered = sum(p.offered for p in parts)
         success = sum(p.success for p in parts)
-        empty = pooled.size == 0
         req = spec.requirement
-        if empty:
+        if pooled.size == 0:
             viol = mean_d = max_d = float("nan")
         else:
             late = np.count_nonzero(pooled > req.tau_ms) if req.bounded else 0
@@ -128,8 +126,7 @@ def pool_audits(slices, runs) -> dict:
         report[spec.id] = SliceAudit(
             offered=offered, success=success, violation_fraction=viol,
             mean_delay_ms=mean_d, max_delay_ms=max_d,
-            throughput=success / offered if offered else 1.0,
-            empty=empty, delays_ms=pooled)
+            throughput=success / offered if offered else 1.0, delays_ms=pooled)
     return report
 
 

@@ -81,16 +81,19 @@ def _write_csv(path: Path, header, rows):
         w.writerows(rows)
 
 
+def _share_columns(topology, tag=""):
+    """The column names of an allocation row's entries, `tag` after each f_ and cpu_."""
+    return ([f"f_{tag}{e}" for e, _ in topology.edges]
+            + [f"cpu_{tag}{c}" for c, _ in topology.cores])
+
+
 def _iteration_rows(sc: ScenarioConfig, result):
     ids = list(sc.initial_alloc.slice_ids)
-    edges = [e for e, _ in sc.topology.edges]
-    cores = [c for c, _ in sc.topology.cores]
     header = ["k", "stop_metric", "rule_used"]
     for sid in ids:
         header += [f"penalty_{sid}", f"delay_stat_{sid}", f"throughput_{sid}"]
     for sid in ids:
-        header += [f"f_{sid}_{e}" for e in edges]
-        header += [f"cpu_{sid}_{c}" for c in cores]
+        header += _share_columns(sc.topology, f"{sid}_")
     rows = []
     for t in result.traces:
         row = [t.k, t.stop_metric, t.rule_used]
@@ -129,7 +132,7 @@ def cmd_run(args) -> int:
             for r in live:
                 smp = r.traces[k].samples[sid]
                 raw = smp.raw_delays_ms
-                if raw is not None and raw.size:
+                if raw.size:
                     mean_d.append(float(raw.mean()))
                     max_d.append(float(raw.max()))
                 tps.append(smp.throughput)
@@ -147,16 +150,13 @@ def cmd_run(args) -> int:
                 "penalty", "n_seeds"],
                qoe_rows)
 
-    edges = [e for e, _ in sc.topology.edges]
-    cores = [c for c, _ in sc.topology.cores]
     final_rows = []
     for seed, res in results.items():
         for sid in ids:
             final_rows.append([seed, sid, int(res.converged), res.iterations]
                               + res.final_alloc.row(sid).stacked().tolist())
     _write_csv(out / "final_alloc.csv",
-               ["seed", "slice", "converged", "iterations"]
-               + [f"f_{e}" for e in edges] + [f"cpu_{c}" for c in cores],
+               ["seed", "slice", "converged", "iterations"] + _share_columns(sc.topology),
                final_rows)
 
     n_conv = sum(r.converged for r in results.values())

@@ -93,11 +93,17 @@ def whole_fields(obj, *names, interval="(-inf, inf)", where="") -> list:
     return errs
 
 
-def as_seed(value) -> int:
-    """A seed as numpy takes it: a whole number >= 0."""
-    if not (_whole(value) and value >= 0):
-        raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
-    return int(value)
+def seed_sequence(*parts) -> np.random.SeedSequence:
+    """The SeedSequence of whole numbers >= 0, the one place a random stream
+    is seeded. No part is folded modulo 2**32; ValueError names a bad one."""
+    for value in parts:
+        if not (_whole(value) and value >= 0):
+            raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
+    words = [int(value) for value in parts]
+    if max(words, default=0) < 2**32:
+        # the words SeedSequence makes of this list, made in one call
+        words = np.array(words, dtype=np.uint32)
+    return np.random.SeedSequence(words)
 
 
 def array_field(obj, name, ndim) -> list:
@@ -281,7 +287,9 @@ class Topology:
     """Shared substrate: link edges (Mbps), server cores (MIPS), buffer size.
 
     buffer_pkts is the per-slice router queue capacity in packets, counting
-    the packet in transmission. The server-side queue is unbounded.
+    the packet in transmission. The server-side queue is unbounded. The
+    read-only arrays edge_bps (bps) and core_mips hold the capacities in
+    order; they are not fields.
     """
 
     edges: tuple    # ((edge_id, capacity_mbps), ...)
@@ -310,8 +318,8 @@ class Topology:
                 errs.append((f"{key}.{name}", "edge/core ids must be unique"))
         InvariantViolation.check(errs)
         # the rates every simulation reads, made once and read-only
-        for name, rates in (("_edge_bps", [c * 1e6 for _, c in self.edges]),
-                            ("_core_mips", [m for _, m in self.cores])):
+        for name, rates in (("edge_bps", [c * 1e6 for _, c in self.edges]),
+                            ("core_mips", [m for _, m in self.cores])):
             arr = np.array(rates)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -323,12 +331,6 @@ class Topology:
     @property
     def n_cores(self) -> int:
         return len(self.cores)
-
-    def edge_bps(self) -> np.ndarray:
-        return self._edge_bps
-
-    def core_mips(self) -> np.ndarray:
-        return self._core_mips
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .domain import AllocationVector, QoeSample, SliceSpec, Topology, as_seed
+from .domain import AllocationVector, QoeSample, SliceSpec, Topology, seed_sequence
 from .simulator import run_sim, simulate_slice, stage_rates, summarize
 
 
@@ -32,8 +32,8 @@ def analytic_parts(spec: SliceSpec, point: AllocationVector, topology: Topology)
     """
     lam = spec.traffic.mean_rate
     mean_bits = 8.0 * spec.traffic.mean_size_bytes()
-    edge_bps = topology.edge_bps()
-    core_mips = topology.core_mips()
+    edge_bps = topology.edge_bps
+    core_mips = topology.core_mips
 
     link_rates, srv_rate = stage_rates(point, topology)
     mu_edges = link_rates / mean_bits            # packets/s per edge
@@ -96,5 +96,4 @@ def derive_seed(*parts) -> int:
     Distinct tuples give distinct entropy: no part is folded modulo 2**32.
     A negative, bool or fractional part raises ValueError naming it.
     """
-    ss = np.random.SeedSequence([as_seed(p) for p in parts])
-    return int(ss.generate_state(1, np.uint32)[0])
+    return int(seed_sequence(*parts).generate_state(1, np.uint32)[0])

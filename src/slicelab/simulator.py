@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
-                     TrafficModel, as_seed, interval_violations)
+                     TrafficModel, interval_violations, seed_sequence)
 
 
 class SimulationError(RuntimeError):
@@ -78,11 +78,7 @@ class SliceRunResult(ArrayValue):
 
 
 def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
-    entropy = [as_seed(seed), int(slice_index)]
-    if max(entropy) < 2**32:
-        # the words SeedSequence makes of this list, made in one call
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(seed_sequence(seed, slice_index)))
 
 
 def generate_traffic(model: TrafficModel, horizon_s: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +179,11 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     arrivals must be sorted and as long as sizes_bytes; neither is written
     to. Returns (delays_ms of served packets in arrival order of survivors,
     served_mask over all offered packets). A zero-rate stage strands every
-    packet (served_mask all False).
+    packet (served_mask all False). buffer_pkts obeys Topology's rule, a
+    whole number >= 1, else InvariantViolation names it.
     """
+    InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
+                                                 whole=True))
     arrivals = np.asarray(arrivals, dtype=float)
     sizes = np.asarray(sizes_bytes, dtype=float)
     if arrivals.shape != sizes.shape:
@@ -337,7 +336,7 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
     the same rate to the last bit. A row must have one flows entry per edge
     and one cpu entry per core; a row is not broadcast over another chain.
     """
-    edge_bps, core_mips = topology.edge_bps(), topology.core_mips()
+    edge_bps, core_mips = topology.edge_bps, topology.core_mips
     for name, entries, rates, kind in (("flows", row.flows, edge_bps, "edge"),
                                        ("cpu", row.cpu, core_mips, "core")):
         if entries.size != rates.size:

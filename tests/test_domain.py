@@ -151,8 +151,8 @@ class TestTopology:
     def test_unit_conversions(self):
         t = Topology(edges=(("link", 2500.0),), cores=(("c0", 3e8), ("c1", 3e8)), buffer_pkts=100)
         assert t.n_edges == 1 and t.n_cores == 2
-        assert t.edge_bps() == pytest.approx([2.5e9])
-        assert t.core_mips() == pytest.approx([3e8, 3e8])
+        assert t.edge_bps == pytest.approx([2.5e9])
+        assert t.core_mips == pytest.approx([3e8, 3e8])
 
     def test_needs_an_edge_and_a_core(self):
         with pytest.raises(InvariantViolation, match="at least one edge"):

@@ -214,3 +214,10 @@ class TestSeedDerivation:
 
     def test_numpy_integers_are_seeds(self):
         assert derive_seed(np.int64(3), np.uint32(1)) == derive_seed(3, 1)
+
+    @pytest.mark.parametrize("parts", [(0,), (0, 0), (2**32 - 1, 9001, 3), (5, 7001, 0),
+                                       (2**32,), (2**32, 1), (2**40 + 3, 9001, 0),
+                                       (2**64, 0, 2**32 - 1)])
+    def test_equals_the_list_form_seed_sequence(self, parts):
+        want = np.random.SeedSequence(list(parts)).generate_state(1, np.uint32)[0]
+        assert derive_seed(*parts) == int(want)

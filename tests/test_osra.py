@@ -1,5 +1,6 @@
 """Transfer rule math, stopping behavior, and the full reconfiguration loop."""
 import dataclasses
+import hashlib
 import pickle
 from types import SimpleNamespace
 
@@ -193,6 +194,13 @@ class TestRunOsra:
         sc = make_tiny_scenario(max_iters=3, epsilon=0.0, tau_new=0.05)
         assert pickle.dumps(run(sc)) == pickle.dumps(run(sc))
 
+    def test_the_reference_run_keeps_its_golden_digest(self, reference_sweep):
+        # pickle protocol 4 is fixed, since the default may change; a change
+        # that means to move outputs updates this digest and states the drift
+        blob = pickle.dumps(reference_sweep[1][0], protocol=4)
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9ebfe4fb23b1aaf71804fc5e979ca9c832c91567818bcd785bd05f782f89fa16")
+
     def test_memory_records_all_probes(self):
         sc = make_tiny_scenario(max_iters=2, epsilon=0.0, tau_new=0.05, probes=2)
         mem = ProbeMemory()
@@ -342,31 +350,81 @@ class TestProbeMemo:
             assert cpu[0] == cpu[1]
 
 
+def _fails_today(reason):
+    """A strict xfail: the change that mends the case must drop the marker."""
+    return pytest.mark.xfail(strict=True, reason=reason)
+
+
+# cold starts at f = 2 and 2.5 stop on a probed gradient of exactly 0
+_STALL = "ROADMAP items 12 and 8: converged=True after 1 update, slice1's penalty 744"
+
+
 class TestWarmRestart:
     """The loop tracks a demand change from the allocation it converged to.
 
     slice1's traffic is compressed in time by f (f x the rate, 1/f x the off
-    time), and the loop restarts on fresh seeds from the final allocations
-    of reference seeds 0-2. Larger f is left out: at f = 2 every cold start
-    reports convergence after one update with slice1's penalty at 744, and
-    warm restarts at f = 2 and 2.5 can end with a positive penalty.
+    time), and the loop restarts on seeds 100-102 from the final allocations
+    of reference seeds 0-2. At f = 1.25 and 1.5 every warm restart converges
+    to zero penalties faster than a cold start. At f = 2 and 2.5 two
+    properties are pinned, each with a strict xfail where it fails today: a
+    run that reports convergence has every penalty at 0, and a warm restart
+    converges. Each run is made once and shared by the tests.
     """
 
-    @pytest.mark.parametrize("f", [1.25, 1.5])
-    def test_converges_in_fewer_updates_than_a_cold_start(self, reference_sweep, f):
+    @pytest.fixture(scope="class")
+    def demand_run(self, reference_sweep):
+        """run(f, seed, start), start "warm" or "cold", each run made once."""
         sc, results, _ = reference_sweep
-        slices = tuple(
-            dataclasses.replace(s, traffic=dataclasses.replace(
-                s.traffic, mean_rate=s.traffic.mean_rate * f,
-                off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
-            for s in sc.slices)
-        for seed in range(3):
-            warm, cold = (run_osra(slices, sc.topology, start, sc.sim, sc.new_slice_id,
-                                   sc.osra, seed=100 + seed)
-                          for start in (results[seed].final_alloc, sc.initial_alloc))
+        runs = {}
+
+        def run(f, seed, start):
+            if (f, seed, start) not in runs:
+                slices = tuple(
+                    dataclasses.replace(s, traffic=dataclasses.replace(
+                        s.traffic, mean_rate=s.traffic.mean_rate * f,
+                        off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
+                    for s in sc.slices)
+                alloc = results[seed - 100].final_alloc if start == "warm" else sc.initial_alloc
+                runs[f, seed, start] = run_osra(slices, sc.topology, alloc, sc.sim,
+                                                sc.new_slice_id, sc.osra, seed=seed)
+            return runs[f, seed, start]
+        return run
+
+    @pytest.mark.parametrize("f", [1.25, 1.5])
+    def test_converges_in_fewer_updates_than_a_cold_start(self, demand_run, f):
+        for seed in range(100, 103):
+            warm, cold = (demand_run(f, seed, start) for start in ("warm", "cold"))
             assert warm.converged and warm.iterations <= 3, seed
             assert set(warm.traces[-1].penalties.values()) == {0.0}, seed
             assert cold.iterations > warm.iterations, seed
+
+    @pytest.mark.parametrize("f, seed, start", [
+        *(pytest.param(f, seed, "cold", marks=_fails_today(_STALL))
+          for f in (2.0, 2.5) for seed in range(100, 103)),
+        (2.0, 100, "warm"), (2.0, 101, "warm"), (2.0, 102, "warm"),
+        (2.5, 100, "warm"), (2.5, 101, "warm"),
+        pytest.param(2.5, 102, "warm", marks=_fails_today(
+            "ROADMAP item 9: converged=True after 7 updates, slice2's penalty 7.2 "
+            "(its p99 12.2 ms against 5 ms)")),
+    ])
+    def test_a_converged_run_has_every_penalty_at_zero(self, demand_run, f, seed, start):
+        res = demand_run(f, seed, start)
+        if res.converged:
+            assert set(res.traces[-1].penalties.values()) == {0.0}
+
+    @pytest.mark.parametrize("f, seed", [
+        (2.0, 100),
+        pytest.param(2.0, 101, marks=_fails_today(
+            "ROADMAP item 8: a conservative-fallback step at k = 3 zeroes slice1's "
+            "link share; 15 iterations, slice1's penalty 4.36")),
+        (2.0, 102),
+        pytest.param(2.5, 100, marks=_fails_today(
+            "ROADMAP item 8: a conservative-fallback step at k = 11 zeroes slice1's "
+            "link share; 15 iterations, slice1's penalty 64.07, slice3's 0.5")),
+        (2.5, 101),
+    ])
+    def test_a_warm_restart_converges(self, demand_run, f, seed):
+        assert demand_run(f, seed, "warm").converged
 
 
 class TestFrozenSlices:

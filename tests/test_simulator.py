@@ -1,6 +1,7 @@
 """Simulator behavior against hand calculations and queueing sanity."""
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,15 @@ class TestPipeline:
         with pytest.raises(ValueError, match="sorted"):
             simulate_pipeline(np.array([0.2, 0.1]), np.array([1000.0, 1000.0]),
                               np.array([8e6]), 10, 3e8, 5e4, 0.0)
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    def test_bad_buffer_is_named(self, bad):
+        # an overloaded link, so the link stage would reach its buffer test
+        arrivals = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 200))
+        msg = re.escape(f"buffer_pkts must be a whole number in [1, inf), got {bad!r}")
+        with pytest.raises(InvariantViolation, match=msg):
+            simulate_pipeline(arrivals, np.full(200, 1000.0), np.array([1e5]), bad,
+                              3e8, 5e4, 0.0)
 
     # 5000 packets of ~1 kB, one per ms on average, so ~8 Mbps offered
     @pytest.mark.parametrize("link_rates, cpu_rate, lossless", [
@@ -579,8 +589,8 @@ class TestRunSim:
         arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(5, 0))
         row = alloc.row("s")
         delays, served = simulate_pipeline(
-            arrivals, sizes, row.flows * topo.edge_bps(), topo.buffer_pkts,
-            float(row.cpu @ topo.core_mips()), spec.demand_mi, cfg.propagation_ms)
+            arrivals, sizes, row.flows * topo.edge_bps, topo.buffer_pkts,
+            float(row.cpu @ topo.core_mips), spec.demand_mi, cfg.propagation_ms)
         kept = arrivals >= cfg.warmup_s
         assert 0 < res.offered == int(kept.sum()) < arrivals.size
         assert res.success == int((kept & served).sum())
