@@ -20,7 +20,6 @@ from .domain import (
     TrafficModel,
 )
 from .osra import NonFiniteGradient, OsraConfig, ProbeMemory, run_osra
-from .penalty import DegenerateDelta
 from .projection import DimensionMismatch, project_capped_simplex, project_columns
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, reference_scenario
 from .simulator import SimConfig, SimulationError, run_sim

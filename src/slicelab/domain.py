@@ -145,10 +145,12 @@ def _same(a, b) -> bool:
 
 
 class ArrayValue:
-    """Base of the value types that hold numpy arrays, each declared with
-    eq=False: == compares every field, arrays by content. An unpickled
-    value runs its construction checks again, so its arrays are read-only
-    and within bounds like those of any other instance."""
+    """Base of the value types that hold numpy arrays. A subclass declared
+    with eq=False gets this ==, which compares every field, arrays by
+    content; `Topology`, whose fields are tuples, keeps the dataclass == and
+    hash. An unpickled or deep-copied value runs its construction checks
+    again, so its arrays are read-only and within bounds like those of any
+    other instance."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -283,7 +285,7 @@ class SliceSpec:
 
 
 @dataclass(frozen=True)
-class Topology:
+class Topology(ArrayValue):
     """Shared substrate: link edges (Mbps), server cores (MIPS), buffer size.
 
     buffer_pkts is the per-slice router queue capacity in packets, counting

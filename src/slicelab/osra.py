@@ -204,8 +204,9 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             f"new slice {new_slice_id!r} has no lower-priority slices to draw from")
 
     models = {
-        s.id: PenaltyModel.for_slice(s, config.penalty_exponent,
-                                     config.delay_ceiling_ms)
+        s.id: PenaltyModel(requirement=s.requirement, alpha_tau=s.alpha_tau,
+                           alpha_rho=s.alpha_rho, exponent=config.penalty_exponent,
+                           delay_ceiling_ms=config.delay_ceiling_ms)
         for s in slices
     }
 

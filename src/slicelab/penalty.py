@@ -14,9 +14,10 @@ every penalty value and every gradient reads it.
 Gradients come in two flavours:
 * `probed_gradient`: per-coordinate central differences of width delta on
   a stochastic point oracle, averaging the delay/throughput statistics over
-  `probes` seeded runs per probe point before the hinge is applied. Probe
-  points are clamped to [0, 1] per coordinate; a clamped side degrades to a
-  one-sided difference over the actual spread. Seeds derive from
+  `probes` seeded runs per probe point before the hinge is applied. The
+  point is first clipped into [0, 1], and each probe point is clamped to
+  [0, 1] per coordinate; a clamped side degrades to a one-sided difference
+  over the actual spread, which is never zero. Seeds derive from
   (seed_base, repetition) only: repetition r runs on the same seed at every
   probe point and on both sides (common random numbers), so its traffic
   noise cancels in each difference, and probes with equal simulator inputs
@@ -37,13 +38,9 @@ from .domain import (CAPACITY_TOL, AllocationVector, InvariantViolation, QoeRequ
 from .oracle import analytic_parts, derive_seed
 
 
-# the probe width's bounds, shared with OsraConfig: at or below
-# CAPACITY_TOL an entry's probe points may coincide
+# the probe width's bounds, shared with OsraConfig: above CAPACITY_TOL the
+# spread the quotient divides by stays well clear of round-off
 DELTA_INTERVAL = f"({CAPACITY_TOL}, inf)"
-
-
-class DegenerateDelta(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,6 @@ class PenaltyModel:
                                ("delay_ceiling_ms", "(0, inf)")):
             errs += interval_violations(name, getattr(self, name), interval)
         InvariantViolation.check(errs)
-
-    @classmethod
-    def for_slice(cls, spec: SliceSpec, exponent: int, delay_ceiling_ms: float):
-        return cls(spec.requirement, spec.alpha_tau, spec.alpha_rho,
-                   exponent, delay_ceiling_ms)
 
 
 def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, float]:
@@ -100,25 +92,21 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     """Central-difference estimate of d(penalty)/d(allocation) at `point`.
 
     `oracle` is a callable (AllocationVector, seed) -> QoeSample, called in
-    (coordinate, side, repetition) order. Each probe point's statistics are
-    averaged over `probes` runs with distinct deterministic seeds, the same
-    seeds at every probe point, then the hinge is applied; the difference
-    quotient divides by the actual probe spread (2*delta, or less at a
-    clamped boundary). `delta` and `probes` obey `OsraConfig`'s bounds.
+    (coordinate, side, repetition) order. The point is clipped into [0, 1]
+    first, so every probe point lies there. Each probe point's statistics
+    are averaged over `probes` runs with distinct deterministic seeds, the
+    same seeds at every probe point, then the hinge is applied; the
+    difference quotient divides by the actual probe spread (2*delta, or at
+    least min(delta, 1) at a clamped boundary). `delta` and `probes` obey
+    `OsraConfig`'s bounds.
     """
     InvariantViolation.check(
         interval_violations("delta", delta, DELTA_INTERVAL)
         + interval_violations("probes", probes, "[1, inf)", whole=True))
 
-    base = point.stacked()
+    base = np.clip(point.stacked(), 0.0, 1.0)
     lo = np.clip(base - delta, 0.0, 1.0)
     hi = np.clip(base + delta, 0.0, 1.0)
-    coincide = np.flatnonzero(hi - lo <= 0)
-    if coincide.size:
-        d = coincide[0]
-        raise DegenerateDelta(
-            f"coordinate {d}: probe points coincide at {lo[d]} (delta too small "
-            "for the clamped boundary)")
 
     seeds = [derive_seed(seed_base, r) for r in range(probes)]
     pen = np.empty((base.size, 2))

@@ -1,6 +1,7 @@
 """Command-line harness: files written, schemas, exit codes."""
 import copy
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -72,6 +73,31 @@ def read_csv(path: Path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+class TestGoldenOutputs:
+    """What the CLI prints and writes for the built-in reference, by sha256;
+    a change that means to move these outputs updates the digests and
+    states the drift."""
+
+    def test_validate_stdout(self, capsys):
+        assert main(["validate"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "0b070a74064d9996237f71c5d99ec8e43ce22421678bcd7bdad4063cc89e7dd6")
+
+    @pytest.mark.parametrize("command, digest", [
+        ("run", "baf32a8d33391475bc1fc8e48d5616efd1ef07392788bdc335fb0741ad2d8c59"),
+        ("compare", "69bd4acb5b5f5136d3067eeb167816743945040acb317626929a1ff7891ce914"),
+    ], ids=["run", "compare"])
+    def test_output_directory(self, tmp_path, capsys, command, digest):
+        # every file's name and bytes, in sorted order of names
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--seeds", "0..2"]) == 0
+        h = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            h.update(path.name.encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == digest
 
 
 class TestParseSeeds:

@@ -1,4 +1,5 @@
 """Domain type invariants, validation messages, and value semantics."""
+import copy
 import dataclasses
 import math
 import pickle
@@ -433,6 +434,20 @@ class TestArrayValues:
         assert back == array_values[i]
         arrays = list(_arrays(back))
         assert arrays and not any(arr.flags.writeable for arr in arrays)
+
+    @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_topology_copy_is_equal_and_its_rates_read_only(self, clone):
+        # the rates every simulation reads are not fields, so == and hash
+        # cannot see a write to them: a copy must rebuild them read-only
+        topo = reference_scenario().topology
+        back = clone(topo)
+        assert back == topo and hash(back) == hash(topo)
+        for name in ("edge_bps", "core_mips"):
+            arr = getattr(back, name)
+            assert np.array_equal(arr, getattr(topo, name)) and not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_unpickling_runs_the_checks_again(self):
         v = AllocationVector([0.1], [0.2])

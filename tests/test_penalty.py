@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicelab import (
     UNBOUNDED,
     AllocationVector,
-    DegenerateDelta,
     InvariantViolation,
     QoeRequirement,
     SliceSpec,
@@ -16,7 +17,7 @@ from slicelab import (
     TrafficModel,
     run_osra,
 )
-from slicelab.domain import QoeSample
+from slicelab.domain import CAPACITY_TOL, QoeSample
 from slicelab.oracle import analytic_parts, derive_seed, sim_evaluate
 from slicelab.penalty import (
     PenaltyModel,
@@ -25,7 +26,7 @@ from slicelab.penalty import (
     probed_gradient,
 )
 
-from conftest import SIZES, make_tiny_scenario
+from conftest import make_tiny_scenario
 from reference_impls import many_repetition_gradient
 
 
@@ -74,8 +75,8 @@ class TestPenaltyValues:
                           sc.new_slice_id, sc.osra, seed=0)
         for trace in result.traces:
             for spec in sc.slices:
-                m = PenaltyModel.for_slice(spec, sc.osra.penalty_exponent,
-                                           sc.osra.delay_ceiling_ms)
+                m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho,
+                                 sc.osra.penalty_exponent, sc.osra.delay_ceiling_ms)
                 s = trace.samples[spec.id]
                 assert trace.penalties[spec.id] == hinge(m, s.delay_stat_ms, s.throughput)[0]
         assert any(trace.penalties["new"] > 0 for trace in result.traces)
@@ -103,17 +104,6 @@ class TestPenaltyValues:
         with pytest.raises(InvariantViolation, match=r"delay_ceiling_ms must be in \(0, inf\)"):
             model(ceiling=ceiling)
 
-    def test_for_slice_copies_everything(self):
-        spec = SliceSpec(
-            id="x", requirement=QoeRequirement(2.0, 0.999),
-            alpha_tau=3.0, alpha_rho=2.5,
-            traffic=TrafficModel(kind="poisson", mean_rate=10.0, **SIZES),
-            demand_mi=1e4, priority_rank=0)
-        m = PenaltyModel.for_slice(spec, exponent=1, delay_ceiling_ms=250.0)
-        assert (m.alpha_tau, m.alpha_rho) == (3.0, 2.5)
-        assert m.requirement == spec.requirement
-        assert m.exponent == 1 and m.delay_ceiling_ms == 250.0
-
 
 class TestDelayCeiling:
     # linear delay hinge from tau=1 with unit weight: the penalty is the
@@ -136,6 +126,18 @@ class TestDelayCeiling:
         # mean delay 5.5 is 4.5 over tau; mean throughput 0.75 is 0.25 short
         assert value == pytest.approx(4.5 + 0.25, abs=1e-12)
         assert (d_delay, d_tp) == (1.0, -1.0)
+
+
+# every entry AllocationVector admits, both edges included
+ENTRIES = st.floats(-CAPACITY_TOL, 1 + CAPACITY_TOL)
+
+
+def recording_oracle(rows):
+    """quadratic_oracle, appending each probe point's stacked row to `rows`."""
+    def oracle(vec, seed):
+        rows.append(vec.stacked())
+        return quadratic_oracle(vec, seed)
+    return oracle
 
 
 class TestProbedGradient:
@@ -220,20 +222,34 @@ class TestProbedGradient:
                             seed_base=0)
         assert [f for f, _ in exc.value.violations] == [field]
 
-    def test_coinciding_probe_points_raise_before_any_probe(self):
+    def test_point_just_past_the_box_gets_a_one_sided_quotient(self):
         # an entry one CAPACITY_TOL above 1 and a delta just wider than it:
-        # the lower probe point rounds to 1.0, where the upper one clamps
-        calls = []
-
-        def counted(vec, seed):
-            calls.append(seed)
-            return quadratic_oracle(vec, seed)
-
+        # unclipped, the lower probe point would round onto the upper one
+        rows = []
         point = AllocationVector(np.array([1 + 1e-9]), np.array([0.5]))
-        with pytest.raises(DegenerateDelta, match="coordinate 0: probe points coincide"):
-            probed_gradient(model(), counted, point, delta=np.nextafter(1e-9, 1.0), probes=3,
+        g = probed_gradient(model(), recording_oracle(rows), point,
+                            delta=np.nextafter(1e-9, 1.0), probes=3, seed_base=0)
+        assert np.isfinite(g).all()
+        assert len(rows) == 2 * 2 * 3
+        assert all(row.min() >= 0.0 and row.max() <= 1.0 for row in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(flows=st.lists(ENTRIES, min_size=1, max_size=3),
+           cpu=st.lists(ENTRIES, min_size=1, max_size=3),
+           delta=st.floats(CAPACITY_TOL, 2.0, exclude_min=True),
+           probes=st.integers(1, 2))
+    @example(flows=[1 + CAPACITY_TOL], cpu=[-CAPACITY_TOL],
+             delta=float(np.nextafter(CAPACITY_TOL, 1.0)), probes=1)
+    def test_every_admitted_point_and_delta_probe_inside_the_box(self, flows, cpu, delta,
+                                                                  probes):
+        rows = []
+        point = AllocationVector(np.array(flows), np.array(cpu))
+        m = model(tau=1.0, a_tau=1.0, a_rho=0.0, p=1)
+        g = probed_gradient(m, recording_oracle(rows), point, delta=delta, probes=probes,
                             seed_base=0)
-        assert calls == []
+        assert np.isfinite(g).all()
+        assert len(rows) == 2 * (len(flows) + len(cpu)) * probes
+        assert all(row.min() >= 0.0 and row.max() <= 1.0 for row in rows)
 
     def test_seed_base_shifts_every_probe_seed(self):
         seen = []
@@ -264,7 +280,8 @@ class TestProbedGradientFidelity:
     def test_shipped_probes_track_the_reference(self, reference_sweep):
         sc, results, _ = reference_sweep
         new, cfg = sc.new_slice, sc.osra
-        m = PenaltyModel.for_slice(new, cfg.penalty_exponent, cfg.delay_ceiling_ms)
+        m = PenaltyModel(new.requirement, new.alpha_tau, new.alpha_rho,
+                         cfg.penalty_exponent, cfg.delay_ceiling_ms)
         norm = np.linalg.norm
 
         def estimate(row, seed_base):
@@ -311,7 +328,7 @@ class TestAnalyticGradient:
         # tight allocation: stable but above the 2 ms bound
         point = AllocationVector(np.array([0.06]), np.array([0.03]))
         for exponent in (1, 2):
-            m = PenaltyModel.for_slice(spec, exponent, 1e4)
+            m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, exponent, 1e4)
             g = analytic_gradient(m, spec, point, topo)
             h = 1e-7
             for d in range(2):
@@ -325,7 +342,7 @@ class TestAnalyticGradient:
 
     def test_flat_delay_term_at_the_ceiling(self):
         spec, topo = self.spec_topo()
-        m = PenaltyModel.for_slice(spec, 2, 1e4)
+        m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 1e4)
         # starved server: unstable, delay unbounded, throughput capped
         point = AllocationVector(np.array([0.06]), np.array([0.01]))
         delay, tp, _, d_tp = analytic_parts(spec, point, topo)
@@ -336,7 +353,7 @@ class TestAnalyticGradient:
         assert g == pytest.approx(want, rel=1e-12)
 
         # stable, with a finite 32.5 ms delay above a 20 ms ceiling
-        low = PenaltyModel.for_slice(spec, 2, 20.0)
+        low = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 20.0)
         point = AllocationVector(np.array([0.06]), np.array([0.03]))
         delay, tp, d_delay, _ = analytic_parts(spec, point, topo)
         assert delay == pytest.approx(32.5) and tp == 1.0 and np.all(d_delay < 0)
@@ -346,6 +363,6 @@ class TestAnalyticGradient:
 
     def test_zero_when_satisfied(self):
         spec, topo = self.spec_topo()
-        m = PenaltyModel.for_slice(spec, 2, 1e4)
+        m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 1e4)
         point = AllocationVector(np.array([0.9]), np.array([0.9]))
         assert np.all(analytic_gradient(m, spec, point, topo) == 0.0)
