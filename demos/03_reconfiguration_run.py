@@ -17,7 +17,7 @@ from slicelab import reference_scenario, run_osra
 def fmt_row(sid, trace):
     s = trace.samples[sid]
     raw = s.raw_delays_ms
-    mean_d = raw.mean() if raw is not None and raw.size else float("nan")
+    mean_d = raw.mean() if raw.size else float("nan")
     return (f"  {sid:8s} p99 {s.delay_stat_ms:9.3f} ms   "
             f"mean {mean_d:8.3f} ms   throughput {s.throughput:6.4f}   "
             f"penalty {trace.penalties[sid]:10.4f}")

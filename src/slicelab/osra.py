@@ -15,10 +15,14 @@ While j is the only one hurting, grad pi_i = 0 and -grad pi_j >= 0
 componentwise, so p_i >= 0: donors shed resources and j gains them. Once
 a donor's own marginal penalty matches j's on some coordinate, p_i there
 crosses zero and the exchange stalls there. On the reference sweep every
-run stops once all hinges are off, with every slice still holding a share,
-and no applied update uses the fallback below. Off the reference point
-that need not hold: the fallback step has no size bound, and one such step
-can zero a slice's row (ROADMAP item 8).
+run stops on gradients that are exactly zero: each donor's model meets its
+bounds, and so does every probe repetition of the new slice. The one
+monitored sample need not: seed 4 stops with the new slice's p99 at 2.2 ms
+against its 2 ms bound. Every slice still holds a share, and no applied
+update uses the fallback below; the stopping iteration, which applies
+nothing, records it. Off the reference point that need not hold: the
+fallback step has no size bound, and one such step can zero a slice's row
+(ROADMAP item 8).
 
 The applied update withdraws delta_i from each donor and grants their sum
 to j, under one of two scalings:

@@ -147,6 +147,16 @@ def _onoff_arrivals(model, horizon_s, rng):
     if not starts:
         return np.empty(0)
     starts, counts = _joined(starts), _joined(counts)
+    if gap > 0:
+        # only the last burst can reach past the horizon: expand it only up to
+        # the packets that can arrive before the horizon, plus one for
+        # rounding, and `_before` cuts the same. The sum below puts the first
+        # packet left out at or past the horizon unless gap < 2.2e-16 times
+        # the time left, when the cap is above 4.5e15 packets, more than fits
+        # in memory. Python scalars: numpy's cost a microsecond here.
+        cap = (horizon_s - starts.item(-1)) // gap + 2
+        if cap < counts.item(-1):
+            counts[-1] = cap
     # expand each burst into gap-spaced packets: packet k of a burst that
     # starts at time s with packet index first arrives at s + (k - first) * gap,
     # and one repeat carries the row (s, first) to every packet (two repeats,

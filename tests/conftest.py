@@ -1,4 +1,4 @@
-"""Shared fixtures: small fast scenarios and the full reference sweep."""
+"""Shared by the tests: a small fast scenario and the full reference sweep."""
 import time
 
 import numpy as np
@@ -68,11 +68,6 @@ def make_tiny_scenario(tau_new=3.0, rho_new=0.9, epsilon=0.05, max_iters=4,
         ),
         new_slice_id="new",
     ).validate()
-
-
-@pytest.fixture
-def tiny_scenario():
-    return make_tiny_scenario()
 
 
 @pytest.fixture(scope="session")

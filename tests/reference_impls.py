@@ -2,13 +2,14 @@
 
 Everything in this file is deliberately written from first principles and
 kept separate from the package under test: brute-force QP for the capped
-simplex, textbook M/M/1 formulas, a by-hand single-packet delay trace,
-a scalar re-implementation of the transfer recursion, the simulator's
-original per-packet link/server loop, a per-arrival Poisson generator and a
-per-burst on/off generator. Test expectations are frozen from these, never
-from the library. The one exception is `many_repetition_gradient`, a slow
-reference for the probed gradient: the library's estimator at a repetition
-count no run can afford, so only its precision is independent.
+simplex, the textbook M/M/1 sojourn time, a frozen hand calculation of one
+packet's delay, a scalar re-implementation of the transfer recursion, the
+simulator's original per-packet link/server loop, a per-arrival Poisson
+generator and a per-burst on/off generator. Test expectations are frozen
+from these, never from the library. The one exception is
+`many_repetition_gradient`, a slow reference for the probed gradient: the
+library's estimator at a repetition count no run can afford, so only its
+precision is independent.
 """
 import itertools
 import math
@@ -58,23 +59,6 @@ def mm1_sojourn_s(lam, mu):
     """Mean time in system for a stable M/M/1 queue (seconds)."""
     assert mu > lam
     return 1.0 / (mu - lam)
-
-
-def two_stage_delay_ms(lam, rate_bps, mean_size_bytes, phi_mips_sum, demand_mi):
-    """Mean E2E sojourn (ms) across link M/M/1 plus server M/M/1."""
-    mu_net = rate_bps / (8.0 * mean_size_bytes)
-    mu_srv = phi_mips_sum / demand_mi
-    return 1000.0 * (mm1_sojourn_s(lam, mu_net) + mm1_sojourn_s(lam, mu_srv))
-
-
-def single_packet_delay_ms(size_bytes, link_bps, demand_mi, mips_sum, prop_ms):
-    """Delay of one packet through an empty two-stage pipeline.
-
-    transmission + processing + propagation; no queueing.
-    """
-    tx = size_bytes * 8.0 / link_bps
-    proc = demand_mi / mips_sum
-    return (tx + proc) * 1000.0 + prop_ms
 
 
 # Frozen hand calculation (also worked on paper): 1000-byte packet on an

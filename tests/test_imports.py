@@ -1,5 +1,5 @@
 """Every module of the package reads each name it imports, and every
-public name of the package is read outside the tests.
+name of the package is read outside the tests.
 
 No linter ships with the test dependencies, so this reads the source with
 `ast`: each top-level import binds names, and some `Name` node of the
@@ -7,12 +7,19 @@ same module must read each of them (`np` in `np.array` is one). The
 package's `__init__.py` is exempt, since its imports are its exports, and
 so is `from __future__ import annotations`, which binds nothing used.
 
-Each public function, class and method of the package must be named, by a
-`Name` or `Attribute` node or a from-import, somewhere in the package (its
-`__init__.py` exports count), the benchmark or the demos, other than in
-its own body. A name only tests read is code kept for the tests alone.
-Names are matched by name only, so a method named like a read attribute
-of anything else passes.
+Each top-level function, class and constant of the package, and each
+method of its classes, must be read, by a loading `Name` or `Attribute`
+node or a from-import, other than in its own body: a public name somewhere
+in the package (its `__init__.py` exports count), the benchmark or the
+demos, a private (`_name`) one in the package. A name only tests read is
+code kept for the tests alone. Dunders are left out, since Python itself
+reads them. Names are matched by name only, so a method named like a read
+attribute of anything else passes.
+
+The same rule holds the two modules every test shares, `conftest.py` and
+`reference_impls.py`, to the tests: each of their top-level defs and
+constants is read in `tests/`, and a fixture by a def that takes it as a
+parameter.
 
 Each exception class that the package's `__init__.py` exports is raised
 by name, as `raise <Name>(...)`, somewhere in the package: an exported
@@ -43,6 +50,7 @@ PACKAGE = ROOT / "src" / "slicelab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # where the package's public names may be read: the package, the benchmark, the demos
 READERS = [p for d in (PACKAGE, ROOT / "perfbench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
+TESTS = ROOT / "tests"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,13 +79,14 @@ def test_no_unused_import(path):
 
 
 def names_read(node, own=frozenset()):
-    """Each name a Name or Attribute node under `node` reads or a
+    """Each name a loading Name or Attribute node under `node` reads or a
     from-import imports, leaving out a def's reads of its own name."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         own = own | {node.name}
-    if isinstance(node, ast.Name) and node.id not in own:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
         yield node.id
-    elif isinstance(node, ast.Attribute) and node.attr not in own:
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+            and node.attr not in own:
         yield node.attr
     elif isinstance(node, ast.ImportFrom):
         yield from (a.name for a in node.names)
@@ -85,35 +94,70 @@ def names_read(node, own=frozenset()):
         yield from names_read(child, own)
 
 
-def unread_public_names(modules: list[str], readers: list[str]) -> list[str]:
-    """The public top-level functions and classes of `modules`, and the
-    public methods of those classes, that no source of `readers` names."""
-    read = {name for source in readers for name in names_read(ast.parse(source))}
-    unread = []
-    for source in modules:
-        for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            defs = [(node.name, node.name)]
+def defined_names(source: str):
+    """(qualified name, name, is a fixture) for each top-level function,
+    class and constant of `source` and each method of its classes, leaving
+    out dunders, which Python itself reads."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs = [(t.id, t.id, False) for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            fixture = any("fixture" in names_read(d) for d in node.decorator_list)
+            defs = [(node.name, node.name, fixture)]
             if isinstance(node, ast.ClassDef):
-                defs += [(m.name, f"{node.name}.{m.name}") for m in node.body
+                defs += [(f"{node.name}.{m.name}", m.name, False) for m in node.body
                          if isinstance(m, ast.FunctionDef)]
-            unread += [qual for name, qual in defs
-                       if not name.startswith("_") and name not in read]
-    return unread
+        else:
+            continue
+        yield from (d for d in defs if not (d[1].startswith("__") and d[1].endswith("__")))
+
+
+def unread_names(modules: list[str], readers: list[str], private_readers: list[str]) -> list[str]:
+    """The names `defined_names` finds in `modules` that no source of
+    `readers` names, or for a private (`_name`) one, no source of
+    `private_readers`. A fixture is read only by a def that takes it as a
+    parameter."""
+    def reads(sources):
+        """{is a fixture: the names that `sources` read as one}"""
+        trees = [ast.parse(source) for source in sources]
+        return {False: {name for tree in trees for name in names_read(tree)},
+                True: {a.arg for tree in trees for a in ast.walk(tree) if isinstance(a, ast.arg)}}
+    public, private = reads(readers), reads(private_readers)
+    return [qual for source in modules for qual, name, fixture in defined_names(source)
+            if name not in (private if name.startswith("_") else public)[fixture]]
 
 
 def test_finds_a_name_only_tests_read():
-    module = ("def used():\n    return 1\n\n\ndef only_tested():\n    return used()\n\n\n"
+    module = ("def used():\n    return _private()\n\n\ndef only_tested():\n    return used()\n\n\n"
               "def _private():\n    pass\n\n\nclass Kind:\n    def recurse(self):\n"
               "        return self.recurse()\n")
     reader = "from pkg import Kind\nKind()\n"
-    assert unread_public_names([module], [module, reader]) == ["only_tested", "Kind.recurse"]
+    assert unread_names([module], [module, reader], [module]) == ["only_tested", "Kind.recurse"]
+
+
+def test_finds_an_unread_private_name_helper_and_fixture():
+    package = ("__version__ = '1'\n_LIMIT = 3\n_UNREAD = 4\n\n\n"
+               "def _unread():\n    return _unread()\n\n\n"
+               "def read():\n    return _LIMIT\n")
+    user = "from pkg import read, _UNREAD\nread() + _UNREAD\n"
+    shared = ("import pytest\nFROZEN = 1.0\n\n\ndef helper():\n    pass\n\n\n"
+              "@pytest.fixture\ndef taken():\n    return 1\n\n\n"
+              "@pytest.fixture(scope='session')\ndef unused():\n    return 2\n")
+    test = "from shared import FROZEN\n\n\ndef test_it(taken):\n    assert FROZEN\n"
+    assert unread_names([package], [package, user], [package]) == ["_UNREAD", "_unread"]
+    assert unread_names([shared], [shared, test], [shared, test]) == ["helper", "unused"]
 
 
 def test_every_public_name_is_read_outside_the_tests():
     package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
-    assert unread_public_names(package, [p.read_text() for p in READERS]) == []
+    assert unread_names(package, [p.read_text() for p in READERS], package) == []
+
+
+def test_every_shared_test_name_is_read_by_a_test():
+    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
+    shared = [(TESTS / name).read_text() for name in ("conftest.py", "reference_impls.py")]
+    assert unread_names(shared, tests, tests) == []
 
 
 def unraised_errors(init: str, modules: list[str]) -> list[str]:

@@ -201,6 +201,20 @@ class TestRunOsra:
         assert hashlib.sha256(blob).hexdigest() == (
             "9ebfe4fb23b1aaf71804fc5e979ca9c832c91567818bcd785bd05f782f89fa16")
 
+    def test_every_reference_run_stops_on_exactly_zero_gradients(self, reference_sweep):
+        # the stop reads the gradients, not the one monitored sample: seed 4
+        # stops with slice1's monitored p99 over its bound, since every
+        # probe repetition meets it
+        _, results, _ = reference_sweep
+        for res in results.values():
+            *applied, last = res.traces
+            assert res.converged
+            assert all(tr.rule_used == "algorithm1" for tr in applied)
+            assert last.stop_metric == 0.0 and last.rule_used == "conservative-fallback"
+            assert all((g == 0.0).all() for g in last.gradients.values())
+            assert res.final_alloc.stacked().min() > 0.0
+        assert results[4].traces[-1].penalties["slice1"] > 0.0
+
     def test_memory_records_all_probes(self):
         sc = make_tiny_scenario(max_iters=2, epsilon=0.0, tau_new=0.05, probes=2)
         mem = ProbeMemory()

@@ -824,6 +824,8 @@ class TestOnOffAgainstLoop:
     @example(seed=2, burst_len=8.0, off_time_ms=0.0, horizon_s=10.0)
     @example(seed=3, burst_len=8.0, off_time_ms=0.0, horizon_s=500.0)
     @example(seed=4, burst_len=1.0, off_time_ms=2.0, horizon_s=10.0)
+    @example(seed=5, burst_len=1e4, off_time_ms=38.0, horizon_s=10.0)
+    @example(seed=6, burst_len=1e4, off_time_ms=38.0, horizon_s=500.0)
     def test_arrivals_bit_identical(self, seed, burst_len, off_time_ms, horizon_s):
         # the mean rate is kept under the burst envelope burst_len/off_time
         tm = bursty(burst_len, off_time_ms,
@@ -837,6 +839,22 @@ class TestOnOffAgainstLoop:
         arrivals, _ = generate_traffic(tm, 20.0, np.random.default_rng(8))
         assert (burst_sizes(arrivals, tm.intra_burst_gap_s()) == 1).all()
         assert arrivals.size / 20.0 == pytest.approx(200.0, rel=0.05)
+
+    def test_a_burst_past_the_horizon_is_expanded_only_up_to_it(self):
+        # slice1's reference traffic with ~10^6-packet bursts, each ~5000 s
+        # long: ~2000 packets arrive in 10 s, and a burst expanded in full
+        # would take 5-24 MB here
+        spec = next(s for s in reference_scenario().slices if s.id == "slice1")
+        tm = dataclasses.replace(spec.traffic, burst_len=1e6)
+        generate_traffic(tm, 10.0, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            arrivals, sizes = generate_traffic(tm, 10.0, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert arrivals.size == sizes.size > 1900
+        assert peak < 1e6
 
     def test_no_arrivals_when_the_first_off_time_passes_the_horizon(self):
         # the leading off time has mean 38 ms, so a 1 ns horizon ends inside it
