@@ -12,9 +12,9 @@ import numpy as np
 
 from slicelab import (
     audit_allocation,
-    evaluate_baseline,
     reference_scenario,
     run_osra,
+    size_all,
 )
 
 SEEDS = range(5)
@@ -40,8 +40,8 @@ def print_report(title, report, slices):
 def main():
     sc = reference_scenario()
 
-    base_report, base_alloc, flags = evaluate_baseline(
-        sc.slices, sc.topology, sc.sim, SEEDS)
+    base_alloc, flags = size_all(sc.slices, sc.topology)
+    base_report = audit_allocation(sc.slices, sc.topology, base_alloc, sc.sim, SEEDS)
     res = run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
                    sc.new_slice_id, sc.osra, seed=0)
     osra_report = audit_allocation(sc.slices, sc.topology, res.final_alloc,

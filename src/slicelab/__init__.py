@@ -8,7 +8,7 @@ The top level holds the entry points and the types a caller builds or
 catches; everything else is imported from its module.
 """
 
-from .baseline import audit_allocation, evaluate_baseline, size_all
+from .baseline import audit_allocation, size_all
 from .domain import (
     UNBOUNDED,
     AllocationMatrix,
@@ -22,6 +22,6 @@ from .domain import (
 from .osra import NonFiniteGradient, OsraConfig, ProbeMemory, run_osra
 from .projection import DimensionMismatch, project_capped_simplex, project_columns
 from .scenario import ScenarioConfig, ScenarioError, load_scenario, reference_scenario
-from .simulator import SimConfig, SimulationError, run_sim
+from .simulator import SimConfig, run_sim
 
 __version__ = "0.1.0"

@@ -128,14 +128,3 @@ def pool_audits(slices, runs) -> dict:
             mean_delay_ms=mean_d, max_delay_ms=max_d,
             throughput=success / offered if offered else 1.0, delays_ms=pooled)
     return report
-
-
-def evaluate_baseline(slices, topology: Topology, sim_config: SimConfig, seeds):
-    """Size every slice with `size_all`, then audit that allocation as-is.
-
-    Returns (report, allocation, flags); a flagged slice's sizing was
-    scaled back to fit, so its audit is of less than it asked for.
-    """
-    alloc, flags = size_all(slices, topology)
-    report = audit_allocation(slices, topology, alloc, sim_config, seeds)
-    return report, alloc, flags

@@ -20,9 +20,8 @@ bounds, and so does every probe repetition of the new slice. The one
 monitored sample need not: seed 4 stops with the new slice's p99 at 2.2 ms
 against its 2 ms bound. Every slice still holds a share, and no applied
 update uses the fallback below; the stopping iteration, which applies
-nothing, records it. Off the reference point that need not hold: the
-fallback step has no size bound, and one such step can zero a slice's row
-(ROADMAP item 8).
+nothing, records it. Off the reference point the fallback does fire, and
+its step is bounded as algorithm1's is.
 
 The applied update withdraws delta_i from each donor and grants their sum
 to j, under one of two scalings:
@@ -35,7 +34,9 @@ to j, under one of two scalings:
   steep the penalty cliffs are; approach speed is set by the step size
   alone. A vanishing ||grad pi_j|| (below 1e-12) falls back to
   "conservative" for that step, recorded in the trace as rule_used
-  "conservative-fallback".
+  "conservative-fallback", with every delta_i scaled by
+  eta * n_donors / ||sum_i p_i|| where that norm exceeds eta * n_donors,
+  so the grant is no larger than algorithm1's.
 
 Both scalings are exactly zero-sum per coordinate before projection. The
 stopping rule always reads the unscaled pressure: stop when
@@ -162,12 +163,18 @@ def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
     stop_metric = float(np.linalg.norm(transfer))
 
     gj_norm = float(np.linalg.norm(new_grad))
-    if rule == "algorithm1" and gj_norm >= ZERO_GRADIENT_NORM:
+    if rule == "conservative":
+        deltas, rule_used = pressures, "conservative"
+    elif gj_norm >= ZERO_GRADIENT_NORM:
         deltas = {sid: p / gj_norm for sid, p in pressures.items()}
         rule_used = "algorithm1"
     else:
-        deltas = pressures
-        rule_used = "conservative" if rule == "conservative" else "conservative-fallback"
+        # algorithm1's grant size bounds the raw pressures; the stopping
+        # row's transfer is exactly 0 and never scales
+        bound = eta * len(pressures)
+        deltas = pressures if stop_metric <= bound else {
+            sid: p * (bound / stop_metric) for sid, p in pressures.items()}
+        rule_used = "conservative-fallback"
     grant = sum(deltas.values(), np.zeros_like(new_grad))
     return transfer, stop_metric, deltas, grant, rule_used
 

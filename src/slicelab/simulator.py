@@ -35,10 +35,6 @@ from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample
                      TrafficModel, interval_violations, seed_sequence)
 
 
-class SimulationError(RuntimeError):
-    pass
-
-
 # packets per link window after an overflow; a window that drops nothing
 # is followed by one twice as long
 _RESTART_WINDOW = 256
@@ -141,22 +137,23 @@ def _onoff_arrivals(model, horizon_s, rng):
         # burst starts, summed in the loop's order; the last one is the next t
         s = np.add.accumulate(np.concatenate(([t], step)))
         b = min(m, int(s.searchsorted(horizon_s)))
+        t = s.item(b)
+        if t >= horizon_s and gap > 0:
+            # only the last burst can reach past the horizon: cap its size,
+            # before the int64 cast, at the packets that can arrive before
+            # the horizon, plus one for rounding, and `_before` cuts the same.
+            # The sum below puts the first packet left out at or past the
+            # horizon unless gap < 2.2e-16 times the time left, when the cap
+            # is above 4.5e15 packets, more than fits in memory. Python
+            # scalars: numpy's cost a microsecond here.
+            cap = (horizon_s - s.item(b - 1)) // gap + 2
+            if cap < n.item(b - 1):
+                n[b - 1] = cap
         starts.append(s[:b])
         counts.append(n[:b].astype(np.int64))
-        t = s[b]
     if not starts:
         return np.empty(0)
     starts, counts = _joined(starts), _joined(counts)
-    if gap > 0:
-        # only the last burst can reach past the horizon: expand it only up to
-        # the packets that can arrive before the horizon, plus one for
-        # rounding, and `_before` cuts the same. The sum below puts the first
-        # packet left out at or past the horizon unless gap < 2.2e-16 times
-        # the time left, when the cap is above 4.5e15 packets, more than fits
-        # in memory. Python scalars: numpy's cost a microsecond here.
-        cap = (horizon_s - starts.item(-1)) // gap + 2
-        if cap < counts.item(-1):
-            counts[-1] = cap
     # expand each burst into gap-spaced packets: packet k of a burst that
     # starts at time s with packet index first arrives at s + (k - first) * gap,
     # and one repeat carries the row (s, first) to every packet (two repeats,
@@ -367,13 +364,6 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
         arrivals, sizes, link_rates, topology.buffer_pkts,
         cpu_rate, spec.demand_mi, config.propagation_ms,
     )
-    if served.size != arrivals.size:
-        raise SimulationError(
-            f"slice {spec.id}: {served.size} outcomes for {arrivals.size} offered requests")
-    if delays.size != np.count_nonzero(served):
-        raise SimulationError(
-            f"slice {spec.id}: {delays.size} delays for "
-            f"{np.count_nonzero(served)} served requests")
     # arrivals are sorted, so the post-warmup requests are a suffix
     w = int(arrivals.searchsorted(config.warmup_s))
     success = int(np.count_nonzero(served[w:]))

@@ -20,10 +20,10 @@ from slicelab import (
     Topology,
     TrafficModel,
     audit_allocation,
-    evaluate_baseline,
     project_capped_simplex,
     run_osra,
     run_sim,
+    size_all,
 )
 from slicelab.domain import QoeSample
 from slicelab.penalty import PenaltyModel, probed_gradient
@@ -116,8 +116,8 @@ def test_ac3_throughput_recovery(reference_sweep):
 def test_ac4_baseline_failure(reference_sweep):
     sc, results, _ = reference_sweep
     seeds = range(10)
-    base_report, base_alloc, flags = evaluate_baseline(
-        sc.slices, sc.topology, sc.sim, seeds)
+    base_alloc, flags = size_all(sc.slices, sc.topology)
+    base_report = audit_allocation(sc.slices, sc.topology, base_alloc, sc.sim, seeds)
     osra_report = audit_allocation(
         sc.slices, sc.topology, results[0].final_alloc, sc.sim, seeds)
     bv = base_report["slice1"].violation_fraction

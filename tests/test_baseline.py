@@ -14,7 +14,6 @@ from slicelab import (
     Topology,
     TrafficModel,
     audit_allocation,
-    evaluate_baseline,
     reference_scenario,
     run_sim,
     size_all,
@@ -190,8 +189,8 @@ class TestEvaluateBaseline:
         sc = reference_scenario()
         cfg = SimConfig(horizon_s=2.0, warmup_s=0.2,
                         propagation_ms=sc.sim.propagation_ms)
-        report, alloc, flags = evaluate_baseline(
-            sc.slices, sc.topology, cfg, seeds=[0])
+        alloc, flags = size_all(sc.slices, sc.topology)
+        report = audit_allocation(sc.slices, sc.topology, alloc, cfg, seeds=[0])
         assert set(flags.values()) == {False}
         assert alloc.flows.sum(axis=0).max() <= 1.0 + 1e-9
         assert alloc.cpu.sum(axis=0).max() <= 1.0 + 1e-9
@@ -200,7 +199,9 @@ class TestEvaluateBaseline:
     def test_a_joint_overrun_is_audited_clamped(self):
         slices = (make_spec("a"), make_spec("b", rank=1))
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1)
-        report, alloc, flags = evaluate_baseline(slices, one_link(10.0), cfg, seeds=[0])
+        topo = one_link(10.0)
+        alloc, flags = size_all(slices, topo)
+        report = audit_allocation(slices, topo, alloc, cfg, seeds=[0])
         assert flags == {"a": True, "b": True}
         assert alloc.flows.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-12)
         assert set(report) == {"a", "b"}

@@ -9,10 +9,11 @@ so is `from __future__ import annotations`, which binds nothing used.
 
 Each top-level function, class and constant of the package, and each
 method of its classes, must be read, by a loading `Name` or `Attribute`
-node or a from-import, other than in its own body: a public name somewhere
-in the package (its `__init__.py` exports count), the benchmark or the
-demos, a private (`_name`) one in the package. A name only tests read is
-code kept for the tests alone. Dunders are left out, since Python itself
+node or a from-import, other than in its own body: a public name in a
+module of the package or in the benchmark, a private (`_name`) one in the
+package. A name only tests read is code kept for the tests alone, and an
+export in `__init__.py` or a call in a demo keeps no name alive: a name
+that only they read is a wrapper the caller can write itself. Dunders are left out, since Python itself
 reads them. Names are matched by name only, so a method named like a read
 attribute of anything else passes.
 
@@ -48,8 +49,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slicelab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-# where the package's public names may be read: the package, the benchmark, the demos
-READERS = [p for d in (PACKAGE, ROOT / "perfbench", ROOT / "demos") for p in sorted(d.glob("*.py"))]
+# where the package's public names may be read: its modules and the benchmark
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 TESTS = ROOT / "tests"
 
 
@@ -130,10 +131,18 @@ def unread_names(modules: list[str], readers: list[str], private_readers: list[s
 
 def test_finds_a_name_only_tests_read():
     module = ("def used():\n    return _private()\n\n\ndef only_tested():\n    return used()\n\n\n"
+              "def demo_only():\n    return used()\n\n\n"
               "def _private():\n    pass\n\n\nclass Kind:\n    def recurse(self):\n"
               "        return self.recurse()\n")
     reader = "from pkg import Kind\nKind()\n"
-    assert unread_names([module], [module, reader], [module]) == ["only_tested", "Kind.recurse"]
+    init = "from .mod import Kind, demo_only, used\n"
+    demo = "from pkg import demo_only\ndemo_only()\n"
+    assert unread_names([module], [module, reader], [module]) == [
+        "only_tested", "demo_only", "Kind.recurse"]
+    # an export and a demo read a name, but neither is one of READERS
+    assert unread_names([module], [module, reader, init, demo], [module]) == [
+        "only_tested", "Kind.recurse"]
+    assert not {PACKAGE / "__init__.py", *(ROOT / "demos").glob("*.py")} & set(READERS)
 
 
 def test_finds_an_unread_private_name_helper_and_fixture():

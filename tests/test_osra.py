@@ -74,6 +74,26 @@ class TestTransferStep:
         assert deltas["a"] == pytest.approx([0.1])
         assert grant == pytest.approx([0.1])
 
+    @pytest.mark.parametrize("n_donors", [1, 2, 3])
+    def test_the_fallback_grant_is_bounded_as_algorithm1s(self, n_donors):
+        # steep donor gradients against a zero new one: the raw pressures,
+        # each scaled by one factor so that the grant is eta per donor
+        rng = np.random.default_rng(n_donors)
+        donors = {f"d{i}": rng.normal(scale=50.0, size=3) for i in range(n_donors)}
+        eta, bound = 0.06, 0.06 * n_donors
+        transfer, stop, deltas, grant, used = transfer_step(donors, np.zeros(3), eta,
+                                                            "algorithm1")
+        assert used == "conservative-fallback" and stop > bound
+        assert np.linalg.norm(grant) <= bound * (1 + 1e-12)   # rounding only
+        for sid, g in donors.items():
+            assert deltas[sid] == pytest.approx(eta * g * bound / stop, rel=1e-12)
+
+    def test_the_stopping_row_falls_back_without_scaling(self):
+        _, stop, deltas, grant, used = transfer_step(
+            {"a": np.zeros(2), "b": np.zeros(2)}, np.zeros(2), 0.06, "algorithm1")
+        assert used == "conservative-fallback" and stop == 0.0
+        assert not grant.any() and not any(d.any() for d in deltas.values())
+
     def test_tiny_but_nonzero_gradient_still_normalizes(self):
         g = np.array([10 * ZERO_GRADIENT_NORM])
         _, _, _, _, used = transfer_step({"a": np.array([1.0])}, g,
@@ -370,75 +390,109 @@ def _fails_today(reason):
 
 
 # cold starts at f = 2 and 2.5 stop on a probed gradient of exactly 0
-_STALL = "ROADMAP items 12 and 8: converged=True after 1 update, slice1's penalty 744"
+_STALL = "ROADMAP item 12: converged=True after 1 update, slice1's penalty 744"
+
+# the reference topology with its link (Mbps) and each core (MIPS) cut
+CUTS = {"link900": (900.0, 2e8), "link1200": (1200.0, 3e8)}
+
+# (f, seed, start, cut): demand growth from both starts, then the capacity cuts
+GRID = [*((f, seed, start, None) for f in (2.0, 2.5) for seed in range(100, 103)
+          for start in ("cold", "warm")),
+        *((1.0, seed, "cold", cut) for cut in CUTS for seed in range(3))]
+
+
+def _grid(fails):
+    """The GRID runs as parameters named like 2.0-100-cold or link900-0, each
+    one that `fails` names a strict xfail with its reason."""
+    params = []
+    for f, seed, start, cut in GRID:
+        name = f"{cut}-{seed}" if cut else f"{f}-{seed}-{start}"
+        marks = [_fails_today(fails[name])] if name in fails else []
+        params.append(pytest.param(f, seed, start, cut, id=name, marks=marks))
+    return params
 
 
 class TestWarmRestart:
-    """The loop tracks a demand change from the allocation it converged to.
+    """The loop tracks a demand change from the allocation it converged to,
+    and a capacity cut from the reference start.
 
     slice1's traffic is compressed in time by f (f x the rate, 1/f x the off
     time), and the loop restarts on seeds 100-102 from the final allocations
     of reference seeds 0-2. At f = 1.25 and 1.5 every warm restart converges
-    to zero penalties faster than a cold start. At f = 2 and 2.5 two
+    to zero penalties faster than a cold start. At f = 2 and 2.5, and from
+    the reference start on seeds 0-2 with the link and cores cut (CUTS),
     properties are pinned, each with a strict xfail where it fails today: a
-    run that reports convergence has every penalty at 0, and a warm restart
-    converges. Each run is made once and shared by the tests.
+    run that reports convergence has every penalty at 0, no slice ends
+    starved, and a warm restart converges. Each run is made once and shared
+    by the tests.
     """
 
     @pytest.fixture(scope="class")
-    def demand_run(self, reference_sweep):
-        """run(f, seed, start), start "warm" or "cold", each run made once."""
+    def grid_run(self, reference_sweep):
+        """run(f, seed, start, cut=None), start "warm" or "cold", on the
+        topology that CUTS[cut] gives, or the reference one; each run made once."""
         sc, results, _ = reference_sweep
         runs = {}
 
-        def run(f, seed, start):
-            if (f, seed, start) not in runs:
+        def run(f, seed, start, cut=None):
+            if (f, seed, start, cut) not in runs:
                 slices = tuple(
                     dataclasses.replace(s, traffic=dataclasses.replace(
                         s.traffic, mean_rate=s.traffic.mean_rate * f,
                         off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
                     for s in sc.slices)
+                topology = sc.topology
+                if cut:
+                    link, mips = CUTS[cut]
+                    topology = dataclasses.replace(
+                        topology, edges=tuple((eid, link) for eid, _ in topology.edges),
+                        cores=tuple((cid, mips) for cid, _ in topology.cores))
                 alloc = results[seed - 100].final_alloc if start == "warm" else sc.initial_alloc
-                runs[f, seed, start] = run_osra(slices, sc.topology, alloc, sc.sim,
-                                                sc.new_slice_id, sc.osra, seed=seed)
-            return runs[f, seed, start]
+                runs[f, seed, start, cut] = run_osra(slices, topology, alloc, sc.sim,
+                                                     sc.new_slice_id, sc.osra, seed=seed)
+            return runs[f, seed, start, cut]
         return run
 
     @pytest.mark.parametrize("f", [1.25, 1.5])
-    def test_converges_in_fewer_updates_than_a_cold_start(self, demand_run, f):
+    def test_converges_in_fewer_updates_than_a_cold_start(self, grid_run, f):
         for seed in range(100, 103):
-            warm, cold = (demand_run(f, seed, start) for start in ("warm", "cold"))
+            warm, cold = (grid_run(f, seed, start) for start in ("warm", "cold"))
             assert warm.converged and warm.iterations <= 3, seed
             assert set(warm.traces[-1].penalties.values()) == {0.0}, seed
             assert cold.iterations > warm.iterations, seed
 
-    @pytest.mark.parametrize("f, seed, start", [
-        *(pytest.param(f, seed, "cold", marks=_fails_today(_STALL))
-          for f in (2.0, 2.5) for seed in range(100, 103)),
-        (2.0, 100, "warm"), (2.0, 101, "warm"), (2.0, 102, "warm"),
-        (2.5, 100, "warm"), (2.5, 101, "warm"),
-        pytest.param(2.5, 102, "warm", marks=_fails_today(
-            "ROADMAP item 9: converged=True after 7 updates, slice2's penalty 7.2 "
-            "(its p99 12.2 ms against 5 ms)")),
-    ])
-    def test_a_converged_run_has_every_penalty_at_zero(self, demand_run, f, seed, start):
-        res = demand_run(f, seed, start)
+    @pytest.mark.parametrize("f, seed, start, cut", _grid({
+        **{f"{f}-{seed}-cold": _STALL for f in (2.0, 2.5) for seed in range(100, 103)},
+        "2.5-102-warm": "ROADMAP item 9: converged=True after 7 updates, slice2's penalty "
+                        "7.2 (its p99 12.2 ms against 5 ms)",
+        **dict.fromkeys(("link900-0", "link900-1"), "ROADMAP items 12 and 14: converged=True "
+                        "after 1 update, slice1's penalty 744"),
+    }))
+    def test_a_converged_run_has_every_penalty_at_zero(self, grid_run, f, seed, start, cut):
+        res = grid_run(f, seed, start, cut)
         if res.converged:
             assert set(res.traces[-1].penalties.values()) == {0.0}
 
-    @pytest.mark.parametrize("f, seed", [
-        (2.0, 100),
-        pytest.param(2.0, 101, marks=_fails_today(
-            "ROADMAP item 8: a conservative-fallback step at k = 3 zeroes slice1's "
-            "link share; 15 iterations, slice1's penalty 4.36")),
-        (2.0, 102),
-        pytest.param(2.5, 100, marks=_fails_today(
-            "ROADMAP item 8: a conservative-fallback step at k = 11 zeroes slice1's "
-            "link share; 15 iterations, slice1's penalty 64.07, slice3's 0.5")),
-        (2.5, 101),
-    ])
-    def test_a_warm_restart_converges(self, demand_run, f, seed):
-        assert demand_run(f, seed, "warm").converged
+    @pytest.mark.parametrize("f, seed, start, cut", _grid({
+        "link900-2": "ROADMAP item 9: algorithm1 steps zero slice3's link share from k = 9; "
+                     "15 iterations, slice3's throughput 0 and penalty 0.5, slice1's 244.47",
+        "link1200-1": "ROADMAP item 9: algorithm1 steps zero slice3's link share at k = 8 and "
+                      "from k = 13; 15 iterations, slice3's throughput 0 and penalty 0.5, "
+                      "slice1's 744",
+        "link1200-2": "ROADMAP item 9: the 15th update zeroes slice3's link share; slice1's "
+                      "penalty 38.45",
+    }))
+    def test_no_slice_ends_starved(self, grid_run, f, seed, start, cut):
+        # a zero link share, or zero on every core, strands a slice's traffic
+        res = grid_run(f, seed, start, cut)
+        for sid, sample in res.traces[-1].samples.items():
+            row = res.final_alloc.row(sid)
+            assert sample.throughput > 0 and row.flows.all() and row.cpu.any(), sid
+
+    @pytest.mark.parametrize("f, seed", [(2.0, 100), (2.0, 101), (2.0, 102), (2.5, 100),
+                                         (2.5, 101)])
+    def test_a_warm_restart_converges(self, grid_run, f, seed):
+        assert grid_run(f, seed, "warm").converged
 
 
 class TestFrozenSlices:

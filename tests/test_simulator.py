@@ -15,7 +15,6 @@ from slicelab import (
     InvariantViolation,
     QoeRequirement,
     SimConfig,
-    SimulationError,
     SliceSpec,
     Topology,
     TrafficModel,
@@ -215,6 +214,9 @@ def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
             demand_mi, propagation_ms)
     want_delays, want_served = loop_pipeline(*args)
     delays, served = simulate_pipeline(*args)
+    # one outcome per offered request, one delay per served one
+    assert served.shape == args[0].shape
+    assert delays.size == np.count_nonzero(served)
     assert np.array_equal(served, want_served)
     assert delays.shape == want_delays.shape
     np.testing.assert_allclose(delays, want_delays, rtol=0.0, atol=tol_ms)
@@ -514,22 +516,6 @@ class TestRunSim:
         with pytest.raises(ValueError, match=f"seed must be a whole number >= 0, got {bad!r}"):
             run_sim([one_slice()], topo, alloc,
                     SimConfig(horizon_s=1.0, warmup_s=0.1, propagation_ms=0.1), seed=bad)
-
-    @pytest.mark.parametrize("fault", ["one delay too few", "one request too many"])
-    def test_accounting_that_loses_a_request_names_the_slice(self, monkeypatch, fault):
-        pipeline = simulator.simulate_pipeline
-
-        def faulty(*args):
-            delays, served = pipeline(*args)
-            if fault == "one delay too few":
-                return delays[:-1], served
-            return delays, np.append(served, False)
-
-        monkeypatch.setattr(simulator, "simulate_pipeline", faulty)
-        topo, alloc = self.topo_alloc()
-        with pytest.raises(SimulationError, match="slice s:"):
-            run_sim([one_slice()], topo, alloc,
-                    SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1), seed=1)
 
     def test_arrivals_at_the_warmup_instant_count(self, monkeypatch):
         # a one-packet buffer and 2 ms per packet: every arrival after the
@@ -855,6 +841,16 @@ class TestOnOffAgainstLoop:
             tracemalloc.stop()
         assert arrivals.size == sizes.size > 1900
         assert peak < 1e6
+
+    def test_a_burst_too_long_for_int64_is_capped_before_the_cast(self):
+        # slice1's reference traffic with ~10^19-packet bursts: a burst size
+        # cast to int64 uncapped overflows, which numpy reports as a warning
+        spec = next(s for s in reference_scenario().slices if s.id == "slice1")
+        tm = dataclasses.replace(spec.traffic, burst_len=1e19)
+        for seed in range(3):
+            arrivals, sizes = generate_traffic(tm, 10.0, np.random.default_rng(seed))
+            assert arrivals.size == sizes.size > 1900
+            assert (arrivals < 10.0).all()
 
     def test_no_arrivals_when_the_first_off_time_passes_the_horizon(self):
         # the leading off time has mean 38 ms, so a 1 ns horizon ends inside it
