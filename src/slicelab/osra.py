@@ -19,9 +19,8 @@ run stops on gradients that are exactly zero: each donor's model meets its
 bounds, and so does every probe repetition of the new slice. The one
 monitored sample need not: seed 4 stops with the new slice's p99 at 2.2 ms
 against its 2 ms bound. Every slice still holds a share, and no applied
-update uses the fallback below; the stopping iteration, which applies
-nothing, records it. Off the reference point the fallback does fire, and
-its step is bounded as algorithm1's is.
+update uses the fallback below; only the stopping iteration, which
+applies nothing, records it.
 
 The applied update withdraws delta_i from each donor and grants their sum
 to j, under one of two scalings:
@@ -41,7 +40,8 @@ to j, under one of two scalings:
 Both scalings are exactly zero-sum per coordinate before projection. The
 stopping rule always reads the unscaled pressure: stop when
 ||sum_i p_i|| <= epsilon, which vanishes as all hinges deactivate (the
-normalized grant never would).
+normalized grant never would). A run that never stops so ends at its
+max_iters-th iteration, which applies nothing either.
 
 Rows ordered before the new slice are frozen; the donors and the new
 slice are then projected jointly, column by column, onto
@@ -132,7 +132,7 @@ class OsraResult(ArrayValue):
     final_alloc: AllocationMatrix
     traces: tuple
     converged: bool
-    iterations: int    # update steps actually applied
+    iterations: int    # updates applied: len(traces) - 1
 
 
 def order_key(spec):
@@ -199,8 +199,9 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     """Run the reconfiguration loop until the transfer stalls or iters run out.
 
     Each iteration: monitor all slices (one full simulation), form penalty
-    gradients, decide the transfer, stop if its norm is <= epsilon (the
-    traced iterate is then final), otherwise apply and project. All
+    gradients, decide the transfer, stop if its norm is <= epsilon or the
+    iteration is the `max_iters`-th (the traced iterate, which the run
+    measured, is then final), otherwise apply and project. All
     randomness derives from `seed`; reruns are bit-identical. `memory`, a
     `ProbeMemory` when given, receives every probe.
     """
@@ -230,8 +231,6 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
 
     alloc = initial_alloc
     traces = []
-    converged = False
-    iterations = 0
 
     for k in range(config.max_iters):
         samples = sim_evaluate_all(alloc, slices, topology, sim_config,
@@ -273,8 +272,7 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
             gradients=grads, transfer=transfer, stop_metric=stop_metric,
             raw_deltas=deltas, grant=grant, rule_used=rule_used))
 
-        if stop_metric <= config.epsilon:
-            converged = True
+        if stop_metric <= config.epsilon or k == config.max_iters - 1:
             break
 
         x = alloc.stacked()
@@ -283,7 +281,7 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         x[alloc.index(new_slice_id)] += grant
         x[group] = project_columns(x[group], budgets)
         alloc = AllocationMatrix(alloc.slice_ids, x[:, :alloc.n_edges], x[:, alloc.n_edges:])
-        iterations = k + 1
 
-    return OsraResult(final_alloc=alloc, traces=tuple(traces),
-                      converged=converged, iterations=iterations)
+    return OsraResult(final_alloc=traces[-1].alloc, traces=tuple(traces),
+                      converged=traces[-1].stop_metric <= config.epsilon,
+                      iterations=len(traces) - 1)

@@ -404,15 +404,16 @@ def percentile_of(statistic: str) -> float | None:
 def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     """Reduce raw delays to one number: "max", "mean", or "pNN" percentile.
 
-    Percentile is nearest-rank. Empty input yields inf (no request
-    survived, the unbounded marker).
+    Percentile is the exact nearest rank ceil(NN * n / 100), in integers.
+    Empty input yields inf (no request survived, the unbounded marker).
     """
     p = percentile_of(statistic)
     if delays_ms.size == 0:
         return math.inf
     if p is None:
         return float(delays_ms.max() if statistic == "max" else delays_ms.mean())
-    k = max(1, math.ceil(p / 100.0 * delays_ms.size))
+    whole, _, frac = statistic[1:].partition(".")
+    k = -(-int(whole + frac) * delays_ms.size // 10 ** (len(frac) + 2))
     ranked = delays_ms.copy()  # partitioned in place: the caller's order stays
     ranked.partition(k - 1)
     return float(ranked[k - 1])

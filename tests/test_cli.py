@@ -357,6 +357,24 @@ class TestRun:
             for frac in r[4:]:
                 assert 0.0 <= float(frac) <= 1.0
 
+    def test_a_capped_run_writes_the_allocation_it_last_measured(self, tmp_path, capsys):
+        # a 0.05 ms bound is never met, so all three iterations are made
+        p = tmp_path / "capped.yaml"
+        p.write_text(yaml.safe_dump(scenario_to_dict(
+            make_tiny_scenario(tau_new=0.05, epsilon=0.0, max_iters=3))))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(p), "--out", str(out), "--seeds", "0"]) == 0
+        trace_header, trace_rows = read_csv(out / "iterations_0.csv")
+        last = dict(zip(trace_header, trace_rows[-1]))
+        header, rows = read_csv(out / "final_alloc.csv")
+        assert len(trace_rows) == 3
+        for r in rows:
+            row = dict(zip(header, r))
+            assert row["converged"] == "0" and row["iterations"] == "2"
+            for col in header[4:]:
+                kind, edge = col.split("_", 1)
+                assert row[col] == last[f"{kind}_{row['slice']}_{edge}"], col
+
     @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-a-file"])
     def test_out_that_is_no_directory_exits_2(self, tiny_yaml, tmp_path, capsys, below):
         out = tmp_path.joinpath("taken", *below)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -460,10 +461,17 @@ class TestStatistics:
         assert delay_statistic(delays, "p95") == 95.0
         assert delay_statistic(np.array([4.0, 1.0, 3.0, 2.0]), "p50") == 2.0
 
+    @pytest.mark.parametrize("statistic", ["p99.9", "p0.1", "p95.25", "p99.99", "p100"])
+    def test_decimal_percentile_is_the_exact_nearest_rank(self, statistic):
+        # in floats, p99.9 of 1..1000 ranks 1000 and of 1..10^4 ranks 9991
+        for n in (*range(1, 1100), 10**4, 10**5):
+            want = math.ceil(Fraction(statistic[1:]) * n / 100)
+            assert delay_statistic(np.arange(1.0, n + 1.0), statistic) == want, n
+
     def test_empty_is_unbounded(self):
         assert math.isinf(delay_statistic(np.array([]), "max"))
 
-    @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99"])
+    @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99", "p99.9"])
     def test_the_delays_keep_their_order(self, statistic):
         # a run's delays are writable and an audit pools them after the
         # reduction, so a partition in place would reorder what it pools
