@@ -443,9 +443,9 @@ class AllocationMatrix(ArrayValue):
 class QoeSample(ArrayValue):
     """Measured (or modeled) QoE for one slice at one allocation.
 
-    delay_stat_ms is the configured statistic over successful requests'
-    E2E delays; math.inf marks "no request survived". throughput is the
-    fraction of offered requests that were served.
+    delay_stat_ms is the configured statistic over successful requests' E2E
+    delays: math.inf if requests were offered and none survived, 0.0 if none
+    were. throughput is the fraction of offered requests served, 1.0 if none.
     """
 
     delay_stat_ms: float

@@ -98,7 +98,7 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     same seeds at every probe point, then the hinge is applied; the
     difference quotient divides by the actual probe spread (2*delta, or at
     least min(delta, 1) at a clamped boundary). `delta` and `probes` obey
-    `OsraConfig`'s bounds.
+    `OsraConfig`'s bounds; an integer-valued float `probes` is used as its int.
     """
     InvariantViolation.check(
         interval_violations("delta", delta, DELTA_INTERVAL)
@@ -108,7 +108,7 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     lo = np.clip(base - delta, 0.0, 1.0)
     hi = np.clip(base + delta, 0.0, 1.0)
 
-    seeds = [derive_seed(seed_base, r) for r in range(probes)]
+    seeds = [derive_seed(seed_base, r) for r in range(int(probes))]
     pen = np.empty((base.size, 2))
     for d in range(base.size):
         for side, x in enumerate((lo[d], hi[d])):

@@ -186,8 +186,8 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     arrivals must be sorted and as long as sizes_bytes; neither is written
     to. Returns (delays_ms of served packets in arrival order of survivors,
     served_mask over all offered packets). A zero-rate stage strands every
-    packet (served_mask all False). buffer_pkts obeys Topology's rule, a
-    whole number >= 1, else InvariantViolation names it.
+    packet (served_mask all False). buffer_pkts is a whole number >= 1 (a
+    float one is used as its int), else InvariantViolation names it.
     """
     InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                  whole=True))
@@ -205,7 +205,7 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
 
     # link stages in series, each with its own finite buffer
     for rate in link_rates_bps:
-        times, blocked = _link_stage(times, sizes, rate, buffer_pkts)
+        times, blocked = _link_stage(times, sizes, rate, int(buffer_pkts))
         if blocked:  # only an overflow episode drops a packet
             kept = ~np.isnan(times)
             served_mask[served_mask] = kept
@@ -388,41 +388,41 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     return results
 
 
-def percentile_of(statistic: str) -> float | None:
-    """The p of a "pNN" statistic, NN a plain decimal; None for "max" and
-    "mean"; ValueError for any other value."""
+def percentile_of(statistic: str) -> tuple[int, int] | None:
+    """The one "pNN" parser: NN/100, NN a plain decimal in (0, 100], as the exact
+    fraction (num, den) of NN's digits; None for "max" and "mean"; else ValueError."""
     if statistic in ("max", "mean"):
         return None
     if not (isinstance(statistic, str) and _PERCENTILE.fullmatch(statistic)):
         raise ValueError(f"unknown statistic {statistic!r}")
-    p = float(statistic[1:])
-    if not (0 < p <= 100):
+    whole, _, frac = statistic[1:].partition(".")
+    num, den = int(whole + frac), 10 ** (len(frac) + 2)
+    if not 0 < num <= den:
         raise ValueError(f"percentile out of (0,100]: {statistic}")
-    return p
+    return num, den
 
 
 def delay_statistic(delays_ms: np.ndarray, statistic: str) -> float:
     """Reduce raw delays to one number: "max", "mean", or "pNN" percentile.
 
-    Percentile is the exact nearest rank ceil(NN * n / 100), in integers.
-    Empty input yields inf (no request survived, the unbounded marker).
+    Percentile is the exact nearest rank ceil(n * num / den) of percentile_of's
+    fraction, in integers. Empty input yields inf (no request survived).
     """
     p = percentile_of(statistic)
     if delays_ms.size == 0:
         return math.inf
     if p is None:
         return float(delays_ms.max() if statistic == "max" else delays_ms.mean())
-    whole, _, frac = statistic[1:].partition(".")
-    k = -(-int(whole + frac) * delays_ms.size // 10 ** (len(frac) + 2))
+    k = -(-p[0] * delays_ms.size // p[1])
     ranked = delays_ms.copy()  # partitioned in place: the caller's order stays
     ranked.partition(k - 1)
     return float(ranked[k - 1])
 
 
 def summarize(result: SliceRunResult, statistic: str, keep_raw: bool) -> QoeSample:
-    """Collapse one slice's SliceRunResult into a QoeSample under the chosen statistic."""
+    """Collapse one SliceRunResult into a QoeSample under `statistic`; no offer reads delay 0.0."""
     return QoeSample(
-        delay_stat_ms=delay_statistic(result.delays_ms, statistic),
+        delay_stat_ms=delay_statistic(result.delays_ms, statistic) if result.offered else 0.0,
         throughput=result.success / result.offered if result.offered else 1.0,
         n_requests=result.offered,
         raw_delays_ms=result.delays_ms if keep_raw else None,

@@ -270,6 +270,15 @@ class TestValidate:
         assert main(["validate", "--scenario", str(p)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_statistic_just_above_100_exits_2(self, tmp_path, capsys):
+        # the check and the rank read one parse, so validate refuses what run cannot use
+        data = yaml.safe_load(REFERENCE_YAML.read_text())
+        data["osra"]["statistic"] = "p100.0000000000000001"
+        p = tmp_path / "above.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(p)]) == 2
+        assert "osra.statistic: percentile out of (0,100]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path, value", CORRUPTIONS, ids=[
         "/".join(map(str, path)) + f"={value}" for path, value in CORRUPTIONS])
     def test_every_rejected_leaf_names_its_key(self, tmp_path, capsys, path, value):

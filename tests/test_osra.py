@@ -611,6 +611,13 @@ class TestOsraConfig:
             knobs(statistic=statistic)
         assert [f for f, _ in exc.value.violations] == ["statistic"]
 
+    def test_statistic_just_above_100_is_refused(self):
+        # a float reads it as 100.0, but it asks for a rank past the last
+        with pytest.raises(InvariantViolation,
+                           match=r"percentile out of \(0,100\]: p100\.0+1$") as exc:
+            knobs(statistic="p100.0000000000000001")
+        assert [f for f, _ in exc.value.violations] == ["statistic"]
+
     def test_max_iters_floor(self):
         with pytest.raises(ValueError, match="max_iters"):
             knobs(max_iters=0)

@@ -222,6 +222,15 @@ class TestProbedGradient:
                             seed_base=0)
         assert [f for f, _ in exc.value.violations] == [field]
 
+    @pytest.mark.parametrize("probes", [2.0, pytest.param(np.float64(2.0), id="np.float64(2.0)")])
+    def test_whole_float_probes_is_used_as_its_int(self, probes):
+        # the oracle reads its seed, so each repetition must see the int call's
+        point = AllocationVector(np.array([0.5]), np.array([0.4]))
+        oracle = lambda vec, seed: QoeSample(1.0 + float(vec.stacked().sum()) + seed % 7, 1.0)
+        want = probed_gradient(model(), oracle, point, delta=0.1, probes=2, seed_base=5)
+        got = probed_gradient(model(), oracle, point, delta=0.1, probes=probes, seed_base=5)
+        assert got.tobytes() == want.tobytes()
+
     def test_point_just_past_the_box_gets_a_one_sided_quotient(self):
         # an entry one CAPACITY_TOL above 1 and a delta just wider than it:
         # unclipped, the lower probe point would round onto the upper one

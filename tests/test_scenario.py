@@ -335,4 +335,13 @@ class TestCrossCuttingInvariants:
         with pytest.raises(ScenarioError, match=r"osra\.statistic: percentile out of"):
             scenario_from_dict(data)
 
+    def test_statistic_just_above_100_is_refused_by_the_loader(self, tmp_path):
+        data = ref_dict()
+        data["osra"]["statistic"] = "p100.0000000000000001"
+        p = tmp_path / "above.yaml"
+        p.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match=r"osra\.statistic: percentile out of "
+                                                r"\(0,100\]: p100\.0000000000000001"):
+            load_scenario(p)
+
 

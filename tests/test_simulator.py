@@ -25,12 +25,14 @@ from slicelab import (
     size_all,
 )
 from slicelab import simulator
+from slicelab.penalty import PenaltyModel, hinge
 from slicelab.simulator import (
     _lindley,
     _link_stage,
     _onoff_arrivals,
     delay_statistic,
     generate_traffic,
+    percentile_of,
     run_sim,
     simulate_pipeline,
     simulate_slice,
@@ -310,7 +312,8 @@ class TestPipelineAgainstLoop:
         dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, sizes, rate, buffer_pkts)[0]))
         assert dropped[-1] - dropped[0] >= 10_000
 
-    @pytest.mark.parametrize("buffer_pkts", [1, 40, 1000])
+    @pytest.mark.parametrize("buffer_pkts", [
+        1, 40, 1000, 3, 3.0, pytest.param(np.float64(3.0), id="np.float64(3.0)")])
     def test_blocked_episode_sums_departures_in_the_loop_order(self, buffer_pkts):
         # one packet per ms from t = 0, each taking 1.5 to 4.5 ms: the link
         # never idles, so the first window's cumsum and the episode's sum
@@ -470,6 +473,31 @@ class TestStatistics:
 
     def test_empty_is_unbounded(self):
         assert math.isinf(delay_statistic(np.array([]), "max"))
+
+    @pytest.mark.parametrize("statistic, fraction", [
+        ("p99", (99, 100)), ("p99.9", (999, 1000)), ("p0.01", (1, 10**4)),
+        ("p100.0", (1000, 1000)), ("p007", (7, 100)), ("max", None), ("mean", None)])
+    def test_percentile_is_an_exact_fraction(self, statistic, fraction):
+        assert percentile_of(statistic) == fraction
+
+    def test_percentile_just_above_100_is_refused(self):
+        # read as a float it is 100.0, yet its nearest rank is one past the last delay
+        with pytest.raises(ValueError, match=r"percentile out of \(0,100\]: p100\.0+1$"):
+            delay_statistic(np.arange(1.0, 1855.0), "p100.0000000000000001")
+
+    def test_a_slice_offered_nothing_is_not_starved(self):
+        # a 10 ms window after the warmup: slice1 offers no request at seed 0
+        sc = reference_scenario()
+        config = SimConfig(horizon_s=1.01, warmup_s=1.0, propagation_ms=0.1)
+        result = run_sim(sc.slices, sc.topology, sc.initial_alloc, config, seed=0)["slice1"]
+        assert result.offered == 0
+        sample = summarize(result, sc.osra.statistic, keep_raw=False)
+        assert (sample.delay_stat_ms, sample.throughput) == (0.0, 1.0)
+        spec = sc.slices[0]
+        model = PenaltyModel(requirement=spec.requirement, alpha_tau=spec.alpha_tau,
+                             alpha_rho=spec.alpha_rho, exponent=sc.osra.penalty_exponent,
+                             delay_ceiling_ms=sc.osra.delay_ceiling_ms)
+        assert hinge(model, sample.delay_stat_ms, sample.throughput)[0] == 0.0
 
     @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99", "p99.9"])
     def test_the_delays_keep_their_order(self, statistic):
