@@ -20,8 +20,8 @@ from .domain import (
     TrafficModel,
 )
 from .osra import NonFiniteGradient, OsraConfig, ProbeMemory, run_osra
-from .projection import DimensionMismatch, project_capped_simplex, project_columns
-from .scenario import ScenarioConfig, ScenarioError, load_scenario, reference_scenario
+from .projection import project_capped_simplex, project_columns
+from .scenario import ScenarioConfig, load_scenario, reference_scenario
 from .simulator import SimConfig, run_sim
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ from .domain import InvariantViolation
 from .osra import run_osra
 from .scenario import (
     ScenarioConfig,
-    ScenarioError,
     load_scenario,
     reference_scenario,
     scenario_to_dict,
@@ -252,7 +251,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, InvariantViolation) as e:
+    except InvariantViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
     """Project y onto {x >= 0, sum(x) <= budget}.
 
@@ -23,7 +19,7 @@ def project_capped_simplex(y, budget: float = 1.0) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        raise DimensionMismatch(f"expected 1-D input, got shape {y.shape}")
+        raise ValueError(f"expected 1-D input, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError(f"non-finite entries in projection input: {y.tolist()}")
     if budget <= 0:

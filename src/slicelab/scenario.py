@@ -11,7 +11,8 @@ The reader casts nothing but str() of the name, slice ids and initial_alloc
 keys. It checks the file's shape (mappings, lists, known and required keys)
 and hands each value as it is to its value type, whose checks are the one
 rule for every value: a quoted number such as "200.0" is refused like any
-string. Each violation becomes a ScenarioError naming <section>.<field>.
+string. Each violation is an InvariantViolation keyed by the path its message
+names: <section>.<field>, a section of a bad shape, a missing key, or the file.
 """
 from __future__ import annotations
 
@@ -34,10 +35,6 @@ from .domain import (
 )
 from .osra import OsraConfig, donors_of
 from .simulator import SimConfig
-
-
-class ScenarioError(ValueError):
-    """A scenario file that cannot be interpreted; message names the key."""
 
 
 @dataclass(frozen=True)
@@ -101,16 +98,17 @@ class ScenarioConfig:
 def _mapping(d, where, known=None):
     """d itself, after checking it is a mapping with no key outside `known`."""
     if not isinstance(d, dict):
-        raise ScenarioError(f"{where} must be a mapping, got {type(d).__name__}")
+        raise InvariantViolation([(where, f"{where} must be a mapping, got {type(d).__name__}")])
     stray = set() if known is None else set(d) - set(known)
     if stray:
-        raise ScenarioError(f"unknown key(s) {sorted(stray, key=str)} in {where}")
+        raise InvariantViolation([(where, f"unknown key(s) {sorted(stray, key=str)} in {where}")])
     return d
 
 
 def _req(mapping, key, where):
     if key not in _mapping(mapping, where):
-        raise ScenarioError(f"missing key {key!r} in {where}")
+        path = key if where == "scenario" else f"{where}.{key}"  # a top-level key: its name
+        raise InvariantViolation([(path, f"missing key {key!r} in {where}")])
     return mapping[key]
 
 
@@ -130,21 +128,19 @@ def _from_dict(cls, d, where, **by_hand):
     _mapping(d, where, [f.name for f in fields])
     kw = {}
     for f in fields:
-        if f.name in d:
-            make = by_hand.get(f.name)
-            kw[f.name] = make(d[f.name], f"{where}.{f.name}") if make else d[f.name]
-        elif f.default is dataclasses.MISSING:
-            raise ScenarioError(f"missing key {f.name!r} in {where}")
+        if f.name in d or f.default is dataclasses.MISSING:
+            value, make = _req(d, f.name, where), by_hand.get(f.name)
+            kw[f.name] = make(value, f"{where}.{f.name}") if make else value
     return _build(cls, where, **kw)
 
 
 def _build(make, where, **kw):
-    """make(**kw), its violations re-raised as one ScenarioError naming <where>.<field>."""
+    """make(**kw), each of its violations re-keyed, and its message prefixed, <where>.<field>."""
     try:
         return make(**kw)
     except InvariantViolation as e:
-        raise ScenarioError(
-            "; ".join(f"{where}.{field}: {msg}" for field, msg in e.violations)) from None
+        raise InvariantViolation([(f"{where}.{field}", f"{where}.{field}: {msg}")
+                                  for field, msg in e.violations]) from None
 
 
 def _plain(value):
@@ -195,8 +191,8 @@ def _alloc_row_from_dict(d, where, topology) -> AllocationVector:
                              ("cpu", topology.n_cores, "core")):
         have = getattr(row, name).size
         if have != want:
-            raise ScenarioError(f"{where}.{name}: need one entry per topology {kind} "
-                                f"({want}), got {have}")
+            raise InvariantViolation([(f"{where}.{name}", f"{where}.{name}: need one entry "
+                                       f"per topology {kind} ({want}), got {have}")])
     return row
 
 
@@ -208,7 +204,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                           edges=_capacities, cores=_capacities)
     slices_d = _req(data, "slices", "scenario")
     if not isinstance(slices_d, list):
-        raise ScenarioError(f"slices must be a list of slice mappings, got {slices_d!r}")
+        raise InvariantViolation([("slices", f"slices must be a list of slice mappings, "
+                                             f"got {slices_d!r}")])
     slices = tuple(_slice_from_dict(d) for d in slices_d)
 
     alloc_d = _mapping(_req(data, "initial_alloc", "scenario"), "initial_alloc")
@@ -260,9 +257,9 @@ def load_scenario(path) -> ScenarioConfig:
         with open(path) as fh:
             data = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as e:
-        raise ScenarioError(f"{path}: {e}") from None
+        raise InvariantViolation([(str(path), f"{path}: {e}")]) from None
     if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: top level must be a mapping")
+        raise InvariantViolation([(str(path), f"{path}: top level must be a mapping")])
     return scenario_from_dict(data)
 
 

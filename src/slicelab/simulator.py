@@ -390,13 +390,19 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
 
 def percentile_of(statistic: str) -> tuple[int, int] | None:
     """The one "pNN" parser: NN/100, NN a plain decimal in (0, 100], as the exact
-    fraction (num, den) of NN's digits; None for "max" and "mean"; else ValueError."""
+    fraction (num, den) of NN's digits less its leading and trailing zeros; None
+    for "max" and "mean"; else ValueError."""
     if statistic in ("max", "mean"):
         return None
     if not (isinstance(statistic, str) and _PERCENTILE.fullmatch(statistic)):
         raise ValueError(f"unknown statistic {statistic!r}")
     whole, _, frac = statistic[1:].partition(".")
-    num, den = int(whole + frac), 10 ** (len(frac) + 2)
+    whole, frac = whole.lstrip("0"), frac.rstrip("0")  # NN/100 is unchanged
+    try:  # a whole part of over 3 digits is above 100, and int() never reads it
+        num = int(whole + frac or "0") if len(whole) <= 3 else math.inf
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"percentile has too many digits: {statistic}") from None
+    den = 10 ** (len(frac) + 2)
     if not 0 < num <= den:
         raise ValueError(f"percentile out of (0,100]: {statistic}")
     return num, den

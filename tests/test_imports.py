@@ -24,7 +24,9 @@ parameter.
 
 Each exception class that the package's `__init__.py` exports is raised
 by name, as `raise <Name>(...)`, somewhere in the package: an exported
-error that nothing raises tells a caller to catch what never comes.
+error that nothing raises tells a caller to catch what never comes. There
+are two: `InvariantViolation`, for every bad value or scenario file, and
+`NonFiniteGradient`.
 
 A run's statistic, seeds and memo come from its caller, and every value
 of its scenario from the scenario file: no function of the package gives
@@ -45,6 +47,8 @@ import builtins
 from pathlib import Path
 
 import pytest
+
+import slicelab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "slicelab"
@@ -200,6 +204,12 @@ def test_finds_an_exported_error_nothing_raises():
 def test_every_exported_error_is_raised():
     modules = [p.read_text() for p in MODULES]
     assert unraised_errors((PACKAGE / "__init__.py").read_text(), modules) == []
+
+
+def test_the_package_exports_two_errors():
+    errors = [name for name, obj in vars(slicelab).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert sorted(errors) == ["InvariantViolation", "NonFiniteGradient"]
 
 
 # what a run sets once, from its scenario or the command line: a default on

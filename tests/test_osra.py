@@ -15,7 +15,6 @@ from slicelab import (
     ProbeMemory,
     QoeRequirement,
     ScenarioConfig,
-    ScenarioError,
     SimConfig,
     SliceSpec,
     Topology,
@@ -598,7 +597,7 @@ class TestOsraConfig:
             knobs(epsilon=float("inf"))
         data = scenario_to_dict(reference_scenario())
         data["osra"]["epsilon"] = float("inf")
-        with pytest.raises(ScenarioError, match="osra.epsilon: epsilon must be in"):
+        with pytest.raises(InvariantViolation, match="osra.epsilon: epsilon must be in"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("statistic", ["max", "mean", "p50", "p99", "p99.9"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicelab import DimensionMismatch, project_capped_simplex, project_columns
+from slicelab import project_capped_simplex, project_columns
 from reference_impls import qp_capped_simplex
 
 entries = st.floats(-1.0, 2.0)
@@ -121,5 +121,5 @@ class TestConstraintSetProjection:
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="expected 1-D"):
             project_capped_simplex(np.array([[0.3, 0.4], [0.2, 0.2]]))

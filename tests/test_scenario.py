@@ -23,7 +23,6 @@ from slicelab import (
     OsraConfig,
     QoeRequirement,
     ScenarioConfig,
-    ScenarioError,
     SimConfig,
     SliceSpec,
     Topology,
@@ -205,18 +204,22 @@ class TestRoundTrip:
         # no midpoint stands in for the mean a file leaves out
         data = ref_dict()
         data["slices"][0]["traffic"].update(size_dist="exponential")
-        with pytest.raises(ScenarioError, match=r"slice 'slice1'\.traffic\.size_mean: "
-                                                r"size_mean must be in \(0, inf\), got None"):
+        with pytest.raises(InvariantViolation,
+                           match=r"slice 'slice1'\.traffic\.size_mean: "
+                                 r"size_mean must be in \(0, inf\), got None") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.traffic.size_mean"
 
     def test_uniform_sizes_refuse_a_size_mean(self):
         # a value the run would never read
         data = ref_dict()
         data["slices"][0]["traffic"].update(size_mean=5.0)
-        with pytest.raises(ScenarioError, match=r"slice 'slice1'\.traffic\.size_mean: "
-                                                r"only exponential sizes read size_mean, "
-                                                r"got 5\.0 with size_dist 'uniform'"):
+        with pytest.raises(InvariantViolation,
+                           match=r"slice 'slice1'\.traffic\.size_mean: "
+                                 r"only exponential sizes read size_mean, "
+                                 r"got 5\.0 with size_dist 'uniform'") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.traffic.size_mean"
 
 
 class TestGeneratedRoundTrip:
@@ -234,34 +237,39 @@ class TestMalformed:
     def test_empty_document(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("- just\n- a list\n")
-        with pytest.raises(ScenarioError, match="top level must be a mapping"):
+        with pytest.raises(InvariantViolation, match="top level must be a mapping") as exc:
             load_scenario(p)
+        assert exc.value.violations == [(str(p), f"{p}: top level must be a mapping")]
 
     def test_missing_topology(self):
         data = ref_dict()
         del data["topology"]
-        with pytest.raises(ScenarioError, match="missing key 'topology'"):
+        with pytest.raises(InvariantViolation, match="missing key 'topology'") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations == [("topology", "missing key 'topology' in scenario")]
 
     def test_missing_slice_field_names_the_slice(self):
         data = ref_dict()
         del data["slices"][0]["tau_ms"]
-        with pytest.raises(ScenarioError,
-                           match="missing key 'tau_ms' in slice 'slice1'"):
+        with pytest.raises(InvariantViolation,
+                           match="missing key 'tau_ms' in slice 'slice1'") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.tau_ms"
 
     def test_garbage_tau(self):
         data = ref_dict()
         data["slices"][0]["tau_ms"] = "soon"
-        with pytest.raises(ScenarioError, match=re.escape(
-                "slice 'slice1'.tau_ms: tau_ms must be in (0, inf], got 'soon'")):
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "slice 'slice1'.tau_ms: tau_ms must be in (0, inf], got 'soon'")) as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.tau_ms"
 
     def test_stray_traffic_key(self):
         data = ref_dict()
         data["slices"][0]["traffic"]["color"] = "red"
-        with pytest.raises(ScenarioError, match=r"unknown key\(s\) \['color'\]"):
+        with pytest.raises(InvariantViolation, match=r"unknown key\(s\) \['color'\]") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.traffic"
 
     @pytest.mark.parametrize("path, where", [
         ((), "scenario"),
@@ -277,33 +285,56 @@ class TestMalformed:
         for key in path:
             section = section[key]
         section["max_iter"] = 3
-        with pytest.raises(ScenarioError,
-                           match=rf"unknown key\(s\) \['max_iter'\] in {re.escape(where)}"):
+        with pytest.raises(InvariantViolation,
+                           match=rf"unknown key\(s\) \['max_iter'\] in {re.escape(where)}") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations == [(where, f"unknown key(s) ['max_iter'] in {where}")]
 
     def test_uncastable_value_names_the_key(self):
         data = ref_dict()
         data["osra"]["probes"] = "many"
-        with pytest.raises(ScenarioError, match=re.escape(
-                "osra.probes: probes must be a whole number in [1, inf), got 'many'")):
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "osra.probes: probes must be a whole number in [1, inf), got 'many'")) as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "osra.probes"
         data = ref_dict()
         data["sim"]["horizon_s"] = None
-        with pytest.raises(ScenarioError, match=re.escape(
-                "sim.horizon_s: horizon_s must be in (0, inf), got None")):
+        with pytest.raises(InvariantViolation, match=re.escape(
+                "sim.horizon_s: horizon_s must be in (0, inf), got None")) as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "sim.horizon_s"
+
+    @pytest.mark.parametrize("mutate, key, message", [
+        (lambda d: d["osra"].pop("epsilon"), "osra.epsilon", "missing key 'epsilon' in osra"),
+        (lambda d: d["slices"][0]["traffic"].pop("size_dist"),
+         "slice 'slice1'.traffic.size_dist", "missing key 'size_dist' in slice 'slice1'.traffic"),
+    ], ids=["epsilon", "size_dist"])
+    def test_a_missing_key_is_keyed_by_its_path(self, mutate, key, message):
+        data = ref_dict()
+        mutate(data)
+        with pytest.raises(InvariantViolation) as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations == [(key, message)]
+
+    def test_unreadable_file_is_keyed_by_its_path(self, tmp_path):
+        p = tmp_path / "nope.yaml"
+        with pytest.raises(InvariantViolation) as exc:
+            load_scenario(p)
+        assert exc.value.violations[0][0] == str(p)
+        assert str(exc.value).startswith(f"{p}: ")
 
     def test_alloc_row_missing_cpu(self):
         data = ref_dict()
         del data["initial_alloc"]["slice2"]["cpu"]
-        with pytest.raises(ScenarioError,
-                           match="missing key 'cpu' in initial_alloc.slice2"):
+        with pytest.raises(InvariantViolation,
+                           match="missing key 'cpu' in initial_alloc.slice2") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "initial_alloc.slice2.cpu"
 
     def test_overcommitted_alloc(self):
         data = ref_dict()
         data["initial_alloc"]["slice1"]["flows"] = [0.9]
-        with pytest.raises(ScenarioError, match="initial_alloc"):
+        with pytest.raises(InvariantViolation, match="initial_alloc"):
             scenario_from_dict(data)
 
     def test_unknown_new_slice(self):
@@ -332,16 +363,17 @@ class TestCrossCuttingInvariants:
     def test_bad_statistic(self):
         data = ref_dict()
         data["osra"]["statistic"] = "p105"
-        with pytest.raises(ScenarioError, match=r"osra\.statistic: percentile out of"):
+        with pytest.raises(InvariantViolation, match=r"osra\.statistic: percentile out of") as exc:
             scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "osra.statistic"
 
     def test_statistic_just_above_100_is_refused_by_the_loader(self, tmp_path):
         data = ref_dict()
         data["osra"]["statistic"] = "p100.0000000000000001"
         p = tmp_path / "above.yaml"
         p.write_text(yaml.safe_dump(data))
-        with pytest.raises(ScenarioError, match=r"osra\.statistic: percentile out of "
-                                                r"\(0,100\]: p100\.0000000000000001"):
+        with pytest.raises(InvariantViolation, match=r"osra\.statistic: percentile out of "
+                                                     r"\(0,100\]: p100\.0000000000000001"):
             load_scenario(p)
 
 

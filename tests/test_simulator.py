@@ -476,9 +476,20 @@ class TestStatistics:
 
     @pytest.mark.parametrize("statistic, fraction", [
         ("p99", (99, 100)), ("p99.9", (999, 1000)), ("p0.01", (1, 10**4)),
-        ("p100.0", (1000, 1000)), ("p007", (7, 100)), ("max", None), ("mean", None)])
+        ("p100.0", (100, 100)), ("p007", (7, 100)), ("max", None), ("mean", None),
+        # 5001 digits, more than int() converts; the zeros do not change NN/100
+        pytest.param("p1." + "0" * 5000, (1, 100), id="trailing-zeros-past-int-limit"),
+        pytest.param("p" + "0" * 4999 + "5", (5, 100), id="leading-zeros-past-int-limit")])
     def test_percentile_is_an_exact_fraction(self, statistic, fraction):
         assert percentile_of(statistic) == fraction
+
+    @pytest.mark.parametrize("statistic, message", [
+        pytest.param("p" + "1" * 5000, r"percentile out of \(0,100\]: p1+$", id="whole"),
+        pytest.param("p1." + "1" * 5000, r"percentile has too many digits: p1\.1+$",
+                     id="fraction")])
+    def test_more_digits_than_int_converts_are_refused_by_name(self, statistic, message):
+        with pytest.raises(ValueError, match=message):
+            percentile_of(statistic)
 
     def test_percentile_just_above_100_is_refused(self):
         # read as a float it is 100.0, yet its nearest rank is one past the last delay
