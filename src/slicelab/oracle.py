@@ -9,7 +9,8 @@ Two kinds:
 * Simulated: `sim_evaluate_all` (every slice, through `run_sim`) and
   `sim_evaluate` (one slice at one row, through `simulate_slice`) reduce raw
   delays under the configured statistic. Stochastic but fully reproducible
-  per seed; `sim_evaluate` memoizes its samples.
+  per seed. `sim_evaluate` memoizes its samples and each slice's traffic
+  per seed, so a gradient's probes draw each repetition's stream once.
 """
 from __future__ import annotations
 
@@ -79,13 +80,16 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     row (a probe) needs no allocation matrix. `memo`, a dict, keeps each
     sample under the simulator's exact inputs (slice, link rates, server
     rate, seed), so a probe that repeats one already made is not simulated
-    again. Share one memo only between calls with the same config and statistic.
+    again, and each slice's read-only traffic per seed (`generate_traffic`),
+    so a probe at new rates on a seed already drawn reuses its stream. Share
+    one memo only between calls with the same slices, config and statistic.
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)
     if key not in memo:
         index = {s.id: k for k, s in enumerate(slices)}[slice_id]
-        result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config, seed)
+        result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config,
+                                seed, memo)
         memo[key] = summarize(result, statistic, keep_raw=False)
     return memo[key]
 

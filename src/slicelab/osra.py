@@ -239,7 +239,9 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
         penalties = {sid: hinge(models[sid], smp.delay_stat_ms, smp.throughput)[0]
                      for sid, smp in samples.items()}
 
-        memo = {}  # this gradient's samples: a repeated probe is simulated once
+        # this gradient's samples and traffic: a repeated probe is simulated
+        # once, and each repetition's stream is drawn once
+        memo = {}
 
         def probe(row, probe_seed):
             """The new slice's sample at `row`, recorded in `memory` if given."""

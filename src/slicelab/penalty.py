@@ -20,8 +20,9 @@ Gradients come in two flavours:
   over the actual spread, which is never zero. Seeds derive from
   (seed_base, repetition) only: repetition r runs on the same seed at every
   probe point and on both sides (common random numbers), so its traffic
-  noise cancels in each difference, and probes with equal simulator inputs
-  are one simulation that an oracle may memoize. At a hinge kink the
+  noise cancels in each difference. An oracle may memoize: probes with
+  equal simulator inputs are one simulation, and every probe of repetition r
+  draws the same traffic, so it can be drawn once. At a hinge kink the
   subgradient 0 is the one reported (the hinge factor is exactly zero
   there).
 * `analytic_gradient`: chain rule through the stationary queueing model's

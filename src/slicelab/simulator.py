@@ -77,14 +77,27 @@ def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(seed, slice_index)))
 
 
-def generate_traffic(model: TrafficModel, horizon_s: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon)."""
-    if model.kind == "poisson":
-        arrivals = _poisson_arrivals(model.mean_rate, horizon_s, rng)
-    else:
-        arrivals = _onoff_arrivals(model, horizon_s, rng)
-    sizes = _draw_sizes(model, arrivals.size, rng)
-    return arrivals, sizes
+def generate_traffic(model: TrafficModel, horizon_s: float, seed: int, index: int,
+                     memo) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon),
+    drawn from stream slice_rng(seed, index).
+
+    `memo`, a dict, keeps each stream it draws, read-only, under (seed, index)
+    and answers that stream again without seeding or drawing. Share one memo
+    only between calls with the same model and horizon for each index.
+    """
+    key = (seed, index)
+    if key not in memo:
+        rng = slice_rng(seed, index)
+        if model.kind == "poisson":
+            arrivals = _poisson_arrivals(model.mean_rate, horizon_s, rng)
+        else:
+            arrivals = _onoff_arrivals(model, horizon_s, rng)
+        sizes = _draw_sizes(model, arrivals.size, rng)
+        arrivals.setflags(write=False)
+        sizes.setflags(write=False)
+        memo[key] = arrivals, sizes
+    return memo[key]
 
 
 def _poisson_arrivals(rate, horizon_s, rng):
@@ -353,13 +366,15 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
 
 
 def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topology,
-                   config: SimConfig, seed: int) -> SliceRunResult:
+                   config: SimConfig, seed: int, memo) -> SliceRunResult:
     """Simulate one slice at the given stage rates (see `stage_rates`).
 
     Its traffic comes from its own stream slice_rng(seed, index), index being
     its position among the slices, so no other slice's presence shifts it.
+    The stream does not depend on the rates, so `memo` (see `generate_traffic`)
+    lets calls at other rates on the same seed reuse it.
     """
-    arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, slice_rng(seed, index))
+    arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
     delays, served = simulate_pipeline(
         arrivals, sizes, link_rates, topology.buffer_pkts,
         cpu_rate, spec.demand_mi, config.propagation_ms,
@@ -379,12 +394,14 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
     """Simulate every slice at its row of the given allocation.
 
     Returns {slice_id: SliceRunResult}. Identical inputs and seed give
-    identical results.
+    identical results. Each slice gets a memo of its own, so no slice's
+    traffic is kept past its simulation.
     """
     results = {}
     for k, spec in enumerate(slices):
         link_rates, cpu_rate = stage_rates(alloc.row(spec.id), topology)
-        results[spec.id] = simulate_slice(spec, k, link_rates, cpu_rate, topology, config, seed)
+        results[spec.id] = simulate_slice(spec, k, link_rates, cpu_rate, topology, config, seed,
+                                          memo={})
     return results
 
 

@@ -142,7 +142,7 @@ class TestOracles:
         seeds = []
         real = oracle.simulate_slice
         monkeypatch.setattr(oracle, "simulate_slice",
-                            lambda *a: seeds.append(a[-1]) or real(*a))
+                            lambda *a: seeds.append(a[-2]) or real(*a))
         memo = {}
         at = lambda seed, row=alloc.row("s"): sim_evaluate("s", row, [spec], topo, cfg,
                                                           seed, "max", memo)

@@ -373,6 +373,20 @@ class TestProbeMemo:
         assert len(keys) < len(mem)
         assert len(calls) == len(sc.slices) * len(res.traces) + len(keys)
 
+    def test_one_traffic_draw_per_slice_and_seed_in_a_gradient(self, monkeypatch):
+        # seed 0 monitors 3 slices in each of 8 iterations and draws each of
+        # a gradient's 10 repetitions once: 3 x 8 + 10 x 8 = 104 draws, while
+        # every one of its 3 x 8 + 320 simulations still asks for its traffic
+        sc = reference_scenario()
+        calls = {"slice_rng": 0, "generate_traffic": 0, "simulate_pipeline": 0}
+        for name in calls:
+            real = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, lambda *a, _real=real, _name=name:
+                                calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+        res = run(sc)
+        assert len(res.traces) == 8
+        assert calls == {"slice_rng": 104, "generate_traffic": 344, "simulate_pipeline": 344}
+
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep
         for res in results.values():

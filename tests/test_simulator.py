@@ -360,7 +360,7 @@ class TestPipelineAgainstLoop:
         # the link, an overflow that rarely drains on 1.5%
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
                           off_time_ms=38.0, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 500.0, np.random.default_rng(1))
+        arrivals, sizes = generate_traffic(tm, 500.0, 1, 0, {})
         assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
                             0.3 * 3e8, 1e4, 0.1)
 
@@ -619,7 +619,7 @@ class TestRunSim:
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.4, propagation_ms=0.1)
         res = run_sim([spec], topo, alloc, cfg, seed=5)["s"]
         # the same packets, pushed through the pipeline by hand
-        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(5, 0))
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, 5, 0, {})
         row = alloc.row("s")
         delays, served = simulate_pipeline(
             arrivals, sizes, row.flows * topo.edge_bps, topo.buffer_pkts,
@@ -647,7 +647,7 @@ class TestRunSim:
         assert np.array_equal(paired["s"].delays_ms, alone.delays_ms)
         # one slice simulated by its index draws the stream it draws among all
         for k, spec in enumerate([s1, s2]):
-            one = simulate_slice(spec, k, *stage_rates(both.row(spec.id), topo), topo, cfg, 6)
+            one = simulate_slice(spec, k, *stage_rates(both.row(spec.id), topo), topo, cfg, 6, {})
             assert np.array_equal(one.delays_ms, paired[spec.id].delays_ms)
             assert one.offered == paired[spec.id].offered
         assert not np.array_equal(paired["s"].delays_ms, paired["t"].delays_ms)
@@ -657,7 +657,7 @@ class TestRunSim:
         topo, alloc = self.topo_alloc(f=0.05)
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         asked = AllocationVector(np.array([0.2]), np.array([0.5]))
-        what_if = simulate_slice(spec, 0, *stage_rates(asked, topo), topo, cfg, 7)
+        what_if = simulate_slice(spec, 0, *stage_rates(asked, topo), topo, cfg, 7, {})
         direct = run_sim([spec], topo, AllocationMatrix.from_rows({"s": asked}),
                          cfg, seed=7)["s"]
         assert np.array_equal(what_if.delays_ms, direct.delays_ms)
@@ -678,7 +678,7 @@ class TestRunSim:
         cfg = SimConfig(horizon_s=1.0, warmup_s=warmup_s, propagation_ms=0.1)
         res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg,
                       seed=seed)["s"]
-        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, slice_rng(seed, 0))
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, seed, 0, {})
         link_rates, srv_rate = stage_rates(row, topo)
         _, served = loop_pipeline(arrivals, sizes, link_rates, buffer_pkts, srv_rate,
                                   spec.demand_mi, cfg.propagation_ms)
@@ -745,10 +745,28 @@ class TestTraffic:
         want = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         assert slice_rng(seed, 2).bit_generator.state == want.bit_generator.state
 
+    @pytest.mark.parametrize("kind", TRAFFIC_KINDS)
+    def test_a_memo_answers_a_stream_as_drawn_and_read_only(self, kind, monkeypatch):
+        tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535,
+                          size_dist="uniform", **kind)
+        memo = {}
+        drawn = generate_traffic(tm, 1.0, 5, 1, memo)
+        seeded = []
+        real = simulator.slice_rng
+        monkeypatch.setattr(simulator, "slice_rng", lambda *a: seeded.append(a) or real(*a))
+        kept = generate_traffic(tm, 1.0, 5, 1, memo)
+        assert seeded == []
+        fresh = generate_traffic(tm, 1.0, 5, 1, {})
+        assert seeded == [(5, 1)] and list(memo) == [(5, 1)]
+        for a, b, c in zip(drawn, kept, fresh):
+            assert a is b and a is not c and a.size > 1000 and np.array_equal(a, c)
+            for array in (a, c):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
     def test_poisson_rate(self):
         tm = TrafficModel(kind="poisson", mean_rate=500.0, **SIZES)
-        rng = np.random.default_rng(1)
-        arrivals, sizes = generate_traffic(tm, 40.0, rng)
+        arrivals, sizes = generate_traffic(tm, 40.0, 1, 0, {})
         assert arrivals.size / 40.0 == pytest.approx(500.0, rel=0.03)
         assert np.all(np.diff(arrivals) >= 0)
         assert sizes.size == arrivals.size
@@ -760,7 +778,7 @@ class TestTraffic:
                           off_time_ms=38.0, **SIZES)
         rates = []
         for seed in range(50):
-            arrivals, _ = generate_traffic(tm, 40.0, np.random.default_rng(seed))
+            arrivals, _ = generate_traffic(tm, 40.0, seed, 0, {})
             assert np.all(np.diff(arrivals) >= -1e-15)
             rates.append(arrivals.size / 40.0)
         se = np.std(rates, ddof=1) / math.sqrt(len(rates))
@@ -770,8 +788,7 @@ class TestTraffic:
         for kind in TRAFFIC_KINDS:
             tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535,
                               size_dist="uniform", **kind)
-            rng = np.random.default_rng(3)
-            _, sizes = generate_traffic(tm, 10.0, rng)
+            _, sizes = generate_traffic(tm, 10.0, 3, 0, {})
             assert sizes.min() >= 20 and sizes.max() <= 65535
             assert sizes.mean() == pytest.approx(tm.mean_size_bytes(), rel=0.02)
 
@@ -779,8 +796,7 @@ class TestTraffic:
         for kind in TRAFFIC_KINDS:
             tm = TrafficModel(mean_rate=2000.0, size_dist="exponential",
                               size_mean=1000.0, size_min=20, size_max=65535, **kind)
-            rng = np.random.default_rng(4)
-            _, sizes = generate_traffic(tm, 10.0, rng)
+            _, sizes = generate_traffic(tm, 10.0, 4, 0, {})
             assert sizes.min() >= 20 and sizes.max() <= 65535
             assert sizes.mean() == pytest.approx(1000.0, rel=0.05)
 
@@ -804,8 +820,8 @@ class TestPoissonAgainstLoop:
         # at 50/s over 1 s the first chunk holds 76 draws, and on these
         # seeds they sum to less than the horizon
         tm = TrafficModel(kind="poisson", mean_rate=50.0, **SIZES)
-        arrivals, _ = generate_traffic(tm, 1.0, np.random.default_rng(seed))
-        want = loop_poisson_arrivals(50.0, 1.0, np.random.default_rng(seed))
+        arrivals, _ = generate_traffic(tm, 1.0, seed, 0, {})
+        want = loop_poisson_arrivals(50.0, 1.0, slice_rng(seed, 0))
         assert arrivals.size > 76 and np.array_equal(arrivals, want)
 
     @settings(max_examples=60, deadline=None)
@@ -816,8 +832,8 @@ class TestPoissonAgainstLoop:
     )
     def test_arrivals_bit_identical(self, seed, mean_rate, horizon_s):
         tm = TrafficModel(kind="poisson", mean_rate=mean_rate, **SIZES)
-        arrivals, _ = generate_traffic(tm, horizon_s, np.random.default_rng(seed))
-        want = loop_poisson_arrivals(mean_rate, horizon_s, np.random.default_rng(seed))
+        arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
+        want = loop_poisson_arrivals(mean_rate, horizon_s, slice_rng(seed, 0))
         assert np.array_equal(arrivals, want)
 
 
@@ -863,13 +879,13 @@ class TestOnOffAgainstLoop:
         # the mean rate is kept under the burst envelope burst_len/off_time
         tm = bursty(burst_len, off_time_ms,
                     mean_rate=min(200.0, 0.9e3 * burst_len / max(off_time_ms, 1e-9)))
-        want = loop_onoff_arrivals(tm, horizon_s, np.random.default_rng(seed))
-        arrivals, _ = generate_traffic(tm, horizon_s, np.random.default_rng(seed))
+        want = loop_onoff_arrivals(tm, horizon_s, slice_rng(seed, 0))
+        arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
         assert np.array_equal(arrivals, want)
 
     def test_burst_len_one_sends_single_packets(self):
         tm = bursty(1.0, 2.0)
-        arrivals, _ = generate_traffic(tm, 20.0, np.random.default_rng(8))
+        arrivals, _ = generate_traffic(tm, 20.0, 8, 0, {})
         assert (burst_sizes(arrivals, tm.intra_burst_gap_s()) == 1).all()
         assert arrivals.size / 20.0 == pytest.approx(200.0, rel=0.05)
 
@@ -879,10 +895,10 @@ class TestOnOffAgainstLoop:
         # would take 5-24 MB here
         spec = next(s for s in reference_scenario().slices if s.id == "slice1")
         tm = dataclasses.replace(spec.traffic, burst_len=1e6)
-        generate_traffic(tm, 10.0, np.random.default_rng(0))
+        generate_traffic(tm, 10.0, 0, 0, {})
         tracemalloc.start()
         try:
-            arrivals, sizes = generate_traffic(tm, 10.0, np.random.default_rng(0))
+            arrivals, sizes = generate_traffic(tm, 10.0, 0, 0, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -895,20 +911,20 @@ class TestOnOffAgainstLoop:
         spec = next(s for s in reference_scenario().slices if s.id == "slice1")
         tm = dataclasses.replace(spec.traffic, burst_len=1e19)
         for seed in range(3):
-            arrivals, sizes = generate_traffic(tm, 10.0, np.random.default_rng(seed))
+            arrivals, sizes = generate_traffic(tm, 10.0, seed, 0, {})
             assert arrivals.size == sizes.size > 1900
             assert (arrivals < 10.0).all()
 
     def test_no_arrivals_when_the_first_off_time_passes_the_horizon(self):
         # the leading off time has mean 38 ms, so a 1 ns horizon ends inside it
-        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 1e-9, np.random.default_rng(0))
+        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 1e-9, 0, 0, {})
         assert arrivals.size == 0 and sizes.size == 0
 
     @pytest.mark.parametrize("burst_len", [1.5, 2.0, 3.0])
     def test_short_bursts_keep_their_mean(self, burst_len):
         # the loop oracle shares the inversion sampler, so check its law here
         tm = bursty(burst_len, 2.0)
-        arrivals, _ = generate_traffic(tm, 200.0, np.random.default_rng(9))
+        arrivals, _ = generate_traffic(tm, 200.0, 9, 0, {})
         assert burst_sizes(arrivals, tm.intra_burst_gap_s()).mean() == \
             pytest.approx(burst_len, rel=0.03)
 
