@@ -10,7 +10,9 @@ Two kinds:
   `sim_evaluate` (one slice at one row, through `simulate_slice`) reduce raw
   delays under the configured statistic. Stochastic but fully reproducible
   per seed. `sim_evaluate` memoizes its samples and each slice's traffic
-  per seed, so a gradient's probes draw each repetition's stream once.
+  per seed, so a gradient's probes draw each repetition's stream once, and
+  the link passes of a stream probed again, so probes that differ only in
+  cpu share run the link stage once. `run_sim` keeps none of these.
 """
 from __future__ import annotations
 
@@ -81,8 +83,11 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     sample under the simulator's exact inputs (slice, link rates, server
     rate, seed), so a probe that repeats one already made is not simulated
     again, and each slice's read-only traffic per seed (`generate_traffic`),
-    so a probe at new rates on a seed already drawn reuses its stream. Share
-    one memo only between calls with the same slices, config and statistic.
+    so a probe at new rates on a seed already drawn reuses its stream. For a
+    stream probed again it also keeps each link pass (see `simulate_slice`),
+    so a probe at link rates already run on that seed runs only the server
+    stage. Share one memo only between calls with the same slices, topology,
+    config and statistic.
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)

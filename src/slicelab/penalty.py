@@ -73,8 +73,10 @@ def hinge(model: PenaltyModel, delays_ms, throughputs) -> tuple[float, float, fl
     off has slope 0.0, and so has the delay term where the ceiling binds.
     """
     ceiling = model.delay_ceiling_ms
-    delay = float(np.mean(np.fmin(delays_ms, ceiling)))
-    short = max(0.0, model.requirement.rho - float(np.mean(throughputs)))
+    delays, tps = np.fmin(delays_ms, ceiling), np.asarray(throughputs, dtype=float)
+    # np.mean's arithmetic, without its Python layer
+    delay = float(np.add.reduce(delays, axis=None) / delays.size)
+    short = max(0.0, model.requirement.rho - float(np.add.reduce(tps, axis=None) / tps.size))
     p = model.exponent
     value = slope_delay = slope_tp = 0.0
     if model.requirement.bounded:

@@ -25,6 +25,7 @@ count their stranded requests as dropped.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -41,6 +42,8 @@ _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
+
+_INT32_MAX = 2**31 - 1
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
@@ -189,11 +192,13 @@ def _draw_sizes(model, n, rng):
         mean = model.mean_size_bytes()
         sizes = rng.exponential(mean, size=n)
         return np.clip(sizes, model.size_min, model.size_max, out=sizes)
-    return rng.integers(model.size_min, model.size_max + 1, size=n).astype(float)
+    # int32 draws the values int64 does, by the same 32-bit draw, in half the time
+    dtype = np.int32 if model.size_max < _INT32_MAX else np.int64
+    return rng.integers(model.size_min, model.size_max + 1, size=n, dtype=dtype).astype(float)
 
 
 def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
-                      service_rate_ips, demand_mi, propagation_ms):
+                      service_rate_ips, demand_mi, propagation_ms, links=None):
     """Push one slice's packets through its link queues and server queue.
 
     arrivals must be sorted and as long as sizes_bytes; neither is written
@@ -201,33 +206,53 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     served_mask over all offered packets). A zero-rate stage strands every
     packet (served_mask all False). buffer_pkts is a whole number >= 1 (a
     float one is used as its int), else InvariantViolation names it.
+
+    `links`, a dict, comes only with the read-only arrays of a stream
+    simulated before, and only ever with that stream's arrays. It keeps
+    each link-stage result (departures, served_mask, created times),
+    read-only, under (link rates, buffer); a call at link rates it holds
+    runs only the server stage and returns the kept served_mask. Without
+    it nothing is kept, and the server is written over the link departures.
     """
     InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                  whole=True))
-    arrivals = np.asarray(arrivals, dtype=float)
-    sizes = np.asarray(sizes_bytes, dtype=float)
-    if arrivals.shape != sizes.shape:
-        raise ValueError(
-            f"arrivals and sizes_bytes differ in length: {len(arrivals)} vs {len(sizes)}")
-    if not (arrivals[1:] >= arrivals[:-1]).all():
-        raise ValueError("arrivals must be sorted in non-decreasing order")
+    buffer_pkts = int(buffer_pkts)
+    key = (np.asarray(link_rates_bps, dtype=float).tobytes(), buffer_pkts)
+    kept = links.get(key) if links else None
+    if kept is None:
+        arrivals = np.asarray(arrivals, dtype=float)
+        sizes = np.asarray(sizes_bytes, dtype=float)
+        if not links:  # a kept entry's arrays passed these checks
+            if arrivals.shape != sizes.shape:
+                raise ValueError(f"arrivals and sizes_bytes differ in length: "
+                                 f"{len(arrivals)} vs {len(sizes)}")
+            if not (arrivals[1:] >= arrivals[:-1]).all():
+                raise ValueError("arrivals must be sorted in non-decreasing order")
     if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
-        return np.empty(0), np.zeros(arrivals.size, dtype=bool)
-    served_mask = np.ones(arrivals.size, dtype=bool)
-    times, created = arrivals, arrivals
+        return np.empty(0), np.zeros(len(arrivals), dtype=bool)
+    if kept is None:
+        served_mask = np.ones(arrivals.size, dtype=bool)
+        times, created = arrivals, arrivals
+        # link stages in series, each with its own finite buffer
+        for rate in link_rates_bps:
+            times, blocked = _link_stage(times, sizes, rate, buffer_pkts)
+            if blocked:  # only an overflow episode drops a packet
+                survived = ~np.isnan(times)
+                served_mask[served_mask] = survived
+                times, sizes, created = times[survived], sizes[survived], created[survived]
+        kept = times, served_mask, created
+        if links is not None:
+            for array in kept:
+                array.setflags(write=False)
+            links[key] = kept
+    times, served_mask, created = kept
 
-    # link stages in series, each with its own finite buffer
-    for rate in link_rates_bps:
-        times, blocked = _link_stage(times, sizes, rate, int(buffer_pkts))
-        if blocked:  # only an overflow episode drops a packet
-            kept = ~np.isnan(times)
-            served_mask[served_mask] = kept
-            times, sizes, created = times[kept], sizes[kept], created[kept]
-
-    # server stage, an unbounded FIFO: written over a link stage's departures, not the arrivals
+    # server stage, an unbounded FIFO: written over the link departures
+    # unless they are the arrivals or kept
+    out = times if links is None and times is not arrivals else np.empty(times.size)
     done = np.arange(1, times.size + 1, dtype=float)
     done *= demand_mi / service_rate_ips
-    ends = _lindley(times, done, np.empty(times.size) if times is arrivals else times)
+    ends = _lindley(times, done, out)
     ends -= created
     ends += propagation_ms / 1000.0
     ends *= 1000.0
@@ -372,12 +397,16 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
     Its traffic comes from its own stream slice_rng(seed, index), index being
     its position among the slices, so no other slice's presence shifts it.
     The stream does not depend on the rates, so `memo` (see `generate_traffic`)
-    lets calls at other rates on the same seed reuse it.
+    lets calls at other rates on the same seed reuse it. A stream the memo
+    already held is being probed again, so `memo` also keeps its link passes
+    (see `simulate_pipeline`) under ("links", seed, index); a stream just
+    drawn keeps none.
     """
+    links = memo.setdefault(("links", seed, index), {}) if (seed, index) in memo else None
     arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
     delays, served = simulate_pipeline(
         arrivals, sizes, link_rates, topology.buffer_pkts,
-        cpu_rate, spec.demand_mi, config.propagation_ms,
+        cpu_rate, spec.demand_mi, config.propagation_ms, links,
     )
     # arrivals are sorted, so the post-warmup requests are a suffix
     w = int(arrivals.searchsorted(config.warmup_s))
@@ -408,10 +437,17 @@ def run_sim(slices, topology: Topology, alloc: AllocationMatrix, config: SimConf
 def percentile_of(statistic: str) -> tuple[int, int] | None:
     """The one "pNN" parser: NN/100, NN a plain decimal in (0, 100], as the exact
     fraction (num, den) of NN's digits less its leading and trailing zeros; None
-    for "max" and "mean"; else ValueError."""
+    for "max" and "mean"; else ValueError. Each string is parsed once."""
+    if not isinstance(statistic, str):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    return _parsed_percentile(statistic)
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed_percentile(statistic):
     if statistic in ("max", "mean"):
         return None
-    if not (isinstance(statistic, str) and _PERCENTILE.fullmatch(statistic)):
+    if not _PERCENTILE.fullmatch(statistic):
         raise ValueError(f"unknown statistic {statistic!r}")
     whole, _, frac = statistic[1:].partition(".")
     whole, frac = whole.lstrip("0"), frac.rstrip("0")  # NN/100 is unchanged

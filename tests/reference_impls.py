@@ -5,8 +5,10 @@ kept separate from the package under test: brute-force QP for the capped
 simplex, the textbook M/M/1 sojourn time, a frozen hand calculation of one
 packet's delay, a scalar re-implementation of the transfer recursion, the
 simulator's original per-packet link/server loop, a per-arrival Poisson
-generator and a per-burst on/off generator. Test expectations are frozen
-from these, never from the library. The one exception is
+generator and a per-burst on/off generator, and the plain numpy forms of two
+formulas the library computes another way: the hinge's averages by
+`np.mean` and uniform packet sizes drawn as int64. Test expectations are
+frozen from these, never from the library. The one exception is
 `many_repetition_gradient`, a slow reference for the probed gradient: the
 library's estimator at a repetition count no run can afford, so only its
 precision is independent.
@@ -217,3 +219,28 @@ def many_repetition_gradient(model, slice_id, row, slices, topology, sim_config,
     spread = np.clip(base + delta, 0.0, 1.0) - np.clip(base - delta, 0.0, 1.0)
     quotients = (pen[:, 1] - pen[:, 0]) / spread[:, None]
     return grad, quotients.std(axis=1, ddof=1) / math.sqrt(repetitions)
+
+
+def mean_hinge(model, delays_ms, throughputs):
+    """The hinge with its averages taken by `np.mean`: (penalty, d penalty /
+    d delay, d penalty / d throughput) at the mean outcome, each delay
+    capped at the ceiling (a non-finite one enters at it) first."""
+    ceiling = model.delay_ceiling_ms
+    delay = float(np.mean(np.fmin(delays_ms, ceiling)))
+    short = max(0.0, model.requirement.rho - float(np.mean(throughputs)))
+    p = model.exponent
+    value = slope_delay = slope_tp = 0.0
+    if model.requirement.bounded:
+        viol = max(0.0, delay - model.requirement.tau_ms)
+        value += model.alpha_tau * viol**p
+        if viol > 0 and delay < ceiling:
+            slope_delay = model.alpha_tau * (p * viol ** (p - 1))
+    value += model.alpha_rho * short**p
+    if short > 0:
+        slope_tp = -(model.alpha_rho * (p * short ** (p - 1)))
+    return value, slope_delay, slope_tp
+
+
+def int64_uniform_sizes(model, n, rng):
+    """n uniform packet sizes on [size_min, size_max], drawn as int64, as floats."""
+    return rng.integers(model.size_min, model.size_max + 1, size=n).astype(float)

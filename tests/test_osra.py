@@ -387,6 +387,18 @@ class TestProbeMemo:
         assert len(res.traces) == 8
         assert calls == {"slice_rng": 104, "generate_traffic": 344, "simulate_pipeline": 344}
 
+    def test_three_link_passes_per_repetition(self, monkeypatch):
+        # seed 0 monitors 3 slices in each of 8 iterations; a repetition's
+        # cpu -/+ probes share the centre link rate, so its 4 simulations
+        # make 3 link passes: 3 x 8 + 3 x 10 x 8, where each made one before
+        sc = reference_scenario()
+        passes = []
+        real = simulator._link_stage
+        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
+        res = run(sc)
+        assert len(res.traces) == 8
+        assert len(passes) == 3 * 8 + 3 * 10 * 8
+
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep
         for res in results.values():

@@ -27,7 +27,7 @@ from slicelab.penalty import (
 )
 
 from conftest import make_tiny_scenario
-from reference_impls import many_repetition_gradient
+from reference_impls import many_repetition_gradient, mean_hinge
 
 
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
@@ -126,6 +126,37 @@ class TestDelayCeiling:
         # mean delay 5.5 is 4.5 over tau; mean throughput 0.75 is 0.25 short
         assert value == pytest.approx(4.5 + 0.25, abs=1e-12)
         assert (d_delay, d_tp) == (1.0, -1.0)
+
+
+def bits(values):
+    """The bytes of a tuple of floats: equal iff every float is equal to the bit."""
+    return np.array(values, dtype=float).tobytes()
+
+
+# delays as the hinge may see them: the edges of its rules drawn often
+HINGE_CEILING = 250.0
+DELAYS = st.floats(0.0, 1e6) | st.sampled_from([0.0, HINGE_CEILING, math.inf, math.nan])
+
+
+class TestHingeAgainstMean:
+    """`hinge` averages by np.add.reduce over the array, np.mean's arithmetic."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("delay, tp", [(0.0, 1.0), (7.5, 0.5), (HINGE_CEILING, 0.0),
+                                           (math.inf, 1.0), (math.nan, 0.95), (3e5, 0.25)])
+    def test_scalars(self, delay, tp, p):
+        m = model(tau=1.0, rho=0.9, p=p, ceiling=HINGE_CEILING)
+        assert bits(hinge(m, delay, tp)) == bits(mean_hinge(m, delay, tp))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(DELAYS, st.floats(0.0, 1.0)), min_size=1, max_size=20),
+           st.sampled_from([1, 2]))
+    @example([(0.1, 1.0), (0.2, 1.0), (0.3, 0.5)], 2)
+    @example([(math.nan, 0.0), (math.inf, 1.0), (HINGE_CEILING, 1.0), (0.0, 0.3)], 1)
+    def test_lists(self, pairs, p):
+        m = model(tau=1.0, rho=0.9, p=p, ceiling=HINGE_CEILING)
+        delays, tps = [d for d, _ in pairs], [t for _, t in pairs]
+        assert bits(hinge(m, delays, tps)) == bits(mean_hinge(m, delays, tps))
 
 
 # every entry AllocationVector admits, both edges included

@@ -1,9 +1,11 @@
 """Simulator behavior against hand calculations and queueing sanity."""
 import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from slicelab import (
 from slicelab import simulator
 from slicelab.penalty import PenaltyModel, hinge
 from slicelab.simulator import (
+    _draw_sizes,
     _lindley,
     _link_stage,
     _onoff_arrivals,
@@ -41,8 +44,8 @@ from slicelab.simulator import (
     summarize,
 )
 from conftest import SIZES
-from reference_impls import (HAND_SINGLE_PACKET_MS, loop_onoff_arrivals, loop_pipeline,
-                             loop_poisson_arrivals)
+from reference_impls import (HAND_SINGLE_PACKET_MS, int64_uniform_sizes, loop_onoff_arrivals,
+                             loop_pipeline, loop_poisson_arrivals)
 
 # largest delay difference allowed between the running-max pipeline and the
 # per-packet loop: they sum the same times in a different order
@@ -521,6 +524,23 @@ class TestStatistics:
         summarize(result, statistic, keep_raw=True)
         assert np.array_equal(result.delays_ms, before)
 
+    @pytest.mark.parametrize("statistic", [["p99"], {"p": 99}, 99, None, b"p99"])
+    def test_a_statistic_that_is_no_string_is_unknown(self, statistic):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            percentile_of(statistic)
+
+    def test_each_statistic_string_is_parsed_once(self, monkeypatch):
+        parsed = []
+        real = simulator._PERCENTILE
+        monkeypatch.setattr(simulator, "_PERCENTILE", SimpleNamespace(
+            fullmatch=lambda s: parsed.append(s) or real.fullmatch(s)))
+        for _ in range(3):
+            assert percentile_of("p42.4242") == (424242, 10**6)
+            with pytest.raises(ValueError, match="unknown statistic"):
+                percentile_of("p42,4242")
+        # a refused string is parsed again on each call, to raise again
+        assert parsed == ["p42.4242", "p42,4242", "p42,4242", "p42,4242"]
+
     def test_bad_statistic(self):
         with pytest.raises(ValueError, match="unknown statistic"):
             delay_statistic(np.array([1.0]), "median")
@@ -539,6 +559,48 @@ class TestStatistics:
         assert result.offered > 0
         assert sample.throughput == 0.0
         assert math.isinf(sample.delay_stat_ms)
+
+
+class TestKeptLinkPass:
+    """A stream the memo already holds keeps its link passes; a fresh one keeps none."""
+
+    def at(self, f, phi, memo, seed=3):
+        spec = one_slice(rate=300.0)
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=10)
+        link_rates, cpu_rate = stage_rates(
+            AllocationVector(np.array([f]), np.array([phi])), topo)
+        cfg = SimConfig(horizon_s=2.0, warmup_s=0.2, propagation_ms=0.1)
+        return simulate_slice(spec, 0, link_rates, cpu_rate, topo, cfg, seed, memo)
+
+    def test_a_fresh_stream_keeps_no_link_pass(self):
+        memo = {}
+        self.at(0.2, 0.5, memo)
+        assert list(memo) == [(3, 0)]
+
+    @pytest.mark.parametrize("f", [0.2, 0.06])  # 2.4 Mbps offered: 8 and 2.4 Mbps links
+    def test_a_kept_link_pass_gives_a_fresh_simulation_s_result(self, f, monkeypatch):
+        memo = {}
+        self.at(f, 0.5, memo)
+        self.at(f, 0.4, memo)
+        assert list(memo) == [(3, 0), ("links", 3, 0)]
+        (kept,) = memo["links", 3, 0].values()
+        assert all(not array.flags.writeable for array in kept)
+        passes = []
+        real = simulator._link_stage
+        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
+        again = self.at(f, 0.3, memo)
+        assert passes == []
+        fresh = self.at(f, 0.3, {})
+        assert passes == [1]
+        assert pickle.dumps(again) == pickle.dumps(fresh)
+        assert (again.success < again.offered) == (f < 0.1)
+
+    def test_each_new_link_rate_on_a_kept_stream_adds_an_entry(self):
+        memo = {}
+        for f in (0.2, 0.2, 0.25, 0.25):
+            got = self.at(f, 0.5, memo)
+            assert pickle.dumps(got) == pickle.dumps(self.at(f, 0.5, {}))
+        assert len(memo["links", 3, 0]) == 2
 
 
 class TestRunSim:
@@ -791,6 +853,17 @@ class TestTraffic:
             _, sizes = generate_traffic(tm, 10.0, 3, 0, {})
             assert sizes.min() >= 20 and sizes.max() <= 65535
             assert sizes.mean() == pytest.approx(tm.mean_size_bytes(), rel=0.02)
+
+    @pytest.mark.parametrize("size_min, size_max", [
+        (20, 65535), (1, 1), (1, 2**31 - 2), (1, 2**31 - 1), (2**31, 2**33)])
+    def test_uniform_sizes_are_the_int64_draw(self, size_min, size_max):
+        # int32 below 2**31 - 1, int64 from there: the values int64 draws
+        tm = TrafficModel(kind="poisson", mean_rate=1.0, size_min=size_min,
+                          size_max=size_max, size_dist="uniform")
+        for seed in range(3):
+            got = _draw_sizes(tm, 10_000, slice_rng(seed, 0))
+            want = int64_uniform_sizes(tm, 10_000, slice_rng(seed, 0))
+            assert got.dtype == want.dtype == float and np.array_equal(got, want)
 
     def test_exponential_sizes(self):
         for kind in TRAFFIC_KINDS:
