@@ -9,10 +9,8 @@ Two kinds:
 * Simulated: `sim_evaluate_all` (every slice, through `run_sim`) and
   `sim_evaluate` (one slice at one row, through `simulate_slice`) reduce raw
   delays under the configured statistic. Stochastic but fully reproducible
-  per seed. `sim_evaluate` memoizes its samples and each slice's traffic
-  per seed, so a gradient's probes draw each repetition's stream once, and
-  the link passes of a stream probed again, so probes that differ only in
-  cpu share run the link stage once. `run_sim` keeps none of these.
+  per seed. `sim_evaluate` states what its memo keeps; `run_sim` keeps
+  nothing.
 """
 from __future__ import annotations
 
@@ -79,15 +77,21 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     """Simulate one slice at allocation row `row` alone and reduce.
 
     Slices never share a queue, so no other slice could notice, and a what-if
-    row (a probe) needs no allocation matrix. `memo`, a dict, keeps each
-    sample under the simulator's exact inputs (slice, link rates, server
-    rate, seed), so a probe that repeats one already made is not simulated
-    again, and each slice's read-only traffic per seed (`generate_traffic`),
-    so a probe at new rates on a seed already drawn reuses its stream. For a
-    stream probed again it also keeps each link pass (see `simulate_slice`),
-    so a probe at link rates already run on that seed runs only the server
-    stage. Share one memo only between calls with the same slices, topology,
-    config and statistic.
+    row (a probe) needs no allocation matrix. `memo`, a dict shared only
+    between calls with the same slices, topology, config and statistic,
+    keeps, read-only (the one statement of its rules):
+
+    * each sample under its stage inputs (slice, link rates, server rate,
+      seed): a repeated probe is not simulated again;
+    * each traffic stream under (seed, slice index) (`generate_traffic`): a
+      probe at new rates on a seed drawn before neither seeds nor draws;
+    * for a stream it held before, its latest link pass (departures, survivor
+      mask, created times, at their link rates and buffer) under ("links",
+      seed, index) (`simulate_pipeline`): a probe at those link rates runs
+      only the server stage, into a fresh array, and one at others replaces
+      the pass, since in (coordinate, side, repetition) order no probe reads
+      an older one. A stream just drawn keeps none, and its server is
+      written over its link departures, as in `run_sim`.
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)

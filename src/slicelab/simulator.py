@@ -86,8 +86,8 @@ def generate_traffic(model: TrafficModel, horizon_s: float, seed: int, index: in
     drawn from stream slice_rng(seed, index).
 
     `memo`, a dict, keeps each stream it draws, read-only, under (seed, index)
-    and answers that stream again without seeding or drawing. Share one memo
-    only between calls with the same model and horizon for each index.
+    and answers it again without seeding or drawing (its rules: see
+    `oracle.sim_evaluate`).
     """
     key = (seed, index)
     if key not in memo:
@@ -207,27 +207,23 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     packet (served_mask all False). buffer_pkts is a whole number >= 1 (a
     float one is used as its int), else InvariantViolation names it.
 
-    `links`, a dict, comes only with the read-only arrays of a stream
-    simulated before, and only ever with that stream's arrays. It keeps
-    each link-stage result (departures, served_mask, created times),
-    read-only, under (link rates, buffer); a call at link rates it holds
-    runs only the server stage and returns the kept served_mask. Without
-    it nothing is kept, and the server is written over the link departures.
+    `links`, a dict given only with one stream's read-only arrays, holds its
+    latest link pass (see `oracle.sim_evaluate`); without it nothing is
+    kept, and the server is written over the link departures.
     """
     InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                  whole=True))
     buffer_pkts = int(buffer_pkts)
     key = (np.asarray(link_rates_bps, dtype=float).tobytes(), buffer_pkts)
-    kept = links.get(key) if links else None
+    kept = None if links is None else links.get(key)
     if kept is None:
         arrivals = np.asarray(arrivals, dtype=float)
         sizes = np.asarray(sizes_bytes, dtype=float)
-        if not links:  # a kept entry's arrays passed these checks
-            if arrivals.shape != sizes.shape:
-                raise ValueError(f"arrivals and sizes_bytes differ in length: "
-                                 f"{len(arrivals)} vs {len(sizes)}")
-            if not (arrivals[1:] >= arrivals[:-1]).all():
-                raise ValueError("arrivals must be sorted in non-decreasing order")
+        if arrivals.shape != sizes.shape:
+            raise ValueError(f"arrivals and sizes_bytes differ in length: "
+                             f"{len(arrivals)} vs {len(sizes)}")
+        if not (arrivals[1:] >= arrivals[:-1]).all():
+            raise ValueError("arrivals must be sorted in non-decreasing order")
     if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
         return np.empty(0), np.zeros(len(arrivals), dtype=bool)
     if kept is None:
@@ -244,6 +240,7 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         if links is not None:
             for array in kept:
                 array.setflags(write=False)
+            links.clear()
             links[key] = kept
     times, served_mask, created = kept
 
@@ -396,11 +393,8 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
 
     Its traffic comes from its own stream slice_rng(seed, index), index being
     its position among the slices, so no other slice's presence shifts it.
-    The stream does not depend on the rates, so `memo` (see `generate_traffic`)
-    lets calls at other rates on the same seed reuse it. A stream the memo
-    already held is being probed again, so `memo` also keeps its link passes
-    (see `simulate_pipeline`) under ("links", seed, index); a stream just
-    drawn keeps none.
+    `memo` keeps the stream, and for a stream it already held, its latest
+    link pass under ("links", seed, index) (see `oracle.sim_evaluate`).
     """
     links = memo.setdefault(("links", seed, index), {}) if (seed, index) in memo else None
     arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
@@ -451,10 +445,11 @@ def _parsed_percentile(statistic):
         raise ValueError(f"unknown statistic {statistic!r}")
     whole, _, frac = statistic[1:].partition(".")
     whole, frac = whole.lstrip("0"), frac.rstrip("0")  # NN/100 is unchanged
-    try:  # a whole part of over 3 digits is above 100, and int() never reads it
-        num = int(whole + frac or "0") if len(whole) <= 3 else math.inf
-    except ValueError:  # more digits than int() converts
-        raise ValueError(f"percentile has too many digits: {statistic}") from None
+    # a whole part of over 3 digits is above 100, and int() never reads it;
+    # no interpreter setting keeps int() from converting 640 digits
+    if len(whole) <= 3 and len(whole + frac) > 640:
+        raise ValueError(f"percentile has too many digits: {statistic}")
+    num = int(whole + frac or "0") if len(whole) <= 3 else math.inf
     den = 10 ** (len(frac) + 2)
     if not 0 < num <= den:
         raise ValueError(f"percentile out of (0,100]: {statistic}")

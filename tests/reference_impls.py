@@ -8,18 +8,22 @@ simulator's original per-packet link/server loop, a per-arrival Poisson
 generator and a per-burst on/off generator, and the plain numpy forms of two
 formulas the library computes another way: the hinge's averages by
 `np.mean` and uniform packet sizes drawn as int64. Test expectations are
-frozen from these, never from the library. The one exception is
-`many_repetition_gradient`, a slow reference for the probed gradient: the
-library's estimator at a repetition count no run can afford, so only its
-precision is independent.
+frozen from these, never from the library. The exceptions read the
+library's oracle: `many_repetition_gradient`, a slow reference for the
+probed gradient (the library's estimator at a repetition count no run can
+afford, so only its precision is independent), and `least_cpu_frontier`
+with `least_fitting_link`, a slow reference for the loop: a grid search
+for the least resources each slice needs, and whether the slices fit
+together there.
 """
 import itertools
 import math
 
 import numpy as np
 
+from slicelab.domain import AllocationVector
 from slicelab.oracle import sim_evaluate
-from slicelab.penalty import hinge, probed_gradient
+from slicelab.penalty import PenaltyModel, hinge, probed_gradient
 from slicelab.simulator import TIE_S
 
 
@@ -244,3 +248,63 @@ def mean_hinge(model, delays_ms, throughputs):
 def int64_uniform_sizes(model, n, rng):
     """n uniform packet sizes on [size_min, size_max], drawn as int64, as floats."""
     return rng.integers(model.size_min, model.size_max + 1, size=n).astype(float)
+
+
+# link and per-core cpu shares the frontier search visits
+SHARE_GRID = tuple(k / 40 for k in range(1, 41))
+
+
+def least_cpu_frontier(spec, topology, sim_config, osra_config, seeds):
+    """{link share: the least per-core cpu share, or None} on SHARE_GRID.
+
+    A point (f, c) gives the slice share f of every edge and c of every
+    core; its penalty is the hinge at the mean outcome over `seeds` (common
+    random numbers, each the stream a lone slice draws), as a probe point's
+    is. For each f, a binary search over c finds the least c whose penalty
+    is 0, None where no c up to 1 has one. The search assumes the penalty
+    never rises with either share, and an AssertionError says where a point
+    it visited breaks that.
+    """
+    model = PenaltyModel(requirement=spec.requirement, alpha_tau=spec.alpha_tau,
+                         alpha_rho=spec.alpha_rho, exponent=osra_config.penalty_exponent,
+                         delay_ceiling_ms=osra_config.delay_ceiling_ms)
+    memo, visited = {}, {}
+
+    def served(f, c):
+        row = AllocationVector(np.full(topology.n_edges, f), np.full(topology.n_cores, c))
+        samples = [sim_evaluate(spec.id, row, (spec,), topology, sim_config, seed,
+                                osra_config.statistic, memo) for seed in seeds]
+        visited[f, c] = hinge(model, [s.delay_stat_ms for s in samples],
+                              [s.throughput for s in samples])[0] == 0.0
+        return visited[f, c]
+
+    frontier = {}
+    for f in SHARE_GRID:
+        lo, hi = -1, len(SHARE_GRID)   # SHARE_GRID[hi] is served, when hi is in range
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if served(f, SHARE_GRID[mid]):
+                hi = mid
+            else:
+                lo = mid
+        frontier[f] = SHARE_GRID[hi] if hi < len(SHARE_GRID) else None
+
+    # no visited point that gets at least a served point's shares is unserved
+    for (f, c), ok in visited.items():
+        if ok:
+            worse = [p for p, q in visited.items() if p[0] >= f and p[1] >= c and not q]
+            assert not worse, f"{spec.id}: served at {(f, c)}, not at {worse}"
+    return frontier
+
+
+def least_fitting_link(frontiers):
+    """The least total link share over one point on each slice's frontier,
+    among the choices whose link shares and cpu shares each sum to at most
+    1; None when no choice fits, so no allocation serves every slice."""
+    best = None
+    points = [[(f, c) for f, c in frontier.items() if c is not None] for frontier in frontiers]
+    for choice in itertools.product(*points):
+        link, cpu = (math.fsum(share) for share in zip(*choice))
+        if link <= 1.0 + 1e-9 and cpu <= 1.0 + 1e-9 and (best is None or link < best):
+            best = link
+    return best

@@ -34,7 +34,7 @@ from slicelab.osra import (
 )
 
 from conftest import SIZES, make_tiny_scenario
-from reference_impls import scalar_transfer_recursion
+from reference_impls import least_cpu_frontier, least_fitting_link, scalar_transfer_recursion
 
 
 def run(sc: ScenarioConfig, seed=0, **kw):
@@ -399,6 +399,36 @@ class TestProbeMemo:
         assert len(res.traces) == 8
         assert len(passes) == 3 * 8 + 3 * 10 * 8
 
+    @pytest.mark.parametrize("variant, passes", [("reference", 264), ("cores", 264),
+                                                 ("edges", 954)])
+    def test_a_stream_keeps_one_link_pass(self, monkeypatch, variant, passes):
+        # seed 0 on the reference, with cores of 2e8 and 4e8 MIPS, and with
+        # edges of 2500 and 3000 Mbps that repeat each slice's link share
+        sc = reference_scenario()
+        if variant == "cores":
+            sc = dataclasses.replace(sc, topology=dataclasses.replace(
+                sc.topology, cores=(("core0", 2e8), ("core1", 4e8))))
+        elif variant == "edges":
+            alloc = sc.initial_alloc
+            sc = dataclasses.replace(
+                sc, topology=dataclasses.replace(
+                    sc.topology, edges=(("link", 2500.0), ("link2", 3000.0))),
+                initial_alloc=AllocationMatrix(alloc.slice_ids, alloc.flows.repeat(2, axis=1),
+                                               alloc.cpu))
+        made, held = [], []
+        real_link, real_pipeline = simulator._link_stage, simulator.simulate_pipeline
+
+        def pipeline(*a):
+            out = real_pipeline(*a)
+            if a[7] is not None:
+                held.append(len(a[7]))
+            return out
+        monkeypatch.setattr(simulator, "_link_stage", lambda *a: made.append(1) or real_link(*a))
+        monkeypatch.setattr(simulator, "simulate_pipeline", pipeline)
+        run(sc)
+        assert len(made) == passes
+        assert held and max(held) == 1
+
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep
         for res in results.values():
@@ -415,7 +445,8 @@ def _fails_today(reason):
 
 
 # cold starts at f = 2 and 2.5 stop on a probed gradient of exactly 0
-_STALL = "ROADMAP item 12: converged=True after 1 update, slice1's penalty 744"
+_STALL = ("servable at f = 2 and 2.5; ROADMAP item 12: converged=True after 1 update, "
+          "slice1's penalty 744")
 
 # the reference topology with its link (Mbps) and each core (MIPS) cut
 CUTS = {"link900": (900.0, 2e8), "link1200": (1200.0, 3e8)}
@@ -426,15 +457,37 @@ GRID = [*((f, seed, start, None) for f in (2.0, 2.5) for seed in range(100, 103)
         *((1.0, seed, "cold", cut) for cut in CUTS for seed in range(3))]
 
 
+def _name(f, seed, start, cut):
+    """A GRID run's name, like 2.0-100-cold or link900-0."""
+    return f"{cut}-{seed}" if cut else f"{f}-{seed}-{start}"
+
+
 def _grid(fails):
-    """The GRID runs as parameters named like 2.0-100-cold or link900-0, each
-    one that `fails` names a strict xfail with its reason."""
+    """The GRID runs as parameters named by `_name`, each one that `fails`
+    names a strict xfail with its reason."""
     params = []
-    for f, seed, start, cut in GRID:
-        name = f"{cut}-{seed}" if cut else f"{f}-{seed}-{start}"
+    for run in GRID:
+        name = _name(*run)
         marks = [_fails_today(fails[name])] if name in fails else []
-        params.append(pytest.param(f, seed, start, cut, id=name, marks=marks))
+        params.append(pytest.param(*run, id=name, marks=marks))
     return params
+
+
+def _variant(sc, f, cut):
+    """(slices, topology): slice1's traffic compressed in time by f (f x the
+    rate, 1/f x the off time), on the topology CUTS[cut] gives, or sc's."""
+    slices = tuple(
+        dataclasses.replace(s, traffic=dataclasses.replace(
+            s.traffic, mean_rate=s.traffic.mean_rate * f,
+            off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
+        for s in sc.slices)
+    topology = sc.topology
+    if cut:
+        link, mips = CUTS[cut]
+        topology = dataclasses.replace(
+            topology, edges=tuple((eid, link) for eid, _ in topology.edges),
+            cores=tuple((cid, mips) for cid, _ in topology.cores))
+    return slices, topology
 
 
 class TestWarmRestart:
@@ -461,22 +514,63 @@ class TestWarmRestart:
 
         def run(f, seed, start, cut=None):
             if (f, seed, start, cut) not in runs:
-                slices = tuple(
-                    dataclasses.replace(s, traffic=dataclasses.replace(
-                        s.traffic, mean_rate=s.traffic.mean_rate * f,
-                        off_time_ms=s.traffic.off_time_ms / f)) if s.id == "slice1" else s
-                    for s in sc.slices)
-                topology = sc.topology
-                if cut:
-                    link, mips = CUTS[cut]
-                    topology = dataclasses.replace(
-                        topology, edges=tuple((eid, link) for eid, _ in topology.edges),
-                        cores=tuple((cid, mips) for cid, _ in topology.cores))
+                slices, topology = _variant(sc, f, cut)
                 alloc = results[seed - 100].final_alloc if start == "warm" else sc.initial_alloc
                 runs[f, seed, start, cut] = run_osra(slices, topology, alloc, sc.sim,
                                                      sc.new_slice_id, sc.osra, seed=seed)
             return runs[f, seed, start, cut]
         return run
+
+    @pytest.fixture(scope="class")
+    def frontiers(self):
+        """frontiers(f, cut): each slice's `least_cpu_frontier` in `_variant`,
+        over ten CRN seeds, as many as the loop's probes; each made once."""
+        sc = reference_scenario()
+        made = {}
+
+        def frontier(spec, cut, topology):
+            if (spec, cut) not in made:
+                made[spec, cut] = least_cpu_frontier(spec, topology, sc.sim, sc.osra, range(10))
+            return made[spec, cut]
+
+        def frontiers(f, cut):
+            slices, topology = _variant(sc, f, cut)
+            return [frontier(spec, cut, topology) for spec in slices]
+        return frontiers
+
+    def test_twelve_grid_runs_can_be_served_and_six_cannot(self, frontiers):
+        # the least total link share of a choice on the frontiers that fits,
+        # slice2's 0.075 and slice3's 0.025 included; on the cuts none fits
+        need = {(f, cut): least_fitting_link(frontiers(f, cut)) for f, _, _, cut in GRID}
+        assert need == {(2.0, None): pytest.approx(0.75), (2.5, None): pytest.approx(0.875),
+                        (1.0, "link900"): None, (1.0, "link1200"): None}
+        # link900 serves slice1 at no share; link1200's least shares overfill the link
+        assert set(frontiers(1.0, "link900")[0].values()) == {None}
+        least = [min(f for f, c in frontier.items() if c is not None)
+                 for frontier in frontiers(1.0, "link1200")]
+        assert least == [0.85, 0.15, 0.025]
+        servable = {_name(*run): need[run[0], run[3]] is not None for run in GRID}
+        assert servable == {_name(*run): run[3] is None for run in GRID}
+        assert sum(servable.values()) == 12
+
+    def test_the_reference_runs_end_at_or_above_the_frontier(self, reference_sweep,
+                                                              frontiers):
+        # each final row gets at least the shares of a point its slice is
+        # served at; slice1's final link share, 0.459-0.503 over the ten
+        # seeds, is 0.034-0.078 above the least it can be served with, 0.425
+        sc, results, _ = reference_sweep
+        fronts = frontiers(1.0, None)
+        assert least_fitting_link(fronts) == pytest.approx(0.525)
+        least = min(f for f, c in fronts[0].items() if c is not None)
+        margins = []
+        for seed, res in results.items():
+            for spec, frontier in zip(sc.slices, fronts):
+                row = res.final_alloc.row(spec.id)
+                f, c = row.flows.min(), row.cpu.min()
+                assert any(g <= f and need is not None and need <= c
+                           for g, need in frontier.items()), (seed, spec.id)
+            margins.append(res.final_alloc.row("slice1").flows.min() - least)
+        assert least == 0.425 and 0.03 < min(margins) and max(margins) < 0.08, margins
 
     @pytest.mark.parametrize("f", [1.25, 1.5])
     def test_converges_in_fewer_updates_than_a_cold_start(self, grid_run, f):
@@ -488,10 +582,11 @@ class TestWarmRestart:
 
     @pytest.mark.parametrize("f, seed, start, cut", _grid({
         **{f"{f}-{seed}-cold": _STALL for f in (2.0, 2.5) for seed in range(100, 103)},
-        "2.5-102-warm": "ROADMAP item 9: converged=True after 7 updates, slice2's penalty "
-                        "7.2 (its p99 12.2 ms against 5 ms)",
-        **dict.fromkeys(("link900-0", "link900-1"), "ROADMAP items 12 and 14: converged=True "
-                        "after 1 update, slice1's penalty 744"),
+        "2.5-102-warm": "servable; ROADMAP item 9: converged=True after 7 updates, slice2's "
+                        "penalty 7.2 (its p99 12.2 ms against 5 ms)",
+        **dict.fromkeys(("link900-0", "link900-1"), "no allocation serves link900: slice1's "
+                        "penalty is above 0 even with the whole link and both cores; ROADMAP "
+                        "items 12 and 14: converged=True after 1 update, slice1's penalty 744"),
     }))
     def test_a_converged_run_has_every_penalty_at_zero(self, grid_run, f, seed, start, cut):
         res = grid_run(f, seed, start, cut)
@@ -499,11 +594,13 @@ class TestWarmRestart:
             assert set(res.traces[-1].penalties.values()) == {0.0}
 
     @pytest.mark.parametrize("f, seed, start, cut", _grid({
-        "link900-2": "ROADMAP item 9: algorithm1 steps zero slice3's link share from k = 9; "
-                     "15 iterations, slice3's throughput 0 and penalty 0.5, slice1's 244.47",
-        "link1200-1": "ROADMAP item 9: algorithm1 steps zero slice3's link share at k = 8 and "
-                      "from k = 13; 15 iterations, slice3's throughput 0 and penalty 0.5, "
-                      "slice1's 744",
+        "link900-2": "no allocation serves link900; ROADMAP item 9: algorithm1 steps zero "
+                     "slice3's link share from k = 9; 15 iterations, slice3's throughput 0 "
+                     "and penalty 0.5, slice1's 244.47",
+        "link1200-1": "no allocation serves link1200: the least link shares at which each "
+                      "slice is served sum to 1.025; ROADMAP item 9: algorithm1 steps zero "
+                      "slice3's link share at k = 8 and from k = 13; 15 iterations, slice3's "
+                      "throughput 0 and penalty 0.5, slice1's 744",
     }))
     def test_no_slice_ends_starved(self, grid_run, f, seed, start, cut):
         # a zero link share, or zero on every core, strands a slice's traffic

@@ -1,10 +1,14 @@
 """Simulator behavior against hand calculations and queueing sanity."""
 import dataclasses
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -494,6 +498,28 @@ class TestStatistics:
         with pytest.raises(ValueError, match=message):
             percentile_of(statistic)
 
+    def test_the_verdicts_do_not_depend_on_int_s_digit_limit(self):
+        # int() converts up to 4300 digits by default, up to 640 or more, or
+        # any number (0) as set; 640 and 641 digits sit on the check's edge
+        strings = ["p1." + "1" * 639, "p1." + "1" * 640, "p1." + "1" * 700,
+                   "p1." + "1" * 5000, "p" + "1" * 5000, "p1." + "0" * 5000]
+        script = ("import sys\nfrom slicelab.simulator import percentile_of\n"
+                  "for s in sys.stdin.read().split():\n"
+                  "    try:\n        print(percentile_of(s) is not None)\n"
+                  "    except ValueError as e:\n        print(str(e).split(':')[0])\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(simulator.__file__).parents[1])
+        verdicts = [subprocess.run([sys.executable, "-c", script], input=" ".join(strings),
+                                   capture_output=True, text=True, check=True, timeout=60,
+                                   env={**env, **limit}).stdout.split("\n")
+                    for limit in ({}, {"PYTHONINTMAXSTRDIGITS": "0"},
+                                  {"PYTHONINTMAXSTRDIGITS": "640"})]
+        assert verdicts[0][:-1] == ["True", "percentile has too many digits",
+                                    "percentile has too many digits",
+                                    "percentile has too many digits",
+                                    "percentile out of (0,100]", "True"]
+        assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
     def test_percentile_just_above_100_is_refused(self):
         # read as a float it is 100.0, yet its nearest rank is one past the last delay
         with pytest.raises(ValueError, match=r"percentile out of \(0,100\]: p100\.0+1$"):
@@ -562,11 +588,13 @@ class TestStatistics:
 
 
 class TestKeptLinkPass:
-    """A stream the memo already holds keeps its link passes; a fresh one keeps none."""
+    """A stream the memo already holds keeps its latest link pass; a fresh one keeps none."""
+
+    topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=10)
 
     def at(self, f, phi, memo, seed=3):
         spec = one_slice(rate=300.0)
-        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=10)
+        topo = self.topo
         link_rates, cpu_rate = stage_rates(
             AllocationVector(np.array([f]), np.array([phi])), topo)
         cfg = SimConfig(horizon_s=2.0, warmup_s=0.2, propagation_ms=0.1)
@@ -595,12 +623,22 @@ class TestKeptLinkPass:
         assert pickle.dumps(again) == pickle.dumps(fresh)
         assert (again.success < again.offered) == (f < 0.1)
 
-    def test_each_new_link_rate_on_a_kept_stream_adds_an_entry(self):
+    def test_a_new_link_rate_replaces_the_kept_pass(self, monkeypatch):
         memo = {}
-        for f in (0.2, 0.2, 0.25, 0.25):
-            got = self.at(f, 0.5, memo)
-            assert pickle.dumps(got) == pickle.dumps(self.at(f, 0.5, {}))
-        assert len(memo["links", 3, 0]) == 2
+        for f in (0.2, 0.2, 0.25):
+            self.at(f, 0.5, memo)
+        link_rates, _ = stage_rates(AllocationVector(np.array([0.25]), np.array([0.5])),
+                                    self.topo)
+        assert list(memo["links", 3, 0]) == [(link_rates.tobytes(), 10)]
+        passes = []
+        real = simulator._link_stage
+        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
+        again = self.at(0.25, 0.3, memo)
+        assert passes == []
+        assert pickle.dumps(again) == pickle.dumps(self.at(0.25, 0.3, {}))
+        # the replaced rate runs its link pass again, and keeps it
+        assert pickle.dumps(self.at(0.2, 0.3, memo)) == pickle.dumps(self.at(0.2, 0.3, {}))
+        assert len(passes) == 3 and len(memo["links", 3, 0]) == 1
 
 
 class TestRunSim:
