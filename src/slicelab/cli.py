@@ -254,7 +254,3 @@ def main(argv=None) -> int:
     except InvariantViolation as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

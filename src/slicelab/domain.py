@@ -68,25 +68,25 @@ def _bounds(interval: str) -> tuple:
     return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"
 
 
-def interval_violations(field, value, interval, where="", whole=False) -> list:
+def interval_violations(field, value, interval, whole=False) -> list:
     """[(field, message)] if `value` is not a real number (a whole one if
     `whole`; never a bool) inside `interval`, written like "(0, inf]";
-    else []. `where` prefixes the message."""
+    else []."""
     if (_whole if whole else _real)(value):
         lo, hi, lo_open, hi_open = _bounds(interval)
         if (lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi):
             return []
     kind = "a whole number in" if whole else "in"
-    return [(field, f"{where}{field} must be {kind} {interval}, got {value!r}")]
+    return [(field, f"{field} must be {kind} {interval}, got {value!r}")]
 
 
-def whole_fields(obj, *names, interval="(-inf, inf)", where="") -> list:
+def whole_fields(obj, *names, interval) -> list:
     """Replace each named field of frozen dataclass `obj` by its int; the
     (field, message) of every one that is not a whole number in `interval`."""
     errs = []
     for name in names:
         value = getattr(obj, name)
-        bad = interval_violations(name, value, interval, where, whole=True)
+        bad = interval_violations(name, value, interval, whole=True)
         if not bad:
             object.__setattr__(obj, name, int(value))
         errs += bad
@@ -275,13 +275,13 @@ class SliceSpec:
     priority_rank: int
 
     def __post_init__(self):
-        errs = [] if self.id else [("id", "slice id must be non-empty")]
-        where = f"slice {self.id}: "
+        errs = []
         for name, interval in (("alpha_tau", "[0, inf)"), ("alpha_rho", "[0, inf)"),
                                ("demand_mi", "(0, inf)")):
-            errs += interval_violations(name, getattr(self, name), interval, where)
-        errs += whole_fields(self, "priority_rank", where=where)
-        InvariantViolation.check(errs)
+            errs += interval_violations(name, getattr(self, name), interval)
+        errs += whole_fields(self, "priority_rank", interval="(-inf, inf)")
+        InvariantViolation.check(([] if self.id else [("id", "slice id must be non-empty")])
+                                 + [(name, f"slice {self.id}: {msg}") for name, msg in errs])
 
 
 @dataclass(frozen=True)

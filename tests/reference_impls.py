@@ -14,7 +14,8 @@ probed gradient (the library's estimator at a repetition count no run can
 afford, so only its precision is independent), and `least_cpu_frontier`
 with `least_fitting_link`, a slow reference for the loop: a grid search
 for the least resources each slice needs, and whether the slices fit
-together there.
+together there, and `reprobed_stop`, a slow reference for the loop's
+stop: the last iterate of a finished run probed again from scratch.
 """
 import itertools
 import math
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from slicelab.domain import AllocationVector
-from slicelab.oracle import sim_evaluate
+from slicelab.oracle import derive_seed, sim_evaluate
 from slicelab.penalty import PenaltyModel, hinge, probed_gradient
 from slicelab.simulator import TIE_S
 
@@ -308,3 +309,43 @@ def least_fitting_link(frontiers):
         if link <= 1.0 + 1e-9 and cpu <= 1.0 + 1e-9 and (best is None or link < best):
             best = link
     return best
+
+
+def reprobed_stop(result, slices, topology, sim_config, osra_config, new_slice_id, seed):
+    """The new slice's probes at the last iterate of `result`, a finished
+    `run_osra(..., seed=seed)`, made again: (difference quotients, (dim, 2)
+    probe-point penalties, centre penalty).
+
+    The row is clipped into [0, 1], and each coordinate in turn is set to
+    its clipped x - delta, then x + delta. Each point, and the row itself
+    (the centre), is simulated on the last iteration's probe seeds with a
+    fresh memo, and its penalty is the hinge at the mean outcome, as the
+    loop's probes are, so the quotients are its last gradient.
+    """
+    spec = {s.id: s for s in slices}[new_slice_id]
+    model = PenaltyModel(requirement=spec.requirement, alpha_tau=spec.alpha_tau,
+                         alpha_rho=spec.alpha_rho, exponent=osra_config.penalty_exponent,
+                         delay_ceiling_ms=osra_config.delay_ceiling_ms)
+    last = result.traces[-1]
+    seeds = [derive_seed(derive_seed(seed, 7001, last.k), r) for r in range(osra_config.probes)]
+    row = last.alloc.row(new_slice_id)
+    centre = np.clip(np.concatenate([row.flows, row.cpu]), 0.0, 1.0)
+    n_edges = row.flows.size
+    memo = {}
+
+    def penalty(x):
+        point = AllocationVector(x[:n_edges], x[n_edges:])
+        samples = [sim_evaluate(new_slice_id, point, slices, topology, sim_config, s,
+                                osra_config.statistic, memo) for s in seeds]
+        return hinge(model, [s.delay_stat_ms for s in samples],
+                     [s.throughput for s in samples])[0]
+
+    sides = np.empty((centre.size, 2))
+    pen = np.empty((centre.size, 2))
+    for d, x in enumerate(centre):
+        for side, step in enumerate((-osra_config.delta, osra_config.delta)):
+            sides[d, side] = min(max(x + step, 0.0), 1.0)
+            point = centre.copy()
+            point[d] = sides[d, side]
+            pen[d, side] = penalty(point)
+    return (pen[:, 1] - pen[:, 0]) / (sides[:, 1] - sides[:, 0]), pen, penalty(centre)

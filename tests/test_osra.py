@@ -34,7 +34,12 @@ from slicelab.osra import (
 )
 
 from conftest import SIZES, make_tiny_scenario
-from reference_impls import least_cpu_frontier, least_fitting_link, scalar_transfer_recursion
+from reference_impls import (
+    least_cpu_frontier,
+    least_fitting_link,
+    reprobed_stop,
+    scalar_transfer_recursion,
+)
 
 
 def run(sc: ScenarioConfig, seed=0, **kw):
@@ -280,6 +285,33 @@ class TestRunOsra:
             run(make_tiny_scenario(epsilon=0.0))
         assert issubclass(NonFiniteGradient, ValueError)
 
+
+
+class TestReprobedStop:
+    """The reference sweep's stops, probed again by `reprobed_stop`."""
+
+    @pytest.fixture(scope="class")
+    def stops(self, reference_sweep):
+        """{seed: (quotients, probe-point penalties, centre penalty)}"""
+        sc, results, _ = reference_sweep
+        return {seed: reprobed_stop(res, sc.slices, sc.topology, sc.sim, sc.osra,
+                                    sc.new_slice_id, seed)
+                for seed, res in results.items()}
+
+    def test_the_reprobe_reproduces_the_last_gradient_bit_for_bit(self, reference_sweep,
+                                                                  stops):
+        _, results, _ = reference_sweep
+        for seed, (quotients, _, _) in stops.items():
+            last = results[seed].traces[-1].gradients["slice1"]
+            assert quotients.tobytes() == last.tobytes(), seed
+
+    def test_every_seed_stops_satisfied(self, reference_sweep, stops):
+        # every probe point and the centre meet slice1's bound on the
+        # repetitions, even where one monitor sample does not (ROADMAP item 18)
+        _, results, _ = reference_sweep
+        for seed, (_, pen, centre) in stops.items():
+            assert (pen == 0.0).all() and centre == 0.0, seed
+        assert results[4].traces[-1].penalties["slice1"] == pytest.approx(0.599, abs=1e-3)
 
 
 class TestProbeMemory:
@@ -623,6 +655,60 @@ class TestWarmRestart:
             assert res.final_alloc == last.alloc
             assert res.iterations == len(res.traces) - 1
             assert res.converged == (last.stop_metric <= sc.osra.epsilon)
+
+    @pytest.fixture(scope="class")
+    def grid_stop(self, reference_sweep, grid_run):
+        """grid_stop(f, seed, start, cut): `reprobed_stop` of that GRID run,
+        each made once."""
+        sc, stops = reference_sweep[0], {}
+
+        def stop(f, seed, start, cut):
+            if (f, seed, start, cut) not in stops:
+                slices, topology = _variant(sc, f, cut)
+                stops[f, seed, start, cut] = reprobed_stop(
+                    grid_run(f, seed, start, cut), slices, topology, sc.sim, sc.osra,
+                    sc.new_slice_id, seed)
+            return stops[f, seed, start, cut]
+        return stop
+
+    def test_the_reprobe_reproduces_slice1s_last_gradient(self, grid_run, grid_stop):
+        for params in GRID:
+            last = grid_run(*params).traces[-1].gradients["slice1"]
+            assert grid_stop(*params)[0].tobytes() == last.tobytes(), _name(*params)
+
+    def test_a_converged_run_with_slice1_over_its_bound_has_stalled(self, grid_run,
+                                                                    grid_stop):
+        # the rule: such a stop reads equal, positive probe penalties, so its
+        # gradient is flat; the runs it covers today each stop after 1
+        # update at the ceiling's 744 (ROADMAP items 12 and 14)
+        stalled = {}
+        for params in GRID:
+            res = grid_run(*params)
+            if res.converged and res.traces[-1].penalties["slice1"] > 0:
+                _, pen, centre = grid_stop(*params)
+                assert len(set(pen.ravel())) == 1 and pen[0, 0] > 0, _name(*params)
+                stalled[_name(*params)] = (res.iterations, pen[0, 0], centre)
+        assert stalled == dict.fromkeys(
+            [*(f"{f}-{seed}-cold" for f in (2.0, 2.5) for seed in range(100, 103)),
+             "link900-0", "link900-1"], (1, 744.0, 744.0))
+
+    def test_a_donor_hurts_under_a_zero_gradient(self, grid_run, grid_stop):
+        # 2.5-102-warm stops with slice1 satisfied on every probe, while
+        # slice2 misses its bound with a donor gradient of 0 (ROADMAP items
+        # 9 and 14)
+        res = grid_run(2.5, 102, "warm", None)
+        _, pen, centre = grid_stop(2.5, 102, "warm", None)
+        last = res.traces[-1]
+        assert res.converged and (pen == 0.0).all() and centre == 0.0
+        assert last.penalties["slice2"] == pytest.approx(7.20, abs=5e-3)
+        assert (last.gradients["slice2"] == 0.0).all()
+
+    def test_four_cut_runs_run_to_the_iteration_cap(self, reference_sweep, grid_run):
+        max_iters = reference_sweep[0].osra.max_iters
+        capped = {_name(*params): len(grid_run(*params).traces) for params in GRID
+                  if not grid_run(*params).converged}
+        assert capped == dict.fromkeys(("link900-2", "link1200-0", "link1200-1", "link1200-2"),
+                                       max_iters)
 
 
 class TestFrozenSlices:
