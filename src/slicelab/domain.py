@@ -1,5 +1,5 @@
-"""Core value types: QoE requirements, traffic models, slices, topology,
-allocations, and measured QoE samples.
+"""Core value types (QoE requirements, traffic models, slices, topology,
+allocations, measured QoE samples) and the seeds of every random stream.
 
 All types are immutable values that check their own bounds at
 construction and report every violation at once, each with the field it
@@ -95,7 +95,8 @@ def whole_fields(obj, *names, interval) -> list:
 
 def seed_sequence(*parts) -> np.random.SeedSequence:
     """The SeedSequence of whole numbers >= 0, the one place a random stream
-    is seeded. No part is folded modulo 2**32; ValueError names a bad one."""
+    is seeded: `derive_seed` and `generate_traffic` call it. No part is
+    folded modulo 2**32; ValueError names a bad one."""
     for value in parts:
         if not (_whole(value) and value >= 0):
             raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
@@ -104,6 +105,15 @@ def seed_sequence(*parts) -> np.random.SeedSequence:
         # the words SeedSequence makes of this list, made in one call
         words = np.array(words, dtype=np.uint32)
     return np.random.SeedSequence(words)
+
+
+def derive_seed(*parts) -> int:
+    """Deterministic, platform-stable seed from a tuple of non-negative integers.
+
+    Distinct tuples give distinct entropy: no part is folded modulo 2**32.
+    A negative, bool or fractional part raises ValueError naming it.
+    """
+    return int(seed_sequence(*parts).generate_state(1, np.uint32)[0])
 
 
 def array_field(obj, name, ndim) -> list:

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .domain import AllocationVector, QoeSample, SliceSpec, Topology, seed_sequence
+from .domain import AllocationVector, QoeSample, SliceSpec, Topology
 from .simulator import run_sim, simulate_slice, stage_rates, summarize
 
 
@@ -101,12 +101,3 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
                                 seed, memo)
         memo[key] = summarize(result, statistic, keep_raw=False)
     return memo[key]
-
-
-def derive_seed(*parts) -> int:
-    """Deterministic, platform-stable seed from a tuple of non-negative integers.
-
-    Distinct tuples give distinct entropy: no part is folded modulo 2**32.
-    A negative, bool or fractional part raises ValueError naming it.
-    """
-    return int(seed_sequence(*parts).generate_state(1, np.uint32)[0])

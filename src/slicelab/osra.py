@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
-                     capacity_violations, interval_violations, whole_fields)
-from .oracle import derive_seed, sim_evaluate, sim_evaluate_all
+                     capacity_violations, derive_seed, interval_violations, whole_fields)
+from .oracle import sim_evaluate, sim_evaluate_all
 from .penalty import DELTA_INTERVAL, PenaltyModel, analytic_gradient, hinge, probed_gradient
 from .projection import project_columns
 from .simulator import SimConfig, percentile_of

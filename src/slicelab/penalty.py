@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (CAPACITY_TOL, AllocationVector, InvariantViolation, QoeRequirement,
-                     SliceSpec, Topology, interval_violations, whole_fields)
-from .oracle import analytic_parts, derive_seed
+                     SliceSpec, Topology, derive_seed, interval_violations, whole_fields)
+from .oracle import analytic_parts
 
 
 # the probe width's bounds, shared with OsraConfig: above CAPACITY_TOL the

@@ -76,14 +76,10 @@ class SliceRunResult(ArrayValue):
     success: int
 
 
-def slice_rng(seed: int, slice_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_sequence(seed, slice_index)))
-
-
 def generate_traffic(model: TrafficModel, horizon_s: float, seed: int, index: int,
                      memo) -> tuple[np.ndarray, np.ndarray]:
     """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon),
-    drawn from stream slice_rng(seed, index).
+    drawn from the PCG64 stream seeded by seed_sequence(seed, index).
 
     `memo`, a dict, keeps each stream it draws, read-only, under (seed, index)
     and answers it again without seeding or drawing (its rules: see
@@ -91,7 +87,7 @@ def generate_traffic(model: TrafficModel, horizon_s: float, seed: int, index: in
     """
     key = (seed, index)
     if key not in memo:
-        rng = slice_rng(seed, index)
+        rng = np.random.Generator(np.random.PCG64(seed_sequence(seed, index)))
         if model.kind == "poisson":
             arrivals = _poisson_arrivals(model.mean_rate, horizon_s, rng)
         else:
@@ -391,8 +387,8 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
                    config: SimConfig, seed: int, memo) -> SliceRunResult:
     """Simulate one slice at the given stage rates (see `stage_rates`).
 
-    Its traffic comes from its own stream slice_rng(seed, index), index being
-    its position among the slices, so no other slice's presence shifts it.
+    Its traffic is generate_traffic's stream (seed, index), index being its
+    position among the slices, so no other slice's presence shifts it.
     `memo` keeps the stream, and for a stream it already held, its latest
     link pass under ("links", seed, index) (see `oracle.sim_evaluate`).
     """

@@ -5,25 +5,25 @@ kept separate from the package under test: brute-force QP for the capped
 simplex, the textbook M/M/1 sojourn time, a frozen hand calculation of one
 packet's delay, a scalar re-implementation of the transfer recursion, the
 simulator's original per-packet link/server loop, a per-arrival Poisson
-generator and a per-burst on/off generator, and the plain numpy forms of two
-formulas the library computes another way: the hinge's averages by
-`np.mean` and uniform packet sizes drawn as int64. Test expectations are
-frozen from these, never from the library. The exceptions read the
-library's oracle: `many_repetition_gradient`, a slow reference for the
-probed gradient (the library's estimator at a repetition count no run can
-afford, so only its precision is independent), and `least_cpu_frontier`
-with `least_fitting_link`, a slow reference for the loop: a grid search
-for the least resources each slice needs, and whether the slices fit
-together there, and `reprobed_stop`, a slow reference for the loop's
-stop: the last iterate of a finished run probed again from scratch.
+generator and a per-burst on/off generator, a slice's random stream seeded by
+numpy alone, and the plain numpy forms of two formulas the library computes
+another way: the hinge's averages by `np.mean` and uniform packet sizes drawn
+as int64. Test expectations are frozen from these, never from the library.
+The exceptions read the library's oracle: `many_repetition_gradient`, a
+slow reference for the probed gradient (the library's estimator at a
+repetition count no run can afford, so only its precision is independent),
+and `least_cpu_frontier` with `least_fitting_link`, a slow reference for the
+loop: a grid search for the least resources each slice needs, and whether
+the slices fit together there, and `reprobed_stop`, a slow reference for the
+loop's stop: the last iterate of a finished run probed again from scratch.
 """
 import itertools
 import math
 
 import numpy as np
 
-from slicelab.domain import AllocationVector
-from slicelab.oracle import derive_seed, sim_evaluate
+from slicelab.domain import AllocationVector, derive_seed
+from slicelab.oracle import sim_evaluate
 from slicelab.penalty import PenaltyModel, hinge, probed_gradient
 from slicelab.simulator import TIE_S
 
@@ -159,6 +159,12 @@ def loop_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         prev_end = start + proc
         delays.append((prev_end - c + prop_s) * 1000.0)
     return np.array(delays), served_mask
+
+
+def stream(seed, index):
+    """Slice `index`'s random stream under `seed`: PCG64 seeded by the
+    SeedSequence of the list [seed, index]."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, index])))
 
 
 def loop_poisson_arrivals(rate, horizon_s, rng):

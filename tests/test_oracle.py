@@ -15,12 +15,8 @@ from slicelab import (
     TrafficModel,
 )
 from slicelab import oracle, simulator
-from slicelab.oracle import (
-    analytic_parts,
-    derive_seed,
-    sim_evaluate,
-    sim_evaluate_all,
-)
+from slicelab.domain import derive_seed
+from slicelab.oracle import analytic_parts, sim_evaluate, sim_evaluate_all
 
 
 def spec_with(rate=100.0, demand=5e4, size=1000):

@@ -24,6 +24,7 @@ from slicelab import (
     run_osra,
 )
 from slicelab import oracle, osra, simulator
+from slicelab.domain import derive_seed
 from slicelab.scenario import scenario_from_dict, scenario_to_dict
 from slicelab.osra import (
     ZERO_GRADIENT_NORM,
@@ -335,7 +336,7 @@ class TestProbeMemory:
             assert all(pt is block[0][0] for pt, _, _ in block)
             assert isinstance(block[0][0], AllocationVector)
             assert [s for _, _, s in block] == [
-                oracle.derive_seed(oracle.derive_seed(4, 7001, k), r) for r in range(p)]
+                derive_seed(derive_seed(4, 7001, k), r) for r in range(p)]
 
     def test_replay_reproduces_samples(self):
         sc = self.scenario()
@@ -410,29 +411,22 @@ class TestProbeMemo:
         # a gradient's 10 repetitions once: 3 x 8 + 10 x 8 = 104 draws, while
         # every one of its 3 x 8 + 320 simulations still asks for its traffic
         sc = reference_scenario()
-        calls = {"slice_rng": 0, "generate_traffic": 0, "simulate_pipeline": 0}
+        calls = {"seed_sequence": 0, "generate_traffic": 0, "simulate_pipeline": 0}
         for name in calls:
             real = getattr(simulator, name)
             monkeypatch.setattr(simulator, name, lambda *a, _real=real, _name=name:
                                 calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
         res = run(sc)
         assert len(res.traces) == 8
-        assert calls == {"slice_rng": 104, "generate_traffic": 344, "simulate_pipeline": 344}
+        assert calls == {"seed_sequence": 104, "generate_traffic": 344, "simulate_pipeline": 344}
 
-    def test_three_link_passes_per_repetition(self, monkeypatch):
+    @pytest.mark.parametrize("variant, passes", [
         # seed 0 monitors 3 slices in each of 8 iterations; a repetition's
         # cpu -/+ probes share the centre link rate, so its 4 simulations
         # make 3 link passes: 3 x 8 + 3 x 10 x 8, where each made one before
-        sc = reference_scenario()
-        passes = []
-        real = simulator._link_stage
-        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
-        res = run(sc)
-        assert len(res.traces) == 8
-        assert len(passes) == 3 * 8 + 3 * 10 * 8
-
-    @pytest.mark.parametrize("variant, passes", [("reference", 264), ("cores", 264),
-                                                 ("edges", 954)])
+        ("reference", 264),
+        ("cores", 264),
+        ("edges", 954)])
     def test_a_stream_keeps_one_link_pass(self, monkeypatch, variant, passes):
         # seed 0 on the reference, with cores of 2e8 and 4e8 MIPS, and with
         # edges of 2500 and 3000 Mbps that repeat each slice's link share

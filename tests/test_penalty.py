@@ -17,8 +17,8 @@ from slicelab import (
     TrafficModel,
     run_osra,
 )
-from slicelab.domain import CAPACITY_TOL, QoeSample
-from slicelab.oracle import analytic_parts, derive_seed, sim_evaluate
+from slicelab.domain import CAPACITY_TOL, QoeSample, derive_seed
+from slicelab.oracle import analytic_parts, sim_evaluate
 from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,

@@ -131,6 +131,9 @@ class TestReferenceScenario:
         # equal is not enough: runs are compared by the digest of their pickle
         sc = load_scenario(REPO / "scenarios" / "reference.yaml")
         assert pickle.dumps(reference_scenario()) == pickle.dumps(sc)
+        # nor is the same scenario: a comment or layout edit to one copy shows here
+        shipped = (REPO / "scenarios" / "reference.yaml").read_bytes()
+        assert shipped == (REPO / "src" / "slicelab" / "reference.yaml").read_bytes()
 
     def test_package_carries_its_own_copy(self, tmp_path):
         # a copy of the package alone, outside the checkout, still finds the scenario

@@ -43,13 +43,12 @@ from slicelab.simulator import (
     run_sim,
     simulate_pipeline,
     simulate_slice,
-    slice_rng,
     stage_rates,
     summarize,
 )
 from conftest import SIZES
 from reference_impls import (HAND_SINGLE_PACKET_MS, int64_uniform_sizes, loop_onoff_arrivals,
-                             loop_pipeline, loop_poisson_arrivals)
+                             loop_pipeline, loop_poisson_arrivals, stream)
 
 # largest delay difference allowed between the running-max pipeline and the
 # per-packet loop: they sum the same times in a different order
@@ -842,8 +841,10 @@ TRAFFIC_KINDS = (dict(kind="poisson"),
 class TestTraffic:
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3])
     def test_slice_streams_are_seeded_by_seed_and_index(self, seed):
-        want = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-        assert slice_rng(seed, 2).bit_generator.state == want.bit_generator.state
+        tm = TrafficModel(kind="poisson", mean_rate=300.0, **SIZES)
+        arrivals, _ = generate_traffic(tm, 1.0, seed, 2, {})
+        want = loop_poisson_arrivals(300.0, 1.0, stream(seed, 2))
+        assert arrivals.size > 200 and np.array_equal(arrivals, want)
 
     @pytest.mark.parametrize("kind", TRAFFIC_KINDS)
     def test_a_memo_answers_a_stream_as_drawn_and_read_only(self, kind, monkeypatch):
@@ -852,8 +853,8 @@ class TestTraffic:
         memo = {}
         drawn = generate_traffic(tm, 1.0, 5, 1, memo)
         seeded = []
-        real = simulator.slice_rng
-        monkeypatch.setattr(simulator, "slice_rng", lambda *a: seeded.append(a) or real(*a))
+        real = simulator.seed_sequence
+        monkeypatch.setattr(simulator, "seed_sequence", lambda *a: seeded.append(a) or real(*a))
         kept = generate_traffic(tm, 1.0, 5, 1, memo)
         assert seeded == []
         fresh = generate_traffic(tm, 1.0, 5, 1, {})
@@ -899,8 +900,8 @@ class TestTraffic:
         tm = TrafficModel(kind="poisson", mean_rate=1.0, size_min=size_min,
                           size_max=size_max, size_dist="uniform")
         for seed in range(3):
-            got = _draw_sizes(tm, 10_000, slice_rng(seed, 0))
-            want = int64_uniform_sizes(tm, 10_000, slice_rng(seed, 0))
+            got = _draw_sizes(tm, 10_000, stream(seed, 0))
+            want = int64_uniform_sizes(tm, 10_000, stream(seed, 0))
             assert got.dtype == want.dtype == float and np.array_equal(got, want)
 
     def test_exponential_sizes(self):
@@ -932,7 +933,7 @@ class TestPoissonAgainstLoop:
         # seeds they sum to less than the horizon
         tm = TrafficModel(kind="poisson", mean_rate=50.0, **SIZES)
         arrivals, _ = generate_traffic(tm, 1.0, seed, 0, {})
-        want = loop_poisson_arrivals(50.0, 1.0, slice_rng(seed, 0))
+        want = loop_poisson_arrivals(50.0, 1.0, stream(seed, 0))
         assert arrivals.size > 76 and np.array_equal(arrivals, want)
 
     @settings(max_examples=60, deadline=None)
@@ -944,7 +945,7 @@ class TestPoissonAgainstLoop:
     def test_arrivals_bit_identical(self, seed, mean_rate, horizon_s):
         tm = TrafficModel(kind="poisson", mean_rate=mean_rate, **SIZES)
         arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
-        want = loop_poisson_arrivals(mean_rate, horizon_s, slice_rng(seed, 0))
+        want = loop_poisson_arrivals(mean_rate, horizon_s, stream(seed, 0))
         assert np.array_equal(arrivals, want)
 
 
@@ -990,7 +991,7 @@ class TestOnOffAgainstLoop:
         # the mean rate is kept under the burst envelope burst_len/off_time
         tm = bursty(burst_len, off_time_ms,
                     mean_rate=min(200.0, 0.9e3 * burst_len / max(off_time_ms, 1e-9)))
-        want = loop_onoff_arrivals(tm, horizon_s, slice_rng(seed, 0))
+        want = loop_onoff_arrivals(tm, horizon_s, stream(seed, 0))
         arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
         assert np.array_equal(arrivals, want)
 
