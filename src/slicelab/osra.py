@@ -49,8 +49,8 @@ slice are then projected jointly, column by column, onto
 
 The new slice's gradient is probed from the simulator by central
 differences (no model exists for a slice that never ran); every donor's
-gradient comes from the closed-form stationary M/M/1 model of the slice
-it already runs.
+gradient is `analytic_gradient`'s, through the closed-form stationary M/M/1
+model of the slice it already runs.
 """
 from __future__ import annotations
 

@@ -25,18 +25,20 @@ Gradients come in two flavours:
   draws the same traffic, so it can be drawn once. At a hinge kink the
   subgradient 0 is the one reported (the hinge factor is exactly zero
   there).
-* `analytic_gradient`: chain rule through the stationary queueing model's
-  closed-form partials; exact, no probing cost.
+* `analytic_gradient`: chain rule through a stationary M/M/1 chain (a
+  queue per edge and one for the server the cores make) fed at the slice's
+  mean rate; exact, no probing cost.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (CAPACITY_TOL, AllocationVector, InvariantViolation, QoeRequirement,
                      SliceSpec, Topology, derive_seed, interval_violations, whole_fields)
-from .oracle import analytic_parts
+from .simulator import stage_rates
 
 
 # the probe width's bounds, shared with OsraConfig: above CAPACITY_TOL the
@@ -126,13 +128,42 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
 
 def analytic_gradient(model: PenaltyModel, spec: SliceSpec, point: AllocationVector,
                       topology: Topology) -> np.ndarray:
-    """Exact gradient of the penalty through the stationary queueing model."""
-    delay, tp, d_delay, d_tp = analytic_parts(spec, point, topology)
-    _, slope_delay, slope_tp = hinge(model, delay, tp)
-    grad = np.zeros_like(d_delay)
-    # an inactive term is skipped: it must leave +0.0, never add a -0.0 product
-    if slope_delay:
-        grad += slope_delay * d_delay
-    if slope_tp:
-        grad += slope_tp * d_tp
+    """Exact gradient of the penalty through a stationary M/M/1 chain.
+
+    Each edge, and the server its cores make, is an M/M/1 queue whose rate
+    mu is its share (`stage_rates`) over the slice's mean work per request,
+    fed at the slice's mean rate lam. Only the partial the hinge can read
+    is worked out:
+
+    * a stable chain (every mu > lam) serves everything, so throughput is
+      1.0 and only the delay, 1000 * sum 1/(mu - lam) ms, can slope, with
+      partials -1000 * dmu/(mu - lam)**2;
+    * a saturated chain's delay is unbounded and enters at the ceiling,
+      where the hinge is flat, so only the throughput can slope: the
+      bottleneck's min(1, mu/lam), a tie going to the network side.
+    """
+    lam = spec.traffic.mean_rate
+    mean_bits = 8.0 * spec.traffic.mean_size_bytes()
+    link_rates, srv_rate = stage_rates(point, topology)
+    mu_edges, mu_srv = link_rates / mean_bits, srv_rate / spec.demand_mi
+    # d mu / d share: an edge's moves its own link, every core's the one server
+    dmu_edges, dmu_srv = topology.edge_bps / mean_bits, topology.core_mips / spec.demand_mi
+    n_e = mu_edges.size
+    # a slope of 0 adds nothing: an inactive term leaves +0.0, never a -0.0 product
+    grad = np.zeros(n_e + dmu_srv.size)
+    if (mu_edges > lam).all() and mu_srv > lam:
+        delay = 1000.0 * (np.sum(1.0 / (mu_edges - lam)) + 1.0 / (mu_srv - lam))
+        slope = hinge(model, delay, 1.0)[1]
+        if slope:
+            grad[:n_e] += slope * (-1000.0 * dmu_edges / (mu_edges - lam) ** 2)
+            grad[n_e:] += slope * (-1000.0 * dmu_srv / (mu_srv - lam) ** 2)
+        return grad
+    rates = np.append(mu_edges, mu_srv)
+    b = int(np.argmin(rates))  # the first minimum: a tie goes to an edge
+    slope = hinge(model, math.inf, min(1.0, rates[b] / lam))[2]
+    if slope:
+        if b < n_e:
+            grad[b] += slope * (dmu_edges[b] / lam)
+        else:
+            grad[n_e:] += slope * (dmu_srv / lam)
     return grad

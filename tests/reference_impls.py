@@ -2,8 +2,9 @@
 
 Everything in this file is deliberately written from first principles and
 kept separate from the package under test: brute-force QP for the capped
-simplex, the textbook M/M/1 sojourn time, a frozen hand calculation of one
-packet's delay, a scalar re-implementation of the transfer recursion, the
+simplex, the textbook M/M/1 sojourn time and a slice's delay and throughput
+through a chain of such queues, a frozen hand calculation of one packet's
+delay, a scalar re-implementation of the transfer recursion, the
 simulator's original per-packet link/server loop, a per-arrival Poisson
 generator and a per-burst on/off generator, a slice's random stream seeded by
 numpy alone, and the plain numpy forms of two formulas the library computes
@@ -66,6 +67,26 @@ def mm1_sojourn_s(lam, mu):
     """Mean time in system for a stable M/M/1 queue (seconds)."""
     assert mu > lam
     return 1.0 / (mu - lam)
+
+
+def mm1_delay_throughput(spec, point, topology):
+    """A slice's M/M/1 mean delay (ms) and throughput at allocation `point`.
+
+    Each edge is a queue that sends the slice's mean packet at its share of
+    the link's Mbps, and the cores make one server whose rate is their
+    shares' summed instructions per second over the slice's demand; every
+    stage is fed at the slice's mean rate. A stable chain gives its summed
+    mean sojourns and 1.0; otherwise inf and the slowest stage's
+    min(1, mu / lam). Plain Python floats throughout.
+    """
+    lam = float(spec.traffic.mean_rate)
+    bits = 8.0 * spec.traffic.mean_size_bytes()
+    mus = [float(f) * mbps * 1e6 / bits for f, (_, mbps) in zip(point.flows, topology.edges)]
+    mus.append(sum(float(c) * mips for c, (_, mips) in zip(point.cpu, topology.cores))
+               / spec.demand_mi)
+    if min(mus) > lam:
+        return 1000.0 * sum(mm1_sojourn_s(lam, mu) for mu in mus), 1.0
+    return math.inf, min(1.0, min(mus) / lam)
 
 
 # Frozen hand calculation (also worked on paper): 1000-byte packet on an

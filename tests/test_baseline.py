@@ -19,7 +19,8 @@ from slicelab import (
     size_all,
 )
 from slicelab.baseline import mm1_demand, pool_audits
-from slicelab.oracle import analytic_parts
+
+from reference_impls import mm1_delay_throughput
 
 
 def make_spec(sid="s", tau=2.0, rho=0.5, rate=100.0, size=1000,
@@ -54,7 +55,7 @@ class TestMm1Demand:
             spec = make_spec(tau=tau, rate=rate, demand=demand)
             vec, infeasible = mm1_demand(spec, topo)
             assert not infeasible
-            delay, tp, _, _ = analytic_parts(spec, vec, topo)
+            delay, tp = mm1_delay_throughput(spec, vec, topo)
             assert delay == pytest.approx(tau, abs=1e-9)
             assert tp == 1.0
 

@@ -34,6 +34,9 @@ such a parameter a default, and no field of `OsraConfig`, `SimConfig`,
 `Topology` or `TrafficModel` has a default other than None, which marks
 a key the traffic kind may leave out.
 
+Only the loop, `osra`, imports `oracle`: the donors' M/M/1 gradient reads
+the simulator's `stage_rates` and the hinge, not a simulated oracle.
+
 The simulator names none of numpy's Python-level wrappers that it once
 paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
 `np.column_stack`); it calls the ufunc or ndarray method instead. It also
@@ -210,6 +213,35 @@ def test_the_package_exports_two_errors():
     errors = [name for name, obj in vars(slicelab).items()
               if isinstance(obj, type) and issubclass(obj, BaseException)]
     assert sorted(errors) == ["InvariantViolation", "NonFiniteGradient"]
+
+
+def importers(module: str, sources: dict[str, str]) -> list[str]:
+    """The names of `sources` ({module name: source}) whose code imports the
+    package's `module`, relatively or by its full name, in name order."""
+    def imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from (a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                yield base
+                yield from (f"{base.rstrip('.')}.{a.name}" for a in node.names)
+    wanted = {f".{module}", f"slicelab.{module}"}
+    return sorted(name for name, source in sources.items()
+                  if wanted & set(imports(ast.parse(source))))
+
+
+def test_finds_a_second_importer_of_oracle():
+    sources = {"osra": "from .oracle import sim_evaluate\n",
+               "penalty": "import math\n\nfrom .oracle import analytic_parts\n",
+               "cli": "from . import oracle\n",
+               "demo": "def run():\n    import slicelab.oracle\n",
+               "baseline": "from .simulator import run_sim\nfrom .oracles import x\n"}
+    assert importers("oracle", sources) == ["cli", "demo", "osra", "penalty"]
+
+
+def test_only_osra_imports_oracle():
+    assert importers("oracle", {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == ["osra"]
 
 
 # what a run sets once, from its scenario or the command line: a default on

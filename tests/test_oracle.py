@@ -1,4 +1,5 @@
-"""Analytic queueing oracle and the simulator-backed oracle functions."""
+"""The M/M/1 reference the analytic gradient is checked against, and the
+simulator-backed oracle functions."""
 import dataclasses
 import math
 
@@ -16,7 +17,9 @@ from slicelab import (
 )
 from slicelab import oracle, simulator
 from slicelab.domain import derive_seed
-from slicelab.oracle import analytic_parts, sim_evaluate, sim_evaluate_all
+from slicelab.oracle import sim_evaluate, sim_evaluate_all
+
+from reference_impls import mm1_delay_throughput
 
 
 def spec_with(rate=100.0, demand=5e4, size=1000):
@@ -30,13 +33,15 @@ def spec_with(rate=100.0, demand=5e4, size=1000):
 
 
 class TestAnalyticModel:
+    """`mm1_delay_throughput`, the tests' M/M/1 model, on hand cases."""
+
     def test_two_stage_sojourn_sums(self):
         # both stage rates 1100 req/s against lambda=100: 1 ms each, 2 ms total
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 1100.0 * 5e4 / 3e8
         point = AllocationVector(np.array([1.0]), np.array([phi]))
-        delay, tp, _, _ = analytic_parts(spec, point, topo)
+        delay, tp = mm1_delay_throughput(spec, point, topo)
         assert delay == pytest.approx(2.0, rel=1e-12)
         assert tp == 1.0
 
@@ -45,7 +50,7 @@ class TestAnalyticModel:
         point = AllocationVector(np.array([1.0]), np.array([1.0]))
         for demand, want in ((5e4, 6000.0), (8e4, 3750.0)):
             spec = spec_with(demand=demand)
-            delay, tp, _, _ = analytic_parts(spec, point, topo)
+            delay, tp = mm1_delay_throughput(spec, point, topo)
             # back out mu_srv from the server sojourn after removing the link term
             mu_net = 1e5 * 1e6 / (8 * 1000)
             srv_sojourn_s = delay / 1000 - 1 / (mu_net - 100.0)
@@ -55,7 +60,7 @@ class TestAnalyticModel:
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 100.0 * 5e4 / 3e8  # mu_srv exactly lambda
-        delay, tp, _, _ = analytic_parts(
+        delay, tp = mm1_delay_throughput(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
         assert math.isinf(delay)
         assert tp == 1.0  # mu/lambda = 1 caps at 1
@@ -64,40 +69,25 @@ class TestAnalyticModel:
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 8.8),), cores=(("c", 3e8),), buffer_pkts=100)
         phi = 50.0 * 5e4 / 3e8  # server can only draw 50 req/s
-        delay, tp, _, _ = analytic_parts(
+        delay, tp = mm1_delay_throughput(
             spec, AllocationVector(np.array([1.0]), np.array([phi])), topo)
         assert math.isinf(delay)
         assert tp == pytest.approx(0.5, rel=1e-12)
 
-    def test_gradients_match_finite_differences(self):
-        spec = spec_with(rate=100.0, demand=5e4)
-        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
-        point = AllocationVector(np.array([0.5]), np.array([0.2]))
-        delay, tp, d_delay, d_tp = analytic_parts(spec, point, topo)
-        h = 1e-7
-        for d in range(2):
-            x = point.stacked()
-            up, dn = x.copy(), x.copy()
-            up[d] += h
-            dn[d] -= h
-            f = lambda v: analytic_parts(
-                spec, AllocationVector.from_stacked(v, 1), topo)[0]
-            numeric = (f(up) - f(dn)) / (2 * h)
-            assert numeric == pytest.approx(d_delay[d], rel=1e-5)
-        assert np.all(d_tp == 0.0)  # stable: throughput locally flat at 1
-
     def test_monotone_in_every_coordinate(self):
         spec = spec_with(rate=100.0, demand=5e4)
         topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
-        base = AllocationVector(np.array([0.3]), np.array([0.2]))
-        d0, t0, _, _ = analytic_parts(spec, base, topo)
-        for d in range(2):
-            x = base.stacked()
-            x[d] = min(1.0, x[d] + 0.1)
-            d1, t1, _, _ = analytic_parts(
-                spec, AllocationVector.from_stacked(x, 1), topo)
-            assert d1 <= d0
-            assert t1 >= t0
+        # a stable base, and a saturated one whose server is the bottleneck
+        for base in (AllocationVector(np.array([0.3]), np.array([0.2])),
+                     AllocationVector(np.array([0.03]), np.array([0.01]))):
+            d0, t0 = mm1_delay_throughput(spec, base, topo)
+            for d in range(2):
+                x = base.stacked()
+                x[d] = min(1.0, x[d] + 0.1)
+                d1, t1 = mm1_delay_throughput(
+                    spec, AllocationVector.from_stacked(x, 1), topo)
+                assert d1 <= d0
+                assert t1 >= t0
 
 
 class TestOracles:
@@ -169,13 +159,6 @@ class TestOracles:
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.2, propagation_ms=0.1)
         with pytest.raises(KeyError, match="'nope'"):
             sim_evaluate("nope", alloc.row("s"), [spec], topo, cfg, 5, "max", {})
-
-    def test_analytic_oracle_interface(self):
-        spec, topo, alloc = self.scenario()
-        delay, tp, d_delay, d_tp = analytic_parts(spec, alloc.row("s"), topo)
-        assert tp == 1.0
-        assert delay > 0
-        assert d_delay.shape == d_tp.shape == (2,)
 
     def test_evaluate_all_keeps_raw_delays(self):
         spec, topo, alloc = self.scenario()

@@ -18,7 +18,7 @@ from slicelab import (
     run_osra,
 )
 from slicelab.domain import CAPACITY_TOL, QoeSample, derive_seed
-from slicelab.oracle import analytic_parts, sim_evaluate
+from slicelab.oracle import sim_evaluate
 from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,
@@ -27,7 +27,7 @@ from slicelab.penalty import (
 )
 
 from conftest import make_tiny_scenario
-from reference_impls import many_repetition_gradient, mean_hinge
+from reference_impls import many_repetition_gradient, mean_hinge, mm1_delay_throughput
 
 
 def model(tau=5.0, rho=0.9, a_tau=1.0, a_rho=1.0, p=2, ceiling=1e4):
@@ -347,62 +347,124 @@ class TestProbedGradientFidelity:
         assert max(median_errors) <= 0.25
 
 
+# TestAnalyticGradient's points: (topology fields, flows, cpu, exponent,
+# ceiling). On the one 20 Mbps edge and one 3e8 MIPS core, the slice's edge
+# serves 2500 f and its server 6000 c requests/s against lambda = 100. A
+# saturated point's delay enters at a 50 ms ceiling: under 1e4 its flat term,
+# 2e8, would drown a difference quotient of the throughput term in round-off.
+TWO_BY_TWO = dict(edges=(("e1", 20.0), ("e2", 30.0)), cores=(("c1", 3e8), ("c2", 2e8)))
+GRADIENT_POINTS = {
+    # stable at 32.5 ms against the 2 ms bound
+    "delay-p1": ({}, (0.06,), (0.03,), 1, 1e4),
+    "delay-p2": ({}, (0.06,), (0.03,), 2, 1e4),
+    "saturated-server": ({}, (0.06,), (0.01,), 2, 50.0),
+    "saturated-edge": ({}, (0.03,), (0.9,), 2, 50.0),
+    # both stages at exactly 39.0625 requests/s
+    "tie": ({}, (0.015625,), (39.0625 * 5e4 / 3e8,), 2, 50.0),
+    "satisfied": ({}, (0.9,), (0.9,), 2, 1e4),
+    "ceiling-below-delay": ({}, (0.06,), (0.03,), 2, 20.0),
+    # edges at 250 and 300, the server at 240 and at 70 requests/s
+    "2x2-delay": (TWO_BY_TWO, (0.1, 0.08), (0.02, 0.03), 2, 1e4),
+    "2x2-saturated-server": (TWO_BY_TWO, (0.1, 0.08), (0.005, 0.01), 1, 50.0),
+}
+# the gradient at each point as float.hex(), signs included: no golden pin
+# reads a nonzero donor gradient of the reference sweep, so a change that
+# means to move these updates them and states the drift
+GRADIENT_BITS = {
+    "delay-p1": ["-0x1.f400000000000p+10", "-0x1.d4c0000000000p+10"],
+    "delay-p2": ["-0x1.dc90000000000p+16", "-0x1.bec7000000000p+16"],
+    "saturated-server": ["0x0.0p+0", "-0x1.7f0a3d70a3d71p+6"],
+    "saturated-edge": ["-0x1.8e66666666666p+4", "0x0.0p+0"],
+    "tie": ["-0x1.e6b3333333333p+5", "0x0.0p+0"],
+    "satisfied": ["0x0.0p+0", "0x0.0p+0"],
+    "ceiling-below-delay": ["0x0.0p+0", "0x0.0p+0"],
+    "2x2-delay": ["-0x1.d2ee643b990efp+12", "-0x1.89f9249249249p+12",
+                  "-0x1.419c5c8c509b4p+14", "-0x1.acd07b65c0cf0p+13"],
+    "2x2-saturated-server": ["0x0.0p+0", "0x0.0p+0", "-0x1.e000000000000p+6",
+                             "-0x1.4000000000000p+6"],
+}
+
+
 class TestAnalyticGradient:
-    def spec_topo(self):
+    """`analytic_gradient` against difference quotients of the hinge on the
+    tests' M/M/1 model, `mm1_delay_throughput`, in both regimes, and bit for
+    bit at GRADIENT_POINTS."""
+
+    def spec_topo(self, edges=(("e", 20.0),), cores=(("c", 3e8),)):
         spec = SliceSpec(
             id="s", requirement=QoeRequirement(tau_ms=2.0, rho=0.999),
             alpha_tau=2.0, alpha_rho=2.0,
             traffic=TrafficModel(kind="poisson", mean_rate=100.0,
                                  size_min=1000, size_max=1000, size_dist="uniform"),
             demand_mi=5e4, priority_rank=0)
-        topo = Topology(edges=(("e", 20.0),), cores=(("c", 3e8),), buffer_pkts=100)
-        return spec, topo
+        return spec, Topology(edges=edges, cores=cores, buffer_pkts=100)
 
-    def composite(self, m, spec, topo, x):
-        point = AllocationVector.from_stacked(x, 1)
-        delay, tp, _, _ = analytic_parts(spec, point, topo)
-        return penalty_at(m, delay, tp)
+    def at(self, name):
+        """(model, spec, point, topology) at GRADIENT_POINTS[name]."""
+        fields, flows, cpu, exponent, ceiling = GRADIENT_POINTS[name]
+        spec, topo = self.spec_topo(**fields)
+        m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, exponent, ceiling)
+        return m, spec, AllocationVector(np.array(flows), np.array(cpu)), topo
+
+    def quotient(self, m, spec, point, topo, d, side, h=1e-7):
+        """The hinge on the reference, differenced along coordinate d:
+        central (side 0), forward (+1) or backward (-1)."""
+        up, dn = point.stacked(), point.stacked()
+        up[d] += h * (side >= 0)
+        dn[d] -= h * (side <= 0)
+        pen = [penalty_at(m, *mm1_delay_throughput(
+            spec, AllocationVector.from_stacked(x, point.flows.size), topo)) for x in (up, dn)]
+        return (pen[0] - pen[1]) / (up[d] - dn[d])
 
     def test_matches_numeric_gradient_when_delay_hinge_active(self):
-        spec, topo = self.spec_topo()
-        # tight allocation: stable but above the 2 ms bound
-        point = AllocationVector(np.array([0.06]), np.array([0.03]))
-        for exponent in (1, 2):
-            m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, exponent, 1e4)
+        # tight allocations: stable but above the 2 ms bound
+        for name in ("delay-p1", "delay-p2", "2x2-delay"):
+            m, spec, point, topo = self.at(name)
             g = analytic_gradient(m, spec, point, topo)
-            h = 1e-7
-            for d in range(2):
-                up, dn = point.stacked(), point.stacked()
-                up[d] += h
-                dn[d] -= h
-                num = (self.composite(m, spec, topo, up)
-                       - self.composite(m, spec, topo, dn)) / (2 * h)
-                assert g[d] == pytest.approx(num, rel=1e-5)
+            for d in range(g.size):
+                assert g[d] == pytest.approx(self.quotient(m, spec, point, topo, d, 0),
+                                             rel=1e-5), (name, d)
             assert np.all(g < 0)  # more resources always reduce this penalty
 
+    @pytest.mark.parametrize("name, sides", [
+        ("saturated-server", (0, 0)), ("saturated-edge", (0, 0)),
+        ("2x2-saturated-server", (0, 0, 0, 0)),
+        # a tie goes to the edge: the quotients are taken where it is the
+        # strict bottleneck, its own share lowered or the server's raised
+        ("tie", (-1, 1)),
+    ])
+    def test_matches_numeric_gradient_when_saturated(self, name, sides):
+        m, spec, point, topo = self.at(name)
+        assert math.isinf(mm1_delay_throughput(spec, point, topo)[0])
+        g = analytic_gradient(m, spec, point, topo)
+        want = [self.quotient(m, spec, point, topo, d, side) for d, side in enumerate(sides)]
+        assert g == pytest.approx(want, rel=1e-5)
+        assert np.count_nonzero(g) == (2 if name.startswith("2x2") else 1)
+
     def test_flat_delay_term_at_the_ceiling(self):
-        spec, topo = self.spec_topo()
-        m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 1e4)
-        # starved server: unstable, delay unbounded, throughput capped
-        point = AllocationVector(np.array([0.06]), np.array([0.01]))
-        delay, tp, _, d_tp = analytic_parts(spec, point, topo)
+        # starved server: the delay enters at the ceiling, so only its
+        # throughput, 6000 c / 100, slopes
+        m, spec, point, topo = self.at("saturated-server")
+        delay, tp = mm1_delay_throughput(spec, point, topo)
         assert math.isinf(delay)
         g = analytic_gradient(m, spec, point, topo)
         short = m.requirement.rho - tp
-        want = m.alpha_rho * 2 * short * (-d_tp)
-        assert g == pytest.approx(want, rel=1e-12)
+        assert g == pytest.approx(m.alpha_rho * 2 * short * -np.array([0.0, 60.0]), rel=1e-12)
 
-        # stable, with a finite 32.5 ms delay above a 20 ms ceiling
-        low = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 20.0)
-        point = AllocationVector(np.array([0.06]), np.array([0.03]))
-        delay, tp, d_delay, _ = analytic_parts(spec, point, topo)
-        assert delay == pytest.approx(32.5) and tp == 1.0 and np.all(d_delay < 0)
+        # stable, with a finite 32.5 ms delay above a 20 ms ceiling; under the
+        # 1e4 ceiling the same point has a negative gradient
+        low, spec, point, topo = self.at("ceiling-below-delay")
+        delay, tp = mm1_delay_throughput(spec, point, topo)
+        assert delay == pytest.approx(32.5) and tp == 1.0
+        assert np.all(analytic_gradient(*self.at("delay-p2")) < 0)
         g = analytic_gradient(low, spec, point, topo)
         assert g.tolist() == [0.0, 0.0] and not np.signbit(g).any()
         assert penalty_at(low, delay, tp) == 2.0 * (20.0 - 2.0) ** 2
 
     def test_zero_when_satisfied(self):
-        spec, topo = self.spec_topo()
-        m = PenaltyModel(spec.requirement, spec.alpha_tau, spec.alpha_rho, 2, 1e4)
-        point = AllocationVector(np.array([0.9]), np.array([0.9]))
-        assert np.all(analytic_gradient(m, spec, point, topo) == 0.0)
+        g = analytic_gradient(*self.at("satisfied"))
+        assert g.tolist() == [0.0, 0.0] and not np.signbit(g).any()
+
+    @pytest.mark.parametrize("name", GRADIENT_POINTS)
+    def test_pinned_bit_for_bit(self, name):
+        assert [v.hex() for v in analytic_gradient(*self.at(name))] == GRADIENT_BITS[name]
