@@ -39,20 +39,18 @@ import yaml
 
 def parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
-        seeds = list(range(lo, hi + 1))
-    else:
-        try:
+    try:
+        if ".." in text:
+            lo, hi = map(int, text.split(".."))
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+            seeds = list(range(lo, hi + 1))
+        else:
             seeds = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-        except ValueError:
-            seeds = []
-        if not seeds:
-            raise argparse.ArgumentTypeError(
-                f"seeds must be like '0,1,2' or '0..9', got {text!r}")
+    except ValueError:  # a token int() refuses, or a range of other than two ends
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seeds must be like '0,1,2' or '0..9', got {text!r}")
     if min(seeds) < 0:
         raise argparse.ArgumentTypeError(f"seeds must be non-negative, got {text!r}")
     if len(set(seeds)) != len(seeds):

@@ -344,6 +344,15 @@ class Topology(ArrayValue):
     def n_cores(self) -> int:
         return len(self.cores)
 
+    def width_violations(self, n_flows: int, n_cpu: int) -> list[tuple[str, str]]:
+        """(field, message) for "flows" unless n_flows is the number of edges,
+        and for "cpu" unless n_cpu is the number of cores: the one width rule
+        of an allocation row or matrix."""
+        return [(name, f"{name} must hold one entry per topology {kind} ({want}), got {have}")
+                for name, have, want, kind in (("flows", n_flows, self.n_edges, "edge"),
+                                               ("cpu", n_cpu, self.n_cores, "core"))
+                if have != want]
+
 
 @dataclass(frozen=True, eq=False)
 class AllocationVector(ArrayValue):
@@ -364,11 +373,6 @@ class AllocationVector(ArrayValue):
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.flows, self.cpu])
-
-    @classmethod
-    def from_stacked(cls, vec, n_edges: int) -> "AllocationVector":
-        vec = np.asarray(vec, dtype=float)
-        return cls(flows=vec[:n_edges], cpu=vec[n_edges:])
 
 
 def _entry_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:

@@ -140,9 +140,19 @@ def order_key(spec):
     return (spec.priority_rank, spec.id)
 
 
-def donors_of(slices, new) -> tuple:
-    """The slices ordered after `new`, the ones it may draw resources from."""
-    return tuple(s for s in slices if order_key(s) > order_key(new))
+def new_slice_and_donors(slices, new_slice_id: str) -> tuple:
+    """(the new slice, its donors): the slice of `slices` with id
+    `new_slice_id`, and the slices ordered after it, the ones it may draw
+    resources from. InvariantViolation, keyed "new_slice", if there is no
+    such slice or it has no donors."""
+    new = {s.id: s for s in slices}.get(new_slice_id)
+    if new is None:
+        raise InvariantViolation([("new_slice", f"new_slice {new_slice_id!r} is not a slice id")])
+    donors = tuple(s for s in slices if order_key(s) > order_key(new))
+    if not donors:
+        raise InvariantViolation([("new_slice", f"new slice {new_slice_id!r} has no "
+                                                f"lower-priority slices")])
+    return new, donors
 
 
 def transfer_step(donor_grads: dict, new_grad: np.ndarray, eta: float,
@@ -203,17 +213,11 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     iteration is the `max_iters`-th (the traced iterate, which the run
     measured, is then final), otherwise apply and project. All
     randomness derives from `seed`; reruns are bit-identical. `memory`, a
-    `ProbeMemory` when given, receives every probe.
+    `ProbeMemory` when given, receives every probe. A new slice that is
+    unknown or has no donors raises `new_slice_and_donors`' InvariantViolation.
     """
     slices = tuple(slices)
-    by_id = {s.id: s for s in slices}
-    if new_slice_id not in by_id:
-        raise KeyError(f"new slice {new_slice_id!r} not in scenario")
-    new = by_id[new_slice_id]
-    donors = donors_of(slices, new)
-    if not donors:
-        raise ValueError(
-            f"new slice {new_slice_id!r} has no lower-priority slices to draw from")
+    new, donors = new_slice_and_donors(slices, new_slice_id)
 
     models = {
         s.id: PenaltyModel(requirement=s.requirement, alpha_tau=s.alpha_tau,

@@ -114,12 +114,13 @@ def probed_gradient(model: PenaltyModel, oracle, point: AllocationVector,
     hi = np.clip(base + delta, 0.0, 1.0)
 
     seeds = [derive_seed(seed_base, r) for r in range(int(probes))]
+    n = point.flows.size
     pen = np.empty((base.size, 2))
     for d in range(base.size):
         for side, x in enumerate((lo[d], hi[d])):
             vec = base.copy()
             vec[d] = x
-            pv = AllocationVector.from_stacked(vec, point.flows.size)
+            pv = AllocationVector(vec[:n], vec[n:])
             samples = [oracle(pv, seed) for seed in seeds]
             pen[d, side] = hinge(model, [s.delay_stat_ms for s in samples],
                                  [s.throughput for s in samples])[0]

@@ -33,7 +33,7 @@ from .domain import (
     TrafficModel,
     UNBOUNDED,
 )
-from .osra import OsraConfig, donors_of
+from .osra import OsraConfig, new_slice_and_donors
 from .simulator import SimConfig
 
 
@@ -50,12 +50,8 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(self.slices))
 
-    @property
-    def new_slice(self) -> SliceSpec:
-        return {s.id: s for s in self.slices}[self.new_slice_id]
-
     def donors(self) -> tuple:
-        return donors_of(self.slices, self.new_slice)
+        return new_slice_and_donors(self.slices, self.new_slice_id)[1]
 
     def validate(self) -> "ScenarioConfig":
         """Every cross-cutting invariant; raises listing all failures, each by its key."""
@@ -67,30 +63,24 @@ class ScenarioConfig:
         if set(alloc.slice_ids) != set(ids):
             errs.append(("initial_alloc", f"allocation rows {sorted(alloc.slice_ids)} "
                                           f"do not match slices {sorted(ids)}"))
-        for kind, have, want in (("edge", alloc.n_edges, topo.n_edges),
-                                 ("core", alloc.n_cores, topo.n_cores)):
-            if have != want:
-                errs.append(("initial_alloc",
-                             f"allocation has {have} {kind} columns, topology {want}"))
-        if self.new_slice_id not in ids:
-            errs.append(("new_slice", f"new_slice {self.new_slice_id!r} is not a slice id"))
-        else:
-            new = self.new_slice
-            where = f"slice {new.id!r}"
-            donors = self.donors()
-            if not donors:
-                errs.append(("new_slice",
-                             f"new slice {self.new_slice_id!r} has no lower-priority slices"))
-            for d in donors:
-                if new.alpha_rho <= d.alpha_rho:
-                    errs.append((f"{where}.alpha_rho",
-                                 f"alpha_rho of new slice ({new.alpha_rho}) must exceed "
-                                 f"lower-priority {d.id!r} ({d.alpha_rho})"))
-                if (new.requirement.bounded and d.requirement.bounded
-                        and new.alpha_tau <= d.alpha_tau):
-                    errs.append((f"{where}.alpha_tau",
-                                 f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
-                                 f"lower-priority {d.id!r} ({d.alpha_tau})"))
+        errs += [(f"initial_alloc.{field}", msg)
+                 for field, msg in topo.width_violations(alloc.n_edges, alloc.n_cores)]
+        try:
+            new, donors = new_slice_and_donors(self.slices, self.new_slice_id)
+        except InvariantViolation as e:
+            errs += e.violations
+            donors = ()
+        where = f"slice {self.new_slice_id!r}"
+        for d in donors:
+            if new.alpha_rho <= d.alpha_rho:
+                errs.append((f"{where}.alpha_rho",
+                             f"alpha_rho of new slice ({new.alpha_rho}) must exceed "
+                             f"lower-priority {d.id!r} ({d.alpha_rho})"))
+            if (new.requirement.bounded and d.requirement.bounded
+                    and new.alpha_tau <= d.alpha_tau):
+                errs.append((f"{where}.alpha_tau",
+                             f"alpha_tau of new slice ({new.alpha_tau}) must exceed "
+                             f"lower-priority {d.id!r} ({d.alpha_tau})"))
         InvariantViolation.check(errs)
         return self
 
@@ -160,21 +150,17 @@ def _to_dict(obj, **by_hand) -> dict:
     return out
 
 
-def _tau_from_yaml(value):
-    """null and "unbounded" are UNBOUNDED; any other value goes to QoeRequirement."""
-    return UNBOUNDED if value is None or value == "unbounded" else value
-
-
 def _slice_from_dict(d) -> SliceSpec:
     sid = str(_req(d, "id", "slices[]"))
     where = f"slice {sid!r}"
     _mapping(d, where, ("id", "priority_rank", "tau_ms", "rho", "alpha_tau",
                         "alpha_rho", "demand_mi", "traffic"))
+    tau = _req(d, "tau_ms", where)  # null and "unbounded" are UNBOUNDED
     return _build(
         SliceSpec, where,
         id=sid,
         requirement=_build(QoeRequirement, where,
-                           tau_ms=_tau_from_yaml(_req(d, "tau_ms", where)),
+                           tau_ms=UNBOUNDED if tau is None or tau == "unbounded" else tau,
                            rho=_req(d, "rho", where)),
         alpha_tau=_req(d, "alpha_tau", where),
         alpha_rho=_req(d, "alpha_rho", where),
@@ -187,12 +173,8 @@ def _slice_from_dict(d) -> SliceSpec:
 def _alloc_row_from_dict(d, where, topology) -> AllocationVector:
     """One initial_alloc row, with one entry per edge and per core of `topology`."""
     row = _from_dict(AllocationVector, d, where)
-    for name, want, kind in (("flows", topology.n_edges, "edge"),
-                             ("cpu", topology.n_cores, "core")):
-        have = getattr(row, name).size
-        if have != want:
-            raise InvariantViolation([(f"{where}.{name}", f"{where}.{name}: need one entry "
-                                       f"per topology {kind} ({want}), got {have}")])
+    _build(InvariantViolation.check, where,
+           violations=topology.width_violations(row.flows.size, row.cpu.size))
     return row
 
 

@@ -375,11 +375,8 @@ def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
     and one cpu entry per core; a row is not broadcast over another chain.
     """
     edge_bps, core_mips = topology.edge_bps, topology.core_mips
-    for name, entries, rates, kind in (("flows", row.flows, edge_bps, "edge"),
-                                       ("cpu", row.cpu, core_mips, "core")):
-        if entries.size != rates.size:
-            raise InvariantViolation([(name, f"{name}: {entries.size} columns for the "
-                                             f"topology's {rates.size} {kind}(s)")])
+    if row.flows.size != edge_bps.size or row.cpu.size != core_mips.size:
+        raise InvariantViolation(topology.width_violations(row.flows.size, row.cpu.size))
     return row.flows * edge_bps, math.fsum((row.cpu * core_mips).tolist())
 
 

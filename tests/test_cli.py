@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,12 @@ class TestParseSeeds:
             parse_seeds("9..3")
         with pytest.raises(argparse.ArgumentTypeError, match="seeds must be"):
             parse_seeds(",")
+        # a malformed range gets the same message, not int()'s ValueError
+        for text in ("0..", "a..b", "0..2..3", "0..3,5"):
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match=re.escape(f"seeds must be like '0,1,2' or '0..9', "
+                                               f"got {text!r}")):
+                parse_seeds(text)
 
     @pytest.mark.parametrize("text", ["-1", "0,-2", "-3..2", "-5..-1"])
     def test_negative_seed_rejected(self, text):

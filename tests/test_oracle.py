@@ -84,8 +84,7 @@ class TestAnalyticModel:
             for d in range(2):
                 x = base.stacked()
                 x[d] = min(1.0, x[d] + 0.1)
-                d1, t1 = mm1_delay_throughput(
-                    spec, AllocationVector.from_stacked(x, 1), topo)
+                d1, t1 = mm1_delay_throughput(spec, AllocationVector(x[:1], x[1:]), topo)
                 assert d1 <= d0
                 assert t1 >= t0
 

@@ -267,9 +267,20 @@ class TestRunOsra:
 
     def test_unknown_new_slice(self):
         sc = make_tiny_scenario()
-        with pytest.raises(KeyError):
+        with pytest.raises(InvariantViolation, match="'ghost' is not a slice id"):
             run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
                      "ghost", sc.osra, seed=0)
+
+    @pytest.mark.parametrize("new_slice_id", ["ghost", "donor"], ids=["unknown", "no-donors"])
+    def test_a_bad_new_slice_is_refused_as_validate_refuses_it(self, new_slice_id):
+        sc = make_tiny_scenario()
+        with pytest.raises(InvariantViolation) as checked:
+            dataclasses.replace(sc, new_slice_id=new_slice_id).validate()
+        with pytest.raises(InvariantViolation) as ran:
+            run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,
+                     new_slice_id, sc.osra, seed=0)
+        assert ran.value.violations == checked.value.violations
+        assert [field for field, _ in ran.value.violations] == ["new_slice"]
 
     def test_non_finite_gradient_names_slice_and_iteration(self, monkeypatch):
         real = osra.probed_gradient

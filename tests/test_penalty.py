@@ -19,6 +19,7 @@ from slicelab import (
 )
 from slicelab.domain import CAPACITY_TOL, QoeSample, derive_seed
 from slicelab.oracle import sim_evaluate
+from slicelab.osra import new_slice_and_donors
 from slicelab.penalty import (
     PenaltyModel,
     analytic_gradient,
@@ -319,7 +320,7 @@ class TestProbedGradientFidelity:
 
     def test_shipped_probes_track_the_reference(self, reference_sweep):
         sc, results, _ = reference_sweep
-        new, cfg = sc.new_slice, sc.osra
+        new, cfg = new_slice_and_donors(sc.slices, sc.new_slice_id)[0], sc.osra
         m = PenaltyModel(new.requirement, new.alpha_tau, new.alpha_rho,
                          cfg.penalty_exponent, cfg.delay_ceiling_ms)
         norm = np.linalg.norm
@@ -412,8 +413,9 @@ class TestAnalyticGradient:
         up, dn = point.stacked(), point.stacked()
         up[d] += h * (side >= 0)
         dn[d] -= h * (side <= 0)
+        n = point.flows.size
         pen = [penalty_at(m, *mm1_delay_throughput(
-            spec, AllocationVector.from_stacked(x, point.flows.size), topo)) for x in (up, dn)]
+            spec, AllocationVector(x[:n], x[n:]), topo)) for x in (up, dn)]
         return (pen[0] - pen[1]) / (up[d] - dn[d])
 
     def test_matches_numeric_gradient_when_delay_hinge_active(self):

@@ -32,6 +32,7 @@ from slicelab import (
     run_osra,
 )
 from slicelab.scenario import scenario_from_dict, scenario_to_dict
+from slicelab.simulator import stage_rates
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -348,6 +349,30 @@ class TestMalformed:
 
 
 class TestCrossCuttingInvariants:
+    @pytest.mark.parametrize("field, text", [
+        ("flows", "flows must hold one entry per topology edge (1), got 2"),
+        ("cpu", "cpu must hold one entry per topology core (2), got 3"),
+    ], ids=["flows", "cpu"])
+    def test_a_row_of_another_width_gets_one_message(self, field, text):
+        # the reader, validate and stage_rates word the mismatch alike
+        data = ref_dict()
+        data["initial_alloc"]["slice1"][field].append(0.0)
+        with pytest.raises(InvariantViolation) as read:
+            scenario_from_dict(data)
+        sc = reference_scenario()
+        a = sc.initial_alloc
+        pad = lambda x: np.hstack([x, np.zeros((len(x), 1))])
+        wide = AllocationMatrix(a.slice_ids, pad(a.flows) if field == "flows" else a.flows,
+                                pad(a.cpu) if field == "cpu" else a.cpu)
+        with pytest.raises(InvariantViolation) as validated:
+            dataclasses.replace(sc, initial_alloc=wide).validate()
+        with pytest.raises(InvariantViolation) as rated:
+            stage_rates(wide.row("slice1"), sc.topology)
+        key = f"initial_alloc.slice1.{field}"
+        assert read.value.violations == [(key, f"{key}: {text}")]
+        assert validated.value.violations == [(f"initial_alloc.{field}", text)]
+        assert rated.value.violations == [(field, text)]
+
     def test_new_slice_needs_donors(self):
         data = ref_dict()
         for s in data["slices"]:

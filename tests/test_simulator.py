@@ -796,8 +796,8 @@ class TestRunSim:
         assert rate([a, b]) == rate([b, a])
 
     @pytest.mark.parametrize("widen, message", [
-        ("flows", r"flows: 2 columns for the topology's 1 edge\(s\)"),
-        ("cpu", r"cpu: 3 columns for the topology's 2 core\(s\)"),
+        ("flows", r"flows must hold one entry per topology edge \(1\), got 2"),
+        ("cpu", r"cpu must hold one entry per topology core \(2\), got 3"),
     ], ids=["flows", "cpu"])
     def test_a_row_of_another_width_is_refused(self, widen, message):
         # a row is never broadcast over another chain: with a second, all-zero
