@@ -14,8 +14,10 @@ over full-length arrays made once and updated in place. The link's departure
 array is its only queue state: it finds its buffer full by comparing each
 arrival with the departure buffer_pkts packets before it, and runs each
 overflow episode (from the first arrival that may find the buffer full until
-one finds the link idle) buffer_pkts accepted packets at a time, summing
-each departure in the order a per-packet loop would.
+one finds the link idle) packet by packet in compiled C (`episode.c`, built
+and loaded by `native`), or, where that does not load, in numpy,
+buffer_pkts accepted packets at a time (`_overflow_blocks`); both sum each
+departure in the order a per-packet loop would, so both give the same bits.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -34,6 +36,7 @@ import numpy as np
 
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
                      TrafficModel, interval_violations, seed_sequence)
+from .native import load_episode
 
 
 # packets per link window after an overflow; a window that drops nothing
@@ -44,6 +47,9 @@ _RESTART_WINDOW = 256
 TIE_S = 1e-9
 
 _INT32_MAX = 2**31 - 1
+
+# the compiled overflow episode, or None: then numpy's `_overflow_blocks` runs
+_EPISODE = load_episode()
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
@@ -226,12 +232,15 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         served_mask = np.ones(arrivals.size, dtype=bool)
         times, created = arrivals, arrivals
         # link stages in series, each with its own finite buffer
-        for rate in link_rates_bps:
+        last = len(link_rates_bps) - 1
+        for e, rate in enumerate(link_rates_bps):
             times, blocked = _link_stage(times, sizes, rate, buffer_pkts)
             if blocked:  # only an overflow episode drops a packet
                 survived = ~np.isnan(times)
                 served_mask[served_mask] = survived
-                times, sizes, created = times[survived], sizes[survived], created[survived]
+                times, created = times[survived], created[survived]
+                if e < last:  # the server reads no size
+                    sizes = sizes[survived]
         kept = times, served_mask, created
         if links is not None:
             for array in kept:
@@ -274,9 +283,10 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
     transmission times tx; each window's cumulative sum overwrites its tx,
     and an overflow episode first remakes the tx it reads. `_lindley` runs
-    one window of packets at a time, from the departure before it. Dropped
-    packets get a NaN departure. Returns the departures and whether an
-    overflow episode ran; without one, no packet was dropped.
+    one window of packets at a time, from the departure before it, and
+    `_EPISODE`, or `_overflow_blocks` without it, each overflow episode.
+    Dropped packets get a NaN departure. Returns the departures and whether
+    an overflow episode ran; without one, no packet was dropped.
 
     dep is the only state carried between windows. Arrival i finds
     buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
@@ -288,6 +298,7 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     arrival it sees the buffer full, an overflow episode that applies TIE_S
     runs until an arrival finds the link idle.
     """
+    t = np.ascontiguousarray(t, dtype=float)  # the compiled episode reads it by address
     n, b = t.size, buffer_pkts
     bytes_per_s = rate / 8.0  # exact, so tx is sizes * 8 / rate to the bit
     tx = sizes / bytes_per_s
@@ -308,8 +319,13 @@ def _link_stage(t, sizes, rate, buffer_pkts):
         if f < m and full[f - lo]:
             if tie is None:
                 tie = t + TIE_S
+                # read once: each .ctypes.data costs a microsecond or more
+                at = [array.ctypes.data for array in (t, tie, tx, dep)]
             tx[i + f:j] = sizes[i + f:j] / bytes_per_s
-            i = _overflow_blocks(t, tie, tx, i + f, b, dep)
+            if _EPISODE is None:
+                i = _overflow_blocks(t, tie, tx, i + f, b, dep)
+            else:
+                i = _EPISODE(*at, i + f, n, b)
             width = _RESTART_WINDOW
         else:
             i, width = j, 2 * width
@@ -318,7 +334,8 @@ def _link_stage(t, sizes, rate, buffer_pkts):
 
 
 def _overflow_blocks(t, tie, tx, k, buffer_pkts, dep):
-    """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time.
+    """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time:
+    `_link_stage`'s episode where the compiled one did not load.
 
     Writes dep from k on (NaN for a drop); dep is its only state. A
     departure at most TIE_S after an arrival leaves the queue first but

@@ -229,6 +229,11 @@ def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
     assert np.array_equal(served, want_served)
     assert delays.shape == want_delays.shape
     np.testing.assert_allclose(delays, want_delays, rtol=0.0, atol=tol_ms)
+    # numpy's episodes, where no compiled one loads, give the same bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_EPISODE", None)
+        fallback = simulate_pipeline(*args)
+    assert [delays.tobytes(), served.tobytes()] == [a.tobytes() for a in fallback]
 
 
 link_rate = st.one_of(st.just(0.0), st.floats(1e4, 1e7))
@@ -369,6 +374,134 @@ class TestPipelineAgainstLoop:
         arrivals, sizes = generate_traffic(tm, 500.0, 1, 0, {})
         assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
                             0.3 * 3e8, 1e4, 0.1)
+
+
+needs_kernel = pytest.mark.skipif(simulator._EPISODE is None,
+                                  reason="no compiled episode loaded")
+
+
+def episodes(t, sizes, rate, b, kernel):
+    """_link_stage's (departures, blocked) with the compiled episode or with
+    numpy's, and each episode it ran as (first arrival, the one it ended at)."""
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        if kernel:
+            run = simulator._EPISODE
+            mp.setattr(simulator, "_EPISODE", lambda *a: ran.append((a[4], run(*a))) or ran[-1][1])
+        else:
+            run = simulator._overflow_blocks
+            mp.setattr(simulator, "_EPISODE", None)
+            mp.setattr(simulator, "_overflow_blocks",
+                       lambda *a: ran.append((a[3], run(*a))) or ran[-1][1])
+        dep, blocked = _link_stage(t, sizes, rate, b)
+    return dep, blocked, ran
+
+
+def assert_three_agree(arrivals, sizes, rate, b, tol_ms):
+    """The compiled and numpy episodes run the same episodes and give the
+    same departures to the bit, and the pipeline agrees with the loop
+    (`assert_matches_loop`). Returns the episodes run."""
+    t, sizes = np.asarray(arrivals, dtype=float), np.asarray(sizes, dtype=float)
+    dep, blocked, ran = episodes(t, sizes, rate, b, kernel=True)
+    dep0, blocked0, ran0 = episodes(t, sizes, rate, b, kernel=False)
+    assert dep.tobytes() == dep0.tobytes()
+    assert (blocked, ran) == (blocked0, ran0)
+    # a server of 1/64 s per packet: its sums are exact, so on a binary
+    # grid only the link can part the delays from the loop's
+    assert_matches_loop(t, sizes, [rate], b, 64.0, 1.0, 0.0, tol_ms=tol_ms)
+    return ran
+
+
+@needs_kernel
+class TestEpisodeAgainstNumpyAndLoop:
+    """The compiled overflow episode against numpy's and the per-packet loop."""
+
+    @pytest.mark.parametrize("buffer_pkts", range(1, 51))
+    def test_every_buffer_from_1_to_50(self, buffer_pkts):
+        rng = np.random.default_rng(buffer_pkts)
+        arrivals = np.add.accumulate(rng.exponential(1e-3, 3000))
+        sizes = rng.uniform(20.0, 2000.0, arrivals.size)
+        rate = 8.0 * sizes.mean() / 1e-3 / 1.5
+        assert assert_three_agree(arrivals, sizes, rate, buffer_pkts, 1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000),
+           buffer_pkts=st.integers(1, 50))
+    def test_arrivals_on_departure_instants(self, seed, n, buffer_pkts):
+        # every time a multiple of 1/64 s: arrivals land exactly on
+        # departures, the ties TIE_S settles, and every path agrees exactly
+        rng = np.random.default_rng(seed)
+        arrivals = np.add.accumulate(rng.integers(0, 8, n)) / 64.0
+        assert_three_agree(arrivals, rng.integers(1, 8, n), 512.0, buffer_pkts, 0.0)
+
+    @pytest.mark.parametrize("buffer_pkts", [1, 2, 40])
+    def test_departures_just_after_arrivals(self, buffer_pkts):
+        # a packet every 0.25 s on a link that takes 0.5 s each, the first
+        # 5e-10 s longer: every departure in the overflow lands inside TIE_S
+        # after an arrival, and lets it in
+        sizes = np.ones(400)
+        sizes[0] += 1e-9
+        ran = assert_three_agree(np.arange(400) * 0.25, sizes, 16.0, buffer_pkts, 1e-6)
+        assert ran[-1][1] == 400
+
+    @pytest.mark.parametrize("later", [0, 1], ids=["at-TIE_S", "past-TIE_S"])
+    @pytest.mark.parametrize("buffer_pkts", [1, 2])
+    def test_a_departure_at_most_TIE_S_after_an_arrival_frees_its_slot(self, buffer_pkts,
+                                                                         later):
+        # at 8 b/s a packet's tx is its size: the first one departs exactly
+        # at the last arrival plus TIE_S, as rounded, or one ulp later
+        tie = 0.25 + simulator.TIE_S
+        size0 = np.nextafter(tie, 1.0) if later else tie
+        arrivals = np.array([0.0] * buffer_pkts + [0.25])
+        sizes = np.array([size0] + [0.5] * buffer_pkts)
+        ran = assert_three_agree(arrivals, sizes, 8.0, buffer_pkts, 1e-6)
+        served = simulate_pipeline(arrivals, sizes, [8.0], buffer_pkts, 64.0, 1.0, 0.0)[1]
+        assert ran and served[-1] == (not later)
+
+    @pytest.mark.parametrize("buffer_pkts", [1, 2, 7, 50, 10**6])
+    def test_an_episode_that_reaches_the_end_of_the_array(self, buffer_pkts):
+        # a packet per ms, each taking 2.5 ms, and 60 more at the last
+        # instant: the link is busy when they come, so the last episode drops
+        # them all and ends with the array; a buffer longer than the stream
+        # never overflows
+        arrivals = np.append(np.arange(3000), np.full(60, 2999)) * 1e-3
+        ran = assert_three_agree(arrivals, np.full(arrivals.size, 312.5), 1e6, buffer_pkts, 1e-6)
+        assert ran[-1][1] == arrivals.size if buffer_pkts < arrivals.size else ran == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**20), kind=st.sampled_from(["poisson", "bursty-onoff"]),
+           load=st.floats(0.5, 3.0), buffer_pkts=st.integers(1, 50))
+    def test_random_streams(self, seed, kind, load, buffer_pkts):
+        bursts = dict(burst_len=8.0, off_time_ms=38.0) if kind == "bursty-onoff" else {}
+        tm = TrafficModel(kind=kind, mean_rate=200.0, **bursts, **SIZES)
+        arrivals, sizes = generate_traffic(tm, 8.0, seed, 0, {})
+        rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / load
+        assert_three_agree(arrivals, sizes, rate, buffer_pkts, 1e-6)
+
+    def test_strided_arrivals_run_as_their_contiguous_copy(self):
+        # the kernel reads arrays by address, so a strided view must not reach it
+        rng = np.random.default_rng(5)
+        arrivals = np.add.accumulate(rng.exponential(1e-3, 4000))
+        sizes = rng.uniform(20.0, 2000.0, arrivals.size)
+        rate = 8.0 * sizes.mean() / 1e-3 / 2.0
+        args = ([rate], 3, 3e8, 1e4, 0.1)
+        got = simulate_pipeline(arrivals[::2], sizes[::2], *args)
+        want = simulate_pipeline(arrivals[::2].copy(), sizes[::2].copy(), *args)
+        assert not got[1].all()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.fixture(scope="class")
+def numpy_episodes():
+    """No compiled episode: `_link_stage` runs numpy's `_overflow_blocks`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_EPISODE", None)
+        yield
+
+
+@pytest.mark.usefixtures("numpy_episodes")
+class TestPipelineWithNumpyEpisodes(TestPipeline):
+    """TestPipeline's hand cases on the fallback path."""
 
 
 def scalar_lindley(t, s, before):
