@@ -1,11 +1,11 @@
-"""The link stage's overflow episode compiled from `episode.c`, through ctypes.
+"""The simulator's per-packet passes compiled from `pipeline.c`, through ctypes.
 
-`load_episode` builds `episode.c` once with the system C compiler into the
+`load_pipeline` builds `pipeline.c` once with the system C compiler into the
 per-user cache `~/.cache/slicelab` and loads it from there. The file's name
 holds a digest of the source and of the compile command, so an edit of
 either builds a new file, and a file built from another source is never
 loaded. Where no compiler is found, or the build or the load fails, it
-returns None and the simulator runs numpy's block loop instead.
+returns None and the simulator runs each pass in numpy instead.
 
 Loading imports nothing numpy has not loaded already; building imports
 `subprocess`.
@@ -17,28 +17,36 @@ import tempfile
 import zlib
 from pathlib import Path
 
-SOURCE = Path(__file__).with_name("episode.c")
+SOURCE = Path(__file__).with_name("pipeline.c")
 # no fast-math, and no fused multiply-add: each sum rounds as numpy's does
 COMMAND = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
 
 
-def load_episode():
-    """`overflow_episode(t, tie, tx, dep, k, n, b)` from the cache, built
-    there first if missing (its contract: `episode.c`), or None."""
+def load_pipeline():
+    """The library of `link_pass`, `server_pass` and `expand_bursts` from
+    the cache, built there first if missing (their contracts: `pipeline.c`),
+    or None. Arrays pass as raw addresses (c_void_p): a data_as pointer per
+    call costs more."""
     try:
         key = SOURCE.read_bytes() + "\0".join(COMMAND).encode()
         path = (Path.home() / ".cache" / "slicelab"
-                / f"episode-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
+                / f"pipeline-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
         if not (path.is_file() or _built(path)):
             return None
-        episode = ctypes.CDLL(str(path)).overflow_episode
-    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        lib = ctypes.CDLL(str(path))
+        address, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        signatures = {
+            "link_pass": ((address, address, real, address, count, count, count, real), count),
+            "server_pass": ((address, address, real, real, address, count), count),
+            "expand_bursts": ((address, address, count, real, address), None),
+        }
+        for name, (argtypes, restype) in signatures.items():
+            function = getattr(lib, name)
+            function.argtypes, function.restype = argtypes, restype
+    except (OSError, AttributeError, RuntimeError):  # RuntimeError: no home directory
         return None
-    # raw addresses as c_void_p: a data_as pointer per call costs more
-    episode.argtypes = (ctypes.c_void_p,) * 4 + (ctypes.c_int64,) * 3
-    episode.restype = ctypes.c_int64
-    return episode
+    return lib
 
 
 def _built(path):

@@ -9,21 +9,25 @@ arrival at the same instant claims one. A departure at most TIE_S after an
 arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
-Both stages run Lindley's recursion as one numpy running max (`_lindley`)
-over full-length arrays made once and updated in place. The link's departure
-array is its only queue state: it finds its buffer full by comparing each
-arrival with the departure buffer_pkts packets before it, and runs each
-overflow episode (from the first arrival that may find the buffer full until
-one finds the link idle) packet by packet in compiled C (`episode.c`, built
-and loaded by `native`), or, where that does not load, in numpy,
-buffer_pkts accepted packets at a time (`_overflow_blocks`); both sum each
-departure in the order a per-packet loop would, so both give the same bits.
+Both stages run Lindley's recursion packet by packet in compiled C
+(`pipeline.c`, built and loaded by `native`), and so does the on/off
+generator's burst expansion. Where that does not load, numpy runs each:
+Lindley's recursion as one running max (`_lindley`) over full-length arrays
+made once and updated in place, and each link overflow episode buffer_pkts
+accepted packets at a time (`_overflow_blocks`). Both paths make each sum
+and product in the same order, so both give the same bits. The link's
+departure array is its only queue state: it finds its buffer full by
+comparing each arrival with the departure buffer_pkts packets before it,
+and runs each overflow episode from the first arrival that may find the
+buffer full until one finds the link idle.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
 statistics. Every offered request is either served or dropped: the run
 drains all queues after the horizon, and slices with a zero-rate stage
-count their stranded requests as dropped.
+count their stranded requests as dropped. A share so small that a delay
+overflows ends the simulation with an InvariantViolation that names the
+slice (`simulate_slice`), on either path.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import numpy as np
 
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
                      TrafficModel, interval_violations, seed_sequence)
-from .native import load_episode
+from .native import load_pipeline
 
 
 # packets per link window after an overflow; a window that drops nothing
@@ -48,8 +52,8 @@ TIE_S = 1e-9
 
 _INT32_MAX = 2**31 - 1
 
-# the compiled overflow episode, or None: then numpy's `_overflow_blocks` runs
-_EPISODE = load_episode()
+# the compiled per-packet passes (`pipeline.c`), or None: then numpy runs each
+_PIPELINE = load_pipeline()
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
@@ -173,10 +177,15 @@ def _onoff_arrivals(model, horizon_s, rng):
         return np.empty(0)
     starts, counts = _joined(starts), _joined(counts)
     # expand each burst into gap-spaced packets: packet k of a burst that
-    # starts at time s with packet index first arrives at s + (k - first) * gap,
-    # and one repeat carries the row (s, first) to every packet (two repeats,
-    # as in the per-burst reference, fault in fresh pages on every
-    # 10^5-packet call)
+    # starts at time s with packet index first arrives at (k - first) * gap + s
+    if _PIPELINE is not None:
+        arrivals = np.empty(int(counts.sum()))
+        _PIPELINE.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
+                                arrivals.ctypes.data)
+        return _before(arrivals, horizon_s)
+    # one repeat carries the row (s, first) to every packet (two repeats, as
+    # in the per-burst reference, fault in fresh pages on every 10^5-packet
+    # call)
     first = np.add.accumulate(counts) - counts
     rows = np.empty((starts.size, 2))
     rows[:, 0] = starts
@@ -207,7 +216,9 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     to. Returns (delays_ms of served packets in arrival order of survivors,
     served_mask over all offered packets). A zero-rate stage strands every
     packet (served_mask all False). buffer_pkts is a whole number >= 1 (a
-    float one is used as its int), else InvariantViolation names it.
+    float one is used as its int), else InvariantViolation names it. A
+    delay that is not finite (a share so small that a time overflows)
+    raises OverflowError.
 
     `links`, a dict given only with one stream's read-only arrays, holds its
     latest link pass (see `oracle.sim_evaluate`); without it nothing is
@@ -219,8 +230,9 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     key = (np.asarray(link_rates_bps, dtype=float).tobytes(), buffer_pkts)
     kept = None if links is None else links.get(key)
     if kept is None:
-        arrivals = np.asarray(arrivals, dtype=float)
-        sizes = np.asarray(sizes_bytes, dtype=float)
+        # contiguous, since the compiled passes read arrays by address
+        arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
         if arrivals.shape != sizes.shape:
             raise ValueError(f"arrivals and sizes_bytes differ in length: "
                              f"{len(arrivals)} vs {len(sizes)}")
@@ -252,13 +264,33 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     # server stage, an unbounded FIFO: written over the link departures
     # unless they are the arrivals or kept
     out = times if links is None and times is not arrivals else np.empty(times.size)
-    done = np.arange(1, times.size + 1, dtype=float)
-    done *= demand_mi / service_rate_ips
-    ends = _lindley(times, done, out)
-    ends -= created
-    ends += propagation_ms / 1000.0
-    ends *= 1000.0
-    return ends, served_mask
+    if not _server_stage(times, created, demand_mi / service_rate_ips,
+                         propagation_ms / 1000.0, out):
+        raise OverflowError(f"a delay overflows at link rates "
+                            f"{np.asarray(link_rates_bps, dtype=float).tolist()} bps and "
+                            f"server rate {service_rate_ips} MIPS")
+    return out, served_mask
+
+
+def _server_stage(t, created, proc, prop_s, out):
+    """E2E delays (ms) into out, which may be t, from the server's FIFO:
+    Lindley's recursion over the link departures t at proc s a packet, less
+    each creation time, plus prop_s (s), times 1000. Returns whether every
+    delay is finite. `server_pass` runs it, or `_lindley` without it; t,
+    created and out are contiguous float arrays of one length, since the
+    compiled pass reads them by address."""
+    if _PIPELINE is not None:
+        return not _PIPELINE.server_pass(t.ctypes.data, created.ctypes.data, proc, prop_s,
+                                         out.ctypes.data, t.size)
+    # an overflow is answered by the return value, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        done = np.arange(1, t.size + 1, dtype=float)
+        done *= proc
+        ends = _lindley(t, done, out)
+        ends -= created
+        ends += prop_s
+        ends *= 1000.0
+    return bool(np.isfinite(ends).all())
 
 
 def _lindley(t, done, out, before=math.nan):
@@ -281,12 +313,16 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     """Departure times from one FIFO link that holds at most buffer_pkts packets.
 
     t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
-    transmission times tx; each window's cumulative sum overwrites its tx,
-    and an overflow episode first remakes the tx it reads. `_lindley` runs
-    one window of packets at a time, from the departure before it, and
-    `_EPISODE`, or `_overflow_blocks` without it, each overflow episode.
-    Dropped packets get a NaN departure. Returns the departures and whether
-    an overflow episode ran; without one, no packet was dropped.
+    transmission times tx. The link runs in windows: `_lindley` runs one
+    window of packets at a time, from the departure before it, over its
+    own cumulative sum of tx, and an overflow episode runs from the first
+    arrival that finds the buffer full. The first window is the whole
+    array, one after an episode is _RESTART_WINDOW wide, and one that
+    finds no full buffer doubles the next. `link_pass` runs it all packet
+    by packet, or, without it, numpy runs each window and
+    `_overflow_blocks` each episode, with the same bits. Dropped packets
+    get a NaN departure. Returns the departures and whether an overflow
+    episode ran; without one, no packet was dropped.
 
     dep is the only state carried between windows. Arrival i finds
     buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
@@ -298,44 +334,51 @@ def _link_stage(t, sizes, rate, buffer_pkts):
     arrival it sees the buffer full, an overflow episode that applies TIE_S
     runs until an arrival finds the link idle.
     """
-    t = np.ascontiguousarray(t, dtype=float)  # the compiled episode reads it by address
+    # contiguous floats of one length, since the compiled pass reads them by address
+    t = np.ascontiguousarray(t, dtype=float)
+    sizes = np.ascontiguousarray(sizes, dtype=float)
+    if sizes.shape != t.shape:
+        raise ValueError(f"t and sizes differ in shape: {t.shape} vs {sizes.shape}")
     n, b = t.size, buffer_pkts
     bytes_per_s = rate / 8.0  # exact, so tx is sizes * 8 / rate to the bit
-    tx = sizes / bytes_per_s
     dep = np.empty(n)
-    tie = None           # t + TIE_S, made at the first blocked episode
-    i, width, before = 0, n, math.nan   # before: dep[i - 1], NaN at the start
-    while i < n:
-        j = min(n, i + width)
-        m = j - i
-        tw, cw = t[i:j], np.add.accumulate(tx[i:j], out=tx[i:j])
-        _lindley(tw, cw, dep[i:j], before)
-        # the call's first b arrivals have fewer than b packets ahead and
-        # never find the buffer full; starting at lo keeps the index >= 0
-        lo = min(m, max(0, b - i))
-        full = dep[i + lo - b:j - b] > tw[lo:]
-        # argmax is the first True, or 0 when none is
-        f = lo + int(full.argmax()) if lo < m else m
-        if f < m and full[f - lo]:
-            if tie is None:
-                tie = t + TIE_S
-                # read once: each .ctypes.data costs a microsecond or more
-                at = [array.ctypes.data for array in (t, tie, tx, dep)]
-            tx[i + f:j] = sizes[i + f:j] / bytes_per_s
-            if _EPISODE is None:
+    if _PIPELINE is not None:
+        # a buffer of n or more never fills, and min keeps b an int64
+        blocked = _PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, bytes_per_s,
+                                      dep.ctypes.data, n, min(b, n), _RESTART_WINDOW, TIE_S)
+        return dep, blocked != 0
+    # an overflow is answered at the server, not by a warning
+    with np.errstate(over="ignore"):
+        tx = sizes / bytes_per_s
+        tie = None           # t + TIE_S, made at the first blocked episode
+        i, width, before = 0, n, math.nan   # before: dep[i - 1], NaN at the start
+        while i < n:
+            j = min(n, i + width)
+            m = j - i
+            tw, cw = t[i:j], np.add.accumulate(tx[i:j], out=tx[i:j])
+            _lindley(tw, cw, dep[i:j], before)
+            # the call's first b arrivals have fewer than b packets ahead and
+            # never find the buffer full; starting at lo keeps the index >= 0
+            lo = min(m, max(0, b - i))
+            full = dep[i + lo - b:j - b] > tw[lo:]
+            # argmax is the first True, or 0 when none is
+            f = lo + int(full.argmax()) if lo < m else m
+            if f < m and full[f - lo]:
+                if tie is None:
+                    tie = t + TIE_S
+                # the episode reads the raw tx
+                tx[i + f:j] = sizes[i + f:j] / bytes_per_s
                 i = _overflow_blocks(t, tie, tx, i + f, b, dep)
+                width = _RESTART_WINDOW
             else:
-                i = _EPISODE(*at, i + f, n, b)
-            width = _RESTART_WINDOW
-        else:
-            i, width = j, 2 * width
-        before = dep[i - 1]
+                i, width = j, 2 * width
+            before = dep[i - 1]
     return dep, tie is not None
 
 
 def _overflow_blocks(t, tie, tx, k, buffer_pkts, dep):
     """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time:
-    `_link_stage`'s episode where the compiled one did not load.
+    `_link_stage`'s episode where the compiled pass did not load.
 
     Writes dep from k on (NaN for a drop); dep is its only state. A
     departure at most TIE_S after an arrival leaves the queue first but
@@ -404,14 +447,18 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
     Its traffic is generate_traffic's stream (seed, index), index being its
     position among the slices, so no other slice's presence shifts it.
     `memo` keeps the stream, and for a stream it already held, its latest
-    link pass under ("links", seed, index) (see `oracle.sim_evaluate`).
+    link pass under ("links", seed, index) (see `oracle.sim_evaluate`). A
+    delay that overflows raises InvariantViolation naming the slice.
     """
     links = memo.setdefault(("links", seed, index), {}) if (seed, index) in memo else None
     arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
-    delays, served = simulate_pipeline(
-        arrivals, sizes, link_rates, topology.buffer_pkts,
-        cpu_rate, spec.demand_mi, config.propagation_ms, links,
-    )
+    try:
+        delays, served = simulate_pipeline(
+            arrivals, sizes, link_rates, topology.buffer_pkts,
+            cpu_rate, spec.demand_mi, config.propagation_ms, links,
+        )
+    except OverflowError as err:
+        raise InvariantViolation([("delays_ms", f"slice {spec.id!r}: {err}")]) from None
     # arrivals are sorted, so the post-warmup requests are a suffix
     w = int(arrivals.searchsorted(config.warmup_s))
     success = int(np.count_nonzero(served[w:]))

@@ -40,8 +40,9 @@ the simulator's `stage_rates` and the hinge, not a simulated oracle.
 The simulator names none of numpy's Python-level wrappers that it once
 paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
 `np.column_stack`); it calls the ufunc or ndarray method instead. It also
-runs each running max in one place: `np.fmax.accumulate` once, in
-`_lindley`, Lindley's recursion for both queue stages, and
+writes each of its numpy running maxima in one place: `np.fmax.accumulate`
+once, in `_lindley`, numpy's Lindley recursion for both queue stages, which
+runs where the compiled passes of `pipeline.c` do not load, and
 `np.maximum.accumulate` once, in `_overflow_blocks`, on an episode's
 integer accepted indices.
 """

@@ -1,5 +1,5 @@
-"""The loader of the compiled overflow episode: its cache, and its fallback
-to numpy's block loop. `test_simulator.py` checks the two paths agree."""
+"""The loader of the compiled per-packet passes: its cache, and its fallback
+to numpy. `test_simulator.py` checks the two paths agree."""
 import os
 import shutil
 import subprocess
@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_the_kernel_loads_where_a_compiler_is_found():
     # with a C compiler on PATH, numpy's fallback must not run unnoticed
     if shutil.which(native.COMMAND[0]) is not None:
-        assert simulator._EPISODE is not None
+        assert simulator._PIPELINE is not None
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def cached(home):
 def load_quietly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return native.load_episode()
+        return native.load_pipeline()
 
 
 def a_path_with(tmp_path, monkeypatch, compiler=None):
@@ -79,35 +79,54 @@ class TestLoader:
 
     @pytest.mark.skipif(shutil.which(native.COMMAND[0]) is None, reason="no C compiler")
     def test_a_build_is_cached_and_keyed_by_source_and_command(self, home, tmp_path, monkeypatch):
-        episode = load_quietly()
-        assert episode is not None and len(cached(home)) == 1
-        # another source gets another file: a kernel that only says it ran
-        other = tmp_path / "episode.c"
-        other.write_text("#include <stdint.h>\nint64_t overflow_episode(const double *t,"
-                         " const double *tie, const double *tx, double *dep, int64_t k,"
-                         " int64_t n, int64_t b) { return -7; }\n")
+        assert load_quietly() is not None and len(cached(home)) == 1
+        # another source gets another file: passes that only say they ran
+        other = tmp_path / "pipeline.c"
+        other.write_text("#include <stdint.h>\n"
+                         "int64_t link_pass(const double *t, const double *sizes, double bps,"
+                         " double *dep, int64_t n, int64_t b, int64_t restart, double tie_s)"
+                         " { return -7; }\n"
+                         "int64_t server_pass(const double *t, const double *created,"
+                         " double proc, double prop_s, double *out, int64_t n) { return -8; }\n"
+                         "void expand_bursts(const double *starts, const int64_t *counts,"
+                         " int64_t nb, double gap, double *out) {}\n")
         real = native.SOURCE
         monkeypatch.setattr(native, "SOURCE", other)
-        assert load_quietly()(0, 0, 0, 0, 1, 1, 1) == -7
+        fake = load_quietly()
+        assert fake.link_pass(0, 0, 1.0, 0, 0, 1, 1, 0.0) == -7
+        assert fake.server_pass(0, 0, 1.0, 0.0, 0, 0) == -8
+        assert len(cached(home)) == 2
+        # a source without every pass does not load
+        other.write_text("void expand_bursts(void) {}\n")
+        assert load_quietly() is None
         monkeypatch.setattr(native, "SOURCE", real)
         monkeypatch.setattr(native, "COMMAND", native.COMMAND + ("-O1",))
         load_quietly()
-        assert len(cached(home)) == 3
+        assert len(cached(home)) == 4
         # with no compiler left, the real source's file loads from the cache
         monkeypatch.setattr(native, "COMMAND", native.COMMAND[:-1])
         a_path_with(tmp_path, monkeypatch)
-        dep = np.array([0.5, np.nan, np.nan])
-        t = np.array([0.0, 0.25, 0.75])
-        tx = np.full(3, 0.5)
-        tie = t + simulator.TIE_S
-        end = load_quietly()(*(a.ctypes.data for a in (t, tie, tx, dep)), 1, 3, 1)
-        # arrival 1 finds the buffer full; arrival 2 finds the link idle
-        assert end == 2 and np.isnan(dep[1])
+        lib = load_quietly()
+        # at 1 byte/s a packet's tx is its size: arrival 1 finds the one-packet
+        # buffer full, and arrival 2 finds the link idle
+        t, sizes, dep = np.array([0.0, 0.25, 0.75]), np.full(3, 0.5), np.empty(3)
+        blocked = lib.link_pass(t.ctypes.data, sizes.ctypes.data, 1.0, dep.ctypes.data,
+                                3, 1, 256, simulator.TIE_S)
+        assert blocked == 1 and dep[0] == 0.5 and np.isnan(dep[1]) and dep[2] == 1.25
+        # the packet that leaves the link at 1.25 s, created at 0.25 s, takes
+        # 1 s at the server and 0.5 s to propagate
+        departed, created, out = dep[2:], t[1:2], np.empty(1)
+        assert lib.server_pass(departed.ctypes.data, created.ctypes.data, 1.0, 0.5,
+                               out.ctypes.data, 1) == 0
+        assert out[0] == ((1.25 + 1.0 - 0.25) + 0.5) * 1000.0
+        starts, counts, out = np.array([1.0, 5.0]), np.array([2, 1]), np.empty(3)
+        lib.expand_bursts(starts.ctypes.data, counts.ctypes.data, 2, 0.5, out.ctypes.data)
+        assert out.tolist() == [1.0, 1.5, 5.0]
 
-    @pytest.mark.skipif(simulator._EPISODE is None, reason="no compiled episode loaded")
+    @pytest.mark.skipif(simulator._PIPELINE is None, reason="no compiled pipeline loaded")
     def test_loading_from_the_cache_imports_no_subprocess(self):
         code = ("import sys, numpy\nimport slicelab.simulator as s\n"
-                "print(s._EPISODE is not None, 'subprocess' in sys.modules,"
+                "print(s._PIPELINE is not None, 'subprocess' in sys.modules,"
                 " 'hashlib' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -37,6 +37,7 @@ from slicelab.simulator import (
     _lindley,
     _link_stage,
     _onoff_arrivals,
+    _server_stage,
     delay_statistic,
     generate_traffic,
     percentile_of,
@@ -171,6 +172,11 @@ class TestPipeline:
             simulate_pipeline(np.array([0.0, 0.1, 0.2]), np.array([1000.0]),
                               np.array([8e6]), 10, 3e8, 5e4, 0.0)
 
+    def test_a_link_stage_refuses_sizes_of_another_length(self):
+        # the compiled pass would read past the shorter array
+        with pytest.raises(ValueError, match=r"differ in shape: \(3,\) vs \(2,\)"):
+            _link_stage(np.zeros(3), np.ones(2), 8.0, 1)
+
     def test_unsorted_arrivals_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             simulate_pipeline(np.array([0.2, 0.1]), np.array([1000.0, 1000.0]),
@@ -229,9 +235,9 @@ def assert_matches_loop(arrivals, sizes, link_rates, buffer_pkts, cpu_rate,
     assert np.array_equal(served, want_served)
     assert delays.shape == want_delays.shape
     np.testing.assert_allclose(delays, want_delays, rtol=0.0, atol=tol_ms)
-    # numpy's episodes, where no compiled one loads, give the same bits
+    # numpy's passes, where the compiled ones do not load, give the same bits
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_EPISODE", None)
+        mp.setattr(simulator, "_PIPELINE", None)
         fallback = simulate_pipeline(*args)
     assert [delays.tobytes(), served.tobytes()] == [a.tobytes() for a in fallback]
 
@@ -376,36 +382,32 @@ class TestPipelineAgainstLoop:
                             0.3 * 3e8, 1e4, 0.1)
 
 
-needs_kernel = pytest.mark.skipif(simulator._EPISODE is None,
-                                  reason="no compiled episode loaded")
+needs_kernel = pytest.mark.skipif(simulator._PIPELINE is None,
+                                  reason="no compiled pipeline loaded")
 
 
-def episodes(t, sizes, rate, b, kernel):
-    """_link_stage's (departures, blocked) with the compiled episode or with
-    numpy's, and each episode it ran as (first arrival, the one it ended at)."""
+def numpy_episodes(t, sizes, rate, b):
+    """_link_stage's (departures, blocked) on numpy's path, and each overflow
+    episode it ran as (first arrival, the one it ended at)."""
     ran = []
     with pytest.MonkeyPatch.context() as mp:
-        if kernel:
-            run = simulator._EPISODE
-            mp.setattr(simulator, "_EPISODE", lambda *a: ran.append((a[4], run(*a))) or ran[-1][1])
-        else:
-            run = simulator._overflow_blocks
-            mp.setattr(simulator, "_EPISODE", None)
-            mp.setattr(simulator, "_overflow_blocks",
-                       lambda *a: ran.append((a[3], run(*a))) or ran[-1][1])
+        run = simulator._overflow_blocks
+        mp.setattr(simulator, "_PIPELINE", None)
+        mp.setattr(simulator, "_overflow_blocks",
+                   lambda *a: ran.append((a[3], run(*a))) or ran[-1][1])
         dep, blocked = _link_stage(t, sizes, rate, b)
     return dep, blocked, ran
 
 
 def assert_three_agree(arrivals, sizes, rate, b, tol_ms):
-    """The compiled and numpy episodes run the same episodes and give the
-    same departures to the bit, and the pipeline agrees with the loop
-    (`assert_matches_loop`). Returns the episodes run."""
+    """The compiled link pass gives numpy's departures to the bit, and
+    whether an episode ran, and the pipeline agrees with the loop
+    (`assert_matches_loop`). Returns the episodes numpy ran."""
     t, sizes = np.asarray(arrivals, dtype=float), np.asarray(sizes, dtype=float)
-    dep, blocked, ran = episodes(t, sizes, rate, b, kernel=True)
-    dep0, blocked0, ran0 = episodes(t, sizes, rate, b, kernel=False)
+    dep, blocked = _link_stage(t, sizes, rate, b)
+    dep0, blocked0, ran = numpy_episodes(t, sizes, rate, b)
     assert dep.tobytes() == dep0.tobytes()
-    assert (blocked, ran) == (blocked0, ran0)
+    assert blocked == blocked0 == bool(ran)
     # a server of 1/64 s per packet: its sums are exact, so on a binary
     # grid only the link can part the delays from the loop's
     assert_matches_loop(t, sizes, [rate], b, 64.0, 1.0, 0.0, tol_ms=tol_ms)
@@ -414,7 +416,8 @@ def assert_three_agree(arrivals, sizes, rate, b, tol_ms):
 
 @needs_kernel
 class TestEpisodeAgainstNumpyAndLoop:
-    """The compiled overflow episode against numpy's and the per-packet loop."""
+    """The compiled link pass, overflow episodes included, against numpy's
+    windows and episodes and the per-packet loop."""
 
     @pytest.mark.parametrize("buffer_pkts", range(1, 51))
     def test_every_buffer_from_1_to_50(self, buffer_pkts):
@@ -468,6 +471,17 @@ class TestEpisodeAgainstNumpyAndLoop:
         ran = assert_three_agree(arrivals, np.full(arrivals.size, 312.5), 1e6, buffer_pkts, 1e-6)
         assert ran[-1][1] == arrivals.size if buffer_pkts < arrivals.size else ran == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**20), kind=st.sampled_from(["poisson", "bursty-onoff"]),
+           load=st.floats(0.5, 3.0), buffer_pkts=st.integers(1, 50))
+    def test_two_edges_in_series(self, seed, kind, load, buffer_pkts):
+        # the second link takes the first one's survivors at a lower load
+        bursts = dict(burst_len=8.0, off_time_ms=38.0) if kind == "bursty-onoff" else {}
+        tm = TrafficModel(kind=kind, mean_rate=200.0, **bursts, **SIZES)
+        arrivals, sizes = generate_traffic(tm, 8.0, seed, 0, {})
+        rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / load
+        assert_matches_loop(arrivals, sizes, [rate, 0.9 * rate], buffer_pkts, 3e8, 1e4, 0.1)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**20), kind=st.sampled_from(["poisson", "bursty-onoff"]),
            load=st.floats(0.5, 3.0), buffer_pkts=st.integers(1, 50))
@@ -492,14 +506,14 @@ class TestEpisodeAgainstNumpyAndLoop:
 
 
 @pytest.fixture(scope="class")
-def numpy_episodes():
-    """No compiled episode: `_link_stage` runs numpy's `_overflow_blocks`."""
+def numpy_passes():
+    """No compiled pipeline: each pass runs in numpy."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulator, "_EPISODE", None)
+        mp.setattr(simulator, "_PIPELINE", None)
         yield
 
 
-@pytest.mark.usefixtures("numpy_episodes")
+@pytest.mark.usefixtures("numpy_passes")
 class TestPipelineWithNumpyEpisodes(TestPipeline):
     """TestPipeline's hand cases on the fallback path."""
 
@@ -540,6 +554,117 @@ class TestLindley:
     def test_an_empty_call_returns_at_once(self):
         out = np.empty(0)
         assert _lindley(np.empty(0), np.empty(0), out, 1.0) is out
+
+
+def on_both_paths(f, *args):
+    """f(*args) with the compiled passes (numpy's where they did not load),
+    then with numpy's."""
+    compiled = f(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_PIPELINE", None)
+        return compiled, f(*args)
+
+
+def server(t, created, proc, prop_s, out_is_t):
+    """`_server_stage` on a copy of t: (the delays' bytes, whether all are finite)."""
+    t = t.copy()
+    out = t if out_is_t else np.empty(t.size)
+    finite = _server_stage(t, created, proc, prop_s, out)
+    return out.tobytes(), finite
+
+
+@needs_kernel
+class TestServerPass:
+    """The compiled server pass against numpy's: `_lindley`, then the
+    creation, propagation and x1000 steps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3000), load=st.floats(0.2, 3.0),
+           out_is_t=st.booleans())
+    def test_bit_for_bit_with_numpy(self, seed, n, load, out_is_t):
+        rng = np.random.default_rng(seed)
+        created = np.add.accumulate(rng.exponential(1e-3, n))
+        # link departures: after their creation, and never decreasing
+        t = np.maximum.accumulate(created + rng.uniform(0.0, 5e-3, n))
+        args = (t, created, 1e-3 * load, rng.uniform(0.0, 5e-3), out_is_t)
+        compiled, fallback = on_both_paths(server, *args)
+        assert compiled == fallback and compiled[1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_scalar_recursion_on_a_binary_grid(self, seed):
+        # every time a multiple of 1/64 s: every sum is exact
+        rng = np.random.default_rng(seed)
+        n = 500
+        created = np.add.accumulate(rng.integers(0, 8, n)) / 64.0
+        t = np.maximum.accumulate(created + rng.integers(0, 8, n) / 64.0)
+        proc, prop_s = int(rng.integers(1, 8)) / 64.0, 3 / 64.0
+        dep = scalar_lindley(t.tolist(), [proc] * n, math.nan)
+        want = np.array([((d - c) + prop_s) * 1000.0 for d, c in zip(dep, created)])
+        for got in on_both_paths(server, t, created, proc, prop_s, False):
+            assert got == (want.tobytes(), True)
+
+    @pytest.mark.parametrize("proc", [1e306, math.inf])
+    def test_a_delay_that_overflows_is_flagged_without_a_warning(self, proc):
+        # tier-1 turns a RuntimeWarning into an error
+        t = np.array([0.0, 1.0, 2.0])
+        compiled, fallback = on_both_paths(server, t, t, proc, 0.0, False)
+        assert compiled == fallback and not compiled[1]
+
+
+@needs_kernel
+class TestBurstExpansion:
+    """The compiled burst expansion against numpy's and the per-burst loop."""
+
+    @pytest.mark.parametrize("burst_len, off_time_ms, horizon_s", [
+        (1.0, 2.0, 20.0), (8.0, 38.0, 500.0), (8.0, 0.0, 10.0), (1e6, 38.0, 10.0),
+        (1e19, 38.0, 10.0)], ids=["one-packet", "reference", "no-off-time", "capped",
+                                  "capped-past-int64"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_for_bit_with_numpy(self, seed, burst_len, off_time_ms, horizon_s):
+        tm = bursty(burst_len, off_time_ms)
+        compiled, fallback = on_both_paths(
+            lambda: _onoff_arrivals(tm, horizon_s, stream(seed, 0)))
+        assert compiled.tobytes() == fallback.tobytes()
+        assert compiled.size and compiled[-1] < horizon_s
+        if burst_len < 1e6:  # the loop expands a burst in full
+            assert np.array_equal(compiled, loop_onoff_arrivals(tm, horizon_s, stream(seed, 0)))
+
+
+class TestSmallBuffers:
+    def test_a_buffer_of_one_on_both_paths(self):
+        # 10^5 Poisson packets at link load 1.05: a buffer of 1 ends an
+        # overflow episode at every accepted arrival
+        tm = TrafficModel(kind="poisson", mean_rate=200.0, **SIZES)
+        arrivals, sizes = generate_traffic(tm, 500.0, 0, 0, {})
+        rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / 1.05
+        compiled, fallback = on_both_paths(simulate_pipeline, arrivals, sizes, [rate], 1,
+                                           9e7, 1e4, 0.1)
+        assert arrivals.size > 10**5 and 0 < np.count_nonzero(compiled[1]) < arrivals.size
+        assert [a.tobytes() for a in compiled] == [a.tobytes() for a in fallback]
+
+
+class TestDelayOverflow:
+    """A share so small that a delay overflows ends a run on both paths with
+    one named error, not a warning or an inf read as a delay."""
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    @pytest.mark.parametrize("field, share", [("cpu", 1e-308), ("flows", 5e-324)])
+    def test_run_osra_names_the_slice(self, monkeypatch, compiled, field, share):
+        if not compiled:
+            monkeypatch.setattr(simulator, "_PIPELINE", None)
+        sc = reference_scenario()
+        shares = {"flows": sc.initial_alloc.flows.copy(), "cpu": sc.initial_alloc.cpu.copy()}
+        shares[field][sc.initial_alloc.index("slice1")] = share
+        alloc = AllocationMatrix(sc.initial_alloc.slice_ids, **shares)
+        with pytest.raises(InvariantViolation, match="^slice 'slice1': a delay overflows at "):
+            run_osra(sc.slices, sc.topology, alloc, sc.sim, sc.new_slice_id, sc.osra, seed=0)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_simulate_pipeline_raises_overflow_error(self, monkeypatch, compiled):
+        if not compiled:
+            monkeypatch.setattr(simulator, "_PIPELINE", None)
+        with pytest.raises(OverflowError, match=r"link rates \[8e-300\] bps and server rate"):
+            simulate_pipeline(np.arange(3.0), np.full(3, 1e10), [8e-300], 10, 3e8, 5e4, 0.0)
 
 
 @st.composite
