@@ -347,8 +347,9 @@ def _link_stage(t, sizes, rate, buffer_pkts):
         blocked = _PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, bytes_per_s,
                                       dep.ctypes.data, n, min(b, n), _RESTART_WINDOW, TIE_S)
         return dep, blocked != 0
-    # an overflow is answered at the server, not by a warning
-    with np.errstate(over="ignore"):
+    # an overflow, and the inf - inf it makes at the next link, is answered
+    # at the server, not by a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         tx = sizes / bytes_per_s
         tie = None           # t + TIE_S, made at the first blocked episode
         i, width, before = 0, n, math.nan   # before: dep[i - 1], NaN at the start

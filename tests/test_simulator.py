@@ -666,6 +666,18 @@ class TestDelayOverflow:
         with pytest.raises(OverflowError, match=r"link rates \[8e-300\] bps and server rate"):
             simulate_pipeline(np.arange(3.0), np.full(3, 1e10), [8e-300], 10, 3e8, 5e4, 0.0)
 
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_two_edges_whose_times_overflow_name_the_slice(self, monkeypatch, compiled):
+        # the first link's inf departures meet inf - inf at the second
+        if not compiled:
+            monkeypatch.setattr(simulator, "_PIPELINE", None)
+        topo = Topology(edges=(("e0", 40.0), ("e1", 40.0)), cores=(("c", 3e8),), buffer_pkts=10)
+        link_rates, cpu_rate = stage_rates(
+            AllocationVector(np.array([5e-324, 5e-324]), np.array([0.5])), topo)
+        cfg = SimConfig(horizon_s=0.5, warmup_s=0.0, propagation_ms=0.1)
+        with pytest.raises(InvariantViolation, match="^slice 's': a delay overflows at "):
+            simulate_slice(one_slice(), 0, link_rates, cpu_rate, topo, cfg, 0, {})
+
 
 @st.composite
 def lossless_calls(draw):

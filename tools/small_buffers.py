@@ -1,15 +1,14 @@
 """Time one `simulate_pipeline` call on 10^5 Poisson packets at link load
 1.05, at buffers of 1, 2, 10 and 100 packets.
 
-    PYTHONPATH=src python3 tools/small_buffers.py [--rounds 6]
+    PYTHONPATH=src python3 tools/small_buffers.py
 
 Prints one JSON line: whether the compiled passes ran, and per buffer the
-median of `rounds` rounds of 3 calls, in ms. The process pins itself to one
+median of ROUNDS rounds of 3 calls, in ms. The process pins itself to one
 CPU where it can. To time numpy's path, run it where no C compiler is
 found and nothing is cached, e.g. with PATH=/nonexistent, HOME set to an
 empty directory and python3 named by its full path.
 """
-import argparse
 import json
 import os
 import statistics
@@ -19,12 +18,10 @@ from slicelab import TrafficModel, simulator
 
 BUFFERS = (1, 2, 10, 100)
 LOAD = 1.05
+ROUNDS = 6
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rounds", type=int, default=6)
-    rounds = parser.parse_args().rounds
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     # 200 packets/s over 500 s, uniform sizes of 20..65535 bytes
@@ -35,14 +32,14 @@ def main():
     ms = {}
     for b in BUFFERS:
         calls = []
-        for _ in range(rounds):
+        for _ in range(ROUNDS):
             for _ in range(3):
                 start = time.perf_counter()
                 simulator.simulate_pipeline(arrivals, sizes, [link_bps], b, 9e7, 1e4, 0.1)
                 calls.append(time.perf_counter() - start)
         ms[b] = round(1e3 * statistics.median(calls), 3)
     print(json.dumps({"compiled": simulator._PIPELINE is not None, "packets": arrivals.size,
-                      "link_load": LOAD, "rounds": rounds, "median_ms_by_buffer": ms}))
+                      "link_load": LOAD, "rounds": ROUNDS, "median_ms_by_buffer": ms}))
 
 
 if __name__ == "__main__":
