@@ -214,7 +214,8 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     measured, is then final), otherwise apply and project. All
     randomness derives from `seed`; reruns are bit-identical. `memory`, a
     `ProbeMemory` when given, receives every probe. A new slice that is
-    unknown or has no donors raises `new_slice_and_donors`' InvariantViolation.
+    unknown or has no donors raises `new_slice_and_donors`' InvariantViolation;
+    one raised in an iteration has " at iteration k" after each message.
     """
     slices = tuple(slices)
     new, donors = new_slice_and_donors(slices, new_slice_id)
@@ -237,56 +238,61 @@ def run_osra(slices, topology: Topology, initial_alloc: AllocationMatrix,
     traces = []
 
     for k in range(config.max_iters):
-        samples = sim_evaluate_all(alloc, slices, topology, sim_config,
-                                   seed=derive_seed(seed, 9001, k),
-                                   statistic=config.statistic)
-        penalties = {sid: hinge(models[sid], smp.delay_stat_ms, smp.throughput)[0]
-                     for sid, smp in samples.items()}
+        # a bad value met in the iteration is named with it
+        try:
+            samples = sim_evaluate_all(alloc, slices, topology, sim_config,
+                                       seed=derive_seed(seed, 9001, k),
+                                       statistic=config.statistic)
+            penalties = {sid: hinge(models[sid], smp.delay_stat_ms, smp.throughput)[0]
+                         for sid, smp in samples.items()}
 
-        # this gradient's samples and traffic: a repeated probe is simulated
-        # once, and each repetition's stream is drawn once
-        memo = {}
+            # this gradient's samples and traffic: a repeated probe is simulated
+            # once, and each repetition's stream is drawn once
+            memo = {}
 
-        def probe(row, probe_seed):
-            """The new slice's sample at `row`, recorded in `memory` if given."""
-            sample = sim_evaluate(new_slice_id, row, slices, topology, sim_config,
-                                  seed=probe_seed, statistic=config.statistic, memo=memo)
-            if memory is not None:
-                memory.append((row, sample, probe_seed))
-            return sample
+            def probe(row, probe_seed):
+                """The new slice's sample at `row`, recorded in `memory` if given."""
+                sample = sim_evaluate(new_slice_id, row, slices, topology, sim_config,
+                                      seed=probe_seed, statistic=config.statistic, memo=memo)
+                if memory is not None:
+                    memory.append((row, sample, probe_seed))
+                return sample
 
-        grads = {
-            new_slice_id: probed_gradient(models[new_slice_id], probe,
-                                          alloc.row(new_slice_id), config.delta,
-                                          config.probes, seed_base=derive_seed(seed, 7001, k))
-        }
-        for spec in donors:
-            grads[spec.id] = analytic_gradient(models[spec.id], spec, alloc.row(spec.id),
-                                               topology)
+            grads = {
+                new_slice_id: probed_gradient(models[new_slice_id], probe,
+                                              alloc.row(new_slice_id), config.delta,
+                                              config.probes, seed_base=derive_seed(seed, 7001, k))
+            }
+            for spec in donors:
+                grads[spec.id] = analytic_gradient(models[spec.id], spec, alloc.row(spec.id),
+                                                   topology)
 
-        for sid, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteGradient(
-                    f"gradient of slice {sid!r} at iteration {k} is not finite: {g}")
+            for sid, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NonFiniteGradient(
+                        f"gradient of slice {sid!r} at iteration {k} is not finite: {g}")
 
-        transfer, stop_metric, deltas, grant, rule_used = transfer_step(
-            {s.id: grads[s.id] for s in donors}, grads[new_slice_id], config.eta,
-            config.transfer_rule)
+            transfer, stop_metric, deltas, grant, rule_used = transfer_step(
+                {s.id: grads[s.id] for s in donors}, grads[new_slice_id], config.eta,
+                config.transfer_rule)
 
-        traces.append(IterationTrace(
-            k=k, alloc=alloc, samples=samples, penalties=penalties,
-            gradients=grads, transfer=transfer, stop_metric=stop_metric,
-            raw_deltas=deltas, grant=grant, rule_used=rule_used))
+            traces.append(IterationTrace(
+                k=k, alloc=alloc, samples=samples, penalties=penalties,
+                gradients=grads, transfer=transfer, stop_metric=stop_metric,
+                raw_deltas=deltas, grant=grant, rule_used=rule_used))
 
-        if stop_metric <= config.epsilon or k == config.max_iters - 1:
-            break
+            if stop_metric <= config.epsilon or k == config.max_iters - 1:
+                break
 
-        x = alloc.stacked()
-        for spec in donors:
-            x[alloc.index(spec.id)] -= deltas[spec.id]
-        x[alloc.index(new_slice_id)] += grant
-        x[group] = project_columns(x[group], budgets)
-        alloc = AllocationMatrix(alloc.slice_ids, x[:, :alloc.n_edges], x[:, alloc.n_edges:])
+            x = alloc.stacked()
+            for spec in donors:
+                x[alloc.index(spec.id)] -= deltas[spec.id]
+            x[alloc.index(new_slice_id)] += grant
+            x[group] = project_columns(x[group], budgets)
+            alloc = AllocationMatrix(alloc.slice_ids, x[:, :alloc.n_edges], x[:, alloc.n_edges:])
+        except InvariantViolation as err:
+            raise InvariantViolation([(field, f"{msg} at iteration {k}")
+                                      for field, msg in err.violations]) from None
 
     return OsraResult(final_alloc=traces[-1].alloc, traces=tuple(traces),
                       converged=traces[-1].stop_metric <= config.epsilon,

@@ -1,12 +1,13 @@
-/* The simulator's per-packet passes, each the arithmetic of its numpy form
- * in simulator.py, which runs where this does not build: every sum and
- * product is the one rounded operation numpy makes, in numpy's order.
- * Built with -ffp-contract=off and no fast-math, so no multiply-add fuses.
+/* The simulator's per-packet passes, the only ones it has: `native` builds
+ * them and `simulator` calls them through ctypes. Their bits are pinned by
+ * the golden digests of the shipped runs, and the tests check them against
+ * the per-packet reference loop `loop_pipeline` and the per-burst
+ * `loop_onoff_arrivals`. Built with -ffp-contract=off and no fast-math, so
+ * no multiply-add fuses and each sum rounds in the order written here.
  *
  * Each running max is written `b > a ? b : a`, so that it compiles to one
- * maxsd. It equals numpy's fmax while the running value a is not NaN, which
- * it never is here: a new operand b that is NaN (inf - inf) leaves a, as
- * fmax does.
+ * maxsd. The running value a is never NaN here, and a new operand b that
+ * is NaN (inf - inf) leaves it.
  */
 #include <float.h>
 #include <math.h>
@@ -14,18 +15,29 @@
 
 /* One link's departures dep (NaN for a drop) from the sorted arrivals t and
  * the packet sizes (bytes) at bytes_per_s; returns whether an overflow
- * episode ran. simulator._link_stage's windows, packet by packet: a window
- * runs Lindley's recursion from the departure before it, with its running
- * sum of transmission times restarted at its start, and tests as it goes
- * whether arrival k finds b packets queued (dep[k - b] > t[k]). The first
- * window is n wide, one that finds no full buffer doubles the next, and an
- * episode starts at the first arrival that does, and is followed by a
- * window `restart` wide. Arrival k is then accepted iff the departure b
- * accepted packets back is at most t[k] + tie_s. head walks dep to the
- * oldest of the b pending departures, over the episode's own drops; on
- * entry dep[k - b:k] holds them, none a drop. The link never idles until
- * the episode ends, at the first accepted arrival that comes at or after
- * the departure before it, or at n; so each departure is prev + tx.
+ * episode ran, since without one no packet was dropped.
+ *
+ * dep is the only queue state. Arrival k finds b packets queued iff
+ * dep[k - b] > t[k], so a departure at t frees its slot first. A slot in
+ * that range that is no longer pending holds either a departure at or
+ * before an earlier arrival (FIFO departures do not decrease) or the NaN
+ * of a drop in an episode that ended with the link idle; both compare
+ * false. The test leaves tie_s out, so it may see the buffer full too
+ * early, never too late.
+ *
+ * The link runs in windows. A window runs Lindley's recursion from the
+ * departure before it, with its running sum of transmission times
+ * restarted at its start, and tests each arrival as it goes. The first
+ * window is n wide, and one that finds no full buffer doubles the next.
+ * An overflow episode starts at the first arrival that finds the buffer
+ * full, and is followed by a window `restart` wide. In the episode, arrival
+ * k is accepted iff the departure b accepted packets back is at most
+ * t[k] + tie_s, so a departure at most tie_s after an arrival leaves first
+ * but still delays the arrival's start. head walks dep to the oldest of
+ * the b pending departures, over the episode's own drops; on entry
+ * dep[k - b:k] holds them, none a drop. The link never idles until the
+ * episode ends, at the first accepted arrival that comes at or after the
+ * departure before it, or at n; so each departure is prev + tx.
  */
 int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, double *dep,
                   int64_t n, int64_t b, int64_t restart, double tie_s)
@@ -94,8 +106,7 @@ int64_t server_pass(const double *t, const double *created, double proc, double 
 }
 
 /* nb bursts into out: burst q's counts[q] packets, the k-th of them at
- * k * gap + starts[q], numpy's (k - first) * gap + s with k counted from the
- * burst's first packet. */
+ * k * gap + starts[q]. */
 void expand_bursts(const double *starts, const int64_t *counts, int64_t nb, double gap,
                    double *out)
 {

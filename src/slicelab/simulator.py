@@ -11,15 +11,8 @@ summed in another order can land a rounding error later.
 
 Both stages run Lindley's recursion packet by packet in compiled C
 (`pipeline.c`, built and loaded by `native`), and so does the on/off
-generator's burst expansion. Where that does not load, numpy runs each:
-Lindley's recursion as one running max (`_lindley`) over full-length arrays
-made once and updated in place, and each link overflow episode buffer_pkts
-accepted packets at a time (`_overflow_blocks`). Both paths make each sum
-and product in the same order, so both give the same bits. The link's
-departure array is its only queue state: it finds its buffer full by
-comparing each arrival with the departure buffer_pkts packets before it,
-and runs each overflow episode from the first arrival that may find the
-buffer full until one finds the link idle.
+generator's burst expansion; `pipeline.c`'s header describes how the link
+finds its buffer full and runs each overflow episode.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -27,7 +20,7 @@ statistics. Every offered request is either served or dropped: the run
 drains all queues after the horizon, and slices with a zero-rate stage
 count their stranded requests as dropped. A share so small that a delay
 overflows ends the simulation with an InvariantViolation that names the
-slice (`simulate_slice`), on either path.
+slice (`simulate_slice`).
 """
 from __future__ import annotations
 
@@ -52,7 +45,7 @@ TIE_S = 1e-9
 
 _INT32_MAX = 2**31 - 1
 
-# the compiled per-packet passes (`pipeline.c`), or None: then numpy runs each
+# the compiled per-packet passes (`pipeline.c`)
 _PIPELINE = load_pipeline()
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
@@ -164,7 +157,7 @@ def _onoff_arrivals(model, horizon_s, rng):
             # only the last burst can reach past the horizon: cap its size,
             # before the int64 cast, at the packets that can arrive before
             # the horizon, plus one for rounding, and `_before` cuts the same.
-            # The sum below puts the first packet left out at or past the
+            # The expansion below puts the first packet left out at or past the
             # horizon unless gap < 2.2e-16 times the time left, when the cap
             # is above 4.5e15 packets, more than fits in memory. Python
             # scalars: numpy's cost a microsecond here.
@@ -177,24 +170,10 @@ def _onoff_arrivals(model, horizon_s, rng):
         return np.empty(0)
     starts, counts = _joined(starts), _joined(counts)
     # expand each burst into gap-spaced packets: packet k of a burst that
-    # starts at time s with packet index first arrives at (k - first) * gap + s
-    if _PIPELINE is not None:
-        arrivals = np.empty(int(counts.sum()))
-        _PIPELINE.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
-                                arrivals.ctypes.data)
-        return _before(arrivals, horizon_s)
-    # one repeat carries the row (s, first) to every packet (two repeats, as
-    # in the per-burst reference, fault in fresh pages on every 10^5-packet
-    # call)
-    first = np.add.accumulate(counts) - counts
-    rows = np.empty((starts.size, 2))
-    rows[:, 0] = starts
-    rows[:, 1] = first
-    rep = rows.repeat(counts, axis=0)
-    arrivals = np.arange(len(rep), dtype=float)
-    arrivals -= rep[:, 1]
-    arrivals *= gap
-    arrivals += rep[:, 0]
+    # starts at time s arrives at k * gap + s
+    arrivals = np.empty(int(counts.sum()))
+    _PIPELINE.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
+                            arrivals.ctypes.data)
     return _before(arrivals, horizon_s)
 
 
@@ -261,170 +240,39 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
             links[key] = kept
     times, served_mask, created = kept
 
-    # server stage, an unbounded FIFO: written over the link departures
-    # unless they are the arrivals or kept
+    # the server stage, an unbounded FIFO: its delays (ms) are written over
+    # the link departures unless they are the arrivals or kept
     out = times if links is None and times is not arrivals else np.empty(times.size)
-    if not _server_stage(times, created, demand_mi / service_rate_ips,
-                         propagation_ms / 1000.0, out):
+    if _PIPELINE.server_pass(times.ctypes.data, created.ctypes.data,
+                             demand_mi / service_rate_ips, propagation_ms / 1000.0,
+                             out.ctypes.data, times.size):
         raise OverflowError(f"a delay overflows at link rates "
                             f"{np.asarray(link_rates_bps, dtype=float).tolist()} bps and "
                             f"server rate {service_rate_ips} MIPS")
     return out, served_mask
 
 
-def _server_stage(t, created, proc, prop_s, out):
-    """E2E delays (ms) into out, which may be t, from the server's FIFO:
-    Lindley's recursion over the link departures t at proc s a packet, less
-    each creation time, plus prop_s (s), times 1000. Returns whether every
-    delay is finite. `server_pass` runs it, or `_lindley` without it; t,
-    created and out are contiguous float arrays of one length, since the
-    compiled pass reads them by address."""
-    if _PIPELINE is not None:
-        return not _PIPELINE.server_pass(t.ctypes.data, created.ctypes.data, proc, prop_s,
-                                         out.ctypes.data, t.size)
-    # an overflow is answered by the return value, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        done = np.arange(1, t.size + 1, dtype=float)
-        done *= proc
-        ends = _lindley(t, done, out)
-        ends -= created
-        ends += prop_s
-        ends *= 1000.0
-    return bool(np.isfinite(ends).all())
-
-
-def _lindley(t, done, out, before=math.nan):
-    """Lindley's recursion dep_i = max(t_i, dep_{i-1}) + s_i into out, which may be t.
-
-    done[i] is s_0 + ... + s_i. before, the departure ahead of t[0], joins the
-    first term of dep = done + max.accumulate(t - done_prev): it acts only
-    while pending (above t[0]), and not as a NaN (none, or a drop).
-    """
-    if t.size == 0:
-        return out
-    out[0] = before if before > t[0] else t[0]
-    np.subtract(t[1:], done[:-1], out=out[1:])
-    np.fmax.accumulate(out, out=out)  # maximum.accumulate's values here (no NaN), faster
-    out += done
-    return out
-
-
 def _link_stage(t, sizes, rate, buffer_pkts):
     """Departure times from one FIFO link that holds at most buffer_pkts packets.
 
     t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
-    transmission times tx. The link runs in windows: `_lindley` runs one
-    window of packets at a time, from the departure before it, over its
-    own cumulative sum of tx, and an overflow episode runs from the first
-    arrival that finds the buffer full. The first window is the whole
-    array, one after an episode is _RESTART_WINDOW wide, and one that
-    finds no full buffer doubles the next. `link_pass` runs it all packet
-    by packet, or, without it, numpy runs each window and
-    `_overflow_blocks` each episode, with the same bits. Dropped packets
-    get a NaN departure. Returns the departures and whether an overflow
-    episode ran; without one, no packet was dropped.
-
-    dep is the only state carried between windows. Arrival i finds
-    buffer_pkts packets queued iff dep[i - buffer_pkts] > t_i, so a
-    departure at t frees its slot first. A slot in that range that is no
-    longer pending holds either a departure at or before an earlier arrival
-    (FIFO departures do not decrease) or the NaN of a drop in an episode that
-    ended with the link idle; both compare False. The test leaves TIE_S out,
-    so it may see the buffer full too early, never too late: from the first
-    arrival it sees the buffer full, an overflow episode that applies TIE_S
-    runs until an arrival finds the link idle.
+    transmission times. `link_pass` runs the link packet by packet, in
+    windows and overflow episodes (see `pipeline.c`). Dropped packets get a
+    NaN departure. Returns the departures and whether an overflow episode
+    ran; without one, no packet was dropped.
     """
     # contiguous floats of one length, since the compiled pass reads them by address
     t = np.ascontiguousarray(t, dtype=float)
     sizes = np.ascontiguousarray(sizes, dtype=float)
     if sizes.shape != t.shape:
         raise ValueError(f"t and sizes differ in shape: {t.shape} vs {sizes.shape}")
-    n, b = t.size, buffer_pkts
-    bytes_per_s = rate / 8.0  # exact, so tx is sizes * 8 / rate to the bit
+    n = t.size
     dep = np.empty(n)
-    if _PIPELINE is not None:
-        # a buffer of n or more never fills, and min keeps b an int64
-        blocked = _PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, bytes_per_s,
-                                      dep.ctypes.data, n, min(b, n), _RESTART_WINDOW, TIE_S)
-        return dep, blocked != 0
-    # an overflow, and the inf - inf it makes at the next link, is answered
-    # at the server, not by a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        tx = sizes / bytes_per_s
-        tie = None           # t + TIE_S, made at the first blocked episode
-        i, width, before = 0, n, math.nan   # before: dep[i - 1], NaN at the start
-        while i < n:
-            j = min(n, i + width)
-            m = j - i
-            tw, cw = t[i:j], np.add.accumulate(tx[i:j], out=tx[i:j])
-            _lindley(tw, cw, dep[i:j], before)
-            # the call's first b arrivals have fewer than b packets ahead and
-            # never find the buffer full; starting at lo keeps the index >= 0
-            lo = min(m, max(0, b - i))
-            full = dep[i + lo - b:j - b] > tw[lo:]
-            # argmax is the first True, or 0 when none is
-            f = lo + int(full.argmax()) if lo < m else m
-            if f < m and full[f - lo]:
-                if tie is None:
-                    tie = t + TIE_S
-                # the episode reads the raw tx
-                tx[i + f:j] = sizes[i + f:j] / bytes_per_s
-                i = _overflow_blocks(t, tie, tx, i + f, b, dep)
-                width = _RESTART_WINDOW
-            else:
-                i, width = j, 2 * width
-            before = dep[i - 1]
-    return dep, tie is not None
-
-
-def _overflow_blocks(t, tie, tx, k, buffer_pkts, dep):
-    """Run one overflow episode from arrival k, buffer_pkts accepted packets at a time:
-    `_link_stage`'s episode where the compiled pass did not load.
-
-    Writes dep from k on (NaN for a drop); dep is its only state. A
-    departure at most TIE_S after an arrival leaves the queue first but
-    still delays the arrival's start. tie is t + TIE_S. Arrival k is the
-    first the window's test saw with buffer_pkts packets ahead, so the view
-    dep[k - buffer_pkts:k] holds exactly the pending departures, none a
-    drop, and the episode never writes there. Until the episode ends the
-    link never idles, so the m-th accepted packet departs at the (m-1)-th's
-    departure plus its own tx, and an arrival is accepted iff the departure
-    buffer_pkts accepted packets earlier is at most its tie. The last
-    buffer_pkts departures thus fix where each of the next buffer_pkts
-    accepted arrivals falls: at least one past the one before, and no
-    earlier than the first tie its threshold reaches. Everything in between
-    is dropped. The episode ends at the first accepted arrival that comes
-    at or after the departure before it, which it returns, or at t.size.
-    """
-    n, b = t.size, buffer_pkts
-    r = np.arange(b)
-    first = tie.searchsorted(dep[k - b:k])
-    seeded = np.empty(b + 1)   # the departure before the block, then its tx
-    seeded[0] = dep[k - 1]
-    while True:
-        idx = first - r
-        idx[0] = max(idx[0], k)
-        np.maximum.accumulate(idx, out=idx)
-        idx += r
-        last = idx[-1] >= n
-        if last:
-            idx = idx[:idx.searchsorted(n)]
-        seeded[1:idx.size + 1] = tx[idx]
-        # add.accumulate sums in order, as the loop's prev_out += tx_k does
-        out = np.add.accumulate(seeded[:idx.size + 1])
-        idle = np.less_equal(out[:-1], t[idx]).nonzero()[0]
-        if idle.size:
-            stop = idle[0]
-            dep[k:idx[stop]] = math.nan
-            dep[idx[:stop]] = out[1:stop + 1]
-            return int(idx[stop])
-        end = n if last else idx[-1] + 1
-        dep[k:end] = math.nan
-        dep[idx] = out[1:]
-        if last:
-            return n
-        k, seeded[0] = end, out[-1]
-        first = tie.searchsorted(out[1:])
+    # rate / 8 is exact, so a transmission time is sizes * 8 / rate to the
+    # bit; a buffer of n or more never fills, and min keeps it an int64
+    blocked = _PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, rate / 8.0, dep.ctypes.data,
+                                  n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S)
+    return dep, blocked != 0
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:

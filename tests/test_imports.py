@@ -40,11 +40,9 @@ the simulator's `stage_rates` and the hinge, not a simulated oracle.
 The simulator names none of numpy's Python-level wrappers that it once
 paid for on every small call (`np.cumsum`, `np.all`, `np.partition`,
 `np.column_stack`); it calls the ufunc or ndarray method instead. It also
-writes each of its numpy running maxima in one place: `np.fmax.accumulate`
-once, in `_lindley`, numpy's Lindley recursion for both queue stages, which
-runs where the compiled passes of `pipeline.c` do not load, and
-`np.maximum.accumulate` once, in `_overflow_blocks`, on an episode's
-integer accepted indices.
+forms no numpy running max (`np.fmax.accumulate` or
+`np.maximum.accumulate`): Lindley's recursion of both queue stages and the
+link's overflow episodes run only in the compiled passes of `pipeline.c`.
 """
 import ast
 import builtins
@@ -336,6 +334,5 @@ def test_finds_a_second_running_max():
                                       ("<module>", "fmax.accumulate")]
 
 
-def test_the_simulator_writes_each_running_max_once():
-    assert running_maxima((PACKAGE / "simulator.py").read_text()) == [
-        ("_lindley", "fmax.accumulate"), ("_overflow_blocks", "maximum.accumulate")]
+def test_the_simulator_forms_no_running_max():
+    assert running_maxima((PACKAGE / "simulator.py").read_text()) == []

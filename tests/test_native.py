@@ -1,6 +1,8 @@
-"""The loader of the compiled per-packet passes: its cache, and its fallback
-to numpy. `test_simulator.py` checks the two paths agree."""
+"""The loader of the compiled per-packet passes: its cache, and the
+ImportError that names why it can neither build nor load them.
+`test_simulator.py` checks the passes against the reference loops."""
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,12 +15,6 @@ import pytest
 from slicelab import native, simulator
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_the_kernel_loads_where_a_compiler_is_found():
-    # with a C compiler on PATH, numpy's fallback must not run unnoticed
-    if shutil.which(native.COMMAND[0]) is not None:
-        assert simulator._PIPELINE is not None
 
 
 @pytest.fixture
@@ -50,24 +46,38 @@ def a_path_with(tmp_path, monkeypatch, compiler=None):
     monkeypatch.setenv("PATH", str(bin_dir))
 
 
+def refused(match):
+    """load_pipeline raises ImportError matching `match`, with no warning."""
+    with pytest.raises(ImportError, match=match):
+        load_quietly()
+
+
 class TestLoader:
-    def test_no_compiler_falls_back(self, home, tmp_path, monkeypatch):
+    def test_no_compiler_is_refused_by_name(self, home, tmp_path, monkeypatch):
         a_path_with(tmp_path, monkeypatch)
-        assert load_quietly() is None
+        refused("^slicelab needs a C compiler to build pipeline.c: no 'cc' on PATH$")
         assert not (home / ".cache").exists()
 
-    def test_a_failing_compile_falls_back_and_leaves_nothing(self, home, tmp_path, monkeypatch):
-        a_path_with(tmp_path, monkeypatch, "echo 'cc: error' >&2; exit 1")
-        assert load_quietly() is None
+    def test_a_failing_compile_names_its_stderr_and_leaves_nothing(self, home, tmp_path,
+                                                                    monkeypatch):
+        a_path_with(tmp_path, monkeypatch, "echo 'cc: error: no space' >&2; exit 3")
+        refused("^cc exited with status 3 building pipeline.c: cc: error: no space$")
         assert cached(home) == []
 
-    def test_a_built_file_that_does_not_load_falls_back(self, home, tmp_path, monkeypatch):
+    def test_a_compile_that_times_out_is_refused(self, home, tmp_path, monkeypatch):
+        # exec, so that the timeout kills the process that holds the pipes
+        a_path_with(tmp_path, monkeypatch, f"exec {shutil.which('sleep')} 10")
+        monkeypatch.setattr(native, "_COMPILE_TIMEOUT_S", 0.2)
+        refused("^cc did not build pipeline.c within 0.2 s$")
+        assert cached(home) == []
+
+    def test_a_built_file_that_does_not_load_is_refused(self, home, tmp_path, monkeypatch):
         # the "compiler" writes a file no loader accepts
         a_path_with(tmp_path, monkeypatch, 'while [ "$1" != -o ]; do shift; done; echo x > "$2"')
-        assert load_quietly() is None
+        refused(f"^cannot load {re.escape(str(home / '.cache' / 'slicelab'))}/pipeline-")
 
     @pytest.mark.parametrize("blocker", ["home", ".cache"])
-    def test_an_unwritable_cache_falls_back(self, home, blocker):
+    def test_an_unwritable_cache_is_refused(self, home, blocker):
         # a file where the cache's directory must go: no directory can be
         # made there, even by root
         if blocker == "home":
@@ -75,11 +85,28 @@ class TestLoader:
             home.write_text("")
         else:
             (home / ".cache").write_text("")
-        assert load_quietly() is None
+        refused(f"^cannot write the build cache {re.escape(str(home / '.cache' / 'slicelab'))}: ")
 
-    @pytest.mark.skipif(shutil.which(native.COMMAND[0]) is None, reason="no C compiler")
+    def test_a_source_without_every_pass_is_refused(self, home, tmp_path, monkeypatch):
+        other = tmp_path / "pipeline.c"
+        other.write_text("void expand_bursts(void) {}\n")
+        monkeypatch.setattr(native, "SOURCE", other)
+        refused(r"/pipeline-[0-9a-f]{16}\.so has no pass 'link_pass'$")
+
+    def test_importing_slicelab_without_a_compiler_names_cc(self, home, tmp_path):
+        # a fresh interpreter with no cc on PATH and an empty cache
+        (tmp_path / "bin").mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "bin"), HOME=str(home),
+                   PYTHONPATH=str(ROOT / "src"))
+        run = subprocess.run([sys.executable, "-c", "import slicelab"], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == ("ImportError: slicelab needs a C compiler to "
+                                               "build pipeline.c: no 'cc' on PATH")
+
     def test_a_build_is_cached_and_keyed_by_source_and_command(self, home, tmp_path, monkeypatch):
-        assert load_quietly() is not None and len(cached(home)) == 1
+        load_quietly()
+        assert len(cached(home)) == 1
         # another source gets another file: passes that only say they ran
         other = tmp_path / "pipeline.c"
         other.write_text("#include <stdint.h>\n"
@@ -96,13 +123,10 @@ class TestLoader:
         assert fake.link_pass(0, 0, 1.0, 0, 0, 1, 1, 0.0) == -7
         assert fake.server_pass(0, 0, 1.0, 0.0, 0, 0) == -8
         assert len(cached(home)) == 2
-        # a source without every pass does not load
-        other.write_text("void expand_bursts(void) {}\n")
-        assert load_quietly() is None
         monkeypatch.setattr(native, "SOURCE", real)
         monkeypatch.setattr(native, "COMMAND", native.COMMAND + ("-O1",))
         load_quietly()
-        assert len(cached(home)) == 4
+        assert len(cached(home)) == 3
         # with no compiler left, the real source's file loads from the cache
         monkeypatch.setattr(native, "COMMAND", native.COMMAND[:-1])
         a_path_with(tmp_path, monkeypatch)
@@ -123,12 +147,10 @@ class TestLoader:
         lib.expand_bursts(starts.ctypes.data, counts.ctypes.data, 2, 0.5, out.ctypes.data)
         assert out.tolist() == [1.0, 1.5, 5.0]
 
-    @pytest.mark.skipif(simulator._PIPELINE is None, reason="no compiled pipeline loaded")
     def test_loading_from_the_cache_imports_no_subprocess(self):
-        code = ("import sys, numpy\nimport slicelab.simulator as s\n"
-                "print(s._PIPELINE is not None, 'subprocess' in sys.modules,"
-                " 'hashlib' in sys.modules)")
+        code = ("import sys, numpy\nimport slicelab.simulator\n"
+                "print('subprocess' in sys.modules, 'hashlib' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.split() == ["True", "False", "False"]
+        assert out.split() == ["False", "False"]

@@ -3,11 +3,8 @@
 
     PYTHONPATH=src python3 tools/small_buffers.py
 
-Prints one JSON line: whether the compiled passes ran, and per buffer the
-median of ROUNDS rounds of 3 calls, in ms. The process pins itself to one
-CPU where it can. To time numpy's path, run it where no C compiler is
-found and nothing is cached, e.g. with PATH=/nonexistent, HOME set to an
-empty directory and python3 named by its full path.
+Prints one JSON line: per buffer, the median of ROUNDS rounds of 3 calls,
+in ms. The process pins itself to one CPU where it can.
 """
 import json
 import os
@@ -38,8 +35,8 @@ def main():
                 simulator.simulate_pipeline(arrivals, sizes, [link_bps], b, 9e7, 1e4, 0.1)
                 calls.append(time.perf_counter() - start)
         ms[b] = round(1e3 * statistics.median(calls), 3)
-    print(json.dumps({"compiled": simulator._PIPELINE is not None, "packets": arrivals.size,
-                      "link_load": LOAD, "rounds": ROUNDS, "median_ms_by_buffer": ms}))
+    print(json.dumps({"packets": arrivals.size, "link_load": LOAD, "rounds": ROUNDS,
+                      "median_ms_by_buffer": ms}))
 
 
 if __name__ == "__main__":
