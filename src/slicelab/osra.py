@@ -17,8 +17,9 @@ a donor's own marginal penalty matches j's on some coordinate, p_i there
 crosses zero and the exchange stalls there. On the reference sweep every
 run stops on gradients that are exactly zero: each donor's model meets its
 bounds, and so does every probe repetition of the new slice. The one
-monitored sample need not: seed 4 stops with the new slice's p99 at 2.2 ms
-against its 2 ms bound. Every slice still holds a share, and no applied
+monitored sample need not: a seed may stop with the new slice's p99 over
+its bound (the `OUTCOMES` table of the loop's tests says which seeds, and
+by how much). Every slice still holds a share, and no applied
 update uses the fallback below; only the stopping iteration, which
 applies nothing, records it.
 

@@ -150,6 +150,17 @@ def _to_dict(obj, **by_hand) -> dict:
     return out
 
 
+def _slice_spec(**kw) -> SliceSpec:
+    """SliceSpec(**kw), each message without the "slice <id>: " that SliceSpec
+    writes, since the reader's key names the slice already."""
+    try:
+        return SliceSpec(**kw)
+    except InvariantViolation as e:
+        named = f"slice {kw['id']}: "
+        raise InvariantViolation([(field, msg.removeprefix(named))
+                                  for field, msg in e.violations]) from None
+
+
 def _slice_from_dict(d) -> SliceSpec:
     sid = str(_req(d, "id", "slices[]"))
     where = f"slice {sid!r}"
@@ -157,7 +168,7 @@ def _slice_from_dict(d) -> SliceSpec:
                         "alpha_rho", "demand_mi", "traffic"))
     tau = _req(d, "tau_ms", where)  # null and "unbounded" are UNBOUNDED
     return _build(
-        SliceSpec, where,
+        _slice_spec, where,
         id=sid,
         requirement=_build(QoeRequirement, where,
                            tau_ms=UNBOUNDED if tau is None or tau == "unbounded" else tau,
@@ -171,38 +182,59 @@ def _slice_from_dict(d) -> SliceSpec:
 
 
 def _alloc_row_from_dict(d, where, topology) -> AllocationVector:
-    """One initial_alloc row, with one entry per edge and per core of `topology`."""
+    """One initial_alloc row, with one entry per edge and per core of
+    `topology`; a topology of None (one that failed to read) checks no width."""
     row = _from_dict(AllocationVector, d, where)
-    _build(InvariantViolation.check, where,
-           violations=topology.width_violations(row.flows.size, row.cpu.size))
+    if topology is not None:
+        _build(InvariantViolation.check, where,
+               violations=topology.width_violations(row.flows.size, row.cpu.size))
     return row
 
 
-def scenario_from_dict(data: dict) -> ScenarioConfig:
-    """Build an (already validated) ScenarioConfig from plain YAML data."""
-    _mapping(data, "scenario", ("name", "new_slice", "topology", "slices",
-                                "initial_alloc", "sim", "osra"))
-    topology = _from_dict(Topology, _req(data, "topology", "scenario"), "topology",
-                          edges=_capacities, cores=_capacities)
+def _slice_list(data) -> list:
     slices_d = _req(data, "slices", "scenario")
     if not isinstance(slices_d, list):
         raise InvariantViolation([("slices", f"slices must be a list of slice mappings, "
                                              f"got {slices_d!r}")])
-    slices = tuple(_slice_from_dict(d) for d in slices_d)
+    return slices_d
 
-    alloc_d = _mapping(_req(data, "initial_alloc", "scenario"), "initial_alloc")
-    rows = {str(sid): _alloc_row_from_dict(row, f"initial_alloc.{sid}", topology)
-            for sid, row in alloc_d.items()}
-    alloc = _build(AllocationMatrix.from_rows, "initial_alloc", rows=rows)
+
+def scenario_from_dict(data: dict) -> ScenarioConfig:
+    """Build an (already validated) ScenarioConfig from plain YAML data.
+
+    Each section, and each slice and initial_alloc row, is read on its own,
+    so one InvariantViolation lists the violations of all that fail."""
+    _mapping(data, "scenario", ("name", "new_slice", "topology", "slices",
+                                "initial_alloc", "sim", "osra"))
+    errs = []
+
+    def read(build, *args):
+        """build(*args), or None with its violations kept for the one error."""
+        try:
+            return build(*args)
+        except InvariantViolation as e:
+            errs.extend(e.violations)
+            return None
+
+    topology = read(lambda: _from_dict(Topology, _req(data, "topology", "scenario"),
+                                       "topology", edges=_capacities, cores=_capacities))
+    slices = tuple(read(_slice_from_dict, d) for d in read(_slice_list, data) or ())
+    alloc_d = read(lambda: _mapping(_req(data, "initial_alloc", "scenario"), "initial_alloc"))
+    rows = {str(sid): read(_alloc_row_from_dict, row, f"initial_alloc.{sid}", topology)
+            for sid, row in (alloc_d or {}).items()}
+    sim = read(lambda: _from_dict(SimConfig, _req(data, "sim", "scenario"), "sim"))
+    osra = read(lambda: _from_dict(OsraConfig, _req(data, "osra", "scenario"), "osra"))
+    new_slice_id = read(_req, data, "new_slice", "scenario")
+    InvariantViolation.check(errs)
 
     return ScenarioConfig(
         name=str(data.get("name", "scenario")),
         slices=slices,
         topology=topology,
-        initial_alloc=alloc,
-        sim=_from_dict(SimConfig, _req(data, "sim", "scenario"), "sim"),
-        osra=_from_dict(OsraConfig, _req(data, "osra", "scenario"), "osra"),
-        new_slice_id=str(_req(data, "new_slice", "scenario")),
+        initial_alloc=_build(AllocationMatrix.from_rows, "initial_alloc", rows=rows),
+        sim=sim,
+        osra=osra,
+        new_slice_id=str(new_slice_id),
     ).validate()
 
 

@@ -16,7 +16,8 @@ repetition count no run can afford, so only its precision is independent),
 and `least_cpu_frontier` with `least_fitting_link`, a slow reference for the
 loop: a grid search for the least resources each slice needs, and whether
 the slices fit together there, and `reprobed_stop`, a slow reference for the
-loop's stop: the last iterate of a finished run probed again from scratch.
+loop's stop: the last iterate of a finished run probed again from scratch,
+which `stop_state` reads as the reason the run stopped.
 """
 import itertools
 import math
@@ -376,3 +377,32 @@ def reprobed_stop(result, slices, topology, sim_config, osra_config, new_slice_i
             point[d] = sides[d, side]
             pen[d, side] = penalty(point)
     return (pen[:, 1] - pen[:, 0]) / (sides[:, 1] - sides[:, 0]), pen, penalty(centre)
+
+
+def stop_state(result, stop, new_slice_id):
+    """Why `result`, a finished `run_osra`, stopped, read from `stop`, its
+    `reprobed_stop`:
+
+    - "max_iters": it did not converge, so the iteration cap ended it;
+    - "stalled at <p>": every probe point and the centre read the same
+      positive penalty p, so the new slice's gradient is flat above its
+      bound;
+    - "donor <id> hurts": every probe point and the centre read 0, while
+      donor <id>'s monitored penalty is positive under a gradient of
+      exactly 0 (one such phrase per hurting donor, joined by ", ");
+    - "satisfied": every probe point and the centre read 0, and no donor's
+      monitored penalty is positive.
+
+    Any other stop reads "unclassified", with the penalties it read.
+    """
+    if not result.converged:
+        return "max_iters"
+    _, pen, centre = stop
+    read = {*pen.ravel().tolist(), float(centre)}
+    if len(read) == 1 and centre > 0.0:
+        return f"stalled at {float(centre)!r}"
+    last = result.traces[-1]
+    hurting = [sid for sid, p in last.penalties.items() if sid != new_slice_id and p > 0.0]
+    if read == {0.0} and all((last.gradients[sid] == 0.0).all() for sid in hurting):
+        return ", ".join(f"donor {sid} hurts" for sid in hurting) or "satisfied"
+    return f"unclassified: probes and centre read {sorted(read)}"

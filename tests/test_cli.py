@@ -277,6 +277,15 @@ class TestValidate:
         assert main(["validate", "--scenario", str(p)]) == 2
         assert named in capsys.readouterr().err
 
+    def test_a_bad_slice_value_names_the_slice_once(self, tmp_path, capsys):
+        data = yaml.safe_load(REFERENCE_YAML.read_text())
+        data["slices"][0]["alpha_tau"] = -1
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: slice 'slice1'.alpha_tau: alpha_tau must be in [0, inf), got -1\n")
+
     def test_statistic_just_above_100_exits_2(self, tmp_path, capsys):
         # the check and the rank read one parse, so validate refuses what run cannot use
         data = yaml.safe_load(REFERENCE_YAML.read_text())

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import pickle
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from reference_impls import (
     least_fitting_link,
     reprobed_stop,
     scalar_transfer_recursion,
+    stop_state,
 )
 
 
@@ -227,9 +229,9 @@ class TestRunOsra:
             "9ebfe4fb23b1aaf71804fc5e979ca9c832c91567818bcd785bd05f782f89fa16")
 
     def test_every_reference_run_stops_on_exactly_zero_gradients(self, reference_sweep):
-        # the stop reads the gradients, not the one monitored sample: seed 4
-        # stops with slice1's monitored p99 over its bound, since every
-        # probe repetition meets it
+        # the stop reads the gradients, not the one monitored sample: a seed
+        # may stop with slice1's monitored p99 over its bound, since every
+        # probe repetition meets it (OUTCOMES, row ref-4)
         _, results, _ = reference_sweep
         for res in results.values():
             *applied, last = res.traces
@@ -238,7 +240,6 @@ class TestRunOsra:
             assert last.stop_metric == 0.0 and last.rule_used == "conservative-fallback"
             assert all((g == 0.0).all() for g in last.gradients.values())
             assert res.final_alloc.stacked().min() > 0.0
-        assert results[4].traces[-1].penalties["slice1"] > 0.0
 
     def test_memory_records_all_probes(self):
         sc = make_tiny_scenario(max_iters=2, epsilon=0.0, tau_new=0.05, probes=2)
@@ -302,28 +303,23 @@ class TestRunOsra:
 class TestReprobedStop:
     """The reference sweep's stops, probed again by `reprobed_stop`."""
 
-    @pytest.fixture(scope="class")
-    def stops(self, reference_sweep):
-        """{seed: (quotients, probe-point penalties, centre penalty)}"""
-        sc, results, _ = reference_sweep
-        return {seed: reprobed_stop(res, sc.slices, sc.topology, sc.sim, sc.osra,
-                                    sc.new_slice_id, seed)
-                for seed, res in results.items()}
-
     def test_the_reprobe_reproduces_the_last_gradient_bit_for_bit(self, reference_sweep,
-                                                                  stops):
+                                                                  reprobed):
         _, results, _ = reference_sweep
-        for seed, (quotients, _, _) in stops.items():
-            last = results[seed].traces[-1].gradients["slice1"]
+        for seed, res in results.items():
+            quotients = reprobed(f"ref-{seed}")[0]
+            last = res.traces[-1].gradients["slice1"]
             assert quotients.tobytes() == last.tobytes(), seed
 
-    def test_every_seed_stops_satisfied(self, reference_sweep, stops):
+    def test_every_seed_stops_satisfied(self, reference_sweep, reprobed, measured):
         # every probe point and the centre meet slice1's bound on the
-        # repetitions, even where one monitor sample does not (ROADMAP item 18)
+        # repetitions, even where one monitor sample does not (ROADMAP item
+        # 18); each seed's monitored penalties are its OUTCOMES row's
         _, results, _ = reference_sweep
-        for seed, (_, pen, centre) in stops.items():
+        for seed in results:
+            _, pen, centre = reprobed(f"ref-{seed}")
             assert (pen == 0.0).all() and centre == 0.0, seed
-        assert results[4].traces[-1].penalties["slice1"] == pytest.approx(0.599, abs=1e-3)
+            assert measured[f"ref-{seed}"] == OUTCOMES[f"ref-{seed}"], seed
 
 
 class TestProbeMemory:
@@ -476,15 +472,6 @@ class TestProbeMemo:
             assert cpu[0] == cpu[1]
 
 
-def _fails_today(reason):
-    """A strict xfail: the change that mends the case must drop the marker."""
-    return pytest.mark.xfail(strict=True, reason=reason)
-
-
-# cold starts at f = 2 and 2.5 stop on a probed gradient of exactly 0
-_STALL = ("servable at f = 2 and 2.5; ROADMAP item 12: converged=True after 1 update, "
-          "slice1's penalty 744")
-
 # the reference topology with its link (Mbps) and each core (MIPS) cut
 CUTS = {"link900": (900.0, 2e8), "link1200": (1200.0, 3e8)}
 
@@ -497,17 +484,6 @@ GRID = [*((f, seed, start, None) for f in (2.0, 2.5) for seed in range(100, 103)
 def _name(f, seed, start, cut):
     """A GRID run's name, like 2.0-100-cold or link900-0."""
     return f"{cut}-{seed}" if cut else f"{f}-{seed}-{start}"
-
-
-def _grid(fails):
-    """The GRID runs as parameters named by `_name`, each one that `fails`
-    names a strict xfail with its reason."""
-    params = []
-    for run in GRID:
-        name = _name(*run)
-        marks = [_fails_today(fails[name])] if name in fails else []
-        params.append(pytest.param(*run, id=name, marks=marks))
-    return params
 
 
 def _variant(sc, f, cut):
@@ -527,6 +503,206 @@ def _variant(sc, f, cut):
     return slices, topology
 
 
+class Outcome(NamedTuple):
+    """How a run ends: the state `stop_state` reads, the updates it applied,
+    each slice's monitored penalty at the stop in SLICE_IDS order (to 5
+    significant digits; 0 only when exactly 0), and the slices it leaves
+    starved (a last monitored throughput of 0, a zero link share or zero on
+    every core)."""
+    state: str
+    updates: int
+    penalties: tuple
+    starved: tuple
+
+
+# the reference scenario's slices; slice1 is the new one
+SLICE_IDS = ("slice1", "slice2", "slice3")
+
+# How each of the 28 pinned runs ends: reference seeds 0-9 and the GRID
+# runs, all with the reference knobs. A change that moves a run edits its
+# row here and states the drift; the strict xfails below follow the rows.
+OUTCOMES = {
+    "ref-0":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-1":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-2":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-3":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-4":        Outcome("satisfied", 7, (0.5993, 0.0, 0.0), ()),
+    "ref-5":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-6":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-7":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-8":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "ref-9":        Outcome("satisfied", 7, (0.0, 0.0, 0.0), ()),
+    "2.0-100-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.0-100-warm": Outcome("satisfied", 3, (0.0, 0.0, 0.0), ()),
+    "2.0-101-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.0-101-warm": Outcome("satisfied", 5, (0.0, 0.0, 0.0), ()),
+    "2.0-102-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.0-102-warm": Outcome("satisfied", 3, (0.0, 0.0, 0.0), ()),
+    "2.5-100-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.5-100-warm": Outcome("satisfied", 13, (0.0, 0.0, 0.0), ()),
+    "2.5-101-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.5-101-warm": Outcome("satisfied", 6, (0.0, 0.0, 0.0), ()),
+    "2.5-102-cold": Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "2.5-102-warm": Outcome("donor slice2 hurts", 7, (0.0, 7.2031, 0.0), ()),
+    "link900-0":    Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "link900-1":    Outcome("stalled at 744.0", 1, (744.0, 0.0, 0.0), ()),
+    "link900-2":    Outcome("max_iters", 14, (244.47, 0.0, 0.5), ("slice3",)),
+    "link1200-0":   Outcome("max_iters", 14, (0.0, 11.204, 0.49255), ()),
+    "link1200-1":   Outcome("max_iters", 14, (744.0, 0.0, 0.5), ("slice3",)),
+    "link1200-2":   Outcome("max_iters", 14, (38.453, 0.0, 0.0), ()),
+}
+
+# What a row cannot hold: why its run breaks a property that a test below
+# pins. A row that breaks one gets a strict xfail whose reason is this text
+# with the row's facts at "{}", or those facts alone.
+WHY = {
+    **dict.fromkeys((f"{f}-{seed}-cold" for f in (2.0, 2.5) for seed in range(100, 103)),
+                    "servable at f = 2 and 2.5; ROADMAP item 12: {}"),
+    "2.5-102-warm": "servable; ROADMAP item 9: {} (its p99 12.2 ms against 5 ms)",
+    **dict.fromkeys(("link900-0", "link900-1"),
+                    "no allocation serves link900: slice1's penalty is above 0 even with the "
+                    "whole link and both cores; ROADMAP items 12 and 14: {}"),
+    "link900-2": "no allocation serves link900; ROADMAP item 9: algorithm1 steps zero slice3's "
+                 "link share from k = 9; {}",
+    "link1200-1": "no allocation serves link1200: the least link shares at which each slice is "
+                  "served sum to 1.025; ROADMAP item 9: algorithm1 steps zero slice3's link "
+                  "share at k = 8 and from k = 13; {}",
+}
+
+
+def _short(penalty):
+    """A penalty as a reason writes it: to 2 decimals, trailing zeros cut."""
+    return f"{round(penalty, 2):g}"
+
+
+def _converged_facts(row):
+    """e.g. "converged=True after 1 update, slice1's penalty 744"."""
+    hurt = ", ".join(f"{sid}'s penalty {_short(p)}"
+                     for sid, p in zip(SLICE_IDS, row.penalties) if p > 0.0)
+    return f"converged=True after {row.updates} update{'s' * (row.updates != 1)}, {hurt}"
+
+
+def _last_facts(row):
+    """e.g. "15 iterations, slice3's throughput 0 and penalty 0.5, slice1's 744"."""
+    penalty = dict(zip(SLICE_IDS, row.penalties))
+    starved = "".join(f"{sid}'s throughput 0 and penalty {_short(penalty[sid])}, "
+                      for sid in row.starved)
+    return f"{row.updates + 1} iterations, {starved}slice1's {_short(penalty['slice1'])}"
+
+
+# (breaks, facts) for each property of TestWarmRestart: whether a row
+# breaks it, and the row's facts its reason gives
+CONVERGED_AT_ZERO = (lambda row: row.state != "max_iters" and max(row.penalties) > 0.0,
+                     _converged_facts)
+UNSTARVED = (lambda row: bool(row.starved), _last_facts)
+CONVERGED = (lambda row: row.state == "max_iters", _last_facts)
+
+
+def _marks(name, prop):
+    """A strict xfail for the run `name` where its OUTCOMES row breaks the
+    property `prop`, with the reason WHY and the row give; else none. The
+    change that mends the run edits its row, and the marker goes with it."""
+    breaks, facts = prop
+    row = OUTCOMES[name]
+    if not breaks(row):
+        return []
+    return [pytest.mark.xfail(strict=True, reason=WHY.get(name, "{}").format(facts(row)))]
+
+
+def _grid(prop):
+    """The GRID runs as parameters named by `_name`, each marked by `_marks`."""
+    return [pytest.param(*run, id=_name(*run), marks=_marks(_name(*run), prop))
+            for run in GRID]
+
+
+@pytest.fixture(scope="module")
+def grid_run(reference_sweep):
+    """run(f, seed, start, cut=None), start "warm" or "cold", on the
+    topology that CUTS[cut] gives, or the reference one; each run made once."""
+    sc, results, _ = reference_sweep
+    runs = {}
+
+    def run(f, seed, start, cut=None):
+        if (f, seed, start, cut) not in runs:
+            slices, topology = _variant(sc, f, cut)
+            alloc = results[seed - 100].final_alloc if start == "warm" else sc.initial_alloc
+            runs[f, seed, start, cut] = run_osra(slices, topology, alloc, sc.sim,
+                                                 sc.new_slice_id, sc.osra, seed=seed)
+        return runs[f, seed, start, cut]
+    return run
+
+
+@pytest.fixture(scope="module")
+def finished(reference_sweep, grid_run):
+    """finished(name): (OsraResult, slices, topology, seed) of the run that
+    OUTCOMES names: a reference seed's from the sweep, a GRID run's from
+    `grid_run`."""
+    sc, results, _ = reference_sweep
+    grid = {_name(*run): run for run in GRID}
+
+    def finished(name):
+        if name.startswith("ref-"):
+            seed = int(name[len("ref-"):])
+            return results[seed], sc.slices, sc.topology, seed
+        f, seed, start, cut = grid[name]
+        return (grid_run(f, seed, start, cut), *_variant(sc, f, cut), seed)
+    return finished
+
+
+@pytest.fixture(scope="module")
+def reprobed(reference_sweep, finished):
+    """reprobed(name): `reprobed_stop` of the run that OUTCOMES names, each
+    made once."""
+    sc, made = reference_sweep[0], {}
+
+    def reprobed(name):
+        if name not in made:
+            res, slices, topology, seed = finished(name)
+            made[name] = reprobed_stop(res, slices, topology, sc.sim, sc.osra,
+                                       sc.new_slice_id, seed)
+        return made[name]
+    return reprobed
+
+
+@pytest.fixture(scope="module")
+def measured(finished, reprobed):
+    """{name: Outcome} of each run that OUTCOMES names, as the run ends."""
+    measured = {}
+    for name in OUTCOMES:
+        res = finished(name)[0]
+        last = res.traces[-1]
+        starved = tuple(sid for sid, sample in last.samples.items()
+                        if not (sample.throughput > 0 and last.alloc.row(sid).flows.all()
+                                and last.alloc.row(sid).cpu.any()))
+        measured[name] = Outcome(
+            stop_state(res, reprobed(name), "slice1"), res.iterations,
+            tuple(float(f"{last.penalties[sid]:.5g}") for sid in SLICE_IDS), starved)
+    return measured
+
+
+def _grid_rows(state):
+    """The OUTCOMES rows of GRID runs whose stop state begins with `state`."""
+    grid = {_name(*run) for run in GRID}
+    return {name: row for name, row in OUTCOMES.items()
+            if name in grid and row.state.startswith(state)}
+
+
+class TestOutcomes:
+    """The 28 pinned runs against their OUTCOMES rows."""
+
+    def test_every_run_ends_as_its_row_says(self, measured):
+        # compared whole, so a change that moves runs reads as a list of rows
+        moved = [f"{name}: {row}\n  now {measured[name]}"
+                 for name, row in OUTCOMES.items() if measured[name] != row]
+        assert not moved, "rows that moved, as OUTCOMES has them and as measured:\n" + (
+            "\n".join(moved))
+
+    def test_every_cause_explains_a_row_that_breaks_a_property(self):
+        props = (CONVERGED_AT_ZERO, UNSTARVED, CONVERGED)
+        assert {name for name in WHY
+                if not any(breaks(OUTCOMES[name]) for breaks, _ in props)} == set()
+
+
 class TestWarmRestart:
     """The loop tracks a demand change from the allocation it converged to,
     and a capacity cut from the reference start.
@@ -536,27 +712,11 @@ class TestWarmRestart:
     of reference seeds 0-2. At f = 1.25 and 1.5 every warm restart converges
     to zero penalties faster than a cold start. At f = 2 and 2.5, and from
     the reference start on seeds 0-2 with the link and cores cut (CUTS),
-    properties are pinned, each with a strict xfail where it fails today: a
-    run that reports convergence has every penalty at 0, no slice ends
-    starved, and a warm restart converges. Each run is made once and shared
-    by the tests.
+    properties are pinned, each with a strict xfail where the run's OUTCOMES
+    row breaks it: a run that reports convergence has every penalty at 0, no
+    slice ends starved, and a warm restart converges. Each run is made once
+    and shared by the tests.
     """
-
-    @pytest.fixture(scope="class")
-    def grid_run(self, reference_sweep):
-        """run(f, seed, start, cut=None), start "warm" or "cold", on the
-        topology that CUTS[cut] gives, or the reference one; each run made once."""
-        sc, results, _ = reference_sweep
-        runs = {}
-
-        def run(f, seed, start, cut=None):
-            if (f, seed, start, cut) not in runs:
-                slices, topology = _variant(sc, f, cut)
-                alloc = results[seed - 100].final_alloc if start == "warm" else sc.initial_alloc
-                runs[f, seed, start, cut] = run_osra(slices, topology, alloc, sc.sim,
-                                                     sc.new_slice_id, sc.osra, seed=seed)
-            return runs[f, seed, start, cut]
-        return run
 
     @pytest.fixture(scope="class")
     def frontiers(self):
@@ -617,28 +777,13 @@ class TestWarmRestart:
             assert set(warm.traces[-1].penalties.values()) == {0.0}, seed
             assert cold.iterations > warm.iterations, seed
 
-    @pytest.mark.parametrize("f, seed, start, cut", _grid({
-        **{f"{f}-{seed}-cold": _STALL for f in (2.0, 2.5) for seed in range(100, 103)},
-        "2.5-102-warm": "servable; ROADMAP item 9: converged=True after 7 updates, slice2's "
-                        "penalty 7.2 (its p99 12.2 ms against 5 ms)",
-        **dict.fromkeys(("link900-0", "link900-1"), "no allocation serves link900: slice1's "
-                        "penalty is above 0 even with the whole link and both cores; ROADMAP "
-                        "items 12 and 14: converged=True after 1 update, slice1's penalty 744"),
-    }))
+    @pytest.mark.parametrize("f, seed, start, cut", _grid(CONVERGED_AT_ZERO))
     def test_a_converged_run_has_every_penalty_at_zero(self, grid_run, f, seed, start, cut):
         res = grid_run(f, seed, start, cut)
         if res.converged:
             assert set(res.traces[-1].penalties.values()) == {0.0}
 
-    @pytest.mark.parametrize("f, seed, start, cut", _grid({
-        "link900-2": "no allocation serves link900; ROADMAP item 9: algorithm1 steps zero "
-                     "slice3's link share from k = 9; 15 iterations, slice3's throughput 0 "
-                     "and penalty 0.5, slice1's 244.47",
-        "link1200-1": "no allocation serves link1200: the least link shares at which each "
-                      "slice is served sum to 1.025; ROADMAP item 9: algorithm1 steps zero "
-                      "slice3's link share at k = 8 and from k = 13; 15 iterations, slice3's "
-                      "throughput 0 and penalty 0.5, slice1's 744",
-    }))
+    @pytest.mark.parametrize("f, seed, start, cut", _grid(UNSTARVED))
     def test_no_slice_ends_starved(self, grid_run, f, seed, start, cut):
         # a zero link share, or zero on every core, strands a slice's traffic
         last = grid_run(f, seed, start, cut).traces[-1]
@@ -646,8 +791,10 @@ class TestWarmRestart:
             row = last.alloc.row(sid)
             assert sample.throughput > 0 and row.flows.all() and row.cpu.any(), sid
 
-    @pytest.mark.parametrize("f, seed", [(2.0, 100), (2.0, 101), (2.0, 102), (2.5, 100),
-                                         (2.5, 101)])
+    @pytest.mark.parametrize("f, seed", [
+        pytest.param(f, seed, id=f"{f}-{seed}",
+                     marks=_marks(_name(f, seed, start, cut), CONVERGED))
+        for f, seed, start, cut in GRID if start == "warm"])
     def test_a_warm_restart_converges(self, grid_run, f, seed):
         assert grid_run(f, seed, "warm").converged
 
@@ -661,52 +808,41 @@ class TestWarmRestart:
             assert res.iterations == len(res.traces) - 1
             assert res.converged == (last.stop_metric <= sc.osra.epsilon)
 
-    @pytest.fixture(scope="class")
-    def grid_stop(self, reference_sweep, grid_run):
-        """grid_stop(f, seed, start, cut): `reprobed_stop` of that GRID run,
-        each made once."""
-        sc, stops = reference_sweep[0], {}
-
-        def stop(f, seed, start, cut):
-            if (f, seed, start, cut) not in stops:
-                slices, topology = _variant(sc, f, cut)
-                stops[f, seed, start, cut] = reprobed_stop(
-                    grid_run(f, seed, start, cut), slices, topology, sc.sim, sc.osra,
-                    sc.new_slice_id, seed)
-            return stops[f, seed, start, cut]
-        return stop
-
-    def test_the_reprobe_reproduces_slice1s_last_gradient(self, grid_run, grid_stop):
+    def test_the_reprobe_reproduces_slice1s_last_gradient(self, grid_run, reprobed):
         for params in GRID:
             last = grid_run(*params).traces[-1].gradients["slice1"]
-            assert grid_stop(*params)[0].tobytes() == last.tobytes(), _name(*params)
+            assert reprobed(_name(*params))[0].tobytes() == last.tobytes(), _name(*params)
 
     def test_a_converged_run_with_slice1_over_its_bound_has_stalled(self, grid_run,
-                                                                    grid_stop):
+                                                                    reprobed, measured):
         # the rule: such a stop reads equal, positive probe penalties, so its
-        # gradient is flat; the runs it covers today each stop after 1
-        # update at the ceiling's 744 (ROADMAP items 12 and 14)
+        # gradient is flat; which runs stall, after how many updates and at
+        # what penalty, their OUTCOMES rows say (ROADMAP items 12 and 14)
         stalled = {}
         for params in GRID:
-            res = grid_run(*params)
+            res, name = grid_run(*params), _name(*params)
             if res.converged and res.traces[-1].penalties["slice1"] > 0:
-                _, pen, centre = grid_stop(*params)
-                assert len(set(pen.ravel())) == 1 and pen[0, 0] > 0, _name(*params)
-                stalled[_name(*params)] = (res.iterations, pen[0, 0], centre)
-        assert stalled == dict.fromkeys(
-            [*(f"{f}-{seed}-cold" for f in (2.0, 2.5) for seed in range(100, 103)),
-             "link900-0", "link900-1"], (1, 744.0, 744.0))
+                _, pen, centre = reprobed(name)
+                assert len({*pen.ravel().tolist(), float(centre)}) == 1 and centre > 0, name
+                stalled[name] = measured[name]
+        assert stalled == _grid_rows("stalled at ")
 
-    def test_a_donor_hurts_under_a_zero_gradient(self, grid_run, grid_stop):
-        # 2.5-102-warm stops with slice1 satisfied on every probe, while
-        # slice2 misses its bound with a donor gradient of 0 (ROADMAP items
-        # 9 and 14)
-        res = grid_run(2.5, 102, "warm", None)
-        _, pen, centre = grid_stop(2.5, 102, "warm", None)
-        last = res.traces[-1]
-        assert res.converged and (pen == 0.0).all() and centre == 0.0
-        assert last.penalties["slice2"] == pytest.approx(7.20, abs=5e-3)
-        assert (last.gradients["slice2"] == 0.0).all()
+    def test_a_donor_hurts_under_a_zero_gradient(self, grid_run, reprobed, measured):
+        # a run that stops with slice1 satisfied on every probe while a donor
+        # misses its bound has that donor's gradient at exactly 0 (ROADMAP
+        # items 9 and 14); which runs do, and the donor's penalty, their
+        # OUTCOMES rows say
+        hurt = {}
+        for params in GRID:
+            res, name = grid_run(*params), _name(*params)
+            last = res.traces[-1]
+            _, pen, centre = reprobed(name)
+            donors = [sid for sid, p in last.penalties.items() if sid != "slice1" and p > 0]
+            if res.converged and (pen == 0.0).all() and centre == 0.0 and donors:
+                for sid in donors:
+                    assert (last.gradients[sid] == 0.0).all(), (name, sid)
+                hurt[name] = measured[name]
+        assert hurt == _grid_rows("donor ")
 
     def test_the_grid_runs_keep_their_golden_digest(self, grid_run):
         # pickled and pinned as seed 0 is: these runs hold 29 nonzero donor
@@ -716,12 +852,18 @@ class TestWarmRestart:
         assert hashlib.sha256(blob).hexdigest() == (
             "98d464724272d4ce112771745e3438cb63295335df28da540433d7a3556e219e")
 
-    def test_four_cut_runs_run_to_the_iteration_cap(self, reference_sweep, grid_run):
+    def test_four_cut_runs_run_to_the_iteration_cap(self, reference_sweep, grid_run,
+                                                    measured):
+        # which runs hit the cap, and the slices they starve, their OUTCOMES
+        # rows say
         max_iters = reference_sweep[0].osra.max_iters
-        capped = {_name(*params): len(grid_run(*params).traces) for params in GRID
-                  if not grid_run(*params).converged}
-        assert capped == dict.fromkeys(("link900-2", "link1200-0", "link1200-1", "link1200-2"),
-                                       max_iters)
+        capped = {}
+        for params in GRID:
+            res, name = grid_run(*params), _name(*params)
+            if not res.converged:
+                assert len(res.traces) == max_iters, name
+                capped[name] = measured[name]
+        assert capped == _grid_rows("max_iters")
 
 
 class TestFrozenSlices:

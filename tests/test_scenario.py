@@ -268,6 +268,28 @@ class TestMalformed:
             scenario_from_dict(data)
         assert exc.value.violations[0][0] == "slice 'slice1'.tau_ms"
 
+    def test_a_bad_slice_value_names_the_slice_once(self):
+        # SliceSpec's message names the slice, and so does the reader's key
+        data = ref_dict()
+        data["slices"][0]["alpha_tau"] = -1
+        with pytest.raises(InvariantViolation) as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations == [(
+            "slice 'slice1'.alpha_tau",
+            "slice 'slice1'.alpha_tau: alpha_tau must be in [0, inf), got -1")]
+
+    def test_every_failing_section_and_slice_is_named(self):
+        data = ref_dict()
+        for spec in data["slices"]:
+            spec["alpha_tau"] = -1
+        data["sim"]["horizon_s"] = -1
+        data["osra"]["probes"] = 0
+        with pytest.raises(InvariantViolation) as exc:
+            scenario_from_dict(data)
+        assert [field for field, _ in exc.value.violations] == [
+            "slice 'slice1'.alpha_tau", "slice 'slice2'.alpha_tau", "slice 'slice3'.alpha_tau",
+            "sim.horizon_s", "osra.probes"]
+
     def test_stray_traffic_key(self):
         data = ref_dict()
         data["slices"][0]["traffic"]["color"] = "red"

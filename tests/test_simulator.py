@@ -657,6 +657,22 @@ class TestSmallBuffers:
         served = simulate_pipeline(arrivals, sizes, [rate], 1, 9e7, 1e4, 0.1)[1]
         assert arrivals.size > 10**5 and 0 < np.count_nonzero(served) < arrivals.size
 
+    def test_an_episode_ends_at_an_arrival_on_the_last_departure(self):
+        # 8 bps, so a size in bytes is its transmission time in s. Packet 2
+        # finds the buffer full, so an overflow episode starts; packet 3
+        # departs at 0.6 + 0.3 = 0.8999999999999999, the very time packet 4
+        # arrives, so the episode ends at packet 4 (`prev <= t[k]` in
+        # pipeline.c) and a window's sums take over. Had the episode run on,
+        # packet 5's delay would round differently: the sizes are not
+        # dyadic, so the two orders of the sums differ in the last bits
+        arrivals = np.array([0.0, 0.3, 0.3, 0.6, 0.8999999999999999, 1.0])
+        sizes = np.array([0.3, 0.3, 0.1, 0.3, 0.1, 0.3])
+        delays, served = simulate_pipeline(arrivals, sizes, [8.0], 1, 1e9, 1e-3, 0.0)
+        assert served.tolist() == [True, True, False, True, True, True]
+        assert [d.hex() for d in delays] == [
+            "0x1.2c000000044b8p+8", "0x1.2c000000044b8p+8", "0x1.2c000000044b9p+8",
+            "0x1.90000000112dep+6", "0x1.2c000000044b7p+8"]
+
 
 class TestDelayOverflow:
     """A share so small that a delay overflows ends a run with one named

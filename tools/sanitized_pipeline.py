@@ -1,0 +1,22 @@
+"""A pytest plugin that runs the tests on `pipeline.c` built with the
+address and undefined-behaviour sanitizers.
+
+    LD_PRELOAD="$(cc -print-file-name=libasan.so) $(cc -print-file-name=libubsan.so)" \
+    ASAN_OPTIONS=detect_leaks=0 PYTHONPATH=src:tools \
+    python -m pytest -q --capture=sys -p sanitized_pipeline tests/test_simulator.py
+
+The sanitized build is cached beside the plain one, under its own name.
+Every compiled pass reads `simulator._PIPELINE` when it is called, so
+replacing it routes every pass through the sanitized library. A bad
+access aborts the run with the sanitizer's report on stderr, which
+`--capture=sys` leaves uncaptured (pytest's default capture would take the
+report down with the process). Without the runtimes preloaded, the
+library does not load and the run stops at ImportError.
+"""
+from slicelab import native, simulator
+
+
+def pytest_configure(config):
+    native.COMMAND = (*native.COMMAND, "-O1", "-g", "-fsanitize=address,undefined",
+                      "-fno-sanitize-recover=all")
+    simulator._PIPELINE = native.load_pipeline()
