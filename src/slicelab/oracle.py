@@ -30,14 +30,8 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     * each sample under its stage inputs (slice, link rates, server rate,
       seed): a repeated probe is not simulated again;
     * each traffic stream under (seed, slice index) (`generate_traffic`): a
-      probe at new rates on a seed drawn before neither seeds nor draws;
-    * for a stream it held before, its latest link pass (departures, survivor
-      mask, created times, at their link rates and buffer) under ("links",
-      seed, index) (`simulate_pipeline`): a probe at those link rates runs
-      only the server stage, into a fresh array, and one at others replaces
-      the pass, since in (coordinate, side, repetition) order no probe reads
-      an older one. A stream just drawn keeps none, and its server is
-      written over its link departures, as in `run_sim`.
+      probe at new rates on a seed drawn before neither seeds nor draws, and
+      runs every stage of its pipeline.
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)

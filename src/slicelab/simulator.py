@@ -188,7 +188,7 @@ def _draw_sizes(model, n, rng):
 
 
 def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
-                      service_rate_ips, demand_mi, propagation_ms, links=None):
+                      service_rate_ips, demand_mi, propagation_ms):
     """Push one slice's packets through its link queues and server queue.
 
     arrivals must be sorted and as long as sizes_bytes; neither is written
@@ -198,51 +198,44 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     float one is used as its int), else InvariantViolation names it. A
     delay that is not finite (a share so small that a time overflows)
     raises OverflowError.
-
-    `links`, a dict given only with one stream's read-only arrays, holds its
-    latest link pass (see `oracle.sim_evaluate`); without it nothing is
-    kept, and the server is written over the link departures.
     """
     InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                  whole=True))
     buffer_pkts = int(buffer_pkts)
-    key = (np.asarray(link_rates_bps, dtype=float).tobytes(), buffer_pkts)
-    kept = None if links is None else links.get(key)
-    if kept is None:
-        # contiguous, since the compiled passes read arrays by address
-        arrivals = np.ascontiguousarray(arrivals, dtype=float)
-        sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
-        if arrivals.shape != sizes.shape:
-            raise ValueError(f"arrivals and sizes_bytes differ in length: "
-                             f"{len(arrivals)} vs {len(sizes)}")
-        if not (arrivals[1:] >= arrivals[:-1]).all():
-            raise ValueError("arrivals must be sorted in non-decreasing order")
+    # contiguous, since the compiled passes read arrays by address
+    arrivals = np.ascontiguousarray(arrivals, dtype=float)
+    sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
+    if arrivals.shape != sizes.shape:
+        raise ValueError(f"arrivals and sizes_bytes differ in length: "
+                         f"{len(arrivals)} vs {len(sizes)}")
+    if not (arrivals[1:] >= arrivals[:-1]).all():
+        raise ValueError("arrivals must be sorted in non-decreasing order")
     if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
         return np.empty(0), np.zeros(len(arrivals), dtype=bool)
-    if kept is None:
-        served_mask = np.ones(arrivals.size, dtype=bool)
-        times, created = arrivals, arrivals
-        # link stages in series, each with its own finite buffer
-        last = len(link_rates_bps) - 1
-        for e, rate in enumerate(link_rates_bps):
-            times, blocked = _link_stage(times, sizes, rate, buffer_pkts)
-            if blocked:  # only an overflow episode drops a packet
-                survived = ~np.isnan(times)
-                served_mask[served_mask] = survived
-                times, created = times[survived], created[survived]
-                if e < last:  # the server reads no size
-                    sizes = sizes[survived]
-        kept = times, served_mask, created
-        if links is not None:
-            for array in kept:
-                array.setflags(write=False)
-            links.clear()
-            links[key] = kept
-    times, served_mask, created = kept
+    served_mask = np.ones(arrivals.size, dtype=bool)
+    times, created = arrivals, arrivals
+    # link stages in series, each a FIFO with its own finite buffer: `link_pass`
+    # runs one packet by packet, in windows and overflow episodes (see
+    # `pipeline.c`), and gives each packet it drops a NaN departure
+    last = len(link_rates_bps) - 1
+    for e, rate in enumerate(link_rates_bps):
+        n = times.size
+        dep = np.empty(n)
+        # rate / 8 is exact, so a transmission time is sizes * 8 / rate to the
+        # bit; a buffer of n or more never fills, and min keeps it an int64
+        if _PIPELINE.link_pass(times.ctypes.data, sizes.ctypes.data, rate / 8.0, dep.ctypes.data,
+                               n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S):
+            # only an overflow episode drops a packet
+            survived = ~np.isnan(dep)
+            served_mask[served_mask] = survived
+            dep, created = dep[survived], created[survived]
+            if e < last:  # the server reads no size
+                sizes = sizes[survived]
+        times = dep
 
     # the server stage, an unbounded FIFO: its delays (ms) are written over
-    # the link departures unless they are the arrivals or kept
-    out = times if links is None and times is not arrivals else np.empty(times.size)
+    # the link departures unless they are the arrivals
+    out = times if times is not arrivals else np.empty(times.size)
     if _PIPELINE.server_pass(times.ctypes.data, created.ctypes.data,
                              demand_mi / service_rate_ips, propagation_ms / 1000.0,
                              out.ctypes.data, times.size):
@@ -250,29 +243,6 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                             f"{np.asarray(link_rates_bps, dtype=float).tolist()} bps and "
                             f"server rate {service_rate_ips} MIPS")
     return out, served_mask
-
-
-def _link_stage(t, sizes, rate, buffer_pkts):
-    """Departure times from one FIFO link that holds at most buffer_pkts packets.
-
-    t are the sorted arrival times, and sizes (bytes) at rate (bps) give the
-    transmission times. `link_pass` runs the link packet by packet, in
-    windows and overflow episodes (see `pipeline.c`). Dropped packets get a
-    NaN departure. Returns the departures and whether an overflow episode
-    ran; without one, no packet was dropped.
-    """
-    # contiguous floats of one length, since the compiled pass reads them by address
-    t = np.ascontiguousarray(t, dtype=float)
-    sizes = np.ascontiguousarray(sizes, dtype=float)
-    if sizes.shape != t.shape:
-        raise ValueError(f"t and sizes differ in shape: {t.shape} vs {sizes.shape}")
-    n = t.size
-    dep = np.empty(n)
-    # rate / 8 is exact, so a transmission time is sizes * 8 / rate to the
-    # bit; a buffer of n or more never fills, and min keeps it an int64
-    blocked = _PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, rate / 8.0, dep.ctypes.data,
-                                  n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S)
-    return dep, blocked != 0
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
@@ -295,16 +265,14 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
 
     Its traffic is generate_traffic's stream (seed, index), index being its
     position among the slices, so no other slice's presence shifts it.
-    `memo` keeps the stream, and for a stream it already held, its latest
-    link pass under ("links", seed, index) (see `oracle.sim_evaluate`). A
-    delay that overflows raises InvariantViolation naming the slice.
+    `memo` keeps the stream (see `oracle.sim_evaluate`). A delay that
+    overflows raises InvariantViolation naming the slice.
     """
-    links = memo.setdefault(("links", seed, index), {}) if (seed, index) in memo else None
     arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
     try:
         delays, served = simulate_pipeline(
             arrivals, sizes, link_rates, topology.buffer_pkts,
-            cpu_rate, spec.demand_mi, config.propagation_ms, links,
+            cpu_rate, spec.demand_mi, config.propagation_ms,
         )
     except OverflowError as err:
         raise InvariantViolation([("delays_ms", f"slice {spec.id!r}: {err}")]) from None

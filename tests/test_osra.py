@@ -427,41 +427,6 @@ class TestProbeMemo:
         assert len(res.traces) == 8
         assert calls == {"seed_sequence": 104, "generate_traffic": 344, "simulate_pipeline": 344}
 
-    @pytest.mark.parametrize("variant, passes", [
-        # seed 0 monitors 3 slices in each of 8 iterations; a repetition's
-        # cpu -/+ probes share the centre link rate, so its 4 simulations
-        # make 3 link passes: 3 x 8 + 3 x 10 x 8, where each made one before
-        ("reference", 264),
-        ("cores", 264),
-        ("edges", 954)])
-    def test_a_stream_keeps_one_link_pass(self, monkeypatch, variant, passes):
-        # seed 0 on the reference, with cores of 2e8 and 4e8 MIPS, and with
-        # edges of 2500 and 3000 Mbps that repeat each slice's link share
-        sc = reference_scenario()
-        if variant == "cores":
-            sc = dataclasses.replace(sc, topology=dataclasses.replace(
-                sc.topology, cores=(("core0", 2e8), ("core1", 4e8))))
-        elif variant == "edges":
-            alloc = sc.initial_alloc
-            sc = dataclasses.replace(
-                sc, topology=dataclasses.replace(
-                    sc.topology, edges=(("link", 2500.0), ("link2", 3000.0))),
-                initial_alloc=AllocationMatrix(alloc.slice_ids, alloc.flows.repeat(2, axis=1),
-                                               alloc.cpu))
-        made, held = [], []
-        real_link, real_pipeline = simulator._link_stage, simulator.simulate_pipeline
-
-        def pipeline(*a):
-            out = real_pipeline(*a)
-            if a[7] is not None:
-                held.append(len(a[7]))
-            return out
-        monkeypatch.setattr(simulator, "_link_stage", lambda *a: made.append(1) or real_link(*a))
-        monkeypatch.setattr(simulator, "simulate_pipeline", pipeline)
-        run(sc)
-        assert len(made) == passes
-        assert held and max(held) == 1
-
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep
         for res in results.values():
@@ -566,7 +531,7 @@ WHY = {
                  "link share from k = 9; {}",
     "link1200-1": "no allocation serves link1200: the least link shares at which each slice is "
                   "served sum to 1.025; ROADMAP item 9: algorithm1 steps zero slice3's link "
-                  "share at k = 8 and from k = 13; {}",
+                  "share at k = 8 and 9 and from k = 13; {}",
 }
 
 
@@ -701,6 +666,19 @@ class TestOutcomes:
         props = (CONVERGED_AT_ZERO, UNSTARVED, CONVERGED)
         assert {name for name in WHY
                 if not any(breaks(OUTCOMES[name]) for breaks, _ in props)} == set()
+
+    def test_every_cause_states_what_its_run_reads(self, finished):
+        # the facts the reasons give beyond their rows: the iterations at
+        # which slice3's link share is zero, and slice2's last p99
+        def zeroed(name):
+            return [tr.k for tr in finished(name)[0].traces
+                    if tr.alloc.row("slice3").flows.min() == 0.0]
+        assert zeroed("link900-2") == [9, 10, 11, 12, 13, 14]
+        assert "slice3's link share from k = 9;" in WHY["link900-2"]
+        assert zeroed("link1200-1") == [8, 9, 13, 14]
+        assert "slice3's link share at k = 8 and 9 and from k = 13;" in WHY["link1200-1"]
+        p99 = finished("2.5-102-warm")[0].traces[-1].samples["slice2"].delay_stat_ms
+        assert f"{p99:.1f}" == "12.2" and "(its p99 12.2 ms against 5 ms)" in WHY["2.5-102-warm"]
 
 
 class TestWarmRestart:

@@ -2,7 +2,6 @@
 import dataclasses
 import math
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -34,7 +33,6 @@ from slicelab import simulator
 from slicelab.penalty import PenaltyModel, hinge
 from slicelab.simulator import (
     _draw_sizes,
-    _link_stage,
     _onoff_arrivals,
     delay_statistic,
     generate_traffic,
@@ -129,7 +127,7 @@ class TestPipeline:
         # first link drops before the zero-rate second one strands the rest
         args = (np.arange(50) * 1e-4, np.full(50, 1000.0), np.array([4e6, 0.0]), 10,
                 3e8, 5e4, 0.0)
-        assert np.isnan(_link_stage(args[0], args[1], 4e6, 10)[0]).any()
+        assert np.isnan(link(args[0], args[1], 4e6, 10)[0]).any()
         delays, served = simulate_pipeline(*args)
         assert delays.dtype == float and delays.size == 0
         assert served.shape == (50,) and not served.any()
@@ -169,11 +167,6 @@ class TestPipeline:
         with pytest.raises(ValueError, match="differ in length: 3 vs 1"):
             simulate_pipeline(np.array([0.0, 0.1, 0.2]), np.array([1000.0]),
                               np.array([8e6]), 10, 3e8, 5e4, 0.0)
-
-    def test_a_link_stage_refuses_sizes_of_another_length(self):
-        # the compiled pass would read past the shorter array
-        with pytest.raises(ValueError, match=r"differ in shape: \(3,\) vs \(2,\)"):
-            _link_stage(np.zeros(3), np.ones(2), 8.0, 1)
 
     def test_unsorted_arrivals_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -319,7 +312,7 @@ class TestPipelineAgainstLoop:
         sizes = rng.uniform(20.0, 2000.0, arrivals.size)
         rate = 8.0 * sizes.mean() / 1e-3 / 1.5
         assert_matches_loop(arrivals, sizes, [rate], buffer_pkts, 3e8, 1e4, 0.1)
-        dropped = np.flatnonzero(np.isnan(_link_stage(arrivals, sizes, rate, buffer_pkts)[0]))
+        dropped = np.flatnonzero(np.isnan(link(arrivals, sizes, rate, buffer_pkts)[0]))
         assert dropped[-1] - dropped[0] >= 10_000
 
     @pytest.mark.parametrize("buffer_pkts", [
@@ -383,7 +376,7 @@ def assert_link_agrees(arrivals, sizes, rate, b, tol_ms):
     (`assert_matches_loop`). Returns (whether an episode ran, the served
     mask)."""
     t, sizes = np.asarray(arrivals, dtype=float), np.asarray(sizes, dtype=float)
-    dep, blocked = _link_stage(t, sizes, rate, b)
+    dep, blocked = link(t, sizes, rate, b)
     served = loop_pipeline(t, sizes, [rate], b, 64.0, 1.0, 0.0)[1]
     assert np.array_equal(np.isnan(dep), ~served)
     assert blocked or served.all()
@@ -492,31 +485,41 @@ class TestEpisodeAgainstNumpyAndLoop:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
-def twice_through_a_kept_link_pass(*args, **kwargs):
-    """simulate_pipeline given a `links` dict, twice: the second call reads
-    the link pass the first one kept, and both give the same bytes."""
-    links = {}
-    first = simulator.simulate_pipeline(*args, **kwargs, links=links)
-    again = simulator.simulate_pipeline(*args, **kwargs, links=links)
+def held(value):
+    """An array argument as the memo holds a stream: a read-only copy."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.setflags(write=False)
+    return value
+
+
+def twice_on_a_held_stream(*args, **kwargs):
+    """simulate_pipeline twice on read-only copies of its array arguments,
+    as a gradient's probes read a stream `oracle.sim_evaluate`'s memo holds:
+    both calls give the same bytes and leave the arrays as they were."""
+    args, kwargs = [held(a) for a in args], {k: held(v) for k, v in kwargs.items()}
+    arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+    before = [a.tobytes() for a in arrays]
+    first = simulator.simulate_pipeline(*args, **kwargs)
+    again = simulator.simulate_pipeline(*args, **kwargs)
     assert [a.tobytes() for a in first] == [a.tobytes() for a in again]
+    assert [a.tobytes() for a in arrays] == before
     return again
 
 
 @pytest.fixture(scope="class")
-def kept_link_passes():
-    """This module's simulate_pipeline runs `twice_through_a_kept_link_pass`."""
+def held_streams():
+    """This module's simulate_pipeline runs `twice_on_a_held_stream`."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(globals(), "simulate_pipeline", twice_through_a_kept_link_pass)
+        mp.setitem(globals(), "simulate_pipeline", twice_on_a_held_stream)
         yield
 
 
-@pytest.mark.usefixtures("kept_link_passes")
+@pytest.mark.usefixtures("held_streams")
 class TestPipelineWithNumpyEpisodes(TestPipeline):
-    """TestPipeline's hand cases through a kept link pass, as
-    `oracle.sim_evaluate` runs the pipeline: the kept arrays are read-only
-    and the server writes a fresh array. The class ran them on numpy's
-    passes until those were removed, and keeps its name so that its test
-    IDs stay."""
+    """TestPipeline's hand cases on held streams (`twice_on_a_held_stream`).
+    The class ran them on numpy's passes until those were removed, and
+    keeps its name so that its test IDs stay."""
 
 
 def scalar_lindley(t, s, before):
@@ -526,6 +529,19 @@ def scalar_lindley(t, s, before):
         prev = (ti if math.isnan(prev) else max(ti, prev)) + si
         dep.append(prev)
     return dep
+
+
+def link(t, sizes, rate, b):
+    """`link_pass` on float copies of t and sizes, at rate (bps) with a
+    buffer of b: (the departures, NaN where a packet is dropped; whether an
+    overflow episode ran)."""
+    t, sizes = np.array(t, dtype=float), np.array(sizes, dtype=float)
+    assert t.shape == sizes.shape  # the pass would read past the shorter one
+    dep = np.empty(t.size)
+    blocked = simulator._PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, rate / 8.0,
+                                            dep.ctypes.data, t.size, min(b, t.size),
+                                            simulator._RESTART_WINDOW, simulator.TIE_S)
+    return dep, blocked != 0
 
 
 def server(t, created, proc, prop_s, out_is_t):
@@ -556,8 +572,8 @@ class TestLindley:
         # the link at 8 b/s, where a packet's tx is its size, with a buffer
         # longer than the stream; the packet ahead comes 3 s early
         ahead = [] if before == "nan" else [t[0] - 3.0]
-        dep, blocked = _link_stage(np.append(ahead, t), np.append([prev - a for a in ahead], s),
-                                   8.0, n + 1)
+        dep, blocked = link(np.append(ahead, t), np.append([prev - a for a in ahead], s), 8.0,
+                            n + 1)
         assert not blocked and dep[len(ahead):].tolist() == want
         # the server at proc s a packet, each created at 0 with no
         # propagation, so its delays are its departures times 1000; the
@@ -569,7 +585,7 @@ class TestLindley:
         assert finite and np.frombuffer(got)[len(ahead):].tolist() == want
 
     def test_an_empty_call_returns_at_once(self):
-        dep, blocked = _link_stage(np.empty(0), np.empty(0), 8.0, 1)
+        dep, blocked = link(np.empty(0), np.empty(0), 8.0, 1)
         assert dep.size == 0 and not blocked
         assert server(np.empty(0), np.empty(0), 1.0, 0.0, False) == (b"", True)
 
@@ -672,6 +688,24 @@ class TestSmallBuffers:
         assert [d.hex() for d in delays] == [
             "0x1.2c000000044b8p+8", "0x1.2c000000044b8p+8", "0x1.2c000000044b9p+8",
             "0x1.90000000112dep+6", "0x1.2c000000044b7p+8"]
+
+    def test_the_windows_after_an_episode_double(self):
+        # 8 bps, so a size in bytes is its transmission time in s. Packet 1
+        # finds the buffer of 1 full, packet 2 ends that episode, and windows
+        # of w and then 2w packets follow. Every packet finds the link idle,
+        # yet a window sums the transmission times from its start, so packet
+        # 2 + 2w, inside the second window, departs at (t - c) + (c + 0.2),
+        # c being w sizes of 0.2 summed: not t + 0.2, as it would at a
+        # window's start
+        w = simulator._RESTART_WINDOW
+        arrivals = np.append(0.0, 0.3 * np.arange(1 + 3 * w))
+        dep, blocked = link(arrivals, np.full(arrivals.size, 0.2), 8.0, 1)
+        assert blocked and np.flatnonzero(np.isnan(dep)).tolist() == [1]
+        c = 0.0
+        for _ in range(w):
+            c += 0.2
+        t = arrivals[2 + 2 * w]
+        assert dep[2 + 2 * w] == (t - c) + (c + 0.2) != t + 0.2
 
 
 class TestDelayOverflow:
@@ -880,57 +914,17 @@ class TestStatistics:
 
 
 class TestKeptLinkPass:
-    """A stream the memo already holds keeps its latest link pass; a fresh one keeps none."""
-
-    topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=10)
-
-    def at(self, f, phi, memo, seed=3):
-        spec = one_slice(rate=300.0)
-        topo = self.topo
-        link_rates, cpu_rate = stage_rates(
-            AllocationVector(np.array([f]), np.array([phi])), topo)
-        cfg = SimConfig(horizon_s=2.0, warmup_s=0.2, propagation_ms=0.1)
-        return simulate_slice(spec, 0, link_rates, cpu_rate, topo, cfg, seed, memo)
+    """A simulation runs its own link pass: the memo keeps the stream alone."""
 
     def test_a_fresh_stream_keeps_no_link_pass(self):
+        topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=10)
+        cfg = SimConfig(horizon_s=2.0, warmup_s=0.2, propagation_ms=0.1)
         memo = {}
-        self.at(0.2, 0.5, memo)
+        for f in (0.2, 0.25, 0.06):  # 2.4 Mbps offered: 8, 10 and 2.4 Mbps links
+            link_rates, cpu_rate = stage_rates(
+                AllocationVector(np.array([f]), np.array([0.5])), topo)
+            simulate_slice(one_slice(rate=300.0), 0, link_rates, cpu_rate, topo, cfg, 3, memo)
         assert list(memo) == [(3, 0)]
-
-    @pytest.mark.parametrize("f", [0.2, 0.06])  # 2.4 Mbps offered: 8 and 2.4 Mbps links
-    def test_a_kept_link_pass_gives_a_fresh_simulation_s_result(self, f, monkeypatch):
-        memo = {}
-        self.at(f, 0.5, memo)
-        self.at(f, 0.4, memo)
-        assert list(memo) == [(3, 0), ("links", 3, 0)]
-        (kept,) = memo["links", 3, 0].values()
-        assert all(not array.flags.writeable for array in kept)
-        passes = []
-        real = simulator._link_stage
-        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
-        again = self.at(f, 0.3, memo)
-        assert passes == []
-        fresh = self.at(f, 0.3, {})
-        assert passes == [1]
-        assert pickle.dumps(again) == pickle.dumps(fresh)
-        assert (again.success < again.offered) == (f < 0.1)
-
-    def test_a_new_link_rate_replaces_the_kept_pass(self, monkeypatch):
-        memo = {}
-        for f in (0.2, 0.2, 0.25):
-            self.at(f, 0.5, memo)
-        link_rates, _ = stage_rates(AllocationVector(np.array([0.25]), np.array([0.5])),
-                                    self.topo)
-        assert list(memo["links", 3, 0]) == [(link_rates.tobytes(), 10)]
-        passes = []
-        real = simulator._link_stage
-        monkeypatch.setattr(simulator, "_link_stage", lambda *a: passes.append(1) or real(*a))
-        again = self.at(0.25, 0.3, memo)
-        assert passes == []
-        assert pickle.dumps(again) == pickle.dumps(self.at(0.25, 0.3, {}))
-        # the replaced rate runs its link pass again, and keeps it
-        assert pickle.dumps(self.at(0.2, 0.3, memo)) == pickle.dumps(self.at(0.2, 0.3, {}))
-        assert len(passes) == 3 and len(memo["links", 3, 0]) == 1
 
 
 class TestRunSim:
