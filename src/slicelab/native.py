@@ -4,9 +4,13 @@
 per-user cache `~/.cache/slicelab` and loads it from there. The file's name
 holds a digest of the source and of the compile command, so an edit of
 either builds a new file, and a file built from another source is never
-loaded. A C compiler (`cc`) is required: where the library can be neither
-built nor loaded, `load_pipeline` raises ImportError naming the cause, so
-`import slicelab` fails.
+loaded. No build is ever removed, on purpose: checkouts of two sources that
+share one home, as when a benchmark alternates a parent commit and its
+change, each load their own file, and pruning the other's would make each
+side build again on its next import, inside its set-up time. A C compiler
+(`cc`) is required: where the library can be neither built nor loaded,
+`load_pipeline` raises ImportError naming the cause, so `import slicelab`
+fails.
 
 Loading imports nothing numpy has not loaded already; building imports
 `subprocess`.
@@ -25,12 +29,12 @@ _COMPILE_TIMEOUT_S = 120
 
 
 def load_pipeline():
-    """The library of `link_pass`, `server_pass` and `expand_bursts` from
-    the cache, built there first if missing (their contracts: `pipeline.c`).
-    Raises ImportError naming the cause: no `cc` on PATH, a failed or timed
-    out compile, a cache that cannot be written, a file that does not load,
-    or a library without one of the passes. Arrays pass as raw addresses
-    (c_void_p): a data_as pointer per call costs more."""
+    """The library of `run_pipeline` and `expand_bursts`, the calls the
+    simulator makes, from the cache, built there first if missing (their
+    contracts: `pipeline.c`). Raises ImportError naming the cause: no `cc` on
+    PATH, a failed or timed out compile, a cache that cannot be written, a
+    file that does not load, or a library without one of the two. Arrays pass
+    as raw addresses (c_void_p): a data_as pointer per call costs more."""
     key = SOURCE.read_bytes() + "\0".join(COMMAND).encode()
     name = f"pipeline-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     try:
@@ -45,8 +49,8 @@ def load_pipeline():
         raise ImportError(f"cannot load {path}: {err}") from None
     address, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     signatures = {
-        "link_pass": ((address, address, real, address, count, count, count, real), count),
-        "server_pass": ((address, address, real, real, address, count), count),
+        "run_pipeline": ((address, address, address, count, count, count, count, real, real,
+                          real, address, address), count),
         "expand_bursts": ((address, address, count, real, address), None),
     }
     for symbol, (argtypes, restype) in signatures.items():

@@ -1,7 +1,8 @@
 /* The simulator's per-packet passes, the only ones it has: `native` builds
- * them and `simulator` calls them through ctypes. Their bits are pinned by
- * the golden digests of the shipped runs, and the tests check them against
- * the per-packet reference loop `loop_pipeline` and the per-burst
+ * them and `simulator` calls them through ctypes, one `run_pipeline` call per
+ * simulation and one `expand_bursts` call per on/off stream. Their bits are
+ * pinned by the golden digests of the shipped runs, and the tests check them
+ * against the per-packet reference loop `loop_pipeline` and the per-burst
  * `loop_onoff_arrivals`. Built with -ffp-contract=off and no fast-math, so
  * no multiply-add fuses and each sum rounds in the order written here.
  *
@@ -12,10 +13,17 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
-/* One link's departures dep (NaN for a drop) from the sorted arrivals t and
- * the packet sizes (bytes) at bytes_per_s; returns whether an overflow
- * episode ran, since without one no packet was dropped.
+/* What run_pipeline returns in place of a count of served packets. */
+enum { UNSORTED = -1, OVERFLOW = -2, NO_MEMORY = -3 };
+
+/* One link's departures dep (NaN for a drop) from the arrivals t and the
+ * packet sizes (bytes) at bytes_per_s; returns whether an overflow episode
+ * ran, since without one no packet was dropped, or UNSORTED at the first
+ * arrival t[k] that is not at or after t[k - 1], or is NaN. Both loops test
+ * each t[k] they read first, and between them they read every one.
  *
  * dep is the only queue state. Arrival k finds b packets queued iff
  * dep[k - b] > t[k], so a departure at t frees its slot first. A slot in
@@ -44,11 +52,15 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
 {
     int64_t blocked = 0, i = 0, width = n;
     double before = NAN;  /* dep[i - 1]; NaN at the start or after a drop */
+    double last = -INFINITY;  /* the last arrival tested */
     while (i < n) {
         int64_t j = width < n - i ? i + width : n, k;
         /* at k = i the lag is t[i] itself, and c starts at tx[i] */
         double m = before > t[i] ? before : t[i], c = 0.0;
         for (k = i; k < j; k++) {
+            if (!(t[k] >= last))
+                return UNSORTED;
+            last = t[k];
             double lag = t[k] - c;
             m = lag > m ? lag : m;
             c += sizes[k] / bytes_per_s;
@@ -66,6 +78,9 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
         int64_t head = k - b;
         blocked = 1;
         for (i = n; k < n; k++) {
+            if (!(t[k] >= last))
+                return UNSORTED;
+            last = t[k];
             if (dep[head] <= t[k] + tie_s) {
                 if (prev <= t[k]) {
                     i = k;
@@ -103,6 +118,69 @@ int64_t server_pass(const double *t, const double *created, double proc, double 
         out[k] = d;
     }
     return overflow;
+}
+
+/* One slice's pipeline: `edges` links in series, link e at bps[e] bits/s
+ * with a buffer of min(b, its packets), then the server at proc seconds a
+ * packet. t and sizes are the n offered packets' arrivals and sizes; neither
+ * is written to. served[k] becomes whether packet k passes every link, and
+ * out[:m] the delays (ms, plus prop_s) of the m packets that do, in arrival
+ * order. Returns m, or UNSORTED (from the first link) or OVERFLOW (a delay
+ * that is not finite) or NO_MEMORY.
+ *
+ * Each link writes its departures to out when an even number of links
+ * follow it, else to spare, so the last link's land in out and the server
+ * writes its delays over them. After a link that drops a packet, its
+ * survivors are compacted: their departures in place, and their creation
+ * times and, unless it is the last link, their sizes into scratch, which
+ * is made at the first drop. A departure never decreases, so no later link
+ * finds its input out of order (for sizes >= 0).
+ */
+int64_t run_pipeline(const double *t, const double *sizes, const double *bps, int64_t edges,
+                     int64_t n, int64_t b, int64_t restart, double tie_s, double proc,
+                     double prop_s, double *out, uint8_t *served)
+{
+    const double *times = t, *created = t;
+    double *spare = NULL, *scratch = NULL;
+    int64_t m = n, code = NO_MEMORY;
+    memset(served, 1, n);
+    if (edges > 1 && n && !(spare = malloc(n * sizeof *spare)))
+        goto done;
+    for (int64_t e = 0; e < edges; e++) {
+        double *dep = (edges - e) % 2 ? out : spare;
+        /* bps / 8 is exact, so a transmission time is size * 8 / bps to the bit */
+        code = link_pass(times, sizes, bps[e] / 8.0, dep, m, b < m ? b : m, restart, tie_s);
+        if (code == UNSORTED)
+            goto done;
+        if (code) {
+            if (!scratch && !(scratch = malloc((edges > 1 ? 2 : 1) * n * sizeof *scratch))) {
+                code = NO_MEMORY;
+                goto done;
+            }
+            double *kept = scratch, *kept_sizes = scratch + n;
+            int64_t j = 0, s = 0;
+            for (int64_t k = 0; k < m; k++, s++) {
+                while (!served[s])  /* s: the offered packet that is k-th here */
+                    s++;
+                if (isnan(dep[k])) {
+                    served[s] = 0;
+                    continue;
+                }
+                dep[j] = dep[k];
+                kept[j] = created[k];
+                if (e < edges - 1)  /* the server reads no size */
+                    kept_sizes[j] = sizes[k];
+                j++;
+            }
+            m = j, created = kept, sizes = kept_sizes;
+        }
+        times = dep;
+    }
+    code = server_pass(times, created, proc, prop_s, out, m) ? OVERFLOW : m;
+done:
+    free(spare);
+    free(scratch);
+    return code;
 }
 
 /* nb bursts into out: burst q's counts[q] packets, the k-th of them at

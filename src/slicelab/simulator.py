@@ -9,10 +9,12 @@ arrival at the same instant claims one. A departure at most TIE_S after an
 arrival counts as one at the same instant, since the same departure time
 summed in another order can land a rounding error later.
 
-Both stages run Lindley's recursion packet by packet in compiled C
-(`pipeline.c`, built and loaded by `native`), and so does the on/off
-generator's burst expansion; `pipeline.c`'s header describes how the link
-finds its buffer full and runs each overflow episode.
+A simulation is one call of the compiled `run_pipeline` (`pipeline.c`,
+built and loaded by `native`). It runs Lindley's recursion packet by packet
+through each link and then the server, drops and compacts the packets a full
+buffer refuses, and checks the order of the arrivals as the first link reads
+them. The on/off generator's burst expansion is compiled too. `pipeline.c`
+describes how a link finds its buffer full and runs each overflow episode.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -44,6 +46,11 @@ _RESTART_WINDOW = 256
 TIE_S = 1e-9
 
 _INT32_MAX = 2**31 - 1
+
+_NOT_SORTED = "arrivals must be sorted in non-decreasing order"
+
+# what `run_pipeline` returns in place of a count of served packets
+_UNSORTED, _OVERFLOW, _NO_MEMORY = -1, -2, -3
 
 # the compiled per-packet passes (`pipeline.c`)
 _PIPELINE = load_pipeline()
@@ -199,50 +206,40 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     delay that is not finite (a share so small that a time overflows)
     raises OverflowError.
     """
-    InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
-                                                 whole=True))
-    buffer_pkts = int(buffer_pkts)
-    # contiguous, since the compiled passes read arrays by address
+    if not (type(buffer_pkts) is int and buffer_pkts >= 1):  # an int >= 1 obeys the rule
+        InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
+                                                     whole=True))
+        buffer_pkts = int(buffer_pkts)
+    # contiguous, since the compiled pipeline reads arrays by address
     arrivals = np.ascontiguousarray(arrivals, dtype=float)
     sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
+    rates = np.ascontiguousarray(link_rates_bps, dtype=float)
+    n = arrivals.size
     if arrivals.shape != sizes.shape:
         raise ValueError(f"arrivals and sizes_bytes differ in length: "
                          f"{len(arrivals)} vs {len(sizes)}")
-    if not (arrivals[1:] >= arrivals[:-1]).all():
-        raise ValueError("arrivals must be sorted in non-decreasing order")
-    if service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in link_rates_bps):
-        return np.empty(0), np.zeros(len(arrivals), dtype=bool)
-    served_mask = np.ones(arrivals.size, dtype=bool)
-    times, created = arrivals, arrivals
-    # link stages in series, each a FIFO with its own finite buffer: `link_pass`
-    # runs one packet by packet, in windows and overflow episodes (see
-    # `pipeline.c`), and gives each packet it drops a NaN departure
-    last = len(link_rates_bps) - 1
-    for e, rate in enumerate(link_rates_bps):
-        n = times.size
-        dep = np.empty(n)
-        # rate / 8 is exact, so a transmission time is sizes * 8 / rate to the
-        # bit; a buffer of n or more never fills, and min keeps it an int64
-        if _PIPELINE.link_pass(times.ctypes.data, sizes.ctypes.data, rate / 8.0, dep.ctypes.data,
-                               n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S):
-            # only an overflow episode drops a packet
-            survived = ~np.isnan(dep)
-            served_mask[served_mask] = survived
-            dep, created = dep[survived], created[survived]
-            if e < last:  # the server reads no size
-                sizes = sizes[survived]
-        times = dep
-
-    # the server stage, an unbounded FIFO: its delays (ms) are written over
-    # the link departures unless they are the arrivals
-    out = times if times is not arrivals else np.empty(times.size)
-    if _PIPELINE.server_pass(times.ctypes.data, created.ctypes.data,
-                             demand_mi / service_rate_ips, propagation_ms / 1000.0,
-                             out.ctypes.data, times.size):
-        raise OverflowError(f"a delay overflows at link rates "
-                            f"{np.asarray(link_rates_bps, dtype=float).tolist()} bps and "
+    stranded = service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in rates.tolist())
+    # the first link pass checks the order; where none runs, numpy does
+    if (stranded or not rates.size) and not (arrivals[1:] >= arrivals[:-1]).all():
+        raise ValueError(_NOT_SORTED)
+    if stranded:
+        return np.empty(0), np.zeros(n, dtype=bool)
+    # every link and the server in one call (`pipeline.c`): the delays land
+    # in out[:m], m being the packets served
+    out, served = np.empty(n), np.empty(n, dtype=bool)
+    # a buffer of n or more never fills, and min keeps it an int64
+    m = _PIPELINE.run_pipeline(arrivals.ctypes.data, sizes.ctypes.data, rates.ctypes.data,
+                               rates.size, n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S,
+                               demand_mi / service_rate_ips, propagation_ms / 1000.0,
+                               out.ctypes.data, served.ctypes.data)
+    if m == _OVERFLOW:
+        raise OverflowError(f"a delay overflows at link rates {rates.tolist()} bps and "
                             f"server rate {service_rate_ips} MIPS")
-    return out, served_mask
+    if m == _NO_MEMORY:
+        raise MemoryError(f"no memory to compact the survivors of {n} packets")
+    if m == _UNSORTED:
+        raise ValueError(_NOT_SORTED)
+    return out[:m], served
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:

@@ -91,7 +91,7 @@ class TestLoader:
         other = tmp_path / "pipeline.c"
         other.write_text("void expand_bursts(void) {}\n")
         monkeypatch.setattr(native, "SOURCE", other)
-        refused(r"/pipeline-[0-9a-f]{16}\.so has no pass 'link_pass'$")
+        refused(r"/pipeline-[0-9a-f]{16}\.so has no pass 'run_pipeline'$")
 
     def test_importing_slicelab_without_a_compiler_names_cc(self, home, tmp_path):
         # a fresh interpreter with no cc on PATH and an empty cache
@@ -107,21 +107,19 @@ class TestLoader:
     def test_a_build_is_cached_and_keyed_by_source_and_command(self, home, tmp_path, monkeypatch):
         load_quietly()
         assert len(cached(home)) == 1
-        # another source gets another file: passes that only say they ran
+        # another source gets another file: an entry that only says it ran
         other = tmp_path / "pipeline.c"
         other.write_text("#include <stdint.h>\n"
-                         "int64_t link_pass(const double *t, const double *sizes, double bps,"
-                         " double *dep, int64_t n, int64_t b, int64_t restart, double tie_s)"
-                         " { return -7; }\n"
-                         "int64_t server_pass(const double *t, const double *created,"
-                         " double proc, double prop_s, double *out, int64_t n) { return -8; }\n"
+                         "int64_t run_pipeline(const double *t, const double *sizes,"
+                         " const double *bps, int64_t edges, int64_t n, int64_t b,"
+                         " int64_t restart, double tie_s, double proc, double prop_s,"
+                         " double *out, uint8_t *served) { return -7; }\n"
                          "void expand_bursts(const double *starts, const int64_t *counts,"
                          " int64_t nb, double gap, double *out) {}\n")
         real = native.SOURCE
         monkeypatch.setattr(native, "SOURCE", other)
         fake = load_quietly()
-        assert fake.link_pass(0, 0, 1.0, 0, 0, 1, 1, 0.0) == -7
-        assert fake.server_pass(0, 0, 1.0, 0.0, 0, 0) == -8
+        assert fake.run_pipeline(0, 0, 0, 0, 0, 1, 1, 0.0, 1.0, 0.0, 0, 0) == -7
         assert len(cached(home)) == 2
         monkeypatch.setattr(native, "SOURCE", real)
         monkeypatch.setattr(native, "COMMAND", native.COMMAND + ("-O1",))
@@ -131,18 +129,17 @@ class TestLoader:
         monkeypatch.setattr(native, "COMMAND", native.COMMAND[:-1])
         a_path_with(tmp_path, monkeypatch)
         lib = load_quietly()
-        # at 1 byte/s a packet's tx is its size: arrival 1 finds the one-packet
-        # buffer full, and arrival 2 finds the link idle
-        t, sizes, dep = np.array([0.0, 0.25, 0.75]), np.full(3, 0.5), np.empty(3)
-        blocked = lib.link_pass(t.ctypes.data, sizes.ctypes.data, 1.0, dep.ctypes.data,
-                                3, 1, 256, simulator.TIE_S)
-        assert blocked == 1 and dep[0] == 0.5 and np.isnan(dep[1]) and dep[2] == 1.25
-        # the packet that leaves the link at 1.25 s, created at 0.25 s, takes
-        # 1 s at the server and 0.5 s to propagate
-        departed, created, out = dep[2:], t[1:2], np.empty(1)
-        assert lib.server_pass(departed.ctypes.data, created.ctypes.data, 1.0, 0.5,
-                               out.ctypes.data, 1) == 0
-        assert out[0] == ((1.25 + 1.0 - 0.25) + 0.5) * 1000.0
+        # at 8 bps a packet's tx is its size: arrival 1 finds the one-packet
+        # buffer full, and arrival 2 finds the link idle. At the server each
+        # packet takes 1 s, so the one that leaves the link at 1.25 s, created
+        # at 0.75 s, waits there until 1.5 s; each takes 0.5 s to propagate
+        t, sizes, bps = np.array([0.0, 0.25, 0.75]), np.full(3, 0.5), np.array([8.0])
+        out, served = np.empty(3), np.empty(3, dtype=np.uint8)
+        m = lib.run_pipeline(t.ctypes.data, sizes.ctypes.data, bps.ctypes.data, 1, 3, 1, 256,
+                             simulator.TIE_S, 1.0, 0.5, out.ctypes.data, served.ctypes.data)
+        assert m == 2 and served.tolist() == [1, 0, 1]
+        assert out[:m].tolist() == [((0.5 + 1.0 - 0.0) + 0.5) * 1000.0,
+                                    ((1.5 + 1.0 - 0.75) + 0.5) * 1000.0]
         starts, counts, out = np.array([1.0, 5.0]), np.array([2, 1]), np.empty(3)
         lib.expand_bursts(starts.ctypes.data, counts.ctypes.data, 2, 0.5, out.ctypes.data)
         assert out.tolist() == [1.0, 1.5, 5.0]

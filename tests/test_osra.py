@@ -1,4 +1,5 @@
 """Transfer rule math, stopping behavior, and the full reconfiguration loop."""
+import collections
 import dataclasses
 import hashlib
 import pickle
@@ -426,6 +427,26 @@ class TestProbeMemo:
         res = run(sc)
         assert len(res.traces) == 8
         assert calls == {"seed_sequence": 104, "generate_traffic": 344, "simulate_pipeline": 344}
+
+    def test_one_compiled_call_per_simulation(self, monkeypatch):
+        # each of seed 0's 344 simulations makes one `run_pipeline` call, and
+        # each of its 104 on/off draws one `expand_bursts` call: no link or
+        # server pass is called from Python on its own
+        sc = reference_scenario()
+        calls = collections.Counter()
+        library = simulator._PIPELINE
+
+        class CountedLibrary:
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(library, name)
+
+        real = simulator.simulate_pipeline
+        monkeypatch.setattr(simulator, "_PIPELINE", CountedLibrary())
+        monkeypatch.setattr(simulator, "simulate_pipeline",
+                            lambda *a: calls.update(["simulate_pipeline"]) or real(*a))
+        run(sc)
+        assert calls == {"simulate_pipeline": 344, "run_pipeline": 344, "expand_bursts": 104}
 
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep

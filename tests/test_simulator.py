@@ -1,4 +1,5 @@
 """Simulator behavior against hand calculations and queueing sanity."""
+import ctypes
 import dataclasses
 import math
 import os
@@ -60,6 +61,13 @@ def one_slice(rate=300.0, kind="poisson", **kw):
         alpha_tau=1.0, alpha_rho=1.0,
         traffic=TrafficModel(**traffic), demand_mi=1e4, priority_rank=0,
     )
+
+
+def swapped(t, k):
+    """A float copy of t with t[k - 1] and t[k] swapped: an unsorted pair ending at k."""
+    t = np.array(t, dtype=float)
+    t[k - 1], t[k] = t[k], t[k - 1]
+    return t
 
 
 class TestPipeline:
@@ -172,6 +180,50 @@ class TestPipeline:
         with pytest.raises(ValueError, match="sorted"):
             simulate_pipeline(np.array([0.2, 0.1]), np.array([1000.0, 1000.0]),
                               np.array([8e6]), 10, 3e8, 5e4, 0.0)
+
+    # (arrivals, sizes, link rates, buffer, cpu rate): the first link pass
+    # tests each arrival against the one before as it reads it, in a window
+    # or in an overflow episode; where no link pass runs, numpy does
+    W = simulator._RESTART_WINDOW
+    OUT_OF_ORDER = {
+        # one packet a ms, each 1 ms long: the first window runs to the end
+        "in-a-window": (swapped(np.arange(10) * 1e-3, 6), np.full(10, 1000.0), [8e6], 10, 3e8),
+        # at 8 bps a size is a time: packet 1 finds the buffer of 1 full,
+        # packet 2 ends that episode, and a window of W packets follows; the
+        # next window starts at packet 2 + W
+        "at-a-window-start": (swapped(np.append(0.0, 0.3 * np.arange(1 + 3 * W)), 2 + W),
+                              np.full(2 + 3 * W, 0.2), [8.0], 1, 3e8),
+        # packets 1-3 come while packet 0's second-long transmission is under
+        # way and find its buffer of 1 full
+        "in-an-episode": (swapped([0.0, 0.1, 0.15, 0.2, 3.0], 3), np.ones(5), [8.0], 1, 3e8),
+        "nan": (np.array([0.0, 0.1, math.nan, 0.3]), np.full(4, 1000.0), [8e6], 10, 3e8),
+        "nan-first": (np.array([math.nan, 0.1]), np.full(2, 1000.0), [8e6], 10, 3e8),
+        "zero-link-rate": (np.array([0.2, 0.1]), np.full(2, 1000.0), [0.0], 10, 3e8),
+        "zero-cpu-rate": (np.array([0.2, 0.1]), np.full(2, 1000.0), [8e6], 10, 0.0),
+        "no-link": (np.array([0.2, 0.1]), np.full(2, 1000.0), [], 10, 3e8),
+    }
+
+    @pytest.mark.parametrize("case", OUT_OF_ORDER)
+    def test_arrivals_out_of_order_are_rejected_wherever_they_sit(self, case):
+        arrivals, sizes, link_rates, buffer_pkts, cpu_rate = self.OUT_OF_ORDER[case]
+        with pytest.raises(ValueError,
+                           match="^arrivals must be sorted in non-decreasing order$"):
+            simulate_pipeline(arrivals, sizes, link_rates, buffer_pkts, cpu_rate, 5e4, 0.0)
+
+    def test_two_links_that_both_drop_match_the_loop_bit_for_bit(self):
+        # at 512 and 256 bps a 64-byte packet takes 1 and 2 s, and every time
+        # is a multiple of 1/64 s, so every sum is exact. The first link, with
+        # a buffer of 2, keeps packets 0 and 1 of the eight at 0 s and 8 and
+        # 9 of the three at 2 s, and passes them on at 1, 2, 3 and 4 s; the
+        # second keeps the first three and drops packet 9. Each served packet
+        # then takes 1/64 s at the server
+        arrivals = np.array([0.0] * 8 + [2.0] * 3)
+        args = (arrivals, np.full(arrivals.size, 64.0), [512.0, 256.0], 2, 64.0, 1.0, 0.0)
+        assert link(arrivals, args[1], 512.0, 2)[0][[0, 1, 8, 9]].tolist() == [1.0, 2.0, 3.0, 4.0]
+        delays, served = simulate_pipeline(*args)
+        assert np.flatnonzero(served).tolist() == [0, 1, 8]
+        assert delays.tolist() == [3015.625, 5015.625, 5015.625]
+        assert_matches_loop(*args, tol_ms=0.0)
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
     def test_bad_buffer_is_named(self, bad):
@@ -531,6 +583,22 @@ def scalar_lindley(t, s, before):
     return dep
 
 
+# (argument types, return type) of the two passes these helpers call on
+# their own: `native` types only the calls the simulator makes
+_ADDRESS, _COUNT, _REAL = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_PASSES = {
+    "link_pass": ((_ADDRESS, _ADDRESS, _REAL, _ADDRESS, _COUNT, _COUNT, _COUNT, _REAL), _COUNT),
+    "server_pass": ((_ADDRESS, _ADDRESS, _REAL, _REAL, _ADDRESS, _COUNT), _COUNT),
+}
+
+
+def compiled(name):
+    """The loaded library's pass `name`, typed as `pipeline.c` declares it."""
+    function = getattr(simulator._PIPELINE, name)
+    function.argtypes, function.restype = _PASSES[name]
+    return function
+
+
 def link(t, sizes, rate, b):
     """`link_pass` on float copies of t and sizes, at rate (bps) with a
     buffer of b: (the departures, NaN where a packet is dropped; whether an
@@ -538,9 +606,9 @@ def link(t, sizes, rate, b):
     t, sizes = np.array(t, dtype=float), np.array(sizes, dtype=float)
     assert t.shape == sizes.shape  # the pass would read past the shorter one
     dep = np.empty(t.size)
-    blocked = simulator._PIPELINE.link_pass(t.ctypes.data, sizes.ctypes.data, rate / 8.0,
-                                            dep.ctypes.data, t.size, min(b, t.size),
-                                            simulator._RESTART_WINDOW, simulator.TIE_S)
+    blocked = compiled("link_pass")(t.ctypes.data, sizes.ctypes.data, rate / 8.0,
+                                    dep.ctypes.data, t.size, min(b, t.size),
+                                    simulator._RESTART_WINDOW, simulator.TIE_S)
     return dep, blocked != 0
 
 
@@ -548,8 +616,8 @@ def server(t, created, proc, prop_s, out_is_t):
     """`server_pass` on a copy of t: (the delays' bytes, whether all are finite)."""
     t = t.copy()
     out = t if out_is_t else np.empty(t.size)
-    overflow = simulator._PIPELINE.server_pass(t.ctypes.data, created.ctypes.data, proc,
-                                               prop_s, out.ctypes.data, t.size)
+    overflow = compiled("server_pass")(t.ctypes.data, created.ctypes.data, proc, prop_s,
+                                       out.ctypes.data, t.size)
     return out.tobytes(), not overflow
 
 
@@ -734,6 +802,32 @@ class TestDelayOverflow:
         cfg = SimConfig(horizon_s=0.5, warmup_s=0.0, propagation_ms=0.1)
         with pytest.raises(InvariantViolation, match="^slice 's': a delay overflows at "):
             simulate_slice(one_slice(), 0, link_rates, cpu_rate, topo, cfg, 0, {})
+
+
+class TestOutOfMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads its address space from /proc")
+    def test_no_memory_for_the_compaction_is_a_memory_error(self):
+        # a fresh interpreter whose address space ends 13 MB past what it
+        # uses before the call: the 8 MB delay array and the 1 MB mask fit,
+        # and the 8 MB of scratch that the first drop asks for does not.
+        # A preloaded sanitizer's allocator would abort where malloc fails,
+        # so none is preloaded there
+        code = ("import re, resource, numpy as np\n"
+                "from slicelab.simulator import simulate_pipeline\n"
+                "t = np.arange(10**6) * 1e-6\n"
+                "sizes = np.full(t.size, 1000.0)\n"
+                "used = int(re.search(r'VmSize:\\s+(\\d+)', open('/proc/self/status').read())[1])\n"
+                "resource.setrlimit(resource.RLIMIT_AS, ((used + 13 * 1024) * 1024,) * 2)\n"
+                "try:\n"
+                "    simulate_pipeline(t, sizes, [8e6], 10, 3e8, 1e4, 0.0)\n"
+                "except MemoryError as err:\n"
+                "    print(err)\n")
+        env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
+        env["PYTHONPATH"] = str(Path(simulator.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0, "no memory to compact the survivors of 1000000 packets\n", "")
 
 
 @st.composite

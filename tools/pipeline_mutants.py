@@ -4,22 +4,31 @@ the mutants that no test kills.
     python3 tools/pipeline_mutants.py [NAME ...]
 
 MUTANTS is a fixed list of one-edit mutants: each comparison of `link_pass`,
-`server_pass` and `expand_bursts` flipped between strict and non-strict, and
-a few steps dropped or moved. Each edit must match the source exactly once,
-so a list that no longer fits `pipeline.c` stops the run before any test.
-NAMEs pick mutants from the list; without them every mutant runs. EQUIVALENT
-says why each mutant that computes what the source computes survives.
+`server_pass`, `run_pipeline`'s compaction and `expand_bursts` flipped
+between strict and non-strict, and a few steps dropped or moved. Each edit
+must match the source exactly once, so a list that no longer fits
+`pipeline.c` stops the run before any test. NAMEs pick mutants from the
+list; without them every mutant runs. EQUIVALENT says why each mutant that
+computes what the source computes survives. The mutants in SANITIZED may do
+no more than read or write out of bounds, so they run on the build of
+`sanitized_pipeline`, with its runtimes preloaded, where the first bad
+access aborts the run.
 
 Each mutant runs in a pytest process of its own with this module as its
 plugin, which does what `sanitized_pipeline` does for its build: it points
 `native.SOURCE` at the mutated file and replaces `simulator._PIPELINE`.
 A mutant is killed by the first failing test (`-x`), a crash, or a run
-longer than TIMEOUT_S. Hypothesis runs derandomized and keeps no example
-database, so a report repeats. The builds go to a temporary home directory
-that is removed at the end. Prints one line per mutant and exits 1 if a
-mutant outside EQUIVALENT survives, or one inside it is killed.
+longer than TIMEOUT_S; for a crash or a hang the report names the test
+that was running, from the traceback Python's faulthandler writes (on the
+crash, or after pytest's `faulthandler_timeout`). Hypothesis runs
+derandomized and keeps no example database, so a report repeats. The builds
+go to a temporary home directory that is removed at the end. Prints one line
+per mutant and exits 1 if a mutant outside EQUIVALENT survives, or one
+inside it is killed.
 """
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -27,10 +36,13 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 TESTS = "tests/test_simulator.py"
-# the plain run takes about 12 s; a mutant that loops forever is cut here
-TIMEOUT_S = 240
-# the mutated source, for the plugin in each pytest process
+# the plain run takes about 12 s; a mutant that loops forever is cut here,
+# after pytest's faulthandler_timeout (300 s) has dumped its traceback
+TIMEOUT_S = 330
+# the mutated source, for the plugin in each pytest process, and whether
+# to build it with the sanitizers
 _SOURCE_VAR = "PIPELINE_MUTANT_SOURCE"
+_SANITIZED_VAR = "PIPELINE_MUTANT_SANITIZED"
 
 # (name, text in pipeline.c, its replacement)
 MUTANTS = [
@@ -48,6 +60,20 @@ MUTANTS = [
     ("link: the isnan walk is one head++",
      "do\n                    head++;\n                while (isnan(dep[head]));", "head++;"),
     ("link: width *= 2 dropped", "            width *= 2;\n", ""),
+    ("link: the window's order check dropped",
+     "            if (!(t[k] >= last))\n                return UNSORTED;\n"
+     "            last = t[k];\n            double lag",
+     "            last = t[k];\n            double lag"),
+    ("link: the episode's order check dropped",
+     "            if (!(t[k] >= last))\n                return UNSORTED;\n"
+     "            last = t[k];\n            if (dep[head]",
+     "            last = t[k];\n            if (dep[head]"),
+    ("compaction: e < edges - 1", "if (e < edges - 1)", "if (e <= edges - 1)"),
+    ("compaction: served[s] = 0 dropped", "                    served[s] = 0;\n", ""),
+    ("compaction: the survivor test flipped", "if (isnan(dep[k]))", "if (!isnan(dep[k]))"),
+    ("compaction: the scratch bound moved by one", "kept_sizes = scratch + n;",
+     "kept_sizes = scratch + n - 1;"),
+    ("compaction: k < m", "k < m; k++, s++", "k <= m; k++, s++"),
     ("server: k < n", "for (int64_t k = 0; k < n; k++)", "for (int64_t k = 0; k <= n; k++)"),
     ("server: lag > m", "m = lag > m ? lag : m;\n        double d",
      "m = lag >= m ? lag : m;\n        double d"),
@@ -66,32 +92,66 @@ EQUIVALENT = {
     "server: fabs(d) <= DBL_MAX": "d is a product by 1000.0, and no double times 1000.0 "
                                   "rounds to DBL_MAX: the largest finite product is "
                                   "1.7976931348623155e308",
+    "compaction: the scratch bound moved by one": "a link that drops keeps at most n - 1 "
+                                                  "packets, so the kept creation times end "
+                                                  "before n - 1 and the kept sizes, from "
+                                                  "n - 1, end before 2n - 2",
 }
+
+# mutants whose only effect may be an access out of bounds
+SANITIZED = {"compaction: e < edges - 1", "compaction: the scratch bound moved by one",
+             "compaction: k < m"}
 
 
 def pytest_configure(config):
     """Load the mutant named by _SOURCE_VAR in place of the shipped build."""
     from hypothesis import settings
 
+    from sanitized_pipeline import FLAGS
     from slicelab import native, simulator
 
     settings.register_profile("pipeline-mutants", database=None, derandomize=True)
     settings.load_profile("pipeline-mutants")
     native.SOURCE = Path(os.environ[_SOURCE_VAR])
+    if os.environ.get(_SANITIZED_VAR):
+        native.COMMAND = (*native.COMMAND, *FLAGS)
     simulator._PIPELINE = native.load_pipeline()
 
 
-def verdict(run):
-    """What ended a mutant's pytest run: its first failing test, a crash, or nothing."""
-    if run.returncode == 0:
+def running_test(stderr):
+    """The innermost test function in the traceback faulthandler dumped, or '?'."""
+    frames = re.findall(r'File "[^"]*/(tests/\w+\.py)", line \d+ in (test_\w+)', stderr)
+    return "::".join(frames[0]) if frames else "?"
+
+
+def verdict(returncode, stdout, stderr):
+    """What ended a mutant's pytest run: its first failing test, a sanitizer's
+    report, a crash, or nothing."""
+    if returncode == 0:
         return "SURVIVED"
-    failed = [line for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    failed = [line for line in stdout.splitlines() if line.startswith("FAILED ")]
     if failed:
         return f"killed by {failed[0].split()[1]}"
-    if run.returncode < 0:
-        return f"killed: crashed by signal {-run.returncode}"
-    last = run.stdout.strip().rpartition("\n")[2]
-    return f"killed: pytest exited {run.returncode}: {last}"
+    report = re.search(r"ERROR: AddressSanitizer: ([\w-]+)|runtime error: .*", stderr)
+    if report:
+        where = re.search(r"pipeline\.c:\d+", stderr)
+        return (f"killed by the sanitizer in {running_test(stderr)}: "
+                f"{report.group(1) or report.group(0)} at {where and where.group(0)}")
+    if returncode < 0:
+        return f"killed: crashed by signal {-returncode} in {running_test(stderr)}"
+    last = stdout.strip().rpartition("\n")[2]
+    return f"killed: pytest exited {returncode}: {last}"
+
+
+def sanitizer_env():
+    """The environment a sanitized build loads in: both runtimes preloaded,
+    and a report that aborts, so that faulthandler names the test."""
+    runtimes = [subprocess.run([shutil.which("cc"), f"-print-file-name={lib}"],
+                               capture_output=True, text=True, check=True).stdout.strip()
+                for lib in ("libasan.so", "libubsan.so")]
+    return {"LD_PRELOAD": " ".join(runtimes), _SANITIZED_VAR: "1",
+            "ASAN_OPTIONS": "detect_leaks=0:abort_on_error=1",
+            "UBSAN_OPTIONS": "abort_on_error=1"}
 
 
 def main(names):
@@ -110,14 +170,19 @@ def main(names):
         env = {**os.environ, "HOME": home, "PYTHONPATH": path, _SOURCE_VAR: str(source)}
         for name, old, new in chosen:
             source.write_text(original.replace(old, new))
+            sanitized = name in SANITIZED
             try:
                 run = subprocess.run(
                     [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                     "-p", "pipeline_mutants", TESTS],
-                    cwd=REPO, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-                result = verdict(run)
-            except subprocess.TimeoutExpired:
-                result = f"killed: ran past {TIMEOUT_S} s"
+                     "-p", "pipeline_mutants", *(["--capture=sys"] if sanitized else []), TESTS],
+                    cwd=REPO, env={**env, **(sanitizer_env() if sanitized else {})},
+                    capture_output=True, text=True, timeout=TIMEOUT_S)
+                result = verdict(run.returncode, run.stdout, run.stderr)
+            except subprocess.TimeoutExpired as err:
+                hung = running_test((err.stderr or b"").decode(errors="replace"))
+                result = f"killed: ran past {TIMEOUT_S} s in {hung}"
+            if sanitized:
+                result += " (sanitized build)"
             if name in EQUIVALENT:
                 result += f" (equivalent: {EQUIVALENT[name]})"
             unexpected += result.startswith("SURVIVED") != (name in EQUIVALENT)

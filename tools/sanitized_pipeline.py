@@ -15,8 +15,10 @@ library does not load and the run stops at ImportError.
 """
 from slicelab import native, simulator
 
+# added to the plain build's command; the first report ends the run
+FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
+
 
 def pytest_configure(config):
-    native.COMMAND = (*native.COMMAND, "-O1", "-g", "-fsanitize=address,undefined",
-                      "-fno-sanitize-recover=all")
+    native.COMMAND = (*native.COMMAND, *FLAGS)
     simulator._PIPELINE = native.load_pipeline()
