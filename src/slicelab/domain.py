@@ -1,5 +1,6 @@
 """Core value types (QoE requirements, traffic models, slices, topology,
-allocations, measured QoE samples) and the seeds of every random stream.
+allocations, measured QoE samples) and the seeds of every random stream
+(`derive_seed`, `stream_seed`).
 
 All types are immutable values that check their own bounds at
 construction and report every violation at once, each with the field it
@@ -17,10 +18,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import struct
 from dataclasses import KW_ONLY, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from . import native
 
 UNBOUNDED = math.inf
 
@@ -93,27 +97,63 @@ def whole_fields(obj, *names, interval) -> list:
     return errs
 
 
-def seed_sequence(*parts) -> np.random.SeedSequence:
-    """The SeedSequence of whole numbers >= 0, the one place a random stream
-    is seeded: `derive_seed` and `generate_traffic` call it. No part is
-    folded modulo 2**32; ValueError names a bad one."""
+def _entropy(parts) -> tuple[bytes, int]:
+    """The 32-bit words numpy's SeedSequence reads from a list of whole
+    numbers >= 0, as (their bytes, their count): each part's little-endian
+    words, 0 as one word, so no part is folded modulo 2**32. ValueError
+    names a bad part."""
+    words = []
     for value in parts:
-        if not (_whole(value) and value >= 0):
-            raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
-    words = [int(value) for value in parts]
-    if max(words, default=0) < 2**32:
-        # the words SeedSequence makes of this list, made in one call
-        words = np.array(words, dtype=np.uint32)
-    return np.random.SeedSequence(words)
+        if type(value) is not int or value < 0:  # an int >= 0 obeys the rule
+            if not (_whole(value) and value >= 0):
+                raise ValueError(f"seed must be a whole number >= 0, got {value!r}")
+            value = int(value)
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return struct.pack(f"={len(words)}I", *words), len(words)
 
 
 def derive_seed(*parts) -> int:
-    """Deterministic, platform-stable seed from a tuple of non-negative integers.
+    """Deterministic, platform-stable seed from a tuple of non-negative integers:
+    the one word numpy's SeedSequence(list(parts)).generate_state(1) makes.
 
     Distinct tuples give distinct entropy: no part is folded modulo 2**32.
     A negative, bool or fractional part raises ValueError naming it.
     """
-    return int(seed_sequence(*parts).generate_state(1, np.uint32)[0])
+    return native.LIBRARY.seed_state(*_entropy(parts), None, 0)
+
+
+def stream_seed(*parts):
+    """The seed of the random stream that `parts`, whole numbers >= 0, name:
+    a numpy ISeedSequence whose state is SeedSequence(list(parts))'s, word
+    for word. With `derive_seed`, the one place a seed is made: both take
+    their words from the compiled `seed_state`. ValueError names a bad part."""
+    return _seed_sequence_type()(parts)
+
+
+@functools.cache
+def _seed_sequence_type():
+    """numpy's ISeedSequence, subclassed on the first draw: importing
+    numpy.random would add 6 ms to `import slicelab`."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class CompiledSeedSequence(ISeedSequence):
+        def __init__(self, parts):
+            self.entropy, self.n_entropy = _entropy(parts)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            state = np.empty(n_words, dtype)
+            if state.dtype not in (np.uint32, np.uint64):
+                raise ValueError("only support uint32 or uint64")
+            # a uint64 word is two uint32 words, the low one first, as numpy's
+            # view of its uint32 state on a little-endian host
+            native.LIBRARY.seed_state(self.entropy, self.n_entropy, state.ctypes.data,
+                                      state.nbytes // 4)
+            return state
+
+    return CompiledSeedSequence
 
 
 def array_field(obj, name, ndim) -> list:

@@ -1,5 +1,9 @@
-"""The simulator's per-packet passes compiled from `pipeline.c`, through ctypes.
+"""The simulator's per-packet passes and the seeding of every random stream,
+compiled from `pipeline.c`, through ctypes.
 
+`LIBRARY` is the one loaded library, loaded when this module is imported.
+Every caller reads it here when it calls, so replacing it (as the
+sanitizer and mutant plugins in `tools/` do) routes every call.
 `load_pipeline` builds `pipeline.c` once with the system C compiler into the
 per-user cache `~/.cache/slicelab` and loads it from there. The file's name
 holds a digest of the source and of the compile command, so an edit of
@@ -29,12 +33,13 @@ _COMPILE_TIMEOUT_S = 120
 
 
 def load_pipeline():
-    """The library of `run_pipeline` and `expand_bursts`, the calls the
-    simulator makes, from the cache, built there first if missing (their
+    """The library of `run_pipeline`, `expand_bursts` and `seed_state`, the
+    calls slicelab makes, from the cache, built there first if missing (their
     contracts: `pipeline.c`). Raises ImportError naming the cause: no `cc` on
     PATH, a failed or timed out compile, a cache that cannot be written, a
-    file that does not load, or a library without one of the two. Arrays pass
-    as raw addresses (c_void_p): a data_as pointer per call costs more."""
+    file that does not load, or a library without one of the three. Arrays
+    pass as raw addresses or bytes (c_void_p): a data_as pointer per call
+    costs more."""
     key = SOURCE.read_bytes() + "\0".join(COMMAND).encode()
     name = f"pipeline-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
     try:
@@ -52,12 +57,13 @@ def load_pipeline():
         "run_pipeline": ((address, address, address, count, count, count, count, real, real,
                           real, address, address), count),
         "expand_bursts": ((address, address, count, real, address), None),
+        "seed_state": ((address, count, address, count), ctypes.c_uint32),
     }
     for symbol, (argtypes, restype) in signatures.items():
         try:
             function = getattr(lib, symbol)
         except AttributeError:
-            raise ImportError(f"{path} has no pass {symbol!r}") from None
+            raise ImportError(f"{path} has no entry {symbol!r}") from None
         function.argtypes, function.restype = argtypes, restype
     return lib
 
@@ -91,3 +97,6 @@ def _build(path):
     finally:
         if os.path.exists(tmp):  # not renamed: the build failed
             os.unlink(tmp)
+
+
+LIBRARY = load_pipeline()

@@ -1,10 +1,12 @@
-/* The simulator's per-packet passes, the only ones it has: `native` builds
- * them and `simulator` calls them through ctypes, one `run_pipeline` call per
- * simulation and one `expand_bursts` call per on/off stream. Their bits are
+/* The simulator's per-packet passes, the only ones it has, and the seeding
+ * of every random stream: `native` builds them and slicelab calls them
+ * through ctypes, one `run_pipeline` call per simulation, one `expand_bursts`
+ * call per on/off stream and one `seed_state` call per seed. Their bits are
  * pinned by the golden digests of the shipped runs, and the tests check them
- * against the per-packet reference loop `loop_pipeline` and the per-burst
- * `loop_onoff_arrivals`. Built with -ffp-contract=off and no fast-math, so
- * no multiply-add fuses and each sum rounds in the order written here.
+ * against the per-packet reference loop `loop_pipeline`, the per-burst
+ * `loop_onoff_arrivals` and numpy's `SeedSequence`. Built with
+ * -ffp-contract=off and no fast-math, so no multiply-add fuses and each sum
+ * rounds in the order written here.
  *
  * Each running max is written `b > a ? b : a`, so that it compiles to one
  * maxsd. The running value a is never NaN here, and a new operand b that
@@ -17,13 +19,14 @@
 #include <string.h>
 
 /* What run_pipeline returns in place of a count of served packets. */
-enum { UNSORTED = -1, OVERFLOW = -2, NO_MEMORY = -3 };
+enum { UNSORTED = -1, OVERFLOW = -2, NO_MEMORY = -3, BAD_SIZE = -4 };
 
 /* One link's departures dep (NaN for a drop) from the arrivals t and the
  * packet sizes (bytes) at bytes_per_s; returns whether an overflow episode
  * ran, since without one no packet was dropped, or UNSORTED at the first
- * arrival t[k] that is not at or after t[k - 1], or is NaN. Both loops test
- * each t[k] they read first, and between them they read every one.
+ * arrival t[k] that is not at or after t[k - 1], or is NaN, or BAD_SIZE at
+ * the first size that is negative or NaN. Both loops test each t[k] and
+ * sizes[k] they read first, and between them they read every one.
  *
  * dep is the only queue state. Arrival k finds b packets queued iff
  * dep[k - b] > t[k], so a departure at t frees its slot first. A slot in
@@ -60,6 +63,8 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
         for (k = i; k < j; k++) {
             if (!(t[k] >= last))
                 return UNSORTED;
+            if (!(sizes[k] >= 0.0))
+                return BAD_SIZE;
             last = t[k];
             double lag = t[k] - c;
             m = lag > m ? lag : m;
@@ -80,6 +85,8 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
         for (i = n; k < n; k++) {
             if (!(t[k] >= last))
                 return UNSORTED;
+            if (!(sizes[k] >= 0.0))
+                return BAD_SIZE;
             last = t[k];
             if (dep[head] <= t[k] + tie_s) {
                 if (prev <= t[k]) {
@@ -125,8 +132,8 @@ int64_t server_pass(const double *t, const double *created, double proc, double 
  * packet. t and sizes are the n offered packets' arrivals and sizes; neither
  * is written to. served[k] becomes whether packet k passes every link, and
  * out[:m] the delays (ms, plus prop_s) of the m packets that do, in arrival
- * order. Returns m, or UNSORTED (from the first link) or OVERFLOW (a delay
- * that is not finite) or NO_MEMORY.
+ * order. Returns m, or UNSORTED or BAD_SIZE (from the first link) or
+ * OVERFLOW (a delay that is not finite) or NO_MEMORY.
  *
  * Each link writes its departures to out when an even number of links
  * follow it, else to spare, so the last link's land in out and the server
@@ -150,7 +157,7 @@ int64_t run_pipeline(const double *t, const double *sizes, const double *bps, in
         double *dep = (edges - e) % 2 ? out : spare;
         /* bps / 8 is exact, so a transmission time is size * 8 / bps to the bit */
         code = link_pass(times, sizes, bps[e] / 8.0, dep, m, b < m ? b : m, restart, tie_s);
-        if (code == UNSORTED)
+        if (code < 0)
             goto done;
         if (code) {
             if (!scratch && !(scratch = malloc((edges > 1 ? 2 : 1) * n * sizeof *scratch))) {
@@ -193,4 +200,50 @@ void expand_bursts(const double *starts, const int64_t *counts, int64_t nb, doub
         for (int64_t k = 0; k < counts[q]; k++)
             *out++ = (double)k * gap + s;
     }
+}
+
+/* numpy's SeedSequence, word for word: O'Neill's seed_seq_fe ("PCG",
+ * HMC-CS-2014-0905) with numpy's constants and a pool of POOL words. */
+enum { POOL = 4 };
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875, INIT_B = 0x8b51f9dd,
+                      MULT_B = 0x58f38ded, MIX_L = 0xca01f9dd, MIX_R = 0x4973f715;
+
+/* value hashed by the running constant *hash, which then moves on by mult */
+static uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
+{
+    value ^= *hash;
+    *hash *= mult;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_L * x - MIX_R * y;
+    return r ^ (r >> 16);
+}
+
+/* The words SeedSequence(entropy).generate_state(n_words, uint32) makes of
+ * the n 32-bit entropy words, into out. Returns word 0, which does not
+ * depend on n_words, so that one word needs no out (n_words 0, out NULL).
+ * The entropy fills the pool, zeros after it, and each pool word is mixed
+ * into every other; each entropy word beyond the pool is then mixed into
+ * every pool word. The state cycles over the pool. */
+uint32_t seed_state(const uint32_t *entropy, int64_t n, uint32_t *out, int64_t n_words)
+{
+    uint32_t pool[POOL], hash = INIT_A;
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < n ? entropy[i] : 0, &hash, MULT_A);
+    for (int s = 0; s < POOL; s++)
+        for (int d = 0; d < POOL; d++)
+            if (s != d)
+                pool[d] = mix(pool[d], hashmix(pool[s], &hash, MULT_A));
+    for (int64_t s = POOL; s < n; s++)
+        for (int d = 0; d < POOL; d++)
+            pool[d] = mix(pool[d], hashmix(entropy[s], &hash, MULT_A));
+    hash = INIT_B;
+    for (int64_t k = 0; k < n_words; k++)
+        out[k] = hashmix(pool[k % POOL], &hash, MULT_B);
+    hash = INIT_B;
+    return hashmix(pool[0], &hash, MULT_B);
 }

@@ -12,9 +12,13 @@ summed in another order can land a rounding error later.
 A simulation is one call of the compiled `run_pipeline` (`pipeline.c`,
 built and loaded by `native`). It runs Lindley's recursion packet by packet
 through each link and then the server, drops and compacts the packets a full
-buffer refuses, and checks the order of the arrivals as the first link reads
-them. The on/off generator's burst expansion is compiled too. `pipeline.c`
-describes how a link finds its buffer full and runs each overflow episode.
+buffer refuses, and checks the order of the arrivals and the sizes as the
+first link reads them. The on/off generator's burst expansion is compiled
+too, and so is the seeding of every stream (`domain.stream_seed`).
+`pipeline.c` describes how a link finds its buffer full and runs each
+overflow episode. A drawn stream is a `Stream`, which holds its arrays'
+addresses and its warmup index, so a simulation of a stream held in a memo
+reads neither again.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -26,6 +30,7 @@ slice (`simulate_slice`).
 """
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import re
@@ -33,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
-                     TrafficModel, interval_violations, seed_sequence)
-from .native import load_pipeline
+                     TrafficModel, interval_violations, stream_seed)
 
 
 # packets per link window after an overflow; a window that drops nothing
@@ -50,10 +55,7 @@ _INT32_MAX = 2**31 - 1
 _NOT_SORTED = "arrivals must be sorted in non-decreasing order"
 
 # what `run_pipeline` returns in place of a count of served packets
-_UNSORTED, _OVERFLOW, _NO_MEMORY = -1, -2, -3
-
-# the compiled per-packet passes (`pipeline.c`)
-_PIPELINE = load_pipeline()
+_UNSORTED, _OVERFLOW, _NO_MEMORY, _BAD_SIZE = -1, -2, -3, -4
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
@@ -86,27 +88,48 @@ class SliceRunResult(ArrayValue):
     success: int
 
 
-def generate_traffic(model: TrafficModel, horizon_s: float, seed: int, index: int,
-                     memo) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon),
-    drawn from the PCG64 stream seeded by seed_sequence(seed, index).
+class Stream(tuple):
+    """A drawn stream, (arrivals, sizes), two read-only float arrays of one
+    length, with what each simulation of it reads, found once when it is
+    drawn: `addresses`, the two arrays' (the compiled pipeline reads them by
+    address), and `warmup`, the index of its first arrival at or after the
+    warmup."""
 
-    `memo`, a dict, keeps each stream it draws, read-only, under (seed, index)
-    and answers it again without seeding or drawing (its rules: see
+    def __new__(cls, arrivals, sizes, warmup_s):
+        arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        sizes = np.ascontiguousarray(sizes, dtype=float)
+        if arrivals.ndim != 1 or arrivals.shape != sizes.shape:
+            raise ValueError(f"a stream's arrivals and sizes must be two arrays of one "
+                             f"length, got shapes {arrivals.shape} and {sizes.shape}")
+        arrivals.setflags(write=False)
+        sizes.setflags(write=False)
+        stream = super().__new__(cls, (arrivals, sizes))
+        stream.addresses = arrivals.ctypes.data, sizes.ctypes.data
+        # arrivals are sorted, so the post-warmup requests are a suffix
+        stream.warmup = int(arrivals.searchsorted(warmup_s))
+        return stream
+
+
+def generate_traffic(model: TrafficModel, horizon_s: float, warmup_s: float, seed: int,
+                     index: int, memo) -> Stream:
+    """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon),
+    drawn from the PCG64 stream seeded by stream_seed(seed, index), as a
+    `Stream` that holds its warmup index.
+
+    `memo`, a dict, keeps each stream it draws under (seed, index) and
+    answers it again without seeding or drawing (its rules: see
     `oracle.sim_evaluate`).
     """
     key = (seed, index)
-    if key not in memo:
-        rng = np.random.Generator(np.random.PCG64(seed_sequence(seed, index)))
+    stream = memo.get(key)
+    if stream is None:
+        rng = np.random.Generator(np.random.PCG64(stream_seed(seed, index)))
         if model.kind == "poisson":
             arrivals = _poisson_arrivals(model.mean_rate, horizon_s, rng)
         else:
             arrivals = _onoff_arrivals(model, horizon_s, rng)
-        sizes = _draw_sizes(model, arrivals.size, rng)
-        arrivals.setflags(write=False)
-        sizes.setflags(write=False)
-        memo[key] = arrivals, sizes
-    return memo[key]
+        stream = memo[key] = Stream(arrivals, _draw_sizes(model, arrivals.size, rng), warmup_s)
+    return stream
 
 
 def _poisson_arrivals(rate, horizon_s, rng):
@@ -179,8 +202,8 @@ def _onoff_arrivals(model, horizon_s, rng):
     # expand each burst into gap-spaced packets: packet k of a burst that
     # starts at time s arrives at k * gap + s
     arrivals = np.empty(int(counts.sum()))
-    _PIPELINE.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
-                            arrivals.ctypes.data)
+    native.LIBRARY.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
+                                 arrivals.ctypes.data)
     return _before(arrivals, horizon_s)
 
 
@@ -195,51 +218,71 @@ def _draw_sizes(model, n, rng):
 
 
 def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
-                      service_rate_ips, demand_mi, propagation_ms):
+                      service_rate_ips, demand_mi, propagation_ms, *, held=None):
     """Push one slice's packets through its link queues and server queue.
 
-    arrivals must be sorted and as long as sizes_bytes; neither is written
-    to. Returns (delays_ms of served packets in arrival order of survivors,
-    served_mask over all offered packets). A zero-rate stage strands every
-    packet (served_mask all False). buffer_pkts is a whole number >= 1 (a
-    float one is used as its int), else InvariantViolation names it. A
-    delay that is not finite (a share so small that a time overflows)
-    raises OverflowError.
+    arrivals must be sorted and as long as sizes_bytes, whose entries must
+    be >= 0; neither is written to. Returns (delays_ms of served packets in
+    arrival order of survivors, served_mask over all offered packets). A
+    zero-rate stage strands every packet (served_mask all False).
+    buffer_pkts is a whole number >= 1 (a float one is used as its int),
+    else InvariantViolation names it. A delay that is not finite (a share so
+    small that a time overflows) raises OverflowError. `held`, a `Stream`
+    whose two arrays are arrivals and sizes_bytes, lends its addresses, so
+    that neither array is read for them again.
     """
     if not (type(buffer_pkts) is int and buffer_pkts >= 1):  # an int >= 1 obeys the rule
         InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                      whole=True))
         buffer_pkts = int(buffer_pkts)
-    # contiguous, since the compiled pipeline reads arrays by address
-    arrivals = np.ascontiguousarray(arrivals, dtype=float)
-    sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
+    if held is not None and held[0] is arrivals and held[1] is sizes_bytes:
+        sizes, (at_arrivals, at_sizes) = sizes_bytes, held.addresses
+    else:
+        # contiguous, since the compiled pipeline reads arrays by address
+        arrivals = np.ascontiguousarray(arrivals, dtype=float)
+        sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
+        if arrivals.shape != sizes.shape:
+            raise ValueError(f"arrivals and sizes_bytes differ in length: "
+                             f"{len(arrivals)} vs {len(sizes)}")
+        at_arrivals, at_sizes = arrivals.ctypes.data, sizes.ctypes.data
     rates = np.ascontiguousarray(link_rates_bps, dtype=float)
     n = arrivals.size
-    if arrivals.shape != sizes.shape:
-        raise ValueError(f"arrivals and sizes_bytes differ in length: "
-                         f"{len(arrivals)} vs {len(sizes)}")
     stranded = service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in rates.tolist())
-    # the first link pass checks the order; where none runs, numpy does
-    if (stranded or not rates.size) and not (arrivals[1:] >= arrivals[:-1]).all():
-        raise ValueError(_NOT_SORTED)
-    if stranded:
+    # the first link pass checks the order and the sizes; where none runs, numpy does
+    if stranded or not rates.size:
+        if not (arrivals[1:] >= arrivals[:-1]).all():
+            raise ValueError(_NOT_SORTED)
+        if not (sizes >= 0.0).all():
+            raise _bad_size(sizes)
+    # no packet, no call: an empty array lends no buffer
+    if stranded or not n:
         return np.empty(0), np.zeros(n, dtype=bool)
     # every link and the server in one call (`pipeline.c`): the delays land
-    # in out[:m], m being the packets served
+    # in out[:m], m being the packets served. The rates pass as bytes and
+    # the two outputs by buffer, each cheaper than numpy's `.ctypes`
     out, served = np.empty(n), np.empty(n, dtype=bool)
     # a buffer of n or more never fills, and min keeps it an int64
-    m = _PIPELINE.run_pipeline(arrivals.ctypes.data, sizes.ctypes.data, rates.ctypes.data,
-                               rates.size, n, min(buffer_pkts, n), _RESTART_WINDOW, TIE_S,
-                               demand_mi / service_rate_ips, propagation_ms / 1000.0,
-                               out.ctypes.data, served.ctypes.data)
-    if m == _OVERFLOW:
-        raise OverflowError(f"a delay overflows at link rates {rates.tolist()} bps and "
-                            f"server rate {service_rate_ips} MIPS")
-    if m == _NO_MEMORY:
-        raise MemoryError(f"no memory to compact the survivors of {n} packets")
-    if m == _UNSORTED:
+    m = native.LIBRARY.run_pipeline(at_arrivals, at_sizes, rates.tobytes(), rates.size, n,
+                                    min(buffer_pkts, n), _RESTART_WINDOW, TIE_S,
+                                    demand_mi / service_rate_ips, propagation_ms / 1000.0,
+                                    ctypes.addressof(ctypes.c_char.from_buffer(out)),
+                                    ctypes.addressof(ctypes.c_char.from_buffer(served)))
+    if m < 0:
+        if m == _OVERFLOW:
+            raise OverflowError(f"a delay overflows at link rates {rates.tolist()} bps and "
+                                f"server rate {service_rate_ips} MIPS")
+        if m == _NO_MEMORY:
+            raise MemoryError(f"no memory to compact the survivors of {n} packets")
+        if m == _BAD_SIZE:
+            raise _bad_size(sizes)
         raise ValueError(_NOT_SORTED)
     return out[:m], served
+
+
+def _bad_size(sizes):
+    """The ValueError that names the first size that is negative or NaN."""
+    k = int(np.flatnonzero(~(sizes >= 0.0))[0])
+    return ValueError(f"sizes_bytes[{k}] must be >= 0, got {sizes[k]}")
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:
@@ -265,20 +308,20 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
     `memo` keeps the stream (see `oracle.sim_evaluate`). A delay that
     overflows raises InvariantViolation naming the slice.
     """
-    arrivals, sizes = generate_traffic(spec.traffic, config.horizon_s, seed, index, memo)
+    stream = generate_traffic(spec.traffic, config.horizon_s, config.warmup_s, seed, index,
+                              memo)
+    arrivals, sizes = stream
     try:
         delays, served = simulate_pipeline(
             arrivals, sizes, link_rates, topology.buffer_pkts,
-            cpu_rate, spec.demand_mi, config.propagation_ms,
+            cpu_rate, spec.demand_mi, config.propagation_ms, held=stream,
         )
     except OverflowError as err:
         raise InvariantViolation([("delays_ms", f"slice {spec.id!r}: {err}")]) from None
-    # arrivals are sorted, so the post-warmup requests are a suffix
-    w = int(arrivals.searchsorted(config.warmup_s))
-    success = int(np.count_nonzero(served[w:]))
+    success = int(np.count_nonzero(served[stream.warmup:]))
     return SliceRunResult(
         delays_ms=delays[delays.size - success:],
-        offered=arrivals.size - w,
+        offered=arrivals.size - stream.warmup,
         success=success,
     )
 

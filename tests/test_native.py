@@ -91,7 +91,7 @@ class TestLoader:
         other = tmp_path / "pipeline.c"
         other.write_text("void expand_bursts(void) {}\n")
         monkeypatch.setattr(native, "SOURCE", other)
-        refused(r"/pipeline-[0-9a-f]{16}\.so has no pass 'run_pipeline'$")
+        refused(r"/pipeline-[0-9a-f]{16}\.so has no entry 'run_pipeline'$")
 
     def test_importing_slicelab_without_a_compiler_names_cc(self, home, tmp_path):
         # a fresh interpreter with no cc on PATH and an empty cache
@@ -115,11 +115,14 @@ class TestLoader:
                          " int64_t restart, double tie_s, double proc, double prop_s,"
                          " double *out, uint8_t *served) { return -7; }\n"
                          "void expand_bursts(const double *starts, const int64_t *counts,"
-                         " int64_t nb, double gap, double *out) {}\n")
+                         " int64_t nb, double gap, double *out) {}\n"
+                         "uint32_t seed_state(const uint32_t *entropy, int64_t n,"
+                         " uint32_t *out, int64_t n_words) { return 7; }\n")
         real = native.SOURCE
         monkeypatch.setattr(native, "SOURCE", other)
         fake = load_quietly()
         assert fake.run_pipeline(0, 0, 0, 0, 0, 1, 1, 0.0, 1.0, 0.0, 0, 0) == -7
+        assert fake.seed_state(b"", 0, None, 0) == 7
         assert len(cached(home)) == 2
         monkeypatch.setattr(native, "SOURCE", real)
         monkeypatch.setattr(native, "COMMAND", native.COMMAND + ("-O1",))
@@ -143,6 +146,12 @@ class TestLoader:
         starts, counts, out = np.array([1.0, 5.0]), np.array([2, 1]), np.empty(3)
         lib.expand_bursts(starts.ctypes.data, counts.ctypes.data, 2, 0.5, out.ctypes.data)
         assert out.tolist() == [1.0, 1.5, 5.0]
+        # the words (0, 7001, 0), the seed_base of seed 0's first gradient,
+        # which test_oracle pins; with an out, the state's first 3 words
+        words = np.array([0, 7001, 0], dtype=np.uint32)
+        state = np.empty(3, dtype=np.uint32)
+        assert lib.seed_state(words.tobytes(), 3, state.ctypes.data, 3) == 51449577
+        assert state.tolist() == np.random.SeedSequence([0, 7001, 0]).generate_state(3).tolist()
 
     def test_loading_from_the_cache_imports_no_subprocess(self):
         code = ("import sys, numpy\nimport slicelab.simulator\n"

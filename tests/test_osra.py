@@ -25,7 +25,7 @@ from slicelab import (
     reference_scenario,
     run_osra,
 )
-from slicelab import oracle, osra, simulator
+from slicelab import native, oracle, osra, simulator
 from slicelab.domain import derive_seed
 from slicelab.scenario import scenario_from_dict, scenario_to_dict
 from slicelab.osra import (
@@ -404,7 +404,7 @@ class TestProbeMemo:
         calls = []
         real = simulator.simulate_pipeline
         monkeypatch.setattr(simulator, "simulate_pipeline",
-                            lambda *a: calls.append(1) or real(*a))
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
         mem = ProbeMemory()
         res = run(sc, memory=mem)
         keys = set()
@@ -419,22 +419,24 @@ class TestProbeMemo:
         # a gradient's 10 repetitions once: 3 x 8 + 10 x 8 = 104 draws, while
         # every one of its 3 x 8 + 320 simulations still asks for its traffic
         sc = reference_scenario()
-        calls = {"seed_sequence": 0, "generate_traffic": 0, "simulate_pipeline": 0}
+        calls = {"stream_seed": 0, "generate_traffic": 0, "simulate_pipeline": 0}
         for name in calls:
             real = getattr(simulator, name)
-            monkeypatch.setattr(simulator, name, lambda *a, _real=real, _name=name:
-                                calls.__setitem__(_name, calls[_name] + 1) or _real(*a))
+            monkeypatch.setattr(simulator, name, lambda *a, _real=real, _name=name, **k:
+                                calls.__setitem__(_name, calls[_name] + 1) or _real(*a, **k))
         res = run(sc)
         assert len(res.traces) == 8
-        assert calls == {"seed_sequence": 104, "generate_traffic": 344, "simulate_pipeline": 344}
+        assert calls == {"stream_seed": 104, "generate_traffic": 344, "simulate_pipeline": 344}
 
     def test_one_compiled_call_per_simulation(self, monkeypatch):
         # each of seed 0's 344 simulations makes one `run_pipeline` call, and
         # each of its 104 on/off draws one `expand_bursts` call: no link or
-        # server pass is called from Python on its own
+        # server pass is called from Python on its own. Each draw seeds its
+        # stream with one `seed_state` call, and so does each of the 12
+        # `derive_seed` calls of each of the 8 iterations: 104 + 96
         sc = reference_scenario()
         calls = collections.Counter()
-        library = simulator._PIPELINE
+        library = native.LIBRARY
 
         class CountedLibrary:
             def __getattr__(self, name):
@@ -442,11 +444,12 @@ class TestProbeMemo:
                 return getattr(library, name)
 
         real = simulator.simulate_pipeline
-        monkeypatch.setattr(simulator, "_PIPELINE", CountedLibrary())
+        monkeypatch.setattr(native, "LIBRARY", CountedLibrary())
         monkeypatch.setattr(simulator, "simulate_pipeline",
-                            lambda *a: calls.update(["simulate_pipeline"]) or real(*a))
+                            lambda *a, **k: calls.update(["simulate_pipeline"]) or real(*a, **k))
         run(sc)
-        assert calls == {"simulate_pipeline": 344, "run_pipeline": 344, "expand_bursts": 104}
+        assert calls == {"simulate_pipeline": 344, "run_pipeline": 344, "expand_bursts": 104,
+                         "seed_state": 200}
 
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep

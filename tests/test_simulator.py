@@ -30,7 +30,8 @@ from slicelab import (
     run_osra,
     size_all,
 )
-from slicelab import simulator
+from slicelab import native, simulator
+from slicelab.domain import derive_seed, stream_seed
 from slicelab.penalty import PenaltyModel, hinge
 from slicelab.simulator import (
     _draw_sizes,
@@ -209,6 +210,43 @@ class TestPipeline:
         with pytest.raises(ValueError,
                            match="^arrivals must be sorted in non-decreasing order$"):
             simulate_pipeline(arrivals, sizes, link_rates, buffer_pkts, cpu_rate, 5e4, 0.0)
+
+    # (sizes, link rates, buffer, cpu rate, the message) on arrivals at 0, 1,
+    # 2, ... s: at 8 bps a size is a time. Without the check, one link gives
+    # the packet of size -3 a delay of 2e-9 ms, and a second link finds the
+    # first one's departures out of order
+    BAD_SIZES = {
+        "one-link": ([1.0, -3.0, 1.0, 1.0], [8.0], 10, 3e8,
+                     "sizes_bytes[1] must be >= 0, got -3.0"),
+        "two-links": ([1.0, -3.0, 1.0, 1.0], [8.0, 8.0], 10, 3e8,
+                      "sizes_bytes[1] must be >= 0, got -3.0"),
+        "nan": ([1.0, 1.0, math.nan, 1.0], [8.0], 10, 3e8, "sizes_bytes[2] must be >= 0, got nan"),
+        # packet 0 takes 4 s, so packets 1-3 find the buffer of 1 full and
+        # are dropped: only the episode reads the size of packet 2
+        "in-an-episode": ([4.0, 1.0, -1.0, 1.0], [8.0], 1, 3e8,
+                          "sizes_bytes[2] must be >= 0, got -1.0"),
+        "zero-link-rate": ([1.0, -3.0, 1.0, 1.0], [0.0], 10, 3e8,
+                           "sizes_bytes[1] must be >= 0, got -3.0"),
+        "zero-cpu-rate": ([1.0, -3.0, 1.0, 1.0], [8.0], 10, 0.0,
+                          "sizes_bytes[1] must be >= 0, got -3.0"),
+        "no-link": ([-0.5, 1.0, 1.0, 1.0], [], 10, 3e8, "sizes_bytes[0] must be >= 0, got -0.5"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_SIZES)
+    def test_a_negative_or_nan_size_is_named_wherever_it_sits(self, case):
+        sizes, link_rates, buffer_pkts, cpu_rate, message = self.BAD_SIZES[case]
+        arrivals = np.arange(float(len(sizes)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_pipeline(arrivals, np.array(sizes), link_rates, buffer_pkts, cpu_rate,
+                              1e4, 0.0)
+
+    def test_a_size_of_zero_or_minus_zero_is_served(self):
+        # at 1 packet/s on a link of 8 bps, the size-1 packet leaves at 3 s;
+        # the server takes 0.25 s a packet
+        args = (np.arange(3.0), np.array([0.0, -0.0, 1.0]), [8.0], 10, 4.0, 1.0, 0.0)
+        delays, served = simulate_pipeline(*args)
+        assert served.all() and delays.tolist() == [250.0, 250.0, 1250.0]
+        assert_matches_loop(*args, tol_ms=0.0)
 
     def test_two_links_that_both_drop_match_the_loop_bit_for_bit(self):
         # at 512 and 256 bps a 64-byte packet takes 1 and 2 s, and every time
@@ -415,7 +453,7 @@ class TestPipelineAgainstLoop:
         # the link, an overflow that rarely drains on 1.5%
         tm = TrafficModel(kind="bursty-onoff", mean_rate=200.0, burst_len=8.0,
                           off_time_ms=38.0, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 500.0, 1, 0, {})
+        arrivals, sizes = generate_traffic(tm, 500.0, 0.0, 1, 0, {})
         assert_matches_loop(arrivals, sizes, [link_share * 2.5e9], 100,
                             0.3 * 3e8, 1e4, 0.1)
 
@@ -510,7 +548,7 @@ class TestEpisodeAgainstNumpyAndLoop:
         # the second link takes the first one's survivors at a lower load
         bursts = dict(burst_len=8.0, off_time_ms=38.0) if kind == "bursty-onoff" else {}
         tm = TrafficModel(kind=kind, mean_rate=200.0, **bursts, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 8.0, seed, 0, {})
+        arrivals, sizes = generate_traffic(tm, 8.0, 0.0, seed, 0, {})
         rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / load
         assert_matches_loop(arrivals, sizes, [rate, 0.9 * rate], buffer_pkts, 3e8, 1e4, 0.1)
 
@@ -520,7 +558,7 @@ class TestEpisodeAgainstNumpyAndLoop:
     def test_random_streams(self, seed, kind, load, buffer_pkts):
         bursts = dict(burst_len=8.0, off_time_ms=38.0) if kind == "bursty-onoff" else {}
         tm = TrafficModel(kind=kind, mean_rate=200.0, **bursts, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 8.0, seed, 0, {})
+        arrivals, sizes = generate_traffic(tm, 8.0, 0.0, seed, 0, {})
         rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / load
         assert_link_agrees(arrivals, sizes, rate, buffer_pkts, 1e-6)
 
@@ -548,8 +586,15 @@ def held(value):
 def twice_on_a_held_stream(*args, **kwargs):
     """simulate_pipeline twice on read-only copies of its array arguments,
     as a gradient's probes read a stream `oracle.sim_evaluate`'s memo holds:
-    both calls give the same bytes and leave the arrays as they were."""
+    both calls give the same bytes and leave the arrays as they were. Where
+    the arrivals and sizes are two arrays of one length, both calls take
+    them from a `Stream` and its addresses, as `simulate_slice` does."""
     args, kwargs = [held(a) for a in args], {k: held(v) for k, v in kwargs.items()}
+    if (len(args) >= 2 and all(isinstance(a, np.ndarray) for a in args[:2])
+            and args[0].ndim == 1 and args[0].shape == args[1].shape):
+        stream = simulator.Stream(*args[:2], 0.0)
+        args[:2] = stream
+        kwargs["held"] = stream
     arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
     before = [a.tobytes() for a in arrays]
     first = simulator.simulate_pipeline(*args, **kwargs)
@@ -594,7 +639,7 @@ _PASSES = {
 
 def compiled(name):
     """The loaded library's pass `name`, typed as `pipeline.c` declares it."""
-    function = getattr(simulator._PIPELINE, name)
+    function = getattr(native.LIBRARY, name)
     function.argtypes, function.restype = _PASSES[name]
     return function
 
@@ -735,7 +780,7 @@ class TestSmallBuffers:
         # 10^5 Poisson packets at link load 1.05: a buffer of 1 ends an
         # overflow episode at every accepted arrival
         tm = TrafficModel(kind="poisson", mean_rate=200.0, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 500.0, 0, 0, {})
+        arrivals, sizes = generate_traffic(tm, 500.0, 0.0, 0, 0, {})
         rate = 8.0 * tm.mean_size_bytes() * tm.mean_rate / 1.05
         assert_matches_loop(arrivals, sizes, [rate], 1, 9e7, 1e4, 0.1)
         served = simulate_pipeline(arrivals, sizes, [rate], 1, 9e7, 1e4, 0.1)[1]
@@ -1049,8 +1094,8 @@ class TestRunSim:
         # first of an instant is dropped, on both sides of the warmup
         arrivals = np.array([0.1, 0.1, 0.5, 0.5, 0.5, 0.9, 0.9])
         sizes = np.full(arrivals.size, 1000.0)
-        monkeypatch.setattr(simulator, "generate_traffic",
-                            lambda *_: (arrivals.copy(), sizes.copy()))
+        monkeypatch.setattr(simulator, "generate_traffic", lambda model, horizon_s, warmup_s, *_:
+                            simulator.Stream(arrivals.copy(), sizes.copy(), warmup_s))
         topo = Topology(edges=(("e", 40.0),), cores=(("c", 3e8),), buffer_pkts=1)
         row = AllocationVector(np.array([0.1]), np.array([0.5]))
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.5, propagation_ms=0.1)
@@ -1099,7 +1144,7 @@ class TestRunSim:
         cfg = SimConfig(horizon_s=1.0, warmup_s=0.4, propagation_ms=0.1)
         res = run_sim([spec], topo, alloc, cfg, seed=5)["s"]
         # the same packets, pushed through the pipeline by hand
-        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, 5, 0, {})
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, cfg.warmup_s, 5, 0, {})
         row = alloc.row("s")
         delays, served = simulate_pipeline(
             arrivals, sizes, row.flows * topo.edge_bps, topo.buffer_pkts,
@@ -1158,7 +1203,7 @@ class TestRunSim:
         cfg = SimConfig(horizon_s=1.0, warmup_s=warmup_s, propagation_ms=0.1)
         res = run_sim([spec], topo, AllocationMatrix.from_rows({"s": row}), cfg,
                       seed=seed)["s"]
-        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, seed, 0, {})
+        arrivals, sizes = generate_traffic(spec.traffic, cfg.horizon_s, cfg.warmup_s, seed, 0, {})
         link_rates, srv_rate = stage_rates(row, topo)
         _, served = loop_pipeline(arrivals, sizes, link_rates, buffer_pkts, srv_rate,
                                   spec.demand_mi, cfg.propagation_ms)
@@ -1219,11 +1264,73 @@ TRAFFIC_KINDS = (dict(kind="poisson"),
                  dict(kind="bursty-onoff", burst_len=8.0, off_time_ms=2.0))
 
 
+# seed parts: the word edges, and values up to 2**128, of up to 5 words each
+SEED_PART = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
+                      st.integers(0, 2**32 - 1), st.integers(0, 2**128))
+
+
+class TestSeeding:
+    """The compiled `seed_state` against numpy's SeedSequence, the slow
+    reference: its words, and the PCG64 stream they seed, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SEED_PART, min_size=1, max_size=8))
+    def test_every_word_is_numpys(self, parts):
+        # up to 40 entropy words: the loop that mixes words beyond the pool
+        # of 4 runs whenever the parts make more than 4
+        numpy_seed = np.random.SeedSequence(list(parts))
+        assert derive_seed(*parts) == int(numpy_seed.generate_state(1, np.uint32)[0])
+        got = stream_seed(*parts).generate_state(4, np.uint64)
+        want = numpy_seed.generate_state(4, np.uint64)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        ours = np.random.Generator(np.random.PCG64(stream_seed(*parts)))
+        theirs = np.random.Generator(np.random.PCG64(numpy_seed))
+        assert ours.random(64).tobytes() == theirs.random(64).tobytes()
+
+    @pytest.mark.parametrize("n_words", [0, 1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_any_length_of_state_is_numpys(self, n_words, dtype):
+        # the state cycles over the pool of 4 words; a uint64 word is two
+        parts = (2**64, 7, 0)
+        got = stream_seed(*parts).generate_state(n_words, dtype)
+        want = np.random.SeedSequence(list(parts)).generate_state(n_words, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_a_state_of_another_dtype_is_refused(self):
+        with pytest.raises(ValueError, match="^only support uint32 or uint64$"):
+            stream_seed(1, 2).generate_state(2, np.int64)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, math.nan, "3"])
+    def test_a_bad_part_is_named_before_any_draw(self, bad):
+        with pytest.raises(ValueError, match=f"^seed must be a whole number >= 0, got "
+                                             f"{re.escape(repr(bad))}$"):
+            stream_seed(3, bad)
+
+    def test_numpy_random_is_imported_at_the_first_stream_seed_not_before(self):
+        # importing it would cost `import slicelab` about 6 ms
+        code = ("import sys\nimport slicelab\nfrom slicelab.domain import derive_seed, "
+                "stream_seed\nderive_seed(1, 2)\nprint('numpy.random' in sys.modules)\n"
+                "stream_seed(1, 2)\nprint('numpy.random' in sys.modules)\n")
+        env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
+        env["PYTHONPATH"] = str(Path(simulator.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\nTrue\n", "")
+
+    def test_parts_split_into_little_endian_words(self):
+        # 0 is one word [0] and 2**64 three, [0, 0, 1]: the list (0, 2**64)
+        # seeds what the four words [0, 0, 0, 1] do, and a float part its int
+        assert derive_seed(0, 2**64) == derive_seed(0, 0, 0, 1)
+        assert derive_seed(0, 2**64) != derive_seed(0, 0, 1)
+        assert derive_seed(2**32 + 5) == derive_seed(5, 1) and derive_seed(3.0) == derive_seed(3)
+        assert derive_seed() == int(np.random.SeedSequence([]).generate_state(1)[0])
+
+
 class TestTraffic:
     @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40 + 3])
     def test_slice_streams_are_seeded_by_seed_and_index(self, seed):
         tm = TrafficModel(kind="poisson", mean_rate=300.0, **SIZES)
-        arrivals, _ = generate_traffic(tm, 1.0, seed, 2, {})
+        arrivals, _ = generate_traffic(tm, 1.0, 0.0, seed, 2, {})
         want = loop_poisson_arrivals(300.0, 1.0, stream(seed, 2))
         assert arrivals.size > 200 and np.array_equal(arrivals, want)
 
@@ -1232,23 +1339,38 @@ class TestTraffic:
         tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535,
                           size_dist="uniform", **kind)
         memo = {}
-        drawn = generate_traffic(tm, 1.0, 5, 1, memo)
+        drawn = generate_traffic(tm, 1.0, 0.25, 5, 1, memo)
         seeded = []
-        real = simulator.seed_sequence
-        monkeypatch.setattr(simulator, "seed_sequence", lambda *a: seeded.append(a) or real(*a))
-        kept = generate_traffic(tm, 1.0, 5, 1, memo)
+        real = simulator.stream_seed
+        monkeypatch.setattr(simulator, "stream_seed", lambda *a: seeded.append(a) or real(*a))
+        kept = generate_traffic(tm, 1.0, 0.25, 5, 1, memo)
         assert seeded == []
-        fresh = generate_traffic(tm, 1.0, 5, 1, {})
-        assert seeded == [(5, 1)] and list(memo) == [(5, 1)]
+        fresh = generate_traffic(tm, 1.0, 0.25, 5, 1, {})
+        assert seeded == [(5, 1)] and list(memo) == [(5, 1)] and memo[(5, 1)] is kept is drawn
         for a, b, c in zip(drawn, kept, fresh):
             assert a is b and a is not c and a.size > 1000 and np.array_equal(a, c)
             for array in (a, c):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+        # the stream holds what each simulation of it reads: its arrays'
+        # addresses and the index of its first arrival at or after 0.25 s
+        for stream in (drawn, fresh):
+            arrivals, sizes = stream
+            assert stream.addresses == (arrivals.ctypes.data, sizes.ctypes.data)
+            w = stream.warmup
+            assert 0 < w < arrivals.size and arrivals[w - 1] < 0.25 <= arrivals[w]
+
+    def test_a_stream_holds_two_arrays_of_one_length(self):
+        with pytest.raises(ValueError, match=r"^a stream's arrivals and sizes must be two "
+                                             r"arrays of one length, got shapes \(3,\) and "
+                                             r"\(2,\)$"):
+            simulator.Stream(np.arange(3.0), np.ones(2), 0.0)
+        with pytest.raises(ValueError, match=r"got shapes \(1, 2\) and \(1, 2\)$"):
+            simulator.Stream(np.ones((1, 2)), np.ones((1, 2)), 0.0)
 
     def test_poisson_rate(self):
         tm = TrafficModel(kind="poisson", mean_rate=500.0, **SIZES)
-        arrivals, sizes = generate_traffic(tm, 40.0, 1, 0, {})
+        arrivals, sizes = generate_traffic(tm, 40.0, 0.0, 1, 0, {})
         assert arrivals.size / 40.0 == pytest.approx(500.0, rel=0.03)
         assert np.all(np.diff(arrivals) >= 0)
         assert sizes.size == arrivals.size
@@ -1260,7 +1382,7 @@ class TestTraffic:
                           off_time_ms=38.0, **SIZES)
         rates = []
         for seed in range(50):
-            arrivals, _ = generate_traffic(tm, 40.0, seed, 0, {})
+            arrivals, _ = generate_traffic(tm, 40.0, 0.0, seed, 0, {})
             assert np.all(np.diff(arrivals) >= -1e-15)
             rates.append(arrivals.size / 40.0)
         se = np.std(rates, ddof=1) / math.sqrt(len(rates))
@@ -1270,7 +1392,7 @@ class TestTraffic:
         for kind in TRAFFIC_KINDS:
             tm = TrafficModel(mean_rate=2000.0, size_min=20, size_max=65535,
                               size_dist="uniform", **kind)
-            _, sizes = generate_traffic(tm, 10.0, 3, 0, {})
+            _, sizes = generate_traffic(tm, 10.0, 0.0, 3, 0, {})
             assert sizes.min() >= 20 and sizes.max() <= 65535
             assert sizes.mean() == pytest.approx(tm.mean_size_bytes(), rel=0.02)
 
@@ -1289,7 +1411,7 @@ class TestTraffic:
         for kind in TRAFFIC_KINDS:
             tm = TrafficModel(mean_rate=2000.0, size_dist="exponential",
                               size_mean=1000.0, size_min=20, size_max=65535, **kind)
-            _, sizes = generate_traffic(tm, 10.0, 4, 0, {})
+            _, sizes = generate_traffic(tm, 10.0, 0.0, 4, 0, {})
             assert sizes.min() >= 20 and sizes.max() <= 65535
             assert sizes.mean() == pytest.approx(1000.0, rel=0.05)
 
@@ -1313,7 +1435,7 @@ class TestPoissonAgainstLoop:
         # at 50/s over 1 s the first chunk holds 76 draws, and on these
         # seeds they sum to less than the horizon
         tm = TrafficModel(kind="poisson", mean_rate=50.0, **SIZES)
-        arrivals, _ = generate_traffic(tm, 1.0, seed, 0, {})
+        arrivals, _ = generate_traffic(tm, 1.0, 0.0, seed, 0, {})
         want = loop_poisson_arrivals(50.0, 1.0, stream(seed, 0))
         assert arrivals.size > 76 and np.array_equal(arrivals, want)
 
@@ -1325,7 +1447,7 @@ class TestPoissonAgainstLoop:
     )
     def test_arrivals_bit_identical(self, seed, mean_rate, horizon_s):
         tm = TrafficModel(kind="poisson", mean_rate=mean_rate, **SIZES)
-        arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
+        arrivals, _ = generate_traffic(tm, horizon_s, 0.0, seed, 0, {})
         want = loop_poisson_arrivals(mean_rate, horizon_s, stream(seed, 0))
         assert np.array_equal(arrivals, want)
 
@@ -1373,12 +1495,12 @@ class TestOnOffAgainstLoop:
         tm = bursty(burst_len, off_time_ms,
                     mean_rate=min(200.0, 0.9e3 * burst_len / max(off_time_ms, 1e-9)))
         want = loop_onoff_arrivals(tm, horizon_s, stream(seed, 0))
-        arrivals, _ = generate_traffic(tm, horizon_s, seed, 0, {})
+        arrivals, _ = generate_traffic(tm, horizon_s, 0.0, seed, 0, {})
         assert np.array_equal(arrivals, want)
 
     def test_burst_len_one_sends_single_packets(self):
         tm = bursty(1.0, 2.0)
-        arrivals, _ = generate_traffic(tm, 20.0, 8, 0, {})
+        arrivals, _ = generate_traffic(tm, 20.0, 0.0, 8, 0, {})
         assert (burst_sizes(arrivals, tm.intra_burst_gap_s()) == 1).all()
         assert arrivals.size / 20.0 == pytest.approx(200.0, rel=0.05)
 
@@ -1388,10 +1510,10 @@ class TestOnOffAgainstLoop:
         # would take 5-24 MB here
         spec = next(s for s in reference_scenario().slices if s.id == "slice1")
         tm = dataclasses.replace(spec.traffic, burst_len=1e6)
-        generate_traffic(tm, 10.0, 0, 0, {})
+        generate_traffic(tm, 10.0, 0.0, 0, 0, {})
         tracemalloc.start()
         try:
-            arrivals, sizes = generate_traffic(tm, 10.0, 0, 0, {})
+            arrivals, sizes = generate_traffic(tm, 10.0, 0.0, 0, 0, {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1404,20 +1526,20 @@ class TestOnOffAgainstLoop:
         spec = next(s for s in reference_scenario().slices if s.id == "slice1")
         tm = dataclasses.replace(spec.traffic, burst_len=1e19)
         for seed in range(3):
-            arrivals, sizes = generate_traffic(tm, 10.0, seed, 0, {})
+            arrivals, sizes = generate_traffic(tm, 10.0, 0.0, seed, 0, {})
             assert arrivals.size == sizes.size > 1900
             assert (arrivals < 10.0).all()
 
     def test_no_arrivals_when_the_first_off_time_passes_the_horizon(self):
         # the leading off time has mean 38 ms, so a 1 ns horizon ends inside it
-        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 1e-9, 0, 0, {})
+        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 1e-9, 0.0, 0, 0, {})
         assert arrivals.size == 0 and sizes.size == 0
 
     @pytest.mark.parametrize("burst_len", [1.5, 2.0, 3.0])
     def test_short_bursts_keep_their_mean(self, burst_len):
         # the loop oracle shares the inversion sampler, so check its law here
         tm = bursty(burst_len, 2.0)
-        arrivals, _ = generate_traffic(tm, 200.0, 9, 0, {})
+        arrivals, _ = generate_traffic(tm, 200.0, 0.0, 9, 0, {})
         assert burst_sizes(arrivals, tm.intra_burst_gap_s()).mean() == \
             pytest.approx(burst_len, rel=0.03)
 

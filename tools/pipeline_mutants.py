@@ -5,7 +5,8 @@ the mutants that no test kills.
 
 MUTANTS is a fixed list of one-edit mutants: each comparison of `link_pass`,
 `server_pass`, `run_pipeline`'s compaction and `expand_bursts` flipped
-between strict and non-strict, and a few steps dropped or moved. Each edit
+between strict and non-strict, and a few steps of those and of
+`seed_state` dropped or moved. Each edit
 must match the source exactly once, so a list that no longer fits
 `pipeline.c` stops the run before any test. NAMEs pick mutants from the
 list; without them every mutant runs. EQUIVALENT says why each mutant that
@@ -16,7 +17,7 @@ access aborts the run.
 
 Each mutant runs in a pytest process of its own with this module as its
 plugin, which does what `sanitized_pipeline` does for its build: it points
-`native.SOURCE` at the mutated file and replaces `simulator._PIPELINE`.
+`native.SOURCE` at the mutated file and replaces `native.LIBRARY`.
 A mutant is killed by the first failing test (`-x`), a crash, or a run
 longer than TIMEOUT_S; for a crash or a hang the report names the test
 that was running, from the traceback Python's faulthandler writes (on the
@@ -62,10 +63,22 @@ MUTANTS = [
     ("link: width *= 2 dropped", "            width *= 2;\n", ""),
     ("link: the window's order check dropped",
      "            if (!(t[k] >= last))\n                return UNSORTED;\n"
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
      "            last = t[k];\n            double lag",
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
      "            last = t[k];\n            double lag"),
     ("link: the episode's order check dropped",
      "            if (!(t[k] >= last))\n                return UNSORTED;\n"
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
+     "            last = t[k];\n            if (dep[head]",
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
+     "            last = t[k];\n            if (dep[head]"),
+    ("link: the window's size check dropped",
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
+     "            last = t[k];\n            double lag",
+     "            last = t[k];\n            double lag"),
+    ("link: the episode's size check dropped",
+     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
      "            last = t[k];\n            if (dep[head]",
      "            last = t[k];\n            if (dep[head]"),
     ("compaction: e < edges - 1", "if (e < edges - 1)", "if (e <= edges - 1)"),
@@ -81,6 +94,10 @@ MUTANTS = [
     ("server: (k + 1) * proc", "(double)(k + 1) * proc", "(double)k * proc"),
     ("expand: q < nb", "q < nb", "q <= nb"),
     ("expand: k < counts[q]", "k < counts[q]", "k <= counts[q]"),
+    ("seed: s != d dropped", "            if (s != d)\n", ""),
+    ("seed: hashmix >> 16", "value ^ (value >> 16)", "value ^ (value >> 15)"),
+    ("seed: the pool index moved by one", "pool[k % POOL]", "pool[(k + 1) % POOL]"),
+    ("seed: the extra-entropy loop starts at 3", "int64_t s = POOL;", "int64_t s = 3;"),
 ]
 
 # why a mutant computes what the source does
@@ -108,14 +125,14 @@ def pytest_configure(config):
     from hypothesis import settings
 
     from sanitized_pipeline import FLAGS
-    from slicelab import native, simulator
+    from slicelab import native
 
     settings.register_profile("pipeline-mutants", database=None, derandomize=True)
     settings.load_profile("pipeline-mutants")
     native.SOURCE = Path(os.environ[_SOURCE_VAR])
     if os.environ.get(_SANITIZED_VAR):
         native.COMMAND = (*native.COMMAND, *FLAGS)
-    simulator._PIPELINE = native.load_pipeline()
+    native.LIBRARY = native.load_pipeline()
 
 
 def running_test(stderr):

@@ -6,14 +6,15 @@ address and undefined-behaviour sanitizers.
     python -m pytest -q --capture=sys -p sanitized_pipeline tests/test_simulator.py
 
 The sanitized build is cached beside the plain one, under its own name.
-Every compiled pass reads `simulator._PIPELINE` when it is called, so
-replacing it routes every pass through the sanitized library. A bad
+Every compiled pass and the seeding of every stream read `native.LIBRARY`
+when they are called, so replacing it routes every call through the
+sanitized library. A bad
 access aborts the run with the sanitizer's report on stderr, which
 `--capture=sys` leaves uncaptured (pytest's default capture would take the
 report down with the process). Without the runtimes preloaded, the
 library does not load and the run stops at ImportError.
 """
-from slicelab import native, simulator
+from slicelab import native
 
 # added to the plain build's command; the first report ends the run
 FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all")
@@ -21,4 +22,4 @@ FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all
 
 def pytest_configure(config):
     native.COMMAND = (*native.COMMAND, *FLAGS)
-    simulator._PIPELINE = native.load_pipeline()
+    native.LIBRARY = native.load_pipeline()

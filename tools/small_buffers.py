@@ -24,7 +24,7 @@ def main():
     # 200 packets/s over 500 s, uniform sizes of 20..65535 bytes
     traffic = TrafficModel(kind="poisson", mean_rate=200.0, size_min=20, size_max=65535,
                            size_dist="uniform")
-    arrivals, sizes = simulator.generate_traffic(traffic, 500.0, 0, 0, {})
+    arrivals, sizes = simulator.generate_traffic(traffic, 500.0, 0.0, 0, 0, {})
     link_bps = 8.0 * traffic.mean_size_bytes() * traffic.mean_rate / LOAD
     ms = {}
     for b in BUFFERS:
