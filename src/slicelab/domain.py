@@ -1,6 +1,6 @@
 """Core value types (QoE requirements, traffic models, slices, topology,
 allocations, measured QoE samples) and the seeds of every random stream
-(`derive_seed`, `stream_seed`).
+(`derive_seed`, and `_entropy`, the words each drawn stream is seeded from).
 
 All types are immutable values that check their own bounds at
 construction and report every violation at once, each with the field it
@@ -101,7 +101,9 @@ def _entropy(parts) -> tuple[bytes, int]:
     """The 32-bit words numpy's SeedSequence reads from a list of whole
     numbers >= 0, as (their bytes, their count): each part's little-endian
     words, 0 as one word, so no part is folded modulo 2**32. ValueError
-    names a bad part."""
+    names a bad part. `derive_seed` and every stream draw
+    (`simulator.generate_traffic`) seed from them, through the compiled
+    `seed_state`, the one place a seed is made."""
     words = []
     for value in parts:
         if type(value) is not int or value < 0:  # an int >= 0 obeys the rule
@@ -123,37 +125,6 @@ def derive_seed(*parts) -> int:
     A negative, bool or fractional part raises ValueError naming it.
     """
     return native.LIBRARY.seed_state(*_entropy(parts), None, 0)
-
-
-def stream_seed(*parts):
-    """The seed of the random stream that `parts`, whole numbers >= 0, name:
-    a numpy ISeedSequence whose state is SeedSequence(list(parts))'s, word
-    for word. With `derive_seed`, the one place a seed is made: both take
-    their words from the compiled `seed_state`. ValueError names a bad part."""
-    return _seed_sequence_type()(parts)
-
-
-@functools.cache
-def _seed_sequence_type():
-    """numpy's ISeedSequence, subclassed on the first draw: importing
-    numpy.random would add 6 ms to `import slicelab`."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class CompiledSeedSequence(ISeedSequence):
-        def __init__(self, parts):
-            self.entropy, self.n_entropy = _entropy(parts)
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            state = np.empty(n_words, dtype)
-            if state.dtype not in (np.uint32, np.uint64):
-                raise ValueError("only support uint32 or uint64")
-            # a uint64 word is two uint32 words, the low one first, as numpy's
-            # view of its uint32 state on a little-endian host
-            native.LIBRARY.seed_state(self.entropy, self.n_entropy, state.ctypes.data,
-                                      state.nbytes // 4)
-            return state
-
-    return CompiledSeedSequence
 
 
 def array_field(obj, name, ndim) -> list:
@@ -276,7 +247,11 @@ class TrafficModel:
                 f"{self.burst_len / (self.off_time_ms / 1000.0):.3f}/s)"))
         errs += on_off
         sizes = whole_fields(self, "size_min", "size_max", interval="[1, inf)")
-        if not sizes and self.size_min > self.size_max:
+        # an int64, as the compiled draw holds it; ints, so compared exactly
+        if not sizes and self.size_max > 2**63 - 1:
+            sizes.append(("size_max", f"size_max must be at most 2**63 - 1, the largest size "
+                                      f"a draw holds, got {self.size_max}"))
+        elif not sizes and self.size_min > self.size_max:
             sizes.append(("size_max", "need size_min <= size_max, "
                                       f"got [{self.size_min}, {self.size_max}]"))
         errs += sizes

@@ -1,12 +1,14 @@
-/* The simulator's per-packet passes, the only ones it has, and the seeding
- * of every random stream: `native` builds them and slicelab calls them
- * through ctypes, one `run_pipeline` call per simulation, one `expand_bursts`
- * call per on/off stream and one `seed_state` call per seed. Their bits are
- * pinned by the golden digests of the shipped runs, and the tests check them
- * against the per-packet reference loop `loop_pipeline`, the per-burst
- * `loop_onoff_arrivals` and numpy's `SeedSequence`. Built with
- * -ffp-contract=off and no fast-math, so no multiply-add fuses and each sum
- * rounds in the order written here.
+/* The simulator's per-packet passes, the only ones it has, the seeding of
+ * every random stream and the drawing of each: `native` builds them, linked
+ * with numpy's distribution code, and slicelab calls them through ctypes,
+ * one `run_pipeline` call per simulation, one `seed_state` call per derived
+ * seed, and one `draw_arrivals` and one `draw_sizes` call per drawn stream.
+ * Their bits are pinned by the golden digests of the shipped runs, and the
+ * tests check them against the per-packet reference loop `loop_pipeline`,
+ * numpy's `SeedSequence` and `PCG64`, and numpy's Generator drawing each
+ * stream in bulk (`numpy_stream`). Built with -ffp-contract=off and no
+ * fast-math, so no multiply-add fuses and each sum rounds in the order
+ * written here.
  *
  * Each running max is written `b > a ? b : a`, so that it compiles to one
  * maxsd. The running value a is never NaN here, and a new operand b that
@@ -14,6 +16,7 @@
  */
 #include <float.h>
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -190,18 +193,6 @@ done:
     return code;
 }
 
-/* nb bursts into out: burst q's counts[q] packets, the k-th of them at
- * k * gap + starts[q]. */
-void expand_bursts(const double *starts, const int64_t *counts, int64_t nb, double gap,
-                   double *out)
-{
-    for (int64_t q = 0; q < nb; q++) {
-        double s = starts[q];
-        for (int64_t k = 0; k < counts[q]; k++)
-            *out++ = (double)k * gap + s;
-    }
-}
-
 /* numpy's SeedSequence, word for word: O'Neill's seed_seq_fe ("PCG",
  * HMC-CS-2014-0905) with numpy's constants and a pool of POOL words. */
 enum { POOL = 4 };
@@ -246,4 +237,299 @@ uint32_t seed_state(const uint32_t *entropy, int64_t n, uint32_t *out, int64_t n
         out[k] = hashmix(pool[k % POOL], &hash, MULT_B);
     hash = INIT_B;
     return hashmix(pool[0], &hash, MULT_B);
+}
+
+/* A slice's random stream, drawn whole: numpy's PCG64 ported, seeded as
+ * numpy's PCG64(SeedSequence(entropy)) is, drives numpy's own distribution
+ * code, linked from the static library numpy ships for C extensions
+ * (numpy/random/lib/libnpyrandom.a), so each draw is numpy's to the bit by
+ * construction. numpy's distributions.h includes Python.h, so the few
+ * declarations used are repeated here as numpy/random/bitgen.h and
+ * distributions.h have them. */
+typedef struct bitgen {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_standard_exponential(bitgen_t *bitgen_state);
+void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+void random_bounded_uint32_fill(bitgen_t *bitgen_state, uint32_t off, uint32_t rng,
+                                intptr_t cnt, bool use_masked, uint32_t *out);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
+                                intptr_t cnt, bool use_masked, uint64_t *out);
+
+/* gcc's and clang's 128-bit integer on 64-bit hosts, which numpy's PCG64
+ * uses where the compiler has one */
+typedef unsigned __int128 u128;
+
+/* PCG64 (O'Neill, HMC-CS-2014-0905) as numpy runs it: a 128-bit LCG whose
+ * output is the XSL-RR of the state after each step. These are the 40
+ * bytes a caller keeps between `draw_arrivals` and `draw_sizes`: the state
+ * and the increment, each as its high and low words, and numpy's
+ * has_uint32 buffer, the high half of the last 64-bit output of which a
+ * 32-bit draw took only the low half. */
+typedef struct {
+    uint64_t state[2], inc[2];
+    uint32_t has_uint32, uinteger;
+} pcg64_t;
+
+static const u128 PCG_MULT = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+
+static u128 joined(const uint64_t *words)
+{
+    return (u128)words[0] << 64 | words[1];
+}
+
+static void split(u128 value, uint64_t *words)
+{
+    words[0] = (uint64_t)(value >> 64);
+    words[1] = (uint64_t)value;
+}
+
+static void pcg64_step(pcg64_t *r)
+{
+    split(joined(r->state) * PCG_MULT + joined(r->inc), r->state);
+}
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *r = st;
+    pcg64_step(r);
+    u128 s = joined(r->state);
+    uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64_t *r = st;
+    if (r->has_uint32) {
+        r->has_uint32 = 0;
+        return r->uinteger;
+    }
+    uint64_t next = pcg64_next64(r);
+    r->has_uint32 = 1;
+    r->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static bitgen_t bitgen_of(pcg64_t *r)
+{
+    return (bitgen_t){r, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+}
+
+/* numpy's PCG64(SeedSequence(entropy)): the sequence's first four 64-bit
+ * words, each two 32-bit words with the low one first, are the initial
+ * state (words 0 and 1, the high one first) and the stream (words 2 and
+ * 3), set as numpy's pcg_setseq_128_srandom_r sets them. */
+static void pcg64_seed(pcg64_t *r, const uint32_t *entropy, int64_t n)
+{
+    uint32_t half[8];
+    uint64_t words[4];
+    seed_state(entropy, n, half, 8);
+    for (int i = 0; i < 4; i++)
+        words[i] = (uint64_t)half[2 * i + 1] << 32 | half[2 * i];
+    r->state[0] = r->state[1] = 0;
+    split(joined(words + 2) << 1 | 1, r->inc);
+    pcg64_step(r);
+    split(joined(r->state) + joined(words), r->state);
+    pcg64_step(r);
+    r->has_uint32 = r->uinteger = 0;
+}
+
+/* The n first outputs of the stream entropy seeds into out: out[k] the next
+ * 64-bit output where wide[k], else the next 32-bit one. Only the tests
+ * call it, to check the port against numpy's PCG64. */
+void pcg64_outputs(const uint32_t *entropy, int64_t n_entropy, const uint8_t *wide,
+                   uint64_t *out, int64_t n)
+{
+    pcg64_t r;
+    pcg64_seed(&r, entropy, n_entropy);
+    for (int64_t k = 0; k < n; k++)
+        out[k] = wide[k] ? pcg64_next64(&r) : pcg64_next32(&r);
+}
+
+/* numpy's Generator draws a stream's standard exponentials E in chunks,
+ * each a fill of `size` draws. Drawn BATCH at a time they are the same
+ * draws, so a chunk is read through this window, and no array holds it. */
+enum { BATCH = 256 };
+typedef struct {
+    bitgen_t *bg;
+    int64_t left;  /* the chunk's draws not yet made */
+    int next, end;  /* the window's draws not yet read: e[next:end] */
+    double e[BATCH];
+} chunk_t;
+
+static void chunk_start(chunk_t *c, int64_t size)
+{
+    c->left = size;
+    c->next = c->end = 0;
+}
+
+/* the chunk's next draw; a caller reads no more than its size */
+static double chunk_read(chunk_t *c)
+{
+    if (c->next == c->end) {
+        c->end = c->left < BATCH ? (int)c->left : BATCH;
+        random_standard_exponential_fill(c->bg, c->end, c->e);
+        c->left -= c->end;
+        c->next = 0;
+    }
+    return c->e[c->next++];
+}
+
+/* the chunk's draws not yet made, made and left unread, as numpy makes them */
+static void chunk_finish(chunk_t *c)
+{
+    while (c->left > 0) {
+        int n = c->left < BATCH ? (int)c->left : BATCH;
+        random_standard_exponential_fill(c->bg, n, c->e);
+        c->left -= n;
+    }
+}
+
+/* more draws than one chunk of numpy's can take: their doubles would not
+ * fit in memory */
+static const double MAX_CHUNK = 0x1p50;
+
+/* arrival a, the count-th, into out if it has room; the count after it */
+static int64_t put(double *out, int64_t capacity, int64_t count, double a)
+{
+    if (count < capacity)
+        out[count] = a;
+    return count + 1;
+}
+
+/* Poisson arrivals: t += scale * E from t = 0 while t is before the
+ * horizon. numpy draws E in chunks of m, and a chunk's sum starts from the
+ * last chunk's final time; every draw of the chunk that reaches the
+ * horizon is made, so the sizes are drawn from where numpy draws them. */
+static int64_t poisson_arrivals(bitgen_t *bg, double rate, double horizon, double *out,
+                                int64_t capacity)
+{
+    double scale = 1.0 / rate, t = 0.0, want = rate * horizon * 1.2;
+    if (!(want < MAX_CHUNK))
+        return NO_MEMORY;
+    int64_t m = (int64_t)want + 16, count = 0;
+    m = m > 64 ? m : 64;
+    chunk_t c = {.bg = bg};
+    while (t < horizon) {
+        chunk_start(&c, m);
+        double s = t;  /* the last chunk's final time, carried in */
+        for (int64_t i = 0; i < m; i++) {
+            s += scale * chunk_read(&c);
+            if (s < horizon)
+                count = put(out, capacity, count, s);
+        }
+        t = s;
+    }
+    return count;
+}
+
+/* On/off arrivals from one standard-exponential stream E, drawn in chunks
+ * of m bursts as numpy draws them: a leading off time when off_mean > 0,
+ * then per burst a size n = ceil(E / -log1p(-p)) (one packet when p is 1,
+ * though E is drawn) and, when off_mean > 0, an off time off_mean * E. A
+ * burst starts at the sum of the steps n * gap + off time before it,
+ * summed in order, and its packet k arrives at k * gap + start. Arrivals
+ * never decrease, so the expansion of a burst ends at its first arrival at
+ * or past the horizon, and the stream ends at the first burst that starts
+ * there. Every draw of the chunk that reaches the horizon is made, as in
+ * the Poisson stream. */
+static int64_t onoff_arrivals(bitgen_t *bg, double burst_len, double gap, double off_mean,
+                              double horizon, double *out, int64_t capacity)
+{
+    /* E / -log1p(-p) is -E / log1p(-p) to the bit: only the sign moved */
+    double p = 1.0 / burst_len, per_packet = -log1p(-p);
+    int64_t per_burst = off_mean > 0 ? 2 : 1, count = 0;
+    double t = off_mean > 0 ? off_mean * random_standard_exponential(bg) : 0.0;
+    chunk_t c = {.bg = bg};
+    while (t < horizon) {
+        double want = (horizon - t) / (burst_len * gap + off_mean) * 1.1;
+        if (!(want < MAX_CHUNK))
+            return NO_MEMORY;
+        int64_t m = (int64_t)want + 16;
+        chunk_start(&c, m * per_burst);
+        for (int64_t i = 0; i < m; i++) {
+            if (t >= horizon)
+                break;
+            double e = chunk_read(&c), n = p < 1.0 ? ceil(e / per_packet) : 1.0;
+            for (int64_t k = 0; k < n; k++) {
+                double a = (double)k * gap + t;
+                if (a >= horizon)
+                    break;
+                count = put(out, capacity, count, a);
+            }
+            double step = n * gap;
+            if (off_mean > 0)
+                step += off_mean * chunk_read(&c);
+            t += step;
+        }
+        chunk_finish(&c);
+    }
+    return count;
+}
+
+/* The arrivals (s) before the horizon of the stream entropy seeds, into
+ * out[:capacity]: on/off arrivals (rate unread) where onoff, else Poisson
+ * arrivals at rate a second (burst_len, gap and off_mean unread). Returns
+ * their count, or NO_MEMORY. A count above capacity writes only the first
+ * capacity arrivals, and the caller draws again with room for all, which
+ * gives the same stream. rng becomes the stream's state after the
+ * arrivals, from which `draw_sizes` draws the sizes. */
+int64_t draw_arrivals(const uint32_t *entropy, int64_t n_entropy, int64_t onoff, double rate,
+                      double burst_len, double gap, double off_mean, double horizon,
+                      double *out, int64_t capacity, pcg64_t *rng)
+{
+    pcg64_seed(rng, entropy, n_entropy);
+    bitgen_t bg = bitgen_of(rng);
+    return onoff ? onoff_arrivals(&bg, burst_len, gap, off_mean, horizon, out, capacity)
+                 : poisson_arrivals(&bg, rate, horizon, out, capacity);
+}
+
+/* n packet sizes (bytes) into out, drawn from the stream state rng as
+ * numpy's Generator draws them: where exponential, mean * E clipped to
+ * [lo, hi]; else whole sizes uniform on [lo, hi] by numpy's bounded fill
+ * of int32 below hi = 2**31 - 1 (the values int64 draws, from half the
+ * output bits) and of int64 from there. The integers are drawn into out's
+ * own bytes and each is then widened into its double: the int32s from the
+ * last, since double k covers int32s 2k and 2k + 1. */
+void draw_sizes(pcg64_t *rng, int64_t exponential, int64_t lo, int64_t hi, double mean,
+                double *out, int64_t n)
+{
+    bitgen_t bg = bitgen_of(rng);
+    if (exponential) {
+        double low = (double)lo, high = (double)hi;
+        random_standard_exponential_fill(&bg, n, out);
+        for (int64_t k = 0; k < n; k++) {
+            double size = mean * out[k];
+            size = size > low ? size : low;
+            out[k] = size < high ? size : high;
+        }
+    } else if (hi < INT32_MAX) {
+        random_bounded_uint32_fill(&bg, (uint32_t)lo, (uint32_t)(hi - lo), n, false,
+                                   (uint32_t *)out);
+        for (int64_t k = n - 1; k >= 0; k--) {
+            int32_t size;
+            memcpy(&size, (char *)out + k * sizeof size, sizeof size);
+            out[k] = (double)size;
+        }
+    } else {
+        random_bounded_uint64_fill(&bg, (uint64_t)lo, (uint64_t)hi - (uint64_t)lo, n, false,
+                                   (uint64_t *)out);
+        for (int64_t k = 0; k < n; k++) {
+            int64_t size;
+            memcpy(&size, (char *)out + k * sizeof size, sizeof size);
+            out[k] = (double)size;
+        }
+    }
 }

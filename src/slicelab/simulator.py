@@ -13,12 +13,13 @@ A simulation is one call of the compiled `run_pipeline` (`pipeline.c`,
 built and loaded by `native`). It runs Lindley's recursion packet by packet
 through each link and then the server, drops and compacts the packets a full
 buffer refuses, and checks the order of the arrivals and the sizes as the
-first link reads them. The on/off generator's burst expansion is compiled
-too, and so is the seeding of every stream (`domain.stream_seed`).
-`pipeline.c` describes how a link finds its buffer full and runs each
-overflow episode. A drawn stream is a `Stream`, which holds its arrays'
-addresses and its warmup index, so a simulation of a stream held in a memo
-reads neither again.
+first link reads them. `pipeline.c` describes how a link finds its buffer
+full and runs each overflow episode. A stream is drawn whole in C too:
+`draw_arrivals` seeds numpy's PCG64 and draws the arrivals, and
+`draw_sizes` the sizes, each with numpy's own distribution code, so every
+stream is numpy's to the bit and no run imports `numpy.random`. A drawn
+stream is a `Stream`, which holds its arrays' addresses and its warmup
+index, so a simulation of a stream held in a memo reads neither again.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import native
 from .domain import (AllocationMatrix, ArrayValue, InvariantViolation, QoeSample, Topology,
-                     TrafficModel, interval_violations, stream_seed)
+                     TrafficModel, _entropy, interval_violations)
 
 
 # packets per link window after an overflow; a window that drops nothing
@@ -49,8 +50,6 @@ _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
-
-_INT32_MAX = 2**31 - 1
 
 _NOT_SORTED = "arrivals must be sorted in non-decreasing order"
 
@@ -101,20 +100,35 @@ class Stream(tuple):
         if arrivals.ndim != 1 or arrivals.shape != sizes.shape:
             raise ValueError(f"a stream's arrivals and sizes must be two arrays of one "
                              f"length, got shapes {arrivals.shape} and {sizes.shape}")
+        stream = super().__new__(cls, (arrivals, sizes))
+        try:  # a drawn stream's arrays, writeable until made read-only below
+            stream.addresses = _address(arrivals), _address(sizes)
+        except (TypeError, ValueError):  # an array already read-only, or empty
+            stream.addresses = arrivals.ctypes.data, sizes.ctypes.data
         arrivals.setflags(write=False)
         sizes.setflags(write=False)
-        stream = super().__new__(cls, (arrivals, sizes))
-        stream.addresses = arrivals.ctypes.data, sizes.ctypes.data
         # arrivals are sorted, so the post-warmup requests are a suffix
         stream.warmup = int(arrivals.searchsorted(warmup_s))
         return stream
 
 
+def _address(array):
+    """The address of a writeable, non-empty array's data, at about a third
+    of the cost of `.ctypes.data`."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+# the stream state `draw_arrivals` leaves for `draw_sizes` (`pipeline.c`)
+_RngState = ctypes.c_uint64 * 5
+
+
 def generate_traffic(model: TrafficModel, horizon_s: float, warmup_s: float, seed: int,
                      index: int, memo) -> Stream:
     """Arrival times (s, sorted) and packet sizes (bytes) over [0, horizon),
-    drawn from the PCG64 stream seeded by stream_seed(seed, index), as a
-    `Stream` that holds its warmup index.
+    drawn from numpy's PCG64 stream seeded by SeedSequence([seed, index]),
+    as a `Stream` that holds its warmup index. One compiled call draws the
+    arrivals and another the sizes (`draw_arrivals`, `draw_sizes`), each
+    numpy's draw to the bit.
 
     `memo`, a dict, keeps each stream it draws under (seed, index) and
     answers it again without seeding or drawing (its rules: see
@@ -123,98 +137,40 @@ def generate_traffic(model: TrafficModel, horizon_s: float, warmup_s: float, see
     key = (seed, index)
     stream = memo.get(key)
     if stream is None:
-        rng = np.random.Generator(np.random.PCG64(stream_seed(seed, index)))
-        if model.kind == "poisson":
-            arrivals = _poisson_arrivals(model.mean_rate, horizon_s, rng)
-        else:
-            arrivals = _onoff_arrivals(model, horizon_s, rng)
-        stream = memo[key] = Stream(arrivals, _draw_sizes(model, arrivals.size, rng), warmup_s)
+        stream = memo[key] = _drawn(model, horizon_s, warmup_s, _entropy(key))
     return stream
 
 
-def _poisson_arrivals(rate, horizon_s, rng):
-    chunks = []
-    t = 0.0
-    n = max(64, int(rate * horizon_s * 1.2) + 16)
-    while t < horizon_s:
-        # the recursion t += E / rate, carried into each chunk's first step
-        arr = rng.exponential(1.0 / rate, size=n)
-        arr[0] += t
-        np.add.accumulate(arr, out=arr)
-        chunks.append(arr)
-        t = arr[-1]
-    return _before(_joined(chunks), horizon_s)
-
-
-def _joined(chunks):
-    """The chunks end to end; the one chunk itself, uncopied, in the common case."""
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
-def _before(arrivals, horizon_s):
-    """The arrivals before the horizon: a prefix, since rounding is monotone
-    and every generator sums non-negative steps, so arrivals never decrease."""
-    return arrivals[:arrivals.searchsorted(horizon_s)]
-
-
-def _onoff_arrivals(model, horizon_s, rng):
-    gap = model.intra_burst_gap_s()
-    p = 1.0 / model.burst_len
-    off_mean = model.off_time_ms / 1000.0
-    # The source is one standard-exponential stream E: an optional leading
-    # off time, then per burst a geometric size ceil(-E / log1p(-p)) (one
-    # packet when p is 1) and an off time off_mean * E, drawn in bulk.
-    per_burst = 2 if off_mean > 0 else 1
-    t = off_mean * rng.standard_exponential() if off_mean > 0 else 0.0
-    starts, counts = [], []
-    while t < horizon_s:
-        m = int((horizon_s - t) / (model.burst_len * gap + off_mean) * 1.1) + 16
-        e = rng.standard_exponential((m, per_burst))
-        if p < 1.0:
-            # E / -log1p(-p) is -E / log1p(-p) to the bit: only the sign moved
-            n = e[:, 0] / -math.log1p(-p)
-            np.ceil(n, out=n)
-        else:
-            n = np.ones(m)
-        step = n * gap
-        if off_mean > 0:
-            step += off_mean * e[:, 1]
-        # burst starts, summed in the loop's order; the last one is the next t
-        s = np.add.accumulate(np.concatenate(([t], step)))
-        b = min(m, int(s.searchsorted(horizon_s)))
-        t = s.item(b)
-        if t >= horizon_s and gap > 0:
-            # only the last burst can reach past the horizon: cap its size,
-            # before the int64 cast, at the packets that can arrive before
-            # the horizon, plus one for rounding, and `_before` cuts the same.
-            # The expansion below puts the first packet left out at or past the
-            # horizon unless gap < 2.2e-16 times the time left, when the cap
-            # is above 4.5e15 packets, more than fits in memory. Python
-            # scalars: numpy's cost a microsecond here.
-            cap = (horizon_s - s.item(b - 1)) // gap + 2
-            if cap < n.item(b - 1):
-                n[b - 1] = cap
-        starts.append(s[:b])
-        counts.append(n[:b].astype(np.int64))
-    if not starts:
-        return np.empty(0)
-    starts, counts = _joined(starts), _joined(counts)
-    # expand each burst into gap-spaced packets: packet k of a burst that
-    # starts at time s arrives at k * gap + s
-    arrivals = np.empty(int(counts.sum()))
-    native.LIBRARY.expand_bursts(starts.ctypes.data, counts.ctypes.data, starts.size, gap,
-                                 arrivals.ctypes.data)
-    return _before(arrivals, horizon_s)
-
-
-def _draw_sizes(model, n, rng):
-    if model.size_dist == "exponential":
-        mean = model.mean_size_bytes()
-        sizes = rng.exponential(mean, size=n)
-        return np.clip(sizes, model.size_min, model.size_max, out=sizes)
-    # int32 draws the values int64 does, by the same 32-bit draw, in half the time
-    dtype = np.int32 if model.size_max < _INT32_MAX else np.int64
-    return rng.integers(model.size_min, model.size_max + 1, size=n, dtype=dtype).astype(float)
+def _drawn(model, horizon_s, warmup_s, entropy):
+    """The stream `entropy` seeds. The arrivals are drawn into room for
+    numpy's first Poisson chunk, about 1.2 times their mean count, and drawn
+    again from the seed where they need more. A stream holds a copy of its
+    arrivals, no spare room, made after its sizes array, and the room is
+    freed whole. In perfbench's audit-baseline-long, that order takes no
+    page fault per task; with the copy made first, or the room cut in place
+    (`resize`), glibc trims the heap between tasks and each task faults
+    about 700 pages back in (glibc's heap layout, not the draw's work)."""
+    library, rng = native.LIBRARY, _RngState()
+    if model.kind == "poisson":
+        shape = (0, model.mean_rate, 0.0, 0.0, 0.0)
+    else:
+        shape = (1, 0.0, model.burst_len, model.intra_burst_gap_s(), model.off_time_ms / 1000.0)
+    room = max(64, int(model.mean_rate * horizon_s * 1.2) + 16)
+    while True:
+        arrivals = np.empty(room)
+        n = library.draw_arrivals(*entropy, *shape, horizon_s, _address(arrivals), room, rng)
+        if n <= room:
+            break
+        room = n
+    if n < 0:
+        raise MemoryError(f"no memory to draw {model.kind} arrivals over {horizon_s} s")
+    sizes = np.empty(n)
+    if n < room:
+        arrivals = arrivals[:n].copy()
+    if n:  # an empty array lends no buffer
+        library.draw_sizes(rng, model.size_dist == "exponential", model.size_min,
+                           model.size_max, model.mean_size_bytes(), _address(sizes), n)
+    return Stream(arrivals, sizes, warmup_s)
 
 
 def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
@@ -248,12 +204,13 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     rates = np.ascontiguousarray(link_rates_bps, dtype=float)
     n = arrivals.size
     stranded = service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in rates.tolist())
-    # the first link pass checks the order and the sizes; where none runs, numpy does
+    # the first link pass checks the order and the sizes; where none runs,
+    # numpy does, in its order: packet k's order, then its size, then k + 1's
     if stranded or not rates.size:
-        if not (arrivals[1:] >= arrivals[:-1]).all():
-            raise ValueError(_NOT_SORTED)
-        if not (sizes >= 0.0).all():
-            raise _bad_size(sizes)
+        unsorted = ~(arrivals >= np.concatenate(([-math.inf], arrivals[:-1])))
+        bad = unsorted | ~(sizes >= 0.0)
+        if bad.any():
+            raise ValueError(_NOT_SORTED) if unsorted[bad.argmax()] else _bad_size(sizes)
     # no packet, no call: an empty array lends no buffer
     if stranded or not n:
         return np.empty(0), np.zeros(n, dtype=bool)

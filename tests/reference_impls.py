@@ -7,7 +7,8 @@ through a chain of such queues, a frozen hand calculation of one packet's
 delay, a scalar re-implementation of the transfer recursion, the
 simulator's original per-packet link/server loop, a per-arrival Poisson
 generator and a per-burst on/off generator, a slice's random stream seeded by
-numpy alone, and the plain numpy forms of two formulas the library computes
+numpy alone and drawn by numpy's Generator in bulk (`numpy_stream`, the
+reference of the compiled draw), and the plain numpy forms of two formulas the library computes
 another way: the hinge's averages by `np.mean` and uniform packet sizes drawn
 as int64. Test expectations are frozen from these, never from the library.
 The exceptions read the library's oracle: `many_repetition_gradient`, a
@@ -224,6 +225,84 @@ def loop_onoff_arrivals(model, horizon_s, rng):
     within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     arrivals = np.repeat(starts, counts) + within * gap
     return arrivals[arrivals < horizon_s]
+
+
+def numpy_stream(model, horizon_s, seed, index):
+    """Slice `index`'s (arrivals, sizes) under `seed`, drawn by numpy's
+    Generator in bulk: the slow reference of the compiled draw, which must
+    match it bit for bit. Every arrival generator sums non-negative steps,
+    so the arrivals never decrease and those before the horizon are a
+    prefix."""
+    rng = stream(seed, index)
+    if model.kind == "poisson":
+        arrivals = numpy_poisson_arrivals(model.mean_rate, horizon_s, rng)
+    else:
+        arrivals = numpy_onoff_arrivals(model, horizon_s, rng)
+    return arrivals, numpy_sizes(model, arrivals.size, rng)
+
+
+def numpy_poisson_arrivals(rate, horizon_s, rng):
+    """The recursion t += E / rate in chunks of numpy draws, each chunk's
+    cumulative sum carried on from the last chunk's final time."""
+    chunks = []
+    t = 0.0
+    n = max(64, int(rate * horizon_s * 1.2) + 16)
+    while t < horizon_s:
+        arr = rng.exponential(1.0 / rate, size=n)
+        arr[0] += t
+        np.add.accumulate(arr, out=arr)
+        chunks.append(arr)
+        t = arr[-1]
+    arrivals = np.concatenate(chunks)
+    return arrivals[:arrivals.searchsorted(horizon_s)]
+
+
+def numpy_onoff_arrivals(model, horizon_s, rng):
+    """On/off arrivals from one standard-exponential stream E drawn in
+    chunks of m bursts: an optional leading off time, then per burst a
+    geometric size ceil(E / -log1p(-p)) (one packet when p is 1) and an off
+    time off_mean * E; the burst starts summed in order, and packet k of a
+    burst that starts at s at k * gap + s."""
+    gap = model.intra_burst_gap_s()
+    p = 1.0 / model.burst_len
+    off_mean = model.off_time_ms / 1000.0
+    per_burst = 2 if off_mean > 0 else 1
+    t = off_mean * rng.standard_exponential() if off_mean > 0 else 0.0
+    starts, counts = [], []
+    while t < horizon_s:
+        m = int((horizon_s - t) / (model.burst_len * gap + off_mean) * 1.1) + 16
+        e = rng.standard_exponential((m, per_burst))
+        n = np.ceil(e[:, 0] / -math.log1p(-p)) if p < 1.0 else np.ones(m)
+        step = n * gap
+        if off_mean > 0:
+            step += off_mean * e[:, 1]
+        s = np.add.accumulate(np.concatenate(([t], step)))
+        b = min(m, int(s.searchsorted(horizon_s)))
+        t = s[b]
+        if t >= horizon_s and gap > 0:
+            # only the last burst reaches past the horizon: cap it, before
+            # the int64 cast, at the packets that can arrive before the
+            # horizon, plus one for rounding
+            n[b - 1] = min(n[b - 1], (horizon_s - s[b - 1]) // gap + 2)
+        starts.append(s[:b])
+        counts.append(n[:b].astype(np.int64))
+    if not starts:
+        return np.empty(0)
+    starts, counts = np.concatenate(starts), np.concatenate(counts)
+    within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    arrivals = within * gap + np.repeat(starts, counts)
+    return arrivals[:arrivals.searchsorted(horizon_s)]
+
+
+def numpy_sizes(model, n, rng):
+    """n packet sizes as numpy draws them: exponential ones clipped to
+    [size_min, size_max], and uniform whole ones by `integers`, as int32
+    below 2**31 - 1 and int64 from there, widened to floats."""
+    if model.size_dist == "exponential":
+        sizes = rng.exponential(model.mean_size_bytes(), size=n)
+        return np.clip(sizes, model.size_min, model.size_max, out=sizes)
+    dtype = np.int32 if model.size_max < 2**31 - 1 else np.int64
+    return rng.integers(model.size_min, model.size_max + 1, size=n, dtype=dtype).astype(float)
 
 
 def many_repetition_gradient(model, slice_id, row, slices, topology, sim_config,

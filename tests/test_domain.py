@@ -110,6 +110,21 @@ class TestTrafficModel:
             TrafficModel(kind="poisson", mean_rate=10.0, size_min=100, size_max=50,
                          size_dist="uniform")
 
+    @pytest.mark.parametrize("size_max", [2**63, 2**64, 2.0**63])
+    @pytest.mark.parametrize("size_dist", ["uniform", "exponential"])
+    def test_a_size_past_int64_is_refused(self, size_max, size_dist):
+        # the compiled draw holds a size as an int64; the bound is an exact
+        # integer one, so 2**63 is refused where 2**63 - 1 passes
+        mean = dict(size_mean=1e3) if size_dist == "exponential" else {}
+        with pytest.raises(InvariantViolation, match=rf"^size_max must be at most 2\*\*63 - 1, "
+                                                     rf"the largest size a draw holds, got "
+                                                     rf"{int(size_max)}$") as exc:
+            TrafficModel(kind="poisson", mean_rate=10.0, size_min=1, size_max=size_max,
+                         size_dist=size_dist, **mean)
+        assert exc.value.violations == [("size_max", exc.value.violations[0][1])]
+        assert TrafficModel(kind="poisson", mean_rate=10.0, size_min=1, size_max=2**63 - 1,
+                            size_dist=size_dist, **mean).size_max == 2**63 - 1
+
     @pytest.mark.parametrize("field, value", [("size_min", 20.5), ("size_max", 100.5),
                                               ("size_max", True)])
     def test_sizes_are_whole_numbers(self, field, value):

@@ -89,9 +89,21 @@ class TestLoader:
 
     def test_a_source_without_every_pass_is_refused(self, home, tmp_path, monkeypatch):
         other = tmp_path / "pipeline.c"
-        other.write_text("void expand_bursts(void) {}\n")
+        other.write_text("void seed_state(void) {}\n")
         monkeypatch.setattr(native, "SOURCE", other)
         refused(r"/pipeline-[0-9a-f]{16}\.so has no entry 'run_pipeline'$")
+
+    def test_a_missing_archive_is_refused_by_path(self, home, tmp_path, monkeypatch):
+        # the draws link numpy's distributions, so no build goes without them
+        missing = tmp_path / "numpy" / "random" / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(native, "ARCHIVE", missing)
+        refused(f"^slicelab needs numpy's C distributions library to build pipeline.c: "
+                f"cannot read {re.escape(str(missing))}: No such file or directory$")
+        assert not (home / ".cache").exists()
+
+    def test_the_archive_is_numpys_found_without_numpy_random(self):
+        assert native.ARCHIVE == Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+        assert native.ARCHIVE.is_file()
 
     def test_importing_slicelab_without_a_compiler_names_cc(self, home, tmp_path):
         # a fresh interpreter with no cc on PATH and an empty cache
@@ -105,6 +117,7 @@ class TestLoader:
                                                "build pipeline.c: no 'cc' on PATH")
 
     def test_a_build_is_cached_and_keyed_by_source_and_command(self, home, tmp_path, monkeypatch):
+        # and by the archive's path and bytes
         load_quietly()
         assert len(cached(home)) == 1
         # another source gets another file: an entry that only says it ran
@@ -114,10 +127,10 @@ class TestLoader:
                          " const double *bps, int64_t edges, int64_t n, int64_t b,"
                          " int64_t restart, double tie_s, double proc, double prop_s,"
                          " double *out, uint8_t *served) { return -7; }\n"
-                         "void expand_bursts(const double *starts, const int64_t *counts,"
-                         " int64_t nb, double gap, double *out) {}\n"
                          "uint32_t seed_state(const uint32_t *entropy, int64_t n,"
-                         " uint32_t *out, int64_t n_words) { return 7; }\n")
+                         " uint32_t *out, int64_t n_words) { return 7; }\n"
+                         "int64_t draw_arrivals(void) { return 0; }\n"
+                         "void draw_sizes(void) {}\n")
         real = native.SOURCE
         monkeypatch.setattr(native, "SOURCE", other)
         fake = load_quietly()
@@ -128,8 +141,15 @@ class TestLoader:
         monkeypatch.setattr(native, "COMMAND", native.COMMAND + ("-O1",))
         load_quietly()
         assert len(cached(home)) == 3
-        # with no compiler left, the real source's file loads from the cache
+        # the same archive's bytes at another path: another file
         monkeypatch.setattr(native, "COMMAND", native.COMMAND[:-1])
+        real_archive = native.ARCHIVE
+        monkeypatch.setattr(native, "ARCHIVE", tmp_path / real_archive.name)
+        shutil.copyfile(real_archive, native.ARCHIVE)
+        load_quietly()
+        assert len(cached(home)) == 4
+        monkeypatch.setattr(native, "ARCHIVE", real_archive)
+        # with no compiler left, the real source's file loads from the cache
         a_path_with(tmp_path, monkeypatch)
         lib = load_quietly()
         # at 8 bps a packet's tx is its size: arrival 1 finds the one-packet
@@ -143,9 +163,18 @@ class TestLoader:
         assert m == 2 and served.tolist() == [1, 0, 1]
         assert out[:m].tolist() == [((0.5 + 1.0 - 0.0) + 0.5) * 1000.0,
                                     ((1.5 + 1.0 - 0.75) + 0.5) * 1000.0]
-        starts, counts, out = np.array([1.0, 5.0]), np.array([2, 1]), np.empty(3)
-        lib.expand_bursts(starts.ctypes.data, counts.ctypes.data, 2, 0.5, out.ctypes.data)
-        assert out.tolist() == [1.0, 1.5, 5.0]
+        # seed 0's Poisson stream 0 at 300/s over 0.02 s: its arrivals into
+        # room for 64, then its sizes, 20 bytes or 21, from the state left
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([0, 0])))
+        want = np.cumsum(rng.exponential(1.0 / 300.0, 64))
+        want = want[want < 0.02]
+        arrivals, state = np.empty(64), np.empty(5, dtype=np.uint64)
+        n = lib.draw_arrivals(np.array([0, 0], dtype=np.uint32).tobytes(), 2, 0, 300.0, 0.0, 0.0,
+                              0.0, 0.02, arrivals.ctypes.data, 64, state.ctypes.data)
+        assert n == want.size and arrivals[:n].tolist() == want.tolist()
+        sizes = np.empty(n)
+        lib.draw_sizes(state.ctypes.data, 0, 20, 21, 0.0, sizes.ctypes.data, n)
+        assert sizes.tolist() == rng.integers(20, 22, n, dtype=np.int32).tolist()
         # the words (0, 7001, 0), the seed_base of seed 0's first gradient,
         # which test_oracle pins; with an out, the state's first 3 words
         words = np.array([0, 7001, 0], dtype=np.uint32)

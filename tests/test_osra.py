@@ -419,21 +419,32 @@ class TestProbeMemo:
         # a gradient's 10 repetitions once: 3 x 8 + 10 x 8 = 104 draws, while
         # every one of its 3 x 8 + 320 simulations still asks for its traffic
         sc = reference_scenario()
-        calls = {"stream_seed": 0, "generate_traffic": 0, "simulate_pipeline": 0}
-        for name in calls:
+        calls = collections.Counter()
+        for name in ("generate_traffic", "simulate_pipeline"):
             real = getattr(simulator, name)
             monkeypatch.setattr(simulator, name, lambda *a, _real=real, _name=name, **k:
-                                calls.__setitem__(_name, calls[_name] + 1) or _real(*a, **k))
+                                calls.update([_name]) or _real(*a, **k))
+        library = native.LIBRARY
+
+        class CountedLibrary:
+            def __getattr__(self, name):
+                if name == "draw_sizes":  # one call per drawn stream
+                    calls[name] += 1
+                return getattr(library, name)
+
+        monkeypatch.setattr(native, "LIBRARY", CountedLibrary())
         res = run(sc)
         assert len(res.traces) == 8
-        assert calls == {"stream_seed": 104, "generate_traffic": 344, "simulate_pipeline": 344}
+        assert calls == {"draw_sizes": 104, "generate_traffic": 344, "simulate_pipeline": 344}
 
     def test_one_compiled_call_per_simulation(self, monkeypatch):
         # each of seed 0's 344 simulations makes one `run_pipeline` call, and
-        # each of its 104 on/off draws one `expand_bursts` call: no link or
-        # server pass is called from Python on its own. Each draw seeds its
-        # stream with one `seed_state` call, and so does each of the 12
-        # `derive_seed` calls of each of the 8 iterations: 104 + 96
+        # each of its 104 draws one `draw_arrivals` call, which seeds the
+        # stream in C, and one `draw_sizes` call: no link or server pass is
+        # called from Python on its own. One stream, 2,420 slice1 packets,
+        # outgrows its room for 2,416 and is drawn again. Each of the 12
+        # `derive_seed` calls of each of the 8 iterations makes one
+        # `seed_state` call: 96
         sc = reference_scenario()
         calls = collections.Counter()
         library = native.LIBRARY
@@ -448,8 +459,8 @@ class TestProbeMemo:
         monkeypatch.setattr(simulator, "simulate_pipeline",
                             lambda *a, **k: calls.update(["simulate_pipeline"]) or real(*a, **k))
         run(sc)
-        assert calls == {"simulate_pipeline": 344, "run_pipeline": 344, "expand_bursts": 104,
-                         "seed_state": 200}
+        assert calls == {"simulate_pipeline": 344, "run_pipeline": 344, "draw_arrivals": 105,
+                         "draw_sizes": 104, "seed_state": 96}
 
     def test_equal_cores_stay_bit_equal(self, reference_sweep):
         sc, results, _ = reference_sweep

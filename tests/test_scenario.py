@@ -214,6 +214,17 @@ class TestRoundTrip:
             scenario_from_dict(data)
         assert exc.value.violations[0][0] == "slice 'slice1'.traffic.size_mean"
 
+    @pytest.mark.parametrize("size_max", [2**63, 2**64])
+    def test_a_size_past_int64_is_refused_naming_the_slice(self, size_max):
+        data = ref_dict()
+        data["slices"][0]["traffic"].update(size_max=size_max)
+        with pytest.raises(InvariantViolation,
+                           match=rf"slice 'slice1'\.traffic\.size_max: size_max must be at most "
+                                 rf"2\*\*63 - 1, the largest size a draw holds, "
+                                 rf"got {size_max}") as exc:
+            scenario_from_dict(data)
+        assert exc.value.violations[0][0] == "slice 'slice1'.traffic.size_max"
+
     def test_uniform_sizes_refuse_a_size_mean(self):
         # a value the run would never read
         data = ref_dict()

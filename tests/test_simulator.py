@@ -31,11 +31,9 @@ from slicelab import (
     size_all,
 )
 from slicelab import native, simulator
-from slicelab.domain import derive_seed, stream_seed
+from slicelab.domain import _entropy, derive_seed
 from slicelab.penalty import PenaltyModel, hinge
 from slicelab.simulator import (
-    _draw_sizes,
-    _onoff_arrivals,
     delay_statistic,
     generate_traffic,
     percentile_of,
@@ -47,7 +45,8 @@ from slicelab.simulator import (
 )
 from conftest import SIZES
 from reference_impls import (HAND_SINGLE_PACKET_MS, int64_uniform_sizes, loop_onoff_arrivals,
-                             loop_pipeline, loop_poisson_arrivals, stream)
+                             loop_pipeline, loop_poisson_arrivals, numpy_onoff_arrivals,
+                             numpy_poisson_arrivals, numpy_stream, stream)
 
 # largest delay difference allowed between the compiled pipeline and the
 # per-packet loop: they sum the same times in a different order
@@ -239,6 +238,26 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_pipeline(arrivals, np.array(sizes), link_rates, buffer_pkts, cpu_rate,
                               1e4, 0.0)
+
+    # one link, no link and a zero-rate stage: where no link pass runs,
+    # numpy reports what the first link pass would
+    PATHS = {"one-link": ([8e6], 3e8), "no-link": ([], 3e8), "zero-link-rate": ([0.0], 3e8),
+             "zero-cpu-rate": ([8e6], 0.0)}
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("arrivals, sizes, message", [
+        # packet k's order, then its size, then packet k + 1's order
+        ([0.2, 0.1], [-1.0, 1.0], "sizes_bytes[0] must be >= 0, got -1.0"),
+        ([0.2, 0.1], [1.0, -1.0], "arrivals must be sorted in non-decreasing order"),
+        ([0.1, 0.2, 0.1], [1.0, -1.0, -1.0], "sizes_bytes[1] must be >= 0, got -1.0"),
+        ([math.nan], [-1.0], "arrivals must be sorted in non-decreasing order"),
+    ], ids=["size-before-order", "order-before-size", "size-before-later-order", "nan-alone"])
+    def test_both_check_paths_report_the_first_bad_packet_alike(self, path, arrivals, sizes,
+                                                               message):
+        link_rates, cpu_rate = self.PATHS[path]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_pipeline(np.array(arrivals), np.array(sizes), link_rates, 10, cpu_rate,
+                              5e4, 0.0)
 
     def test_a_size_of_zero_or_minus_zero_is_served(self):
         # at 1 packet/s on a link of 8 bps, the size-1 packet leaves at 3 s;
@@ -742,8 +761,8 @@ class TestServerPass:
 
 
 class TestBurstExpansion:
-    """The compiled burst expansion against numpy's: the per-burst loop's,
-    and where a capped burst is too long for the loop to expand, numpy's
+    """The compiled draw's burst expansion against numpy's: the per-burst
+    loop's, and where a burst is too long for the loop to expand, numpy's
     placing of its packets before the horizon."""
 
     @pytest.mark.parametrize("burst_len, off_time_ms, horizon_s", [
@@ -753,7 +772,7 @@ class TestBurstExpansion:
     @pytest.mark.parametrize("seed", range(3))
     def test_bit_for_bit_with_numpy(self, seed, burst_len, off_time_ms, horizon_s):
         tm = bursty(burst_len, off_time_ms)
-        arrivals = _onoff_arrivals(tm, horizon_s, stream(seed, 0))
+        arrivals, _ = generate_traffic(tm, horizon_s, 0.0, seed, 0, {})
         if burst_len < 1e6:  # the loop expands a burst in full
             want = loop_onoff_arrivals(tm, horizon_s, stream(seed, 0))
         else:
@@ -1269,9 +1288,17 @@ SEED_PART = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
                       st.integers(0, 2**32 - 1), st.integers(0, 2**128))
 
 
+def seed_words(parts, n_words):
+    """The n_words 32-bit words the compiled `seed_state` makes of parts."""
+    out = np.empty(n_words, dtype=np.uint32)
+    first = native.LIBRARY.seed_state(*_entropy(parts), out.ctypes.data, n_words)
+    assert n_words == 0 or first == out[0]
+    return out
+
+
 class TestSeeding:
     """The compiled `seed_state` against numpy's SeedSequence, the slow
-    reference: its words, and the PCG64 stream they seed, bit for bit."""
+    reference: its words, and the stream they seed, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(SEED_PART, min_size=1, max_size=8))
@@ -1280,42 +1307,41 @@ class TestSeeding:
         # of 4 runs whenever the parts make more than 4
         numpy_seed = np.random.SeedSequence(list(parts))
         assert derive_seed(*parts) == int(numpy_seed.generate_state(1, np.uint32)[0])
-        got = stream_seed(*parts).generate_state(4, np.uint64)
-        want = numpy_seed.generate_state(4, np.uint64)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        ours = np.random.Generator(np.random.PCG64(stream_seed(*parts)))
-        theirs = np.random.Generator(np.random.PCG64(numpy_seed))
-        assert ours.random(64).tobytes() == theirs.random(64).tobytes()
+        got = seed_words(parts, 8)
+        assert got.tobytes() == numpy_seed.generate_state(8, np.uint32).tobytes()
+        # the four 64-bit words that seed PCG64: two 32-bit words each, low first
+        assert got.view(np.uint64).tobytes() == numpy_seed.generate_state(4, np.uint64).tobytes()
 
     @pytest.mark.parametrize("n_words", [0, 1, 3, 4, 5, 9])
     @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
     def test_any_length_of_state_is_numpys(self, n_words, dtype):
         # the state cycles over the pool of 4 words; a uint64 word is two
+        # uint32 words, the low one first
         parts = (2**64, 7, 0)
-        got = stream_seed(*parts).generate_state(n_words, dtype)
+        got = seed_words(parts, n_words * (np.dtype(dtype).itemsize // 4)).view(dtype)
         want = np.random.SeedSequence(list(parts)).generate_state(n_words, dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_a_state_of_another_dtype_is_refused(self):
-        with pytest.raises(ValueError, match="^only support uint32 or uint64$"):
-            stream_seed(1, 2).generate_state(2, np.int64)
-
     @pytest.mark.parametrize("bad", [-1, 2.5, True, math.nan, "3"])
     def test_a_bad_part_is_named_before_any_draw(self, bad):
+        tm = TrafficModel(kind="poisson", mean_rate=300.0, **SIZES)
         with pytest.raises(ValueError, match=f"^seed must be a whole number >= 0, got "
                                              f"{re.escape(repr(bad))}$"):
-            stream_seed(3, bad)
+            generate_traffic(tm, 1.0, 0.0, 3, bad, {})
 
-    def test_numpy_random_is_imported_at_the_first_stream_seed_not_before(self):
-        # importing it would cost `import slicelab` about 6 ms
-        code = ("import sys\nimport slicelab\nfrom slicelab.domain import derive_seed, "
-                "stream_seed\nderive_seed(1, 2)\nprint('numpy.random' in sys.modules)\n"
-                "stream_seed(1, 2)\nprint('numpy.random' in sys.modules)\n")
+    def test_numpy_random_is_never_imported(self):
+        # importing it would cost `import slicelab` about 6 ms; a whole
+        # reference run draws every stream without it
+        code = ("import sys\nimport slicelab\nprint('numpy.random' in sys.modules)\n"
+                "sc = slicelab.reference_scenario()\n"
+                "slicelab.run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim,\n"
+                "                  sc.new_slice_id, sc.osra, seed=0)\n"
+                "print('numpy.random' in sys.modules)\n")
         env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
         env["PYTHONPATH"] = str(Path(simulator.__file__).parents[1])
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "False\nTrue\n", "")
+                             text=True, timeout=120)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "False\nFalse\n", "")
 
     def test_parts_split_into_little_endian_words(self):
         # 0 is one word [0] and 2**64 three, [0, 0, 1]: the list (0, 2**64)
@@ -1341,8 +1367,9 @@ class TestTraffic:
         memo = {}
         drawn = generate_traffic(tm, 1.0, 0.25, 5, 1, memo)
         seeded = []
-        real = simulator.stream_seed
-        monkeypatch.setattr(simulator, "stream_seed", lambda *a: seeded.append(a) or real(*a))
+        real = simulator._entropy
+        monkeypatch.setattr(simulator, "_entropy", lambda parts: seeded.append(parts) or
+                            real(parts))
         kept = generate_traffic(tm, 1.0, 0.25, 5, 1, memo)
         assert seeded == []
         fresh = generate_traffic(tm, 1.0, 0.25, 5, 1, {})
@@ -1397,14 +1424,17 @@ class TestTraffic:
             assert sizes.mean() == pytest.approx(tm.mean_size_bytes(), rel=0.02)
 
     @pytest.mark.parametrize("size_min, size_max", [
-        (20, 65535), (1, 1), (1, 2**31 - 2), (1, 2**31 - 1), (2**31, 2**33)])
+        (20, 65535), (1, 1), (1, 2**31 - 2), (1, 2**31 - 1), (2**31, 2**33),
+        (1, 2**63 - 1)])
     def test_uniform_sizes_are_the_int64_draw(self, size_min, size_max):
         # int32 below 2**31 - 1, int64 from there: the values int64 draws
         tm = TrafficModel(kind="poisson", mean_rate=1.0, size_min=size_min,
                           size_max=size_max, size_dist="uniform")
         for seed in range(3):
-            got = _draw_sizes(tm, 10_000, stream(seed, 0))
-            want = int64_uniform_sizes(tm, 10_000, stream(seed, 0))
+            _, got = generate_traffic(tm, 10_000.0, 0.0, seed, 0, {})
+            rng = stream(seed, 0)
+            n = numpy_poisson_arrivals(1.0, 10_000.0, rng).size
+            want = int64_uniform_sizes(tm, n, rng)
             assert got.dtype == want.dtype == float and np.array_equal(got, want)
 
     def test_exponential_sizes(self):
@@ -1464,17 +1494,19 @@ class CountingRng:
 
 
 class TestOnOffAgainstLoop:
-    """The bulk on/off generator against the per-burst loop it replaced."""
+    """The compiled on/off draw against the per-burst loop."""
 
     @pytest.mark.parametrize("seed", [155, 1013, 1422])
     def test_draws_spanning_two_chunks(self, seed):
         # slice1's reference traffic over 10 s: on these seeds (23 of 0..4999)
-        # the first chunk's bursts end before the horizon
+        # the first chunk's bursts end before the horizon, in numpy's draw
         tm = bursty(8.0, 38.0)
-        spy = CountingRng(np.random.default_rng(seed))
-        arrivals = _onoff_arrivals(tm, 10.0, spy)
-        want = loop_onoff_arrivals(tm, 10.0, np.random.default_rng(seed))
-        assert spy.bulk_draws == 2 and np.array_equal(arrivals, want)
+        spy = CountingRng(stream(seed, 0))
+        assert numpy_onoff_arrivals(tm, 10.0, spy).size and spy.bulk_draws == 2
+        arrivals, sizes = generate_traffic(tm, 10.0, 0.0, seed, 0, {})
+        want = numpy_stream(tm, 10.0, seed, 0)
+        assert arrivals.tobytes() == want[0].tobytes() and sizes.tobytes() == want[1].tobytes()
+        assert np.array_equal(arrivals, loop_onoff_arrivals(tm, 10.0, stream(seed, 0)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1520,9 +1552,9 @@ class TestOnOffAgainstLoop:
         assert arrivals.size == sizes.size > 1900
         assert peak < 1e6
 
-    def test_a_burst_too_long_for_int64_is_capped_before_the_cast(self):
-        # slice1's reference traffic with ~10^19-packet bursts: a burst size
-        # cast to int64 uncapped overflows, which numpy reports as a warning
+    def test_a_burst_too_long_for_int64_ends_at_the_horizon(self):
+        # slice1's reference traffic with ~10^19-packet bursts, more than an
+        # int64 counts: the expansion stops at the horizon
         spec = next(s for s in reference_scenario().slices if s.id == "slice1")
         tm = dataclasses.replace(spec.traffic, burst_len=1e19)
         for seed in range(3):
@@ -1543,3 +1575,129 @@ class TestOnOffAgainstLoop:
         assert burst_sizes(arrivals, tm.intra_burst_gap_s()).mean() == \
             pytest.approx(burst_len, rel=0.03)
 
+
+
+# uniform size ranges on both sides of int32's, up to int64's last value
+SIZE_RANGES = [(20, 65535), (1, 1), (1, 2**31 - 2), (1, 2**31 - 1), (2**31, 2**40),
+               (1, 2**63 - 1)]
+
+
+@st.composite
+def traffic_models(draw):
+    """Both arrival kinds with both size laws: bursts of one packet and of
+    more, with and without off times, and bursts that outlast a horizon."""
+    sizes = draw(st.one_of(
+        st.sampled_from(SIZE_RANGES).map(lambda r: dict(size_min=r[0], size_max=r[1],
+                                                        size_dist="uniform")),
+        st.builds(dict, size_min=st.just(20), size_max=st.sampled_from([65535, 2**63 - 1]),
+                  size_dist=st.just("exponential"), size_mean=st.floats(1.0, 1e5))))
+    rate = draw(st.floats(0.5, 2000.0))
+    if draw(st.booleans()):
+        return TrafficModel(kind="poisson", mean_rate=rate, **sizes)
+    burst_len = draw(st.one_of(st.just(1.0), st.floats(1.0, 40.0), st.just(1e4)))
+    off_time_ms = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+    # the mean rate is kept under the burst envelope burst_len/off_time
+    rate = min(rate, 0.9e3 * burst_len / max(off_time_ms, 1e-9))
+    return TrafficModel(kind="bursty-onoff", mean_rate=rate, burst_len=burst_len,
+                        off_time_ms=off_time_ms, **sizes)
+
+
+class CountedDraws:
+    """native.LIBRARY with its `draw_arrivals` calls counted."""
+
+    def __init__(self, library):
+        self.library, self.arrival_draws = library, 0
+
+    def __getattr__(self, name):
+        self.arrival_draws += name == "draw_arrivals"
+        return getattr(self.library, name)
+
+
+class TestCompiledDraw:
+    """The compiled draw (`draw_arrivals` and `draw_sizes` in `pipeline.c`)
+    against numpy's Generator drawing the same stream in bulk, the slow
+    reference `numpy_stream`, bit for bit; and its port of PCG64 against
+    numpy's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=traffic_models(), horizon_s=st.sampled_from([0.01, 1.0, 10.0, 37.5]),
+           seed=SEED_PART, index=SEED_PART)
+    @example(model=bursty(8.0, 38.0), horizon_s=10.0, seed=0, index=0)
+    @example(model=bursty(1e4, 38.0), horizon_s=10.0, seed=2**128, index=1)
+    @example(model=bursty(8.0, 0.0, mean_rate=4.0), horizon_s=10.0, seed=1, index=0)
+    def test_every_stream_is_numpys(self, model, horizon_s, seed, index):
+        arrivals, sizes = generate_traffic(model, horizon_s, 0.0, seed, index, {})
+        want_arrivals, want_sizes = numpy_stream(model, horizon_s, seed, index)
+        assert arrivals.tobytes() == want_arrivals.tobytes()
+        assert sizes.tobytes() == want_sizes.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_an_arrival_at_the_horizon_is_left_out(self, seed):
+        # 8-packet bursts back to back at 4 packets/s: every arrival is a
+        # whole multiple of 0.25 s, one of them at the 10 s horizon
+        tm = bursty(8.0, 0.0, mean_rate=4.0)
+        arrivals, sizes = generate_traffic(tm, 10.0, 0.0, seed, 0, {})
+        assert arrivals.tolist() == [k * 0.25 for k in range(40)] and sizes.size == 40
+        assert numpy_stream(tm, 10.0, seed, 0)[1].tobytes() == sizes.tobytes()
+
+    @pytest.mark.parametrize("seed", [485, 508])
+    def test_a_stream_that_outgrows_its_room_is_drawn_again(self, seed, monkeypatch):
+        # slice1's reference traffic over 10 s: room for numpy's first
+        # Poisson chunk, 1.2 times the mean count, is short on these seeds
+        # (30 of 0..4999), and the second draw, from the seed again, fills
+        # an array of the stream's length
+        tm = bursty(8.0, 38.0)
+        want_arrivals, want_sizes = numpy_stream(tm, 10.0, seed, 0)
+        assert want_arrivals.size > int(200.0 * 10.0 * 1.2) + 16
+        counted = CountedDraws(native.LIBRARY)
+        monkeypatch.setattr(native, "LIBRARY", counted)
+        arrivals, sizes = generate_traffic(tm, 10.0, 0.0, seed, 0, {})
+        assert counted.arrival_draws == 2
+        assert arrivals.tobytes() == want_arrivals.tobytes()
+        assert sizes.tobytes() == want_sizes.tobytes()
+
+    def test_a_chunk_too_large_for_memory_is_a_memory_error(self, monkeypatch):
+        # numpy's first chunk at 1000/s over 1e300 s holds more draws than
+        # memory: the draw returns NO_MEMORY (-3) before any, and
+        # generate_traffic raises MemoryError on that code
+        entropy, n_entropy = _entropy((0, 0))
+        state, out = simulator._RngState(), np.full(1, 7.0)
+        assert native.LIBRARY.draw_arrivals(entropy, n_entropy, 0, 1000.0, 0.0, 0.0, 0.0, 1e300,
+                                            out.ctypes.data, 1, state) == -3
+        assert out.tolist() == [7.0]
+
+        class NoMemory:
+            def __getattr__(self, name):
+                return (lambda *args: -3) if name == "draw_arrivals" else None
+
+        monkeypatch.setattr(native, "LIBRARY", NoMemory())
+        tm = TrafficModel(kind="poisson", mean_rate=1000.0, **SIZES)
+        with pytest.raises(MemoryError, match=r"^no memory to draw poisson arrivals over 1\.0 s$"):
+            generate_traffic(tm, 1.0, 0.0, 0, 0, {})
+
+    def test_a_stream_holds_no_spare_room(self):
+        # the arrivals are cut to their count, not held in their room
+        arrivals, sizes = generate_traffic(bursty(8.0, 38.0), 10.0, 0.0, 0, 0, {})
+        for array in (arrivals, sizes):
+            assert array.base is None and array.flags.owndata and array.size > 1000
+
+    @pytest.mark.parametrize("parts", [(0, 0), (5, 1), (2**64, 7, 0), (2**128, 3)])
+    def test_the_pcg64_port_is_numpys(self, parts):
+        # the first 64 64-bit outputs, then 64-bit and 32-bit ones
+        # interleaved: a 32-bit output takes the low half of a 64-bit one and
+        # keeps its high half for the next 32-bit output, which a 64-bit
+        # output in between does not take
+        wide = np.concatenate((np.ones(64, dtype=np.uint8),
+                               np.random.default_rng(len(parts)).integers(0, 2, 200,
+                                                                          dtype=np.uint8)))
+        out = np.empty(wide.size, dtype=np.uint64)
+        entropy, n_entropy = _entropy(parts)
+        native.LIBRARY.pcg64_outputs(entropy, ctypes.c_int64(n_entropy),
+                                     ctypes.c_void_p(wide.ctypes.data),
+                                     ctypes.c_void_p(out.ctypes.data), ctypes.c_int64(wide.size))
+        bits = np.random.PCG64(np.random.SeedSequence(list(parts)))
+        numpy_32 = np.random.Generator(bits)
+        want = [int(bits.random_raw()) if w else
+                int(numpy_32.integers(0, 2**32, dtype=np.uint32)) for w in wide]
+        assert out.tolist() == want
+        assert not wide[64:].all() and wide[64:].any()

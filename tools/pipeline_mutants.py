@@ -4,9 +4,11 @@ the mutants that no test kills.
     python3 tools/pipeline_mutants.py [NAME ...]
 
 MUTANTS is a fixed list of one-edit mutants: each comparison of `link_pass`,
-`server_pass`, `run_pipeline`'s compaction and `expand_bursts` flipped
-between strict and non-strict, and a few steps of those and of
-`seed_state` dropped or moved. Each edit
+`server_pass` and `run_pipeline`'s compaction flipped between strict and
+non-strict, the horizon tests of the stream draw flipped, and a few steps
+of those, of `seed_state` and of the PCG64 port dropped or moved. The
+mutated source is built as `native` builds the shipped one, linked with
+numpy's distributions archive. Each edit
 must match the source exactly once, so a list that no longer fits
 `pipeline.c` stops the run before any test. NAMEs pick mutants from the
 list; without them every mutant runs. EQUIVALENT says why each mutant that
@@ -87,13 +89,19 @@ MUTANTS = [
     ("compaction: the scratch bound moved by one", "kept_sizes = scratch + n;",
      "kept_sizes = scratch + n - 1;"),
     ("compaction: k < m", "k < m; k++, s++", "k <= m; k++, s++"),
-    ("server: k < n", "for (int64_t k = 0; k < n; k++)", "for (int64_t k = 0; k <= n; k++)"),
+    ("server: k < n", "for (int64_t k = 0; k < n; k++) {\n        double lag",
+     "for (int64_t k = 0; k <= n; k++) {\n        double lag"),
     ("server: lag > m", "m = lag > m ? lag : m;\n        double d",
      "m = lag >= m ? lag : m;\n        double d"),
     ("server: fabs(d) <= DBL_MAX", "fabs(d) <= DBL_MAX", "fabs(d) < DBL_MAX"),
     ("server: (k + 1) * proc", "(double)(k + 1) * proc", "(double)k * proc"),
-    ("expand: q < nb", "q < nb", "q <= nb"),
-    ("expand: k < counts[q]", "k < counts[q]", "k <= counts[q]"),
+    ("pcg64: the rotation >> 121", "(unsigned)(s >> 122)", "(unsigned)(s >> 121)"),
+    ("pcg64: the has_uint32 buffer dropped",
+     "    if (r->has_uint32) {\n        r->has_uint32 = 0;\n        return r->uinteger;\n    }\n",
+     ""),
+    ("draw: burst start t >= horizon", "if (t >= horizon)", "if (t > horizon)"),
+    ("draw: the Poisson carry of t dropped", "double s = t;", "double s = 0.0;"),
+    ("draw: the expansion's a >= horizon", "if (a >= horizon)", "if (a > horizon)"),
     ("seed: s != d dropped", "            if (s != d)\n", ""),
     ("seed: hashmix >> 16", "value ^ (value >> 16)", "value ^ (value >> 15)"),
     ("seed: the pool index moved by one", "pool[k % POOL]", "pool[(k + 1) % POOL]"),
@@ -109,6 +117,9 @@ EQUIVALENT = {
     "server: fabs(d) <= DBL_MAX": "d is a product by 1000.0, and no double times 1000.0 "
                                   "rounds to DBL_MAX: the largest finite product is "
                                   "1.7976931348623155e308",
+    "draw: burst start t >= horizon": "a burst that starts at the horizon puts no packet: "
+                                      "its packet 0, at the horizon, is cut by the "
+                                      "expansion, and the bursts after it start no sooner",
     "compaction: the scratch bound moved by one": "a link that drops keeps at most n - 1 "
                                                   "packets, so the kept creation times end "
                                                   "before n - 1 and the kept sizes, from "

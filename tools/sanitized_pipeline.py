@@ -5,10 +5,12 @@ address and undefined-behaviour sanitizers.
     ASAN_OPTIONS=detect_leaks=0 PYTHONPATH=src:tools \
     python -m pytest -q --capture=sys -p sanitized_pipeline tests/test_simulator.py
 
-The sanitized build is cached beside the plain one, under its own name.
-Every compiled pass and the seeding of every stream read `native.LIBRARY`
-when they are called, so replacing it routes every call through the
-sanitized library. A bad
+The sanitized build is cached beside the plain one, under its own name,
+and links numpy's distributions archive as the plain one does, so the
+stream draws run sanitized too (the archive itself is numpy's build, not
+instrumented). Every compiled pass, the seeding of every stream and every
+draw read `native.LIBRARY` when they are called, so replacing it routes
+every call through the sanitized library. A bad
 access aborts the run with the sanitizer's report on stderr, which
 `--capture=sys` leaves uncaptured (pytest's default capture would take the
 report down with the process). Without the runtimes preloaded, the
