@@ -10,8 +10,11 @@ concerns; the checks that span a whole scenario live in
 the field's interval, written as in the message it reports
 (`horizon_s must be in (0, inf), got 'x'`). Every array field obeys
 another, `array_field`: it holds a read-only float copy of real, finite
-entries with a fixed number of dimensions. Value types compare by
-value, field by field, with arrays compared by content (`ArrayValue`).
+entries with a fixed number of dimensions. A valid `AllocationVector`,
+`AllocationMatrix` or raw-less `QoeSample` is admitted by one accept test
+in plain Python numbers first; any value it does not admit runs the full
+checks, which name the field. Value types compare by value, field by
+field, with arrays compared by content (`ArrayValue`).
 """
 from __future__ import annotations
 
@@ -51,6 +54,11 @@ class InvariantViolation(ValueError):
         """Raise one InvariantViolation listing `violations`, if there are any."""
         if violations:
             raise cls(violations)
+
+
+# the types a value type's accept test takes as numbers: exactly these, so
+# never a bool or a numpy scalar, which the full checks judge
+_PLAIN = (float, int)
 
 
 def _real(value) -> bool:
@@ -381,6 +389,11 @@ class AllocationVector(ArrayValue):
     cpu: np.ndarray
 
     def __post_init__(self):
+        flows, cpu = _unit_copy(self.flows, 1), _unit_copy(self.cpu, 1)
+        if flows is not None and cpu is not None:
+            object.__setattr__(self, "flows", flows)
+            object.__setattr__(self, "cpu", cpu)
+            return
         errs = []
         for name in ("flows", "cpu"):
             errs += array_field(self, name, 1) or _entry_violations(name, getattr(self, name))
@@ -388,6 +401,21 @@ class AllocationVector(ArrayValue):
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.flows, self.cpu])
+
+
+def _unit_copy(value, ndim):
+    """The read-only float copy `array_field` stores for `value`, if `value`
+    is an `ndim`-D float array whose entries all lie in [0, 1] within
+    CAPACITY_TOL, tested as plain floats (NaN and +-inf fail); else None,
+    and the full checks decide and name the field."""
+    if type(value) is not np.ndarray or value.ndim != ndim or value.dtype.kind != "f":
+        return None
+    arr = value.astype(float)  # as np.array(value, dtype=float) copies it
+    for v in arr.ravel().tolist():
+        if not -CAPACITY_TOL <= v <= 1 + CAPACITY_TOL:
+            return None
+    arr.setflags(write=False)
+    return arr
 
 
 def _entry_violations(name: str, shares: np.ndarray) -> list[tuple[str, str]]:
@@ -419,8 +447,16 @@ class AllocationMatrix(ArrayValue):
 
     def __post_init__(self):
         object.__setattr__(self, "slice_ids", tuple(str(s) for s in self.slice_ids))
-        errs = []
         n = len(self.slice_ids)
+        flows, cpu = _unit_copy(self.flows, 2), _unit_copy(self.cpu, 2)
+        if (flows is not None and cpu is not None and len(flows) == n == len(cpu)
+                and len(set(self.slice_ids)) == n  # and capacity_violations' column sums:
+                and max(flows.sum(axis=0).tolist() + cpu.sum(axis=0).tolist(),
+                        default=0.0) <= 1 + CAPACITY_TOL):
+            object.__setattr__(self, "flows", flows)
+            object.__setattr__(self, "cpu", cpu)
+            return
+        errs = []
         if len(set(self.slice_ids)) != n:
             errs.append(("slice_ids", "duplicate slice ids in allocation"))
         for name in ("flows", "cpu"):
@@ -483,9 +519,15 @@ class QoeSample(ArrayValue):
     raw_delays_ms: np.ndarray | None = None
 
     def __post_init__(self):
+        delay, throughput = self.delay_stat_ms, self.throughput
+        # the accept test: NaN fails every comparison, and no float exceeds inf
+        if (self.raw_delays_ms is None and type(delay) in _PLAIN and type(throughput) in _PLAIN
+                and type(self.n_requests) is int and 0 <= delay and 0 <= throughput <= 1
+                and self.n_requests >= 0):
+            return
         InvariantViolation.check(
-            interval_violations("delay_stat_ms", self.delay_stat_ms, "[0, inf]")
-            + interval_violations("throughput", self.throughput, "[0, 1]")
-            + interval_violations("n_requests", self.n_requests, "[0, inf)")
+            interval_violations("delay_stat_ms", delay, "[0, inf]")
+            + interval_violations("throughput", throughput, "[0, 1]")
+            + whole_fields(self, "n_requests", interval="[0, inf)")
             + ([] if self.raw_delays_ms is None else array_field(self, "raw_delays_ms", 1)))
 

@@ -37,8 +37,11 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)
     if key not in memo:
-        index = {s.id: k for k, s in enumerate(slices)}[slice_id]
-        result = simulate_slice(slices[index], index, link_rates, cpu_rate, topology, config,
-                                seed, memo)
+        for index, spec in enumerate(slices):
+            if spec.id == slice_id:
+                break
+        else:
+            raise KeyError(slice_id)
+        result = simulate_slice(spec, index, link_rates, cpu_rate, topology, config, seed, memo)
         memo[key] = summarize(result, statistic, keep_raw=False)
     return memo[key]

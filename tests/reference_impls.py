@@ -18,14 +18,20 @@ and `least_cpu_frontier` with `least_fitting_link`, a slow reference for the
 loop: a grid search for the least resources each slice needs, and whether
 the slices fit together there, and `reprobed_stop`, a slow reference for the
 loop's stop: the last iterate of a finished run probed again from scratch,
-which `stop_state` reads as the reason the run stopped.
+which `stop_state` reads as the reason the run stopped, and `fully_checked`,
+a slow reference for the value types' accept tests: the construction checks
+of `AllocationVector`, `AllocationMatrix` and `QoeSample` with no accept test
+in front, built from the library's own rules.
 """
 import itertools
 import math
+import types
 
 import numpy as np
 
-from slicelab.domain import AllocationVector, derive_seed
+from slicelab.domain import (AllocationMatrix, AllocationVector, InvariantViolation, QoeSample,
+                             _entry_violations, array_field, capacity_violations, derive_seed,
+                             interval_violations, whole_fields)
 from slicelab.oracle import sim_evaluate
 from slicelab.penalty import PenaltyModel, hinge, probed_gradient
 from slicelab.simulator import TIE_S
@@ -485,3 +491,51 @@ def stop_state(result, stop, new_slice_id):
     if read == {0.0} and all((last.gradients[sid] == 0.0).all() for sid in hurting):
         return ", ".join(f"donor {sid} hurts" for sid in hurting) or "satisfied"
     return f"unclassified: probes and centre read {sorted(read)}"
+
+
+def _allocation_vector_checks(self):
+    errs = []
+    for name in ("flows", "cpu"):
+        errs += array_field(self, name, 1) or _entry_violations(name, getattr(self, name))
+    InvariantViolation.check(errs)
+
+
+def _allocation_matrix_checks(self):
+    object.__setattr__(self, "slice_ids", tuple(str(s) for s in self.slice_ids))
+    errs = []
+    n = len(self.slice_ids)
+    if len(set(self.slice_ids)) != n:
+        errs.append(("slice_ids", "duplicate slice ids in allocation"))
+    for name in ("flows", "cpu"):
+        bad = array_field(self, name, 2)
+        if not bad and len(getattr(self, name)) != n:
+            bad = [(name, f"{name} has {len(getattr(self, name))} rows for {n} slice ids")]
+        errs += bad or capacity_violations(name, getattr(self, name))
+    InvariantViolation.check(errs)
+
+
+def _qoe_sample_checks(self):
+    InvariantViolation.check(
+        interval_violations("delay_stat_ms", self.delay_stat_ms, "[0, inf]")
+        + interval_violations("throughput", self.throughput, "[0, 1]")
+        + whole_fields(self, "n_requests", interval="[0, inf)")
+        + ([] if self.raw_delays_ms is None else array_field(self, "raw_delays_ms", 1)))
+
+
+FULL_CHECKS = {AllocationVector: _allocation_vector_checks,
+               AllocationMatrix: _allocation_matrix_checks,
+               QoeSample: _qoe_sample_checks}
+
+
+def fully_checked(cls, **values):
+    """What `cls` (AllocationVector, AllocationMatrix or QoeSample) makes of
+    field `values` through its full construction checks alone: the fields
+    as they would be stored, as a dict, or the violations it would raise.
+    Each check body is the type's own from before it took an accept test in
+    plain floats, with `n_requests` a whole number."""
+    obj = types.SimpleNamespace(**values)
+    try:
+        FULL_CHECKS[cls](obj)
+    except InvariantViolation as err:
+        return err.violations
+    return vars(obj)

@@ -1,4 +1,5 @@
 """Domain type invariants, validation messages, and value semantics."""
+import collections
 import copy
 import dataclasses
 import math
@@ -6,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicelab import (
     UNBOUNDED,
@@ -24,11 +27,13 @@ from slicelab import (
     run_osra,
     run_sim,
 )
+from slicelab import domain
 from slicelab.domain import CAPACITY_TOL, QoeSample
 from slicelab.penalty import PenaltyModel
 from slicelab.simulator import summarize
 
 from conftest import SIZES, make_tiny_scenario
+from reference_impls import fully_checked
 
 
 def make_slice(sid="s1", tau=5.0, rho=0.9, rank=0, **traffic_kw):
@@ -379,6 +384,18 @@ class TestQoeSample:
         with pytest.raises(InvariantViolation, match="throughput"):
             QoeSample(delay_stat_ms=1.0, throughput=1.5)
 
+    @pytest.mark.parametrize("n", [2.5, -1, True, "3", math.inf])
+    def test_n_requests_is_a_whole_number(self, n):
+        with pytest.raises(InvariantViolation) as exc:
+            QoeSample(1.0, 1.0, n_requests=n)
+        assert exc.value.violations == [
+            ("n_requests", f"n_requests must be a whole number in [0, inf), got {n!r}")]
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), 1e300])
+    def test_n_requests_is_stored_as_an_int(self, n):
+        stored = QoeSample(1.0, 1.0, n_requests=n).n_requests
+        assert type(stored) is int and stored == n
+
     def test_exact_equality(self):
         a = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]))
         b = QoeSample(1.5, 0.9, 10, np.array([1.0, 2.0]))
@@ -511,6 +528,177 @@ class TestArrayValues:
     def test_slice_run_result_is_frozen(self, array_values):
         with pytest.raises(dataclasses.FrozenInstanceError):
             array_values[3].offered = 0
+
+
+# entries at and past each bound of [0, 1] within CAPACITY_TOL, and the
+# floats no bound admits
+EDGE_FLOATS = [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, -CAPACITY_TOL, 1 + CAPACITY_TOL,
+               float(np.nextafter(-CAPACITY_TOL, -1.0)), float(np.nextafter(1 + CAPACITY_TOL, 2.0)),
+               float(np.nextafter(0.0, -1.0)), float(np.nextafter(1.0, 2.0)),
+               5e-324, 1e-310, math.inf, -math.inf, math.nan]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-0.1, 1.1))
+SCALARS = st.one_of(FLOATS, FLOATS.map(np.float64), FLOATS.map(np.float32),
+                    st.integers(-1, 2), st.integers(-1, 2).map(np.int64),
+                    st.booleans(), st.booleans().map(np.bool_))
+# what each array form is drawn from, and the dtype numpy gives it
+FORMS = {"float64": (FLOATS, float), "float32": (FLOATS, np.float32),
+         "big-endian": (FLOATS, ">f8"), "int64": (st.integers(-1, 2), np.int64),
+         "bool": (st.booleans(), bool), "object": (SCALARS, object)}
+# the layouts an array of those entries comes in
+LAYOUTS = {"fresh": lambda a: a,
+           "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
+           "reversed": lambda a: np.flip(np.flip(a).copy()) if a.ndim else a,
+           "fortran": np.asfortranarray,
+           "read-only": lambda a: _read_only(a[...])}
+
+
+def _read_only(view):
+    view.setflags(write=False)
+    return view
+
+
+@st.composite
+def field_values(draw, shape):
+    """An array field as a caller might pass it: a nested list of any
+    scalars, or an array of one of `FORMS` in one of `LAYOUTS`, of `shape`."""
+    form = draw(st.sampled_from(["list", *FORMS]))
+    entries, dtype = FORMS.get(form, (SCALARS, object))
+    n = math.prod(shape)
+    arr = np.array(draw(st.lists(entries, min_size=n, max_size=n)), dtype=dtype).reshape(shape)
+    if form == "list":
+        return arr.tolist()
+    return LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](arr)
+
+
+def _outcome(cls, **values):
+    """The fields `cls` stores for `values`, as a dict, or the violations it raises."""
+    try:
+        value = cls(**values)
+    except InvariantViolation as err:
+        return err.violations
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
+
+
+def _stored_alike(a, b):
+    """Two stored field values are one: arrays of one dtype, shape, layout and
+    bytes, read-only; anything else of one type and repr."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (type(a) is type(b) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape
+                and a.strides == b.strides and a.tobytes() == b.tobytes()
+                and not (a.flags.writeable or b.flags.writeable))
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def assert_as_the_full_checks(cls, **values):
+    got, want = _outcome(cls, **values), fully_checked(cls, **values)
+    if isinstance(want, list):
+        assert got == want
+    else:
+        assert isinstance(got, dict) and got.keys() == want.keys()
+        for name in got:
+            assert _stored_alike(got[name], want[name]), name
+
+
+VECTOR_SHAPES = [(0,), (1,), (2,), (3,), (), (1, 2)]
+# a valid value of each type with an accept test, its arrays float64
+VALID_VALUES = {
+    AllocationVector: dict(flows=np.array([0.5, 0.25]), cpu=np.array([0.5])),
+    AllocationMatrix: dict(slice_ids=("a", "b"), flows=np.array([[0.5], [0.25]]),
+                           cpu=np.array([[0.5, 0.1], [0.25, 0.1]])),
+    QoeSample: dict(delay_stat_ms=2.0, throughput=0.5, n_requests=3, raw_delays_ms=None),
+}
+
+
+class TestAcceptTests:
+    """A valid AllocationVector, AllocationMatrix or raw-less QoeSample is
+    admitted by one test in plain floats; every input is stored, or refused,
+    exactly as the full checks (`reference_impls.fully_checked`) would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), shapes=st.tuples(st.sampled_from(VECTOR_SHAPES),
+                                            st.sampled_from(VECTOR_SHAPES)))
+    def test_vector_as_the_full_checks(self, data, shapes):
+        flows, cpu = (data.draw(field_values(shape)) for shape in shapes)
+        assert_as_the_full_checks(AllocationVector, flows=flows, cpu=cpu)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), ids=st.lists(st.sampled_from("abc"), max_size=3),
+           rows=st.integers(0, 3), widths=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           ndims=st.tuples(*[st.sampled_from([2, 2, 2, 0, 1, 3])] * 2))
+    def test_matrix_as_the_full_checks(self, data, ids, rows, widths, ndims):
+        flows, cpu = (data.draw(field_values(((), (w,), (rows, w), (1, rows, w))[ndim]))
+                      for w, ndim in zip(widths, ndims))
+        assert_as_the_full_checks(AllocationMatrix, slice_ids=tuple(ids), flows=flows, cpu=cpu)
+
+    @settings(max_examples=400, deadline=None)
+    @given(delay=st.one_of(SCALARS, st.sampled_from(["x", None])),
+           throughput=st.one_of(SCALARS, st.sampled_from(["x", None])),
+           n=st.one_of(st.integers(-1, 10**20), SCALARS, st.just(10**400)),
+           raw=st.one_of(st.none(), st.sampled_from(VECTOR_SHAPES).flatmap(field_values)))
+    def test_qoe_sample_as_the_full_checks(self, delay, throughput, n, raw):
+        assert_as_the_full_checks(QoeSample, delay_stat_ms=delay, throughput=throughput,
+                                  n_requests=n, raw_delays_ms=raw)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("cls", VALID_VALUES, ids=lambda cls: cls.__name__)
+    def test_a_valid_value_in_every_layout_is_stored_alike(self, cls, layout):
+        values = {name: LAYOUTS[layout](v) if isinstance(v, np.ndarray) else v
+                  for name, v in VALID_VALUES[cls].items()}
+        assert isinstance(fully_checked(cls, **values), dict)
+        assert_as_the_full_checks(cls, **values)
+
+    @pytest.mark.parametrize("v", EDGE_FLOATS, ids=repr)
+    @pytest.mark.parametrize("cls, field", [
+        (cls, field) for cls in VALID_VALUES for field in ("flows", "cpu", "delay_stat_ms",
+                                                           "throughput") if field in VALID_VALUES[cls]
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_an_edge_float_in_a_valid_value(self, cls, field, v):
+        values = dict(VALID_VALUES[cls])
+        if isinstance(values[field], np.ndarray):
+            values[field] = values[field].copy()
+            values[field].flat[0] = v
+        else:
+            values[field] = v
+        assert_as_the_full_checks(cls, **values)
+
+    @pytest.mark.parametrize("over", [False, True])
+    @pytest.mark.parametrize("field", ["flows", "cpu"])
+    def test_column_sums_at_the_bound(self, field, over):
+        # top - 0.25 is exact, so column 0 sums to top, or to one ulp past it
+        top = 1 + CAPACITY_TOL
+        column = np.array([[(np.nextafter(top, 2.0) if over else top) - 0.25], [0.25]])
+        assert (column.sum(axis=0) > top).tolist() == [over]
+        values = {**VALID_VALUES[AllocationMatrix], field: column}
+        assert isinstance(fully_checked(AllocationMatrix, **values), list) == over
+        assert_as_the_full_checks(AllocationMatrix, **values)
+
+    def test_duplicate_ids_over_valid_rows(self):
+        assert_as_the_full_checks(AllocationMatrix,
+                                  **{**VALID_VALUES[AllocationMatrix], "slice_ids": ("a", "a")})
+
+    def test_valid_values_take_no_full_check_in_a_run(self, monkeypatch):
+        # a reference run builds 96 rows, 7 matrices and 344 samples; only
+        # the 24 monitored samples, which keep their raw delays, and the
+        # three penalty models' exponents reach the full checks
+        sc = reference_scenario()
+        fields_checked, arrays_checked = [], []
+
+        def interval_spy(field, *args, **kw):
+            fields_checked.append(field)
+            return interval_violations(field, *args, **kw)
+
+        def array_spy(obj, name, ndim):
+            arrays_checked.append((type(obj).__name__, name))
+            return array_field(obj, name, ndim)
+
+        interval_violations, array_field = domain.interval_violations, domain.array_field
+        monkeypatch.setattr(domain, "interval_violations", interval_spy)
+        monkeypatch.setattr(domain, "array_field", array_spy)
+        run_osra(sc.slices, sc.topology, sc.initial_alloc, sc.sim, sc.new_slice_id, sc.osra,
+                 seed=0)
+        assert collections.Counter(fields_checked) == {
+            "delay_stat_ms": 24, "throughput": 24, "n_requests": 24, "exponent": 3}
+        assert collections.Counter(arrays_checked) == {("QoeSample", "raw_delays_ms"): 24}
 
 
 class TestValidateScenario:
