@@ -105,10 +105,10 @@ def whole_fields(obj, *names, interval) -> list:
     return errs
 
 
-def _entropy(parts) -> tuple[bytes, int]:
+def _entropy(parts) -> bytes:
     """The 32-bit words numpy's SeedSequence reads from a list of whole
-    numbers >= 0, as (their bytes, their count): each part's little-endian
-    words, 0 as one word, so no part is folded modulo 2**32. ValueError
+    numbers >= 0, as their bytes: each part's little-endian words, 0 as one
+    word, so no part is folded modulo 2**32. ValueError
     names a bad part. `derive_seed` and every stream draw
     (`simulator.generate_traffic`) seed from them, through the compiled
     `seed_state`, the one place a seed is made."""
@@ -122,7 +122,7 @@ def _entropy(parts) -> tuple[bytes, int]:
         while value > 0xFFFFFFFF:
             value >>= 32
             words.append(value & 0xFFFFFFFF)
-    return struct.pack(f"={len(words)}I", *words), len(words)
+    return struct.pack(f"={len(words)}I", *words)
 
 
 def derive_seed(*parts) -> int:
@@ -132,7 +132,7 @@ def derive_seed(*parts) -> int:
     Distinct tuples give distinct entropy: no part is folded modulo 2**32.
     A negative, bool or fractional part raises ValueError naming it.
     """
-    return native.LIBRARY.seed_state(*_entropy(parts), None, 0)
+    return native.LIBRARY.seed_state(_entropy(parts), None)
 
 
 def array_field(obj, name, ndim) -> list:

@@ -30,9 +30,9 @@ def sim_evaluate(slice_id, row, slices, topology, config, seed, statistic, memo)
     * each sample under its stage inputs (slice, link rates, server rate,
       seed): a repeated probe is not simulated again;
     * each traffic stream under (seed, slice index) (`generate_traffic`),
-      with its arrays' addresses and its warmup index (`Stream`): a probe at
-      new rates on a seed drawn before neither seeds nor draws, reads no
-      address and searches no warmup, and runs every stage of its pipeline.
+      with its warmup index (`Stream`): a probe at new rates on a seed
+      drawn before neither seeds nor draws and searches no warmup, and runs
+      every stage of its pipeline.
     """
     link_rates, cpu_rate = stage_rates(row, topology)
     key = (slice_id, link_rates.tobytes(), cpu_rate, seed)

@@ -1,8 +1,11 @@
 /* The simulator's per-packet passes, the only ones it has, the seeding of
- * every random stream and the drawing of each: `native` builds them, linked
- * with numpy's distribution code, and slicelab calls them through ctypes,
+ * every random stream and the drawing of each: `native` builds them,
+ * linked with numpy's distribution code, as the CPython extension module
+ * `pipeline`, and slicelab calls its entries (at the end of this file),
  * one `run_pipeline` call per simulation, one `seed_state` call per derived
  * seed, and one `draw_arrivals` and one `draw_sizes` call per drawn stream.
+ * Each entry takes its arrays as buffers, reads their lengths from them and
+ * checks every buffer before the C function it wraps reads or writes it.
  * Their bits are pinned by the golden digests of the shipped runs, and the
  * tests check them against the per-packet reference loop `loop_pipeline`,
  * numpy's `SeedSequence` and `PCG64`, and numpy's Generator drawing each
@@ -14,6 +17,9 @@
  * maxsd. The running value a is never NaN here, and a new operand b that
  * is NaN (inf - inf) leaves it.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <float.h>
 #include <math.h>
 #include <stdbool.h>
@@ -243,8 +249,8 @@ uint32_t seed_state(const uint32_t *entropy, int64_t n, uint32_t *out, int64_t n
  * numpy's PCG64(SeedSequence(entropy)) is, drives numpy's own distribution
  * code, linked from the static library numpy ships for C extensions
  * (numpy/random/lib/libnpyrandom.a), so each draw is numpy's to the bit by
- * construction. numpy's distributions.h includes Python.h, so the few
- * declarations used are repeated here as numpy/random/bitgen.h and
+ * construction. numpy's headers are not on the build's include path, so
+ * the few declarations used are repeated here as numpy/random/bitgen.h and
  * distributions.h have them. */
 typedef struct bitgen {
     void *state;
@@ -532,4 +538,305 @@ void draw_sizes(pcg64_t *rng, int64_t exponential, int64_t lo, int64_t hi, doubl
             out[k] = (double)size;
         }
     }
+}
+
+/* The module's entries. Each takes its arrays as buffers and its other
+ * arguments as Python ints and floats, in the order of the C function it
+ * wraps less the counts, which it reads from the buffers' lengths: n from
+ * the arrivals, the edge count from the link rates, the room from out and
+ * the entropy's word count from its bytes. Before the C function reads or
+ * writes any buffer, the entry checks each: its items' format and size,
+ * that it is C-contiguous and aligned to its items, that it is writable
+ * where it is written, and its length. A failed check raises TypeError (not a buffer, or items of
+ * another type) or ValueError (the rest), naming the entry and the
+ * argument, and nothing is written. The stream state passes as a buffer of
+ * at least 40 bytes, copied into and out of a pcg64_t, so that its bytes
+ * need no alignment. */
+
+/* A buffer argument: its position and name, the struct formats its items
+ * may have, one character each, their size, and whether it is written. */
+typedef struct {
+    int at;
+    const char *name, *formats;
+    Py_ssize_t itemsize;
+    bool output;
+} buffer_arg;
+
+#define DOUBLES(at, name, output) {at, name, "d", sizeof(double), output}
+#define BYTES(at, name, output) {at, name, "B", 1, output}
+
+/* view of the argument spec, or -1 with the error set and no view held */
+static int take(const char *entry, PyObject *const *args, const buffer_arg *spec,
+                Py_buffer *view)
+{
+    PyObject *obj = args[spec->at];
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        PyErr_Format(PyExc_TypeError, "%s: %s must be a buffer, not %.200s", entry, spec->name,
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
+    const char *format = view->format ? view->format : "B";
+    if (view->itemsize != spec->itemsize || !format[0] || format[1]
+        || !strchr(spec->formats, format[0]))
+        PyErr_Format(PyExc_TypeError, "%s: %s must hold %zd-byte items of format %s'%s', "
+                     "not %zd-byte items of format '%s'", entry, spec->name, spec->itemsize,
+                     spec->formats[1] ? "one of " : "", spec->formats, view->itemsize, format);
+    else if (!PyBuffer_IsContiguous(view, 'C'))
+        PyErr_Format(PyExc_ValueError, "%s: %s must be C-contiguous", entry, spec->name);
+    else if ((uintptr_t)view->buf % (uintptr_t)spec->itemsize)
+        PyErr_Format(PyExc_ValueError, "%s: %s must be aligned to its %zd-byte items", entry,
+                     spec->name, spec->itemsize);
+    else if (spec->output && view->readonly)
+        PyErr_Format(PyExc_ValueError, "%s: %s must be writable, not read-only", entry,
+                     spec->name);
+    else
+        return 0;
+    PyBuffer_Release(view);
+    return -1;
+}
+
+/* the views of an entry's n buffer arguments; where one fails its check,
+ * -1 with the error set and none held */
+static int take_all(const char *entry, PyObject *const *args, const buffer_arg *specs, int n,
+                    Py_buffer *views)
+{
+    for (int k = 0; k < n; k++) {
+        if (take(entry, args, &specs[k], &views[k]) < 0) {
+            while (k-- > 0)
+                PyBuffer_Release(&views[k]);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static void release_all(Py_buffer *views, int n)
+{
+    for (int k = 0; k < n; k++)
+        PyBuffer_Release(&views[k]);
+}
+
+static Py_ssize_t items(const Py_buffer *view)
+{
+    return view->len / view->itemsize;
+}
+
+static int arity(const char *entry, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", entry, want, nargs);
+    return -1;
+}
+
+/* args[at] as a count into *value, or -1 with the error set */
+static int count_arg(const char *entry, PyObject *const *args, int at, const char *name,
+                     int64_t *value)
+{
+    long long v = PyLong_AsLongLong(args[at]);
+    if (v == -1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s: %s must be an int, not %.200s", entry, name,
+                         Py_TYPE(args[at])->tp_name);
+        }
+        return -1;
+    }
+    *value = v;
+    return 0;
+}
+
+/* args[at] as a double into *value, or -1 with the error set */
+static int real_arg(const char *entry, PyObject *const *args, int at, const char *name,
+                    double *value)
+{
+    double v = PyFloat_AsDouble(args[at]);
+    if (v == -1.0 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s: %s must be a real number, not %.200s", entry,
+                         name, Py_TYPE(args[at])->tp_name);
+        }
+        return -1;
+    }
+    *value = v;
+    return 0;
+}
+
+/* whether a buffer of n items is at least least long, else ValueError */
+static bool long_enough(const char *entry, const char *name, Py_ssize_t n, Py_ssize_t least,
+                        const char *unit)
+{
+    if (n >= least)
+        return true;
+    PyErr_Format(PyExc_ValueError, "%s: %s must hold at least %zd %s, got %zd", entry, name,
+                 least, unit, n);
+    return false;
+}
+
+/* whether the entropy's bytes are a whole number of 32-bit words, read
+ * where they lie, else ValueError */
+static bool whole_words(const char *entry, const Py_buffer *entropy)
+{
+    if (entropy->len % sizeof(uint32_t))
+        PyErr_Format(PyExc_ValueError, "%s: entropy must be a whole number of 32-bit words, "
+                     "got %zd bytes", entry, entropy->len);
+    else if ((uintptr_t)entropy->buf % sizeof(uint32_t))
+        PyErr_Format(PyExc_ValueError, "%s: entropy must be aligned to its 32-bit words",
+                     entry);
+    else
+        return true;
+    return false;
+}
+
+/* run_pipeline(t, sizes, bps, b, restart, tie_s, proc, prop_s, out,
+ * served): n is len(t) and edges len(bps); sizes must be as long as t, out
+ * and served at least as long, and b and restart at least 1 (a link reads
+ * dep[k - b], and a window of 0 packets would never end). */
+static PyObject *py_run_pipeline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char entry[] = "run_pipeline";
+    static const buffer_arg specs[] = {
+        DOUBLES(0, "t", false), DOUBLES(1, "sizes", false), DOUBLES(2, "bps", false),
+        DOUBLES(8, "out", true), {9, "served", "?B", 1, true}};
+    Py_buffer v[5];
+    int64_t b, restart;
+    double tie_s, proc, prop_s;
+    if (arity(entry, nargs, 10) < 0 || count_arg(entry, args, 3, "b", &b) < 0
+        || count_arg(entry, args, 4, "restart", &restart) < 0
+        || real_arg(entry, args, 5, "tie_s", &tie_s) < 0
+        || real_arg(entry, args, 6, "proc", &proc) < 0
+        || real_arg(entry, args, 7, "prop_s", &prop_s) < 0)
+        return NULL;
+    if (b < 1 || restart < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: %s must be at least 1, got %lld", entry,
+                     b < 1 ? "b" : "restart", (long long)(b < 1 ? b : restart));
+        return NULL;
+    }
+    if (take_all(entry, args, specs, 5, v) < 0)
+        return NULL;
+    Py_ssize_t n = items(&v[0]);
+    if (items(&v[1]) != n) {
+        PyErr_Format(PyExc_ValueError, "%s: sizes must be as long as t, %zd items, got %zd",
+                     entry, n, items(&v[1]));
+        release_all(v, 5);
+        return NULL;
+    }
+    if (!long_enough(entry, "out", items(&v[3]), n, "items")
+        || !long_enough(entry, "served", items(&v[4]), n, "items")) {
+        release_all(v, 5);
+        return NULL;
+    }
+    int64_t m = run_pipeline(v[0].buf, v[1].buf, v[2].buf, items(&v[2]), n, b, restart, tie_s,
+                             proc, prop_s, v[3].buf, v[4].buf);
+    release_all(v, 5);
+    return PyLong_FromLongLong(m);
+}
+
+/* seed_state(entropy, out): out None, or the uint32 buffer whose length is
+ * n_words. Returns word 0. */
+static PyObject *py_seed_state(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char entry[] = "seed_state";
+    static const buffer_arg specs[] = {BYTES(0, "entropy", false),
+                                       {1, "out", "I", sizeof(uint32_t), true}};
+    Py_buffer v[2];
+    if (arity(entry, nargs, 2) < 0)
+        return NULL;
+    int taken = args[1] == Py_None ? 1 : 2;
+    if (take_all(entry, args, specs, taken, v) < 0)
+        return NULL;
+    if (!whole_words(entry, &v[0])) {
+        release_all(v, taken);
+        return NULL;
+    }
+    uint32_t first = seed_state(v[0].buf, v[0].len / (Py_ssize_t)sizeof(uint32_t),
+                                taken == 2 ? v[1].buf : NULL, taken == 2 ? items(&v[1]) : 0);
+    release_all(v, taken);
+    return PyLong_FromUnsignedLong(first);
+}
+
+/* draw_arrivals(entropy, onoff, rate, burst_len, gap, off_mean, horizon,
+ * out, rng): the room is len(out); rng, at least 40 bytes, becomes the
+ * stream's state after the arrivals. */
+static PyObject *py_draw_arrivals(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char entry[] = "draw_arrivals";
+    static const buffer_arg specs[] = {BYTES(0, "entropy", false), DOUBLES(7, "out", true),
+                                       BYTES(8, "rng", true)};
+    Py_buffer v[3];
+    int64_t onoff;
+    double rate, burst_len, gap, off_mean, horizon;
+    if (arity(entry, nargs, 9) < 0 || count_arg(entry, args, 1, "onoff", &onoff) < 0
+        || real_arg(entry, args, 2, "rate", &rate) < 0
+        || real_arg(entry, args, 3, "burst_len", &burst_len) < 0
+        || real_arg(entry, args, 4, "gap", &gap) < 0
+        || real_arg(entry, args, 5, "off_mean", &off_mean) < 0
+        || real_arg(entry, args, 6, "horizon", &horizon) < 0
+        || take_all(entry, args, specs, 3, v) < 0)
+        return NULL;
+    if (!whole_words(entry, &v[0])
+        || !long_enough(entry, "rng", v[2].len, sizeof(pcg64_t), "bytes")) {
+        release_all(v, 3);
+        return NULL;
+    }
+    pcg64_t rng;
+    int64_t count = draw_arrivals(v[0].buf, v[0].len / (Py_ssize_t)sizeof(uint32_t), onoff,
+                                  rate, burst_len, gap, off_mean, horizon, v[1].buf,
+                                  items(&v[1]), &rng);
+    memcpy(v[2].buf, &rng, sizeof rng);
+    release_all(v, 3);
+    return PyLong_FromLongLong(count);
+}
+
+/* draw_sizes(rng, exponential, lo, hi, mean, out): n is len(out); rng, at
+ * least 40 bytes, is the state `draw_arrivals` left, and moves on. */
+static PyObject *py_draw_sizes(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    static const char entry[] = "draw_sizes";
+    static const buffer_arg specs[] = {BYTES(0, "rng", true), DOUBLES(5, "out", true)};
+    Py_buffer v[2];
+    int64_t exponential, lo, hi;
+    double mean;
+    if (arity(entry, nargs, 6) < 0
+        || count_arg(entry, args, 1, "exponential", &exponential) < 0
+        || count_arg(entry, args, 2, "lo", &lo) < 0 || count_arg(entry, args, 3, "hi", &hi) < 0
+        || real_arg(entry, args, 4, "mean", &mean) < 0 || take_all(entry, args, specs, 2, v) < 0)
+        return NULL;
+    if (!long_enough(entry, "rng", v[0].len, sizeof(pcg64_t), "bytes")) {
+        release_all(v, 2);
+        return NULL;
+    }
+    pcg64_t rng;
+    memcpy(&rng, v[0].buf, sizeof rng);
+    draw_sizes(&rng, exponential, lo, hi, mean, v[1].buf, items(&v[1]));
+    memcpy(v[0].buf, &rng, sizeof rng);
+    release_all(v, 2);
+    Py_RETURN_NONE;
+}
+
+#define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef ENTRIES[] = {
+    ENTRY(run_pipeline, "run_pipeline(t, sizes, bps, b, restart, tie_s, proc, prop_s, out, "
+                        "served): one slice's links and server; the packets served"),
+    ENTRY(seed_state, "seed_state(entropy, out): SeedSequence(entropy)'s words into out "
+                      "(or None); word 0"),
+    ENTRY(draw_arrivals, "draw_arrivals(entropy, onoff, rate, burst_len, gap, off_mean, "
+                         "horizon, out, rng): a stream's arrivals; their count"),
+    ENTRY(draw_sizes, "draw_sizes(rng, exponential, lo, hi, mean, out): a stream's sizes"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef MODULE = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "pipeline",
+    .m_doc = "slicelab's per-packet passes, seeding and stream draws (pipeline.c)",
+    .m_methods = ENTRIES,
+};
+
+PyMODINIT_FUNC PyInit_pipeline(void)
+{
+    return PyModuleDef_Init(&MODULE);
 }

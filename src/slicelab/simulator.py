@@ -18,8 +18,9 @@ full and runs each overflow episode. A stream is drawn whole in C too:
 `draw_arrivals` seeds numpy's PCG64 and draws the arrivals, and
 `draw_sizes` the sizes, each with numpy's own distribution code, so every
 stream is numpy's to the bit and no run imports `numpy.random`. A drawn
-stream is a `Stream`, which holds its arrays' addresses and its warmup
-index, so a simulation of a stream held in a memo reads neither again.
+stream is a `Stream`, which holds its warmup index, so a simulation of a
+stream held in a memo does not search for it again. Every compiled call
+passes its arrays as buffers, whose lengths and types it checks.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -31,7 +32,6 @@ slice (`simulate_slice`).
 """
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import re
@@ -89,10 +89,8 @@ class SliceRunResult(ArrayValue):
 
 class Stream(tuple):
     """A drawn stream, (arrivals, sizes), two read-only float arrays of one
-    length, with what each simulation of it reads, found once when it is
-    drawn: `addresses`, the two arrays' (the compiled pipeline reads them by
-    address), and `warmup`, the index of its first arrival at or after the
-    warmup."""
+    length, with `warmup`, the index of its first arrival at or after the
+    warmup, found once when it is drawn."""
 
     def __new__(cls, arrivals, sizes, warmup_s):
         arrivals = np.ascontiguousarray(arrivals, dtype=float)
@@ -101,10 +99,6 @@ class Stream(tuple):
             raise ValueError(f"a stream's arrivals and sizes must be two arrays of one "
                              f"length, got shapes {arrivals.shape} and {sizes.shape}")
         stream = super().__new__(cls, (arrivals, sizes))
-        try:  # a drawn stream's arrays, writeable until made read-only below
-            stream.addresses = _address(arrivals), _address(sizes)
-        except (TypeError, ValueError):  # an array already read-only, or empty
-            stream.addresses = arrivals.ctypes.data, sizes.ctypes.data
         arrivals.setflags(write=False)
         sizes.setflags(write=False)
         # arrivals are sorted, so the post-warmup requests are a suffix
@@ -112,14 +106,9 @@ class Stream(tuple):
         return stream
 
 
-def _address(array):
-    """The address of a writeable, non-empty array's data, at about a third
-    of the cost of `.ctypes.data`."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
-
-
-# the stream state `draw_arrivals` leaves for `draw_sizes` (`pipeline.c`)
-_RngState = ctypes.c_uint64 * 5
+# the bytes of the stream state `draw_arrivals` leaves for `draw_sizes`
+# (`pipeline.c`'s pcg64_t)
+_RNG_STATE_BYTES = 40
 
 
 def generate_traffic(model: TrafficModel, horizon_s: float, warmup_s: float, seed: int,
@@ -150,7 +139,7 @@ def _drawn(model, horizon_s, warmup_s, entropy):
     page fault per task; with the copy made first, or the room cut in place
     (`resize`), glibc trims the heap between tasks and each task faults
     about 700 pages back in (glibc's heap layout, not the draw's work)."""
-    library, rng = native.LIBRARY, _RngState()
+    library, rng = native.LIBRARY, bytearray(_RNG_STATE_BYTES)
     if model.kind == "poisson":
         shape = (0, model.mean_rate, 0.0, 0.0, 0.0)
     else:
@@ -158,7 +147,7 @@ def _drawn(model, horizon_s, warmup_s, entropy):
     room = max(64, int(model.mean_rate * horizon_s * 1.2) + 16)
     while True:
         arrivals = np.empty(room)
-        n = library.draw_arrivals(*entropy, *shape, horizon_s, _address(arrivals), room, rng)
+        n = library.draw_arrivals(entropy, *shape, horizon_s, arrivals, rng)
         if n <= room:
             break
         room = n
@@ -167,14 +156,13 @@ def _drawn(model, horizon_s, warmup_s, entropy):
     sizes = np.empty(n)
     if n < room:
         arrivals = arrivals[:n].copy()
-    if n:  # an empty array lends no buffer
-        library.draw_sizes(rng, model.size_dist == "exponential", model.size_min,
-                           model.size_max, model.mean_size_bytes(), _address(sizes), n)
+    library.draw_sizes(rng, model.size_dist == "exponential", model.size_min, model.size_max,
+                       model.mean_size_bytes(), sizes)
     return Stream(arrivals, sizes, warmup_s)
 
 
 def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
-                      service_rate_ips, demand_mi, propagation_ms, *, held=None):
+                      service_rate_ips, demand_mi, propagation_ms):
     """Push one slice's packets through its link queues and server queue.
 
     arrivals must be sorted and as long as sizes_bytes, whose entries must
@@ -183,24 +171,18 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     zero-rate stage strands every packet (served_mask all False).
     buffer_pkts is a whole number >= 1 (a float one is used as its int),
     else InvariantViolation names it. A delay that is not finite (a share so
-    small that a time overflows) raises OverflowError. `held`, a `Stream`
-    whose two arrays are arrivals and sizes_bytes, lends its addresses, so
-    that neither array is read for them again.
+    small that a time overflows) raises OverflowError.
     """
     if not (type(buffer_pkts) is int and buffer_pkts >= 1):  # an int >= 1 obeys the rule
         InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
                                                      whole=True))
         buffer_pkts = int(buffer_pkts)
-    if held is not None and held[0] is arrivals and held[1] is sizes_bytes:
-        sizes, (at_arrivals, at_sizes) = sizes_bytes, held.addresses
-    else:
-        # contiguous, since the compiled pipeline reads arrays by address
-        arrivals = np.ascontiguousarray(arrivals, dtype=float)
-        sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
-        if arrivals.shape != sizes.shape:
-            raise ValueError(f"arrivals and sizes_bytes differ in length: "
-                             f"{len(arrivals)} vs {len(sizes)}")
-        at_arrivals, at_sizes = arrivals.ctypes.data, sizes.ctypes.data
+    # contiguous float arrays, the only buffers the compiled pipeline takes
+    arrivals = np.ascontiguousarray(arrivals, dtype=float)
+    sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
+    if arrivals.shape != sizes.shape:
+        raise ValueError(f"arrivals and sizes_bytes differ in length: "
+                         f"{len(arrivals)} vs {len(sizes)}")
     rates = np.ascontiguousarray(link_rates_bps, dtype=float)
     n = arrivals.size
     stranded = service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in rates.tolist())
@@ -211,19 +193,15 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
         bad = unsorted | ~(sizes >= 0.0)
         if bad.any():
             raise ValueError(_NOT_SORTED) if unsorted[bad.argmax()] else _bad_size(sizes)
-    # no packet, no call: an empty array lends no buffer
     if stranded or not n:
         return np.empty(0), np.zeros(n, dtype=bool)
     # every link and the server in one call (`pipeline.c`): the delays land
-    # in out[:m], m being the packets served. The rates pass as bytes and
-    # the two outputs by buffer, each cheaper than numpy's `.ctypes`
+    # in out[:m], m being the packets served
     out, served = np.empty(n), np.empty(n, dtype=bool)
     # a buffer of n or more never fills, and min keeps it an int64
-    m = native.LIBRARY.run_pipeline(at_arrivals, at_sizes, rates.tobytes(), rates.size, n,
-                                    min(buffer_pkts, n), _RESTART_WINDOW, TIE_S,
-                                    demand_mi / service_rate_ips, propagation_ms / 1000.0,
-                                    ctypes.addressof(ctypes.c_char.from_buffer(out)),
-                                    ctypes.addressof(ctypes.c_char.from_buffer(served)))
+    m = native.LIBRARY.run_pipeline(arrivals, sizes, rates, min(buffer_pkts, n),
+                                    _RESTART_WINDOW, TIE_S, demand_mi / service_rate_ips,
+                                    propagation_ms / 1000.0, out, served)
     if m < 0:
         if m == _OVERFLOW:
             raise OverflowError(f"a delay overflows at link rates {rates.tolist()} bps and "
@@ -271,7 +249,7 @@ def simulate_slice(spec, index: int, link_rates, cpu_rate: float, topology: Topo
     try:
         delays, served = simulate_pipeline(
             arrivals, sizes, link_rates, topology.buffer_pkts,
-            cpu_rate, spec.demand_mi, config.propagation_ms, held=stream,
+            cpu_rate, spec.demand_mi, config.propagation_ms,
         )
     except OverflowError as err:
         raise InvariantViolation([("delays_ms", f"slice {spec.id!r}: {err}")]) from None

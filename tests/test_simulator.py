@@ -607,13 +607,11 @@ def twice_on_a_held_stream(*args, **kwargs):
     as a gradient's probes read a stream `oracle.sim_evaluate`'s memo holds:
     both calls give the same bytes and leave the arrays as they were. Where
     the arrivals and sizes are two arrays of one length, both calls take
-    them from a `Stream` and its addresses, as `simulate_slice` does."""
+    them from a `Stream`, as `simulate_slice` does."""
     args, kwargs = [held(a) for a in args], {k: held(v) for k, v in kwargs.items()}
     if (len(args) >= 2 and all(isinstance(a, np.ndarray) for a in args[:2])
             and args[0].ndim == 1 and args[0].shape == args[1].shape):
-        stream = simulator.Stream(*args[:2], 0.0)
-        args[:2] = stream
-        kwargs["held"] = stream
+        args[:2] = simulator.Stream(*args[:2], 0.0)
     arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
     before = [a.tobytes() for a in arrays]
     first = simulator.simulate_pipeline(*args, **kwargs)
@@ -647,18 +645,20 @@ def scalar_lindley(t, s, before):
     return dep
 
 
-# (argument types, return type) of the two passes these helpers call on
-# their own: `native` types only the calls the simulator makes
+# (argument types, return type) of the C functions these helpers call on
+# their own, which the extension module does not make entries of
 _ADDRESS, _COUNT, _REAL = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _PASSES = {
     "link_pass": ((_ADDRESS, _ADDRESS, _REAL, _ADDRESS, _COUNT, _COUNT, _COUNT, _REAL), _COUNT),
     "server_pass": ((_ADDRESS, _ADDRESS, _REAL, _REAL, _ADDRESS, _COUNT), _COUNT),
+    "pcg64_outputs": ((_ADDRESS, _COUNT, _ADDRESS, _ADDRESS, _COUNT), None),
 }
 
 
 def compiled(name):
-    """The loaded library's pass `name`, typed as `pipeline.c` declares it."""
-    function = getattr(native.LIBRARY, name)
+    """The C function `name` of the loaded module's file, typed as
+    `pipeline.c` declares it."""
+    function = getattr(ctypes.CDLL(native.LIBRARY.__file__), name)
     function.argtypes, function.restype = _PASSES[name]
     return function
 
@@ -1291,7 +1291,7 @@ SEED_PART = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]),
 def seed_words(parts, n_words):
     """The n_words 32-bit words the compiled `seed_state` makes of parts."""
     out = np.empty(n_words, dtype=np.uint32)
-    first = native.LIBRARY.seed_state(*_entropy(parts), out.ctypes.data, n_words)
+    first = native.LIBRARY.seed_state(_entropy(parts), out)
     assert n_words == 0 or first == out[0]
     return out
 
@@ -1379,11 +1379,11 @@ class TestTraffic:
             for array in (a, c):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
-        # the stream holds what each simulation of it reads: its arrays'
-        # addresses and the index of its first arrival at or after 0.25 s
+        # the stream holds what each simulation of it reads beside its two
+        # arrays: the index of its first arrival at or after 0.25 s
         for stream in (drawn, fresh):
+            assert len(stream) == 2 and list(vars(stream)) == ["warmup"]
             arrivals, sizes = stream
-            assert stream.addresses == (arrivals.ctypes.data, sizes.ctypes.data)
             w = stream.warmup
             assert 0 < w < arrivals.size and arrivals[w - 1] < 0.25 <= arrivals[w]
 
@@ -1660,10 +1660,9 @@ class TestCompiledDraw:
         # numpy's first chunk at 1000/s over 1e300 s holds more draws than
         # memory: the draw returns NO_MEMORY (-3) before any, and
         # generate_traffic raises MemoryError on that code
-        entropy, n_entropy = _entropy((0, 0))
-        state, out = simulator._RngState(), np.full(1, 7.0)
-        assert native.LIBRARY.draw_arrivals(entropy, n_entropy, 0, 1000.0, 0.0, 0.0, 0.0, 1e300,
-                                            out.ctypes.data, 1, state) == -3
+        state, out = bytearray(simulator._RNG_STATE_BYTES), np.full(1, 7.0)
+        assert native.LIBRARY.draw_arrivals(_entropy((0, 0)), 0, 1000.0, 0.0, 0.0, 0.0, 1e300,
+                                            out, state) == -3
         assert out.tolist() == [7.0]
 
         class NoMemory:
@@ -1691,10 +1690,9 @@ class TestCompiledDraw:
                                np.random.default_rng(len(parts)).integers(0, 2, 200,
                                                                           dtype=np.uint8)))
         out = np.empty(wide.size, dtype=np.uint64)
-        entropy, n_entropy = _entropy(parts)
-        native.LIBRARY.pcg64_outputs(entropy, ctypes.c_int64(n_entropy),
-                                     ctypes.c_void_p(wide.ctypes.data),
-                                     ctypes.c_void_p(out.ctypes.data), ctypes.c_int64(wide.size))
+        entropy = _entropy(parts)
+        compiled("pcg64_outputs")(entropy, len(entropy) // 4, wide.ctypes.data, out.ctypes.data,
+                                  wide.size)
         bits = np.random.PCG64(np.random.SeedSequence(list(parts)))
         numpy_32 = np.random.Generator(bits)
         want = [int(bits.random_raw()) if w else

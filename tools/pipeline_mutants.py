@@ -7,8 +7,8 @@ MUTANTS is a fixed list of one-edit mutants: each comparison of `link_pass`,
 `server_pass` and `run_pipeline`'s compaction flipped between strict and
 non-strict, the horizon tests of the stream draw flipped, and a few steps
 of those, of `seed_state` and of the PCG64 port dropped or moved. The
-mutated source is built as `native` builds the shipped one, linked with
-numpy's distributions archive. Each edit
+mutated source is built as `native` builds the shipped one, an extension
+module linked with numpy's distributions archive. Each edit
 must match the source exactly once, so a list that no longer fits
 `pipeline.c` stops the run before any test. NAMEs pick mutants from the
 list; without them every mutant runs. EQUIVALENT says why each mutant that
