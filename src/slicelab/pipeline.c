@@ -27,15 +27,43 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* What run_pipeline returns in place of a count of served packets. */
+/* What run_pipeline returns in place of a count of served packets; its
+ * entry raises the error each names. */
 enum { UNSORTED = -1, OVERFLOW = -2, NO_MEMORY = -3, BAD_SIZE = -4 };
+
+/* The test of offered packet k, made as a pass first reads it: UNSORTED
+ * where its arrival t[k] is not at or after last, the arrival before it,
+ * or is NaN; else BAD_SIZE where its size is negative or NaN; else 0, and
+ * last becomes t[k]. */
+static inline int64_t check_packet(const double *t, const double *sizes, int64_t k,
+                                   double *last)
+{
+    if (!(t[k] >= *last))
+        return UNSORTED;
+    if (!(sizes[k] >= 0.0))
+        return BAD_SIZE;
+    *last = t[k];
+    return 0;
+}
+
+/* check_packet over the n offered packets of a call that runs no link
+ * pass: the first failure's code, or 0. */
+static int64_t check_pass(const double *t, const double *sizes, int64_t n)
+{
+    double last = -INFINITY;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t bad = check_packet(t, sizes, k, &last);
+        if (bad)
+            return bad;
+    }
+    return 0;
+}
 
 /* One link's departures dep (NaN for a drop) from the arrivals t and the
  * packet sizes (bytes) at bytes_per_s; returns whether an overflow episode
- * ran, since without one no packet was dropped, or UNSORTED at the first
- * arrival t[k] that is not at or after t[k - 1], or is NaN, or BAD_SIZE at
- * the first size that is negative or NaN. Both loops test each t[k] and
- * sizes[k] they read first, and between them they read every one.
+ * ran, since without one no packet was dropped, or check_packet's code for
+ * the first packet that fails it. Both loops test each packet they read
+ * first, and between them they read every one.
  *
  * dep is the only queue state. Arrival k finds b packets queued iff
  * dep[k - b] > t[k], so a departure at t frees its slot first. A slot in
@@ -70,11 +98,9 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
         /* at k = i the lag is t[i] itself, and c starts at tx[i] */
         double m = before > t[i] ? before : t[i], c = 0.0;
         for (k = i; k < j; k++) {
-            if (!(t[k] >= last))
-                return UNSORTED;
-            if (!(sizes[k] >= 0.0))
-                return BAD_SIZE;
-            last = t[k];
+            int64_t bad = check_packet(t, sizes, k, &last);
+            if (bad)
+                return bad;
             double lag = t[k] - c;
             m = lag > m ? lag : m;
             c += sizes[k] / bytes_per_s;
@@ -92,11 +118,9 @@ int64_t link_pass(const double *t, const double *sizes, double bytes_per_s, doub
         int64_t head = k - b;
         blocked = 1;
         for (i = n; k < n; k++) {
-            if (!(t[k] >= last))
-                return UNSORTED;
-            if (!(sizes[k] >= 0.0))
-                return BAD_SIZE;
-            last = t[k];
+            int64_t bad = check_packet(t, sizes, k, &last);
+            if (bad)
+                return bad;
             if (dep[head] <= t[k] + tie_s) {
                 if (prev <= t[k]) {
                     i = k;
@@ -137,12 +161,15 @@ int64_t server_pass(const double *t, const double *created, double proc, double 
 }
 
 /* One slice's pipeline: `edges` links in series, link e at bps[e] bits/s
- * with a buffer of min(b, its packets), then the server at proc seconds a
- * packet. t and sizes are the n offered packets' arrivals and sizes; neither
- * is written to. served[k] becomes whether packet k passes every link, and
- * out[:m] the delays (ms, plus prop_s) of the m packets that do, in arrival
- * order. Returns m, or UNSORTED or BAD_SIZE (from the first link) or
- * OVERFLOW (a delay that is not finite) or NO_MEMORY.
+ * with a buffer of min(b, its packets), then the server at rate
+ * instructions a second, each packet demanding demand of them. t and sizes
+ * are the n offered packets' arrivals and sizes; neither is written to.
+ * served[k] becomes whether packet k passes every link, and out[:m] the
+ * delays (ms, plus prop_ms) of the m packets that do, in arrival order.
+ * Returns m, or UNSORTED or BAD_SIZE (from the first link, or from
+ * check_pass where no link pass runs) or OVERFLOW (a delay that is not
+ * finite) or NO_MEMORY. A stage of rate <= 0 strands every packet: the
+ * packets are checked, served is all 0 and m is 0.
  *
  * Each link writes its departures to out when an even number of links
  * follow it, else to spare, so the last link's land in out and the server
@@ -153,9 +180,19 @@ int64_t server_pass(const double *t, const double *created, double proc, double 
  * finds its input out of order (for sizes >= 0).
  */
 int64_t run_pipeline(const double *t, const double *sizes, const double *bps, int64_t edges,
-                     int64_t n, int64_t b, int64_t restart, double tie_s, double proc,
-                     double prop_s, double *out, uint8_t *served)
+                     int64_t n, int64_t b, int64_t restart, double tie_s, double rate,
+                     double demand, double prop_ms, double *out, uint8_t *served)
 {
+    bool stranded = rate <= 0.0;
+    for (int64_t e = 0; e < edges; e++)
+        stranded |= bps[e] <= 0.0;
+    if (stranded || !edges) {
+        int64_t code = check_pass(t, sizes, n);
+        if (code || stranded) {
+            memset(served, 0, n);
+            return code;
+        }
+    }
     const double *times = t, *created = t;
     double *spare = NULL, *scratch = NULL;
     int64_t m = n, code = NO_MEMORY;
@@ -192,7 +229,7 @@ int64_t run_pipeline(const double *t, const double *sizes, const double *bps, in
         }
         times = dep;
     }
-    code = server_pass(times, created, proc, prop_s, out, m) ? OVERFLOW : m;
+    code = server_pass(times, created, demand / rate, prop_ms / 1000.0, out, m) ? OVERFLOW : m;
 done:
     free(spare);
     free(scratch);
@@ -547,11 +584,13 @@ void draw_sizes(pcg64_t *rng, int64_t exponential, int64_t lo, int64_t hi, doubl
  * the entropy's word count from its bytes. Before the C function reads or
  * writes any buffer, the entry checks each: its items' format and size,
  * that it is C-contiguous and aligned to its items, that it is writable
- * where it is written, and its length. A failed check raises TypeError (not a buffer, or items of
- * another type) or ValueError (the rest), naming the entry and the
- * argument, and nothing is written. The stream state passes as a buffer of
- * at least 40 bytes, copied into and out of a pcg64_t, so that its bytes
- * need no alignment. */
+ * where it is written, and its length. A failed check raises TypeError
+ * (not a buffer, or items of another type) or ValueError (the rest),
+ * naming the entry and the argument, and nothing is written. The stream
+ * state passes as a buffer of at least 40 bytes, copied into and out of a
+ * pcg64_t, so that its bytes need no alignment. `run_pipeline` also raises
+ * the error its C function's code names, in the words of slicelab's
+ * `simulate_pipeline`, which only calls it. */
 
 /* A buffer argument: its position and name, the struct formats its items
  * may have, one character each, their size, and whether it is written. */
@@ -664,6 +703,29 @@ static int real_arg(const char *entry, PyObject *const *args, int at, const char
     return 0;
 }
 
+/* args[at] as the buffer b into *value: an int of at least 1, where one
+ * too large for int64 reads as INT64_MAX, a buffer that never fills; or
+ * -1 with the error set */
+static int buffer_size_arg(const char *entry, PyObject *const *args, int at, int64_t *value)
+{
+    int above;
+    long long v = PyLong_AsLongLongAndOverflow(args[at], &above);
+    if (v == -1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_TypeError)) {
+            PyErr_Clear();
+            PyErr_Format(PyExc_TypeError, "%s: b must be an int, not %.200s", entry,
+                         Py_TYPE(args[at])->tp_name);
+        }
+        return -1;
+    }
+    if (above < 0 || (!above && v < 1)) {
+        PyErr_Format(PyExc_ValueError, "%s: b must be at least 1, got %S", entry, args[at]);
+        return -1;
+    }
+    *value = above ? INT64_MAX : v;
+    return 0;
+}
+
 /* whether a buffer of n items is at least least long, else ValueError */
 static bool long_enough(const char *entry, const char *name, Py_ssize_t n, Py_ssize_t least,
                         const char *unit)
@@ -690,28 +752,63 @@ static bool whole_words(const char *entry, const Py_buffer *entropy)
     return false;
 }
 
-/* run_pipeline(t, sizes, bps, b, restart, tie_s, proc, prop_s, out,
- * served): n is len(t) and edges len(bps); sizes must be as long as t, out
- * and served at least as long, and b and restart at least 1 (a link reads
- * dep[k - b], and a window of 0 packets would never end). */
+/* The error run_pipeline's code m < 0 names, as simulate_pipeline words
+ * it, from the entry's arguments and the views of t and sizes. The first
+ * size that is negative or NaN is found again here: only the first link or
+ * check_pass reads the offered sizes, in order, and each stops at the
+ * first packet that fails check_packet. */
+static void data_error(int64_t m, PyObject *const *args, const Py_buffer *t,
+                       const Py_buffer *sizes)
+{
+    if (m == UNSORTED) {
+        PyErr_SetString(PyExc_ValueError, "arrivals must be sorted in non-decreasing order");
+    } else if (m == BAD_SIZE) {
+        const double *size = sizes->buf;
+        Py_ssize_t k = 0;
+        while (size[k] >= 0.0)
+            k++;
+        PyObject *bad = PyFloat_FromDouble(size[k]);
+        if (bad)
+            PyErr_Format(PyExc_ValueError, "sizes_bytes[%zd] must be >= 0, got %R", k, bad);
+        Py_XDECREF(bad);
+    } else if (m == OVERFLOW) {
+        PyObject *view = PyMemoryView_FromObject(args[2]);
+        PyObject *rates = view ? PyObject_CallMethod(view, "tolist", NULL) : NULL;
+        if (rates)
+            PyErr_Format(PyExc_OverflowError, "a delay overflows at link rates %R bps and "
+                         "server rate %S MIPS", rates, args[6]);
+        Py_XDECREF(rates);
+        Py_XDECREF(view);
+    } else {
+        PyErr_Format(PyExc_MemoryError, "no memory to compact the survivors of %zd packets",
+                     items(t));
+    }
+}
+
+/* run_pipeline(t, sizes, bps, b, restart, tie_s, rate, demand, prop_ms,
+ * out, served): n is len(t) and edges len(bps); sizes must be as long as
+ * t, out and served at least as long, and b and restart at least 1 (a
+ * link reads dep[k - b], and a window of 0 packets would never end).
+ * Returns the packets served, or raises the error data_error words. */
 static PyObject *py_run_pipeline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     static const char entry[] = "run_pipeline";
     static const buffer_arg specs[] = {
         DOUBLES(0, "t", false), DOUBLES(1, "sizes", false), DOUBLES(2, "bps", false),
-        DOUBLES(8, "out", true), {9, "served", "?B", 1, true}};
+        DOUBLES(9, "out", true), {10, "served", "?B", 1, true}};
     Py_buffer v[5];
     int64_t b, restart;
-    double tie_s, proc, prop_s;
-    if (arity(entry, nargs, 10) < 0 || count_arg(entry, args, 3, "b", &b) < 0
+    double tie_s, rate, demand, prop_ms;
+    if (arity(entry, nargs, 11) < 0 || buffer_size_arg(entry, args, 3, &b) < 0
         || count_arg(entry, args, 4, "restart", &restart) < 0
         || real_arg(entry, args, 5, "tie_s", &tie_s) < 0
-        || real_arg(entry, args, 6, "proc", &proc) < 0
-        || real_arg(entry, args, 7, "prop_s", &prop_s) < 0)
+        || real_arg(entry, args, 6, "rate", &rate) < 0
+        || real_arg(entry, args, 7, "demand", &demand) < 0
+        || real_arg(entry, args, 8, "prop_ms", &prop_ms) < 0)
         return NULL;
-    if (b < 1 || restart < 1) {
-        PyErr_Format(PyExc_ValueError, "%s: %s must be at least 1, got %lld", entry,
-                     b < 1 ? "b" : "restart", (long long)(b < 1 ? b : restart));
+    if (restart < 1) {
+        PyErr_Format(PyExc_ValueError, "%s: restart must be at least 1, got %lld", entry,
+                     (long long)restart);
         return NULL;
     }
     if (take_all(entry, args, specs, 5, v) < 0)
@@ -729,9 +826,11 @@ static PyObject *py_run_pipeline(PyObject *self, PyObject *const *args, Py_ssize
         return NULL;
     }
     int64_t m = run_pipeline(v[0].buf, v[1].buf, v[2].buf, items(&v[2]), n, b, restart, tie_s,
-                             proc, prop_s, v[3].buf, v[4].buf);
+                             rate, demand, prop_ms, v[3].buf, v[4].buf);
+    if (m < 0)
+        data_error(m, args, &v[0], &v[1]);
     release_all(v, 5);
-    return PyLong_FromLongLong(m);
+    return m < 0 ? NULL : PyLong_FromLongLong(m);
 }
 
 /* seed_state(entropy, out): out None, or the uint32 buffer whose length is
@@ -819,8 +918,9 @@ static PyObject *py_draw_sizes(PyObject *self, PyObject *const *args, Py_ssize_t
 #define ENTRY(name, doc) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
 
 static PyMethodDef ENTRIES[] = {
-    ENTRY(run_pipeline, "run_pipeline(t, sizes, bps, b, restart, tie_s, proc, prop_s, out, "
-                        "served): one slice's links and server; the packets served"),
+    ENTRY(run_pipeline, "run_pipeline(t, sizes, bps, b, restart, tie_s, rate, demand, "
+                        "prop_ms, out, served): one slice's links and server; the packets "
+                        "served"),
     ENTRY(seed_state, "seed_state(entropy, out): SeedSequence(entropy)'s words into out "
                       "(or None); word 0"),
     ENTRY(draw_arrivals, "draw_arrivals(entropy, onoff, rate, burst_len, gap, off_mean, "

@@ -11,16 +11,20 @@ summed in another order can land a rounding error later.
 
 A simulation is one call of the compiled `run_pipeline` (`pipeline.c`,
 built and loaded by `native`). It runs Lindley's recursion packet by packet
-through each link and then the server, drops and compacts the packets a full
-buffer refuses, and checks the order of the arrivals and the sizes as the
-first link reads them. `pipeline.c` describes how a link finds its buffer
-full and runs each overflow episode. A stream is drawn whole in C too:
-`draw_arrivals` seeds numpy's PCG64 and draws the arrivals, and
-`draw_sizes` the sizes, each with numpy's own distribution code, so every
-stream is numpy's to the bit and no run imports `numpy.random`. A drawn
-stream is a `Stream`, which holds its warmup index, so a simulation of a
-stream held in a memo does not search for it again. Every compiled call
-passes its arrays as buffers, whose lengths and types it checks.
+through each link and then the server, and drops and compacts the packets a
+full buffer refuses. It owns a simulation's input contract: it checks the
+order of the arrivals and the sizes on every call (as the first link reads
+them, or in one pass where no link runs), strands every packet where a
+stage has rate zero, and raises each data error itself, so
+`simulate_pipeline` only converts its arrays and calls it. `pipeline.c`
+describes how a link finds its buffer full and runs each overflow episode.
+A stream is drawn whole in C too: `draw_arrivals` seeds numpy's PCG64 and
+draws the arrivals, and `draw_sizes` the sizes, each with numpy's own
+distribution code, so every stream is numpy's to the bit and no run imports
+`numpy.random`. A drawn stream is a `Stream`, which holds its warmup index,
+so a simulation of a stream held in a memo does not search for it again.
+Every compiled call passes its arrays as buffers, whose lengths and types
+it checks.
 
 A request's E2E delay is (service completion - creation) + propagation.
 Requests created during the warmup window are simulated but excluded from
@@ -50,11 +54,6 @@ _RESTART_WINDOW = 256
 
 # a departure at most this long (s) after an arrival frees its slot first
 TIE_S = 1e-9
-
-_NOT_SORTED = "arrivals must be sorted in non-decreasing order"
-
-# what `run_pipeline` returns in place of a count of served packets
-_UNSORTED, _OVERFLOW, _NO_MEMORY, _BAD_SIZE = -1, -2, -3, -4
 
 _PERCENTILE = re.compile(r"p[0-9]+(\.[0-9]+)?")  # "pNN", NN a plain decimal
 
@@ -165,13 +164,17 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
                       service_rate_ips, demand_mi, propagation_ms):
     """Push one slice's packets through its link queues and server queue.
 
-    arrivals must be sorted and as long as sizes_bytes, whose entries must
-    be >= 0; neither is written to. Returns (delays_ms of served packets in
-    arrival order of survivors, served_mask over all offered packets). A
-    zero-rate stage strands every packet (served_mask all False).
-    buffer_pkts is a whole number >= 1 (a float one is used as its int),
-    else InvariantViolation names it. A delay that is not finite (a share so
-    small that a time overflows) raises OverflowError.
+    arrivals, sizes_bytes and link_rates_bps are one-dimensional, and the
+    first two of one length, else ValueError names the argument; neither is
+    written to. Returns (delays_ms of served packets in arrival order of
+    survivors, served_mask over all offered packets). buffer_pkts is a whole
+    number >= 1 (a float one is used as its int), else InvariantViolation
+    names it. The compiled call checks the packets and strands them
+    (`run_pipeline` in `pipeline.c`): arrivals out of order raise
+    ValueError, and so does a size that is negative or NaN, named by its
+    index; a zero-rate stage strands every packet (served_mask all False);
+    a delay that is not finite (a share so small that a time overflows)
+    raises OverflowError.
     """
     if not (type(buffer_pkts) is int and buffer_pkts >= 1):  # an int >= 1 obeys the rule
         InvariantViolation.check(interval_violations("buffer_pkts", buffer_pkts, "[1, inf)",
@@ -180,44 +183,20 @@ def simulate_pipeline(arrivals, sizes_bytes, link_rates_bps, buffer_pkts,
     # contiguous float arrays, the only buffers the compiled pipeline takes
     arrivals = np.ascontiguousarray(arrivals, dtype=float)
     sizes = np.ascontiguousarray(sizes_bytes, dtype=float)
-    if arrivals.shape != sizes.shape:
-        raise ValueError(f"arrivals and sizes_bytes differ in length: "
-                         f"{len(arrivals)} vs {len(sizes)}")
     rates = np.ascontiguousarray(link_rates_bps, dtype=float)
+    for name, array in (("arrivals", arrivals), ("sizes_bytes", sizes),
+                        ("link_rates_bps", rates)):
+        if array.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
     n = arrivals.size
-    stranded = service_rate_ips <= 0.0 or any(rate <= 0.0 for rate in rates.tolist())
-    # the first link pass checks the order and the sizes; where none runs,
-    # numpy does, in its order: packet k's order, then its size, then k + 1's
-    if stranded or not rates.size:
-        unsorted = ~(arrivals >= np.concatenate(([-math.inf], arrivals[:-1])))
-        bad = unsorted | ~(sizes >= 0.0)
-        if bad.any():
-            raise ValueError(_NOT_SORTED) if unsorted[bad.argmax()] else _bad_size(sizes)
-    if stranded or not n:
-        return np.empty(0), np.zeros(n, dtype=bool)
-    # every link and the server in one call (`pipeline.c`): the delays land
-    # in out[:m], m being the packets served
+    if sizes.size != n:
+        raise ValueError(f"arrivals and sizes_bytes differ in length: {n} vs {sizes.size}")
+    # every link and the server in one call: the delays land in out[:m], m
+    # being the packets served
     out, served = np.empty(n), np.empty(n, dtype=bool)
-    # a buffer of n or more never fills, and min keeps it an int64
-    m = native.LIBRARY.run_pipeline(arrivals, sizes, rates, min(buffer_pkts, n),
-                                    _RESTART_WINDOW, TIE_S, demand_mi / service_rate_ips,
-                                    propagation_ms / 1000.0, out, served)
-    if m < 0:
-        if m == _OVERFLOW:
-            raise OverflowError(f"a delay overflows at link rates {rates.tolist()} bps and "
-                                f"server rate {service_rate_ips} MIPS")
-        if m == _NO_MEMORY:
-            raise MemoryError(f"no memory to compact the survivors of {n} packets")
-        if m == _BAD_SIZE:
-            raise _bad_size(sizes)
-        raise ValueError(_NOT_SORTED)
+    m = native.LIBRARY.run_pipeline(arrivals, sizes, rates, buffer_pkts, _RESTART_WINDOW, TIE_S,
+                                    service_rate_ips, demand_mi, propagation_ms, out, served)
     return out[:m], served
-
-
-def _bad_size(sizes):
-    """The ValueError that names the first size that is negative or NaN."""
-    k = int(np.flatnonzero(~(sizes >= 0.0))[0])
-    return ValueError(f"sizes_bytes[{k}] must be >= 0, got {sizes[k]}")
 
 
 def stage_rates(row, topology: Topology) -> tuple[np.ndarray, float]:

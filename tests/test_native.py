@@ -3,6 +3,7 @@ ImportError that names why it can neither build nor load them; and the
 checks each entry of the extension module makes of its buffers before it
 reads or writes one. `test_simulator.py` checks the passes against the
 reference loops."""
+import math
 import os
 import re
 import shutil
@@ -179,7 +180,8 @@ class TestLoader:
         # at 0.75 s, waits there until 1.5 s; each takes 0.5 s to propagate
         t, sizes, bps = np.array([0.0, 0.25, 0.75]), np.full(3, 0.5), np.array([8.0])
         out, served = np.empty(3), np.empty(3, dtype=np.uint8)
-        m = lib.run_pipeline(t, sizes, bps, 1, 256, simulator.TIE_S, 1.0, 0.5, out, served)
+        m = lib.run_pipeline(t, sizes, bps, 1, 256, simulator.TIE_S, 1.0, 1.0, 500.0, out,
+                             served)
         assert m == 2 and served.tolist() == [1, 0, 1]
         assert out[:m].tolist() == [((0.5 + 1.0 - 0.0) + 0.5) * 1000.0,
                                     ((1.5 + 1.0 - 0.75) + 0.5) * 1000.0]
@@ -234,8 +236,8 @@ def valid_calls():
     t, sizes, bps = np.array([0.0, 0.25, 0.75]), np.full(3, 0.5), np.array([8.0])
     words = np.array([0, 7001, 0], dtype=np.uint32).tobytes()
     return {
-        "run_pipeline": [t, sizes, bps, 1, 256, simulator.TIE_S, 1.0, 0.5, np.full(3, 7.0),
-                         np.zeros(3, dtype=bool)],
+        "run_pipeline": [t, sizes, bps, 1, 256, simulator.TIE_S, 1.0, 1.0, 500.0,
+                         np.full(3, 7.0), np.zeros(3, dtype=bool)],
         "seed_state": [words, np.full(3, 7, dtype=np.uint32)],
         "draw_arrivals": [words, 0, 300.0, 0.0, 0.0, 0.0, 0.02, np.full(64, 7.0),
                           bytearray(40)],
@@ -293,6 +295,8 @@ BAD_ARGUMENTS = [
      "served must hold at least 3 items, got 2"),
     # a buffer of at least one packet, and a window of at least one
     ("run_pipeline", "b", 0, ValueError, "b must be at least 1, got 0"),
+    ("run_pipeline", "b", -2**64, ValueError, "b must be at least 1, got -18446744073709551616"),
+    ("run_pipeline", "b", 1.0, TypeError, "b must be an int, not float"),
     ("run_pipeline", "restart", 0, ValueError, "restart must be at least 1, got 0"),
     # the rng state at least 40 bytes
     ("draw_arrivals", "rng", bytearray(39), ValueError, "rng must hold at least 40 bytes, got 39"),
@@ -309,8 +313,8 @@ BAD_ARGUMENTS = [
 
 # each entry's arguments by name, in order
 PARAMETERS = {
-    "run_pipeline": ("t", "sizes", "bps", "b", "restart", "tie_s", "proc", "prop_s", "out",
-                     "served"),
+    "run_pipeline": ("t", "sizes", "bps", "b", "restart", "tie_s", "rate", "demand", "prop_ms",
+                     "out", "served"),
     "seed_state": ("entropy", "out"),
     "draw_arrivals": ("entropy", "onoff", "rate", "burst_len", "gap", "off_mean", "horizon",
                       "out", "rng"),
@@ -347,3 +351,62 @@ class TestEntries:
         with pytest.raises(TypeError, match=f"^{entry} takes {want} arguments \\({want - 1} "
                                             f"given\\)$"):
             getattr(native.LIBRARY, entry)(*valid_calls()[entry][:-1])
+
+
+def run_pipeline(**changed):
+    """`run_pipeline`'s valid call with the arguments named in `changed`
+    replaced: (its return value, the served mask, the delay array)."""
+    args = valid_calls()["run_pipeline"]
+    for name, value in changed.items():
+        args[PARAMETERS["run_pipeline"].index(name)] = value
+    m = native.LIBRARY.run_pipeline(*args)
+    return m, args[-1], args[-2]
+
+
+# (arguments replaced, the error, its message): the data errors the entry
+# raises itself, in `simulate_pipeline`'s words, on a link, with no link
+# and on a stranded call
+DATA_ERRORS = {
+    "unsorted": (dict(t=np.array([0.0, 0.75, 0.25])), ValueError,
+                 "arrivals must be sorted in non-decreasing order"),
+    "unsorted-no-link": (dict(t=np.array([0.0, 0.75, 0.25]), bps=np.empty(0)), ValueError,
+                         "arrivals must be sorted in non-decreasing order"),
+    "unsorted-stranded": (dict(t=np.array([0.0, 0.75, 0.25]), rate=0.0), ValueError,
+                          "arrivals must be sorted in non-decreasing order"),
+    # the first size that is negative or NaN, by its index and value
+    "bad-size": (dict(sizes=np.array([0.5, -2.0, math.nan])), ValueError,
+                 "sizes_bytes[1] must be >= 0, got -2.0"),
+    "nan-size-stranded": (dict(sizes=np.array([0.0, math.nan, -2.0]), bps=np.zeros(1)),
+                          ValueError, "sizes_bytes[1] must be >= 0, got nan"),
+    # a server at 1e-308 instructions a second takes 1e308 s a packet
+    "overflow": (dict(bps=np.array([8.0, 16.0]), rate=1e-308), OverflowError,
+                 "a delay overflows at link rates [8.0, 16.0] bps and server rate 1e-308 MIPS"),
+}
+
+
+class TestRunPipelineData:
+    """`run_pipeline` owns a simulation's input contract: it checks the
+    packets on every path, strands them where a stage has rate zero, and
+    raises each data error itself."""
+
+    @pytest.mark.parametrize("case", DATA_ERRORS)
+    def test_a_data_error_is_raised_by_the_entry(self, case):
+        changed, error, message = DATA_ERRORS[case]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_pipeline(**changed)
+
+    @pytest.mark.parametrize("changed", [dict(bps=np.zeros(1)), dict(bps=np.array([8.0, -1.0])),
+                                         dict(rate=0.0), dict(rate=-1.0)],
+                             ids=["zero-link", "negative-second-link", "zero-cpu", "negative-cpu"])
+    def test_a_stranded_call_serves_nothing(self, changed):
+        m, served, _ = run_pipeline(**changed)
+        assert m == 0 and served.tolist() == [False] * 3
+
+    def test_a_buffer_too_large_for_int64_never_fills(self):
+        # the valid call's buffer of 1 drops packet 1; one of 3 or of 2**64
+        # packets drops none
+        assert run_pipeline()[0] == 2
+        want = run_pipeline(b=3)
+        got = run_pipeline(b=2**64)
+        assert got[0] == want[0] == 3 and got[1].all()
+        assert [a.tobytes() for a in got[1:]] == [a.tobytes() for a in want[1:]]

@@ -183,7 +183,7 @@ class TestPipeline:
 
     # (arrivals, sizes, link rates, buffer, cpu rate): the first link pass
     # tests each arrival against the one before as it reads it, in a window
-    # or in an overflow episode; where no link pass runs, numpy does
+    # or in an overflow episode; where no link pass runs, check_pass does
     W = simulator._RESTART_WINDOW
     OUT_OF_ORDER = {
         # one packet a ms, each 1 ms long: the first window runs to the end
@@ -240,7 +240,7 @@ class TestPipeline:
                               1e4, 0.0)
 
     # one link, no link and a zero-rate stage: where no link pass runs,
-    # numpy reports what the first link pass would
+    # check_pass reports what the first link pass would
     PATHS = {"one-link": ([8e6], 3e8), "no-link": ([], 3e8), "zero-link-rate": ([0.0], 3e8),
              "zero-cpu-rate": ([8e6], 0.0)}
 
@@ -258,6 +258,38 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate_pipeline(np.array(arrivals), np.array(sizes), link_rates, 10, cpu_rate,
                               5e4, 0.0)
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_ties_and_sizes_of_zero_pass_and_the_first_bad_size_is_named(self, path):
+        # arrivals that tie and sizes of 0 and -0 obey the contract on every
+        # path; the first size that does not is named, not a zero before it
+        link_rates, cpu_rate = self.PATHS[path]
+        arrivals = np.zeros(3)
+        _, served = simulate_pipeline(arrivals, np.array([0.0, -0.0, 1.0]), link_rates, 10,
+                                      cpu_rate, 5e4, 0.0)
+        assert served.all() == (path in ("one-link", "no-link"))
+        with pytest.raises(ValueError, match=r"^sizes_bytes\[2\] must be >= 0, got -1\.0$"):
+            simulate_pipeline(arrivals, np.array([0.0, -0.0, -1.0]), link_rates, 10, cpu_rate,
+                              5e4, 0.0)
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("bad", ["arrivals-and-sizes", "sizes", "link-rates"])
+    def test_an_argument_that_is_not_one_dimensional_is_named(self, path, bad):
+        # refused with its shape on every path, not flattened where a link
+        # runs, nor left to numpy's or Python's unnamed errors elsewhere
+        link_rates, cpu_rate = self.PATHS[path]
+        arrivals, sizes = np.arange(4.0), np.ones(4)
+        if bad == "arrivals-and-sizes":
+            arrivals, sizes = arrivals.reshape(2, 2), sizes.reshape(2, 2)
+            message = "arrivals must be one-dimensional, got shape (2, 2)"
+        elif bad == "sizes":
+            sizes = sizes.reshape(1, 4)
+            message = "sizes_bytes must be one-dimensional, got shape (1, 4)"
+        else:
+            link_rates = [link_rates]
+            message = f"link_rates_bps must be one-dimensional, got shape {np.shape(link_rates)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_pipeline(arrivals, sizes, link_rates, 10, cpu_rate, 5e4, 0.0)
 
     def test_a_size_of_zero_or_minus_zero_is_served(self):
         # at 1 packet/s on a link of 8 bps, the size-1 packet leaves at 3 s;

@@ -3,12 +3,13 @@ the mutants that no test kills.
 
     python3 tools/pipeline_mutants.py [NAME ...]
 
-MUTANTS is a fixed list of one-edit mutants: each comparison of `link_pass`,
-`server_pass` and `run_pipeline`'s compaction flipped between strict and
+MUTANTS is a fixed list of one-edit mutants: each comparison of
+`check_packet`, `link_pass`, `server_pass`, `run_pipeline`'s zero-rate test
+and compaction and its entry's bad-size scan flipped between strict and
 non-strict, the horizon tests of the stream draw flipped, and a few steps
-of those, of `seed_state` and of the PCG64 port dropped or moved. The
-mutated source is built as `native` builds the shipped one, an extension
-module linked with numpy's distributions archive. Each edit
+of those, of `check_pass`, of `seed_state` and of the PCG64 port dropped or
+moved. The mutated source is built as `native` builds the shipped one, an
+extension module linked with numpy's distributions archive. Each edit
 must match the source exactly once, so a list that no longer fits
 `pipeline.c` stops the run before any test. NAMEs pick mutants from the
 list; without them every mutant runs. EQUIVALENT says why each mutant that
@@ -63,26 +64,27 @@ MUTANTS = [
     ("link: the isnan walk is one head++",
      "do\n                    head++;\n                while (isnan(dep[head]));", "head++;"),
     ("link: width *= 2 dropped", "            width *= 2;\n", ""),
-    ("link: the window's order check dropped",
-     "            if (!(t[k] >= last))\n                return UNSORTED;\n"
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            double lag",
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            double lag"),
-    ("link: the episode's order check dropped",
-     "            if (!(t[k] >= last))\n                return UNSORTED;\n"
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            if (dep[head]",
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            if (dep[head]"),
-    ("link: the window's size check dropped",
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            double lag",
-     "            last = t[k];\n            double lag"),
-    ("link: the episode's size check dropped",
-     "            if (!(sizes[k] >= 0.0))\n                return BAD_SIZE;\n"
-     "            last = t[k];\n            if (dep[head]",
-     "            last = t[k];\n            if (dep[head]"),
+    ("link: the window's packet check dropped",
+     "            int64_t bad = check_packet(t, sizes, k, &last);\n"
+     "            if (bad)\n                return bad;\n            double lag",
+     "            double lag"),
+    ("link: the episode's packet check dropped",
+     "            int64_t bad = check_packet(t, sizes, k, &last);\n"
+     "            if (bad)\n                return bad;\n            if (dep[head]",
+     "            if (dep[head]"),
+    ("check: t[k] >= last", "if (!(t[k] >= *last))", "if (!(t[k] > *last))"),
+    ("check: sizes[k] >= 0.0", "if (!(sizes[k] >= 0.0))", "if (!(sizes[k] > 0.0))"),
+    ("check: the order test dropped", "    if (!(t[k] >= *last))\n        return UNSORTED;\n", ""),
+    ("check: the size test dropped", "    if (!(sizes[k] >= 0.0))\n        return BAD_SIZE;\n", ""),
+    ("check: last = t[k] dropped", "    *last = t[k];\n", ""),
+    ("check_pass: k < n", "k < n; k++) {\n        int64_t bad",
+     "k <= n; k++) {\n        int64_t bad"),
+    ("check_pass: its call dropped", "int64_t code = check_pass(t, sizes, n);",
+     "int64_t code = 0;"),
+    ("strand: rate <= 0.0", "bool stranded = rate <= 0.0;", "bool stranded = rate < 0.0;"),
+    ("strand: bps[e] <= 0.0", "stranded |= bps[e] <= 0.0;", "stranded |= bps[e] < 0.0;"),
+    ("entry: the bad-size scan's size[k] >= 0.0", "while (size[k] >= 0.0)",
+     "while (size[k] > 0.0)"),
     ("compaction: e < edges - 1", "if (e < edges - 1)", "if (e <= edges - 1)"),
     ("compaction: served[s] = 0 dropped", "                    served[s] = 0;\n", ""),
     ("compaction: the survivor test flipped", "if (isnan(dep[k]))", "if (!isnan(dep[k]))"),
@@ -128,7 +130,7 @@ EQUIVALENT = {
 
 # mutants whose only effect may be an access out of bounds
 SANITIZED = {"compaction: e < edges - 1", "compaction: the scratch bound moved by one",
-             "compaction: k < m"}
+             "compaction: k < m", "check_pass: k < n", "server: k < n"}
 
 
 def pytest_configure(config):
